@@ -136,7 +136,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import run_profile
 
-    breakdown = run_profile(quick=args.quick, seed=args.seed)
+    try:
+        breakdown = run_profile(
+            quick=args.quick, seed=args.seed,
+            switches=args.switches, members=args.members,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     print(breakdown.render())
     if breakdown.coverage < 0.9:
         print(
@@ -524,6 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="per-phase wall-time breakdown (SPF/flood/arbitration)"
     )
     p.add_argument("--quick", action="store_true")
+    p.add_argument(
+        "--switches", type=int, metavar="N",
+        help="network size (default 48; 16 with --quick)",
+    )
+    p.add_argument(
+        "--members", type=int, metavar="M",
+        help="switches in the conflicting join burst (default 16; 6 with --quick)",
+    )
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("hierarchy", help="flat vs hierarchical D-GMC")

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.mc import Role
+from repro.core.timestamp import Stamp
 from repro.obs.context import TraceContext
 from repro.trees.base import McTopology
 
@@ -45,7 +46,7 @@ class McLsa:
     event: McEvent
     connection_id: int
     proposal: Optional[McTopology]
-    timestamp: Tuple[int, ...]
+    timestamp: Stamp
     role: Optional[Role] = None
     #: Causal trace context (observability only -- never protocol input;
     #: excluded from equality so traced and untraced LSAs compare equal).

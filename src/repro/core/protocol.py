@@ -19,6 +19,7 @@ from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch
+from repro.core.timestamp import Stamp
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.lsa import NonMcLsa
 from repro.lsr.router import UnicastRouter, bring_up_unicast
@@ -105,7 +106,7 @@ class InstallRecord:
     time: float
     switch: int
     connection_id: int
-    stamp: Tuple[int, ...]
+    stamp: Stamp
     proposer: int
 
 
@@ -220,7 +221,7 @@ class DgmcNetwork:
         )
 
     def _record_install(
-        self, switch: int, connection_id: int, stamp: tuple, proposer: int
+        self, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
         self.install_log.append(
             InstallRecord(self.sim.now, switch, connection_id, stamp, proposer)

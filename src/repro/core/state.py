@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.mc import ConnectionSpec, Role, default_role
-from repro.core.timestamp import VectorTimestamp
+from repro.core.timestamp import Stamp, VectorTimestamp
 from repro.trees.base import McTopology
 
 
@@ -35,20 +35,21 @@ class McState:
         self,
         spec: ConnectionSpec,
         n: int,
-        resume_from: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        resume_from: Optional[Tuple[Stamp, Stamp, Stamp, Stamp]] = None,
     ) -> None:
         self.spec = spec
         self.n = n
         if resume_from is None:
-            received, expected, current, member = ((0,) * n,) * 4
+            received, expected, current, member = (VectorTimestamp(),) * 4
         else:
             received, expected, current, member = resume_from
         #: R: events heard, per origin switch.
-        self.received = VectorTimestamp(received)
+        self.received = received.snapshot()
         #: E: events known to exist (component-wise max of LSA stamps seen).
-        self.expected = VectorTimestamp(expected)
-        #: C: the stamp the installed topology is based on.
-        self.current_stamp: Tuple[int, ...] = tuple(current)
+        self.expected = expected.snapshot()
+        #: C: the stamp the installed topology is based on (never mutated;
+        #: installs replace it).
+        self.current_stamp: Stamp = current
         #: M: per origin, that origin's own event index (its R component)
         #: at its latest *membership* event reflected in ``members``.
         #: R counts every event an origin emits -- link events included --
@@ -56,7 +57,7 @@ class McState:
         #: overtaking a partition-swallowed join jumps R past the join
         #: forever.  M moves only on JOIN/LEAVE, so crash-recovery
         #: snapshots compare M to decide whose view of an origin is newer.
-        self.member_stamp = VectorTimestamp(member)
+        self.member_stamp = member.snapshot()
         #: The shared make_proposal_flag of the two protocol entities.
         self.make_proposal_flag = False
         #: Member list: switch -> role strings ({"sender"}, {"receiver"}, both).
@@ -169,7 +170,7 @@ class McState:
     def install(
         self,
         topology: McTopology,
-        stamp: Tuple[int, ...],
+        stamp: Stamp,
         now: float,
         proposer: int,
     ) -> None:
@@ -181,7 +182,7 @@ class McState:
         topology when FRR is enabled.
         """
         self.installed = topology
-        self.current_stamp = tuple(stamp)
+        self.current_stamp = stamp
         self.current_proposer = proposer
         self.last_install_time = now
         self.proposals_accepted += 1
@@ -215,7 +216,7 @@ class McState:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"McState(G={self.spec.connection_id}, R={self.received.snapshot()}, "
-            f"E={self.expected.snapshot()}, C={self.current_stamp}, "
+            f"McState(G={self.spec.connection_id}, R={self.received}, "
+            f"E={self.expected}, C={self.current_stamp}, "
             f"members={sorted(self.members)}, flag={self.make_proposal_flag})"
         )

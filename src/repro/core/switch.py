@@ -52,7 +52,7 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.state import McState
-from repro.core.timestamp import stamp_geq, stamp_gt
+from repro.core.timestamp import Stamp, stamp_gt
 from repro.lsr.router import UnicastRouter
 from repro.obs import tracer as obs_tracer
 from repro.sim.kernel import Simulator
@@ -99,7 +99,7 @@ class DgmcSwitch:
         config: "ProtocolConfig",
         connection_registry: Dict[int, ConnectionSpec],
         on_computation: Optional[Callable[[int, int], None]] = None,
-        on_install: Optional[Callable[[int, int, tuple, int], None]] = None,
+        on_install: Optional[Callable[[int, int, Stamp, int], None]] = None,
     ) -> None:
         self.sim = sim
         self.switch_id = switch_id
@@ -116,8 +116,8 @@ class DgmcSwitch:
         self.states: Dict[int, McState] = {}
         self._mailboxes: Dict[int, Mailbox] = {}
         self._daemons: Dict[int, object] = {}
-        #: (R, E, C) snapshots of destroyed connections, keyed by id, so a
-        #: recreated connection resumes its event counts (see McState).
+        #: (R, E, C, M) snapshots of destroyed connections, keyed by id, so
+        #: a recreated connection resumes its event counts (see McState).
         self._tombstones: Dict[int, tuple] = {}
         #: Topology computations currently holding (or queued for) the CPU,
         #: in start order; see :class:`_InflightCompute`.
@@ -373,8 +373,12 @@ class DgmcSwitch:
                         else:
                             state.apply_leave(lsa.source)
             state.expected.merge(lsa.timestamp)  # line 10
-            if lsa.proposal is not None and stamp_geq(
-                lsa.timestamp, state.expected.snapshot()
+            # Line 11, ``T >= E``.  The merge just made ``E >= T``, and
+            # dominance between stamps of equal sum is equality (see
+            # repro.core.timestamp), so the test is one integer compare.
+            if (
+                lsa.proposal is not None
+                and lsa.timestamp.total() == state.expected.total()
             ):  # lines 11-14
                 state.make_proposal_flag = False
                 if self._beats(
@@ -475,7 +479,7 @@ class DgmcSwitch:
             return self._install_body(state, topology, stamp, proposer)
         args = {
             "connection": state.spec.connection_id,
-            "stamp_total": sum(stamp),
+            "stamp_total": stamp.total(),
             "proposer": proposer,
         }
         if state.trace_ctx is not None:
@@ -505,7 +509,7 @@ class DgmcSwitch:
             )
         if self.on_install is not None:
             self.on_install(
-                self.switch_id, state.spec.connection_id, tuple(stamp), proposer
+                self.switch_id, state.spec.connection_id, stamp, proposer
             )
 
     @staticmethod
@@ -520,7 +524,7 @@ class DgmcSwitch:
         """
         if stamp_gt(stamp, incumbent_stamp):
             return True
-        return tuple(stamp) == tuple(incumbent_stamp) and proposer < incumbent_proposer
+        return proposer < incumbent_proposer and stamp == incumbent_stamp
 
     # -- crash-recovery resync (used by repro.net.resync) ----------------------
 
@@ -597,11 +601,9 @@ class DgmcSwitch:
         if snap.ctx is not None:
             state.trace_ctx = snap.ctx
         member_view = snap.member_map()
-        for origin, their_r in enumerate(snap.received):
-            if their_r > state.received[origin]:
-                state.received[origin] = their_r
-                changed = True
-        for origin, their_m in enumerate(snap.member_stamp):
+        if state.received.merge(snap.received):
+            changed = True
+        for origin, their_m in snap.member_stamp.items():
             if their_m > state.member_stamp[origin]:
                 state.member_stamp[origin] = their_m
                 if origin in member_view:
@@ -654,7 +656,7 @@ class DgmcSwitch:
             not backups
             or not self.config.enable_frr
             or state.installed is None
-            or tuple(snap.current) != state.current_stamp
+            or snap.current != state.current_stamp
             or snap.proposer != state.current_proposer
         ):
             return False

@@ -6,143 +6,195 @@ specifies how many events have been heard from switch x.  Given two
 timestamps A and B, we say that A >= B if a_i >= b_i for all i; A > B if
 A >= B and A != B."  (Section 3)
 
-:class:`VectorTimestamp` is the mutable working object held in switch state
-(R and E are incremented in place); :meth:`snapshot` produces the immutable
-tuples carried in LSAs and saved as ``old_R`` / ``C``.
+:class:`VectorTimestamp` (``Stamp`` for short) is the one representation
+of that n-tuple, from switch state to the wire: only the non-zero
+components are stored (``{origin: count}``; every other component is an
+implicit zero, so a stamp has no length to mismatch) together with their
+sum.  The partial order is the paper's, evaluated exactly but cheaply
+through two facts about vectors of naturals:
+
+* ``a >= b  =>  sum(a) >= sum(b)`` -- each component of ``a`` is at least
+  that of ``b``, so the sums are ordered too.  Read backwards it refutes
+  ``a >= b`` from the two sums alone.
+* ``a >= b and sum(a) == sum(b)  =>  a == b`` -- the non-negative
+  differences ``a_i - b_i`` sum to zero, so each is zero.  With equal
+  sums, dominance *is* equality, and strict dominance is impossible.
+
+What the sums cannot decide takes one pass over the stored components of
+the dominated side.  R, E and M are mutated in place;
+:meth:`VectorTimestamp.snapshot` is the copy carried in LSAs and kept as
+``old_R`` / ``C``, which by convention is never mutated again (and is
+therefore safe to hash).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
-
-Stamp = Tuple[int, ...]
+from itertools import compress, repeat
+from typing import Dict, ItemsView, Iterable, List, Mapping, Tuple, Union
 
 
 class VectorTimestamp:
-    """A mutable n-component event-count vector with the paper's partial order."""
+    """A sparse, sum-carrying event-count vector with the paper's partial order."""
 
-    __slots__ = ("_v",)
+    __slots__ = ("_v", "_sum")
 
-    def __init__(self, n_or_values: int | Iterable[int]) -> None:
-        if isinstance(n_or_values, int):
-            if n_or_values < 1:
-                raise ValueError("timestamp needs at least one component")
-            self._v = [0] * n_or_values
-        else:
-            self._v = [int(x) for x in n_or_values]
-            if not self._v:
-                raise ValueError("timestamp needs at least one component")
-        if any(x < 0 for x in self._v):
+    def __init__(
+        self, components: Union[Mapping[int, int], Iterable[Tuple[int, int]]] = ()
+    ) -> None:
+        v = dict(components)
+        if v and (min(v) < 0 or min(v.values()) < 0):
+            raise ValueError("timestamp origins and counts must be naturals")
+        if not all(v.values()):
+            v = {origin: count for origin, count in v.items() if count}
+        self._v: Dict[int, int] = v
+        self._sum = sum(v.values())
+
+    @classmethod
+    def _of(cls, stored: Dict[int, int], total: int) -> "VectorTimestamp":
+        """Adopt an already-canonical ``{origin: non-zero count}`` dict."""
+        stamp = cls.__new__(cls)
+        stamp._v = stored
+        stamp._sum = total
+        return stamp
+
+    @classmethod
+    def from_dense(cls, values: Iterable[int]) -> "VectorTimestamp":
+        """The stamp whose i-th component is ``values[i]`` (the paper's tuple)."""
+        values = tuple(values)
+        if values and min(values) < 0:
             raise ValueError("timestamp components must be natural numbers")
+        return cls._of(dict(compress(enumerate(values), values)), sum(values))
 
     # -- element access ------------------------------------------------------
 
     def __len__(self) -> int:
+        """Number of *stored* (non-zero) components."""
         return len(self._v)
 
     def __getitem__(self, i: int) -> int:
-        return self._v[i]
+        return self._v.get(i, 0)
+
+    #: Implicit zeros never end: without this, ``tuple(stamp)`` would fall
+    #: back to ``__getitem__`` and loop forever.  Use :meth:`items`,
+    #: :meth:`total` or :meth:`dense`.
+    __iter__ = None
 
     def __setitem__(self, i: int, value: int) -> None:
         if value < 0:
             raise ValueError("timestamp components must be natural numbers")
-        self._v[i] = value
+        self._sum += value - self._v.get(i, 0)
+        if value:
+            self._v[i] = value
+        else:
+            # Zeros stay implicit so ``==`` / ``hash`` see one form only.
+            self._v.pop(i, None)
 
     def increment(self, i: int, by: int = 1) -> None:
         """``T[i] += by`` (the paper's ``R[x] = R[x] + 1``)."""
-        self._v[i] += by
+        self[i] = self._v.get(i, 0) + by
+
+    def items(self) -> ItemsView[int, int]:
+        """The stored ``(origin, count)`` pairs, in no particular order."""
+        return self._v.items()
+
+    def total(self) -> int:
+        """Sum of components: total events covered."""
+        return self._sum
+
+    def span(self) -> int:
+        """Highest origin with a non-zero component, plus one (0 when empty)."""
+        return max(self._v, default=-1) + 1
+
+    def dense(self, n: int) -> List[int]:
+        """The first ``n`` components as a list (must cover :meth:`span`)."""
+        values = list(map(self._v.get, range(n), repeat(0)))
+        if sum(values) != self._sum:  # stored counts are positive: one was cut
+            raise ValueError(f"stamp has components beyond index {n - 1}")
+        return values
 
     # -- partial order ---------------------------------------------------------
 
-    @staticmethod
-    def _values(other: "VectorTimestamp | Sequence[int]") -> Sequence[int]:
-        return other._v if isinstance(other, VectorTimestamp) else other
-
-    def geq(self, other: "VectorTimestamp | Sequence[int]") -> bool:
+    def geq(self, other: "VectorTimestamp") -> bool:
         """Component-wise ``self >= other``."""
-        ov = self._values(other)
-        if len(ov) != len(self._v):
-            raise ValueError("comparing timestamps of different lengths")
-        return all(a >= b for a, b in zip(self._v, ov))
+        if self._sum <= other._sum:
+            # Smaller sum refutes dominance; equal sums make it equality.
+            return self._sum == other._sum and self._v == other._v
+        mine = self._v
+        try:
+            for origin, count in other._v.items():
+                if mine[origin] < count:
+                    return False
+        except KeyError:  # an implicit zero below a stored (positive) count
+            return False
+        return True
 
-    def gt(self, other: "VectorTimestamp | Sequence[int]") -> bool:
+    def gt(self, other: "VectorTimestamp") -> bool:
         """Strict order: ``self >= other`` and ``self != other``."""
-        ov = self._values(other)
-        return self.geq(ov) and list(ov) != self._v
+        return self._sum > other._sum and self.geq(other)
 
-    def equals(self, other: "VectorTimestamp | Sequence[int]") -> bool:
-        return list(self._values(other)) == self._v
+    def equals(self, other: "VectorTimestamp") -> bool:
+        return self == other
 
-    def concurrent_with(self, other: "VectorTimestamp | Sequence[int]") -> bool:
+    def concurrent_with(self, other: "VectorTimestamp") -> bool:
         """Neither dominates: the timestamps are incomparable."""
-        ov = self._values(other)
-        return not self.geq(ov) and not VectorTimestamp(ov).geq(self._v)
+        return not self.geq(other) and not other.geq(self)
 
     # -- updates ---------------------------------------------------------------
 
-    def merge(self, other: "VectorTimestamp | Sequence[int]") -> bool:
+    def merge(self, other: "VectorTimestamp") -> bool:
         """Component-wise max in place (``E[y] = max(E[y], T[y])``).
 
-        Returns True when any component changed.
+        Returns True when any component changed.  Afterwards ``self >=
+        other`` holds, so ``other >= self`` is just equality of the sums.
         """
-        ov = self._values(other)
-        if len(ov) != len(self._v):
-            raise ValueError("merging timestamps of different lengths")
-        changed = False
-        for i, val in enumerate(ov):
-            if val > self._v[i]:
-                self._v[i] = val
-                changed = True
-        return changed
+        mine = self._v
+        if self._sum == other._sum and mine == other._v:
+            return False
+        get = mine.get
+        gained = 0
+        for origin, count in other._v.items():
+            have = get(origin, 0)
+            if count > have:
+                mine[origin] = count
+                gained += count - have
+        self._sum += gained
+        return gained > 0
 
-    def assign(self, other: "VectorTimestamp | Sequence[int]") -> None:
+    def assign(self, other: "VectorTimestamp") -> None:
         """Overwrite all components (``E = R``)."""
-        ov = self._values(other)
-        if len(ov) != len(self._v):
-            raise ValueError("assigning timestamps of different lengths")
-        self._v[:] = list(ov)
+        self._v = other._v.copy()
+        self._sum = other._sum
 
     # -- conversion --------------------------------------------------------------
 
-    def snapshot(self) -> Stamp:
-        """Immutable copy, as carried in LSAs (``old_R = R``)."""
-        return tuple(self._v)
-
-    def copy(self) -> "VectorTimestamp":
-        return VectorTimestamp(self._v)
-
-    def total(self) -> int:
-        """Sum of components: total events covered (diagnostic)."""
-        return sum(self._v)
+    def snapshot(self) -> "VectorTimestamp":
+        """An independent copy, as carried in LSAs (``old_R = R``)."""
+        return self._of(self._v.copy(), self._sum)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, VectorTimestamp):
-            return self._v == other._v
-        if isinstance(other, (tuple, list)):
-            return self._v == list(other)
+            return self._sum == other._sum and self._v == other._v
         return NotImplemented
 
-    def __hash__(self) -> int:  # pragma: no cover - mutable; identity-free use
-        raise TypeError("VectorTimestamp is mutable; hash its snapshot() instead")
+    def __hash__(self) -> int:
+        return hash(frozenset(self._v.items()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"VectorTimestamp({self._v})"
-
-
-def stamp_geq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Component-wise ``a >= b`` for immutable stamps."""
-    if len(a) != len(b):
-        raise ValueError("comparing stamps of different lengths")
-    return all(x >= y for x, y in zip(a, b))
+    def __repr__(self) -> str:
+        return f"VectorTimestamp({dict(sorted(self._v.items()))})"
 
 
-def stamp_gt(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Strict partial order on immutable stamps."""
-    return stamp_geq(a, b) and tuple(a) != tuple(b)
+#: Annotation name for a stamp held as an immutable snapshot (T, C, old_R).
+Stamp = VectorTimestamp
+
+#: The order on snapshots, spelled as functions.  (These three names, and
+#: the methods ``geq`` / ``gt`` / ``merge`` / ``assign`` / ``snapshot``, are
+#: the layer boundary benchmarks/e2e/trace.py wraps by name.)
+stamp_geq = VectorTimestamp.geq
+stamp_gt = VectorTimestamp.gt
 
 
-def stamp_max(a: Sequence[int], b: Sequence[int]) -> Stamp:
-    """Component-wise max of two immutable stamps."""
-    if len(a) != len(b):
-        raise ValueError("merging stamps of different lengths")
-    return tuple(max(x, y) for x, y in zip(a, b))
+def stamp_max(a: Stamp, b: Stamp) -> Stamp:
+    """Component-wise max of two stamps, as a new stamp."""
+    out = a.snapshot()
+    out.merge(b)
+    return out

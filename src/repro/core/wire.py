@@ -7,13 +7,23 @@ the protocol could interoperate outside the simulator:
 MC LSA (``F = 1``)::
 
     magic     u8   = 0xD6
-    version   u8   = 1
+    version   u8   = 1 (dense stamp) or 2 (pair stamp)
     flags     u8   : bit0 F, bits1-3 V, bit4 has-proposal, bits5-6 role
     source    u16  (S)
     conn      u32  (G)
-    n         u16  timestamp length
-    stamp     u32 x n  (T)
+    count     u16  n (version 1) or k (version 2)
+    stamp     version 1: u32 x n         -- T[0..n-1], n = highest
+                                            non-zero origin + 1
+              version 2: (origin u16, count u32) x k
+                                         -- the k non-zero components,
+                                            origins strictly ascending
     proposal  (present iff bit4): see below (P)
+
+The timestamp ``T`` is sparse (:mod:`repro.core.timestamp`); the encoder
+emits whichever stamp layout is shorter (6k against 4n bytes), so an LSA
+never grows over the all-dense format and its size follows the number of
+originators, not the network size.  The decoder accepts both and yields
+the same stamp.
 
 Proposal ``P`` -- "a complete topological description of the MC"::
 
@@ -24,7 +34,7 @@ Proposal ``P`` -- "a complete topological description of the MC"::
 
 Non-MC LSA (``F = 0``)::
 
-    magic, version, flags (bit0 = 0)
+    magic, version = 1, flags (bit0 = 0)
     source  u16 (S)
     seqnum  u32
     link_count u16                      } D: the RouterLsa description
@@ -36,15 +46,20 @@ All integers are big-endian (network byte order).
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple, Union
+from itertools import chain
+from operator import lt
+from typing import Callable, Optional, Tuple, Union
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import Role
+from repro.core.timestamp import Stamp
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.trees.base import McTopology, MulticastTree
 
 MAGIC = 0xD6
 VERSION = 1
+#: MC LSAs whose stamp is in pair form.
+PAIR_VERSION = 2
 
 _EVENT_CODES = {
     McEvent.JOIN: 1,
@@ -70,6 +85,37 @@ class WireDecodeError(WireError):
     ``ValueError``), so socket-facing code needs exactly one except
     clause per datagram.
     """
+
+
+def pairs_are_shorter(stored: int, span: int) -> bool:
+    """Whether ``stored`` 6-byte pairs undercut ``span`` 4-byte components."""
+    return 6 * stored < 4 * span
+
+
+def pack_stamp_dense(stamp: Stamp, length: int) -> bytes:
+    """``u32 x length``: the first ``length`` components of ``stamp``."""
+    return struct.pack(f"!{length}I", *stamp.dense(length))
+
+
+def pack_stamp_pairs(stamp: Stamp) -> bytes:
+    """``(origin u16, count u32)`` per stored component, origins ascending."""
+    return struct.pack(
+        "!" + "HI" * len(stamp), *chain.from_iterable(sorted(stamp.items()))
+    )
+
+
+def read_stamp_dense(take: Callable[[str], tuple], length: int) -> Stamp:
+    """Inverse of :func:`pack_stamp_dense`; ``take(fmt)`` is a checked read."""
+    return Stamp.from_dense(take(f"!{length}I"))
+
+
+def read_stamp_pairs(take: Callable[[str], tuple], stored: int) -> Stamp:
+    """Inverse of :func:`pack_stamp_pairs`; rejects non-canonical pairs."""
+    flat = take("!" + "HI" * stored)
+    origins, counts = flat[0::2], flat[1::2]
+    if not all(counts) or not all(map(lt, origins, origins[1:])):
+        raise WireDecodeError("stamp pairs not strictly ascending and non-zero")
+    return Stamp(zip(origins, counts))
 
 
 def _encode_tree(key: int, tree: MulticastTree) -> bytes:
@@ -102,19 +148,18 @@ def encode_lsa(lsa: Union[McLsa, NonMcLsa]) -> bytes:
         if lsa.proposal is not None:
             flags |= 0x10
         flags |= _ROLE_CODES[lsa.role] << 5
+        stamp = lsa.timestamp
+        span = stamp.span()
+        if pairs_are_shorter(len(stamp), span):
+            version, count, body = PAIR_VERSION, len(stamp), pack_stamp_pairs(stamp)
+        else:
+            version, count, body = VERSION, span, pack_stamp_dense(stamp, span)
         parts = [
             struct.pack(
-                "!BBBHIH",
-                MAGIC,
-                VERSION,
-                flags,
-                lsa.source,
-                lsa.connection_id,
-                len(lsa.timestamp),
+                "!BBBHIH", MAGIC, version, flags, lsa.source,
+                lsa.connection_id, count,
             ),
-            struct.pack(f"!{len(lsa.timestamp)}I", *lsa.timestamp)
-            if lsa.timestamp
-            else b"",
+            body,
         ]
         if lsa.proposal is not None:
             parts.append(_encode_proposal(lsa.proposal))
@@ -170,11 +215,14 @@ def _decode_lsa_body(data: bytes) -> Union[McLsa, NonMcLsa]:
     magic, version, flags = reader.take("!BBB")
     if magic != MAGIC:
         raise WireDecodeError(f"bad magic 0x{magic:02x}")
-    if version != VERSION:
+    if version != VERSION and not (version == PAIR_VERSION and flags & 0x01):
         raise WireDecodeError(f"unsupported version {version}")
     if flags & 0x01:  # MC LSA
-        source, connection_id, n = reader.take("!HIH")[0:3]
-        stamp = reader.take(f"!{n}I") if n else ()
+        source, connection_id, count = reader.take("!HIH")
+        if version == PAIR_VERSION:
+            stamp = read_stamp_pairs(reader.take, count)
+        else:
+            stamp = read_stamp_dense(reader.take, count)
         event = _EVENT_BY_CODE.get((flags >> 1) & 0x07)
         if event is None:
             raise WireDecodeError("bad event code")
@@ -186,7 +234,7 @@ def _decode_lsa_body(data: bytes) -> Union[McLsa, NonMcLsa]:
             proposal = McTopology(trees)
         if not reader.done():
             raise WireDecodeError("trailing bytes after MC LSA")
-        return McLsa(source, event, connection_id, proposal, tuple(stamp), role)
+        return McLsa(source, event, connection_id, proposal, stamp, role)
     # non-MC LSA
     source, seqnum, link_count = reader.take("!HIH")
     links = []

@@ -29,6 +29,7 @@ from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, NodeEvent
 from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.protocol import InstallRecord, ProtocolConfig, check_agreement
 from repro.core.state import McState
+from repro.core.timestamp import Stamp
 from repro.net.faults import FaultPlan
 from repro.net.host import LiveSwitch
 from repro.net.transport import RetransmitPolicy, UdpTransport
@@ -187,14 +188,14 @@ class LiveFabric:
         self.slo.finalize()
 
     def _record_install(
-        self, switch: int, connection_id: int, stamp: tuple, proposer: int
+        self, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
         # ``time`` is the installing host's *local* sim clock: there is no
         # global clock in the live runtime, only per-host schedulers.
         host = self.hosts[switch]
         self.install_log.append(
             InstallRecord(
-                host.sim.now, switch, connection_id, tuple(stamp), proposer,
+                host.sim.now, switch, connection_id, stamp, proposer,
             )
         )
         state = host.switch.states.get(connection_id)

@@ -3,7 +3,7 @@
 A UDP datagram carries exactly one frame.  All frames share one header::
 
     magic    u8   = 0xD7   (distinct from the LSA magic 0xD6)
-    version  u8   = 2
+    version  u8   = 2 (3: a SNAP frame whose stamps are in pair form)
     type     u8
     src      u16  originating switch id
     dest     u16  destination switch id
@@ -20,9 +20,9 @@ The context is observability metadata only -- it never feeds protocol
 decisions -- but it is what stitches flood -> compute -> arbitration ->
 install into one causal trace tree across hosts.  The decoder still
 accepts version-1 frames (no context prefix) so mixed-version soaks
-interoperate; the encoder always emits version 2.  ACK/HELLO/DBD carry
-no context (acks are infrastructure, hellos/DBDs are liveness probes
-whose cause is themselves).
+interoperate; the encoder emits version 2 for everything but pair-form
+SNAP frames.  ACK/HELLO/DBD carry no context (acks are infrastructure,
+hellos/DBDs are liveness probes whose cause is themselves).
 
 Six frame types exist:
 
@@ -41,10 +41,15 @@ Six frame types exist:
   reply flag (a reply DBD never triggers another DBD, so the handshake
   terminates), then the header list.
 * SNAP (5) -- one MC connection's arbitration state (:class:`McSnapshot`)
-  for resync: R / E / C vectors, proposer, member roles, the active
-  fast-reroute fragments (count-prefixed, before the topology flag),
-  and the installed topology as canonical
-  :func:`~repro.core.wire.encode_topology` bytes.
+  for resync: connection ``u32``, proposer ``u16``, the R / E / C / M
+  stamps, member roles, the active fast-reroute fragments
+  (count-prefixed, before the topology flag), and the installed topology
+  as canonical :func:`~repro.core.wire.encode_topology` bytes.  The four
+  stamps take whichever layout is shorter in total, exactly as in an MC
+  LSA (:mod:`repro.core.wire`): version 2 is ``n u16`` then four
+  ``u32 x n`` vectors (``n`` = highest non-zero origin of any of them
+  + 1); version 3 is, per stamp, ``k u16`` then ``(origin u16, count
+  u32) x k``.
 * LSU (6) -- link-state update: one full non-MC LSA transferred during
   resync.  Distinct from DATA so the receiver applies resync semantics
   (re-flood if news; recover the own-origin sequence number).
@@ -61,11 +66,17 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core.lsa import McLsa
+from repro.core.timestamp import Stamp
 from repro.core.wire import (
     WireDecodeError,
     decode_lsa,
     decode_topology,
     encode_lsa,
+    pack_stamp_dense,
+    pack_stamp_pairs,
+    pairs_are_shorter,
+    read_stamp_dense,
+    read_stamp_pairs,
 )
 from repro.lsr.lsa import NonMcLsa
 from repro.obs.context import TraceContext, TraceContextError
@@ -75,6 +86,8 @@ FRAME_MAGIC = 0xD7
 FRAME_VERSION = 2
 #: Oldest frame version the decoder still accepts (pre-trace-context).
 LEGACY_FRAME_VERSION = 1
+#: SNAP frames whose four stamps are in pair form.
+PAIR_FRAME_VERSION = 3
 DATA = 1
 ACK = 2
 HELLO = 3
@@ -88,7 +101,8 @@ RELIABLE_TYPES = frozenset((DATA, DBD, SNAP, LSU))
 _HEADER = struct.Struct("!BBBHHI")
 _DBD_HEAD = struct.Struct("!BH")
 _DBD_ENTRY = struct.Struct("!HI")
-_SNAP_HEAD = struct.Struct("!IHH")
+_SNAP_HEAD = struct.Struct("!IH")  # connection, proposer
+_U16 = struct.Struct("!H")
 _SNAP_MEMBER = struct.Struct("!HB")
 _SNAP_BACKUP = struct.Struct("!HHH")  # protected edge u, v, detour path length
 
@@ -160,11 +174,11 @@ class McSnapshot:
     """
 
     connection_id: int
-    received: Tuple[int, ...]
-    expected: Tuple[int, ...]
-    current: Tuple[int, ...]
+    received: Stamp
+    expected: Stamp
+    current: Stamp
     proposer: int
-    member_stamp: Tuple[int, ...]
+    member_stamp: Stamp
     members: Tuple[Tuple[int, FrozenSet[str]], ...]
     topology: Optional[bytes]
     #: Causal trace context (observability only; excluded from equality).
@@ -178,6 +192,10 @@ class McSnapshot:
 
     def member_map(self) -> Dict[int, FrozenSet[str]]:
         return dict(self.members)
+
+    def stamps(self) -> Tuple[Stamp, Stamp, Stamp, Stamp]:
+        """R, E, C, M in wire order."""
+        return self.received, self.expected, self.current, self.member_stamp
 
 
 @dataclass(frozen=True)
@@ -203,8 +221,10 @@ class LsuFrame:
 Frame = Union[DataFrame, AckFrame, HelloFrame, DbdFrame, SnapFrame, LsuFrame]
 
 
-def _pack_header(ftype: int, src: int, dest: int, seq: int) -> bytes:
-    return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, ftype, src, dest, seq)
+def _pack_header(
+    ftype: int, src: int, dest: int, seq: int, version: int = FRAME_VERSION
+) -> bytes:
+    return _HEADER.pack(FRAME_MAGIC, version, ftype, src, dest, seq)
 
 
 def _pack_ctx(ctx: Optional[TraceContext]) -> bytes:
@@ -259,24 +279,21 @@ def _roles_from_bits(bits: int) -> FrozenSet[str]:
     return frozenset(role for role, bit in _ROLE_BITS if bits & bit)
 
 
-def encode_snapshot(snapshot: McSnapshot) -> bytes:
-    """Serialize one :class:`McSnapshot` body (no frame header)."""
-    n = len(snapshot.received)
-    if not (
-        len(snapshot.expected)
-        == len(snapshot.current)
-        == len(snapshot.member_stamp)
-        == n
-    ):
-        raise ValueError("snapshot vectors must have equal lengths")
-    parts = [
-        _SNAP_HEAD.pack(snapshot.connection_id, snapshot.proposer, n),
-        struct.pack(f"!{n}I", *snapshot.received) if n else b"",
-        struct.pack(f"!{n}I", *snapshot.expected) if n else b"",
-        struct.pack(f"!{n}I", *snapshot.current) if n else b"",
-        struct.pack(f"!{n}I", *snapshot.member_stamp) if n else b"",
-        struct.pack("!H", len(snapshot.members)),
-    ]
+def encode_snapshot(snapshot: McSnapshot) -> Tuple[int, bytes]:
+    """Serialize one :class:`McSnapshot` body: ``(frame version, bytes)``."""
+    stamps = snapshot.stamps()
+    n = max(stamp.span() for stamp in stamps)
+    parts = [_SNAP_HEAD.pack(snapshot.connection_id, snapshot.proposer)]
+    # Pair form spends one count per stamp where dense shares one ``n``.
+    if pairs_are_shorter(sum(map(len, stamps)) + 1, 4 * n):
+        version = PAIR_FRAME_VERSION
+        for stamp in stamps:
+            parts += (_U16.pack(len(stamp)), pack_stamp_pairs(stamp))
+    else:
+        version = FRAME_VERSION
+        parts.append(_U16.pack(n))
+        parts += (pack_stamp_dense(stamp, n) for stamp in stamps)
+    parts.append(_U16.pack(len(snapshot.members)))
     for switch, roles in sorted(snapshot.members):
         parts.append(_SNAP_MEMBER.pack(switch, _role_bits(roles)))
     parts.append(struct.pack("!H", len(snapshot.active_backup)))
@@ -289,16 +306,13 @@ def encode_snapshot(snapshot: McSnapshot) -> bytes:
     else:
         parts.append(b"\x01")
         parts.append(snapshot.topology)
-    return b"".join(parts)
+    return version, b"".join(parts)
 
 
 def encode_snap(src: int, dest: int, seq: int, snapshot: McSnapshot) -> bytes:
     """Build the wire bytes of one SNAP frame (context from the snapshot)."""
-    return (
-        _pack_header(SNAP, src, dest, seq)
-        + _pack_ctx(snapshot.ctx)
-        + encode_snapshot(snapshot)
-    )
+    version, body = encode_snapshot(snapshot)
+    return _pack_header(SNAP, src, dest, seq, version) + _pack_ctx(snapshot.ctx) + body
 
 
 def encode_lsu(src: int, dest: int, seq: int, lsa: NonMcLsa) -> bytes:
@@ -361,13 +375,26 @@ def _decode_dbd(src: int, dest: int, seq: int, body: bytes) -> DbdFrame:
     return DbdFrame(src, dest, seq, bool(reply), tuple(headers))
 
 
-def _decode_snap(src: int, dest: int, seq: int, body: bytes) -> SnapFrame:
+def _decode_snap(
+    src: int, dest: int, seq: int, body: bytes, pairs: bool
+) -> SnapFrame:
     reader = _BodyReader(body)
-    connection_id, proposer, n = reader.take(_SNAP_HEAD)
-    received = reader.take_fmt(f"!{n}I") if n else ()
-    expected = reader.take_fmt(f"!{n}I") if n else ()
-    current = reader.take_fmt(f"!{n}I") if n else ()
-    member_stamp = reader.take_fmt(f"!{n}I") if n else ()
+    connection_id, proposer = reader.take(_SNAP_HEAD)
+    if pairs:
+        try:
+            received, expected, current, member_stamp = (
+                read_stamp_pairs(reader.take_fmt, *reader.take(_U16))
+                for _ in range(4)
+            )
+        except FrameDecodeError:
+            raise
+        except WireDecodeError as exc:
+            raise FrameDecodeError(f"bad SNAP stamp: {exc}") from exc
+    else:
+        (n,) = reader.take(_U16)
+        received, expected, current, member_stamp = (
+            read_stamp_dense(reader.take_fmt, n) for _ in range(4)
+        )
     (member_count,) = reader.take_fmt("!H")
     members = []
     last_switch = -1
@@ -405,11 +432,11 @@ def _decode_snap(src: int, dest: int, seq: int, body: bytes) -> SnapFrame:
         raise FrameDecodeError("trailing bytes after SNAP")
     snapshot = McSnapshot(
         connection_id=connection_id,
-        received=tuple(received),
-        expected=tuple(expected),
-        current=tuple(current),
+        received=received,
+        expected=expected,
+        current=current,
         proposer=proposer,
-        member_stamp=tuple(member_stamp),
+        member_stamp=member_stamp,
         members=tuple(members),
         topology=topology,
         active_backup=tuple(active_backup),
@@ -452,7 +479,9 @@ def decode_frame(data: bytes) -> Frame:
     magic, version, ftype, src, dest, seq = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise FrameDecodeError(f"bad frame magic 0x{magic:02x}")
-    if version not in (FRAME_VERSION, LEGACY_FRAME_VERSION):
+    if version not in (FRAME_VERSION, LEGACY_FRAME_VERSION) and not (
+        version == PAIR_FRAME_VERSION and ftype == SNAP
+    ):
         raise FrameDecodeError(f"unsupported frame version {version}")
     body = data[_HEADER.size :]
     if ftype == ACK:
@@ -465,7 +494,10 @@ def decode_frame(data: bytes) -> Frame:
         )
         lsa = _decode_lsa_body(payload, "DATA")
         if ctx is not None:
-            lsa = replace(lsa, ctx=ctx)
+            # The LSA was built two lines up and nobody else holds it:
+            # stamp the (observability-only, compare=False) context in
+            # place rather than rebuild the frozen dataclass per datagram.
+            object.__setattr__(lsa, "ctx", ctx)
         return DataFrame(src, dest, seq, lsa)
     if ftype == HELLO:
         if body:
@@ -477,7 +509,9 @@ def decode_frame(data: bytes) -> Frame:
         ctx, payload = (
             _take_ctx(body) if version >= FRAME_VERSION else (None, body)
         )
-        frame = _decode_snap(src, dest, seq, payload)
+        frame = _decode_snap(
+            src, dest, seq, payload, pairs=version == PAIR_FRAME_VERSION
+        )
         if ctx is not None:
             frame = SnapFrame(src, dest, seq, replace(frame.snapshot, ctx=ctx))
         return frame

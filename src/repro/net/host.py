@@ -26,10 +26,12 @@ from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch
+from repro.core.timestamp import Stamp
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.router import UnicastRouter
 from repro.net.resync import ResyncManager
 from repro.net.transport import Transport
+from repro.obs.metrics import MetricsRegistry
 from repro.obs import tracer as obs_tracer
 from repro.obs.context import TraceContext
 from repro.sim.kernel import Simulator
@@ -87,7 +89,7 @@ class LiveSwitch:
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
         time_scale: float = 0.0,
         on_computation: Optional[Callable[[int, int], None]] = None,
-        on_install: Optional[Callable[[int, int, tuple, int], None]] = None,
+        on_install: Optional[Callable[[int, int, Stamp, int], None]] = None,
         generation: int = 1,
         hello_interval: float = 0.0,
         dead_interval: float = 0.0,
@@ -116,6 +118,10 @@ class LiveSwitch:
             on_install=on_install,
         )
         self.config = config
+        #: The deployment's shared registry when the transport has one.
+        self.metrics: MetricsRegistry = getattr(transport, "metrics", None)
+        if self.metrics is None:
+            self.metrics = MetricsRegistry()
         #: Hello cadence (0 disables failure detection entirely).
         self.hello_interval = hello_interval
         #: Silence span after which a neighbor is declared dead.  The
@@ -128,7 +134,7 @@ class LiveSwitch:
         self.resync = ResyncManager(
             self,
             transport,
-            metrics=getattr(transport, "metrics", None),
+            metrics=self.metrics,
             generation=generation,
             cold_boot=cold_boot,
         )
@@ -204,6 +210,8 @@ class LiveSwitch:
         if dest != self.switch_id:  # pragma: no cover - transport bug guard
             raise ValueError(f"host {self.switch_id} got a frame for {dest}")
         if isinstance(payload, McLsa):
+            if not self.admit(payload.source, payload.timestamp.span()):
+                return
             self.switch.deliver_mc_lsa(payload)
         elif isinstance(payload, NonMcLsa):
             self.router.receive(payload)
@@ -211,6 +219,30 @@ class LiveSwitch:
             raise TypeError(f"unexpected payload {payload!r}")
         self.ingested += 1
         self._wake.set()
+
+    def admit(self, source: int, span: int) -> bool:
+        """Semantic check of a decoded MC LSA's or snapshot's indices:
+        its source, and the :meth:`~repro.core.timestamp.VectorTimestamp.span`
+        of its stamp(s).
+
+        A frame can decode cleanly and still name switches this network
+        does not have; arbitrating on one would plant an origin in E that
+        R can never reach (``R >= E`` false forever: the connection stops
+        proposing).  Such frames are dropped here, before arbitration,
+        and counted by reason.
+        """
+        n = self.net.n
+        if source < n and span <= n:
+            return True
+        reason = (
+            "source-out-of-range" if source >= n else "stamp-origin-out-of-range"
+        )
+        self.metrics.counter(
+            "live_rejected_total",
+            "decoded frames dropped by semantic validation at ingest",
+            reason=reason,
+        ).inc()
+        return False
 
     # -- local event injection ---------------------------------------------------
 

@@ -331,6 +331,10 @@ class ResyncManager:
 
     def on_snap(self, frame: "frames.SnapFrame") -> None:
         snap = frame.snapshot
+        if not self.host.admit(
+            frame.src, max(stamp.span() for stamp in snap.stamps())
+        ):
+            return
         if not self.host.switch.apply_resync_snapshot(snap):
             return
         self._c_snap_applied.inc()

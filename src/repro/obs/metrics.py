@@ -39,14 +39,19 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class Counter:
-    """A monotonically increasing value."""
+    """A monotonically increasing value.
 
-    __slots__ = ("name", "help", "value")
+    ``labels`` is the rendered Prometheus label set (``{reason="..."}``,
+    or empty): counters of one family share ``name`` and differ in it.
+    """
+
+    __slots__ = ("name", "help", "value", "labels")
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str = "", labels: str = "") -> None:
         self.name = name
         self.help = help
+        self.labels = labels
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -60,7 +65,7 @@ class Counter:
         self.value = float(value)
 
     def samples(self) -> Iterable[Tuple[str, float]]:
-        yield self.name, self.value
+        yield self.name + self.labels, self.value
 
 
 class Gauge:
@@ -192,18 +197,24 @@ class MetricsRegistry:
     # -- instrument access (get-or-create) ---------------------------------
 
     def _get(self, name: str, cls, **kw):
-        metric = self._metrics.get(name)
+        key = name + kw.get("labels", "")
+        metric = self._metrics.get(key)
         if metric is None:
             metric = cls(name, **kw)
-            self._metrics[name] = metric
+            self._metrics[key] = metric
         elif type(metric) is not cls:
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}"
             )
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(name, Counter, help=help)
+    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
+        """Get or create a counter; ``labels`` (e.g. ``reason="..."``) pick
+        one member of the family ``name``."""
+        rendered = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
+        if rendered:
+            rendered = "{" + rendered + "}"
+        return self._get(name, Counter, help=help, labels=rendered)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(name, Gauge, help=help)
@@ -273,12 +284,15 @@ class MetricsRegistry:
         """Prometheus text exposition of every instrument."""
         self.collect()
         lines: List[str] = []
+        described = set()
         for metric in self._metrics.values():
-            if metric.help:
-                lines.append(
-                    f"# HELP {metric.name} {_escape_help(metric.help)}"
-                )
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
+            if metric.name not in described:  # once per labelled family
+                described.add(metric.name)
+                if metric.help:
+                    lines.append(
+                        f"# HELP {metric.name} {_escape_help(metric.help)}"
+                    )
+                lines.append(f"# TYPE {metric.name} {metric.kind}")
             if isinstance(metric, Histogram):
                 for bound, cum in metric.cumulative():
                     lines.append(
@@ -287,7 +301,8 @@ class MetricsRegistry:
                 lines.append(f"{metric.name}_sum {_format_value(metric.sum)}")
                 lines.append(f"{metric.name}_count {metric.count}")
             else:
-                lines.append(f"{metric.name} {_format_value(metric.value)}")
+                labels = getattr(metric, "labels", "")
+                lines.append(f"{metric.name}{labels} {_format_value(metric.value)}")
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:

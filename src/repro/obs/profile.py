@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict
+from typing import Dict, Optional
 
 #: Tracer category -> display phase (unknown categories pass through).
 PHASE_NAMES = {
@@ -73,7 +73,7 @@ class PhaseBreakdown:
         return "\n".join(lines)
 
 
-def _profile_workload(quick: bool, seed: int):
+def _profile_workload(n: int, joiners: int, flaps: int, seed: int):
     """Build the profiled deployment with its events already injected.
 
     Conflicting join bursts exercise arbitration (triggered proposals,
@@ -86,8 +86,6 @@ def _profile_workload(quick: bool, seed: int):
     from repro.core.events import LinkEvent
     from repro.topo.generators import waxman_network
 
-    n = 16 if quick else 48
-    joiners = 6 if quick else 16
     rng = random.Random(seed)
     net = waxman_network(n, rng)
     dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05))
@@ -101,7 +99,6 @@ def _profile_workload(quick: bool, seed: int):
         t += 25.0
         dgmc.inject(JoinEvent(sw, 1), at=t)
         t += 25.0
-    flaps = 2 if quick else 6
     for link in list(net.links())[:flaps]:  # link churn
         dgmc.inject(LinkEvent(link.u, link.u, link.v, up=False), at=t)
         t += 25.0
@@ -110,8 +107,17 @@ def _profile_workload(quick: bool, seed: int):
     return dgmc
 
 
-def run_profile(quick: bool = False, seed: int = 1996) -> PhaseBreakdown:
+def run_profile(
+    quick: bool = False,
+    seed: int = 1996,
+    switches: Optional[int] = None,
+    members: Optional[int] = None,
+) -> PhaseBreakdown:
     """Run the profile workload under a fresh tracer; return the breakdown.
+
+    ``switches`` / ``members`` size the network and the joining burst
+    (default 48 / 16, or 16 / 6 with ``quick``), so the breakdown can be
+    taken at the sizes the end-to-end benchmark runs (n=400).
 
     The tracer is enabled but has **no sinks**: spans only feed the
     per-category self-time accounting, keeping the measurement itself
@@ -119,7 +125,11 @@ def run_profile(quick: bool = False, seed: int = 1996) -> PhaseBreakdown:
     """
     from repro.obs.tracer import Tracer, use_tracer
 
-    dgmc = _profile_workload(quick, seed)
+    n = switches if switches is not None else (16 if quick else 48)
+    joiners = members if members is not None else (6 if quick else 16)
+    if not 2 <= joiners <= n:
+        raise ValueError(f"need 2 <= members <= switches, got {joiners} / {n}")
+    dgmc = _profile_workload(n, joiners, 2 if quick else 6, seed)
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
         start = perf_counter()

@@ -1,17 +1,18 @@
 """The simulation event loop and clock.
 
 The kernel is a classic calendar-queue discrete-event simulator: a binary
-heap of ``(time, priority, sequence, action)`` entries.  The ``sequence``
-counter breaks ties deterministically, which makes every run with the same
-seed bit-for-bit reproducible (DESIGN.md invariant 7).
+heap of ``(time, priority, sequence, event)`` tuples.  The ``sequence``
+counter is unique, so it breaks ties deterministically -- which makes
+every run with the same seed bit-for-bit reproducible (DESIGN.md
+invariant 7) -- and heap comparisons never reach the event object: they
+are plain tuple compares, done in C.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.obs import tracer as obs_tracer
 
@@ -20,19 +21,15 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    """A single entry in the event heap.
+    """The handle of one scheduled action (the heap orders by the tuple
+    around it, never by this object)."""
 
-    Ordering is by ``(time, priority, seq)``; ``action`` and ``cancelled``
-    are excluded from comparisons.
-    """
+    __slots__ = ("action", "cancelled")
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    def __init__(self, action: Callable[[], None]) -> None:
+        self.action = action
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark this event so the kernel skips it when popped."""
@@ -96,7 +93,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, int, _ScheduledEvent]] = []
         self._seq = itertools.count()
         self._processes: list[Any] = []
         self._running = False
@@ -127,8 +124,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        entry = _ScheduledEvent(self._now + delay, priority, next(self._seq), action)
-        heapq.heappush(self._heap, entry)
+        entry = _ScheduledEvent(action)
+        heapq.heappush(
+            self._heap, (self._now + delay, priority, next(self._seq), entry)
+        )
         return entry
 
     def schedule_at(
@@ -155,9 +154,10 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Dispatch a single event.  Returns ``False`` when nothing is left.
@@ -176,12 +176,12 @@ class Simulator:
 
     def _step(self) -> bool:
         while self._heap:
-            entry = heapq.heappop(self._heap)
+            time, _, _, entry = heapq.heappop(self._heap)
             if entry.cancelled:
                 continue
-            if entry.time < self._now - 1e-12:
+            if time < self._now - 1e-12:
                 raise SimulationError("event heap corrupted: time went backwards")
-            self._now = max(self._now, entry.time)
+            self._now = max(self._now, time)
             self.events_dispatched += 1
             entry.action()
             return True

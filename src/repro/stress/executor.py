@@ -34,7 +34,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.core.lsa import McLsa
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
 from repro.core.state import McState
-from repro.core.timestamp import stamp_gt
+from repro.core.timestamp import Stamp, stamp_gt
 from repro.core.wire import encode_topology
 from repro.lsr.lsa import NonMcLsa
 from repro.net.invariants import (
@@ -131,7 +131,7 @@ def _canon_payload(payload: Any) -> Tuple:
             payload.source,
             payload.event.value,
             payload.connection_id,
-            tuple(payload.timestamp),
+            tuple(sorted(payload.timestamp.items())),  # orderable, unlike a stamp
             role,
             proposal,
         )
@@ -176,7 +176,7 @@ class StressExecutor:
         self.steps_applied = 0
         #: Continuously monitored violations (stale installs).
         self.monitor_violations: List[Violation] = []
-        self._installed_stamps: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._installed_stamps: Dict[Tuple[int, int], Stamp] = {}
         for sw in self.dgmc.switches.values():
             sw.on_install = self._watch_install
         # Setup: converge each initial join in isolation, FIFO delivery.
@@ -191,7 +191,7 @@ class StressExecutor:
     # -- install monitor -----------------------------------------------------
 
     def _watch_install(
-        self, switch: int, connection_id: int, stamp: tuple, proposer: int
+        self, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
         """``stale-install``: an installed topology must never regress.
 
@@ -207,11 +207,11 @@ class StressExecutor:
                 Violation(
                     STALE_INSTALL,
                     f"switch {switch} replaced installed stamp {prev} "
-                    f"with dominated stamp {tuple(stamp)} "
+                    f"with dominated stamp {stamp} "
                     f"(proposer {proposer})",
                 )
             )
-        self._installed_stamps[key] = tuple(stamp)
+        self._installed_stamps[key] = stamp
         self.dgmc._record_install(switch, connection_id, stamp, proposer)
 
     # -- transition system ---------------------------------------------------

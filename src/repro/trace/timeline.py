@@ -54,7 +54,7 @@ def build_timeline(
                 "install",
                 rec.switch,
                 rec.connection_id,
-                f"stamp_total={sum(rec.stamp)} proposer={rec.proposer}",
+                f"stamp_total={rec.stamp.total()} proposer={rec.proposer}",
             )
         )
     for flood in dgmc.fabric.history:
@@ -70,7 +70,7 @@ def build_timeline(
                 "flood",
                 flood.origin,
                 payload.connection_id,
-                f"V={payload.event.value} {has_p} T_total={sum(payload.timestamp)}",
+                f"V={payload.event.value} {has_p} T_total={payload.timestamp.total()}",
             )
         )
     entries.sort(key=lambda e: (e.time, e.kind, e.switch))

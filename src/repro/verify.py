@@ -72,9 +72,9 @@ def verify_deployment(
         return report
 
     for x, state in states.items():
-        if not state.received.geq(state.expected.snapshot()):
+        if not state.received.geq(state.expected):
             raise VerificationError(f"switch {x}: R < E at quiescence")
-        if not state.expected.geq(state.received.snapshot()):
+        if not state.expected.geq(state.received):
             raise VerificationError(f"switch {x}: E < R at quiescence")
         if not state.received.geq(state.current_stamp):
             raise VerificationError(f"switch {x}: C exceeds R")

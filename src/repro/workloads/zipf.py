@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.protocol import DgmcNetwork
 from repro.core.state import McState
+from repro.core.timestamp import VectorTimestamp
 from repro.dataplane.engine import BatchForwardingEngine
 from repro.dataplane.forwarding import DeliveryReport, ForwardingEngine
 from repro.dataplane.packet import DeliveryRecord, McPacket
@@ -236,7 +237,7 @@ class ConvergedGroups:
     def __init__(self, dgmc: DgmcNetwork) -> None:
         self.dgmc = dgmc
         #: group -> per-origin event counts (the R vector the stamps carry).
-        self._event_counts: Dict[int, List[int]] = {}
+        self._event_counts: Dict[int, VectorTimestamp] = {}
 
     def seed(self, workload: ZipfWorkload) -> None:
         """Register and install every group at its initial membership."""
@@ -249,17 +250,18 @@ class ConvergedGroups:
         for g, members in workload.initial:
             spec = self.dgmc.register_symmetric(g)
             state = McState(spec, n)
-            counts = [0] * n
+            counts = VectorTimestamp()
             for switch in members:
                 state.apply_join(switch, None)
-                counts[switch] += 1
+                counts.increment(switch)
             self._event_counts[g] = counts
             topology = state.algorithm.compute(adj, state.members, None)
             proposer = min(members)
-            state.install(topology, tuple(counts), self.dgmc.sim.now, proposer)
+            stamp = counts.snapshot()
+            state.install(topology, stamp, self.dgmc.sim.now, proposer)
             for x in range(n):
                 self.dgmc.switches[x].states[g] = state
-            self.dgmc._record_install(proposer, g, tuple(counts), proposer)
+            self.dgmc._record_install(proposer, g, stamp, proposer)
 
     def apply(self, event: GroupEvent) -> None:
         """Apply one churn event: mutate membership, recompute, reinstall."""
@@ -269,15 +271,12 @@ class ConvergedGroups:
         else:
             state.apply_leave(event.switch)
         counts = self._event_counts[event.group]
-        counts[event.switch] += 1
+        counts.increment(event.switch)
         adj = self.dgmc.net.spf_view()
         topology = state.algorithm.compute(adj, state.members, state.installed)
-        state.install(
-            topology, tuple(counts), self.dgmc.sim.now, event.switch
-        )
-        self.dgmc._record_install(
-            event.switch, event.group, tuple(counts), event.switch
-        )
+        stamp = counts.snapshot()
+        state.install(topology, stamp, self.dgmc.sim.now, event.switch)
+        self.dgmc._record_install(event.switch, event.group, stamp, event.switch)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from repro.core.protocol import DgmcNetwork, check_agreement
 from repro.core.state import McState
 from repro.topo.graph import Network
 from repro.trees.base import McTopology, MulticastTree
+from tests.stamps import S
 
 
 N = 4
@@ -23,7 +24,7 @@ CID = 7
 
 def make_state(
     members=(0, 1),
-    stamp=(1, 1, 0, 0),
+    stamp=S(1, 1, 0, 0),
     edges=((0, 1),),
 ) -> McState:
     state = McState(ConnectionSpec(CID, ConnectionType.SYMMETRIC), N)
@@ -60,15 +61,15 @@ class TestAgreement:
 
     def test_stamp_mismatch_names_switch(self):
         states = {
-            0: make_state(stamp=(1, 1, 0, 0)),
-            3: make_state(stamp=(1, 2, 0, 0)),
+            0: make_state(stamp=S(1, 1, 0, 0)),
+            3: make_state(stamp=S(1, 2, 0, 0)),
         }
         ok, detail = check_agreement(CID, states)
         assert not ok
         assert "switch 3" in detail
         assert "C mismatch" in detail
         # The report shows both stamps so the divergence is readable.
-        assert "(1, 1, 0, 0)" in detail and "(1, 2, 0, 0)" in detail
+        assert "{0: 1, 1: 1}" in detail and "{0: 1, 1: 2}" in detail
 
     def test_topology_mismatch_names_switch(self):
         states = {
@@ -83,8 +84,8 @@ class TestAgreement:
     def test_reference_switch_is_lowest_id(self):
         """The reference is deterministic (min id), so reports are stable."""
         states = {
-            5: make_state(stamp=(9, 0, 0, 0)),
-            2: make_state(stamp=(1, 0, 0, 0)),
+            5: make_state(stamp=S(9, 0, 0, 0)),
+            2: make_state(stamp=S(1, 0, 0, 0)),
         }
         ok, detail = check_agreement(CID, states)
         assert not ok

@@ -54,6 +54,12 @@ class TestCommands:
         assert "convergence profile" in out
         assert "flood" in out
 
+    def test_profile_takes_a_size(self, capsys):
+        assert main(["profile", "--switches", "20", "--members", "5"]) == 0
+        assert "phase breakdown" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="members <= switches"):
+            main(["profile", "--switches", "4", "--members", "9"])
+
     def test_hierarchy_runs(self, capsys):
         code = main(
             ["--seed", "5", "hierarchy", "--areas", "3", "--area-size", "8",

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import Role
+from repro.core.timestamp import Stamp
 from repro.core.wire import (
     MAGIC,
+    PAIR_VERSION,
+    VERSION,
     WireDecodeError,
     WireError,
     decode_lsa,
@@ -18,6 +21,7 @@ from repro.core.wire import (
 )
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.trees.base import SHARED, McTopology, MulticastTree
+from tests.stamps import S
 
 
 def shared_topology():
@@ -37,23 +41,23 @@ def per_source_topology():
 
 class TestMcRoundTrip:
     def test_join_with_proposal(self):
-        lsa = McLsa(3, McEvent.JOIN, 7, shared_topology(), (1, 0, 2, 0), Role.BOTH)
+        lsa = McLsa(3, McEvent.JOIN, 7, shared_topology(), S(1, 0, 2, 0), Role.BOTH)
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
     def test_leave_without_proposal(self):
-        lsa = McLsa(1, McEvent.LEAVE, 42, None, (5, 5, 5))
+        lsa = McLsa(1, McEvent.LEAVE, 42, None, S(5, 5, 5))
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
     def test_triggered_lsa(self):
-        lsa = McLsa(0, McEvent.NONE, 9, per_source_topology(), (2, 1))
+        lsa = McLsa(0, McEvent.NONE, 9, per_source_topology(), S(2, 1))
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
     def test_link_event(self):
-        lsa = McLsa(4, McEvent.LINK, 1, None, (0, 0, 0, 0, 1))
+        lsa = McLsa(4, McEvent.LINK, 1, None, S(0, 0, 0, 0, 1))
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
     def test_empty_topology(self):
-        lsa = McLsa(0, McEvent.NONE, 1, McTopology.empty(), (1,))
+        lsa = McLsa(0, McEvent.NONE, 1, McTopology.empty(), S(1))
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
     @given(
@@ -64,7 +68,7 @@ class TestMcRoundTrip:
     )
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_event_lsas(self, source, conn, stamp, event):
-        lsa = McLsa(source, event, conn, None, tuple(stamp))
+        lsa = McLsa(source, event, conn, None, S(*stamp))
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
     @given(
@@ -77,7 +81,7 @@ class TestMcRoundTrip:
         ordered = sorted(members)
         edges = list(zip(ordered, ordered[1:]))  # a path over the members
         topo = McTopology.shared(MulticastTree.build(edges, members))
-        lsa = McLsa(0, McEvent.JOIN, 1, topo, tuple(stamp), role)
+        lsa = McLsa(0, McEvent.JOIN, 1, topo, S(*stamp), role)
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
 
@@ -109,28 +113,113 @@ class TestNonMcRoundTrip:
         assert decode_lsa(encode_lsa(lsa)) == lsa
 
 
+class TestStampForms:
+    """The stamp takes whichever layout is shorter; both decode alike."""
+
+    #: What the parent commit put on the wire for a stamp of n components.
+    HEADER = 11
+
+    @staticmethod
+    def lsa(stamp: Stamp) -> McLsa:
+        return McLsa(1, McEvent.LEAVE, 9, None, stamp)
+
+    def test_dense_stamp_stays_version_1(self):
+        """At k/n >= 2/3 pairs (6k bytes) cannot beat dense (4n bytes)."""
+        for stamp in (S(1, 1, 1), S(1, 1, 0), S(4, 0, 2, 1, 0, 7)):
+            data = encode_lsa(self.lsa(stamp))
+            assert data[1] == VERSION
+            assert len(data) == self.HEADER + 4 * stamp.span()
+            assert decode_lsa(data).timestamp == stamp
+
+    def test_dense_form_is_trimmed_to_the_span(self):
+        data = encode_lsa(self.lsa(S(2, 1, 0, 0, 0, 0)))
+        assert data[1] == VERSION and len(data) == self.HEADER + 4 * 2
+
+    def test_sparse_stamp_goes_out_as_pairs(self):
+        stamp = Stamp({5: 1, 300: 2})
+        data = encode_lsa(self.lsa(stamp))
+        assert data[1] == PAIR_VERSION
+        assert len(data) == self.HEADER + 6 * 2  # not 4 * 301
+        assert data[self.HEADER :].hex() == "000500000001" "012c00000002"
+        assert decode_lsa(data).timestamp == stamp
+
+    def test_empty_stamp(self):
+        data = encode_lsa(self.lsa(Stamp()))
+        assert data[1] == VERSION and len(data) == self.HEADER
+        assert decode_lsa(data).timestamp == Stamp()
+
+    def test_parent_commit_bytes_still_decode(self):
+        """Version-1 LSAs as the dense-stamp code wrote them: full length
+        n, trailing zeros included."""
+        wire = bytes.fromhex(
+            "d60173000300000007000600000001000000000000000200000000000000"
+            "00000000000001ffffffffffffffff000200000000000000020000000200"
+            "000000000000010000000100000002"
+        )
+        assert decode_lsa(wire) == McLsa(
+            3, McEvent.JOIN, 7, shared_topology(), S(1, 0, 2), Role.BOTH
+        )
+        all_zero = bytes.fromhex("d601050001000000090003000000000000000000000000")
+        assert decode_lsa(all_zero) == self.lsa(Stamp())
+
+    @pytest.mark.parametrize(
+        "pairs",
+        ["000500000001" "000500000002",  # duplicate origin
+         "012c00000002" "000500000001",  # descending origins
+         "000500000000" "012c00000002"],  # a stored zero
+    )
+    def test_non_canonical_pairs_rejected(self, pairs):
+        good = encode_lsa(self.lsa(Stamp({5: 1, 300: 2})))
+        with pytest.raises(WireDecodeError, match="pairs"):
+            decode_lsa(good[: self.HEADER] + bytes.fromhex(pairs))
+
+    def test_router_lsa_has_no_pair_version(self):
+        data = bytearray(encode_lsa(NonMcLsa(0, RouterLsa(0, 1, ()))))
+        data[1] = PAIR_VERSION
+        with pytest.raises(WireDecodeError, match="version"):
+            decode_lsa(bytes(data))
+
+    @given(
+        st.dictionaries(st.integers(0, 2**16 - 1), st.integers(1, 2**32 - 1), max_size=40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_both_forms(self, components, crowd):
+        """Scattered origins (pairs win) and origins crowded low (dense wins)."""
+        if crowd:
+            components = {i: c for i, c in enumerate(components.values())}
+        stamp = Stamp(components)
+        data = encode_lsa(self.lsa(stamp))
+        want_pairs = 6 * len(stamp) < 4 * stamp.span()
+        assert data[1] == (PAIR_VERSION if want_pairs else VERSION)
+        assert len(data) == self.HEADER + min(6 * len(stamp), 4 * stamp.span())
+        decoded = decode_lsa(data).timestamp
+        assert decoded == stamp and hash(decoded) == hash(stamp)
+        assert encode_lsa(self.lsa(decoded)) == data  # canonical bytes
+
+
 class TestRobustness:
     def test_bad_magic(self):
         data = bytes([0x00]) + encode_lsa(
-            McLsa(0, McEvent.LEAVE, 1, None, (1,))
+            McLsa(0, McEvent.LEAVE, 1, None, S(1))
         )[1:]
         with pytest.raises(WireError, match="magic"):
             decode_lsa(data)
 
     def test_bad_version(self):
-        good = bytearray(encode_lsa(McLsa(0, McEvent.LEAVE, 1, None, (1,))))
+        good = bytearray(encode_lsa(McLsa(0, McEvent.LEAVE, 1, None, S(1))))
         good[1] = 99
         with pytest.raises(WireError, match="version"):
             decode_lsa(bytes(good))
 
     def test_truncation_detected(self):
-        data = encode_lsa(McLsa(3, McEvent.JOIN, 7, shared_topology(), (1, 2), Role.BOTH))
+        data = encode_lsa(McLsa(3, McEvent.JOIN, 7, shared_topology(), S(1, 2), Role.BOTH))
         for cut in (3, 7, len(data) - 1):
             with pytest.raises(WireError):
                 decode_lsa(data[:cut])
 
     def test_trailing_garbage_detected(self):
-        data = encode_lsa(McLsa(0, McEvent.LEAVE, 1, None, (1,)))
+        data = encode_lsa(McLsa(0, McEvent.LEAVE, 1, None, S(1)))
         with pytest.raises(WireError, match="trailing"):
             decode_lsa(data + b"\x00")
 
@@ -159,14 +248,15 @@ class TestRobustness:
     @settings(max_examples=200, deadline=None)
     def test_fuzz_valid_prefix_corruption(self, suffix):
         """Truncated/extended real encodings also fail with WireDecodeError."""
-        data = encode_lsa(
-            McLsa(3, McEvent.JOIN, 7, shared_topology(), (1, 2), Role.BOTH)
-        )
-        for blob in (data[: len(data) // 2] + suffix, data + suffix):
-            try:
-                decode_lsa(blob)
-            except WireDecodeError:
-                pass
+        for stamp in (S(1, 2), Stamp({5: 1, 300: 2})):  # dense form, pair form
+            data = encode_lsa(
+                McLsa(3, McEvent.JOIN, 7, shared_topology(), stamp, Role.BOTH)
+            )
+            for blob in (data[: len(data) // 2] + suffix, data + suffix):
+                try:
+                    decode_lsa(blob)
+                except WireDecodeError:
+                    pass
 
 
 class TestTopologyCodec:

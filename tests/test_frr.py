@@ -35,6 +35,7 @@ from repro.stress.explore import StressOptions, explore
 from repro.topo.generators import grid_network, ring_network, waxman_network
 from repro.trees.base import McTopology, MulticastTree
 from repro.workloads.stress import get_scenario
+from tests.stamps import S
 
 
 def frr_deployment(net=None, members=(0, 2, 4), enable_frr=True, compute_time=0.5):
@@ -362,11 +363,11 @@ class TestSnapWireFormat:
         topo = McTopology.shared(MulticastTree.build([(0, 1), (1, 2)], [0, 2]))
         return frames.McSnapshot(
             connection_id=7,
-            received=(1, 0, 2, 1),
-            expected=(1, 0, 2, 1),
-            current=(1, 0, 1, 1),
+            received=S(1, 0, 2, 1),
+            expected=S(1, 0, 2, 1),
+            current=S(1, 0, 1, 1),
             proposer=2,
-            member_stamp=(1, 0, 2, 1),
+            member_stamp=S(1, 0, 2, 1),
             members=(
                 (0, frozenset({"sender", "receiver"})),
                 (2, frozenset({"receiver"})),

@@ -16,6 +16,7 @@ from repro.net.chaos import (
 )
 from repro.net.fabric import LiveFabric
 from repro.topo.graph import Network
+from tests.stamps import S
 
 
 def replay(n: int, seed: int, count: int, members: set) -> list:
@@ -118,7 +119,7 @@ class TestCrashBlackhole:
                 await fabric.crash(2)
                 before = dict(fabric.transport.counters())
                 fabric.transport.send(
-                    0, 2, McLsa(0, McEvent.LEAVE, 1, None, (1,))
+                    0, 2, McLsa(0, McEvent.LEAVE, 1, None, S(1))
                 )
                 pending = [
                     key for key in fabric.transport.pending_keys()

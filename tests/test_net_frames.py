@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import Role
+from repro.core.timestamp import Stamp
 from repro.core.wire import WireDecodeError
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.core.wire import encode_topology
@@ -15,6 +16,7 @@ from repro.net.frames import (
     DATA,
     DBD,
     FRAME_MAGIC,
+    FRAME_VERSION,
     HELLO,
     LSU,
     RELIABLE_TYPES,
@@ -26,6 +28,7 @@ from repro.net.frames import (
     HelloFrame,
     LsuFrame,
     McSnapshot,
+    PAIR_FRAME_VERSION,
     SnapFrame,
     decode_frame,
     encode_ack,
@@ -37,11 +40,12 @@ from repro.net.frames import (
     try_decode_frame,
 )
 from repro.trees.base import McTopology, MulticastTree
+from tests.stamps import S
 
 
 def sample_mc_lsa() -> McLsa:
     topo = McTopology.shared(MulticastTree.build([(0, 1), (1, 2)], [0, 2]))
-    return McLsa(3, McEvent.JOIN, 7, topo, (1, 0, 2, 0), Role.BOTH)
+    return McLsa(3, McEvent.JOIN, 7, topo, S(1, 0, 2, 0), Role.BOTH)
 
 
 def sample_router_lsa() -> NonMcLsa:
@@ -76,11 +80,11 @@ def sample_snapshot(with_topology: bool = True) -> McSnapshot:
     topo = McTopology.shared(MulticastTree.build([(0, 1), (1, 2)], [0, 2]))
     return McSnapshot(
         connection_id=7,
-        received=(1, 0, 2, 1),
-        expected=(1, 0, 2, 1),
-        current=(1, 0, 1, 1),
+        received=S(1, 0, 2, 1),
+        expected=S(1, 0, 2, 1),
+        current=S(1, 0, 1, 1),
         proposer=2,
-        member_stamp=(1, 0, 2, 1),
+        member_stamp=S(1, 0, 2, 1),
         members=((0, frozenset({"sender", "receiver"})), (2, frozenset({"receiver"}))),
         topology=encode_topology(topo) if with_topology else None,
     )
@@ -122,6 +126,108 @@ class TestControlRoundTrip:
         assert ACK not in RELIABLE_TYPES
 
 
+def sparse_snapshot() -> McSnapshot:
+    """A young connection in a big network: few origins, high ids."""
+    r = Stamp({7: 2, 300: 1})
+    return McSnapshot(
+        connection_id=7,
+        received=r,
+        expected=Stamp({7: 2, 300: 1, 512: 1}),
+        current=Stamp({7: 1}),
+        proposer=7,
+        member_stamp=r,
+        members=((7, frozenset({"receiver"})), (300, frozenset({"receiver"}))),
+        topology=None,
+    )
+
+
+class TestSnapStampForms:
+    HEADER = len(encode_ack(0, 0, 0))
+
+    def test_dense_snapshot_stays_version_2(self):
+        data = encode_snap(3, 8, 11, sample_snapshot())
+        assert data[1] == FRAME_VERSION
+
+    def test_sparse_snapshot_goes_out_as_pairs(self):
+        snap = sparse_snapshot()
+        data = encode_snap(3, 8, 11, snap)
+        assert data[1] == PAIR_FRAME_VERSION
+        # header, no-ctx flag, connection + proposer, four counted pair
+        # lists (8 pairs in all), member list, no backups, no topology
+        assert len(data) == self.HEADER + 1 + 6 + (4 * 2 + 8 * 6) + (2 + 2 * 3) + 2 + 1
+        assert decode_frame(data) == SnapFrame(3, 8, 11, snap)
+
+    def test_pair_version_is_for_snap_frames_only(self):
+        for data in (encode_ack(1, 2, 3), encode_data(3, 9, 42, sample_mc_lsa())):
+            bumped = bytearray(data)
+            bumped[1] = PAIR_FRAME_VERSION
+            with pytest.raises(FrameDecodeError, match="version"):
+                decode_frame(bytes(bumped))
+
+    def test_non_canonical_pairs_rejected(self):
+        data = bytearray(encode_snap(3, 8, 11, sparse_snapshot()))
+        first_pair = self.HEADER + 1 + 6 + 2
+        data[first_pair : first_pair + 2] = (400).to_bytes(2, "big")  # 400 before 300
+        with pytest.raises(FrameDecodeError, match="pairs"):
+            decode_frame(bytes(data))
+        assert try_decode_frame(bytes(data)) is None
+
+    def test_parent_commit_bytes_still_decode(self):
+        """A version-2 SNAP and DATA frame as the dense-stamp code wrote
+        them (vectors of full length n = 6 and 4, trailing zeros included)."""
+        snap = bytes.fromhex(
+            "d70205000300080000000b000000000700020006"
+            "000000010000000000000002000000010000000000000000"
+            "000000010000000000000002000000010000000000000000"
+            "000000010000000000000001000000010000000000000000"
+            "000000010000000000000002000000000000000000000000"
+            "0002000003000202"
+            "0000"
+            "01"
+            "0001ffffffffffffffff0002000000000000000200000002"
+            "00000000000000010000000100000002"
+        )
+        expected = McSnapshot(
+            connection_id=7,
+            received=S(1, 0, 2, 1),
+            expected=S(1, 0, 2, 1),
+            current=S(1, 0, 1, 1),
+            proposer=2,
+            member_stamp=S(1, 0, 2),
+            members=sample_snapshot().members,
+            topology=sample_snapshot().topology,
+        )
+        assert decode_frame(snap) == SnapFrame(3, 8, 11, expected)
+        data = bytes.fromhex(
+            "d70201000300090000002a00"
+            "d60105000300000007000400000001000000000000000200000000"
+        )
+        assert decode_frame(data) == DataFrame(
+            3, 9, 42, McLsa(3, McEvent.LEAVE, 7, None, S(1, 0, 2))
+        )
+
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(0, 2**16 - 1), st.integers(1, 2**32 - 1), max_size=12),
+            min_size=4, max_size=4,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_both_forms(self, vectors, crowd):
+        if crowd:  # origins packed low: the dense form wins
+            vectors = [dict(enumerate(v.values())) for v in vectors]
+        r, e, c, m = map(Stamp, vectors)
+        snap = McSnapshot(7, r, e, c, 2, m, (), None)
+        data = encode_snap(3, 8, 11, snap)
+        n = max(s.span() for s in (r, e, c, m))
+        stored = sum(len(s) for s in (r, e, c, m))
+        pairs = 8 + 6 * stored < 2 + 16 * n
+        assert data[1] == (PAIR_FRAME_VERSION if pairs else FRAME_VERSION)
+        assert len(data) == self.HEADER + 1 + 6 + min(8 + 6 * stored, 2 + 16 * n) + 5
+        assert decode_frame(data) == SnapFrame(3, 8, 11, snap)
+
+
 class TestControlRobustness:
     def test_hello_with_trailing_bytes(self):
         with pytest.raises(FrameDecodeError, match="HELLO"):
@@ -157,6 +263,7 @@ class TestControlRobustness:
         for data in (
             encode_dbd(1, 2, 5, {0: 3, 4: 17}),
             encode_snap(3, 8, 11, sample_snapshot()),
+            encode_snap(3, 8, 11, sparse_snapshot()),
             encode_lsu(2, 0, 9, sample_router_lsa()),
         ):
             for blob in (data[: len(data) // 2] + suffix, data + suffix):
@@ -237,12 +344,14 @@ class TestRobustness:
     @settings(max_examples=200, deadline=None)
     def test_fuzz_corrupted_real_frames(self, suffix):
         """Mutations of real frames fail controlled (or decode, if benign)."""
-        data = encode_data(3, 9, 42, sample_mc_lsa())
-        for blob in (data[: len(data) // 2] + suffix, data + suffix):
-            try:
-                decode_frame(blob)
-            except FrameDecodeError:
-                pass
+        pair_lsa = McLsa(3, McEvent.LEAVE, 7, None, Stamp({7: 2, 300: 1}))
+        for lsa in (sample_mc_lsa(), pair_lsa):
+            data = encode_data(3, 9, 42, lsa)
+            for blob in (data[: len(data) // 2] + suffix, data + suffix):
+                try:
+                    decode_frame(blob)
+                except FrameDecodeError:
+                    pass
 
     def test_constants(self):
         from repro.core.wire import MAGIC

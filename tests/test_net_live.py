@@ -13,6 +13,8 @@ import asyncio
 import pytest
 
 from repro.core.events import JoinEvent, NodeEvent
+from repro.core.lsa import McEvent, McLsa
+from repro.core.timestamp import Stamp
 from repro.net.equiv import (
     check_equivalence,
     make_scenario,
@@ -21,6 +23,7 @@ from repro.net.equiv import (
 )
 from repro.net.fabric import LiveConfig, LiveFabric
 from repro.net.faults import FaultPlan
+from repro.net.frames import McSnapshot
 from repro.net.transport import RetransmitPolicy
 
 
@@ -162,6 +165,52 @@ class TestLiveFabric:
         fabric.register_symmetric(1)
         with pytest.raises(ValueError, match="already registered"):
             fabric.register_symmetric(1)
+
+
+class TestIngestValidation:
+    """A frame that decodes must not kill (or wedge) a host."""
+
+    def test_out_of_range_indices_are_rejected_and_the_pump_survives(self):
+        """Regression: a stamp the codec accepts but the network cannot
+        own used to raise inside ``sim.step()`` (wrong length) and kill
+        the pump task silently; sparse stamps would instead absorb the
+        bogus origin into E and never propose again.  Both frames below
+        travel the real path: encode, UDP, decode, ingest."""
+
+        async def run():
+            scenario = make_scenario(switches=5, seed=9, events=2)
+            fabric = LiveFabric(scenario.net.copy(), scenario.config)
+            fabric.register_symmetric(1)
+            await fabric.start()
+            try:
+                fabric.fire_event(JoinEvent(0, 1))
+                await fabric.quiesce()
+                victim = fabric.hosts[2]
+                expected_before = victim.states[1].expected.snapshot()
+                bogus = Stamp({0: 1, 4000: 7})
+                fabric.transport.send(
+                    1, 2, McLsa(1, McEvent.LEAVE, 1, None, bogus)
+                )
+                fabric.transport.send(
+                    1, 2, McLsa(4000, McEvent.LEAVE, 1, None, Stamp({0: 2}))
+                )
+                fabric.transport.send_snap(
+                    1, 2, McSnapshot(1, bogus, bogus, Stamp(), 5, Stamp(), (), None)
+                )
+                await fabric.quiesce()
+                assert not victim._task.done()  # the pump is still running
+                assert victim.states[1].expected == expected_before
+                # ... and still doing its job.
+                fabric.fire_event(JoinEvent(2, 1))
+                await fabric.quiesce()
+                return fabric.agreement(1), fabric.metrics.snapshot()
+            finally:
+                await fabric.shutdown()
+
+        (ok, detail), counters = asyncio.run(run())
+        assert ok, detail
+        assert counters['live_rejected_total{reason="stamp-origin-out-of-range"}'] == 2
+        assert counters['live_rejected_total{reason="source-out-of-range"}'] == 1
 
 
 class TestLiveCli:

@@ -10,10 +10,11 @@ from repro.core.lsa import McEvent, McLsa
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.transport import KernelTransport, RetransmitPolicy, UdpTransport
 from repro.sim.kernel import Simulator
+from tests.stamps import S
 
 
 def make_lsa(source: int = 0, seq: int = 1) -> McLsa:
-    return McLsa(source, McEvent.LEAVE, 1, None, (seq,))
+    return McLsa(source, McEvent.LEAVE, 1, None, S(seq))
 
 
 class TestFaultPlan:

@@ -292,6 +292,24 @@ class TestPrometheusText:
         assert "latency_count 2" in text
         assert text.endswith("\n")
 
+    def test_labelled_counters_form_one_family(self):
+        reg = MetricsRegistry()
+        a = reg.counter("rejected_total", "frames dropped", reason="a")
+        b = reg.counter("rejected_total", "frames dropped", reason="b")
+        assert a is not b
+        assert a is reg.counter("rejected_total", reason="a")
+        a.inc(2)
+        b.inc()
+        assert reg.snapshot() == {
+            'rejected_total{reason="a"}': 2.0,
+            'rejected_total{reason="b"}': 1.0,
+        }
+        text = reg.to_prometheus()
+        assert text.count("# TYPE rejected_total counter") == 1
+        assert text.count("# HELP rejected_total frames dropped") == 1
+        assert 'rejected_total{reason="a"} 2' in text
+        assert 'rejected_total{reason="b"} 1' in text
+
 
 class TestNetworkMetrics:
     @pytest.fixture(scope="class")
@@ -391,6 +409,15 @@ class TestProfile:
         assert set(breakdown.phases) <= set(PHASE_ORDER)
         assert breakdown.events_dispatched > 0
         assert breakdown.sim_time > 0.0
+
+    def test_profile_is_sizeable(self):
+        """--switches/--members: the same workload at another n."""
+        small = run_profile(quick=True)
+        bigger = run_profile(quick=True, switches=30, members=9)
+        assert bigger.coverage >= 0.9
+        assert bigger.events_dispatched > small.events_dispatched
+        with pytest.raises(ValueError):
+            run_profile(switches=4, members=9)
 
 
 class TestCliExport:

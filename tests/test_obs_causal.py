@@ -50,6 +50,7 @@ from repro.obs.merge import MergeError, export_host_traces, merge_traces
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLO_BUCKETS, SloTracker
 from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
+from tests.stamps import S
 
 HEADER_SIZE = len(encode_ack(0, 0, 0))
 
@@ -175,11 +176,11 @@ def _as_legacy(wire: bytes) -> bytes:
 def _snapshot(with_ctx=None) -> McSnapshot:
     return McSnapshot(
         connection_id=1,
-        received=(1, 0, 2),
-        expected=(1, 1, 2),
-        current=(1, 0, 2),
+        received=S(1, 0, 2),
+        expected=S(1, 1, 2),
+        current=S(1, 0, 2),
         proposer=2,
-        member_stamp=(1, 0, 1),
+        member_stamp=S(1, 0, 1),
         members=((0, frozenset(["sender"])), (2, frozenset(["receiver"]))),
         topology=None,
         ctx=with_ctx,
@@ -189,7 +190,7 @@ def _snapshot(with_ctx=None) -> McSnapshot:
 class TestFrameContextPropagation:
     def test_data_frame_reattaches_context(self):
         c = ctx(cause="leave", seq=12)
-        lsa = McLsa(3, McEvent.LEAVE, 1, None, (0, 0, 0, 5), ctx=c)
+        lsa = McLsa(3, McEvent.LEAVE, 1, None, S(0, 0, 0, 5), ctx=c)
         frame = decode_frame(encode_data(3, 8, 42, lsa))
         assert isinstance(frame, DataFrame)
         assert frame.lsa == lsa  # ctx excluded from LSA equality
@@ -211,12 +212,12 @@ class TestFrameContextPropagation:
         assert frame.lsa.ctx == c
 
     def test_context_free_frames_decode_with_none(self):
-        lsa = McLsa(0, McEvent.LEAVE, 1, None, (1,))
+        lsa = McLsa(0, McEvent.LEAVE, 1, None, S(1))
         frame = decode_frame(encode_data(0, 1, 1, lsa))
         assert frame.lsa.ctx is None
 
     def test_legacy_v1_data_frame_still_decodes(self):
-        lsa = McLsa(0, McEvent.LEAVE, 1, None, (1,))
+        lsa = McLsa(0, McEvent.LEAVE, 1, None, S(1))
         v2 = encode_data(0, 1, 1, lsa)
         frame = decode_frame(_as_legacy(v2))
         assert isinstance(frame, DataFrame)
@@ -230,13 +231,13 @@ class TestFrameContextPropagation:
         assert isinstance(lsu, LsuFrame) and lsu.lsa == lsa
 
     def test_legacy_body_is_one_byte_shorter_per_context_free_frame(self):
-        v2 = encode_data(0, 1, 1, McLsa(0, McEvent.LEAVE, 1, None, (1,)))
+        v2 = encode_data(0, 1, 1, McLsa(0, McEvent.LEAVE, 1, None, S(1)))
         assert len(_as_legacy(v2)) == len(v2) - 1
 
     def test_v1_frame_with_ctx_prefix_is_rejected_as_payload(self):
         """A v1 decoder path must not interpret a has_ctx prefix."""
         c = ctx()
-        lsa = McLsa(3, McEvent.LEAVE, 1, None, (0, 0, 0, 5), ctx=c)
+        lsa = McLsa(3, McEvent.LEAVE, 1, None, S(0, 0, 0, 5), ctx=c)
         wire = bytearray(encode_data(3, 8, 42, lsa))
         wire[1] = LEGACY_FRAME_VERSION
         # The \x01 flag plus 12 ctx bytes now lead the LSA payload, which
@@ -256,7 +257,7 @@ class TestFrameContextPropagation:
         self, cause, origin, seq, hop, frame_seq
     ):
         c = TraceContext(origin, 1, cause, seq, hop)
-        lsa = McLsa(0, McEvent.LEAVE, 1, None, (1, 2), ctx=c)
+        lsa = McLsa(0, McEvent.LEAVE, 1, None, S(1, 2), ctx=c)
         frame = decode_frame(encode_data(0, 1, frame_seq, lsa))
         assert frame.lsa.ctx == c and frame.lsa.ctx.hop == hop
         assert frame.seq == frame_seq

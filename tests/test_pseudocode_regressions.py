@@ -24,6 +24,7 @@ from repro.harness.figures import (
 )
 from repro.sim.rng import RngRegistry
 from repro.topo.generators import waxman_network
+from tests.stamps import S
 
 
 class TestWithdrawalScopeFix:
@@ -72,12 +73,15 @@ class TestEqualStampTieBreak:
     def test_beats_relation(self):
         beats = DgmcSwitch._beats
         # strictly newer event set always wins, regardless of proposer
-        assert beats((2, 1), 9, (1, 1), 0)
-        assert not beats((1, 1), 0, (2, 1), 9)
+        assert beats(S(2, 1), 9, S(1, 1), 0)
+        assert not beats(S(1, 1), 0, S(2, 1), 9)
         # equal stamps: lower proposer wins
-        assert beats((1, 1), 2, (1, 1), 5)
-        assert not beats((1, 1), 5, (1, 1), 2)
-        assert not beats((1, 1), 5, (1, 1), 5)
+        assert beats(S(1, 1), 2, S(1, 1), 5)
+        assert not beats(S(1, 1), 5, S(1, 1), 2)
+        assert not beats(S(1, 1), 5, S(1, 1), 5)
+        # incomparable stamps (a resync meeting two partitions) beat neither way
+        assert not beats(S(2, 0), 0, S(0, 1), 9)
+        assert not beats(S(0, 1), 0, S(2, 0), 9)
 
     def test_history_dependent_burst_agrees(self):
         """Historical failure: Experiment-1 style burst, seed 1996, n=20,

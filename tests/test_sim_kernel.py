@@ -33,6 +33,19 @@ class TestScheduling:
         sim.run()
         assert seen == ["high", "low"]
 
+    def test_heap_orders_by_tuple_never_by_handle(self, sim):
+        """Entries are (time, priority, seq, handle) tuples and seq is
+        unique, so the handle -- which defines no order -- is never compared."""
+        seen = []
+        handles = [
+            sim.schedule(1.0, lambda i=i: seen.append(i), priority=i % 2)
+            for i in range(50)
+        ]
+        with pytest.raises(TypeError):
+            handles[0] < handles[1]
+        sim.run()
+        assert seen == list(range(0, 50, 2)) + list(range(1, 50, 2))
+
     def test_clock_advances_to_event_time(self, sim):
         times = []
         sim.schedule(2.5, lambda: times.append(sim.now))

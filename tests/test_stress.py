@@ -91,6 +91,29 @@ class TestExploration:
         assert report.states_explored > 0
         assert report.terminal_states > 0
 
+    @pytest.mark.parametrize(
+        "name, budget, states, terminals, transitions",
+        [
+            ("membership-race", None, 286, 3, 3918),
+            ("degraded-repair", None, 247, 1, 4375),
+            ("triple-conflict", 5000, 180, 3, 5000),
+        ],
+    )
+    def test_state_space_is_pinned(self, name, budget, states, terminals, transitions):
+        """The three CI scenarios reach exactly the states they reached
+        under the dense-tuple stamps (triple-conflict: in its first 5000
+        transitions of DFS order).  Dedup rides on ``McState.canonical()``
+        and the canonical LSA payloads, so a stamp representation that
+        split or merged states -- a stored zero, an unstable hash, a
+        sorted-vs-unsorted key -- would move these counts."""
+        options = StressOptions() if budget is None else StressOptions(max_transitions=budget)
+        report = explore(get_scenario(name), options)
+        assert report.ok
+        assert report.exhaustive == (budget is None)
+        assert (report.states_explored, report.terminal_states, report.transitions) == (
+            states, terminals, transitions,
+        )
+
     def test_m_vector_ablation_finds_agreement_violation(self):
         report = explore(
             get_scenario("membership-race"),

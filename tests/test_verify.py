@@ -76,8 +76,8 @@ class TestVerify:
         dgmc.run()
         # simulate a bug: one switch's C stamp runs ahead of R
         state = dgmc.states_for(1)[2]
-        state.current_stamp = tuple(
-            c + 5 for c in state.current_stamp
-        )
+        ahead = state.current_stamp.snapshot()
+        ahead.increment(0, by=5)
+        state.current_stamp = ahead
         with pytest.raises(VerificationError):
             verify_deployment(dgmc, 1)
