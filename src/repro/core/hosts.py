@@ -92,11 +92,11 @@ class HostService:
         self._sessions.setdefault(host_id, set()).add(key)
         if not before:
             # 0 -> 1 hosts: the switch joins the MC.
-            self.dgmc._fire_join(JoinEvent(switch, connection_id, role=role))
+            self.dgmc.fire_event(JoinEvent(switch, connection_id, role=role))
         elif not (after <= before):
             # Role widened (e.g. a sender host joined a receiver switch):
             # re-advertise with the new role so member lists converge.
-            self.dgmc._fire_join(
+            self.dgmc.fire_event(
                 JoinEvent(switch, connection_id, role=_role_from_set(after - before))
             )
 
@@ -110,7 +110,7 @@ class HostService:
         if not interest.hosts:
             # 1 -> 0 hosts: the switch leaves the MC.
             del self._interest[key]
-            self.dgmc._fire_leave(LeaveEvent(switch, connection_id))
+            self.dgmc.fire_event(LeaveEvent(switch, connection_id))
         # Note: role *narrowing* while hosts remain is not re-advertised --
         # D-GMC leaves remove the member entirely, so shrinking a live
         # switch's role would need a leave+rejoin; the stale wider role is

@@ -232,21 +232,6 @@ class DgmcNetwork:
             if retired:
                 self._frr_retired.inc(retired)
 
-    def _activate_frr(self, endpoint: int, u: int, v: int) -> None:
-        """Local O(1) switchover at one endpoint of a failed edge.
-
-        Runs before any LSA floods: only the endpoint's own states are
-        touched, no stamps move, and the eventual re-proposed install
-        retires the fragments (see docs/fast-reroute.md).
-        """
-        if not self.config.enable_frr or endpoint in self.dead_switches:
-            return
-        from repro.frr import activate_for_edge
-
-        activated = activate_for_edge(self.switches[endpoint].states, u, v)
-        if activated:
-            self._frr_activations.inc(len(activated))
-
     def _deliver(self, switch_id: int, payload) -> None:
         """Fabric delivery hook: route LSAs to the right protocol layer."""
         if switch_id in self.dead_switches:
@@ -292,14 +277,29 @@ class DgmcNetwork:
         at: float,
     ) -> None:
         """Schedule an event for simulated time ``at``."""
+        if not isinstance(event, (JoinEvent, LeaveEvent, LinkEvent, NodeEvent)):
+            raise TypeError(f"unknown event {event!r}")
+        self.sim.schedule_at(at, lambda: self.fire_event(event))
+
+    def fire_event(
+        self, event: Union[JoinEvent, LeaveEvent, LinkEvent, NodeEvent]
+    ) -> None:
+        """Apply one event now, at the current simulated time.
+
+        The counterpart of :meth:`repro.net.fabric.LiveFabric.fire_event`.
+        This driver owns the shared physical :class:`Network`, the set of
+        failed switches and the event counters; what the detecting switch
+        *does* about the event is :class:`DgmcSwitch`'s rule, the same
+        one the live host runs.
+        """
         if isinstance(event, JoinEvent):
-            self.sim.schedule_at(at, lambda: self._fire_join(event))
+            self._fire_membership(event, McEvent.JOIN, event.role)
         elif isinstance(event, LeaveEvent):
-            self.sim.schedule_at(at, lambda: self._fire_leave(event))
+            self._fire_membership(event, McEvent.LEAVE, None)
         elif isinstance(event, LinkEvent):
-            self.sim.schedule_at(at, lambda: self._fire_link(event))
+            self._fire_link(event)
         elif isinstance(event, NodeEvent):
-            self.sim.schedule_at(at, lambda: self._fire_node(event))
+            self._fire_node(event)
         else:
             raise TypeError(f"unknown event {event!r}")
 
@@ -307,27 +307,12 @@ class DgmcNetwork:
         if switch in self.dead_switches:
             raise ValueError(f"switch {switch} is failed; no events possible")
 
-    def _fire_join(self, event: JoinEvent) -> None:
+    def _fire_membership(self, event, kind: McEvent, role) -> None:
         self._check_alive(event.switch)
         self.events_injected += 1
         self._mc_event_count += 1
-        self.switches[event.switch]  # KeyError early if invalid
-        self.sim.spawn(
-            self.switches[event.switch].event_handler(
-                McEvent.JOIN, event.connection_id, role=event.role
-            ),
-            name=f"EventHandler(join, sw={event.switch}, m={event.connection_id})",
-        )
-
-    def _fire_leave(self, event: LeaveEvent) -> None:
-        self._check_alive(event.switch)
-        self.events_injected += 1
-        self._mc_event_count += 1
-        self.sim.spawn(
-            self.switches[event.switch].event_handler(
-                McEvent.LEAVE, event.connection_id
-            ),
-            name=f"EventHandler(leave, sw={event.switch}, m={event.connection_id})",
+        self.switches[event.switch].spawn_event_handler(
+            kind, event.connection_id, role=role
         )
 
     def _fire_node(self, event: NodeEvent) -> None:
@@ -370,84 +355,25 @@ class DgmcNetwork:
 
     def _detect_link_change(self, detector: int, other: int, up: bool) -> None:
         """One endpoint notices an incident link change and reacts."""
-        if not up:
-            self._activate_frr(detector, detector, other)
-        self.routers[detector].notify_incident_link_event()
-        switch = self.switches[detector]
-        synthetic = LinkEvent(detector, detector, other, up=up)
-        for connection_id in self._affected_connections(switch, synthetic):
-            self._mc_event_count += 1
-            self.sim.spawn(
-                switch.event_handler(McEvent.LINK, connection_id),
-                name=f"EventHandler(link, sw={detector}, m={connection_id})",
-            )
+        affected, activated = self.switches[detector].detect_link_change(
+            detector, other, up
+        )
+        self._mc_event_count += len(affected)
+        self._frr_activations.inc(len(activated))
 
     def _fire_link(self, event: LinkEvent) -> None:
         """A link event: one non-MC LSA, then one MC LSA per affected MC."""
         self._check_alive(event.detector)
         self.events_injected += 1
         self.net.set_link_state(event.u, event.v, event.up)
-        if not event.up:
-            # Both endpoints lose light locally and switch their data
-            # planes over before the detector's LSA reaches anyone.
-            self._activate_frr(event.u, event.u, event.v)
-            self._activate_frr(event.v, event.u, event.v)
-        detector = self.switches[event.detector]
-        # The unicast layer floods exactly one non-MC LSA (Figure 2) and
-        # updates the detector's own image.
-        self.routers[event.detector].notify_incident_link_event()
-        for connection_id in self._affected_connections(detector, event):
-            self._mc_event_count += 1
-            self.sim.spawn(
-                detector.event_handler(McEvent.LINK, connection_id),
-                name=(
-                    f"EventHandler(link, sw={event.detector}, m={connection_id})"
-                ),
+        other = event.u if event.detector == event.v else event.v
+        if not event.up and other not in self.dead_switches:
+            # The far endpoint loses light too and switches its data plane
+            # over before the detector's LSA reaches anyone.
+            self._frr_activations.inc(
+                len(self.switches[other].activate_frr(event.u, event.v))
             )
-
-    def _affected_connections(
-        self, detector: DgmcSwitch, event: LinkEvent
-    ) -> List[int]:
-        """Connections whose topology the link event affects.
-
-        A failure affects every connection whose installed topology (at the
-        detector) uses the link.  A recovery affects every connection whose
-        installed topology is *degraded* -- it no longer spans the member
-        set because it was computed while part of the membership was
-        unreachable, and restored connectivity is the only signal that the
-        missing members may be reachable again -- or all active connections
-        when ``reoptimize_on_link_up`` is set.
-
-        A recovery also affects every connection with a topology
-        computation *in flight* at the detector: its inputs were
-        snapshotted before the recovery, so the tree it is about to
-        install may be degraded even though the currently installed one
-        is fine.  Without this, a link that fails and recovers within one
-        Tc window installs a disconnected-image tree with no further
-        trigger, and the connection never spans its members again (found
-        by exhaustive exploration; see docs/systematic-testing.md).
-        """
-        if event.up:
-            if self.config.reoptimize_on_link_up:
-                return sorted(detector.states)
-            if self.config.ablate_degraded_repair:
-                return []  # pre-deviation behavior: recovery is a non-event
-            inflight = {c.connection_id for c in detector.inflight_computes}
-            return sorted(
-                connection_id
-                for connection_id, state in detector.states.items()
-                if connection_id in inflight
-                or (
-                    state.installed is not None
-                    and not state.installed.spans(state.member_set)
-                )
-            )
-        edge = tuple(sorted((event.u, event.v)))
-        affected = []
-        for connection_id, state in sorted(detector.states.items()):
-            if state.installed is not None and edge in state.installed.all_edges():
-                affected.append(connection_id)
-        return affected
+        self._detect_link_change(event.detector, other, event.up)
 
     # -- running ------------------------------------------------------------------------
 
@@ -459,11 +385,7 @@ class DgmcNetwork:
         """No queued LSAs anywhere and no pending simulation events."""
         if self.sim.peek() is not None:
             return False
-        return all(
-            box.empty
-            for switch in self.switches.values()
-            for box in switch._mailboxes.values()
-        )
+        return all(switch.mailboxes_empty for switch in self.switches.values())
 
     # -- inspection ----------------------------------------------------------------------
 

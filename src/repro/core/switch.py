@@ -47,12 +47,13 @@ Two documented deviations from the paper's pseudocode (see DESIGN.md):
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.state import McState
 from repro.core.timestamp import Stamp, stamp_gt
+from repro.frr import activate_for_edge
 from repro.lsr.router import UnicastRouter
 from repro.obs import tracer as obs_tracer
 from repro.sim.kernel import Simulator
@@ -183,6 +184,16 @@ class DgmcSwitch:
     def has_connection(self, connection_id: int) -> bool:
         return connection_id in self.states
 
+    @property
+    def mailboxes_empty(self) -> bool:
+        """No MC LSA is queued for any connection (quiescence barriers)."""
+        return all(box.empty for box in self._mailboxes.values())
+
+    def queued_lsas(self, connection_id: int) -> list:
+        """The MC LSAs queued for a connection, oldest first, unconsumed."""
+        box = self._mailboxes.get(connection_id)
+        return box.peek_all() if box is not None else []
+
     # -- LSA delivery (called by the flooding fabric) ----------------------------
 
     def deliver_mc_lsa(self, lsa: McLsa) -> None:
@@ -296,6 +307,102 @@ class DgmcSwitch:
             )
             state.make_proposal_flag = True
         self._maybe_destroy(connection_id)
+
+    # -- the detector's rule : Figure 2 -------------------------------------------
+    #
+    # "Only the switch that detects the event" reacts.  Every execution
+    # backend -- DgmcNetwork (and through it the systematic explorer) and
+    # the live LiveSwitch -- calls the methods below; the drivers own only
+    # scheduling, transport, and their counters.
+
+    def spawn_event_handler(
+        self,
+        event: McEvent,
+        connection_id: int,
+        role: Optional[Role] = None,
+        ctx=None,
+    ) -> None:
+        """Start EventHandler() for one local event on one connection."""
+        self.sim.spawn(
+            self.event_handler(event, connection_id, role=role, ctx=ctx),
+            name=(
+                f"EventHandler({event.value}, sw={self.switch_id}, "
+                f"m={connection_id})"
+            ),
+        )
+
+    def affected_connections(self, u: int, v: int, up: bool) -> List[int]:
+        """Connections whose topology a change of link ``(u, v)`` affects.
+
+        A failure affects every connection whose installed topology (at
+        this switch) uses the link.  A recovery affects every connection
+        whose installed topology is *degraded* -- it no longer spans the
+        member set because it was computed while part of the membership
+        was unreachable, and restored connectivity is the only signal that
+        the missing members may be reachable again -- or all active
+        connections when ``reoptimize_on_link_up`` is set.
+
+        A recovery also affects every connection with a topology
+        computation *in flight* here: its inputs were snapshotted before
+        the recovery, so the tree it is about to install may be degraded
+        even though the currently installed one is fine.  Without this, a
+        link that fails and recovers within one Tc window installs a
+        disconnected-image tree with no further trigger, and the
+        connection never spans its members again (found by exhaustive
+        exploration; see docs/systematic-testing.md).
+        """
+        if up:
+            if self.config.reoptimize_on_link_up:
+                return sorted(self.states)
+            if self.config.ablate_degraded_repair:
+                return []  # pre-deviation behavior: recovery is a non-event
+            inflight = {c.connection_id for c in self.inflight_computes}
+            return sorted(
+                connection_id
+                for connection_id, state in self.states.items()
+                if connection_id in inflight
+                or (
+                    state.installed is not None
+                    and not state.installed.spans(state.member_set)
+                )
+            )
+        edge = (u, v) if u <= v else (v, u)
+        return sorted(
+            connection_id
+            for connection_id, state in self.states.items()
+            if state.installed is not None and edge in state.installed.all_edges()
+        )
+
+    def activate_frr(self, u: int, v: int) -> List[int]:
+        """Switch the local data plane onto the backup fragments covering
+        failed edge ``(u, v)``; returns the connections switched over.
+
+        Runs at *both* endpoints of the edge, before any LSA floods: only
+        this switch's own states are touched, no stamps move, and the
+        eventual re-proposed install retires the fragments (see
+        docs/fast-reroute.md).  No-op unless ``enable_frr`` is set.
+        """
+        if not self.config.enable_frr:
+            return []
+        return activate_for_edge(self.states, u, v)
+
+    def detect_link_change(
+        self, u: int, v: int, up: bool, ctx=None
+    ) -> Tuple[List[int], List[int]]:
+        """This switch detects a change of its incident link ``(u, v)``.
+
+        In order: fast reroute (a failure must ride the precomputed detour
+        before any LSA leaves the switch), then the unicast layer's one
+        non-MC LSA, which also updates the local image, then one
+        EventHandler() per affected connection.  Returns ``(affected,
+        frr_activated)`` connection ids.
+        """
+        activated = [] if up else self.activate_frr(u, v)
+        self.router.notify_incident_link_event()
+        affected = self.affected_connections(u, v, up)
+        for connection_id in affected:
+            self.spawn_event_handler(McEvent.LINK, connection_id, ctx=ctx)
+        return affected, activated
 
     def _flood(self, lsa: McLsa) -> None:
         if lsa.is_event_lsa:

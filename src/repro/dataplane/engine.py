@@ -286,7 +286,7 @@ class BatchForwardingEngine:
             for m in {record.connection_id for record in log[self._log_pos:]}:
                 self.invalidate(m)
             self._log_pos = len(log)
-        if self._compiled and getattr(self.dgmc.config, "enable_frr", False):
+        if self._compiled and self.dgmc.config.enable_frr:
             stale = [
                 m for m, c in self._compiled.items()
                 if self._frr_epoch_sum(m) != c.frr_epoch

@@ -93,7 +93,7 @@ class HierDgmcNetwork:
             # its real-membership flag changes.
             pass
         else:
-            proto._fire_join(JoinEvent(view.to_local[switch], connection_id))
+            proto.fire_event(JoinEvent(view.to_local[switch], connection_id))
         self._reconcile_leader(conn, area_id)
 
     def _fire_leave(self, switch: int, connection_id: int) -> None:
@@ -110,7 +110,7 @@ class HierDgmcNetwork:
             # _reconcile_leader removes it when the area truly empties.
             pass
         else:
-            proto._fire_leave(LeaveEvent(view.to_local[switch], connection_id))
+            proto.fire_event(LeaveEvent(view.to_local[switch], connection_id))
         self._reconcile_leader(conn, area_id)
 
     def _elect_leader(self, area_id: int) -> Optional[int]:
@@ -147,10 +147,10 @@ class HierDgmcNetwork:
             conn.acting_leader[area_id] = leader
             if leader not in conn.members_by_area[area_id]:
                 # proxy join inside the area (leader grafts itself)
-                proto._fire_join(
+                proto.fire_event(
                     JoinEvent(view.to_local[leader], conn.connection_id)
                 )
-            self.backbone_protocol._fire_join(
+            self.backbone_protocol.fire_event(
                 JoinEvent(
                     self.plan.backbone_to_local[leader], conn.connection_id
                 )
@@ -161,10 +161,10 @@ class HierDgmcNetwork:
             conn.acting_leader.pop(area_id, None)
             if leader is None or leader in self.dead_borders:
                 return  # nothing to withdraw (dead leaders are ghosts)
-            proto._fire_leave(
+            proto.fire_event(
                 LeaveEvent(view.to_local[leader], conn.connection_id)
             )
-            self.backbone_protocol._fire_leave(
+            self.backbone_protocol.fire_event(
                 LeaveEvent(
                     self.plan.backbone_to_local[leader], conn.connection_id
                 )
@@ -186,10 +186,10 @@ class HierDgmcNetwork:
         area_id = self.plan.area_of(switch)
         view = self.plan.area(area_id)
         # The nodal event fires at both levels the switch participates in.
-        self.area_protocols[area_id]._fire_node(
+        self.area_protocols[area_id].fire_event(
             NodeEvent(view.to_local[switch], up=False)
         )
-        self.backbone_protocol._fire_node(
+        self.backbone_protocol.fire_event(
             NodeEvent(self.plan.backbone_to_local[switch], up=False)
         )
         # Failover: every connection whose acting leader died re-elects.
@@ -205,10 +205,10 @@ class HierDgmcNetwork:
                 continue
             conn.acting_leader[area_id] = new_leader
             if new_leader not in conn.members_by_area[area_id]:
-                self.area_protocols[area_id]._fire_join(
+                self.area_protocols[area_id].fire_event(
                     JoinEvent(view.to_local[new_leader], conn.connection_id)
                 )
-            self.backbone_protocol._fire_join(
+            self.backbone_protocol.fire_event(
                 JoinEvent(
                     self.plan.backbone_to_local[new_leader], conn.connection_id
                 )

@@ -13,29 +13,19 @@ flat arrays -- and solves single-source shortest paths on it:
 * ``by_src`` / ``by_dst`` -- the same edge set sorted by (dst, src),
   which is what derives canonical parents without replaying a heap.
 
-Two backends produce **byte-identical** results (gated by the
+Results are **byte-identical** to the dict core (gated by the
 differential suite in ``tests/test_csr.py`` and by
-``benchmarks/regress.py --mode csr``):
-
-* ``"scipy"`` -- :func:`scipy.sparse.csgraph.dijkstra` computes the
-  distance array in C.  Distances are bit-exact against the dict core
-  by induction: both compute every candidate as the IEEE-754 sum
-  ``dist[y] + w(y, x)`` over the *same* candidate set, and the minimum
-  of a float set does not depend on evaluation order.  Canonical
-  parents (``parent[x] = min{y : dist[y] + w(y, x) == dist[x]}`` --
-  the :mod:`repro.lsr.ispf` invariant) then come from one vectorized
-  pass over the (dst, src)-sorted edges, and the settle order is
-  recovered by sorting on ``(dist, parent, node)``: every exact
-  predecessor settles strictly earlier (weights are positive), so the
-  dict core's heap order *is* that sort order.
-* ``"python"`` -- an array-backed 4-ary heap over the CSR rows, for
-  environments without scipy.  Same entries ``(dist, parent, node)``
-  as the dict core's binary heap, so pop order and parents match by
-  construction.  (Measured ~0.4x the dict core at n=1000 -- a 4-ary
-  sift does more comparisons per level than C ``heapq`` -- so
-  :class:`~repro.lsr.spfcache.SpfCache` only engages the CSR core when
-  the scipy backend is available; the python backend keeps the array
-  layer testable and usable everywhere.)
+``benchmarks/regress.py --mode csr``).
+:func:`scipy.sparse.csgraph.dijkstra` computes the distance array in C.
+Distances are bit-exact against the dict core by induction: both compute
+every candidate as the IEEE-754 sum ``dist[y] + w(y, x)`` over the *same*
+candidate set, and the minimum of a float set does not depend on
+evaluation order.  Canonical parents (``parent[x] = min{y : dist[y] +
+w(y, x) == dist[x]}`` -- the :mod:`repro.lsr.ispf` invariant) then come
+from one vectorized pass over the (dst, src)-sorted edges, and the settle
+order is recovered by sorting on ``(dist, parent, node)``: every exact
+predecessor settles strictly earlier (weights are positive), so the dict
+core's heap order *is* that sort order.
 
 Solving yields a :class:`CsrTree` -- ``(dist, parent, settled)``
 *arrays*; the dict views the rest of the tree (and every existing
@@ -45,8 +35,8 @@ caller) consumes are materialized lazily, so bulk consumers like
 Single-link deltas (the :data:`repro.lsr.ispf.LinkDelta` sequences the
 producers already track for incremental SPF) patch weights in place on
 a cloned array via :meth:`CsrGraph.patched` -- no O(V+E) rebuild per
-generation on churn.  Removed edges become ``inf`` slots, which both
-backends treat as absent (and exclude from relaxation counts, keeping
+generation on churn.  Removed edges become ``inf`` slots, which the
+solver treats as absent (and excludes from relaxation counts, keeping
 :data:`repro.lsr.spf.RELAX_COUNTER` parity with the dict core).
 
 See ``docs/graph-core.md`` for the layout and invalidation story.
@@ -54,20 +44,11 @@ See ``docs/graph-core.md`` for the layout and invalidation story.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # gated: the container may lack the scientific stack
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
-
-try:
-    from scipy.sparse import csr_array as _scipy_csr_array
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_csr_array = None  # type: ignore[assignment]
-    _scipy_dijkstra = None  # type: ignore[assignment]
+import numpy as _np
+from scipy.sparse import csr_array as _scipy_csr_array
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.lsr.spf import RELAX_COUNTER
 
@@ -75,61 +56,13 @@ Adjacency = Mapping[int, Mapping[int, float]]
 
 _INF = float("inf")
 
-#: Environment override for backend selection: ``scipy``, ``python`` or
-#: ``off`` (disable CSR engagement entirely).
-_BACKEND_ENV = "REPRO_CSR_BACKEND"
-
-#: Environment override for the engagement size floor (see :func:`min_nodes`).
-_MIN_NODES_ENV = "REPRO_CSR_MIN_NODES"
-
-#: Below this image size the compile cost (O(V+E) python loop) outweighs
+#: Smallest image :class:`~repro.lsr.spfcache.SpfCache` compiles a CSR
+#: core for.  Below it the compile cost (an O(V+E) python loop) outweighs
 #: the per-solve win for the handful of sources a churn generation
-#: actually solves; measured crossover is a few hundred nodes, so the
+#: actually solves; the measured crossover is a few hundred nodes, so the
 #: small-n simulator workloads stay on the dict core byte-for-byte AND
-#: cycle-for-cycle.  ``REPRO_CSR_MIN_NODES`` overrides (tests set 0).
-_DEFAULT_MIN_NODES = 256
-
-
-def available() -> bool:
-    """Whether the CSR core can be built at all (numpy present)."""
-    return _np is not None
-
-
-def scipy_available() -> bool:
-    """Whether the C-speed scipy backend is present."""
-    return _np is not None and _scipy_dijkstra is not None
-
-
-def default_backend() -> Optional[str]:
-    """The backend :class:`~repro.lsr.spfcache.SpfCache` should engage.
-
-    ``None`` means "do not engage the CSR core" -- the dict path is
-    faster than the pure-python backend, so without scipy the cache
-    sticks to dicts.  ``REPRO_CSR_BACKEND`` forces a choice for tests
-    and experiments.
-    """
-    forced = os.environ.get(_BACKEND_ENV)
-    if forced == "off":
-        return None
-    if forced in ("scipy", "python"):
-        want_scipy = forced == "scipy"
-        if (scipy_available() if want_scipy else available()):
-            return forced
-        return None
-    return "scipy" if scipy_available() else None
-
-
-def min_nodes() -> int:
-    """Smallest image size :class:`~repro.lsr.spfcache.SpfCache` compiles
-    a CSR core for (smaller images solve faster on dicts than they
-    compile)."""
-    forced = os.environ.get(_MIN_NODES_ENV)
-    if forced is not None:
-        try:
-            return int(forced)
-        except ValueError:
-            pass
-    return _DEFAULT_MIN_NODES
+#: cycle-for-cycle.  Tests monkeypatch it to 0.
+MIN_NODES = 256
 
 
 class CsrTree:
@@ -187,9 +120,7 @@ class CsrGraph:
         "nodes_arr",
         "degrees",
         "dead_out",
-        "backend",
         "_container",
-        "_py_rows",
         "_by_w",
     )
 
@@ -199,7 +130,6 @@ class CsrGraph:
         indptr,
         indices,
         weights,
-        backend: str,
     ) -> None:
         self.nodes = nodes
         self.index_of = {u: i for i, u in enumerate(nodes)}
@@ -221,23 +151,14 @@ class CsrGraph:
         #: live out-degree is ``degrees - dead_out`` -- the exact count the
         #: dict core would charge to RELAX_COUNTER for a settled node.
         self.dead_out = _np.zeros(self.n, dtype=_np.int64)
-        self.backend = backend
         self._container = None
-        self._py_rows: Optional[Tuple[list, list, list]] = None
         self._by_w = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_adjacency(
-        cls, adj: Adjacency, backend: Optional[str] = None
-    ) -> Optional["CsrGraph"]:
-        """Compile ``adj`` (``{node: {neighbor: weight}}``), or ``None``
-        when no backend is available."""
-        if backend is None:
-            backend = default_backend()
-        if backend is None or _np is None:
-            return None
+    def from_adjacency(cls, adj: Adjacency) -> "CsrGraph":
+        """Compile ``adj`` (``{node: {neighbor: weight}}``)."""
         universe = set(adj)
         for row in adj.values():
             universe.update(row)
@@ -265,7 +186,7 @@ class CsrGraph:
         else:
             indices = _np.zeros(0, dtype=_np.int32)
             weights = _np.zeros(0, dtype=_np.float64)
-        return cls(nodes, indptr, indices, weights, backend)
+        return cls(nodes, indptr, indices, weights)
 
     def patched(
         self,
@@ -308,9 +229,7 @@ class CsrGraph:
         clone.nodes_arr = self.nodes_arr
         clone.degrees = self.degrees
         clone.dead_out = dead_out
-        clone.backend = self.backend
         clone._container = None
-        clone._py_rows = None
         clone._by_w = None
         for slot, src, w in resolved:
             old = weights[slot]
@@ -357,16 +276,13 @@ class CsrGraph:
         the dict core would record, keeping counter baselines stable.
         """
         src = self.index_of[source]
-        if self.backend == "scipy":
-            dist = _scipy_dijkstra(
-                self._scipy_graph(),
-                directed=True,
-                indices=src,
-                return_predecessors=False,
-            )
-            parent, settled = self._derive(src, dist)
-        else:
-            dist, parent, settled = self._solve_python(src, self.weights)
+        dist = _scipy_dijkstra(
+            self._scipy_graph(),
+            directed=True,
+            indices=src,
+            return_predecessors=False,
+        )
+        parent, settled = self._derive(src, dist)
         if count:
             live = self.degrees[settled] - self.dead_out[settled]
             RELAX_COUNTER.count += int(live.sum())
@@ -376,8 +292,6 @@ class CsrGraph:
         """Batched :meth:`tree`: one C solve for all sources at once."""
         if not sources:
             return []
-        if self.backend != "scipy":
-            return [self.tree(s, count=count) for s in sources]
         srcs = [self.index_of[s] for s in sources]
         dmat = _scipy_dijkstra(
             self._scipy_graph(),
@@ -439,105 +353,6 @@ class CsrGraph:
         settled = rid[perm]
         return parent, settled
 
-    def _rows(self) -> Tuple[list, list, list]:
-        """Python-list mirror of the CSR rows for the python backend."""
-        if self._py_rows is None:
-            self._py_rows = (
-                self.indptr.tolist(),
-                self.indices.tolist(),
-                self.weights.tolist(),
-            )
-        return self._py_rows
-
-    def _solve_python(self, src: int, weights_arr):
-        """Array-backed 4-ary heap Dijkstra over the CSR rows.
-
-        Entries order by ``(dist, parent, node)`` exactly like the dict
-        core's heap tuples, packed as ``(key, (parent+1)*n + node)``, so
-        pop order and recorded parents match by construction.
-        """
-        indptr, indices, _ = self._rows()
-        weights = (
-            self._rows()[2]
-            if weights_arr is self.weights
-            else weights_arr.tolist()
-        )
-        n = self.n
-        dist = [_INF] * n
-        parent = [-1] * n
-        settled: List[int] = []
-        hk: List[float] = [0.0]  # heap keys (distance)
-        hv: List[int] = [src]  # heap payloads ((parent+1)*n + node)
-        size = 1
-        while size:
-            d = hk[0]
-            packed = hv[0]
-            size -= 1
-            lk = hk[size]
-            lv = hv[size]
-            del hk[size], hv[size]
-            if size:
-                pos = 0
-                while True:
-                    child = (pos << 2) + 1
-                    if child >= size:
-                        break
-                    end = min(child + 4, size)
-                    best = child
-                    bk = hk[child]
-                    bv = hv[child]
-                    for c in range(child + 1, end):
-                        ck = hk[c]
-                        if ck < bk or (ck == bk and hv[c] < bv):
-                            best = c
-                            bk = ck
-                            bv = hv[c]
-                    if bk < lk or (bk == lk and bv < lv):
-                        hk[pos] = bk
-                        hv[pos] = bv
-                        pos = best
-                    else:
-                        break
-                hk[pos] = lk
-                hv[pos] = lv
-            x = packed % n
-            if dist[x] != _INF:
-                continue
-            dist[x] = d
-            parent[x] = packed // n - 1
-            settled.append(x)
-            base = (x + 1) * n
-            for i in range(indptr[x], indptr[x + 1]):
-                w = weights[i]
-                if w == _INF:
-                    continue  # dead (patched-out) slot
-                y = indices[i]
-                if dist[y] == _INF:
-                    nd = d + w
-                    nv = base + y
-                    hk.append(nd)
-                    hv.append(nv)
-                    pos = size
-                    size += 1
-                    while pos:
-                        par = (pos - 1) >> 2
-                        pk = hk[par]
-                        if nd < pk or (nd == pk and nv < hv[par]):
-                            hk[pos] = pk
-                            hv[pos] = hv[par]
-                            pos = par
-                        else:
-                            break
-                    hk[pos] = nd
-                    hv[pos] = nv
-        parent_arr = _np.asarray(parent, dtype=_np.int32)
-        parent_arr[src] = -1
-        return (
-            _np.asarray(dist, dtype=_np.float64),
-            parent_arr,
-            _np.asarray(settled, dtype=_np.int64),
-        )
-
     def masked_path(
         self, source: int, target: int, banned: Tuple[int, int]
     ) -> Optional[List[int]]:
@@ -565,23 +380,18 @@ class CsrGraph:
                 weights[s1] = _INF
             if s2 is not None:
                 weights[s2] = _INF
-        if self.backend == "scipy":
-            if weights is self.weights:
-                g = self._scipy_graph()
-            else:
-                g = _scipy_csr_array(
-                    (weights, self.indices, self.indptr), shape=(self.n, self.n)
-                )
-            dist = _scipy_dijkstra(
-                g, directed=True, indices=src, return_predecessors=False
-            )
-            if not _np.isfinite(dist[tgt]):
-                return None
-            parent, _ = self._derive(src, dist, weights=weights)
+        if weights is self.weights:
+            g = self._scipy_graph()
         else:
-            dist, parent, _ = self._solve_python(src, weights)
-            if dist[tgt] == _INF:
-                return None
+            g = _scipy_csr_array(
+                (weights, self.indices, self.indptr), shape=(self.n, self.n)
+            )
+        dist = _scipy_dijkstra(
+            g, directed=True, indices=src, return_predecessors=False
+        )
+        if not _np.isfinite(dist[tgt]):
+            return None
+        parent, _ = self._derive(src, dist, weights=weights)
         path = []
         x = tgt
         while x != -1:
@@ -591,7 +401,4 @@ class CsrGraph:
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CsrGraph(n={self.n}, edges={len(self.indices)}, "
-            f"backend={self.backend!r})"
-        )
+        return f"CsrGraph(n={self.n}, edges={len(self.indices)})"

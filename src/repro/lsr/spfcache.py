@@ -399,9 +399,8 @@ class SpfCache(MappingABC):
 
     def csr_graph(self) -> Optional[_csr.CsrGraph]:
         """The compiled flat-array core for this image, or ``None`` when
-        no CSR backend is engaged (see :func:`repro.lsr.csr.default_backend`)
-        or the image is below the :func:`repro.lsr.csr.min_nodes` floor
-        (small images solve faster on dicts than they compile).
+        the image is below the :data:`repro.lsr.csr.MIN_NODES` floor (small
+        images solve faster on dicts than they compile).
 
         Compiled lazily on the first full SSSP of a generation.  When
         the superseded generation already compiled and the producer
@@ -411,17 +410,13 @@ class SpfCache(MappingABC):
         """
         if not self._csr_ready:
             self._csr_ready = True
-            backend = _csr.default_backend()
-            if backend is not None and len(self._adj) >= _csr.min_nodes():
+            if len(self._adj) >= _csr.MIN_NODES:
                 graph = None
                 prev = self._prev
                 if prev is not None and prev._csr is not None and self._delta:
-                    if prev._csr.backend == backend:
-                        graph = prev._csr.patched(self._delta, self._adj)
+                    graph = prev._csr.patched(self._delta, self._adj)
                 if graph is None:
-                    graph = _csr.CsrGraph.from_adjacency(
-                        self._adj, backend=backend
-                    )
+                    graph = _csr.CsrGraph.from_adjacency(self._adj)
                 self._csr = graph
         return self._csr
 

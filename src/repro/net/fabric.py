@@ -416,7 +416,7 @@ class LiveFabric:
             if host.idle:
                 continue
             queued = sum(
-                len(box._queue) for box in host.switch._mailboxes.values()
+                len(host.switch.queued_lsas(cid)) for cid in host.switch.states
             )
             busy.append(
                 f"host {x}(pumping={host._pumping} wake={host._wake.is_set()} "

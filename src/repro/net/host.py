@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec
+from repro.core.protocol import ProtocolConfig
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch
 from repro.core.timestamp import Stamp
@@ -84,7 +85,7 @@ class LiveSwitch:
         self,
         switch_id: int,
         net: Network,
-        config,
+        config: ProtocolConfig,
         transport: Transport,
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
         time_scale: float = 0.0,
@@ -258,9 +259,11 @@ class LiveSwitch:
         state = self.switch.states.get(event.connection_id)
         members = set(state.members) if state is not None else set()
         if isinstance(event, JoinEvent):
+            kind, role = McEvent.JOIN, event.role
             cause = "join" if members else "request"
             predicted = members | {self.switch_id}
         elif isinstance(event, LeaveEvent):
+            kind, role = McEvent.LEAVE, None
             cause = "leave"
             predicted = members - {self.switch_id}
         else:
@@ -268,18 +271,8 @@ class LiveSwitch:
         ctx = self.mint_ctx(cause, event.connection_id)
         if self.slo is not None:
             self.slo.begin(ctx, predicted)
-        if isinstance(event, JoinEvent):
-            gen = self.switch.event_handler(
-                McEvent.JOIN, event.connection_id, role=event.role, ctx=ctx
-            )
-        else:
-            gen = self.switch.event_handler(
-                McEvent.LEAVE, event.connection_id, ctx=ctx
-            )
-        kind = "join" if isinstance(event, JoinEvent) else "leave"
-        self.sim.spawn(
-            gen,
-            name=f"EventHandler({kind}, sw={self.switch_id}, m={event.connection_id})",
+        self.switch.spawn_event_handler(
+            kind, event.connection_id, role=role, ctx=ctx
         )
         self._wake.set()
 
@@ -293,84 +286,41 @@ class LiveSwitch:
         """
         self.net.set_link_state(u, v, up)
         if not up:
-            self._activate_frr(u, v)
+            self._record_frr(None, self.switch.activate_frr(u, v))
 
-    def _activate_frr(self, u: int, v: int, ctx: Optional[TraceContext] = None) -> None:
-        """Activate covering backup fragments for a failed incident edge.
-
-        Purely local and O(connections): the data plane rides the
-        precomputed detour immediately, before any LSA floods; the
-        normal repair cycle reconciles later (install retires the
-        fragment).  No-op unless ``enable_frr`` is set.
-        """
-        if not getattr(self.config, "enable_frr", False):
-            return
-        from repro.frr import activate_for_edge
-
-        activated = activate_for_edge(self.switch.states, u, v)
+    def _record_frr(self, ctx: Optional[TraceContext], activated: List[int]) -> None:
         if activated and self.slo is not None:
             self.slo.record_frr_activation(ctx, len(activated))
 
     def fire_link(self, u: int, v: int, up: bool) -> List[int]:
         """This host detects an incident link change (Figure 2's detector).
 
-        Floods exactly one non-MC LSA, then one MC link event per affected
-        connection; returns the affected connection ids.  One causal
-        context is minted per detected change (hello-declared deaths
-        arrive here too, via :meth:`~repro.net.resync.ResyncManager.
-        check_dead`) and shared by the unicast flood and every MC repair
-        it provokes; a link-down with affected connections opens a
-        failure-to-repair SLO chain.
+        What the detector does -- fast reroute, exactly one non-MC LSA,
+        then one MC link event per affected connection -- is
+        :meth:`DgmcSwitch.detect_link_change`, the method the simulator
+        and the model checker run; returns the affected connection ids.
+        One causal context is minted per detected change (hello-declared
+        deaths arrive here too, via :meth:`~repro.net.resync.
+        ResyncManager.check_dead`) and shared by the unicast flood and
+        every MC repair it provokes; a link-down with affected
+        connections opens a failure-to-repair SLO chain.
         """
         ctx = self.mint_ctx("link-up" if up else "link-down")
         self.net.set_link_state(u, v, up)
-        if not up:
-            # Fast reroute first: the detecting switch's data plane must
-            # ride the precomputed detour before any LSA leaves this host.
-            self._activate_frr(u, v, ctx)
+        # The router floods its non-MC LSA synchronously inside the call.
         self.flood_out.current_ctx = ctx
         try:
-            self.router.notify_incident_link_event()
+            affected, activated = self.switch.detect_link_change(u, v, up, ctx=ctx)
         finally:
             self.flood_out.current_ctx = None
-        affected = self._affected_connections(u, v, up)
+        self._record_frr(ctx, activated)
         if self.slo is not None and affected:
             needed = set()
             for connection_id in affected:
-                state = self.switch.states.get(connection_id)
-                if state is not None:
-                    needed |= state.member_set
+                needed |= self.switch.states[connection_id].member_set
             self.slo.begin(ctx, needed)
-        for connection_id in affected:
-            self.sim.spawn(
-                self.switch.event_handler(McEvent.LINK, connection_id, ctx=ctx),
-                name=f"EventHandler(link, sw={self.switch_id}, m={connection_id})",
-            )
         self._wake.set()
         return affected
-
-    def _affected_connections(self, u: int, v: int, up: bool) -> List[int]:
-        """Mirror of the simulator's affected-connection rule.
-
-        On recovery, degraded installed topologies (not spanning the
-        member set -- computed while members were unreachable) are
-        re-proposed; see ``DgmcNetwork._affected_connections``.
-        """
-        if up:
-            if getattr(self.config, "reoptimize_on_link_up", False):
-                return sorted(self.switch.states)
-            return sorted(
-                connection_id
-                for connection_id, state in self.switch.states.items()
-                if state.installed is not None
-                and not state.installed.spans(state.member_set)
-            )
-        edge = tuple(sorted((u, v)))
-        return sorted(
-            connection_id
-            for connection_id, state in self.switch.states.items()
-            if state.installed is not None and edge in state.installed.all_edges()
-        )
 
     # -- the pump -------------------------------------------------------------
 
@@ -453,7 +403,7 @@ class LiveSwitch:
             not self._pumping
             and not self._wake.is_set()
             and self.sim.peek() is None
-            and all(box.empty for box in self.switch._mailboxes.values())
+            and self.switch.mailboxes_empty
         )
 
     # -- inspection ----------------------------------------------------------------

@@ -315,10 +315,7 @@ class StressExecutor:
                 (
                     cid,
                     state.canonical(),
-                    tuple(
-                        _canon_payload(p)
-                        for p in sw._mailboxes[cid].peek_all()
-                    ),
+                    tuple(_canon_payload(p) for p in sw.queued_lsas(cid)),
                 )
                 for cid, state in sorted(sw.states.items())
             )

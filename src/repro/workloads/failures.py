@@ -111,7 +111,7 @@ class FailureInjector:
         record = FailureRecord(edge, self.dgmc.sim.now, None)
         self.records.append(record)
         u, v = edge
-        self.dgmc._fire_link(LinkEvent(u, u, v, up=False))
+        self.dgmc.fire_event(LinkEvent(u, u, v, up=False))
         if repair_after is not None:
             self.dgmc.sim.schedule(
                 repair_after, lambda: self._fire_repair(record)
@@ -123,7 +123,7 @@ class FailureInjector:
         if link.up:
             return  # already repaired (should not happen; defensive)
         record.repaired_at = self.dgmc.sim.now
-        self.dgmc._fire_link(LinkEvent(u, u, v, up=True))
+        self.dgmc.fire_event(LinkEvent(u, u, v, up=True))
 
     # -- accounting ---------------------------------------------------------------------
 

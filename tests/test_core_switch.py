@@ -206,6 +206,61 @@ class TestLinkEvents:
         assert tree.edges == frozenset({(0, 1)})  # direct link restored
 
 
+class TestAffectedConnections:
+    """Truth table of the detector's rule, at switch 1 of the line 0-1-2.
+
+    Connection 1 has members {0, 2} (its tree uses both edges),
+    connection 2 has members {0, 1} (edge (1, 2) unused).
+    """
+
+    def line(self, **config_kw):
+        dgmc = deployment(net=grid_network(1, 3), **config_kw)
+        dgmc.register_symmetric(2)
+        for k, (switch, conn) in enumerate([(0, 1), (2, 1), (0, 2), (1, 2)]):
+            dgmc.inject(JoinEvent(switch, conn), at=1.0 + 20.0 * k)
+        dgmc.run()
+        return dgmc, dgmc.switches[1]
+
+    def fail_and_settle(self, dgmc):
+        dgmc.fire_event(LinkEvent(1, 1, 2, up=False))
+        dgmc.run()
+
+    def test_down_selects_connections_using_the_edge(self):
+        _, detector = self.line()
+        assert detector.affected_connections(1, 2, up=False) == [1]
+        assert detector.affected_connections(2, 1, up=False) == [1]
+        assert detector.affected_connections(0, 1, up=False) == [1, 2]
+
+    def test_up_is_a_non_event_for_healthy_trees(self):
+        _, detector = self.line()
+        assert detector.affected_connections(1, 2, up=True) == []
+
+    def test_up_selects_degraded_trees(self):
+        dgmc, detector = self.line()
+        self.fail_and_settle(dgmc)  # member 2 unreachable: tree 1 degraded
+        state = detector.states[1]
+        assert not state.installed.spans(state.member_set)
+        assert detector.affected_connections(1, 2, up=True) == [1]
+
+    def test_up_selects_computations_in_flight(self):
+        dgmc, detector = self.line()
+        dgmc.fire_event(LinkEvent(1, 1, 2, up=False))
+        dgmc.sim.run_instant()  # EventHandler() now holds the CPU for Tc
+        assert [c.connection_id for c in detector.inflight_computes] == [1]
+        state = detector.states[1]
+        assert state.installed.spans(state.member_set)  # old tree, still whole
+        assert detector.affected_connections(1, 2, up=True) == [1]
+
+    def test_up_selects_everything_under_reoptimize(self):
+        _, detector = self.line(reoptimize_on_link_up=True)
+        assert detector.affected_connections(1, 2, up=True) == [1, 2]
+
+    def test_up_selects_nothing_when_repair_is_ablated(self):
+        dgmc, detector = self.line(ablate_degraded_repair=True)
+        self.fail_and_settle(dgmc)
+        assert detector.affected_connections(1, 2, up=True) == []
+
+
 class TestRoles:
     def test_asymmetric_join_roles_propagate(self):
         net = ring_network(4)

@@ -2,7 +2,7 @@
 
 The CSR core (:mod:`repro.lsr.csr`) must be **byte-identical** to the
 dict Dijkstra -- distances, parents, settle/iteration order, routing
-tables, next-hop DAGs, and masked FRR paths -- on both backends, across
+tables, next-hop DAGs, and masked FRR paths -- across
 disconnected graphs, equal-cost ties, and weight-patch (delta) chains up
 to the shared repair horizon.  Every property here compares ``repr``
 strings, so dict *iteration order* is part of the contract (the
@@ -17,14 +17,12 @@ independently defined ``8``s).
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.frr.backup import _masked_shortest_path
 from repro.lsr import csr, ispf, lsdb, spf, spfcache
@@ -40,9 +38,11 @@ from repro.lsr.spf import (
     routing_table,
 )
 
-#: Backends under test: the pure-python one always (numpy suffices), the
-#: scipy one when the scientific stack is complete.
-BACKENDS = ["python"] + (["scipy"] if csr.scipy_available() else [])
+#: The one array backend.  The parameter only pins the ``[scipy]`` test
+#: ids, which the regression floor names; the dict core is the oracle.
+scipy_backend = pytest.mark.parametrize(
+    "compile_csr", [pytest.param(CsrGraph.from_adjacency, id="scipy")]
+)
 
 #: Few distinct values with repeats: maximizes equal-cost paths, the tie
 #: cases where the canonical-parent and settle-order reconstruction must
@@ -51,17 +51,11 @@ WEIGHTS = (0.5, 1.0, 1.0, 1.0, 2.0, 2.5)
 
 
 @contextlib.contextmanager
-def _env(**kv):
-    saved = {k: os.environ.get(k) for k in kv}
-    os.environ.update(kv)
-    try:
+def _size_floor(nodes: int):
+    """Run the body with SpfCache's CSR engagement floor set to ``nodes``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr, "MIN_NODES", nodes)
         yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
 
 
 def _random_adj(rng: random.Random, n: int, density: float):
@@ -126,35 +120,35 @@ def _delta_chain(rng: random.Random, adj, length: int):
 class TestDifferentialSolve:
     """CsrGraph solves == dijkstra_uncached, repr-for-repr."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @scipy_backend
     @settings(max_examples=60, deadline=None)
     @given(case=graph_and_source())
-    def test_tree_matches_dict_core(self, backend, case):
+    def test_tree_matches_dict_core(self, compile_csr, case):
         adj, source = case
-        graph = CsrGraph.from_adjacency(adj, backend=backend)
+        graph = compile_csr(adj)
         expected = dijkstra_uncached(adj, source)
         got = graph.tree(source, count=False).dicts()
         assert repr(got) == repr(expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @scipy_backend
     @settings(max_examples=30, deadline=None)
     @given(case=graph_and_source())
-    def test_batched_trees_match_dict_core(self, backend, case):
+    def test_batched_trees_match_dict_core(self, compile_csr, case):
         adj, _ = case
-        graph = CsrGraph.from_adjacency(adj, backend=backend)
+        graph = compile_csr(adj)
         sources = sorted(adj)
         trees = graph.trees(sources, count=False)
         for s, tree in zip(sources, trees):
             assert repr(tree.dicts()) == repr(dijkstra_uncached(adj, s))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @scipy_backend
     @settings(max_examples=40, deadline=None)
     @given(case=graph_and_source())
-    def test_tables_and_dags_match_via_cache(self, backend, case):
+    def test_tables_and_dags_match_via_cache(self, compile_csr, case):
         """Through SpfCache (the production path): tables and DAGs."""
         adj, source = case
         cache = spfcache.SpfCache(adj)
-        cache._csr = CsrGraph.from_adjacency(adj, backend=backend)
+        cache._csr = compile_csr(adj)
         cache._csr_ready = True
         assert repr(spf.dijkstra(cache, source)) == repr(
             dijkstra_uncached(adj, source)
@@ -166,15 +160,15 @@ class TestDifferentialSolve:
             next_hop_dag(adj, source)
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_relax_counter_parity(self, backend):
+    @scipy_backend
+    def test_relax_counter_parity(self, compile_csr):
         """A CSR full run charges exactly the dict core's relaxations."""
         rng = random.Random(11)
         adj = _random_adj(rng, 10, 0.5)
         before = spf.RELAX_COUNTER.count
         dijkstra_uncached(adj, 0)
         dict_relax = spf.RELAX_COUNTER.count - before
-        graph = CsrGraph.from_adjacency(adj, backend=backend)
+        graph = compile_csr(adj)
         before = spf.RELAX_COUNTER.count
         graph.tree(0)
         assert spf.RELAX_COUNTER.count - before == dict_relax
@@ -183,24 +177,24 @@ class TestDifferentialSolve:
 class TestDifferentialPatching:
     """Weight-patched clones == fresh compiles of the post-delta image."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @scipy_backend
     @settings(max_examples=40, deadline=None)
     @given(
         case=graph_and_source(),
         chain_len=st.integers(min_value=1, max_value=MAX_REPAIR_CHAIN),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_patched_matches_rebuild(self, backend, case, chain_len, seed):
+    def test_patched_matches_rebuild(self, compile_csr, case, chain_len, seed):
         adj, source = case
         rng = random.Random(seed)
         deltas, images = _delta_chain(rng, adj, chain_len)
-        graph = CsrGraph.from_adjacency(adj, backend=backend)
+        graph = compile_csr(adj)
         patched = graph.patched(tuple(deltas), images[-1])
         if patched is None:
             # Inexpressible in this layout (an added edge): rebuild path.
             assert any(old_w is None for _, _, old_w, _ in deltas)
             return
-        rebuilt = CsrGraph.from_adjacency(images[-1], backend=backend)
+        rebuilt = compile_csr(images[-1])
         assert repr(patched.tree(source, count=False).dicts()) == repr(
             rebuilt.tree(source, count=False).dicts()
         )
@@ -208,11 +202,11 @@ class TestDifferentialPatching:
             dijkstra_uncached(images[-1], source)
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kill_revive_kill_tracks_dead_slots(self, backend):
+    @scipy_backend
+    def test_kill_revive_kill_tracks_dead_slots(self, compile_csr):
         """A slot patched out, back in, and out again counts dead once."""
         adj = {0: {1: 1.0, 2: 2.0}, 1: {0: 1.0, 2: 1.0}, 2: {0: 2.0, 1: 1.0}}
-        graph = CsrGraph.from_adjacency(adj, backend=backend)
+        graph = compile_csr(adj)
         after = {0: {2: 2.0}, 1: {2: 1.0}, 2: {0: 2.0, 1: 1.0}}
         deltas = (
             (0, 1, 1.0, None),
@@ -229,19 +223,19 @@ class TestDifferentialPatching:
             dijkstra_uncached(after, 0)
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @scipy_backend
     @settings(max_examples=30, deadline=None)
     @given(
         case=graph_and_source(),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    def test_cache_generation_chain(self, backend, case, seed):
+    def test_cache_generation_chain(self, compile_csr, case, seed):
         """SpfCache generations linked by deltas reuse patched graphs and
         still answer byte-identically to the dict core."""
         adj, source = case
         rng = random.Random(seed)
         deltas, images = _delta_chain(rng, adj, 3)
-        with _env(REPRO_CSR_BACKEND=backend, REPRO_CSR_MIN_NODES="0"):
+        with _size_floor(0):
             prev = spfcache.SpfCache(adj)
             prev.sssp(source)  # compiles the CSR core lazily
             for k, (delta, image) in enumerate(zip(deltas, images)):
@@ -269,15 +263,15 @@ class TestDifferentialPatching:
 class TestDifferentialMaskedPath:
     """masked_path == the FRR dict-walk, edge for edge."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @scipy_backend
     @settings(max_examples=40, deadline=None)
     @given(case=graph_and_source(), seed=st.integers(0, 2**32))
-    def test_masked_path_matches_dict_walk(self, backend, case, seed):
+    def test_masked_path_matches_dict_walk(self, compile_csr, case, seed):
         adj, source = case
         rng = random.Random(seed)
         edges = [(u, v) for u in adj for v in adj[u] if u < v]
         banned = rng.choice(edges) if edges else (0, 1)
-        graph = CsrGraph.from_adjacency(adj, backend=backend)
+        graph = compile_csr(adj)
         for target in adj:
             expected = _masked_shortest_path(adj, source, target, banned)
             assert graph.masked_path(source, target, banned) == expected
@@ -374,30 +368,20 @@ class TestSharedDeltaCap:
 
 
 class TestCacheEngagement:
-    """SpfCache only compiles CSR above the size floor / with a backend."""
+    """SpfCache only compiles CSR at or above the size floor."""
 
     def test_small_image_stays_on_dicts(self):
         adj = _random_adj(random.Random(3), 10, 0.6)
-        with _env(REPRO_CSR_MIN_NODES="256"):
-            cache = spfcache.SpfCache(adj)
-            cache.sssp(0)
-            assert cache.csr_graph() is None
-            assert cache.sssp_tree(0) is None
-
-    def test_backend_off_disables(self):
-        adj = _random_adj(random.Random(3), 10, 0.6)
-        with _env(REPRO_CSR_BACKEND="off", REPRO_CSR_MIN_NODES="0"):
-            cache = spfcache.SpfCache(adj)
-            cache.sssp(0)
-            assert cache.csr_graph() is None
+        assert len(adj) < csr.MIN_NODES
+        cache = spfcache.SpfCache(adj)
+        cache.sssp(0)
+        assert cache.csr_graph() is None
+        assert cache.sssp_tree(0) is None
 
     def test_prewarm_batches_and_counts_once(self):
         adj = _random_adj(random.Random(5), 12, 0.6)
-        with _env(REPRO_CSR_MIN_NODES="0"):
+        with _size_floor(0):
             cache = spfcache.SpfCache(adj)
-            if cache.csr_graph() is None:  # no scipy: dict fallback path
-                assert cache.prewarm(sorted(adj)) == len(adj)
-                return
             before = spf.RUN_COUNTER.count
             solved = cache.prewarm(sorted(adj))
             assert solved == len(adj)
@@ -411,9 +395,3 @@ class TestCacheEngagement:
             assert repr(cache.sssp(0)) == repr(dijkstra_uncached(adj, 0))
             assert cache.stats.hits == hits + 1
             assert cache.prewarm(sorted(adj)) == 0
-
-    def test_min_nodes_env_override(self):
-        with _env(REPRO_CSR_MIN_NODES="7"):
-            assert csr.min_nodes() == 7
-        with _env(REPRO_CSR_MIN_NODES="junk"):
-            assert csr.min_nodes() == csr._DEFAULT_MIN_NODES
