@@ -23,7 +23,7 @@ from conftest import write_result
 from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, ProtocolConfig
 from repro.harness.figures import EXP1_COMPUTE, EXP1_PER_HOP, _bursty_scenario
 from repro.sim.rng import RngRegistry
-from repro.trace import convergence_profile
+from repro.obs.timeline import convergence_profile
 
 N = 60
 SEEDS = range(6)

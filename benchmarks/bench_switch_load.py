@@ -16,7 +16,7 @@ from conftest import write_result
 
 from repro.harness.experiment import run_brute_force_trial, run_dgmc_trial
 from repro.harness.figures import _sparse_scenario
-from repro.metrics.load import load_distribution
+from repro.harness.metrics import load_distribution
 from repro.sim.rng import RngRegistry
 
 from repro.baselines.brute_force import BruteForceNetwork

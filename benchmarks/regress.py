@@ -115,6 +115,7 @@ from repro.harness.figures import (
     experiment2,
 )
 from repro.lsr import spf, spfcache
+from repro.obs import attach
 from repro.obs import tracer as obs_tracer
 from repro.obs.metrics import REGISTRY as GLOBAL_REGISTRY
 from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
@@ -172,6 +173,10 @@ DISABLE_FRR = False
 # -- benchmark bodies --------------------------------------------------------
 
 
+def _hit_rate(hits: int, misses: int) -> float:
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
 def _sweep_record(rows) -> Dict[str, object]:
     trials = [t for row in rows for t in row.trials]
     hits = sum(t.spf_hits for t in trials)
@@ -184,7 +189,7 @@ def _sweep_record(rows) -> Dict[str, object]:
         "spf_hits": hits,
         "spf_misses": misses,
         "spf_invalidations": sum(t.spf_invalidations for t in trials),
-        "spf_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        "spf_hit_rate": _hit_rate(hits, misses),
         "all_agreed": all(t.agreed for t in trials),
     }
 
@@ -202,20 +207,23 @@ def bench_spf_substrate(sizes, graphs) -> Dict[str, object]:
     n = max(sizes)
     net = waxman_network(n, RngRegistry(7).stream("topology"))
     view = net.spf_view()
+    snap0 = GLOBAL_REGISTRY.snapshot()
     queries = 0
     for src in net.switches():
         spf.routing_table(view, src)
         for dst in range(0, n, max(1, n // 8)):
             spf.shortest_path(view, src, dst)
             queries += 1
-    stats = net.spf_stats
+    delta = GLOBAL_REGISTRY.delta(snap0)
+    hits = int(delta[attach.SPF_HITS])
+    misses = int(delta[attach.SPF_MISSES])
     return {
         "switches": n,
         "path_queries": queries,
-        "dijkstra_runs": stats.full_runs,
-        "spf_hits": stats.hits,
-        "spf_misses": stats.misses,
-        "spf_hit_rate": stats.hit_rate,
+        "dijkstra_runs": int(delta[attach.SPF_FULL_RUNS]),
+        "spf_hits": hits,
+        "spf_misses": misses,
+        "spf_hit_rate": _hit_rate(hits, misses),
     }
 
 
@@ -256,8 +264,7 @@ def _churn_run(n: int, graph: int, seed: int) -> tuple:
     dgmc = DgmcNetwork(scenario.net, config)
     dgmc.register_symmetric(scenario.connection_id)
     m = scenario.connection_id
-    runs0 = spf.RUN_COUNTER.count
-    relax0 = spf.RELAX_COUNTER.count
+    snap0 = GLOBAL_REGISTRY.snapshot()
 
     gap = 4.0 * scenario.round_length
     t = gap
@@ -276,11 +283,10 @@ def _churn_run(n: int, graph: int, seed: int) -> tuple:
     agreed, detail = dgmc.agreement(m)
     if not agreed:
         raise AssertionError(f"disagreement in churn run n={n}: {detail}")
-    runs = spf.RUN_COUNTER.count - runs0
-    relax = spf.RELAX_COUNTER.count - relax0
+    delta = GLOBAL_REGISTRY.delta(snap0)
     return (
-        runs,
-        relax,
+        int(delta[attach.DIJKSTRA_RUNS]),
+        int(delta[attach.SPF_RELAXATIONS]),
         _topology_blob(dgmc, m),
         _routing_blob(dgmc),
         dgmc.sim.events_dispatched,
@@ -318,8 +324,7 @@ def _failure_churn_run(n: int, graph: int, seed: int) -> tuple:
         t += gap
     dgmc.run()
 
-    relax0 = spf.RELAX_COUNTER.count
-    stats0 = spfcache.GLOBAL_STATS.copy()
+    snap0 = GLOBAL_REGISTRY.snapshot()
     injector = FailureInjector(dgmc, registry.stream("failures"))
     events = scenario.schedule.events
     horizon = max(
@@ -343,13 +348,12 @@ def _failure_churn_run(n: int, graph: int, seed: int) -> tuple:
     agreed, detail = dgmc.agreement(m)
     if not agreed:
         raise AssertionError(f"disagreement in failure churn n={n}: {detail}")
-    relax = spf.RELAX_COUNTER.count - relax0
-    diff = spfcache.GLOBAL_STATS - stats0
+    delta = GLOBAL_REGISTRY.delta(snap0)
     link_events = injector.failures_injected + injector.repairs_completed
     return (
-        relax,
-        diff.ispf_repairs,
-        diff.ispf_full_fallbacks,
+        int(delta[attach.SPF_RELAXATIONS]),
+        int(delta[attach.SPF_ISPF_REPAIRS]),
+        int(delta[attach.SPF_ISPF_FALLBACKS]),
         link_events,
         _topology_blob(dgmc, m),
         _routing_blob(dgmc),

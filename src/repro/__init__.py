@@ -8,9 +8,8 @@ simulation kernel (:mod:`repro.sim`), a network/topology model
 (:mod:`repro.lsr`), multicast tree algorithms (:mod:`repro.trees`), the
 D-GMC protocol itself (:mod:`repro.core`), the MOSPF / brute-force / CBT
 baselines (:mod:`repro.baselines`), workload generators
-(:mod:`repro.workloads`), metrics (:mod:`repro.metrics`), and the
-experiment harness that regenerates the paper's figures
-(:mod:`repro.harness`).
+(:mod:`repro.workloads`), and the experiment harness that measures the
+paper's metrics and regenerates its figures (:mod:`repro.harness`).
 
 Quickstart::
 

@@ -23,7 +23,7 @@ from repro.core.mc import ConnectionSpec, ConnectionType, Role, default_role
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
 from repro.obs import tracer as obs_tracer
-from repro.obs.attach import attach_network_metrics, network_spf_cache_stats
+from repro.obs.attach import attach_network_metrics
 from repro.sim.kernel import Simulator
 from repro.sim.process import Hold
 from repro.sim.resource import Facility
@@ -188,11 +188,6 @@ class BruteForceNetwork:
 
     def mc_floodings(self) -> int:
         return self.fabric.count_for("mc")
-
-    def spf_cache_stats(self):
-        """Aggregated SPF cache counters (kept apples-to-apples with
-        :meth:`repro.core.protocol.DgmcNetwork.spf_cache_stats`)."""
-        return network_spf_cache_stats(self)
 
     def last_install_time(self, connection_id: int) -> float:
         times = [

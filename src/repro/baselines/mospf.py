@@ -26,7 +26,7 @@ from typing import Dict, Optional, Set, Tuple
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
 from repro.obs import tracer as obs_tracer
-from repro.obs.attach import attach_network_metrics, network_spf_cache_stats
+from repro.obs.attach import attach_network_metrics
 from repro.sim.kernel import Simulator
 from repro.sim.process import Hold
 from repro.topo.graph import Network
@@ -209,8 +209,3 @@ class MospfNetwork:
 
     def members_of(self, group_id: int, at_router: int = 0) -> frozenset:
         return frozenset(self.mospf[at_router].members.get(group_id, ()))
-
-    def spf_cache_stats(self):
-        """Aggregated SPF cache counters (kept apples-to-apples with
-        :meth:`repro.core.protocol.DgmcNetwork.spf_cache_stats`)."""
-        return network_spf_cache_stats(self)

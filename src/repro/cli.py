@@ -86,8 +86,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.tracer import JsonlSink, RingBufferSink, get_tracer
+    from repro.obs.timeline import (
+        build_timeline,
+        convergence_profile,
+        render_timeline,
+    )
     from repro.topo.generators import waxman_network
-    from repro.trace import build_timeline, convergence_profile, render_timeline
 
     tracer = get_tracer()
     jsonl_sink = None

@@ -23,7 +23,7 @@ from repro.core.timestamp import Stamp
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.lsa import NonMcLsa
 from repro.lsr.router import UnicastRouter, bring_up_unicast
-from repro.obs.attach import attach_network_metrics, network_spf_cache_stats
+from repro.obs.attach import attach_network_metrics
 from repro.sim.kernel import Simulator
 from repro.topo.graph import Network
 
@@ -430,11 +430,6 @@ class DgmcNetwork:
 
     def total_computations(self) -> int:
         return len(self.computation_log)
-
-    def spf_cache_stats(self):
-        """Aggregated SPF cache counters across all routers' images and
-        the physical network's views (read from the metrics registry)."""
-        return network_spf_cache_stats(self)
 
     def mc_floodings(self) -> int:
         return self.fabric.count_for("mc")

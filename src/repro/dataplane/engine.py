@@ -517,67 +517,6 @@ class BatchForwardingEngine:
         reachable = [(dist[m], m) for m in sorted(members) if m in dist]
         return min(reachable)[1] if reachable else None
 
-    def _replay_fast(
-        self,
-        compiled: _CompiledConnection,
-        source: int,
-        tree_key: int,
-        initial_ttl: int,
-        intended: FrozenSet[int],
-    ) -> Optional[_FlowTemplate]:
-        """Tree-stage replay as an iterative DFS, skipping the event heap.
-
-        Valid exactly when no switch is reached twice: each switch then
-        has a unique arrival path, so the outcome (deliveries, chains,
-        hops, TTL drops) is the same for every event ordering and
-        ``duplicates`` is zero.  Any second reach -- detected by marking
-        switches when their arrival is pushed -- returns ``None`` so the
-        exact event-ordered walk decides which copy arrives first.
-        """
-        topo_of = compiled.topo_of
-        topologies = compiled.topologies
-        deliver_bit = compiled.deliver_bit
-        delivered: Dict[int, Tuple[float, ...]] = {}
-        hops = ttl_drops = 0
-        seen = {source}
-        stack: List[Tuple[int, int, int, Tuple[float, ...]]] = [
-            (source, -1, initial_ttl, ())
-        ]
-        pop = stack.pop
-        while stack:
-            x, came_from, ttl, chain = pop()
-            if deliver_bit[x]:
-                delivered[x] = chain
-            index = topo_of[x]
-            if index < 0:
-                continue
-            r = topologies[index].rows.get(tree_key)
-            if r is None:
-                continue
-            indptr, neighbors, costs, spans = r
-            targets = [
-                i for i in range(indptr[x], indptr[x + 1])
-                if neighbors[i] != came_from
-            ]
-            if ttl <= 0:
-                if targets:
-                    ttl_drops += 1  # the hop limit suppressed real fan-out
-                continue
-            for i in targets:
-                span = spans[i]
-                if span > ttl:
-                    ttl_drops += 1  # detour longer than the remaining ttl
-                    continue
-                nbr = neighbors[i]
-                if nbr in seen:
-                    return None  # revisit: ordering matters, use the heap
-                seen.add(nbr)
-                hops += span
-                stack.append((nbr, x, ttl - span, chain + (costs[i],)))
-        return _FlowTemplate(
-            False, intended, tuple(delivered.items()), hops, 0, ttl_drops
-        )
-
     def _replay(self, compiled: _CompiledConnection, source: int) -> _FlowTemplate:
         """Replay the reference engine's per-packet walk over the arrays.
 
@@ -588,11 +527,6 @@ class BatchForwardingEngine:
         the same relative order from a local ``(time, seq)`` heap as from
         the global queue, and the walk below is delivery-for-delivery
         identical to the reference at any fixed control-plane snapshot.
-
-        An on-tree source first tries :meth:`_replay_fast` -- an iterative
-        DFS valid whenever no switch is reached twice (every arrival order
-        then yields the same outcome); any revisit falls back to the
-        exact event-ordered walk, which is the one that counts duplicates.
         """
         n = compiled.n
         if compiled.members_of[source] is None or compiled.topo_of[source] < 0:
@@ -663,9 +597,6 @@ class BatchForwardingEngine:
                      chain + (costs[i],))
 
         if on_tree(source):
-            fast = self._replay_fast(compiled, source, tree_key, initial_ttl, intended)
-            if fast is not None:
-                return fast
             push(0.0, _TREE, source, None, initial_ttl, ())
         else:
             compiled.uses_unicast = True

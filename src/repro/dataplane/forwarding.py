@@ -15,7 +15,7 @@ TTL bound every packet's work even under pathological disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.mc import ConnectionType
 from repro.core.protocol import DgmcNetwork
@@ -86,15 +86,6 @@ class ForwardingEngine:
         self.ttl = ttl
         self.report = DeliveryReport()
         self._seen: Dict[int, Set[int]] = {}
-        #: (switch, connection) -> (installed topology, tree_key -> incident
-        #: edges).  Valid while the installed object is unchanged; installs
-        #: replace the McTopology wholesale, so identity is the generation.
-        self._edge_cache: Dict[Tuple[int, int], Tuple[Any, Dict[int, List[tuple]]]] = {}
-        #: (source, connection) -> (member set, network image, contact).
-        #: Valid while the members and the source's LSDB image both stand.
-        self._contact_cache: Dict[
-            Tuple[int, int], Tuple[FrozenSet[int], Any, Optional[int]]
-        ] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -139,41 +130,24 @@ class ForwardingEngine:
         members = state.member_set
         if not members:
             return None
-        image = self.dgmc.routers[source].network_image()
-        key = (source, state.spec.connection_id)
-        cached = self._contact_cache.get(key)
-        if cached is not None and cached[0] == members and cached[1] is image:
-            return cached[2]
-        dist, _ = spf.dijkstra(image, source)
+        dist, _ = spf.dijkstra(self.dgmc.routers[source].network_image(), source)
         reachable = [(dist[m], m) for m in sorted(members) if m in dist]
-        contact = min(reachable)[1] if reachable else None
-        self._contact_cache[key] = (members, image, contact)
-        return contact
+        return min(reachable)[1] if reachable else None
 
     # -- per-hop mechanics ----------------------------------------------------------
 
     def _local_tree_edges(self, switch: int, packet: McPacket) -> List[tuple]:
-        """Tree edges incident to ``switch`` in *its own* installed view.
-
-        Memoized per (switch, connection) keyed on installed-topology
-        identity: installs replace the McTopology object wholesale, so a
-        stale cache entry is detected by ``is`` without content hashing.
-        """
+        """Tree edges incident to ``switch`` in *its own* installed view."""
         state = self.dgmc.switches[switch].states.get(packet.connection_id)
         if state is None or state.installed is None:
             return []
-        key = (switch, packet.connection_id)
-        cached = self._edge_cache.get(key)
-        if cached is None or cached[0] is not state.installed:
-            incident: Dict[int, List[tuple]] = {
-                tree_key: [e for e in sorted(tree.edges) if switch in e]
-                for tree_key, tree in state.installed.trees
-            }
-            cached = (state.installed, incident)
-            self._edge_cache[key] = cached
-        if state.spec.ctype is ConnectionType.ASYMMETRIC:
-            return cached[1].get(packet.source, [])
-        return cached[1].get(SHARED, [])
+        asymmetric = state.spec.ctype is ConnectionType.ASYMMETRIC
+        tree = state.installed.tree_map().get(
+            packet.source if asymmetric else SHARED
+        )
+        if tree is None:
+            return []
+        return [e for e in sorted(tree.edges) if switch in e]
 
     def _on_tree(self, switch: int, packet: McPacket) -> bool:
         state = self.dgmc.switches[switch].states.get(packet.connection_id)

@@ -128,7 +128,7 @@ def _masked_shortest_path(
     csr_getter = getattr(image, "csr_graph", None)
     if csr_getter is not None:
         graph = csr_getter()
-        if graph is not None and graph.backend == "scipy":
+        if graph is not None:
             return graph.masked_path(source, target, banned)
     bu, bv = banned
     dist: Dict[int, float] = {}

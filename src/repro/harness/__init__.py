@@ -1,7 +1,9 @@
 """Experiment harness: runs scenarios and regenerates the paper's figures.
 
 * :mod:`repro.harness.experiment` -- run one scenario under D-GMC or a
-  baseline and extract :class:`~repro.metrics.collector.TrialMetrics`,
+  baseline and extract :class:`~repro.harness.metrics.TrialMetrics`,
+* :mod:`repro.harness.metrics` -- the paper's three metrics: per-trial
+  counters, mean + 95% CI aggregation, rounds, per-switch load,
 * :mod:`repro.harness.sweeps` -- repeat over network sizes and random
   graphs, aggregating with 95% confidence intervals,
 * :mod:`repro.harness.figures` -- the drivers for Experiments 1-3

@@ -20,7 +20,7 @@ from repro.baselines.mospf import MospfNetwork
 from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.mc import Role
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
-from repro.metrics.collector import TrialMetrics
+from repro.harness.metrics import TrialMetrics
 from repro.workloads.scenario import Scenario
 
 

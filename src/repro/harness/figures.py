@@ -30,7 +30,7 @@ from repro.harness.experiment import (
     run_mospf_trial,
 )
 from repro.harness.sweeps import SweepRow, sweep
-from repro.metrics.stats import Aggregate
+from repro.harness.metrics import Aggregate
 from repro.sim.rng import RngRegistry
 from repro.topo.generators import waxman_network
 from repro.workloads.membership import bursty_schedule, sparse_schedule

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-from repro.metrics.collector import TrialMetrics
-from repro.metrics.stats import Aggregate, aggregate
+from repro.harness.metrics import Aggregate, TrialMetrics, aggregate
 from repro.obs.metrics import merge_sum
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenario import Scenario
@@ -43,14 +42,6 @@ class SweepRow:
     @property
     def convergence_rounds(self) -> Aggregate:
         return self.agg(lambda t: t.convergence_rounds)
-
-    @property
-    def spf_hit_rate(self) -> Aggregate:
-        return self.agg(lambda t: t.spf_hit_rate)
-
-    @property
-    def dijkstra_runs(self) -> int:
-        return sum(t.dijkstra_runs for t in self.trials)
 
     @property
     def metric_totals(self) -> dict:

@@ -20,7 +20,7 @@ from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr.spf import dijkstra, routing_table, shortest_path
 from repro.lsr.ispf import MAX_REPAIR_CHAIN, LinkDelta, repair_sssp
 from repro.lsr.csr import CsrGraph, CsrTree
-from repro.lsr.spfcache import CacheStats, SpfCache
+from repro.lsr.spfcache import SpfCache
 from repro.lsr.flooding import FloodDelivery, FloodingFabric
 from repro.lsr.router import UnicastRouter
 
@@ -37,7 +37,6 @@ __all__ = [
     "CsrGraph",
     "CsrTree",
     "SpfCache",
-    "CacheStats",
     "FloodingFabric",
     "FloodDelivery",
     "UnicastRouter",

@@ -20,7 +20,6 @@ that the evaluation section reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -79,14 +78,8 @@ class FloodingFabric:
         self.history: list[FloodDelivery] = []
         #: Per-origin BFS hop counts, valid for one topology version
         #: (fixed per-hop timing floods one BFS per event otherwise).
-        #: Single-link topology deltas *repair* the cached layers in place
-        #: (unit-weight incremental SPF); wider gaps still discard.
         self._hops_cache: Dict[int, Dict[int, int]] = {}
         self._hops_version = -1
-        #: Hop-cache maintenance counters (diagnostics / tests).
-        self.hops_repairs = 0
-        self.hops_drops = 0
-        self.hops_invalidations = 0
         #: Optional per-flood histograms, created by :meth:`bind_metrics`.
         self._fanout_hist: Optional[Histogram] = None
         self._hops_hist: Optional[Histogram] = None
@@ -128,14 +121,7 @@ class FloodingFabric:
         """
         if self.per_hop_delay is not None:
             if self._hops_version != self.net.version:
-                deltas = self.net.up_delta_since(self._hops_version)
-                if deltas is None:
-                    if self._hops_cache:
-                        self._hops_cache.clear()
-                        self.hops_invalidations += 1
-                else:
-                    for delta in deltas:
-                        self._repair_hops(delta)
+                self._hops_cache.clear()
                 self._hops_version = self.net.version
             hops = self._hops_cache.get(origin)
             if hops is None:
@@ -144,68 +130,6 @@ class FloodingFabric:
             return {x: h * self.per_hop_delay for x, h in hops.items()}
         dist, _ = spf.dijkstra(self.net.spf_view(), origin)
         return dist
-
-    def _repair_hops(self, delta) -> None:
-        """Repair every cached BFS layer map for one up-link delta.
-
-        The hop metric is unit-weight, so incremental SPF degenerates to
-        two rules: a *new* link can only improve levels, fixed by a BFS
-        seeded from the nearer endpoint; a *vanished* link leaves an
-        origin's layers intact whenever it connected equal levels or the
-        farther endpoint keeps another neighbor one level up.  Only the
-        (rare) remaining case discards that origin's entry for lazy
-        recomputation.
-        """
-        u, v, old_w, new_w = delta
-        if (old_w is None) == (new_w is None):
-            return  # presence unchanged: hop counts cannot move
-        if new_w is not None:
-            for hops in self._hops_cache.values():
-                hu = hops.get(u)
-                hv = hops.get(v)
-                if hu is None and hv is None:
-                    continue
-                if hu is not None and hv is not None and abs(hu - hv) <= 1:
-                    continue
-                seeds = []
-                if hu is not None and (hv is None or hv > hu + 1):
-                    seeds.append((v, hu + 1))
-                if hv is not None and (hu is None or hu > hv + 1):
-                    seeds.append((u, hv + 1))
-                self._improve_hops(hops, seeds)
-                self.hops_repairs += 1
-            return
-        for origin in list(self._hops_cache):
-            hops = self._hops_cache[origin]
-            hu = hops.get(u)
-            hv = hops.get(v)
-            if hu is None or hv is None or hu == hv:
-                continue
-            far, far_level = (v, hv) if hv > hu else (u, hu)
-            if any(
-                hops.get(y) == far_level - 1 for y in self.net.neighbors(far)
-            ):
-                self.hops_repairs += 1  # alternate support: layers still exact
-                continue
-            del self._hops_cache[origin]
-            self.hops_drops += 1
-
-    def _improve_hops(self, hops: Dict[int, int], seeds) -> None:
-        """Relax-only BFS: apply seed labels and propagate improvements."""
-        frontier = deque()
-        for node, level in seeds:
-            cur = hops.get(node)
-            if cur is None or level < cur:
-                hops[node] = level
-                frontier.append(node)
-        while frontier:
-            x = frontier.popleft()
-            nxt = hops[x] + 1
-            for y in self.net.neighbors(x):
-                cur = hops.get(y)
-                if cur is None or nxt < cur:
-                    hops[y] = nxt
-                    frontier.append(y)
 
     def flood(self, origin: int, payload: Any, kind: str = "lsa") -> FloodDelivery:
         """Perform one flooding operation from ``origin``.

@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.lsr.ispf import MAX_REPAIR_CHAIN, LinkDelta
 from repro.lsr.lsa import RouterLsa
-from repro.lsr.spfcache import CacheStats, count_invalidation, wrap_image
+from repro.lsr.spfcache import GLOBAL_STATS, wrap_image
 
 #: Longest delta sequence worth replaying through incremental SPF; past
 #: this, a full Dijkstra is cheaper than the chain of repairs.  Shared
@@ -29,8 +29,7 @@ class LinkStateDatabase:
     The image is handed out as a :class:`~repro.lsr.spfcache.SpfCache`
     snapshot keyed by the install generation: every accepted LSA install
     discards the snapshot (and its memoized SPF results) and the next
-    :meth:`adjacency` call builds a fresh one.  ``spf_stats`` accumulates
-    hit/miss/invalidation counters across generations.
+    :meth:`adjacency` call builds a fresh one.
     """
 
     def __init__(self, n: int) -> None:
@@ -40,8 +39,6 @@ class LinkStateDatabase:
         #: Count of accepted (newer) installs, for diagnostics.  Doubles as
         #: the SPF cache generation: each install starts a new image.
         self.installs = 0
-        #: SPF cache counters, shared by every image generation of this db.
-        self.spf_stats = CacheStats()
         #: The superseded image (when one existed at invalidation time) and
         #: the ordered link deltas leading from it to the next image --
         #: possibly several, when multiple installs land between rebuilds.
@@ -86,7 +83,7 @@ class LinkStateDatabase:
                 and len(changes) <= _MAX_PENDING_DELTAS
                 else None
             )
-            count_invalidation(self.spf_stats)
+            GLOBAL_STATS.invalidations += 1
         elif self._prev_image is not None and changes:
             # Further image-affecting installs before the rebuild extend
             # the sequence (incremental SPF replays it in order).
@@ -181,7 +178,6 @@ class LinkStateDatabase:
                 adj[origin][nbr] = (delay + back[0]) / 2.0
         self._image = wrap_image(
             adj,
-            stats=self.spf_stats,
             generation=self.installs,
             prev=self._prev_image,
             delta=self._pending_delta,

@@ -20,7 +20,6 @@ import heapq
 from typing import Dict, Mapping, Optional
 
 from repro.obs import tracer as obs_tracer
-from repro.obs.metrics import REGISTRY as _GLOBAL_REGISTRY
 
 
 Adjacency = Mapping[int, Mapping[int, float]]
@@ -34,11 +33,6 @@ class RunCounter:
 
     def __init__(self) -> None:
         self.count = 0
-
-    def reset(self) -> int:
-        previous = self.count
-        self.count = 0
-        return previous
 
 
 RUN_COUNTER = RunCounter()
@@ -57,18 +51,6 @@ RELAX_COUNTER = RunCounter()
 #: per-destination parent-chain walk that was quadratic on path-like
 #: graphs.
 TABLE_STEP_COUNTER = RunCounter()
-
-
-@_GLOBAL_REGISTRY.register_collector
-def _collect_dijkstra_runs(reg) -> None:
-    reg.counter(
-        "spf_dijkstra_runs_total",
-        "process-wide full Dijkstra executions (cached misses and uncached calls)",
-    ).set_total(RUN_COUNTER.count)
-    reg.counter(
-        "spf_relaxations_total",
-        "process-wide edge relaxations, by full Dijkstra runs and ISPF repairs",
-    ).set_total(RELAX_COUNTER.count)
 
 
 def network_adjacency(net, include_down: bool = False) -> Dict[int, Dict[int, float]]:

@@ -34,17 +34,19 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.lsr import csr as _csr
 from repro.lsr import ispf as _ispf
 from repro.lsr.spf import (
     RELAX_COUNTER,
+    RUN_COUNTER,
     dijkstra_csr,
     dijkstra_csr_many,
     dijkstra_uncached,
     first_hop_table,
 )
+from repro.obs import attach
 from repro.obs.metrics import REGISTRY as _GLOBAL_REGISTRY
 
 _enabled = True
@@ -115,138 +117,77 @@ def ispf_disabled():
 
 @dataclass
 class CacheStats:
-    """Hit/miss/invalidation counters, shared across cache generations.
-
-    A producer keeps one ``CacheStats`` for the lifetime of the image
-    source (an LSDB, a Network) and threads it through every cache
-    instance it creates, so counters accumulate across invalidations.
-    """
+    """Process-wide SPF cache counters; the one instance is
+    :data:`GLOBAL_STATS`.  Each field is written at exactly one site per
+    event kind and read only by :func:`collect_spf` (and the frozen
+    ``benchmarks/e2e``, by name)."""
 
     hits: int = 0
     misses: int = 0
+    #: Image generations discarded (LSA installs, link state changes);
+    #: written by the producers, LinkStateDatabase and Network.
     invalidations: int = 0
-    #: Full Dijkstra executions performed on behalf of this cache.
+    #: Full Dijkstra executions performed on behalf of a cache.
     full_runs: int = 0
     #: Misses answered by incremental repair instead of a full Dijkstra.
     ispf_repairs: int = 0
     #: Misses where repair history existed but ISPF still fell back to a
     #: full run (multi-link delta, broken chain, or source never solved).
     ispf_full_fallbacks: int = 0
-    #: Edge relaxations spent on behalf of this cache (full runs and
-    #: repairs alike).
-    relaxations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.hits + other.hits,
-            self.misses + other.misses,
-            self.invalidations + other.invalidations,
-            self.full_runs + other.full_runs,
-            self.ispf_repairs + other.ispf_repairs,
-            self.ispf_full_fallbacks + other.ispf_full_fallbacks,
-            self.relaxations + other.relaxations,
-        )
-
-    def __sub__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.hits - other.hits,
-            self.misses - other.misses,
-            self.invalidations - other.invalidations,
-            self.full_runs - other.full_runs,
-            self.ispf_repairs - other.ispf_repairs,
-            self.ispf_full_fallbacks - other.ispf_full_fallbacks,
-            self.relaxations - other.relaxations,
-        )
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(
-            self.hits,
-            self.misses,
-            self.invalidations,
-            self.full_runs,
-            self.ispf_repairs,
-            self.ispf_full_fallbacks,
-            self.relaxations,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "full_runs": self.full_runs,
-            "ispf_repairs": self.ispf_repairs,
-            "ispf_full_fallbacks": self.ispf_full_fallbacks,
-            "relaxations": self.relaxations,
-            "hit_rate": self.hit_rate,
-        }
 
 
-def combined_stats(parts: Iterable[Optional[CacheStats]]) -> CacheStats:
-    """Sum a collection of stats objects, skipping absent (None) ones."""
-    total = CacheStats()
-    for part in parts:
-        if part is not None:
-            total = total + part
-    return total
-
-
-#: Process-wide cache counters, mirrored alongside every per-producer
-#: :class:`CacheStats` so the global metrics registry can expose SPF
-#: cache behavior without enumerating live caches.
 GLOBAL_STATS = CacheStats()
 
 
-def count_invalidation(stats: Optional[CacheStats]) -> None:
-    """Record one image invalidation on ``stats`` and the global mirror."""
-    if stats is not None:
-        stats.invalidations += 1
-    GLOBAL_STATS.invalidations += 1
-
-
 @_GLOBAL_REGISTRY.register_collector
-def _collect_cache_totals(reg) -> None:
+def collect_spf(reg) -> None:
+    """Emit every ``spf_*`` sample.  Registered here on the process-wide
+    registry and by :func:`repro.obs.attach.attach_network_metrics` on
+    each per-network one; both read the same process-wide store, so a
+    per-network delta is exact as long as one network runs at a time."""
     reg.counter(
-        "spf_cache_hits_total", "process-wide SPF cache hits"
+        attach.SPF_HITS, "SPF cache hits"
     ).set_total(GLOBAL_STATS.hits)
     reg.counter(
-        "spf_cache_misses_total", "process-wide SPF cache misses"
+        attach.SPF_MISSES, "SPF cache misses"
     ).set_total(GLOBAL_STATS.misses)
     reg.counter(
-        "spf_cache_invalidations_total",
-        "process-wide SPF cache image invalidations",
+        attach.SPF_INVALIDATIONS,
+        "SPF cache image invalidations (LSA installs, link state changes)",
     ).set_total(GLOBAL_STATS.invalidations)
     reg.counter(
-        "spf_cache_full_runs_total",
-        "process-wide full Dijkstra executions performed by caches",
+        attach.SPF_FULL_RUNS,
+        "full Dijkstra executions performed by caches",
     ).set_total(GLOBAL_STATS.full_runs)
     reg.counter(
-        "spf_ispf_repairs_total",
-        "process-wide cache misses answered by incremental SPF repair",
+        attach.SPF_ISPF_REPAIRS,
+        "cache misses answered by incremental SPF repair",
     ).set_total(GLOBAL_STATS.ispf_repairs)
     reg.counter(
-        "spf_ispf_full_fallbacks_total",
-        "process-wide cache misses that fell back to full Dijkstra despite "
-        "repair history (multi-link delta or unsolved source)",
+        attach.SPF_ISPF_FALLBACKS,
+        "cache misses that fell back to full Dijkstra despite repair "
+        "history (multi-link delta or unsolved source)",
     ).set_total(GLOBAL_STATS.ispf_full_fallbacks)
+    reg.counter(
+        attach.DIJKSTRA_RUNS,
+        "full Dijkstra executions (cached misses and uncached calls)",
+    ).set_total(RUN_COUNTER.count)
+    reg.counter(
+        attach.SPF_RELAXATIONS,
+        "edge relaxations, by full Dijkstra runs and ISPF repairs",
+    ).set_total(RELAX_COUNTER.count)
 
 
 class SpfCache(MappingABC):
     """An adjacency mapping with memoized SPF results.
 
     Instances are immutable snapshots of one network image: producers
-    build a *new* cache (sharing the same :class:`CacheStats`) whenever
-    the image changes, rather than mutating an existing one.
+    build a *new* cache whenever the image changes, rather than mutating
+    an existing one.
     """
 
     __slots__ = (
         "_adj",
-        "stats",
         "generation",
         "_sssp",
         "_tables",
@@ -263,13 +204,11 @@ class SpfCache(MappingABC):
     def __init__(
         self,
         adj: Mapping[int, Mapping[int, float]],
-        stats: Optional[CacheStats] = None,
         generation: int = 0,
         prev: Optional[object] = None,
         delta: Optional[Tuple[_ispf.LinkDelta, ...]] = None,
     ) -> None:
         self._adj = adj
-        self.stats = stats if stats is not None else CacheStats()
         #: The producer's image version this snapshot was built from.
         self.generation = generation
         self._sssp: Dict[int, Tuple[Dict[int, float], Dict[int, Optional[int]]]] = {}
@@ -334,7 +273,7 @@ class SpfCache(MappingABC):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SpfCache(nodes={len(self._adj)}, gen={self.generation}, "
-            f"sssp={len(self._sssp)}, hit_rate={self.stats.hit_rate:.2f})"
+            f"sssp={len(self._sssp)})"
         )
 
     # -- memoized SPF results ----------------------------------------------
@@ -352,38 +291,31 @@ class SpfCache(MappingABC):
         pays a full run, exactly as before.
         """
         entry = self._sssp.get(source)
+        if entry is None:
+            tree = self._trees.get(source)
+            if tree is not None:
+                # Solved (e.g. by prewarm) but never read as dicts: the
+                # solve was already accounted, materializing is a hit.
+                entry = self._sssp[source] = tree.dicts()
         if entry is not None:
-            self.stats.hits += 1
             GLOBAL_STATS.hits += 1
             return entry
-        tree = self._trees.get(source)
-        if tree is not None:
-            # Solved (e.g. by prewarm) but never read as dicts: the
-            # solve was already accounted, materializing is a hit.
-            entry = tree.dicts()
-            self._sssp[source] = entry
-            self.stats.hits += 1
-            GLOBAL_STATS.hits += 1
-            return entry
-        self.stats.misses += 1
-        GLOBAL_STATS.misses += 1
-        before = RELAX_COUNTER.count
         entry = self._repair_from_chain(source) if _ispf_on else None
-        if entry is not None:
-            self.stats.ispf_repairs += 1
-            GLOBAL_STATS.ispf_repairs += 1
-        else:
-            if _ispf_on and self._had_history:
-                self.stats.ispf_full_fallbacks += 1
-                GLOBAL_STATS.ispf_full_fallbacks += 1
-            self.stats.full_runs += 1
-            GLOBAL_STATS.full_runs += 1
+        self._count_misses(1, repaired=entry is not None)
+        if entry is None:
             entry = self._full_run(source)
-        spent = RELAX_COUNTER.count - before
-        self.stats.relaxations += spent
-        GLOBAL_STATS.relaxations += spent
         self._sssp[source] = entry
         return entry
+
+    def _count_misses(self, count: int, repaired: bool = False) -> None:
+        """Account ``count`` misses, all repaired or all paid in full."""
+        GLOBAL_STATS.misses += count
+        if repaired:
+            GLOBAL_STATS.ispf_repairs += count
+            return
+        if _ispf_on and self._had_history:
+            GLOBAL_STATS.ispf_full_fallbacks += count
+        GLOBAL_STATS.full_runs += count
 
     def _full_run(
         self, source: int
@@ -456,22 +388,11 @@ class SpfCache(MappingABC):
             for s in pending:
                 self.sssp(s)
             return len(pending)
-        before = RELAX_COUNTER.count
         trees = dijkstra_csr_many(graph, pending)
-        spent = RELAX_COUNTER.count - before
-        count = len(trees)
-        self.stats.misses += count
-        GLOBAL_STATS.misses += count
-        if _ispf_on and self._had_history:
-            self.stats.ispf_full_fallbacks += count
-            GLOBAL_STATS.ispf_full_fallbacks += count
-        self.stats.full_runs += count
-        GLOBAL_STATS.full_runs += count
-        self.stats.relaxations += spent
-        GLOBAL_STATS.relaxations += spent
+        self._count_misses(len(trees))
         for s, tree in zip(pending, trees):
             self._trees[s] = tree
-        return count
+        return len(trees)
 
     def _repair_from_chain(
         self, source: int
@@ -507,7 +428,6 @@ class SpfCache(MappingABC):
         """Memoized OSPF-style next-hop table from ``source``."""
         table = self._tables.get(source)
         if table is not None:
-            self.stats.hits += 1
             GLOBAL_STATS.hits += 1
             return table
         dist, parent = self.sssp(source)
@@ -524,7 +444,6 @@ class SpfCache(MappingABC):
         """
         dag = self._dags.get(source)
         if dag is not None:
-            self.stats.hits += 1
             GLOBAL_STATS.hits += 1
             return dag
         from repro.lsr import spf as _spf
@@ -537,7 +456,6 @@ class SpfCache(MappingABC):
         """Memoized largest shortest-path distance from ``node``."""
         value = self._ecc.get(node)
         if value is not None:
-            self.stats.hits += 1
             GLOBAL_STATS.hits += 1
             return value
         dist, _ = self.sssp(node)
@@ -563,7 +481,6 @@ class SpfCache(MappingABC):
 
 def wrap_image(
     adj: Dict[int, Dict[int, float]],
-    stats: Optional[CacheStats] = None,
     generation: int = 0,
     prev: Optional[object] = None,
     delta: Optional[Tuple[_ispf.LinkDelta, ...]] = None,
@@ -578,4 +495,4 @@ def wrap_image(
     """
     if not _enabled:
         return adj
-    return SpfCache(adj, stats=stats, generation=generation, prev=prev, delta=delta)
+    return SpfCache(adj, generation=generation, prev=prev, delta=delta)

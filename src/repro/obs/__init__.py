@@ -25,12 +25,14 @@ Zero-dependency observability spine for the reproduction (see
   protocol stacks (SPF cache counters, flood counters, kernel gauges).
 * :mod:`repro.obs.profile` -- the per-phase wall-time breakdown behind
   ``python -m repro profile``.
+* :mod:`repro.obs.timeline` -- merged per-deployment protocol timelines
+  and convergence profiles (``python -m repro trace``).
 
 Only the stdlib-only leaves (``metrics``, ``tracer``, ``context``,
 ``slo``, ``flight``, ``merge``) are imported eagerly, so any module
 (including the sim kernel) may import this package without cycles.
-``attach`` and ``profile`` reach back into the protocol stack and must
-be imported explicitly.
+``attach``, ``profile`` and ``timeline`` reach back into the protocol
+stack and must be imported explicitly.
 """
 
 from repro.obs.context import (  # noqa: F401

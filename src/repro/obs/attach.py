@@ -3,19 +3,14 @@
 All three protocol stacks (:class:`~repro.core.protocol.DgmcNetwork`,
 :class:`~repro.baselines.mospf.MospfNetwork`,
 :class:`~repro.baselines.brute_force.BruteForceNetwork`) expose the same
-substrate surface -- ``routers`` (unicast routers with per-LSDB SPF cache
-stats), ``net`` (the physical :class:`~repro.topo.graph.Network`),
-``fabric`` (the flooding fabric), and ``sim`` (the kernel).  This module
-duck-types on that surface so the metrics plumbing exists exactly once:
-
-* :func:`attach_network_metrics` builds the per-network registry and
-  registers one collector that samples the SPF cache counters, the flood
-  counters, and the kernel's dispatch/queue state on every snapshot.
-* :func:`network_spf_cache_stats` is the single implementation behind the
-  networks' ``spf_cache_stats()`` methods: it reads the registry snapshot
-  (not hand-threaded fields) and rehydrates a
-  :class:`~repro.lsr.spfcache.CacheStats` for backward-compatible
-  arithmetic (the harness diffs stats across trial phases).
+substrate surface -- ``fabric`` (the flooding fabric), ``sim`` (the
+kernel) and ``total_computations``.  :func:`attach_network_metrics`
+duck-types on that surface, so the metrics plumbing exists exactly once:
+it builds the per-network registry and registers one collector per
+counter owner -- :func:`repro.lsr.spfcache.collect_spf` for the
+process-wide SPF counters, and one for the network's own flood counters
+and kernel state.  Callers diff :meth:`MetricsRegistry.snapshot` /
+:meth:`~MetricsRegistry.delta` around a phase; nothing else copies a count.
 
 Imports of the protocol stack stay inside functions, keeping
 ``repro.obs`` importable from the lowest layers.
@@ -30,10 +25,10 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "attach_network_metrics",
     "attach_stress_metrics",
-    "network_spf_cache_stats",
 ]
 
-#: Sample names the network collector maintains (shared with TrialMetrics).
+#: Sample names of a network registry: ``spf_*`` from
+#: :func:`repro.lsr.spfcache.collect_spf`, the rest from the collector below.
 SPF_HITS = "spf_cache_hits_total"
 SPF_MISSES = "spf_cache_misses_total"
 SPF_INVALIDATIONS = "spf_cache_invalidations_total"
@@ -59,15 +54,6 @@ STRESS_EXHAUSTIVE = "stress_exhaustive"
 STRESS_MAX_DEPTH = "stress_max_depth"
 
 
-def _combined_cache_stats(network):
-    from repro.lsr.spfcache import combined_stats
-
-    return combined_stats(
-        [r.lsdb.spf_stats for r in network.routers.values()]
-        + [network.net.spf_stats]
-    )
-
-
 def attach_network_metrics(
     network, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
@@ -81,29 +67,6 @@ def attach_network_metrics(
     reg = registry if registry is not None else MetricsRegistry()
 
     def _collect(reg: MetricsRegistry) -> None:
-        from repro.lsr.spf import RUN_COUNTER
-
-        stats = _combined_cache_stats(network)
-        reg.counter(SPF_HITS, "SPF cache hits across LSDB images and "
-                    "network views").set_total(stats.hits)
-        reg.counter(SPF_MISSES, "SPF cache misses").set_total(stats.misses)
-        reg.counter(SPF_INVALIDATIONS, "SPF cache image invalidations "
-                    "(LSA installs, link state changes)").set_total(
-                        stats.invalidations)
-        reg.counter(SPF_FULL_RUNS, "full Dijkstra executions on behalf of "
-                    "this network's caches").set_total(stats.full_runs)
-        reg.counter(SPF_ISPF_REPAIRS, "cache misses answered by incremental "
-                    "SPF repair instead of full Dijkstra").set_total(
-                        stats.ispf_repairs)
-        reg.counter(SPF_ISPF_FALLBACKS, "cache misses that fell back to full "
-                    "Dijkstra despite repair history").set_total(
-                        stats.ispf_full_fallbacks)
-        reg.counter(SPF_RELAXATIONS, "edge relaxations spent by this "
-                    "network's caches (full runs and repairs)").set_total(
-                        stats.relaxations)
-        reg.counter(DIJKSTRA_RUNS, "process-wide full Dijkstra executions "
-                    "(cached misses and uncached calls)").set_total(
-                        RUN_COUNTER.count)
         reg.counter(FLOOD_OPERATIONS, "flooding operations initiated, all "
                     "kinds").set_total(network.fabric.total_floods)
         reg.counter(LSA_DELIVERIES, "individual LSA deliveries scheduled "
@@ -118,6 +81,9 @@ def attach_network_metrics(
             reg.counter(COMPUTATIONS, "topology computations performed"
                         ).set_total(comps() if callable(comps) else comps)
 
+    from repro.lsr.spfcache import collect_spf
+
+    reg.register_collector(collect_spf)
     reg.register_collector(_collect)
     return reg
 
@@ -170,23 +136,3 @@ def attach_stress_metrics(
         max(snap.get(STRESS_MAX_DEPTH, 0), report.max_depth_seen)
     )
     return reg
-
-
-def network_spf_cache_stats(network):
-    """``spf_cache_stats()`` for any protocol network, via its registry.
-
-    Returns a :class:`~repro.lsr.spfcache.CacheStats` rebuilt from the
-    registry snapshot so existing callers keep their diff arithmetic.
-    """
-    from repro.lsr.spfcache import CacheStats
-
-    snap = network.metrics.snapshot()
-    return CacheStats(
-        hits=int(snap.get(SPF_HITS, 0)),
-        misses=int(snap.get(SPF_MISSES, 0)),
-        invalidations=int(snap.get(SPF_INVALIDATIONS, 0)),
-        full_runs=int(snap.get(SPF_FULL_RUNS, 0)),
-        ispf_repairs=int(snap.get(SPF_ISPF_REPAIRS, 0)),
-        ispf_full_fallbacks=int(snap.get(SPF_ISPF_FALLBACKS, 0)),
-        relaxations=int(snap.get(SPF_RELAXATIONS, 0)),
-    )

@@ -1,4 +1,15 @@
-"""Timeline assembly and rendering."""
+"""Protocol timelines and convergence profiles.
+
+Debugging a distributed signaling protocol needs a merged, chronological
+view of what every switch did.  :func:`build_timeline` assembles one from
+a deployment's logs (computations, installs, floods);
+:func:`render_timeline` pretty-prints it; :func:`convergence_profile`
+reduces the install log to "when had k% of switches adopted the final
+topology" -- the per-burst responsiveness curve behind Figure 6(c).
+
+Like ``attach`` and ``profile`` this module reaches into the protocol
+stack, so :mod:`repro.obs` does not import it eagerly.
+"""
 
 from __future__ import annotations
 

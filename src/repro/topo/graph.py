@@ -90,8 +90,6 @@ class Network:
         #: ``("add", u, v, delay)`` or ``("state", u, v, delay, old_up, up)``.
         self._last_event: Optional[Tuple] = None
         self._last_event_version = -1
-        #: SPF cache counters for this network's views (lazily created).
-        self.spf_stats = None
 
     # -- construction ------------------------------------------------------
 
@@ -189,10 +187,9 @@ class Network:
         if self._spf_views:
             self._prev_views = self._spf_views
             self._spf_views = {}
-            if self.spf_stats is not None:
-                from repro.lsr.spfcache import count_invalidation
+            from repro.lsr.spfcache import GLOBAL_STATS
 
-                count_invalidation(self.spf_stats)
+            GLOBAL_STATS.invalidations += 1
 
     @staticmethod
     def _event_delta(event: Optional[Tuple], include_down: bool):
@@ -217,8 +214,8 @@ class Network:
         ``(u, v, old_weight, new_weight)`` when exactly one recorded
         mutation happened, and ``None`` when the gap is wider than one
         event (caller must rebuild from scratch).  Lets single-link
-        consumers -- the flooding fabric's BFS hop cache -- repair
-        derived state instead of discarding it.
+        consumers -- the batch data plane's compiled templates --
+        invalidate only what the link touches.
         """
         if version == self._version:
             return ()
@@ -239,7 +236,7 @@ class Network:
         mapping as immutable.
         """
         from repro.lsr.spf import network_adjacency
-        from repro.lsr.spfcache import CacheStats, SpfCache, enabled, wrap_image
+        from repro.lsr.spfcache import SpfCache, enabled, wrap_image
 
         key = bool(include_down)
         view = self._spf_views.get(key)
@@ -250,8 +247,6 @@ class Network:
         adj = network_adjacency(self, include_down=include_down)
         if not enabled():
             return adj
-        if self.spf_stats is None:
-            self.spf_stats = CacheStats()
         prev = self._prev_views.pop(key, None)
         delta = None
         if (
@@ -263,7 +258,6 @@ class Network:
             delta = (single,) if single is not None else None
         view = wrap_image(
             adj,
-            stats=self.spf_stats,
             generation=self._version,
             prev=prev,
             delta=delta,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.sim.kernel import Simulator
 from repro.topo.generators import grid_network, waxman_network
 
@@ -13,6 +14,21 @@ from repro.topo.generators import grid_network, waxman_network
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture
+def registry_delta():
+    """``registry_delta()`` returns the process-wide registry's sample
+    deltas since the previous call (or since the test began) -- how a
+    test pins a count without reading the counter's owner."""
+    mark = [REGISTRY.snapshot()]
+
+    def delta():
+        out = REGISTRY.delta(mark[0])
+        mark[0] = REGISTRY.snapshot()
+        return out
+
+    return delta
 
 
 @pytest.fixture

@@ -37,6 +37,7 @@ from repro.lsr.spf import (
     next_hop_dag,
     routing_table,
 )
+from repro.obs import attach
 
 #: The one array backend.  The parameter only pins the ``[scipy]`` test
 #: ids, which the regression floor names; the dict core is the oracle.
@@ -333,9 +334,9 @@ class TestSharedDeltaCap:
             lsas.append(RouterLsa(origin, seq, tuple(links)))
         return lsas
 
-    def _chain_run(self, installs: int):
+    def _chain_run(self, installs: int, registry_delta):
         """Memoize one source, apply ``installs`` single-link deltas
-        before the rebuild, re-query; returns the stats delta."""
+        before the rebuild, re-query; returns the registry delta."""
         db = LinkStateDatabase(3)
         for lsa in self._full_mesh_lsas(3):
             db.install(lsa)
@@ -345,26 +346,27 @@ class TestSharedDeltaCap:
             db.install(
                 self._full_mesh_lsas(3, seq=2 + k, tweak=(0, 1, 2.0 + k))[0]
             )
-        before = db.spf_stats.copy()
+        registry_delta()
         new_image = db.adjacency()
         new_image.sssp(0)
+        delta = registry_delta()
         adj = {x: dict(nbrs) for x, nbrs in new_image.items()}
         assert repr(new_image.sssp(0)) == repr(dijkstra_uncached(adj, 0))
-        return db.spf_stats - before
+        return delta
 
-    def test_at_cap_repairs(self):
+    def test_at_cap_repairs(self, registry_delta):
         """Exactly MAX_REPAIR_CHAIN deltas stay on the repair path."""
-        diff = self._chain_run(MAX_REPAIR_CHAIN)
-        assert diff.ispf_repairs >= 1
-        assert diff.ispf_full_fallbacks == 0
+        diff = self._chain_run(MAX_REPAIR_CHAIN, registry_delta)
+        assert diff[attach.SPF_ISPF_REPAIRS] >= 1
+        assert diff[attach.SPF_ISPF_FALLBACKS] == 0
 
-    def test_past_cap_falls_back_exactly_once(self):
+    def test_past_cap_falls_back_exactly_once(self, registry_delta):
         """Nine deltas (cap + 1) degrade the sequence: the re-query pays
         exactly one full Dijkstra fallback, not one per delta."""
-        diff = self._chain_run(MAX_REPAIR_CHAIN + 1)
-        assert diff.ispf_full_fallbacks == 1
-        assert diff.full_runs == 1
-        assert diff.ispf_repairs == 0
+        diff = self._chain_run(MAX_REPAIR_CHAIN + 1, registry_delta)
+        assert diff[attach.SPF_ISPF_FALLBACKS] == 1
+        assert diff[attach.SPF_FULL_RUNS] == 1
+        assert diff[attach.SPF_ISPF_REPAIRS] == 0
 
 
 class TestCacheEngagement:
@@ -378,20 +380,22 @@ class TestCacheEngagement:
         assert cache.csr_graph() is None
         assert cache.sssp_tree(0) is None
 
-    def test_prewarm_batches_and_counts_once(self):
+    def test_prewarm_batches_and_counts_once(self, registry_delta):
         adj = _random_adj(random.Random(5), 12, 0.6)
         with _size_floor(0):
             cache = spfcache.SpfCache(adj)
-            before = spf.RUN_COUNTER.count
+            registry_delta()
             solved = cache.prewarm(sorted(adj))
             assert solved == len(adj)
-            assert spf.RUN_COUNTER.count - before == len(adj)
-            assert cache.stats.misses == len(adj)
+            delta = registry_delta()
+            assert delta[attach.DIJKSTRA_RUNS] == len(adj)
+            assert delta[attach.SPF_MISSES] == len(adj)
             # The trees stay in array form until someone reads them ...
             tree = cache.sssp_tree(0)
             assert tree is not None
-            hits = cache.stats.hits
+            registry_delta()
             # ... and materializing the dict view counts as a hit.
-            assert repr(cache.sssp(0)) == repr(dijkstra_uncached(adj, 0))
-            assert cache.stats.hits == hits + 1
+            view = cache.sssp(0)
+            assert registry_delta()[attach.SPF_HITS] == 1
+            assert repr(view) == repr(dijkstra_uncached(adj, 0))
             assert cache.prewarm(sorted(adj)) == 0

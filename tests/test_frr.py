@@ -36,6 +36,7 @@ from repro.topo.generators import grid_network, ring_network, waxman_network
 from repro.trees.base import McTopology, MulticastTree
 from repro.workloads.stress import get_scenario
 from tests.stamps import S
+from tests.test_csr import _size_floor
 
 
 def frr_deployment(net=None, members=(0, 2, 4), enable_frr=True, compute_time=0.5):
@@ -141,6 +142,20 @@ class TestBackupPlan:
         edges = set(state.installed.all_edges())
         assert {f.edge for f in plan.fragments} | set(plan.uncovered) == edges
         assert len(plan.fragments) + len(plan.uncovered) == len(edges)
+
+    def test_install_plans_on_the_compiled_core(self, rng):
+        """At or above ``csr.MIN_NODES`` the detour search runs on the
+        flat-array core.  Every install used to die there with
+        ``AttributeError: 'CsrGraph' object has no attribute 'backend'``;
+        it must plan, and plan exactly what the dict walk plans."""
+        with _size_floor(0):
+            dgmc = frr_deployment(waxman_network(24, rng), members=(1, 9, 17))
+            assert dgmc.routers[1].lsdb.adjacency().csr_graph() is not None
+            state = dgmc.states_for(1)[1]
+            assert state.backup_plan.fragments
+            assert state.backup_plan == compute_backup_plan(
+                state.installed, self.image(dgmc.net)
+            )
 
     def test_fragment_orientation_and_delay(self):
         fragment = BackupFragment(edge=(0, 3), path=(0, 1, 2, 3), cost=3.0)

@@ -20,6 +20,7 @@ from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr.spf import dijkstra_uncached
 from repro.net.transport import RetransmitPolicy
+from repro.obs import attach
 from repro.topo.graph import Network
 
 #: Few distinct values with repeats: maximizes equal-length paths, the
@@ -178,12 +179,12 @@ def _square_db():
 
 
 class TestLsdbDeltaChain:
-    def test_single_link_change_repairs(self):
+    def test_single_link_change_repairs(self, registry_delta):
         db = _square_db()
         image = db.adjacency()
-        before = db.spf_stats.ispf_repairs
         for x in range(4):
             image.sssp(x)
+        registry_delta()
         # Switch 0 re-advertises the 0--1 link slower.
         db.install(_lsa(0, 2, [(1, 3.0, True), (3, 1.0, True)]))
         assert db.last_install_changed_image
@@ -192,10 +193,11 @@ class TestLsdbDeltaChain:
         for x in range(4):
             dist, parent = image2.sssp(x)
             assert (dist, parent) == dijkstra_uncached(dict(image2), x)
-        assert db.spf_stats.ispf_repairs == before + 4
-        assert db.spf_stats.relaxations > 0
+        delta = registry_delta()
+        assert delta[attach.SPF_ISPF_REPAIRS] == 4
+        assert delta[attach.SPF_RELAXATIONS] > 0
 
-    def test_multi_install_sequence_still_repairs(self):
+    def test_multi_install_sequence_still_repairs(self, registry_delta):
         """Two installs between rebuilds replay as an ordered delta chain."""
         db = _square_db()
         image = db.adjacency()
@@ -204,10 +206,10 @@ class TestLsdbDeltaChain:
         db.install(_lsa(0, 2, [(1, 3.0, True), (3, 1.0, True)]))
         db.install(_lsa(2, 2, [(1, 1.0, True), (3, 4.0, True)]))
         image2 = db.adjacency()
-        before = db.spf_stats.ispf_repairs
+        registry_delta()
         for x in range(4):
             assert image2.sssp(x) == dijkstra_uncached(dict(image2), x)
-        assert db.spf_stats.ispf_repairs == before + 4
+        assert registry_delta()[attach.SPF_ISPF_REPAIRS] == 4
 
     def test_refresh_install_keeps_image(self):
         db = _square_db()
@@ -231,20 +233,19 @@ class TestLsdbDeltaChain:
 
 
 class TestNetworkDeltaChain:
-    def test_link_state_flip_repairs_view(self):
+    def test_link_state_flip_repairs_view(self, registry_delta):
         net = Network(5)
         for u, v in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)):
             net.add_link(u, v, delay=1.0)
         view = net.spf_view()
         for x in range(5):
             view.sssp(x)
-        stats = net.spf_stats
-        before = stats.ispf_repairs
+        registry_delta()
         net.set_link_state(1, 3, up=False)
         view2 = net.spf_view()
         for x in range(5):
             assert view2.sssp(x) == dijkstra_uncached(dict(view2), x)
-        assert stats.ispf_repairs > before
+        assert registry_delta()[attach.SPF_ISPF_REPAIRS] > 0
 
 
 class TestRetransmitPolicyProperties:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.collector import TrialMetrics
-from repro.metrics.convergence import convergence_rounds
-from repro.metrics.stats import Aggregate, aggregate, aggregate_metric
+from repro.harness.metrics import (
+    Aggregate,
+    TrialMetrics,
+    aggregate,
+    aggregate_metric,
+    convergence_rounds,
+)
 
 
 class TestTrialMetrics:

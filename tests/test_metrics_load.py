@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
 from repro.core.protocol import ComputationRecord
-from repro.metrics.load import LoadDistribution, load_distribution
+from repro.harness.metrics import LoadDistribution, load_distribution
 from repro.topo.generators import ring_network
 
 

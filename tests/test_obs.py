@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
-from repro.metrics import TrialMetrics
+from repro.harness.metrics import TrialMetrics
 from repro.obs import attach
 from repro.obs.metrics import MetricsRegistry, merge_sum
 from repro.obs.profile import PHASE_ORDER, PhaseBreakdown, run_profile
@@ -23,7 +23,7 @@ from repro.obs.tracer import (
 )
 from repro.sim import Simulator
 from repro.topo.generators import ring_network
-from repro.trace import build_timeline
+from repro.obs.timeline import build_timeline
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_trace.json"
 
@@ -328,14 +328,23 @@ class TestNetworkMetrics:
         assert delta[attach.EVENTS_DISPATCHED] == dgmc.sim.events_dispatched > 0
         assert delta[attach.DIJKSTRA_RUNS] > 0
 
-    def test_spf_cache_stats_reads_the_registry(self, run):
+    def test_every_sample_name_is_emitted_exactly_once(self, run):
+        """One collector per owner: no sample is missing, none doubled."""
         dgmc, _ = run
-        stats = dgmc.spf_cache_stats()
+        names = [
+            value
+            for key, value in vars(attach).items()
+            if key.isupper() and not key.startswith("STRESS_")
+        ]
+        assert len(names) == len(set(names)) == 14
         snap = dgmc.metrics.snapshot()
-        assert stats.hits == int(snap[attach.SPF_HITS])
-        assert stats.misses == int(snap[attach.SPF_MISSES])
-        assert stats.invalidations == int(snap[attach.SPF_INVALIDATIONS])
-        assert stats.full_runs == int(snap[attach.SPF_FULL_RUNS])
+        lines = dgmc.metrics.to_prometheus().splitlines()
+        for name in names:
+            assert name in snap
+            assert sum(line.startswith(name + " ") for line in lines) == 1
+            assert lines.count(f"# TYPE {name} counter") + lines.count(
+                f"# TYPE {name} gauge"
+            ) == 1
 
     def test_prometheus_dump_covers_the_stack(self, run):
         dgmc, _ = run

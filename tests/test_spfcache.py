@@ -15,7 +15,8 @@ from repro.core import (
 from repro.lsr import spf, spfcache
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
-from repro.lsr.spfcache import CacheStats, SpfCache, combined_stats
+from repro.lsr.spfcache import SpfCache
+from repro.obs import attach
 from repro.topo.generators import grid_network, waxman_network
 from repro.topo.graph import Network
 from repro.trees.spt import source_rooted_tree
@@ -71,16 +72,17 @@ class TestCorrectnessVsUncached:
 
 
 class TestMemoization:
-    def test_sssp_runs_dijkstra_once_per_source(self):
+    def test_sssp_runs_dijkstra_once_per_source(self, registry_delta):
         cache = SpfCache({0: {1: 1.0}, 1: {0: 1.0}})
-        before = spf.RUN_COUNTER.count
+        registry_delta()
         first = cache.sssp(0)
         second = cache.sssp(0)
         assert first is second
-        assert spf.RUN_COUNTER.count - before == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.full_runs == 1
+        delta = registry_delta()
+        assert delta[attach.DIJKSTRA_RUNS] == 1
+        assert delta[attach.SPF_MISSES] == 1
+        assert delta[attach.SPF_HITS] == 1
+        assert delta[attach.SPF_FULL_RUNS] == 1
 
     def test_repeated_path_queries_solve_sssp_once(self, small_waxman):
         view = small_waxman.spf_view()
@@ -97,29 +99,60 @@ class TestMemoization:
         spf.shortest_path(view, 0, 3)
         assert spf.RUN_COUNTER.count - before == 1
 
-    def test_hit_rate(self):
-        stats = CacheStats(hits=3, misses=1)
-        assert stats.hit_rate == 0.75
-        assert CacheStats().hit_rate == 0.0
+    def test_registry_delta_pins_every_spf_sample(self, registry_delta):
+        """Cold solve, warm hit, one-link install, multi-link install:
+        each event is written once and read through the registry."""
+        lsa = TestInvalidation._lsa
+        db = LinkStateDatabase(3)
+        db.install(lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
+        db.install(lsa(1, 1, [(0, 1.0, True), (2, 1.0, True)]))
+        db.install(lsa(2, 1, [(0, 1.0, True), (1, 1.0, True)]))
+        spf_samples = (
+            attach.SPF_HITS,
+            attach.SPF_MISSES,
+            attach.SPF_INVALIDATIONS,
+            attach.SPF_FULL_RUNS,
+            attach.SPF_ISPF_REPAIRS,
+            attach.SPF_ISPF_FALLBACKS,
+            attach.DIJKSTRA_RUNS,
+        )
 
-    def test_stats_arithmetic_and_combination(self):
-        a = CacheStats(1, 2, 3, 4)
-        b = CacheStats(10, 20, 30, 40)
-        assert (a + b) - b == a
-        assert combined_stats([a, None, b]) == a + b
+        def step():
+            delta = registry_delta()
+            return tuple(delta[name] for name in spf_samples), delta[
+                attach.SPF_RELAXATIONS
+            ]
 
-    def test_stats_carry_ispf_counters(self):
-        a = CacheStats(ispf_repairs=2, ispf_full_fallbacks=1, relaxations=50)
-        b = CacheStats(ispf_repairs=3, relaxations=7)
-        total = a + b
-        assert total.ispf_repairs == 5
-        assert total.ispf_full_fallbacks == 1
-        assert total.relaxations == 57
-        assert (total - b) == a
-        d = a.as_dict()
-        assert d["ispf_repairs"] == 2
-        assert d["ispf_full_fallbacks"] == 1
-        assert d["relaxations"] == 50
+        registry_delta()
+        db.adjacency().sssp(0)  # cold: one miss, one full Dijkstra
+        counts, relaxed = step()
+        assert counts == (0, 1, 0, 1, 0, 0, 1)
+        assert relaxed == 6  # three settled nodes, two live edges each
+
+        db.adjacency().sssp(0)  # warm: one hit, no work
+        assert step() == ((1, 0, 0, 0, 0, 0, 0), 0)
+
+        # One changed link: the image is invalidated once and the miss is
+        # repaired incrementally, with no Dijkstra run.
+        db.install(lsa(0, 2, [(1, 5.0, True), (2, 1.0, True)]))
+        db.adjacency().sssp(0)
+        counts, relaxed = step()
+        assert counts == (0, 1, 1, 0, 1, 0, 0)
+        assert relaxed > 0
+
+        # Two changed links in one LSA still replay as an ordered chain.
+        db.install(lsa(0, 3, [(1, 1.0, True), (2, 4.0, True)]))
+        db.adjacency().sssp(0)
+        counts, _ = step()
+        assert counts == (0, 1, 1, 0, 1, 0, 0)
+
+        # Past the repair horizon the history is known but unusable: the
+        # miss falls back to exactly one full run.
+        for k in range(spfcache._MAX_REPAIR_CHAIN + 1):
+            db.install(lsa(0, 4 + k, [(1, 2.0 + k, True), (2, 4.0, True)]))
+        db.adjacency().sssp(0)
+        counts, _ = step()
+        assert counts == (0, 1, 1, 1, 0, 1, 1)
 
 
 class TestInvalidation:
@@ -127,7 +160,7 @@ class TestInvalidation:
     def _lsa(origin, seqnum, links):
         return RouterLsa(origin, seqnum, tuple(links))
 
-    def test_lsdb_install_invalidates_snapshot(self):
+    def test_lsdb_install_invalidates_snapshot(self, registry_delta):
         db = LinkStateDatabase(2)
         db.install(self._lsa(0, 1, [(1, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True)]))
@@ -135,39 +168,41 @@ class TestInvalidation:
         assert db.adjacency() is image1  # stable until the next install
         assert image1[0] == {1: 1.0}
 
-        invalidations0 = db.spf_stats.invalidations
+        registry_delta()
         assert db.install(self._lsa(0, 2, [(1, 1.0, False)]))
         image2 = db.adjacency()
         assert image2 is not image1
-        assert db.spf_stats.invalidations == invalidations0 + 1
+        assert registry_delta()[attach.SPF_INVALIDATIONS] == 1
         assert image2[0] == {}  # the down link left the image
         # Snapshot semantics: the old image still answers on old state.
         assert spf.shortest_path(image1, 0, 1) == [0, 1]
 
-    def test_lsdb_refresh_install_keeps_snapshot(self):
+    def test_lsdb_refresh_install_keeps_snapshot(self, registry_delta):
         """A pure seqnum refresh must not discard the image or its memos."""
         db = LinkStateDatabase(2)
         db.install(self._lsa(0, 1, [(1, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True)]))
         image = db.adjacency()
         image.sssp(0)
-        invalidations0 = db.spf_stats.invalidations
+        registry_delta()
         assert db.install(self._lsa(0, 2, [(1, 1.0, True)]))  # same content
         assert not db.last_install_changed_image
         assert db.adjacency() is image
-        assert db.spf_stats.invalidations == invalidations0
+        assert registry_delta()[attach.SPF_INVALIDATIONS] == 0
 
-    def test_lsdb_single_link_install_repairs_instead_of_rerunning(self):
+    def test_lsdb_single_link_install_repairs_instead_of_rerunning(
+        self, registry_delta
+    ):
         db = LinkStateDatabase(3)
         db.install(self._lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True), (2, 1.0, True)]))
         db.install(self._lsa(2, 1, [(0, 1.0, True), (1, 1.0, True)]))
         db.adjacency().sssp(0)
-        repairs0 = db.spf_stats.ispf_repairs
+        registry_delta()
         assert db.install(self._lsa(0, 2, [(1, 5.0, True), (2, 1.0, True)]))
         assert db.last_install_changed_image
         dist, parent = db.adjacency().sssp(0)
-        assert db.spf_stats.ispf_repairs == repairs0 + 1
+        assert registry_delta()[attach.SPF_ISPF_REPAIRS] == 1
         assert dist == spf.dijkstra_uncached(dict(db.adjacency()), 0)[0]
         with spfcache.ispf_disabled():
             # The toggle restores the old recompute-from-scratch path.
@@ -177,7 +212,7 @@ class TestInvalidation:
             db2.adjacency().sssp(0)
             db2.install(self._lsa(0, 2, [(1, 2.0, True)]))
             db2.adjacency().sssp(0)
-            assert db2.spf_stats.ispf_repairs == 0
+            assert registry_delta()[attach.SPF_ISPF_REPAIRS] == 0
 
     def test_lsdb_stale_install_keeps_snapshot(self):
         db = LinkStateDatabase(2)
@@ -187,17 +222,18 @@ class TestInvalidation:
         assert not db.install(self._lsa(0, 4, [(1, 1.0, False)]))  # older
         assert db.adjacency() is image
 
-    def test_link_flap_invalidates_network_view(self):
+    def test_link_flap_invalidates_network_view(self, registry_delta):
         net = diamond()
         view1 = net.spf_view()
         version1 = net.version
         assert net.spf_view() is view1
+        registry_delta()
 
         net.set_link_state(0, 1, up=False)
         assert net.version == version1 + 1
         view2 = net.spf_view()
         assert view2 is not view1
-        assert net.spf_stats.invalidations == 1
+        assert registry_delta()[attach.SPF_INVALIDATIONS] == 1
         assert 1 not in view2[0]
         assert spf.shortest_path(view2, 0, 3) == [0, 2, 3]
 
@@ -222,16 +258,15 @@ class TestInvalidation:
         for i, sw in enumerate((0, 4, 8)):
             dgmc.inject(JoinEvent(sw, 1), at=50.0 * (i + 1))
         dgmc.run()
-        invalidations0 = dgmc.spf_cache_stats().invalidations
+        snap0 = dgmc.metrics.snapshot()
 
         dgmc.inject(LinkEvent(0, 0, 1, up=False), at=500.0)
         dgmc.run()
         assert dgmc.quiescent()
         ok, detail = dgmc.agreement(1)
         assert ok, detail
-        stats = dgmc.spf_cache_stats()
         # Both detectors re-originate, so every LSDB drops its image.
-        assert stats.invalidations > invalidations0
+        assert dgmc.metrics.delta(snap0)[attach.SPF_INVALIDATIONS] > 0
         up_edges = {link.key for link in dgmc.net.links()}
         state = dgmc.states_for(1)[0]
         for _, tree in state.installed.trees:
@@ -252,7 +287,7 @@ class TestInvalidation:
         dgmc.inject(LinkEvent(0, 0, 1, up=False), at=500.0)
         dgmc.run()
         comps_down = dgmc.total_computations()
-        invalidations_down = dgmc.spf_cache_stats().invalidations
+        snap_down = dgmc.metrics.snapshot()
 
         dgmc.inject(LinkEvent(0, 0, 1, up=True), at=1000.0)
         dgmc.run()
@@ -261,7 +296,7 @@ class TestInvalidation:
         assert ok, detail
         # Recovery is an MC event: a new computation on a new image.
         assert dgmc.total_computations() > comps_down
-        assert dgmc.spf_cache_stats().invalidations > invalidations_down
+        assert dgmc.metrics.delta(snap_down)[attach.SPF_INVALIDATIONS] > 0
 
 
 class TestDeterminism:

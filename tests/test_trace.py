@@ -6,7 +6,11 @@ import pytest
 
 from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
 from repro.topo.generators import ring_network
-from repro.trace import build_timeline, convergence_profile, render_timeline
+from repro.obs.timeline import (
+    build_timeline,
+    convergence_profile,
+    render_timeline,
+)
 
 
 def traced_deployment():
