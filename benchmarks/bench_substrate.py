@@ -12,9 +12,7 @@ import random
 import pytest
 
 from repro.lsr.flooding import FloodingFabric
-from repro.sim.kernel import Simulator
-from repro.sim.mailbox import Mailbox
-from repro.sim.process import Hold, Receive
+from repro.sim.kernel import Mailbox, Receive, Simulator
 from repro.topo.generators import waxman_network
 
 

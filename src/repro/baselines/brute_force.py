@@ -24,9 +24,7 @@ from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
 from repro.obs import tracer as obs_tracer
 from repro.obs.attach import attach_network_metrics
-from repro.sim.kernel import Simulator
-from repro.sim.process import Hold
-from repro.sim.resource import Facility
+from repro.sim.kernel import Facility, Hold, Simulator
 from repro.topo.graph import Network
 from repro.trees.base import McTopology
 
@@ -72,7 +70,7 @@ class BruteForceNetwork:
             x: {} for x in net.switches()
         }
         self.cpus: Dict[int, Facility] = {
-            x: Facility(self.sim, name=f"cpu-{x}") for x in net.switches()
+            x: Facility(self.sim) for x in net.switches()
         }
         self.total_computations = 0
         self.events_injected = 0
@@ -139,10 +137,7 @@ class BruteForceNetwork:
             state.members[lsa.source] = roles | role.as_role_set()
         else:
             state.members.pop(lsa.source, None)
-        self.sim.spawn(
-            self._recompute(switch, state),
-            name=f"brute-force-compute(sw={switch}, m={lsa.connection_id})",
-        )
+        self.sim.spawn(self._recompute(switch, state))
 
     def _recompute(self, switch: int, state: _BruteForceSwitchState):
         """Every membership LSA costs one full topology computation."""

@@ -27,8 +27,7 @@ from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
 from repro.obs import tracer as obs_tracer
 from repro.obs.attach import attach_network_metrics
-from repro.sim.kernel import Simulator
-from repro.sim.process import Hold
+from repro.sim.kernel import Hold, Simulator
 from repro.topo.graph import Network
 from repro.trees.base import MulticastTree
 from repro.trees.spt import source_rooted_tree
@@ -134,10 +133,7 @@ class MospfNetwork:
 
     def _datagram_arrives(self, router: int, source: int, group_id: int) -> None:
         """Datagram processing at one router: compute if cold, then forward."""
-        self.sim.spawn(
-            self._process_datagram(router, source, group_id),
-            name=f"mospf-datagram(r={router}, s={source}, g={group_id})",
-        )
+        self.sim.spawn(self._process_datagram(router, source, group_id))
 
     def _process_datagram(self, router: int, source: int, group_id: int):
         state = self.mospf[router]

@@ -12,7 +12,7 @@ every network switch."  Both are simulation processes here:
   floods *triggered* proposals -- withdrawing them when new LSAs race in.
 
 Topology computations cost Tc simulated time and contend for the switch's
-single CPU (a :class:`~repro.sim.resource.Facility`); LSA bookkeeping is
+single CPU (a :class:`~repro.sim.kernel.Facility`); LSA bookkeeping is
 free, which matches the paper's cost model ("timestamp accesses are assumed
 to be atomic").
 
@@ -56,10 +56,7 @@ from repro.core.timestamp import Stamp, stamp_gt
 from repro.frr import activate_for_edge
 from repro.lsr.router import UnicastRouter
 from repro.obs import tracer as obs_tracer
-from repro.sim.kernel import Simulator
-from repro.sim.mailbox import Mailbox
-from repro.sim.process import Hold, Receive
-from repro.sim.resource import Facility
+from repro.sim.kernel import Facility, Hold, Mailbox, Receive, Simulator
 from repro.trees.base import McTopology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,10 +110,9 @@ class DgmcSwitch:
         self.on_computation = on_computation
         #: Hook (switch, connection, stamp, proposer) fired per install.
         self.on_install = on_install
-        self.cpu = Facility(sim, name=f"cpu-{switch_id}")
+        self.cpu = Facility(sim)
         self.states: Dict[int, McState] = {}
         self._mailboxes: Dict[int, Mailbox] = {}
-        self._daemons: Dict[int, object] = {}
         #: (R, E, C, M) snapshots of destroyed connections, keyed by id, so
         #: a recreated connection resumes its event counts (see McState).
         self._tombstones: Dict[int, tuple] = {}
@@ -143,14 +139,9 @@ class DgmcSwitch:
                 spec, self.n, resume_from=self._tombstones.get(connection_id)
             )
             self.states[connection_id] = state
-            box = Mailbox(
-                self.sim, name=f"sw{self.switch_id}-mc{connection_id}"
-            )
+            box = Mailbox(self.sim)
             self._mailboxes[connection_id] = box
-            self._daemons[connection_id] = self.sim.spawn(
-                self._receive_lsa_daemon(connection_id, state, box),
-                name=f"ReceiveLSA(sw={self.switch_id}, m={connection_id})",
-            )
+            self.sim.spawn(self._receive_lsa_daemon(connection_id, state, box))
         return state
 
     def mailbox(self, connection_id: int) -> Mailbox:
@@ -177,7 +168,6 @@ class DgmcSwitch:
             )
             del self.states[connection_id]
             del self._mailboxes[connection_id]
-            del self._daemons[connection_id]
             return True
         return False
 
@@ -323,13 +313,7 @@ class DgmcSwitch:
         ctx=None,
     ) -> None:
         """Start EventHandler() for one local event on one connection."""
-        self.sim.spawn(
-            self.event_handler(event, connection_id, role=role, ctx=ctx),
-            name=(
-                f"EventHandler({event.value}, sw={self.switch_id}, "
-                f"m={connection_id})"
-            ),
-        )
+        self.sim.spawn(self.event_handler(event, connection_id, role=role, ctx=ctx))
 
     def affected_connections(self, u: int, v: int, up: bool) -> List[int]:
         """Connections whose topology a change of link ``(u, v)`` affects.
@@ -735,10 +719,7 @@ class DgmcSwitch:
             changed = True
         if changed and state.covers_new_events():
             state.make_proposal_flag = True
-            self.sim.spawn(
-                self._resync_kick(snap.connection_id, state),
-                name=f"ResyncKick(sw={self.switch_id}, m={snap.connection_id})",
-            )
+            self.sim.spawn(self._resync_kick(snap.connection_id, state))
         return changed
 
     def _adopt_backup_fragments(self, state: McState, snap) -> bool:

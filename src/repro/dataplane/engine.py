@@ -522,10 +522,10 @@ class BatchForwardingEngine:
 
         Exactness argument: reference packets share no mutable state (the
         duplicate-suppression set is per packet, records are per packet),
-        and the simulator orders events by ``(time, priority, seq)`` with
-        every data event at priority 0 -- so a packet's own events pop in
-        the same relative order from a local ``(time, seq)`` heap as from
-        the global queue, and the walk below is delivery-for-delivery
+        and the simulator orders events by ``(time, seq)`` with ``seq``
+        drawn at scheduling time -- so a packet's own events pop in the
+        same relative order from a local ``(time, seq)`` heap as from the
+        global queue, and the walk below is delivery-for-delivery
         identical to the reference at any fixed control-plane snapshot.
         """
         n = compiled.n

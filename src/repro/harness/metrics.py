@@ -17,11 +17,11 @@ represents the protocol's responsiveness to member changes."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Sequence
 
 from repro.obs import attach
-from repro.sim.monitor import Table
 
 
 @dataclass
@@ -128,20 +128,47 @@ class Aggregate:
         return f"{self.mean:.3f} +- {self.halfwidth:.3f} (n={self.count})"
 
 
+# Two-sided 97.5% Student-t quantiles for small sample sizes; the fallback
+# 1.96 is the normal quantile used for n > 30.
+_T_975 = {
+    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
+    6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
+    11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
+    16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
+    21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
+    26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
+}
+
+
+def t_quantile_975(dof: int) -> float:
+    """Two-sided 95% Student-t critical value for ``dof`` degrees of freedom."""
+    if dof <= 0:
+        return float("inf")
+    return _T_975.get(dof, 1.96)
+
+
 def aggregate(values: Iterable[float]) -> Aggregate:
-    """Mean and 95% CI of a sample (Student-t for small n)."""
-    table = Table()
-    for v in values:
-        table.record(v)
-    if table.count == 0:
+    """Mean and 95% CI of a sample (Student-t for small n).
+
+    One streaming pass (Welford's algorithm), so a generator is fine.
+    """
+    count = 0
+    mean = m2 = 0.0
+    minimum, maximum = math.inf, -math.inf
+    for value in values:
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+        minimum = min(minimum, value)
+        maximum = max(maximum, value)
+    if count == 0:
         return Aggregate(0.0, 0.0, 0, 0.0, 0.0)
-    return Aggregate(
-        table.mean,
-        table.confidence_halfwidth(),
-        table.count,
-        table.minimum,
-        table.maximum,
-    )
+    halfwidth = 0.0
+    if count > 1:
+        stdev = math.sqrt(m2 / (count - 1))  # unbiased sample variance
+        halfwidth = t_quantile_975(count - 1) * stdev / math.sqrt(count)
+    return Aggregate(mean, halfwidth, count, minimum, maximum)
 
 
 def aggregate_metric(

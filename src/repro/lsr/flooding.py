@@ -16,22 +16,98 @@ Two timing models are supported, matching the paper's experiments:
 
 The fabric also keeps the flood counters ("flooding operations per event")
 that the evaluation section reports.
+
+How a copy physically travels is the :class:`Transport` seam, defined
+here so that the protocol stack imports nothing of the live runtime:
+:class:`KernelTransport` (below) schedules the delivery on the simulation
+kernel, :class:`repro.net.transport.UdpTransport` sends a datagram, and
+the systematic explorer's ``StressTransport`` parks it as a branch point.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.lsr import spf
-from repro.net.transport import KernelTransport, Transport
 from repro.obs import tracer as obs_tracer
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.topo.graph import Network
 
-#: Signature of a switch-side delivery hook: (switch_id, payload).
+#: Delivery hook signature: (destination switch id, decoded payload).
 DeliverFn = Callable[[int, Any], None]
+
+
+class Transport(abc.ABC):
+    """One-way datagram service between switches."""
+
+    @abc.abstractmethod
+    def register(self, switch_id: int, handler: DeliverFn) -> None:
+        """Install the delivery handler for ``switch_id`` (one per switch)."""
+
+    @abc.abstractmethod
+    def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
+        """Carry ``payload`` from ``src`` to ``dest``.
+
+        ``delay`` is the modelled propagation latency; the kernel backend
+        honours it exactly, the UDP backend substitutes physical latency
+        (plus any injected faults).
+        """
+
+    @abc.abstractmethod
+    def has_handler(self, switch_id: int) -> bool:
+        """Whether a handler is registered for ``switch_id``."""
+
+    @property
+    @abc.abstractmethod
+    def idle(self) -> bool:
+        """No frames in flight *inside the transport* (see subclasses)."""
+
+    @property
+    @abc.abstractmethod
+    def handler_count(self) -> int:
+        """Number of registered delivery handlers."""
+
+
+class KernelTransport(Transport):
+    """Delivery via the discrete-event kernel (the simulator's backend).
+
+    A send schedules the destination handler at ``now + delay`` on the
+    kernel's event heap.  The transport itself holds nothing, so it is
+    always :attr:`idle`: in-flight deliveries live on the heap and are
+    covered by the simulator's own quiescence check.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._handlers: Dict[int, DeliverFn] = {}
+
+    def register(self, switch_id: int, handler: DeliverFn) -> None:
+        if switch_id in self._handlers:
+            raise ValueError(f"switch {switch_id} already registered")
+        self._handlers[switch_id] = handler
+
+    def has_handler(self, switch_id: int) -> bool:
+        return switch_id in self._handlers
+
+    def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
+        handler = self._handlers.get(dest)
+        if handler is not None:
+            self.sim.schedule(delay, partial(handler, dest, payload))
+
+    @property
+    def idle(self) -> bool:
+        return True
+
+    @property
+    def handler_count(self) -> int:
+        return len(self._handlers)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"KernelTransport(handlers={len(self._handlers)})"
 
 
 @dataclass

@@ -5,91 +5,25 @@ simulator.  The same protocol logic (:class:`repro.core.switch.DgmcSwitch`,
 :class:`repro.lsr.router.UnicastRouter`) runs as asyncio hosts exchanging
 :mod:`repro.core.wire`-encoded LSAs over loopback UDP:
 
-* :mod:`repro.net.transport` -- the :class:`Transport` abstraction with the
-  in-kernel (:class:`KernelTransport`) and datagram (:class:`UdpTransport`)
-  implementations,
+* :mod:`repro.net.transport` -- :class:`~repro.net.transport.UdpTransport`,
+  the datagram implementation of the :class:`repro.lsr.flooding.Transport`
+  seam (ack/retransmit, dedup, fault injection),
 * :mod:`repro.net.frames` -- the DATA/ACK datagram framing,
 * :mod:`repro.net.faults` -- seeded loss / reorder / delay injection,
-* :mod:`repro.net.host` -- :class:`LiveSwitch`, one protocol host,
-* :mod:`repro.net.fabric` -- :class:`LiveFabric`, boots N switches and
-  drives a workload to quiescence,
+* :mod:`repro.net.host` -- :class:`~repro.net.host.LiveSwitch`, one
+  protocol host,
+* :mod:`repro.net.fabric` -- :class:`~repro.net.fabric.LiveFabric`, boots
+  N switches and drives a workload to quiescence,
 * :mod:`repro.net.resync` -- hello-based failure detection and the
   neighbor database-exchange (resync) protocol,
+* :mod:`repro.net.invariants` -- the named invariants chaos and the
+  systematic explorer both check,
 * :mod:`repro.net.chaos` -- the seeded crash/partition/churn soak harness,
 * :mod:`repro.net.equiv` -- the simulated-vs-live equivalence harness.
 
-``LiveSwitch`` / ``LiveFabric`` / the equivalence helpers are exported
-lazily: they import the protocol stack, which itself imports
-:class:`KernelTransport` from here, and the lazy hop breaks that cycle.
+The dependency runs one way: this package imports the protocol stack
+(``repro.core``, ``repro.lsr``, ``repro.sim``), which imports nothing from
+here at module level.  Import names from the submodule that defines them;
+the package itself imports none, so reaching :mod:`repro.net.invariants`
+(as :mod:`repro.stress` does) does not load asyncio.
 """
-
-from __future__ import annotations
-
-from repro.net.faults import FaultInjector, FaultPlan
-from repro.net.transport import (
-    DeliverFn,
-    KernelTransport,
-    RetransmitPolicy,
-    Transport,
-    UdpTransport,
-)
-
-_LAZY = {
-    # The framing codec reaches repro.core.lsa, which is itself on the
-    # import path into this package (core -> trees -> lsr.flooding ->
-    # transport); frames must therefore resolve lazily too.
-    "AckFrame": "repro.net.frames",
-    "DataFrame": "repro.net.frames",
-    "HelloFrame": "repro.net.frames",
-    "DbdFrame": "repro.net.frames",
-    "SnapFrame": "repro.net.frames",
-    "LsuFrame": "repro.net.frames",
-    "McSnapshot": "repro.net.frames",
-    "FrameDecodeError": "repro.net.frames",
-    "decode_frame": "repro.net.frames",
-    "encode_ack": "repro.net.frames",
-    "encode_data": "repro.net.frames",
-    "encode_hello": "repro.net.frames",
-    "encode_dbd": "repro.net.frames",
-    "encode_snap": "repro.net.frames",
-    "encode_lsu": "repro.net.frames",
-    "LiveSwitch": "repro.net.host",
-    "LiveFloodOut": "repro.net.host",
-    "LiveFabric": "repro.net.fabric",
-    "LiveConfig": "repro.net.fabric",
-    "QuiescenceTimeout": "repro.net.fabric",
-    "ResyncManager": "repro.net.resync",
-    "ChaosAction": "repro.net.chaos",
-    "ChaosReport": "repro.net.chaos",
-    "ChaosSettings": "repro.net.chaos",
-    "build_schedule": "repro.net.chaos",
-    "run_chaos_soak": "repro.net.chaos",
-    "run_chaos_soak_sync": "repro.net.chaos",
-    "LiveScenario": "repro.net.equiv",
-    "BackendResult": "repro.net.equiv",
-    "EquivalenceReport": "repro.net.equiv",
-    "make_scenario": "repro.net.equiv",
-    "run_discrete": "repro.net.equiv",
-    "run_live": "repro.net.equiv",
-    "check_equivalence": "repro.net.equiv",
-}
-
-__all__ = [
-    "DeliverFn",
-    "FaultInjector",
-    "FaultPlan",
-    "KernelTransport",
-    "RetransmitPolicy",
-    "Transport",
-    "UdpTransport",
-    *sorted(_LAZY),
-]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.net' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

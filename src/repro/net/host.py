@@ -12,7 +12,7 @@ optionally stretching simulated compute time (Tc) into wall time via
 
 Outbound flooding goes through :class:`LiveFloodOut`, which
 origin-broadcasts each LSA to every peer over the shared
-:class:`~repro.net.transport.Transport` (reliable datagrams stand in for
+:class:`~repro.lsr.flooding.Transport` (reliable datagrams stand in for
 hop-by-hop flooding; see docs/live-runtime.md for the fidelity notes).
 """
 
@@ -28,10 +28,10 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch
 from repro.core.timestamp import Stamp
+from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.router import UnicastRouter
 from repro.net.resync import ResyncManager
-from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs import tracer as obs_tracer
 from repro.obs.context import TraceContext
@@ -207,11 +207,13 @@ class LiveSwitch:
         self._wake.set()
 
     def ingest(self, dest: int, payload: Any) -> None:
-        """Transport delivery handler (:data:`~repro.net.transport.DeliverFn`)."""
+        """Transport delivery handler (:data:`~repro.lsr.flooding.DeliverFn`)."""
         if dest != self.switch_id:  # pragma: no cover - transport bug guard
             raise ValueError(f"host {self.switch_id} got a frame for {dest}")
         if isinstance(payload, McLsa):
-            if not self.admit(payload.source, payload.timestamp.span()):
+            if not self.admit(
+                payload.source, payload.timestamp.span(), payload.connection_id
+            ):
                 return
             self.switch.deliver_mc_lsa(payload)
         elif isinstance(payload, NonMcLsa):
@@ -221,23 +223,28 @@ class LiveSwitch:
         self.ingested += 1
         self._wake.set()
 
-    def admit(self, source: int, span: int) -> bool:
+    def admit(self, source: int, span: int, connection_id: int) -> bool:
         """Semantic check of a decoded MC LSA's or snapshot's indices:
-        its source, and the :meth:`~repro.core.timestamp.VectorTimestamp.span`
-        of its stamp(s).
+        its source, the :meth:`~repro.core.timestamp.VectorTimestamp.span`
+        of its stamp(s), and its connection id.
 
         A frame can decode cleanly and still name switches this network
         does not have; arbitrating on one would plant an origin in E that
         R can never reach (``R >= E`` false forever: the connection stops
-        proposing).  Such frames are dropped here, before arbitration,
-        and counted by reason.
+        proposing).  One naming a connection that is not provisioned
+        would raise out of the datagram callback when the switch looks up
+        its spec.  Such frames are dropped here, before arbitration, and
+        counted by reason.
         """
         n = self.net.n
-        if source < n and span <= n:
+        if source >= n:
+            reason = "source-out-of-range"
+        elif span > n:
+            reason = "stamp-origin-out-of-range"
+        elif connection_id not in self.connection_registry:
+            reason = "unknown-connection"
+        else:
             return True
-        reason = (
-            "source-out-of-range" if source >= n else "stamp-origin-out-of-range"
-        )
         self.metrics.counter(
             "live_rejected_total",
             "decoded frames dropped by semantic validation at ingest",

@@ -332,7 +332,9 @@ class ResyncManager:
     def on_snap(self, frame: "frames.SnapFrame") -> None:
         snap = frame.snapshot
         if not self.host.admit(
-            frame.src, max(stamp.span() for stamp in snap.stamps())
+            frame.src,
+            max(stamp.span() for stamp in snap.stamps()),
+            snap.connection_id,
         ):
             return
         if not self.host.switch.apply_resync_snapshot(snap):

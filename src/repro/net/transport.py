@@ -1,18 +1,17 @@
-"""Transport abstraction: how an LSA physically travels between switches.
+"""The live transport: LSAs as datagrams between switches.
 
 Protocol code (the D-GMC switch, the unicast router, the flooding layer)
-hands a payload to a :class:`Transport` and a registered handler receives
-it at the destination.  Two implementations exist:
+hands a payload to a :class:`~repro.lsr.flooding.Transport` and a
+registered handler receives it at the destination.  The seam and its
+discrete-event implementation (``KernelTransport``) live beside the
+flooding fabric in :mod:`repro.lsr.flooding`; this module is the live
+implementation:
 
-* :class:`KernelTransport` -- the discrete-event backend.  Delivery is a
-  callback scheduled on the simulation kernel at ``now + delay``; this is
-  the delivery path the :class:`~repro.lsr.flooding.FloodingFabric` always
-  had, refactored behind the abstraction.
-* :class:`UdpTransport` -- the live backend.  Each switch owns one UDP
-  socket on loopback; payloads travel as :mod:`repro.net.frames` DATA
-  datagrams carrying :mod:`repro.core.wire` bytes, with per-frame
-  ack/retransmit, exponential backoff, receive-side deduplication, and
-  seeded loss/reorder/delay/duplication injection (:mod:`repro.net.faults`).
+* :class:`UdpTransport` -- each switch owns one UDP socket on loopback;
+  payloads travel as :mod:`repro.net.frames` DATA datagrams carrying
+  :mod:`repro.core.wire` bytes, with per-frame ack/retransmit,
+  exponential backoff, receive-side deduplication, and seeded
+  loss/reorder/delay/duplication injection (:mod:`repro.net.faults`).
 
 Beyond the LSA path, the UDP transport carries the crash-recovery control
 plane: unreliable HELLO keepalives (:meth:`UdpTransport.send_hello`) and
@@ -24,115 +23,27 @@ crashed switch, and severed pairs from the fault injector's cut set
 deterministically -- senders retransmit into the cut until the attempt
 budget abandons the frame, exactly as on a partitioned link.
 
-Handlers have the :data:`DeliverFn` signature ``(dest_switch, payload)``,
-matching the flooding fabric's existing hooks, so the same protocol
-delivery code runs unchanged on either backend.
+Handlers have the :data:`~repro.lsr.flooding.DeliverFn` signature
+``(dest_switch, payload)``, so the same protocol delivery code runs
+unchanged on either backend.
 """
 
 from __future__ import annotations
 
-import abc
 import asyncio
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.lsr.flooding import DeliverFn, Transport
+from repro.net import frames
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.obs import tracer as obs_tracer
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 
-#: Delivery hook signature: (destination switch id, decoded payload).
-DeliverFn = Callable[[int, Any], None]
-
 #: Control hook signature: (destination switch id, decoded control frame).
 #: Receives HelloFrame / DbdFrame / SnapFrame / LsuFrame instances.
 ControlFn = Callable[[int, Any], None]
-
-
-def _frames():
-    """Deferred import of the framing codec.
-
-    :mod:`repro.net.frames` reaches :mod:`repro.core.lsa`, which sits on
-    the import path that leads back here (core -> trees -> lsr.flooding
-    -> this module).  Only :class:`UdpTransport` needs the codec, and
-    only at runtime -- by which point every module is fully initialised.
-    """
-    from repro.net import frames
-
-    return frames
-
-
-class Transport(abc.ABC):
-    """One-way datagram service between switches."""
-
-    @abc.abstractmethod
-    def register(self, switch_id: int, handler: DeliverFn) -> None:
-        """Install the delivery handler for ``switch_id`` (one per switch)."""
-
-    @abc.abstractmethod
-    def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
-        """Carry ``payload`` from ``src`` to ``dest``.
-
-        ``delay`` is the modelled propagation latency; the kernel backend
-        honours it exactly, the UDP backend substitutes physical latency
-        (plus any injected faults).
-        """
-
-    @abc.abstractmethod
-    def has_handler(self, switch_id: int) -> bool:
-        """Whether a handler is registered for ``switch_id``."""
-
-    @property
-    @abc.abstractmethod
-    def idle(self) -> bool:
-        """No frames in flight *inside the transport* (see subclasses)."""
-
-    @property
-    @abc.abstractmethod
-    def handler_count(self) -> int:
-        """Number of registered delivery handlers."""
-
-
-class KernelTransport(Transport):
-    """Delivery via the discrete-event kernel (the simulator's backend).
-
-    A send schedules the destination handler at ``now + delay`` on the
-    kernel's event heap.  The transport itself holds nothing, so it is
-    always :attr:`idle`: in-flight deliveries live on the heap and are
-    covered by the simulator's own quiescence check.
-    """
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self._handlers: Dict[int, DeliverFn] = {}
-        #: Total deliveries scheduled (diagnostic).
-        self.deliveries = 0
-
-    def register(self, switch_id: int, handler: DeliverFn) -> None:
-        if switch_id in self._handlers:
-            raise ValueError(f"switch {switch_id} already registered")
-        self._handlers[switch_id] = handler
-
-    def has_handler(self, switch_id: int) -> bool:
-        return switch_id in self._handlers
-
-    def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
-        handler = self._handlers.get(dest)
-        if handler is None:
-            return
-        self.deliveries += 1
-        self.sim.schedule(delay, lambda h=handler, d=dest, p=payload: h(d, p))
-
-    @property
-    def idle(self) -> bool:
-        return True
-
-    @property
-    def handler_count(self) -> int:
-        return len(self._handlers)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"KernelTransport(handlers={len(self._handlers)})"
 
 
 @dataclass
@@ -448,7 +359,6 @@ class UdpTransport(Transport):
         Must be called from within the running event loop (protocol code
         executes inside host pump tasks, so this holds by construction).
         """
-        frames = _frames()
         self._queue_reliable(
             src, dest,
             lambda seq: frames.encode_data(src, dest, seq, payload),
@@ -459,7 +369,6 @@ class UdpTransport(Transport):
         self, src: int, dest: int, headers: Dict[int, int], reply: bool = False
     ) -> None:
         """Queue one reliable DBD frame (LSA-header summary)."""
-        frames = _frames()
         self._queue_reliable(
             src, dest,
             lambda seq: frames.encode_dbd(src, dest, seq, headers, reply=reply),
@@ -467,7 +376,6 @@ class UdpTransport(Transport):
 
     def send_snap(self, src: int, dest: int, snapshot) -> None:
         """Queue one reliable SNAP frame (MC arbitration snapshot)."""
-        frames = _frames()
         self._queue_reliable(
             src, dest,
             lambda seq: frames.encode_snap(src, dest, seq, snapshot),
@@ -476,7 +384,6 @@ class UdpTransport(Transport):
 
     def send_lsu(self, src: int, dest: int, lsa) -> None:
         """Queue one reliable LSU frame (resync LSA transfer)."""
-        frames = _frames()
         self._queue_reliable(
             src, dest,
             lambda seq: frames.encode_lsu(src, dest, seq, lsa),
@@ -487,7 +394,7 @@ class UdpTransport(Transport):
         """Fire one unreliable HELLO keepalive (never acked or retried)."""
         if not self._started or self._closed or dest not in self._addrs:
             return
-        frame = _frames().encode_hello(src, dest, generation)
+        frame = frames.encode_hello(src, dest, generation)
         self._dispatch_frame(src, dest, frame, kind="hello")
 
     def _queue_reliable(
@@ -623,7 +530,6 @@ class UdpTransport(Transport):
     # -- receive path ---------------------------------------------------------------
 
     def _on_datagram(self, receiver: int, data: bytes, addr) -> None:
-        frames = _frames()
         frame = frames.try_decode_frame(data)
         if frame is None:
             self._c_decode_errors.inc()
@@ -686,9 +592,9 @@ class UdpTransport(Transport):
         # DBD / SNAP / LSU: the resync control plane.
         control = self._control.get(receiver)
         if control is not None:
-            control(receiver, self._bump_control_ctx(frames, frame, receiver))
+            control(receiver, self._bump_control_ctx(frame, receiver))
 
-    def _bump_control_ctx(self, frames, frame, receiver: int):
+    def _bump_control_ctx(self, frame, receiver: int):
         """Hop-bump a SNAP/LSU frame's context and emit the flow head."""
         if isinstance(frame, frames.SnapFrame):
             ctx = frame.snapshot.ctx

@@ -1,24 +1,25 @@
 """Process-oriented discrete-event simulation kernel.
 
-This package is a from-scratch Python replacement for the CSIM simulation
-package used by the paper (Schwetman, "CSIM: A C-based, process-oriented
-simulation language").  It provides the same modelling vocabulary:
+The paper's simulator was CSIM (Schwetman, "CSIM: A C-based,
+process-oriented simulation language").  This package keeps the part of
+that vocabulary the protocol models reach, all in
+:mod:`repro.sim.kernel` (whose docstring states the dispatch-order
+contract):
 
-* :class:`~repro.sim.kernel.Simulator` -- the event loop and simulated clock,
-* :class:`~repro.sim.process.Process` -- generator-based coroutine processes,
-* :class:`~repro.sim.mailbox.Mailbox` -- inter-process message queues,
-* :class:`~repro.sim.resource.Facility` -- server resources with queueing,
-* :class:`~repro.sim.monitor.Table` / :class:`~repro.sim.monitor.Meter` --
-  statistics collection,
-* :class:`~repro.sim.rng.RngRegistry` -- named, independently seeded random
-  streams for reproducible experiments.
+* :class:`Simulator` -- the event heap and simulated clock,
+* :class:`Process` -- a generator-driven process,
+* :class:`Mailbox` -- a FIFO message queue with one blocking receiver,
+* :class:`Facility` -- a single server with a FIFO wait queue,
 
-Processes are plain Python generators that ``yield`` command objects
-(:class:`~repro.sim.process.Hold`, :class:`~repro.sim.process.Receive`,
-:class:`~repro.sim.process.WaitEvent`, ...) back to the kernel::
+plus :class:`~repro.sim.rng.RngRegistry` -- named, independently seeded
+random streams for reproducible experiments.
+
+A process body is a plain Python generator that yields :class:`Hold`,
+:class:`Receive` or ``facility.request()``; helper generators compose
+with ``yield from``::
 
     sim = Simulator()
-    box = Mailbox(sim, "requests")
+    box = Mailbox(sim)
 
     def server():
         while True:
@@ -26,40 +27,29 @@ Processes are plain Python generators that ``yield`` command objects
             yield Hold(1.5)        # service time
             print(sim.now, msg)
 
-    sim.spawn(server(), name="server")
+    sim.spawn(server())
     box.send("hello")
     sim.run(until=10.0)
 """
 
-from repro.sim.kernel import Simulator, SimulationError, SimEvent
-from repro.sim.process import (
+from repro.sim.kernel import (
+    Facility,
     Hold,
-    Passivate,
+    Mailbox,
     Process,
-    ProcessState,
     Receive,
-    WaitEvent,
+    SimulationError,
+    Simulator,
 )
-from repro.sim.mailbox import Mailbox, MailboxClosed
-from repro.sim.resource import Facility, Request
-from repro.sim.monitor import Meter, Table
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "Simulator",
     "SimulationError",
-    "SimEvent",
     "Process",
-    "ProcessState",
     "Hold",
     "Receive",
-    "WaitEvent",
-    "Passivate",
     "Mailbox",
-    "MailboxClosed",
     "Facility",
-    "Request",
-    "Table",
-    "Meter",
     "RngRegistry",
 ]

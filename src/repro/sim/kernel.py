@@ -1,101 +1,68 @@
-"""The simulation event loop and clock.
+"""The discrete-event kernel: a heap, a process, a mailbox and a CPU.
 
-The kernel is a classic calendar-queue discrete-event simulator: a binary
-heap of ``(time, priority, sequence, event)`` tuples.  The ``sequence``
-counter is unique, so it breaks ties deterministically -- which makes
-every run with the same seed bit-for-bit reproducible (DESIGN.md
-invariant 7) -- and heap comparisons never reach the event object: they
-are plain tuple compares, done in C.
+The paper's two protocol entities are CSIM processes that block on a
+mailbox and hold one CPU for Tc.  That is all of CSIM this kernel keeps:
+
+* :class:`Simulator` -- a binary heap of ``(time, seq, action)`` entries
+  and the simulated clock,
+* :class:`Process` -- one ``send()``-driven body that yields
+  :class:`Hold`, :class:`Receive` or a facility :class:`Request`,
+* :class:`Mailbox` -- an unbounded FIFO with one blocking receiver,
+* :class:`Facility` -- one server with a FIFO wait queue.
+
+**The order contract.**  Entries dispatch in ``(time, seq)`` order and
+``seq`` is a global counter drawn at scheduling time, so same-time
+entries run in the order they were scheduled and a run is a pure function
+of its inputs (DESIGN.md invariant 7).  Everything that resumes a process
+is its own heap entry, scheduled with zero delay at the instant it
+becomes due and never run inline: the first step of a spawned process,
+the wake of a receiver by :meth:`Mailbox.send` (or by :class:`Receive`
+finding a message already queued), a CPU grant (immediate or handed over
+by :meth:`Facility.release`), and the end of a :class:`Hold`.  A delivery
+by :class:`~repro.lsr.flooding.KernelTransport` is one more entry.  Hence
+messages sent to one mailbox at one instant reach a parked receiver as
+one wake followed by queued messages, which the receiver drains with
+:meth:`Mailbox.try_receive` -- one ``ReceiveLSA()`` batch.  The explorer
+(:mod:`repro.stress`) replays schedules against this order, and the
+seeded counts of ``benchmarks/e2e/run.py --selfcheck`` are bound to it;
+``tests/test_sim_order_contract.py`` pins it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.obs import tracer as obs_tracer
+
+#: Entries this close to the current time belong to the current instant.
+_INSTANT = 1e-9
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
 
 
-class _ScheduledEvent:
-    """The handle of one scheduled action (the heap orders by the tuple
-    around it, never by this object)."""
-
-    __slots__ = ("action", "cancelled")
-
-    def __init__(self, action: Callable[[], None]) -> None:
-        self.action = action
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark this event so the kernel skips it when popped."""
-        self.cancelled = True
-
-
-class SimEvent:
-    """A condition that processes can wait on and that can be fired once.
-
-    Comparable to a CSIM *event*: zero or more processes block on it via
-    :class:`~repro.sim.process.WaitEvent`; :meth:`fire` wakes them all and
-    records an optional payload value.  A fired event stays fired (waiting
-    on it afterwards returns immediately), unless :meth:`reset` is called.
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self._sim = sim
-        self.name = name
-        self.fired = False
-        self.value: Any = None
-        self._waiters: list[Callable[[Any], None]] = []
-
-    def fire(self, value: Any = None) -> None:
-        """Fire the event, waking every waiter at the current time."""
-        if self.fired:
-            return
-        self.fired = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for wake in waiters:
-            self._sim.schedule(0.0, lambda w=wake: w(value))
-
-    def reset(self) -> None:
-        """Return the event to the un-fired state (waiters are unaffected)."""
-        self.fired = False
-        self.value = None
-
-    def add_waiter(self, wake: Callable[[Any], None]) -> None:
-        """Register a wake callback; invoked immediately if already fired."""
-        if self.fired:
-            self._sim.schedule(0.0, lambda: wake(self.value))
-        else:
-            self._waiters.append(wake)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "fired" if self.fired else f"{len(self._waiters)} waiting"
-        return f"SimEvent({self.name!r}, {state})"
-
-
 class Simulator:
-    """Discrete-event simulation kernel with a process scheduler.
+    """The event heap and the simulated clock.
 
     The public surface:
 
     * :attr:`now` -- current simulated time,
-    * :meth:`schedule` -- run a callback after a delay,
-    * :meth:`spawn` -- start a generator-based process,
-    * :meth:`run` -- drive the event loop,
-    * :meth:`event` -- create a :class:`SimEvent` bound to this kernel.
+    * :meth:`schedule` / :meth:`schedule_at` -- run a callback later,
+    * :meth:`spawn` -- start a process,
+    * :meth:`run` -- drive the event loop; :meth:`step`, :meth:`peek`,
+      :meth:`run_instant` and :meth:`advance_to_next` drive it piecewise
+      (the live pump and the systematic explorer).
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, int, _ScheduledEvent]] = []
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._processes: list[Any] = []
         self._running = False
         #: Number of events dispatched so far (diagnostic).
         self.events_dispatched = 0
@@ -107,57 +74,30 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        """Pending entries in the event heap (cancelled entries included)."""
+        """Pending entries in the event heap."""
         return len(self._heap)
 
-    def schedule(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        priority: int = 0,
-    ) -> _ScheduledEvent:
-        """Schedule ``action`` to run ``delay`` time units from now.
-
-        Returns the heap entry, whose :meth:`~_ScheduledEvent.cancel` method
-        can be used to retract the event before it fires.  ``priority``
-        breaks same-time ties (lower runs first).
-        """
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
+        """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        entry = _ScheduledEvent(action)
-        heapq.heappush(
-            self._heap, (self._now + delay, priority, next(self._seq), entry)
-        )
-        return entry
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), action))
 
-    def schedule_at(
-        self, time: float, action: Callable[[], None], priority: int = 0
-    ) -> _ScheduledEvent:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at an absolute simulated time."""
-        return self.schedule(time - self._now, action, priority)
+        self.schedule(time - self._now, action)
 
-    def spawn(self, generator: Iterator[Any], name: Optional[str] = None) -> Any:
-        """Start a new process from a generator; it runs at the current time.
+    def spawn(self, body: Any) -> None:
+        """Start a process; its first step is an entry at the current time.
 
-        Returns the :class:`~repro.sim.process.Process` wrapper.
+        ``body`` is a generator, or any object with a generator's
+        ``send`` (a tracer may wrap the generator in a proxy).
         """
-        from repro.sim.process import Process  # local import to avoid a cycle
-
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        self.schedule(0.0, proc._step_none)
-        return proc
-
-    def event(self, name: str = "") -> SimEvent:
-        """Create a new :class:`SimEvent` bound to this simulator."""
-        return SimEvent(self, name)
+        self.schedule(0.0, Process(self, body).resume)
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Dispatch a single event.  Returns ``False`` when nothing is left.
@@ -175,24 +115,19 @@ class Simulator:
             return self._step()
 
     def _step(self) -> bool:
-        while self._heap:
-            time, _, _, entry = heapq.heappop(self._heap)
-            if entry.cancelled:
-                continue
-            if time < self._now - 1e-12:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self._now = max(self._now, time)
-            self.events_dispatched += 1
-            entry.action()
-            return True
-        return False
+        if not self._heap:
+            return False
+        time, _, action = heapq.heappop(self._heap)
+        if time < self._now - 1e-12:
+            raise SimulationError("event heap corrupted: time went backwards")
+        if time > self._now:
+            self._now = time
+        self.events_dispatched += 1
+        action()
+        return True
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run until the heap drains, ``until`` is reached, or ``max_events``.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the heap drains or ``until`` is reached.
 
         Returns the simulated time at which the loop stopped.  When stopping
         on ``until``, the clock is advanced to exactly ``until`` (events at
@@ -204,33 +139,25 @@ class Simulator:
         tracer = obs_tracer.TRACER
         try:
             if not tracer.enabled:
-                return self._run_loop(until, max_events)
+                return self._run_loop(until)
             # The outer span makes the whole loop (heap peeks included)
             # attributable in the per-phase profile; dispatch spans nest
             # inside it, so kernel self-time is genuine loop overhead.
             with tracer.span("run", cat="kernel", sim_time=self._now):
-                return self._run_loop(until, max_events)
+                return self._run_loop(until)
         finally:
             self._running = False
 
-    def _run_loop(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        dispatched = 0
-        while True:
-            nxt = self.peek()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
+    def _run_loop(self, until: Optional[float]) -> float:
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self._now = until
                 break
-            if max_events is not None and dispatched >= max_events:
-                break
             self.step()
-            dispatched += 1
         return self._now
 
-    def run_instant(self, eps: float = 1e-9) -> int:
+    def run_instant(self) -> int:
         """Dispatch every event scheduled at the *current* instant.
 
         Deterministic branch-point hook for the systematic explorer
@@ -242,52 +169,197 @@ class Simulator:
         number of events dispatched.
         """
         dispatched = 0
-        anchor = self._now
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt > anchor + eps:
-                break
+        horizon = self._now + _INSTANT
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
             self.step()
             dispatched += 1
         return dispatched
 
-    def advance_to_next(self, eps: float = 1e-9) -> Optional[float]:
+    def advance_to_next(self) -> Optional[float]:
         """Advance to the next scheduled instant and drain it entirely.
 
         The explorer's ``advance`` transition: jump the clock to the
         earliest pending event (deterministically -- ties broken by the
-        heap's ``(time, priority, seq)`` order), dispatch it, then drain
-        the zero-delay cascade at that instant via :meth:`run_instant`.
+        heap's ``(time, seq)`` order), dispatch it, then drain the
+        zero-delay cascade at that instant via :meth:`run_instant`.
         Returns the new simulated time, or ``None`` when nothing is
         pending.
         """
-        if self.peek() is None:
+        if not self._heap:
             return None
         self.step()
-        self.run_instant(eps)
-        return self._now
-
-    def run_until_quiescent(
-        self, idle_check: Callable[[], bool], max_time: float = float("inf")
-    ) -> float:
-        """Run until the heap drains *and* ``idle_check()`` holds, or ``max_time``.
-
-        Useful for protocols where quiescence involves external state (e.g.
-        all mailboxes empty) in addition to an empty event heap.
-        """
-        while True:
-            nxt = self.peek()
-            if nxt is None:
-                if idle_check():
-                    break
-                raise SimulationError(
-                    "event heap drained but idle_check() is false: deadlock"
-                )
-            if nxt > max_time:
-                self._now = max_time
-                break
-            self.step()
+        self.run_instant()
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Simulator(now={self._now:.6g}, pending={len(self._heap)})"
+
+
+class Command:
+    """Base class for objects a process body may yield to the kernel."""
+
+    __slots__ = ()
+
+    def apply(self, proc: "Process") -> None:
+        raise NotImplementedError
+
+
+class Process:
+    """Drives one body: resume it, apply the command it yields, repeat.
+
+    A process is referenced only by whatever will resume it next -- a heap
+    entry, the mailbox it is parked on, or the facility it queues for --
+    so a finished process, or one parked on a discarded mailbox, is
+    garbage.
+    """
+
+    __slots__ = ("sim", "_body")
+
+    def __init__(self, sim: Simulator, body: Any) -> None:
+        self.sim = sim
+        self._body = body
+
+    def resume(self, value: Any = None) -> None:
+        """Send ``value`` into the pending ``yield`` and apply the next command.
+
+        An exception raised by the body propagates out of the dispatching
+        :meth:`Simulator.step`.
+        """
+        try:
+            command = self._body.send(value)
+        except StopIteration:
+            return
+        if not isinstance(command, Command):
+            raise SimulationError(
+                f"{self._body!r} yielded unsupported object {command!r}; "
+                "yield Hold, Receive or a facility request"
+            )
+        command.apply(self)
+
+
+class Hold(Command):
+    """Suspend the process for ``delay`` simulated time units."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, delay: float) -> None:
+        if delay < 0:
+            raise SimulationError(f"Hold delay must be >= 0, got {delay}")
+        self.delay = delay
+
+    def apply(self, proc: Process) -> None:
+        proc.sim.schedule(self.delay, proc.resume)
+
+
+class Receive(Command):
+    """Block until a message arrives in ``mailbox``; resumes with the message."""
+
+    __slots__ = ("mailbox",)
+
+    def __init__(self, mailbox: "Mailbox") -> None:
+        self.mailbox = mailbox
+
+    def apply(self, proc: Process) -> None:
+        self.mailbox._receive(proc)
+
+
+class Mailbox:
+    """Unbounded FIFO message queue with one blocking receiver.
+
+    Senders never block.  The D-GMC switch keeps one mailbox per
+    connection: the flooding layer deposits arriving LSAs, and the
+    connection's ``ReceiveLSA()`` daemon is woken by the first and drains
+    the rest (:meth:`try_receive`).
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._queue: Deque[Any] = deque()
+        self._receiver: Optional[Process] = None
+
+    def send(self, message: Any) -> None:
+        """Deposit a message; wakes the blocked receiver, if any."""
+        proc = self._receiver
+        if proc is None:
+            self._queue.append(message)
+        else:
+            self._receiver = None
+            self.sim.schedule(0.0, partial(proc.resume, message))
+
+    def _receive(self, proc: Process) -> None:
+        """Called by :meth:`Receive.apply`; hand over a queued message or park."""
+        if self._queue:
+            self.sim.schedule(0.0, partial(proc.resume, self._queue.popleft()))
+        elif self._receiver is not None:
+            raise SimulationError("a mailbox has one receiver; a second one blocked")
+        else:
+            self._receiver = proc
+
+    def try_receive(self) -> Tuple[bool, Any]:
+        """Non-blocking receive: ``(True, message)`` or ``(False, None)``."""
+        if self._queue:
+            return True, self._queue.popleft()
+        return False, None
+
+    def peek_all(self) -> List[Any]:
+        """Snapshot of queued messages without consuming them."""
+        return list(self._queue)
+
+    @property
+    def empty(self) -> bool:
+        return not self._queue
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        parked = "parked" if self._receiver is not None else "no"
+        return f"Mailbox(queued={len(self._queue)}, {parked} receiver)"
+
+
+class Request(Command):
+    """Yieldable command that acquires a facility's server."""
+
+    __slots__ = ("facility",)
+
+    def __init__(self, facility: "Facility") -> None:
+        self.facility = facility
+
+    def apply(self, proc: Process) -> None:
+        facility = self.facility
+        if facility.busy:
+            facility._waiters.append(proc)
+        else:
+            facility.busy = True
+            facility.sim.schedule(0.0, proc.resume)
+
+
+class Facility:
+    """One server with a FIFO wait queue (a switch CPU).
+
+    Processes acquire it with ``yield facility.request()`` and must call
+    :meth:`release` exactly once when done; releasing an idle facility
+    raises.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        #: Whether a process holds (or has just been granted) the server.
+        self.busy = False
+        self._waiters: Deque[Process] = deque()
+
+    def request(self) -> Request:
+        """Return the yieldable acquire command for this facility."""
+        return Request(self)
+
+    def release(self) -> None:
+        """Release the server; hands it to the oldest waiter if any."""
+        if not self.busy:
+            raise SimulationError("release() on an idle facility")
+        if self._waiters:
+            # Hand over the server without dropping occupancy.
+            self.sim.schedule(0.0, self._waiters.popleft().resume)
+        else:
+            self.busy = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "busy" if self.busy else "idle"
+        return f"Facility({state}, queued={len(self._waiters)})"

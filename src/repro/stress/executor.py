@@ -18,10 +18,12 @@ but takes away its two sources of internal nondeterminism-hiding:
   completion via :meth:`~repro.sim.kernel.Simulator.run_instant`, so a
   state between steps is always settled-at-an-instant.
 
-Because the kernel heap is ordered by ``(time, priority, seq)`` and every
-counter in the stack is deterministic, replaying the same step sequence
-from a fresh executor reproduces the same state bit for bit -- the
-foundation for stateless (replay-based) search and schedule minimization.
+Because the kernel heap is ordered by ``(time, seq)`` -- ties break by
+schedule order, and every wake, CPU grant and first step is its own entry
+(the order contract in :mod:`repro.sim.kernel`) -- and every counter in
+the stack is deterministic, replaying the same step sequence from a fresh
+executor reproduces the same state bit for bit: the foundation for
+stateless (replay-based) search and schedule minimization.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.protocol import DgmcNetwork, ProtocolConfig
 from repro.core.state import McState
 from repro.core.timestamp import Stamp, stamp_gt
 from repro.core.wire import encode_topology
+from repro.lsr.flooding import DeliverFn, Transport
 from repro.lsr.lsa import NonMcLsa
 from repro.net.invariants import (
     STALE_INSTALL,
@@ -45,7 +48,6 @@ from repro.net.invariants import (
     check_tree_bytes,
     check_tree_structure,
 )
-from repro.net.transport import DeliverFn, Transport
 from repro.sim.kernel import Simulator
 from repro.stress.model import Step, StressScenario
 

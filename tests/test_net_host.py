@@ -11,13 +11,15 @@ host must run it whole.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 
-from repro.core.events import JoinEvent
+from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.protocol import ProtocolConfig
+from repro.lsr.flooding import Transport
 from repro.net.host import LiveSwitch
-from repro.net.transport import Transport
+from repro.sim import Process
 from repro.topo.generators import grid_network
 
 CID = 1
@@ -107,3 +109,35 @@ def test_live_host_honours_the_degraded_repair_ablation():
     hosts, _ = line_of_hosts(ablate_degraded_repair=True)
     detector = fail_inside_tc_window(hosts)
     assert detector.fire_link(1, 2, up=True) == []
+
+
+def live_processes(hosts) -> int:
+    """Kernel processes of these hosts that anything still references."""
+    gc.collect()
+    sims = {id(host.sim) for host in hosts.values()}
+    return sum(
+        1 for obj in gc.get_objects()
+        if isinstance(obj, Process) and id(obj.sim) in sims
+    )
+
+
+def test_finished_event_handlers_are_not_retained():
+    """Regression: the kernel kept every spawned process in a list nothing
+    read, so a host leaked one finished EventHandler() (generator, done
+    event, names) per event for its whole lifetime.  What stays alive is
+    bounded by the connections held -- one ReceiveLSA() daemon per host --
+    however many events have passed."""
+    hosts, transport = line_of_hosts()
+
+    def churn(cycles: int) -> None:
+        for _ in range(cycles):
+            hosts[1].fire_membership(JoinEvent(1, CID))
+            settle(hosts, transport)
+            hosts[1].fire_membership(LeaveEvent(1, CID))
+            settle(hosts, transport)
+
+    churn(2)
+    held = live_processes(hosts)
+    assert held == len(hosts)  # one connection: one daemon per host
+    churn(10)
+    assert live_processes(hosts) == held

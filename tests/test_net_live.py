@@ -174,8 +174,10 @@ class TestIngestValidation:
         """Regression: a stamp the codec accepts but the network cannot
         own used to raise inside ``sim.step()`` (wrong length) and kill
         the pump task silently; sparse stamps would instead absorb the
-        bogus origin into E and never propose again.  Both frames below
-        travel the real path: encode, UDP, decode, ingest."""
+        bogus origin into E and never propose again.  A frame naming a
+        connection that is not provisioned used to raise ``KeyError`` out
+        of the datagram callback, after it was acked.  Every frame below
+        travels the real path: encode, UDP, decode, ingest."""
 
         async def run():
             scenario = make_scenario(switches=5, seed=9, events=2)
@@ -197,9 +199,15 @@ class TestIngestValidation:
                 fabric.transport.send_snap(
                     1, 2, McSnapshot(1, bogus, bogus, Stamp(), 5, Stamp(), (), None)
                 )
+                fine = Stamp({1: 1})
+                fabric.transport.send(1, 2, McLsa(1, McEvent.LEAVE, 99, None, fine))
+                fabric.transport.send_snap(
+                    1, 2, McSnapshot(99, fine, fine, Stamp(), 1, Stamp(), (), None)
+                )
                 await fabric.quiesce()
                 assert not victim._task.done()  # the pump is still running
                 assert victim.states[1].expected == expected_before
+                assert 99 not in victim.states  # no state from a rejected frame
                 # ... and still doing its job.
                 fabric.fire_event(JoinEvent(2, 1))
                 await fabric.quiesce()
@@ -211,6 +219,7 @@ class TestIngestValidation:
         assert ok, detail
         assert counters['live_rejected_total{reason="stamp-origin-out-of-range"}'] == 2
         assert counters['live_rejected_total{reason="source-out-of-range"}'] == 1
+        assert counters['live_rejected_total{reason="unknown-connection"}'] == 2
 
 
 class TestLiveCli:

@@ -1,6 +1,8 @@
-"""Tests for the simulation kernel: event ordering, cancellation, SimEvent."""
+"""Tests for the simulation kernel: event ordering, run control, safety checks."""
 
 from __future__ import annotations
+
+import heapq
 
 import pytest
 
@@ -26,26 +28,6 @@ class TestScheduling:
         sim.run()
         assert seen == list("abcde")
 
-    def test_priority_breaks_same_time_ties(self, sim):
-        seen = []
-        sim.schedule(1.0, lambda: seen.append("low"), priority=1)
-        sim.schedule(1.0, lambda: seen.append("high"), priority=0)
-        sim.run()
-        assert seen == ["high", "low"]
-
-    def test_heap_orders_by_tuple_never_by_handle(self, sim):
-        """Entries are (time, priority, seq, handle) tuples and seq is
-        unique, so the handle -- which defines no order -- is never compared."""
-        seen = []
-        handles = [
-            sim.schedule(1.0, lambda i=i: seen.append(i), priority=i % 2)
-            for i in range(50)
-        ]
-        with pytest.raises(TypeError):
-            handles[0] < handles[1]
-        sim.run()
-        assert seen == list(range(0, 50, 2)) + list(range(1, 50, 2))
-
     def test_clock_advances_to_event_time(self, sim):
         times = []
         sim.schedule(2.5, lambda: times.append(sim.now))
@@ -63,6 +45,21 @@ class TestScheduling:
         sim.schedule_at(5.0, lambda: hits.append(sim.now))
         sim.run()
         assert hits == [5.0]
+
+    def test_schedule_at_into_the_past_rejected(self, sim):
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(4.0, lambda: None)
+
+    def test_time_going_backwards_is_detected(self, sim):
+        """Entries only enter through schedule(), which refuses the past;
+        a heap corrupted behind its back must stop the run, not rewind it."""
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        heapq.heappush(sim._heap, (1.0, -1, lambda: None))
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.run()
 
     def test_nested_scheduling_from_action(self, sim):
         seen = []
@@ -101,13 +98,6 @@ class TestRunControl:
     def test_run_empty_heap_is_noop(self, sim):
         assert sim.run() == 0.0
 
-    def test_max_events_limits_dispatch(self, sim):
-        seen = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: seen.append(i))
-        sim.run(max_events=2)
-        assert seen == [0, 1]
-
     def test_run_is_not_reentrant(self, sim):
         def evil():
             with pytest.raises(SimulationError):
@@ -132,77 +122,33 @@ class TestRunControl:
         assert sim.events_dispatched == 3
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self, sim):
+class TestPiecewiseDriving:
+    """What the live pump and the systematic explorer drive the heap with."""
+
+    def test_run_instant_drains_the_current_instant_only(self, sim):
         seen = []
-        entry = sim.schedule(1.0, lambda: seen.append("x"))
-        entry.cancel()
-        sim.run()
-        assert seen == []
 
-    def test_cancelled_event_skipped_by_peek(self, sim):
-        entry = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        entry.cancel()
-        assert sim.peek() == 2.0
+        def cascade():
+            seen.append("a")
+            sim.schedule(0.0, lambda: seen.append("b"))
 
-    def test_cancel_is_idempotent(self, sim):
-        entry = sim.schedule(1.0, lambda: None)
-        entry.cancel()
-        entry.cancel()
-        sim.run()
+        sim.schedule(0.0, cascade)
+        sim.schedule(1.0, lambda: seen.append("later"))
+        assert sim.run_instant() == 2
+        assert seen == ["a", "b"]
+        assert sim.now == 0.0 and sim.peek() == 1.0
 
+    def test_advance_to_next_jumps_and_drains_that_instant(self, sim):
+        seen = []
+        sim.schedule(2.0, lambda: sim.schedule(0.0, lambda: seen.append("cascade")))
+        sim.schedule(2.0, lambda: seen.append("tie"))
+        sim.schedule(3.0, lambda: seen.append("later"))
+        assert sim.advance_to_next() == 2.0
+        assert seen == ["tie", "cascade"]
+        assert sim.queue_depth == 1
 
-class TestSimEvent:
-    def test_fire_wakes_waiters_with_value(self, sim):
-        ev = sim.event("go")
-        got = []
-        ev.add_waiter(got.append)
-        ev.add_waiter(got.append)
-        ev.fire("payload")
-        sim.run()
-        assert got == ["payload", "payload"]
-
-    def test_waiting_on_fired_event_returns_immediately(self, sim):
-        ev = sim.event()
-        ev.fire(42)
-        got = []
-        ev.add_waiter(got.append)
-        sim.run()
-        assert got == [42]
-
-    def test_double_fire_is_noop(self, sim):
-        ev = sim.event()
-        ev.fire(1)
-        ev.fire(2)
-        assert ev.value == 1
-
-    def test_reset_allows_refire(self, sim):
-        ev = sim.event()
-        ev.fire(1)
-        ev.reset()
-        assert not ev.fired
-        ev.fire(2)
-        assert ev.value == 2
-
-
-class TestQuiescence:
-    def test_run_until_quiescent_with_true_check(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run_until_quiescent(lambda: True)
-        assert sim.now == 1.0
-
-    def test_run_until_quiescent_deadlock_detection(self, sim):
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run_until_quiescent(lambda: False)
-
-    def test_run_until_quiescent_respects_max_time(self, sim):
-        def reschedule():
-            sim.schedule(1.0, reschedule)
-
-        sim.schedule(1.0, reschedule)
-        sim.run_until_quiescent(lambda: True, max_time=5.5)
-        assert sim.now == 5.5
+    def test_advance_to_next_on_empty_heap(self, sim):
+        assert sim.advance_to_next() is None
 
 
 class TestDeterminism:

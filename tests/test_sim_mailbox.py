@@ -1,11 +1,10 @@
-"""Tests for mailboxes: FIFO delivery, blocking receive, timeouts."""
+"""Tests for mailboxes: FIFO delivery, one blocking receiver, non-blocking reads."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.mailbox import Mailbox, MailboxClosed
-from repro.sim.process import Hold, Receive
+from repro.sim.kernel import Hold, Mailbox, Receive, SimulationError
 
 
 class TestBasics:
@@ -35,27 +34,46 @@ class TestBasics:
         sim.run()
         assert got == [("late", 5.0)]
 
-    def test_multiple_receivers_served_in_arrival_order(self, sim):
+    def test_second_blocked_receiver_is_rejected(self, sim):
+        """One receiver per mailbox: parking a second would lose the first."""
         box = Mailbox(sim)
-        got = []
 
-        def consumer(name):
-            got.append((name, (yield Receive(box))))
+        def consumer():
+            yield Receive(box)
 
-        sim.spawn(consumer("first"))
-        sim.spawn(consumer("second"))
-        sim.schedule(1.0, lambda: box.send("a"))
-        sim.schedule(2.0, lambda: box.send("b"))
+        sim.spawn(consumer())
+        sim.spawn(consumer())
+        with pytest.raises(SimulationError, match="one receiver"):
+            sim.run()
+
+    def test_same_instant_sends_wake_once_and_queue_the_rest(self, sim):
+        """The batch rule ReceiveLSA() relies on: the first message of an
+        instant is the wake, the others are there to drain when it runs."""
+        box = Mailbox(sim)
+        batches = []
+
+        def daemon():
+            while True:
+                batch = [(yield Receive(box))]
+                while not box.empty:
+                    batch.append(box.try_receive()[1])
+                batches.append((sim.now, batch))
+                yield Hold(0.5)
+
+        sim.spawn(daemon())
+        for i in range(3):
+            sim.schedule(1.0, lambda i=i: box.send(i))
+        sim.schedule(1.2, lambda: box.send("while busy"))
         sim.run()
-        assert got == [("first", "a"), ("second", "b")]
+        assert batches == [(1.0, [0, 1, 2]), (1.5, ["while busy"])]
 
     def test_len_and_empty(self, sim):
         box = Mailbox(sim)
         assert box.empty
-        assert len(box) == 0
+        assert box.peek_all() == []
         box.send(1)
         assert not box.empty
-        assert len(box) == 1
+        assert box.peek_all() == [1]
 
     def test_mailbox_is_truthy_even_when_empty(self, sim):
         box = Mailbox(sim)
@@ -66,7 +84,7 @@ class TestBasics:
         box.send("x")
         box.send("y")
         assert box.peek_all() == ["x", "y"]
-        assert len(box) == 2
+        assert box.peek_all() == ["x", "y"]
 
 
 class TestTryReceive:
@@ -81,84 +99,3 @@ class TestTryReceive:
         box = Mailbox(sim)
         ok, value = box.try_receive()
         assert not ok and value is None
-
-
-class TestTimeout:
-    def test_receive_timeout_fires(self, sim):
-        box = Mailbox(sim)
-        got = []
-
-        def consumer():
-            value = yield Receive(box, timeout=3.0)
-            got.append((value is Receive.TIMED_OUT, sim.now))
-
-        sim.spawn(consumer())
-        sim.run()
-        assert got == [(True, 3.0)]
-
-    def test_message_before_timeout_wins(self, sim):
-        box = Mailbox(sim)
-        got = []
-
-        def consumer():
-            value = yield Receive(box, timeout=3.0)
-            got.append((value, sim.now))
-
-        sim.spawn(consumer())
-        sim.schedule(1.0, lambda: box.send("fast"))
-        sim.run()
-        assert got == [("fast", 1.0)]
-        # the timeout must not fire later
-        assert sim.now == pytest.approx(3.0, abs=3.0)
-
-    def test_timed_out_receiver_not_served_later(self, sim):
-        box = Mailbox(sim)
-        got = []
-
-        def impatient():
-            value = yield Receive(box, timeout=1.0)
-            got.append(("impatient", value is Receive.TIMED_OUT))
-
-        def patient():
-            value = yield Receive(box)
-            got.append(("patient", value))
-
-        sim.spawn(impatient())
-        sim.spawn(patient())
-        sim.schedule(5.0, lambda: box.send("msg"))
-        sim.run()
-        assert ("impatient", True) in got
-        assert ("patient", "msg") in got
-
-
-class TestClose:
-    def test_send_to_closed_raises(self, sim):
-        box = Mailbox(sim)
-        box.close()
-        with pytest.raises(MailboxClosed):
-            box.send(1)
-
-    def test_queued_messages_survive_close(self, sim):
-        box = Mailbox(sim)
-        box.send("kept")
-        box.close()
-        ok, value = box.try_receive()
-        assert ok and value == "kept"
-
-
-class TestCounters:
-    def test_sent_and_delivered_counts(self, sim):
-        box = Mailbox(sim)
-        got = []
-
-        def consumer():
-            while True:
-                got.append((yield Receive(box)))
-
-        sim.spawn(consumer())
-        for i in range(4):
-            box.send(i)
-        sim.run()
-        assert box.sent_count == 4
-        assert box.delivered_count == 4
-        assert got == [0, 1, 2, 3]

@@ -1,11 +1,10 @@
-"""Tests for generator-based processes: Hold, subroutines, passivate, interrupt."""
+"""Tests for generator-based processes: Hold, lifecycle, helper generators."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.process import Hold, Passivate, ProcessState, WaitEvent
+from repro.sim.kernel import Hold, SimulationError
 
 
 class TestHold:
@@ -23,13 +22,15 @@ class TestHold:
         assert times == [2.0, 5.0]
 
     def test_zero_hold_is_allowed(self, sim):
+        finished = []
+
         def body():
             yield Hold(0.0)
-            return "done"
+            finished.append(sim.now)
 
-        proc = sim.spawn(body())
+        sim.spawn(body())
         sim.run()
-        assert proc.result == "done"
+        assert finished == [0.0]
 
     def test_negative_hold_rejected(self):
         with pytest.raises(SimulationError):
@@ -68,42 +69,21 @@ class TestLifecycle:
         sim.run()
         assert started == [4.0]
 
-    def test_result_captured_from_return(self, sim):
+    def test_first_step_is_a_heap_entry_not_an_inline_call(self, sim):
+        """spawn() never runs the body inline: the caller finishes first."""
+        trace = []
+
         def body():
-            yield Hold(1.0)
-            return 123
+            trace.append("body")
+            yield Hold(0.0)
 
-        proc = sim.spawn(body())
+        def spawner():
+            sim.spawn(body())
+            trace.append("spawner done")
+
+        sim.schedule(0.0, spawner)
         sim.run()
-        assert proc.terminated
-        assert proc.result == 123
-
-    def test_done_event_fires_with_result(self, sim):
-        def body():
-            yield Hold(1.0)
-            return "finished"
-
-        proc = sim.spawn(body())
-        got = []
-        proc.done.add_waiter(got.append)
-        sim.run()
-        assert got == ["finished"]
-
-    def test_waiting_on_done_from_another_process(self, sim):
-        def worker():
-            yield Hold(3.0)
-            return "w"
-
-        results = []
-
-        def waiter(proc):
-            value = yield WaitEvent(proc.done)
-            results.append((sim.now, value))
-
-        w = sim.spawn(worker())
-        sim.spawn(waiter(w))
-        sim.run()
-        assert results == [(3.0, "w")]
+        assert trace == ["spawner done", "body"]
 
     def test_yielding_garbage_raises(self, sim):
         def body():
@@ -113,43 +93,81 @@ class TestLifecycle:
         with pytest.raises(SimulationError, match="unsupported"):
             sim.run()
 
+    def test_yielding_a_generator_raises(self, sim):
+        """Helpers compose with ``yield from``; a bare generator is no command."""
+
+        def inner():
+            yield Hold(1.0)
+
+        def body():
+            yield inner()
+
+        sim.spawn(body())
+        with pytest.raises(SimulationError, match="unsupported"):
+            sim.run()
+
+    def test_exception_in_body_propagates_out_of_run(self, sim):
+        class Boom(Exception):
+            pass
+
+        def body():
+            yield Hold(1.0)
+            raise Boom
+
+        sim.spawn(body())
+        with pytest.raises(Boom):
+            sim.run()
+        assert sim.now == 1.0
+
+    def test_body_may_be_any_object_with_send(self, sim):
+        """The e2e tracer wraps a body generator in a timing proxy."""
+        sent = []
+
+        class Proxy:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def send(self, value):
+                sent.append(value)
+                return self._gen.send(value)
+
+        times = []
+
+        def body():
+            yield Hold(2.0)
+            times.append(sim.now)
+
+        sim.spawn(Proxy(body()))
+        sim.run()
+        assert times == [2.0]
+        assert sent == [None, None]
+
 
 class TestSubroutines:
-    def test_yielded_generator_runs_as_subroutine(self, sim):
-        def inner():
-            yield Hold(2.0)
-            return "inner-value"
-
-        trace = []
-
-        def outer():
-            value = yield inner()
-            trace.append((sim.now, value))
-
-        sim.spawn(outer())
-        sim.run()
-        assert trace == [(2.0, "inner-value")]
-
     def test_nested_subroutines(self, sim):
+        results = []
+
         def level3():
             yield Hold(1.0)
             return 3
 
         def level2():
-            v = yield level3()
+            v = yield from level3()
             yield Hold(1.0)
             return v + 10
 
         def level1():
-            v = yield level2()
-            return v + 100
+            v = yield from level2()
+            results.append(v + 100)
 
-        proc = sim.spawn(level1())
+        sim.spawn(level1())
         sim.run()
-        assert proc.result == 113
+        assert results == [113]
         assert sim.now == 2.0
 
     def test_subroutine_loop(self, sim):
+        results = []
+
         def step():
             yield Hold(1.0)
             return 1
@@ -157,80 +175,10 @@ class TestSubroutines:
         def body():
             total = 0
             for _ in range(4):
-                total += yield step()
-            return total
+                total += yield from step()
+            results.append(total)
 
-        proc = sim.spawn(body())
+        sim.spawn(body())
         sim.run()
-        assert proc.result == 4
+        assert results == [4]
         assert sim.now == 4.0
-
-
-class TestPassivate:
-    def test_passivate_until_activated(self, sim):
-        trace = []
-
-        def sleeper():
-            trace.append(("sleep", sim.now))
-            value = yield Passivate()
-            trace.append(("woke", sim.now, value))
-
-        proc = sim.spawn(sleeper())
-        sim.schedule(5.0, lambda: proc.activate("hi"))
-        sim.run()
-        assert trace == [("sleep", 0.0), ("woke", 5.0, "hi")]
-
-    def test_activate_non_passive_raises(self, sim):
-        def body():
-            yield Hold(10.0)
-
-        proc = sim.spawn(body())
-        sim.run(until=1.0)
-        with pytest.raises(SimulationError):
-            proc.activate()
-
-
-class TestInterrupt:
-    def test_interrupt_cancels_hold(self, sim):
-        trace = []
-
-        def body():
-            try:
-                yield Hold(100.0)
-            except SimulationError:
-                trace.append(("interrupted", sim.now))
-
-        proc = sim.spawn(body())
-        sim.schedule(2.0, proc.interrupt)
-        sim.run()
-        assert trace == [("interrupted", 2.0)]
-        assert proc.terminated
-
-    def test_interrupt_with_custom_exception(self, sim):
-        class Boom(Exception):
-            pass
-
-        caught = []
-
-        def body():
-            try:
-                yield Hold(100.0)
-            except Boom:
-                caught.append(True)
-                yield Hold(1.0)
-                return "recovered"
-
-        proc = sim.spawn(body())
-        sim.schedule(1.0, lambda: proc.interrupt(Boom()))
-        sim.run()
-        assert caught == [True]
-        assert proc.result == "recovered"
-
-    def test_interrupt_terminated_process_is_noop(self, sim):
-        def body():
-            yield Hold(1.0)
-
-        proc = sim.spawn(body())
-        sim.run()
-        proc.interrupt()  # no raise
-        assert proc.state is ProcessState.TERMINATED

@@ -1,12 +1,10 @@
-"""Tests for facilities: capacity, FIFO queueing, utilization accounting."""
+"""Tests for the single-server facility: serialization, FIFO hand-over."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import SimulationError
-from repro.sim.process import Hold
-from repro.sim.resource import Facility
+from repro.sim.kernel import Facility, Hold, SimulationError
 
 
 def worker(sim, facility, trace, name, service):
@@ -42,38 +40,38 @@ class TestSingleServer:
         order = [n for kind, n, _ in trace if kind == "start"]
         assert order == ["first", "second", "late"]
 
-    def test_busy_flag_and_queue_length(self, sim):
+    def test_busy_flag(self, sim):
         fac = Facility(sim)
         trace = []
         sim.spawn(worker(sim, fac, trace, "a", 5.0))
         sim.spawn(worker(sim, fac, trace, "b", 5.0))
         sim.run(until=1.0)
         assert fac.busy
-        assert fac.in_use == 1
-        assert fac.queue_length == 1
+        sim.run(until=6.0)  # handed over to "b" without going idle
+        assert fac.busy
+        sim.run()
+        assert not fac.busy
 
-    def test_completions_counted(self, sim):
+    def test_grant_is_a_heap_entry_not_an_inline_call(self, sim):
+        """release() never resumes the next holder inline."""
         fac = Facility(sim)
         trace = []
-        for name in "abc":
-            sim.spawn(worker(sim, fac, trace, name, 1.0))
+
+        def holder():
+            yield fac.request()
+            yield Hold(1.0)
+            fac.release()
+            trace.append("released")
+
+        def waiter():
+            yield fac.request()
+            trace.append("granted")
+            fac.release()
+
+        sim.spawn(holder())
+        sim.spawn(waiter())
         sim.run()
-        assert fac.completions == 3
-
-
-class TestMultiServer:
-    def test_capacity_two_runs_pairs(self, sim):
-        fac = Facility(sim, capacity=2)
-        trace = []
-        for name in ("a", "b", "c"):
-            sim.spawn(worker(sim, fac, trace, name, 2.0))
-        sim.run()
-        starts = sorted(t for kind, _, t in trace if kind == "start")
-        assert starts == [0.0, 0.0, 2.0]
-
-    def test_invalid_capacity_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Facility(sim, capacity=0)
+        assert trace == ["released", "granted"]
 
 
 class TestRelease:
@@ -81,27 +79,3 @@ class TestRelease:
         fac = Facility(sim)
         with pytest.raises(SimulationError):
             fac.release()
-
-
-class TestUtilization:
-    def test_utilization_half_busy(self, sim):
-        fac = Facility(sim)
-        trace = []
-        sim.spawn(worker(sim, fac, trace, "a", 5.0))
-
-        def idle_until_ten():
-            yield Hold(10.0)
-
-        sim.spawn(idle_until_ten())
-        sim.run()
-        assert fac.utilization() == pytest.approx(0.5)
-
-    def test_utilization_zero_when_unused(self, sim):
-        fac = Facility(sim)
-
-        def tick():
-            yield Hold(4.0)
-
-        sim.spawn(tick())
-        sim.run()
-        assert fac.utilization() == 0.0
