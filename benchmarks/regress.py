@@ -106,6 +106,7 @@ if str(REPO / "src") not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.events import JoinEvent, LeaveEvent
+from repro.core.invariants import canonical_tree_bytes
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
 from repro.harness.figures import (
     EXP1_COMPUTE,
@@ -227,16 +228,6 @@ def bench_spf_substrate(sizes, graphs) -> Dict[str, object]:
     }
 
 
-def _topology_blob(dgmc, m) -> bytes:
-    """Canonical bytes of every switch's installed topology."""
-    snapshot = []
-    for x, state in sorted(dgmc.states_for(m).items()):
-        edges = sorted(state.installed.all_edges()) if state.installed else []
-        members = sorted((sw, sorted(r)) for sw, r in state.members.items())
-        snapshot.append((x, edges, members))
-    return repr(snapshot).encode()
-
-
 def _routing_blob(dgmc) -> bytes:
     """Canonical bytes of every switch's unicast next-hop table."""
     tables = [
@@ -287,7 +278,7 @@ def _churn_run(n: int, graph: int, seed: int) -> tuple:
     return (
         int(delta[attach.DIJKSTRA_RUNS]),
         int(delta[attach.SPF_RELAXATIONS]),
-        _topology_blob(dgmc, m),
+        canonical_tree_bytes(dgmc.states_for(m)),
         _routing_blob(dgmc),
         dgmc.sim.events_dispatched,
     )
@@ -355,7 +346,7 @@ def _failure_churn_run(n: int, graph: int, seed: int) -> tuple:
         int(delta[attach.SPF_ISPF_REPAIRS]),
         int(delta[attach.SPF_ISPF_FALLBACKS]),
         link_events,
-        _topology_blob(dgmc, m),
+        canonical_tree_bytes(dgmc.states_for(m)),
         _routing_blob(dgmc),
     )
 
@@ -818,7 +809,7 @@ def _frr_soak_arm(n: int, seed: int, enable_frr: bool, cycles: int) -> Dict[str,
         "window_sent": window_sent,
         "window_lost": window_lost,
         "covered_cycles": covered_cycles,
-        "blob": _topology_blob(dgmc, 1),
+        "blob": canonical_tree_bytes(dgmc.states_for(1)),
     }
 
 

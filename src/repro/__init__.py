@@ -43,7 +43,7 @@ from repro.core import (
     VectorTimestamp,
 )
 from repro.topo import Network
-from repro.verify import VerificationError, verify_deployment
+from repro.core.invariants import VerificationError, verify_deployment
 
 __version__ = "1.0.0"
 

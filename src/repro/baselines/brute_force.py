@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.mc import ConnectionSpec, ConnectionType, Role, default_role
+from repro.core.mc import ConnectionRegistrar, ConnectionSpec, Role, default_role
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
 from repro.obs import tracer as obs_tracer
@@ -50,7 +50,7 @@ class _BruteForceSwitchState:
         self.last_install_time = 0.0
 
 
-class BruteForceNetwork:
+class BruteForceNetwork(ConnectionRegistrar):
     """A network running the brute-force event-driven MC protocol."""
 
     def __init__(
@@ -81,18 +81,6 @@ class BruteForceNetwork:
         self.fabric.bind_metrics(self.metrics)
         for x in net.switches():
             self.fabric.register(x, self._deliver)
-
-    # -- registry ----------------------------------------------------------
-
-    def register_symmetric(self, connection_id: int) -> ConnectionSpec:
-        spec = ConnectionSpec(connection_id, ConnectionType.SYMMETRIC)
-        self.connection_registry[connection_id] = spec
-        return spec
-
-    def register_receiver_only(self, connection_id: int) -> ConnectionSpec:
-        spec = ConnectionSpec(connection_id, ConnectionType.RECEIVER_ONLY)
-        self.connection_registry[connection_id] = spec
-        return spec
 
     def _state(self, switch: int, connection_id: int) -> _BruteForceSwitchState:
         per_switch = self.states[switch]

@@ -19,7 +19,9 @@ Layout mirrors the paper:
 * :mod:`repro.core.switch` -- the switch entity hosting the two protocol
   routines ``EventHandler()`` (Figure 4) and ``ReceiveLSA()`` (Figure 5),
 * :mod:`repro.core.protocol` -- the network-wide protocol instance wiring
-  switches, flooding fabric, unicast routers, and metrics together.
+  switches, flooding fabric, unicast routers, and metrics together,
+* :mod:`repro.core.invariants` -- the correctness contract: every named
+  invariant, stated once, behind one entry function every harness calls.
 """
 
 from repro.core.timestamp import VectorTimestamp
@@ -28,7 +30,8 @@ from repro.core.mc import ConnectionSpec, ConnectionType, Role
 from repro.core.state import McState
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, MemberEvent, NodeEvent
 from repro.core.switch import DgmcSwitch
-from repro.core.protocol import DgmcNetwork, ProtocolConfig, check_agreement
+from repro.core.invariants import check_agreement
+from repro.core.protocol import DgmcNetwork, ProtocolConfig
 
 __all__ = [
     "check_agreement",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional
 
 from repro.trees.algorithms import RECEIVER, SENDER
 
@@ -81,3 +81,35 @@ class ConnectionSpec:
     def __post_init__(self) -> None:
         if self.connection_id < 0:
             raise ValueError("connection_id must be non-negative")
+
+
+class ConnectionRegistrar:
+    """The provisioning API of a deployment, over ``connection_registry``.
+
+    Both execution backends (:class:`~repro.core.protocol.DgmcNetwork` and
+    the live ``LiveFabric``) declare an MC -- its id, type and algorithm --
+    before use, like the paper's pre-registered MC identifiers.
+    """
+
+    connection_registry: Dict[int, ConnectionSpec]
+
+    def register_connection(self, spec: ConnectionSpec) -> ConnectionSpec:
+        if spec.connection_id in self.connection_registry:
+            raise ValueError(f"connection {spec.connection_id} already registered")
+        self.connection_registry[spec.connection_id] = spec
+        return spec
+
+    def register_symmetric(self, connection_id: int, **kw) -> ConnectionSpec:
+        return self.register_connection(
+            ConnectionSpec(connection_id, ConnectionType.SYMMETRIC, **kw)
+        )
+
+    def register_receiver_only(self, connection_id: int, **kw) -> ConnectionSpec:
+        return self.register_connection(
+            ConnectionSpec(connection_id, ConnectionType.RECEIVER_ONLY, **kw)
+        )
+
+    def register_asymmetric(self, connection_id: int) -> ConnectionSpec:
+        return self.register_connection(
+            ConnectionSpec(connection_id, ConnectionType.ASYMMETRIC)
+        )

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, NodeEvent
+from repro.core.invariants import check_agreement
 from repro.core.lsa import McEvent, McLsa
-from repro.core.mc import ConnectionSpec, ConnectionType
+from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch
 from repro.core.timestamp import Stamp
@@ -110,47 +111,7 @@ class InstallRecord:
     proposer: int
 
 
-def check_agreement(
-    connection_id: int, states: Dict[int, McState]
-) -> Tuple[bool, str]:
-    """Check global agreement over a set of per-switch states.
-
-    Shared by every execution backend (the discrete-event
-    :class:`DgmcNetwork` and the live :class:`repro.net.fabric.LiveFabric`).
-    Returns ``(ok, detail)``: all switches holding state for the
-    connection must agree on the member list, the C stamp, and the
-    installed topology; mismatch details name the disagreeing switch and
-    connection.  A connection with no state anywhere (fully destroyed)
-    trivially agrees.
-    """
-    if not states:
-        return True, (
-            f"connection {connection_id}: no state anywhere (connection destroyed)"
-        )
-    reference_switch = min(states)
-    ref = states[reference_switch]
-    for x, state in sorted(states.items()):
-        if state.members != ref.members:
-            return False, (
-                f"connection {connection_id}: member list mismatch at switch {x} "
-                f"(vs switch {reference_switch}): "
-                f"{sorted(state.members)} != {sorted(ref.members)}"
-            )
-        if state.current_stamp != ref.current_stamp:
-            return False, (
-                f"connection {connection_id}: C mismatch at switch {x} "
-                f"(vs switch {reference_switch}): "
-                f"{state.current_stamp} != {ref.current_stamp}"
-            )
-        if state.installed != ref.installed:
-            return False, (
-                f"connection {connection_id}: installed topology mismatch at "
-                f"switch {x} (vs switch {reference_switch})"
-            )
-    return True, f"connection {connection_id}: {len(states)} switches agree"
-
-
-class DgmcNetwork:
+class DgmcNetwork(ConnectionRegistrar):
     """A complete simulated D-GMC deployment."""
 
     def __init__(
@@ -244,30 +205,6 @@ class DgmcNetwork:
                 self._duplicate_lsas.inc()  # stale copy, already installed
         else:  # pragma: no cover - guards against harness bugs
             raise TypeError(f"unexpected flooded payload {payload!r}")
-
-    # -- connection registry ------------------------------------------------------
-
-    def register_connection(self, spec: ConnectionSpec) -> ConnectionSpec:
-        """Declare an MC (its id, type, and algorithm) before use."""
-        if spec.connection_id in self.connection_registry:
-            raise ValueError(f"connection {spec.connection_id} already registered")
-        self.connection_registry[spec.connection_id] = spec
-        return spec
-
-    def register_symmetric(self, connection_id: int, **kw) -> ConnectionSpec:
-        return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.SYMMETRIC, **kw)
-        )
-
-    def register_receiver_only(self, connection_id: int, **kw) -> ConnectionSpec:
-        return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.RECEIVER_ONLY, **kw)
-        )
-
-    def register_asymmetric(self, connection_id: int) -> ConnectionSpec:
-        return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.ASYMMETRIC)
-        )
 
     # -- event injection --------------------------------------------------------------
 
@@ -404,13 +341,8 @@ class DgmcNetwork:
         }
 
     def agreement(self, connection_id: int) -> Tuple[bool, str]:
-        """Check global agreement for a connection after quiescence.
-
-        Returns ``(ok, detail)``: all switches holding state for the
-        connection must agree on the member list, the C stamp, and the
-        installed topology.  A connection with no state anywhere (fully
-        destroyed) trivially agrees.
-        """
+        """``(ok, detail)`` of :func:`~repro.core.invariants.check_agreement`
+        over the live switches, after quiescence."""
         states = {
             x: s
             for x, s in self.states_for(connection_id).items()

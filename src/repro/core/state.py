@@ -13,10 +13,12 @@ algorithms, carries the previous tree).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.timestamp import Stamp, VectorTimestamp
+from repro.obs.context import TraceContext
 from repro.trees.base import McTopology
 
 
@@ -98,9 +100,6 @@ class McState:
         #: Set when an install retires active fragments; the install hooks
         #: (simulator and live fabric) consume it to count frr_retired.
         self.frr_retired_pending = 0
-        #: Lifetime activation/retirement totals (diagnostics).
-        self.frr_activations = 0
-        self.frr_retired = 0
 
     # -- membership ------------------------------------------------------------
 
@@ -188,7 +187,6 @@ class McState:
         self.proposals_accepted += 1
         self.backup_plan = None
         if self.active_backup:
-            self.frr_retired += len(self.active_backup)
             self.frr_retired_pending += len(self.active_backup)
             self.active_backup = {}
             self.frr_epoch += 1
@@ -205,7 +203,6 @@ class McState:
             return False
         self.active_backup[fragment.edge] = fragment
         self.frr_epoch += 1
-        self.frr_activations += 1
         return True
 
     def take_frr_retirements(self) -> int:
@@ -220,3 +217,42 @@ class McState:
             f"E={self.expected}, C={self.current_stamp}, "
             f"members={sorted(self.members)}, flag={self.make_proposal_flag})"
         )
+
+
+@dataclass(frozen=True)
+class McSnapshot:
+    """One connection's arbitration state: what a SNAP frame carries.
+
+    ``members`` maps switch id to its role set; ``topology`` is the
+    installed topology as canonical wire bytes (``None`` before the first
+    install).  Snapshots merge monotonically: membership is adopted
+    per origin switch ``o`` only when the membership stamp
+    ``member_stamp[o]`` (``o``'s own event index at its latest
+    join/leave) exceeds the local M[o] -- membership of ``o`` changes
+    only through events ``o`` itself originates, so M[o] totally orders
+    views of it even when link events have pushed R[o] further.
+    """
+
+    connection_id: int
+    received: Stamp
+    expected: Stamp
+    current: Stamp
+    proposer: int
+    member_stamp: Stamp
+    members: Tuple[Tuple[int, FrozenSet[str]], ...]
+    topology: Optional[bytes]
+    #: Causal trace context (observability only; excluded from equality).
+    ctx: Optional[TraceContext] = field(default=None, compare=False, repr=False)
+    #: Active fast-reroute fragments as ``(u, v, path)`` tuples (protected
+    #: edge in canonical order, detour node path from ``u`` to ``v``).
+    #: Data-plane-only: carried so a healing peer that missed the local
+    #: activation window can point its data plane off the dead edge
+    #: before the repair cycle converges; never feeds arbitration.
+    active_backup: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
+
+    def member_map(self) -> Dict[int, FrozenSet[str]]:
+        return dict(self.members)
+
+    def stamps(self) -> Tuple[Stamp, Stamp, Stamp, Stamp]:
+        """R, E, C, M in wire order."""
+        return self.received, self.expected, self.current, self.member_stamp

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, Role, default_role
-from repro.core.state import McState
+from repro.core.state import McSnapshot, McState
 from repro.core.timestamp import Stamp, stamp_gt
 from repro.frr import activate_for_edge
 from repro.lsr.router import UnicastRouter
@@ -143,10 +143,6 @@ class DgmcSwitch:
             self._mailboxes[connection_id] = box
             self.sim.spawn(self._receive_lsa_daemon(connection_id, state, box))
         return state
-
-    def mailbox(self, connection_id: int) -> Mailbox:
-        self.get_or_create_state(connection_id)
-        return self._mailboxes[connection_id]
 
     def _maybe_destroy(self, connection_id: int) -> bool:
         """Delete local MC data structures when the member list is empty.
@@ -516,53 +512,67 @@ class DgmcSwitch:
                 if state.trace_ctx is not None:
                     span.args["trace_id"] = state.trace_ctx.trace_id()
 
-        # Lines 19-31: decide whether to compute a triggered proposal.
-        if (
-            state.make_proposal_flag
-            and (state.no_outstanding_lsas() or self.config.ablate_re_gate)
-            and (state.covers_new_events() or self.config.ablate_rc_gate)
-        ):
-            old_r = state.received.snapshot()  # line 20
-            proposal = yield from self._compute_proposal(state)  # line 21
-            if (
-                box.empty and state.received.equals(old_r)
-            ) or self.config.ablate_withdrawal:  # line 22
-                self._flood(
-                    McLsa(x, McEvent.NONE, connection_id, proposal, old_r,
-                          ctx=state.trace_ctx)
-                )  # line 23
-                # Line 24: E = R.  (merge, not assign: with the withdrawal
-                # ablation E may already exceed old_r and must stay monotone.)
-                state.expected.merge(old_r)
-                state.make_proposal_flag = False  # line 27
-                if self._beats(old_r, x, candidate_stamp, candidate_proposer):
-                    candidate = proposal  # line 25
-                    candidate_stamp = old_r  # line 26 (paper misprints C)
-                    candidate_proposer = x
-            else:
-                # Lines 28-30: withdraw the proposal.  The paper's line 29
-                # nulls candidate_proposal outright, which also discards a
-                # *received* proposal selected earlier in this batch -- the
-                # LSA has been consumed, so that proposal would be lost
-                # forever, and under sustained conflict (compute windows
-                # that always overlap new arrivals) a switch can miss the
-                # winning proposal entirely and stay split from the rest.
-                # Withdrawing only the own (never-adopted) proposal fixes
-                # the liveness hole; see deviation 3 in the module
-                # docstring and DESIGN.md.
-                state.proposals_withdrawn += 1
-                if tracer.enabled:
-                    tracer.instant(
-                        "withdraw",
-                        cat="arbitration",
-                        tid=x,
-                        sim_time=self.sim.now,
-                        connection=connection_id,
-                    )
+        # Lines 19-31: the triggered proposal, a candidate like any other.
+        if self._proposal_due(state):
+            own = yield from self._triggered_proposal(connection_id, state)
+            if own is not None and self._beats(
+                own[1], x, candidate_stamp, candidate_proposer
+            ):
+                candidate, candidate_stamp = own  # lines 25-26 (paper misprints C)
+                candidate_proposer = x
 
         # Lines 32-35: accept the surviving candidate.
         if candidate is not None:
             self._install(state, candidate, candidate_stamp, candidate_proposer)
+
+    def _proposal_due(self, state: McState) -> bool:
+        """Figure 5 line 19: the flag is set, ``R >= E`` and ``R > C``."""
+        return (
+            state.make_proposal_flag
+            and (state.no_outstanding_lsas() or self.config.ablate_re_gate)
+            and (state.covers_new_events() or self.config.ablate_rc_gate)
+        )
+
+    def _triggered_proposal(self, connection_id: int, state: McState):
+        """Figure 5 lines 20-31 up to the candidate step.
+
+        Snapshot R; compute; then flood the proposal, or withdraw it when
+        LSAs raced in during Tc (or the connection was destroyed under
+        it).  Returns ``(proposal, old_R)`` when flooded, else ``None``.
+        ReceiveLSA() and the resync kick both run this once
+        :meth:`_proposal_due`; each keeps its own candidate / install step.
+        """
+        old_r = state.received.snapshot()  # line 20
+        proposal = yield from self._compute_proposal(state)  # line 21
+        quiet = (
+            self.states.get(connection_id) is state
+            and self._mailboxes[connection_id].empty
+            and state.received.equals(old_r)
+        )
+        if quiet or self.config.ablate_withdrawal:  # line 22
+            self._flood(
+                McLsa(self.switch_id, McEvent.NONE, connection_id, proposal, old_r,
+                      ctx=state.trace_ctx)
+            )  # line 23
+            # Line 24: E = R.  (merge, not assign: with the withdrawal
+            # ablation E may already exceed old_r and must stay monotone.)
+            state.expected.merge(old_r)
+            state.make_proposal_flag = False  # line 27
+            return proposal, old_r
+        # Lines 28-30: withdraw -- the own, never-adopted proposal only.  A
+        # *received* candidate the caller picked earlier in the batch
+        # survives (deviation 2 in the module docstring and DESIGN.md).
+        state.proposals_withdrawn += 1
+        tracer = obs_tracer.TRACER
+        if tracer.enabled:
+            tracer.instant(
+                "withdraw",
+                cat="arbitration",
+                tid=self.switch_id,
+                sim_time=self.sim.now,
+                connection=connection_id,
+            )
+        return None
 
     def _install(self, state: McState, topology, stamp, proposer: int) -> None:
         tracer = obs_tracer.TRACER
@@ -620,7 +630,7 @@ class DgmcSwitch:
     # -- crash-recovery resync (used by repro.net.resync) ----------------------
 
     def capture_resync_snapshot(self, connection_id: int):
-        """A :class:`~repro.net.frames.McSnapshot` of one connection.
+        """A :class:`~repro.core.state.McSnapshot` of one connection.
 
         None when this switch holds no state for the connection.  The
         snapshot is the complete arbitration picture (R, E, C, proposer,
@@ -631,14 +641,13 @@ class DgmcSwitch:
         if state is None:
             return None
         from repro.core.wire import encode_topology
-        from repro.net import frames
 
         topology = (
             encode_topology(state.installed)
             if state.installed is not None
             else None
         )
-        return frames.McSnapshot(
+        return McSnapshot(
             connection_id=connection_id,
             received=state.received.snapshot(),
             expected=state.expected.snapshot(),
@@ -656,12 +665,7 @@ class DgmcSwitch:
 
     def capture_resync_snapshots(self) -> list:
         """Snapshots of every connection this switch currently holds."""
-        out = []
-        for connection_id in sorted(self.states):
-            snap = self.capture_resync_snapshot(connection_id)
-            if snap is not None:
-                out.append(snap)
-        return out
+        return [self.capture_resync_snapshot(c) for c in sorted(self.states)]
 
     def apply_resync_snapshot(self, snap) -> bool:
         """Merge a peer's arbitration snapshot; True when anything changed.
@@ -739,7 +743,7 @@ class DgmcSwitch:
         gossip lattice stays monotone (activation is idempotent and
         installs retire fragments atomically).
         """
-        backups = getattr(snap, "active_backup", ())
+        backups = snap.active_backup
         if (
             not backups
             or not self.config.enable_frr
@@ -771,33 +775,21 @@ class DgmcSwitch:
 
         A snapshot merge can leave ``R > C`` with no LSA in any mailbox,
         so ReceiveLSA() would never run its triggered-computation tail;
-        this process replays exactly that tail.  Concurrent kicks at
-        several switches converge through the equal-stamp lower-proposer
-        rule, like any other triggered-proposal race.
+        this process runs that same tail (:meth:`_triggered_proposal`)
+        and installs the result.  Concurrent kicks at several switches
+        converge through the equal-stamp lower-proposer rule, like any
+        other triggered-proposal race.
         """
-        x = self.switch_id
-        if (
-            self.states.get(connection_id) is not state
-            or not state.make_proposal_flag
-            or not state.no_outstanding_lsas()
-            or not state.covers_new_events()
+        if self.states.get(connection_id) is not state or not self._proposal_due(state):
+            return
+        own = yield from self._triggered_proposal(connection_id, state)
+        if own is None:
+            return
+        proposal, old_r = own
+        if self._beats(
+            old_r, self.switch_id, state.current_stamp, state.current_proposer
         ):
-            return
-        old_r = state.received.snapshot()  # line 20
-        proposal = yield from self._compute_proposal(state)  # line 21
-        box = self._mailboxes.get(connection_id)
-        if (
-            self.states.get(connection_id) is not state
-            or not ((box is None or box.empty) and state.received.equals(old_r))
-        ):  # lines 28-30: events raced in during Tc -- withdraw
-            state.proposals_withdrawn += 1
-            return
-        self._flood(McLsa(x, McEvent.NONE, connection_id, proposal, old_r,
-                          ctx=state.trace_ctx))  # 23
-        state.expected.merge(old_r)  # line 24
-        state.make_proposal_flag = False  # line 27
-        if self._beats(old_r, x, state.current_stamp, state.current_proposer):
-            self._install(state, proposal, old_r, proposer=x)  # lines 25-26
+            self._install(state, proposal, old_r, proposer=self.switch_id)  # 25-26
         self._maybe_destroy(connection_id)
 
     # -- forwarding view -------------------------------------------------------------

@@ -16,14 +16,13 @@ simulator.  The same protocol logic (:class:`repro.core.switch.DgmcSwitch`,
   N switches and drives a workload to quiescence,
 * :mod:`repro.net.resync` -- hello-based failure detection and the
   neighbor database-exchange (resync) protocol,
-* :mod:`repro.net.invariants` -- the named invariants chaos and the
-  systematic explorer both check,
 * :mod:`repro.net.chaos` -- the seeded crash/partition/churn soak harness,
 * :mod:`repro.net.equiv` -- the simulated-vs-live equivalence harness.
 
 The dependency runs one way: this package imports the protocol stack
 (``repro.core``, ``repro.lsr``, ``repro.sim``), which imports nothing from
-here at module level.  Import names from the submodule that defines them;
-the package itself imports none, so reaching :mod:`repro.net.invariants`
-(as :mod:`repro.stress` does) does not load asyncio.
+here at any depth (``tests/test_layering.py``); the named invariants chaos
+and the equivalence harness check live in :mod:`repro.core.invariants`.
+Import names from the submodule that defines them; the package itself
+imports none.
 """

@@ -6,14 +6,11 @@ restarts, network partitions with heals) interleaved with membership
 churn, on top of steady injected frame loss/duplication.  After every
 action the fabric settles behind the quiescence barrier; at every
 *stable* point (no active partition, no crashed switch) the paper's
-correctness conditions are re-asserted:
-
-* :func:`~repro.core.protocol.check_agreement` over all live switches,
-* byte-identical installed trees through the real wire codec,
-* every tree acyclic/connected and the shared tree spanning the members,
-* every previously-restarted switch holding a complete LSDB -- rebuilt
-  by the resync protocol alone (``seed_converged_lsdb`` is never called
-  after boot; restarts go through ``LiveFabric.restart``).
+correctness conditions are re-asserted -- the whole contract of
+:mod:`repro.core.invariants`, settled, plus its live-only rider: every
+previously-restarted switch holds a complete LSDB, rebuilt by the resync
+protocol alone (``seed_converged_lsdb`` is never called after boot;
+restarts go through ``LiveFabric.restart``).
 
 The schedule is a pure function of the seed, so a failing soak replays
 exactly with ``repro chaos --seed N``.
@@ -29,13 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent
+from repro.core.invariants import Violation, check_invariants, check_lsdb_complete
 from repro.core.protocol import ProtocolConfig
-from repro.net.invariants import (
-    AGREEMENT,
-    LSDB_COMPLETE,
-    Violation,
-    protocol_violations,
-)
 from repro.net.fabric import LiveConfig, LiveFabric, QuiescenceTimeout
 from repro.net.faults import FaultPlan
 from repro.net.transport import RetransmitPolicy
@@ -240,14 +232,13 @@ class ChaosReport:
     checks: int = 0
     violations: List[str] = field(default_factory=list)
     #: Stable invariant names of the violations, in the same order (see
-    #: :data:`repro.net.invariants.ALL_INVARIANTS`, plus the live-only
+    #: :data:`repro.core.invariants.ALL_INVARIANTS`, plus the live-only
     #: ``quiescence-timeout`` liveness verdict); the CLI reports these.
     violation_names: List[str] = field(default_factory=list)
     #: Switches that were crashed and cold-restarted at least once.
     restarted: List[int] = field(default_factory=list)
     crash_count: int = 0
     partition_count: int = 0
-    final_detail: str = ""
     final_members: Tuple[int, ...] = ()
     counters: Dict[str, float] = field(default_factory=dict)
     prom: str = ""
@@ -316,24 +307,22 @@ def _record_violations(
 def _stable_invariants(
     fabric: LiveFabric, connection_id: int, context: str
 ) -> List[Violation]:
-    """The paper's correctness conditions, checked at a stable point.
-
-    Delegates to the shared invariant suite (:mod:`repro.net.invariants`)
-    so the soak reports the same named invariants as the systematic
-    explorer; the live-only ``lsdb-complete`` check rides on top.
-    """
-    states = fabric.states_for(connection_id)
-    violations = protocol_violations(connection_id, states, context=context)
-    for x, host in sorted(fabric.hosts.items()):
-        if fabric.generations[x] > 1 and not host.router.lsdb.complete():
-            violations.append(
-                Violation(
-                    LSDB_COMPLETE,
-                    f"restarted switch {x} has an incomplete LSDB",
-                    context,
-                )
-            )
-    return violations
+    """The shared contract at a stable point, plus ``lsdb-complete``."""
+    return check_invariants(
+        connection_id,
+        fabric.states_for(connection_id),
+        fabric.net,
+        fabric.install_log,
+        settled=True,
+        context=context,
+    ) + check_lsdb_complete(
+        {
+            x: host.router.lsdb
+            for x, host in fabric.hosts.items()
+            if fabric.generations[x] > 1
+        },
+        context,
+    )
 
 
 async def run_chaos_soak(settings: Optional[ChaosSettings] = None) -> ChaosReport:
@@ -447,12 +436,6 @@ async def run_chaos_soak(settings: Optional[ChaosSettings] = None) -> ChaosRepor
             report, _stable_invariants(fabric, cfg.connection_id, "final"),
             fabric,
         )
-        ok, detail = fabric.agreement(cfg.connection_id)
-        report.final_detail = detail
-        if not ok:
-            _record_violations(
-                report, [Violation(AGREEMENT, detail, "final")], fabric
-            )
         states = fabric.states_for(cfg.connection_id)
         if states:
             report.final_members = tuple(sorted(states[min(states)].members))

@@ -24,15 +24,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.events import JoinEvent, LeaveEvent
+from repro.core.invariants import canonical_tree_bytes, check_agreement, check_invariants
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
-from repro.core.state import McState
 from repro.net.fabric import LiveConfig, LiveFabric
 from repro.net.faults import FaultPlan
-
-# Canonical wire-byte encoding now lives in the shared invariant module
-# (the chaos soak and stress explorer use it too); the old private name is
-# kept as an alias for existing imports.
-from repro.net.invariants import canonical_tree_bytes as _canonical_tree_bytes
 from repro.topo.generators import waxman_network
 from repro.topo.graph import Network
 from repro.workloads.membership import sparse_schedule
@@ -106,6 +101,7 @@ class BackendResult:
     """What one backend produced for a scenario."""
 
     backend: str
+    #: No invariant of :mod:`repro.core.invariants` is violated (settled).
     agreed: bool
     detail: str
     #: Sorted final member list (from the reference switch's state).
@@ -118,10 +114,21 @@ class BackendResult:
     prom: str = ""
 
 
-def _members_of(states: Dict[int, McState]) -> Tuple[int, ...]:
-    if not states:
-        return ()
-    return tuple(sorted(states[min(states)].members))
+def _result(backend: str, deployment, connection_id: int, **extra) -> BackendResult:
+    """Judge a settled deployment of either backend by the shared contract."""
+    states = deployment.states_for(connection_id)
+    violations = check_invariants(
+        connection_id, states, deployment.net, deployment.install_log, settled=True
+    )
+    return BackendResult(
+        backend=backend,
+        agreed=not violations,
+        detail=(violations[0].describe() if violations
+                else check_agreement(connection_id, states)[1]),
+        members=tuple(sorted(states[min(states)].members)) if states else (),
+        trees=canonical_tree_bytes(states),
+        **extra,
+    )
 
 
 def run_discrete(scenario: LiveScenario) -> BackendResult:
@@ -131,19 +138,7 @@ def run_discrete(scenario: LiveScenario) -> BackendResult:
     for at, event in scenario.timeline:
         dgmc.inject(event, at=at)
     dgmc.run()
-    agreed, detail = dgmc.agreement(scenario.connection_id)
-    states = {
-        x: switch.states[scenario.connection_id]
-        for x, switch in dgmc.switches.items()
-        if scenario.connection_id in switch.states
-    }
-    return BackendResult(
-        backend="discrete",
-        agreed=agreed,
-        detail=detail,
-        members=_members_of(states),
-        trees=_canonical_tree_bytes(states),
-    )
+    return _result("discrete", dgmc, scenario.connection_id)
 
 
 def run_live(
@@ -163,14 +158,10 @@ def run_live(
             fabric.inject(event, at=at)
         try:
             await fabric.run()
-            agreed, detail = fabric.agreement(scenario.connection_id)
-            states = fabric.states_for(scenario.connection_id)
-            return BackendResult(
-                backend="live",
-                agreed=agreed,
-                detail=detail,
-                members=_members_of(states),
-                trees=_canonical_tree_bytes(states),
+            return _result(
+                "live",
+                fabric,
+                scenario.connection_id,
                 counters=fabric.counters(),
                 prom=fabric.metrics.to_prometheus(),
             )

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, NodeEvent
-from repro.core.mc import ConnectionSpec, ConnectionType
-from repro.core.protocol import InstallRecord, ProtocolConfig, check_agreement
+from repro.core.invariants import check_agreement
+from repro.core.mc import ConnectionRegistrar, ConnectionSpec
+from repro.core.protocol import InstallRecord, ProtocolConfig
 from repro.core.state import McState
 from repro.core.timestamp import Stamp
 from repro.net.faults import FaultPlan
@@ -77,7 +78,7 @@ class QuiescenceTimeout(RuntimeError):
     """The fabric did not settle within ``quiesce_timeout``."""
 
 
-class LiveFabric:
+class LiveFabric(ConnectionRegistrar):
     """A complete live D-GMC deployment on loopback UDP."""
 
     def __init__(
@@ -118,29 +119,6 @@ class LiveFabric:
         self.crashed: set[int] = set()
         #: Cross-group pairs severed by the active partition (empty = none).
         self._partition_pairs: set[Tuple[int, int]] = set()
-
-    # -- connection registry ---------------------------------------------------
-
-    def register_connection(self, spec: ConnectionSpec) -> ConnectionSpec:
-        if spec.connection_id in self.connection_registry:
-            raise ValueError(f"connection {spec.connection_id} already registered")
-        self.connection_registry[spec.connection_id] = spec
-        return spec
-
-    def register_symmetric(self, connection_id: int, **kw) -> ConnectionSpec:
-        return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.SYMMETRIC, **kw)
-        )
-
-    def register_receiver_only(self, connection_id: int, **kw) -> ConnectionSpec:
-        return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.RECEIVER_ONLY, **kw)
-        )
-
-    def register_asymmetric(self, connection_id: int) -> ConnectionSpec:
-        return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.ASYMMETRIC)
-        )
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -18,11 +18,12 @@ causal trace context (:class:`~repro.obs.context.TraceContext`)::
 
 The context is observability metadata only -- it never feeds protocol
 decisions -- but it is what stitches flood -> compute -> arbitration ->
-install into one causal trace tree across hosts.  The decoder still
-accepts version-1 frames (no context prefix) so mixed-version soaks
-interoperate; the encoder emits version 2 for everything but pair-form
-SNAP frames.  ACK/HELLO/DBD carry no context (acks are infrastructure,
-hellos/DBDs are liveness probes whose cause is themselves).
+install into one causal trace tree across hosts.  The encoder emits
+version 2 for everything but pair-form SNAP frames; version 1 (no
+context prefix) was never emitted by this repository's encoders and is
+rejected as an unsupported version.  ACK/HELLO/DBD carry no context
+(acks are infrastructure, hellos/DBDs are liveness probes whose cause is
+themselves).
 
 Six frame types exist:
 
@@ -40,11 +41,12 @@ Six frame types exist:
   ``(origin, seqnum)`` pairs, opening a resync handshake.  Body: a
   reply flag (a reply DBD never triggers another DBD, so the handshake
   terminates), then the header list.
-* SNAP (5) -- one MC connection's arbitration state (:class:`McSnapshot`)
-  for resync: connection ``u32``, proposer ``u16``, the R / E / C / M
-  stamps, member roles, the active fast-reroute fragments
-  (count-prefixed, before the topology flag), and the installed topology
-  as canonical :func:`~repro.core.wire.encode_topology` bytes.  The four
+* SNAP (5) -- one MC connection's arbitration state
+  (:class:`~repro.core.state.McSnapshot`) for resync: connection ``u32``,
+  proposer ``u16``, the R / E / C / M stamps, member roles, the active
+  fast-reroute fragments (count-prefixed, before the topology flag), and
+  the installed topology as canonical
+  :func:`~repro.core.wire.encode_topology` bytes.  The four
   stamps take whichever layout is shorter in total, exactly as in an MC
   LSA (:mod:`repro.core.wire`): version 2 is ``n u16`` then four
   ``u32 x n`` vectors (``n`` = highest non-zero origin of any of them
@@ -62,11 +64,11 @@ on anything undecodable, so socket readers need a single except clause.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.core.lsa import McLsa
-from repro.core.timestamp import Stamp
+from repro.core.state import McSnapshot
 from repro.core.wire import (
     WireDecodeError,
     decode_lsa,
@@ -84,8 +86,6 @@ from repro.trees.algorithms import RECEIVER, SENDER
 
 FRAME_MAGIC = 0xD7
 FRAME_VERSION = 2
-#: Oldest frame version the decoder still accepts (pre-trace-context).
-LEGACY_FRAME_VERSION = 1
 #: SNAP frames whose four stamps are in pair form.
 PAIR_FRAME_VERSION = 3
 DATA = 1
@@ -157,45 +157,6 @@ class DbdFrame:
 
     def header_map(self) -> Dict[int, int]:
         return dict(self.headers)
-
-
-@dataclass(frozen=True)
-class McSnapshot:
-    """One MC connection's arbitration state, as carried by a SNAP frame.
-
-    ``members`` maps switch id to its role set; ``topology`` is the
-    installed topology as canonical wire bytes (``None`` before the first
-    install).  Snapshots merge monotonically: membership is adopted
-    per origin switch ``o`` only when the membership stamp
-    ``member_stamp[o]`` (``o``'s own event index at its latest
-    join/leave) exceeds the local M[o] -- membership of ``o`` changes
-    only through events ``o`` itself originates, so M[o] totally orders
-    views of it even when link events have pushed R[o] further.
-    """
-
-    connection_id: int
-    received: Stamp
-    expected: Stamp
-    current: Stamp
-    proposer: int
-    member_stamp: Stamp
-    members: Tuple[Tuple[int, FrozenSet[str]], ...]
-    topology: Optional[bytes]
-    #: Causal trace context (observability only; excluded from equality).
-    ctx: Optional[TraceContext] = field(default=None, compare=False, repr=False)
-    #: Active fast-reroute fragments as ``(u, v, path)`` tuples (protected
-    #: edge in canonical order, detour node path from ``u`` to ``v``).
-    #: Data-plane-only: carried so a healing peer that missed the local
-    #: activation window can point its data plane off the dead edge
-    #: before the repair cycle converges; never feeds arbitration.
-    active_backup: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
-
-    def member_map(self) -> Dict[int, FrozenSet[str]]:
-        return dict(self.members)
-
-    def stamps(self) -> Tuple[Stamp, Stamp, Stamp, Stamp]:
-        """R, E, C, M in wire order."""
-        return self.received, self.expected, self.current, self.member_stamp
 
 
 @dataclass(frozen=True)
@@ -454,7 +415,7 @@ def _decode_lsa_body(body: bytes, context: str) -> Union[McLsa, NonMcLsa]:
 
 
 def _take_ctx(body: bytes) -> Tuple[Optional[TraceContext], bytes]:
-    """Split a version-2 body into (trace context, remaining payload)."""
+    """Split a frame body into (trace context, remaining payload)."""
     if not body:
         raise FrameDecodeError("truncated trace-context prefix")
     flag = body[0]
@@ -479,7 +440,7 @@ def decode_frame(data: bytes) -> Frame:
     magic, version, ftype, src, dest, seq = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise FrameDecodeError(f"bad frame magic 0x{magic:02x}")
-    if version not in (FRAME_VERSION, LEGACY_FRAME_VERSION) and not (
+    if version != FRAME_VERSION and not (
         version == PAIR_FRAME_VERSION and ftype == SNAP
     ):
         raise FrameDecodeError(f"unsupported frame version {version}")
@@ -489,9 +450,7 @@ def decode_frame(data: bytes) -> Frame:
             raise FrameDecodeError("trailing bytes after ACK")
         return AckFrame(src, dest, seq)
     if ftype == DATA:
-        ctx, payload = (
-            _take_ctx(body) if version >= FRAME_VERSION else (None, body)
-        )
+        ctx, payload = _take_ctx(body)
         lsa = _decode_lsa_body(payload, "DATA")
         if ctx is not None:
             # The LSA was built two lines up and nobody else holds it:
@@ -506,9 +465,7 @@ def decode_frame(data: bytes) -> Frame:
     if ftype == DBD:
         return _decode_dbd(src, dest, seq, body)
     if ftype == SNAP:
-        ctx, payload = (
-            _take_ctx(body) if version >= FRAME_VERSION else (None, body)
-        )
+        ctx, payload = _take_ctx(body)
         frame = _decode_snap(
             src, dest, seq, payload, pairs=version == PAIR_FRAME_VERSION
         )
@@ -516,9 +473,7 @@ def decode_frame(data: bytes) -> Frame:
             frame = SnapFrame(src, dest, seq, replace(frame.snapshot, ctx=ctx))
         return frame
     if ftype == LSU:
-        ctx, payload = (
-            _take_ctx(body) if version >= FRAME_VERSION else (None, body)
-        )
+        ctx, payload = _take_ctx(body)
         lsa = _decode_lsa_body(payload, "LSU")
         if not isinstance(lsa, NonMcLsa):
             raise FrameDecodeError("LSU frames carry non-MC LSAs only")

@@ -123,6 +123,9 @@ class LiveSwitch:
         self.metrics: MetricsRegistry = getattr(transport, "metrics", None)
         if self.metrics is None:
             self.metrics = MetricsRegistry()
+        self._duplicate_lsas = self.metrics.counter(
+            "lsa_duplicates_total", "stale non-MC LSAs rejected on receive"
+        )
         #: Hello cadence (0 disables failure detection entirely).
         self.hello_interval = hello_interval
         #: Silence span after which a neighbor is declared dead.  The
@@ -144,8 +147,6 @@ class LiveSwitch:
         self._hello_task: Optional[asyncio.Task] = None
         self._pumping = False
         self._stopped = False
-        #: Payloads accepted from the transport (diagnostic).
-        self.ingested = 0
         #: Per-host mint counter for causal trace contexts.
         self._ctx_seq = 0
         #: Optional :class:`~repro.obs.slo.SloTracker` (set by the fabric).
@@ -217,10 +218,12 @@ class LiveSwitch:
                 return
             self.switch.deliver_mc_lsa(payload)
         elif isinstance(payload, NonMcLsa):
-            self.router.receive(payload)
+            if self.router.receive(payload):
+                self.resync.lsdb_grew()
+            else:
+                self._duplicate_lsas.inc()  # stale copy, already installed
         else:  # pragma: no cover - transport bug guard
             raise TypeError(f"unexpected payload {payload!r}")
-        self.ingested += 1
         self._wake.set()
 
     def admit(self, source: int, span: int, connection_id: int) -> bool:

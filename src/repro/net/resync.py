@@ -32,7 +32,9 @@ rebuilds state after a crash or partition heal:
   :meth:`~repro.core.switch.DgmcSwitch.apply_resync_snapshot`; a merge
   that changed anything is re-broadcast so the snapshot lattice joins
   propagate network-wide, and the existing triggered-proposal machinery
-  (the resync kick) re-arbitrates the merged event set.
+  (the resync kick) re-arbitrates the merged event set.  A cold-booted
+  host *holds* every SNAP until its LSDB is complete: no proposal before
+  the database exchange finishes (see :meth:`ResyncManager.on_snap`).
 
 A restarted switch therefore reaches a complete LSDB and rejoins MC
 arbitration through the protocol alone -- ``seed_converged_lsdb`` is a
@@ -42,7 +44,7 @@ boot-time convenience for clean starts, never called after recovery.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.lsr.lsa import NonMcLsa
 from repro.net import frames
@@ -85,6 +87,9 @@ class ResyncManager:
         #: incident link down (False when it was already admin-down, so
         #: recovery must not resurrect a link an operator disabled).
         self.dead: Dict[int, bool] = {}
+        #: Newest SNAP per (peer, connection) a cold-booted host is holding
+        #: back until its LSDB is complete (see :meth:`on_snap`).
+        self._held_snaps: Dict[Tuple[int, int], "frames.SnapFrame"] = {}
         reg = metrics if metrics is not None else MetricsRegistry()
         self._c_dbd_sent = reg.counter(
             "resync_dbd_sent_total", "database-description frames sent"
@@ -328,6 +333,14 @@ class ResyncManager:
             # storm is bounded (re-flood only on change).
             self.host.flood_out.flood(x, frame.lsa, kind="non-mc")
             self._c_refloods.inc()
+            self.lsdb_grew()
+
+    def lsdb_grew(self) -> None:
+        """An LSA was news: release the held SNAPs once the LSDB is complete."""
+        if self._held_snaps and self.host.router.lsdb.complete():
+            held, self._held_snaps = self._held_snaps, {}
+            for frame in held.values():
+                self.on_snap(frame)
 
     def on_snap(self, frame: "frames.SnapFrame") -> None:
         snap = frame.snapshot
@@ -336,6 +349,15 @@ class ResyncManager:
             max(stamp.span() for stamp in snap.stamps()),
             snap.connection_id,
         ):
+            return
+        if self.cold_boot and not self.host.router.lsdb.complete():
+            # The merge below is what lets a restarted host propose (it
+            # inherits R > C and kicks).  On a partial image that proposal
+            # can miss reachable members and still win the equal-stamp
+            # tie-break on proposer id, after which every switch agrees on
+            # it forever (R == E == C, no further trigger).  Hold the SNAP;
+            # lsdb_grew() re-delivers it when the exchange completes.
+            self._held_snaps[frame.src, snap.connection_id] = frame
             return
         if not self.host.switch.apply_resync_snapshot(snap):
             return

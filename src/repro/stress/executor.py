@@ -29,25 +29,16 @@ stateless (replay-based) search and schedule minimization.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.invariants import Violation, check_invariants
 from repro.core.lsa import McLsa
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
 from repro.core.state import McState
-from repro.core.timestamp import Stamp, stamp_gt
 from repro.core.wire import encode_topology
 from repro.lsr.flooding import DeliverFn, Transport
 from repro.lsr.lsa import NonMcLsa
-from repro.net.invariants import (
-    STALE_INSTALL,
-    Violation,
-    check_agreement_violations,
-    check_spans,
-    check_tree_bytes,
-    check_tree_structure,
-)
 from repro.sim.kernel import Simulator
 from repro.stress.model import Step, StressScenario
 
@@ -174,13 +165,6 @@ class StressExecutor:
         #: Scenario event indices already fired.
         self.fired: Set[int] = set()
         self.drops = 0
-        #: Transitions applied (replay cost accounting for the explorer).
-        self.steps_applied = 0
-        #: Continuously monitored violations (stale installs).
-        self.monitor_violations: List[Violation] = []
-        self._installed_stamps: Dict[Tuple[int, int], Stamp] = {}
-        for sw in self.dgmc.switches.values():
-            sw.on_install = self._watch_install
         # Setup: converge each initial join in isolation, FIFO delivery.
         from repro.core.events import JoinEvent
 
@@ -189,32 +173,6 @@ class StressExecutor:
                 JoinEvent(member, scenario.connection_id), at=self.sim.now
             )
             self.flush()
-
-    # -- install monitor -----------------------------------------------------
-
-    def _watch_install(
-        self, switch: int, connection_id: int, stamp: Stamp, proposer: int
-    ) -> None:
-        """``stale-install``: an installed topology must never regress.
-
-        Arbitration (:meth:`~repro.core.switch.DgmcSwitch._beats`) is
-        supposed to guarantee the installed stamp is non-decreasing at
-        every switch; a strictly dominated replacement means a stale
-        proposal won.
-        """
-        key = (switch, connection_id)
-        prev = self._installed_stamps.get(key)
-        if prev is not None and stamp_gt(prev, stamp):
-            self.monitor_violations.append(
-                Violation(
-                    STALE_INSTALL,
-                    f"switch {switch} replaced installed stamp {prev} "
-                    f"with dominated stamp {stamp} "
-                    f"(proposer {proposer})",
-                )
-            )
-        self._installed_stamps[key] = stamp
-        self.dgmc._record_install(switch, connection_id, stamp, proposer)
 
     # -- transition system ---------------------------------------------------
 
@@ -239,7 +197,6 @@ class StressExecutor:
     def apply(self, step: Step) -> None:
         """Apply one transition and settle the zero-delay cascade."""
         kind = step[0]
-        self.steps_applied += 1
         if kind == "event":
             i = step[1]
             if i in self.fired or not (0 <= i < len(self.scenario.events)):
@@ -354,43 +311,20 @@ class StressExecutor:
 
     # -- invariants ----------------------------------------------------------
 
-    def _members_mutually_reachable(self, members: FrozenSet[int]) -> bool:
-        """All members in one connected component of the up-link graph."""
-        if len(members) <= 1:
-            return True
-        start = min(members)
-        seen = {start}
-        frontier = deque([start])
-        while frontier:
-            x = frontier.popleft()
-            for y in self.dgmc.net.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return members <= seen
-
     def check_invariants(self, context: str = "") -> List[Violation]:
         """Every violated invariant at the current state.
 
-        Monitored violations (``stale-install``) and ``tree-structure``
-        are unconditional.  ``agreement`` and ``tree-bytes`` require a
-        *terminal loss-free* state: before the schedule completes (or
-        after a deliberate drop) switches legitimately disagree.
-        ``spans`` additionally requires the member set to be mutually
-        reachable over the current up-link topology -- a tree computed
-        while part of the membership was unreachable legitimately fails
-        to span it, and only restored connectivity makes the check fair.
+        The contract is :func:`repro.core.invariants.check_invariants`;
+        this harness only decides ``settled``: the convergence conditions
+        are asserted in *terminal loss-free* states -- before the schedule
+        completes (or after a deliberate drop) switches legitimately
+        disagree.
         """
-        violations = list(self.monitor_violations)
-        states = self.states()
-        violations += check_tree_structure(states, context)
-        if self.terminal() and self.drops == 0:
-            violations += check_agreement_violations(
-                self.scenario.connection_id, states, context
-            )
-            violations += check_tree_bytes(states, context)
-            if states:
-                ref = states[min(states)]
-                if self._members_mutually_reachable(ref.member_set):
-                    violations += check_spans(states, context)
-        return violations
+        return check_invariants(
+            self.scenario.connection_id,
+            self.states(),
+            self.dgmc.net,
+            self.dgmc.install_log,
+            settled=self.terminal() and self.drops == 0,
+            context=context,
+        )

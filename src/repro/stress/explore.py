@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.net.invariants import Violation
+from repro.core.invariants import Violation
 from repro.obs import flight
 from repro.stress.executor import InfeasibleStep, StressExecutor
 from repro.stress.minimize import minimize_schedule

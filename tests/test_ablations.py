@@ -13,8 +13,8 @@ import random
 import pytest
 
 from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
+from repro.core.invariants import verify_deployment
 from repro.topo.generators import waxman_network
-from repro.verify import verify_deployment
 
 
 def run_burst(seed: int, **flags):

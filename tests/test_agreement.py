@@ -10,8 +10,9 @@ a 100-switch run diverges.
 
 from __future__ import annotations
 
+from repro.core.invariants import check_agreement
 from repro.core.mc import ConnectionSpec, ConnectionType
-from repro.core.protocol import DgmcNetwork, check_agreement
+from repro.core.protocol import DgmcNetwork
 from repro.core.state import McState
 from repro.topo.graph import Network
 from repro.trees.base import McTopology, MulticastTree

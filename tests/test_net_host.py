@@ -6,7 +6,8 @@ interleaving is exact: a link fails and recovers inside one Tc window at
 the detecting host.  This is the live-runtime port of the explorer's
 ``degraded-repair`` finding (docs/systematic-testing.md): the detector's
 rule is :meth:`~repro.core.switch.DgmcSwitch.detect_link_change`, and the
-host must run it whole.
+host must run it whole.  The same harness pins the cold-boot rule: a
+restarted host proposes nothing before its database exchange completes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import gc
 from collections import deque
 
 from repro.core.events import JoinEvent, LeaveEvent
+from repro.core.lsa import McLsa
 from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.protocol import ProtocolConfig
 from repro.lsr.flooding import Transport
+from repro.lsr.lsa import NonMcLsa
+from repro.net import frames
 from repro.net.host import LiveSwitch
 from repro.sim import Process
 from repro.topo.generators import grid_network
@@ -38,6 +42,13 @@ class RecordingTransport(Transport):
 
     def send(self, src, dest, payload, delay=0.0) -> None:
         self.queue.append((dest, payload))
+
+    # The resync control frames, queued like everything else.
+    def send_lsu(self, src, dest, lsa) -> None:
+        self.queue.append((dest, frames.LsuFrame(src, dest, 0, lsa)))
+
+    def send_snap(self, src, dest, snapshot) -> None:
+        self.queue.append((dest, frames.SnapFrame(src, dest, 0, snapshot)))
 
     def has_handler(self, switch_id) -> bool:
         return switch_id in self.handlers
@@ -77,10 +88,18 @@ def settle(hosts, transport) -> None:
     """FIFO delivery and local compute until nothing is left anywhere."""
     while transport.queue or any(h.sim.peek() is not None for h in hosts.values()):
         while transport.queue:
-            dest, payload = transport.queue.popleft()
-            hosts[dest].ingest(dest, payload)
+            deliver(hosts, *transport.queue.popleft())
         for host in hosts.values():
             host.sim.run()
+
+
+def deliver(hosts, dest, item) -> None:
+    if dest not in hosts:
+        return  # frames to a crashed host vanish
+    if isinstance(item, (McLsa, NonMcLsa)):
+        hosts[dest].ingest(dest, item)
+    else:
+        hosts[dest].resync.handle(item, now=0.0)
 
 
 def fail_inside_tc_window(hosts):
@@ -141,3 +160,46 @@ def test_finished_event_handlers_are_not_retained():
     assert held == len(hosts)  # one connection: one daemon per host
     churn(10)
     assert live_processes(hosts) == held
+
+
+def test_cold_booted_host_proposes_nothing_before_its_lsdb_is_complete():
+    """Regression (chaos seed 1 with --frr, about one run in three): a
+    restarted host merged a SNAP carrying ``R > C`` while its LSDB still
+    lacked entries, proposed from that partial image -- members it could
+    not see left out -- and, having the lowest id, won the equal-stamp
+    tie-break against the correct proposal.  Every switch then agreed on
+    the degraded tree forever.  Here the wire delivers the SNAP before the
+    LSUs of the same database exchange."""
+    hosts, transport = line_of_hosts()
+    survivor = hosts[1]
+    old = hosts.pop(0)  # host 0 crashes; its neighbour declares it dead ...
+    survivor.fire_link(0, 1, up=False)
+    settle(hosts, transport)
+    reborn = LiveSwitch(
+        0, old.net.copy(), old.config, transport,
+        connection_registry=old.connection_registry, generation=2, cold_boot=True,
+    )
+    reborn.boot_cold()
+    # ... hears it again: the repair computation takes the CPU (R > C) ...
+    survivor.fire_link(0, 1, up=True)
+    survivor.sim.run_instant()
+    assert survivor.switch.inflight_computes
+    while transport.queue:  # host 0 is not listening yet
+        deliver(hosts, *transport.queue.popleft())
+    # ... and answers its database description inside that Tc window.
+    headers = tuple(sorted(reborn.router.lsdb.headers().items()))
+    survivor.resync.handle(frames.DbdFrame(0, 1, 0, False, headers), now=0.0)
+    exchange = [item for _, item in transport.queue]
+    transport.queue.clear()
+    hosts[0] = reborn
+    snaps_first = sorted(exchange, key=lambda f: isinstance(f, frames.LsuFrame))
+    assert isinstance(snaps_first[0], frames.SnapFrame)
+    for item in snaps_first:
+        deliver(hosts, 0, item)
+        reborn.sim.run()
+        if not reborn.router.lsdb.complete():
+            assert not any(isinstance(p, McLsa) for _, p in transport.queue)
+    assert reborn.router.lsdb.complete()
+    settle(hosts, transport)
+    for x, host in hosts.items():
+        assert host.states[CID].installed.spans(MEMBERS), f"host {x} degraded"

@@ -21,14 +21,12 @@ from repro.core.lsa import McEvent, McLsa
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.net.frames import (
     FRAME_VERSION,
-    LEGACY_FRAME_VERSION,
     DataFrame,
     FrameDecodeError,
     LsuFrame,
     McSnapshot,
     SnapFrame,
     decode_frame,
-    encode_ack,
     encode_data,
     encode_lsu,
     encode_snap,
@@ -51,9 +49,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLO_BUCKETS, SloTracker
 from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
 from tests.stamps import S
-
-HEADER_SIZE = len(encode_ack(0, 0, 0))
-
 
 def ctx(cause="join", origin=3, connection_id=1, seq=7, hop=0):
     return TraceContext(origin, connection_id, cause, seq, hop)
@@ -165,14 +160,6 @@ class TestTraceContext:
 # ---------------------------------------------------------------------------
 
 
-def _as_legacy(wire: bytes) -> bytes:
-    """Rewrite a ctx-free v2 frame as the version-1 bytes of the same frame."""
-    assert wire[HEADER_SIZE] == 0  # has_ctx flag must be clear to downgrade
-    header = bytearray(wire[:HEADER_SIZE])
-    header[1] = LEGACY_FRAME_VERSION
-    return bytes(header) + wire[HEADER_SIZE + 1 :]
-
-
 def _snapshot(with_ctx=None) -> McSnapshot:
     return McSnapshot(
         connection_id=1,
@@ -216,34 +203,19 @@ class TestFrameContextPropagation:
         frame = decode_frame(encode_data(0, 1, 1, lsa))
         assert frame.lsa.ctx is None
 
-    def test_legacy_v1_data_frame_still_decodes(self):
-        lsa = McLsa(0, McEvent.LEAVE, 1, None, S(1))
-        v2 = encode_data(0, 1, 1, lsa)
-        frame = decode_frame(_as_legacy(v2))
-        assert isinstance(frame, DataFrame)
-        assert frame.lsa == lsa and frame.lsa.ctx is None
-
-    def test_legacy_v1_snap_and_lsu_still_decode(self):
-        snap = decode_frame(_as_legacy(encode_snap(2, 5, 9, _snapshot())))
-        assert isinstance(snap, SnapFrame) and snap.snapshot == _snapshot()
-        lsa = NonMcLsa(4, RouterLsa(4, 3, ((5, 1.0, True),)))
-        lsu = decode_frame(_as_legacy(encode_lsu(4, 5, 2, lsa)))
-        assert isinstance(lsu, LsuFrame) and lsu.lsa == lsa
-
-    def test_legacy_body_is_one_byte_shorter_per_context_free_frame(self):
-        v2 = encode_data(0, 1, 1, McLsa(0, McEvent.LEAVE, 1, None, S(1)))
-        assert len(_as_legacy(v2)) == len(v2) - 1
-
-    def test_v1_frame_with_ctx_prefix_is_rejected_as_payload(self):
-        """A v1 decoder path must not interpret a has_ctx prefix."""
+    def test_v1_frames_are_rejected_as_unsupported(self):
+        """Version 1 (no trace-context prefix) was decoded but never
+        emitted by any encoder here; it is no longer a supported version,
+        with or without a context prefix in the body."""
         c = ctx()
-        lsa = McLsa(3, McEvent.LEAVE, 1, None, S(0, 0, 0, 5), ctx=c)
-        wire = bytearray(encode_data(3, 8, 42, lsa))
-        wire[1] = LEGACY_FRAME_VERSION
-        # The \x01 flag plus 12 ctx bytes now lead the LSA payload, which
-        # cannot be a valid wire LSA.
-        with pytest.raises(FrameDecodeError, match="DATA payload"):
-            decode_frame(bytes(wire))
+        for lsa in (
+            McLsa(0, McEvent.LEAVE, 1, None, S(1)),
+            McLsa(3, McEvent.LEAVE, 1, None, S(0, 0, 0, 5), ctx=c),
+        ):
+            wire = bytearray(encode_data(3, 8, 42, lsa))
+            wire[1] = 1
+            with pytest.raises(FrameDecodeError, match="unsupported frame version 1"):
+                decode_frame(bytes(wire))
 
     @given(
         cause=st.sampled_from(sorted(CAUSE_CODES)),
@@ -264,7 +236,6 @@ class TestFrameContextPropagation:
 
     def test_version_constants(self):
         assert FRAME_VERSION == 2
-        assert LEGACY_FRAME_VERSION == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, NodeEvent, ProtocolConfig
+from repro.core.invariants import VerificationError, verify_deployment
 from repro.topo.generators import ring_network, waxman_network
-from repro.verify import VerificationError, verify_deployment
 
 
 def deployment():
