@@ -66,8 +66,9 @@ Benchmarks:
   schedule (that loss *is* the paper's blackhole window), and both arms
   must reconcile to byte-identical installed trees after the repair
   cycle converges.  ``--disable-frr`` skips the protected arm to
-  demonstrate the raw loss.  The backup-compute row times
-  ``compute_backup_plan`` on an installed tree; its wall time is gated
+  demonstrate the raw loss.  The backup-compute row times one install's
+  worth of ``compute_backup_plan`` (every switch planning the edges of
+  the installed tree incident to itself); its wall time is gated
   against the committed baseline like every benchmark.
 
 Every report embeds the process-wide metrics registry's sample deltas
@@ -752,12 +753,14 @@ def _frr_soak_arm(n: int, seed: int, enable_frr: bool, cycles: int) -> Dict[str,
         if state.installed is None:
             raise AssertionError("FRR soak: no installed tree at a stable point")
         # Bridges have no loop-free detour (BackupPlan.uncovered); the
-        # zero-loss claim is scoped to edges a fragment can protect.
-        plan = compute_backup_plan(
-            state.installed, dgmc.routers[members[0]].network_image()
-        )
+        # zero-loss claim is scoped to edges a fragment can protect.  Only
+        # an endpoint plans for an edge, so ask the plan ``u`` would hold
+        # (at a stable point every switch has the same image).
+        image = dgmc.routers[members[0]].network_image()
         covered = [
-            e for e in sorted(state.installed.all_edges()) if plan.covers(*e)
+            (u, v)
+            for u, v in sorted(state.installed.all_edges())
+            if compute_backup_plan(state.installed, image, u).covers(u, v)
         ]
         if not covered:
             continue
@@ -844,12 +847,17 @@ def bench_frr_blackhole_soak(sizes, graphs) -> Dict[str, object]:
 
 
 def bench_frr_backup_compute(sizes, graphs) -> Dict[str, object]:
-    """Backup-fragment precomputation cost on one installed tree.
+    """Backup-fragment precomputation cost of one install, deployment-wide.
 
-    The per-plan cost is what every switch pays inside the install hook
-    when ``enable_frr`` is set; the benchmark's wall time (reps * plan)
-    is gated against the committed baseline, bounding regressions in the
-    detour search.  Coverage counters are deterministic for the seed.
+    One install's worth of planning is every switch of the deployment
+    running ``compute_backup_plan`` for itself on the installed tree:
+    the on-tree switches each derive the fragments of their incident
+    edges (so every tree edge is planned twice, once per endpoint) and
+    the others return at once.  Timed on warm images (SPF results
+    memoized, as after a membership event); the benchmark's wall time
+    (reps * install) is gated against the committed baseline, bounding
+    regressions in the detour search.  Coverage counters are
+    deterministic for the seed.
     """
     import random
 
@@ -869,24 +877,28 @@ def bench_frr_backup_compute(sizes, graphs) -> Dict[str, object]:
     state = dgmc.states_for(1)[members[0]]
     if state.installed is None:
         raise AssertionError("frr_backup_compute: no installed tree")
-    image = dgmc.routers[members[0]].network_image()
+    images = {x: router.network_image() for x, router in dgmc.routers.items()}
     reps = 200
     start = time.perf_counter()
     for _ in range(reps):
-        plan = compute_backup_plan(state.installed, image)
-    per_plan_s = (time.perf_counter() - start) / reps
-    tree_edges = len(state.installed.all_edges())
+        plans = [
+            compute_backup_plan(state.installed, image, x)
+            for x, image in images.items()
+        ]
+    per_install_s = (time.perf_counter() - start) / reps
+    tree = state.installed.all_edges()
     return {
         "switches": n,
         "members": len(members),
-        "tree_edges": tree_edges,
-        "fragments": len(plan.fragments),
-        "uncovered": len(plan.uncovered),
-        "reps": reps,
-        "per_plan_ms": round(per_plan_s * 1e3, 4),
-        "per_edge_us": round(
-            per_plan_s / tree_edges * 1e6 if tree_edges else 0.0, 2
+        "tree_edges": len(tree),
+        "on_tree_switches": len({x for edge in tree for x in edge}),
+        "planning_switches": sum(
+            1 for plan in plans if plan.fragments or plan.uncovered
         ),
+        "fragments": sum(len(plan.fragments) for plan in plans),
+        "uncovered": sum(len(plan.uncovered) for plan in plans),
+        "reps": reps,
+        "per_install_ms": round(per_install_s * 1e3, 4),
     }
 
 
@@ -1275,11 +1287,18 @@ def check_invariants(report: Dict[str, object]) -> List[str]:
                 "frr_backup_compute: no backup fragments were computed "
                 "for the installed tree"
             )
-        if bc["fragments"] + bc["uncovered"] != bc["tree_edges"]:
+        if bc["fragments"] + bc["uncovered"] != 2 * bc["tree_edges"]:
             failures.append(
                 "frr_backup_compute: fragments + uncovered "
-                f"({bc['fragments']} + {bc['uncovered']}) != tree edges "
-                f"({bc['tree_edges']}) -- the plan lost track of an edge"
+                f"({bc['fragments']} + {bc['uncovered']}) != 2 * tree edges "
+                f"({bc['tree_edges']}) -- an edge is not planned at exactly "
+                "its two endpoints"
+            )
+        if bc["planning_switches"] != bc["on_tree_switches"]:
+            failures.append(
+                f"frr_backup_compute: {bc['planning_switches']} switches "
+                f"hold a plan but {bc['on_tree_switches']} are on the tree "
+                "-- only an endpoint of a tree edge has anything to plan"
             )
     return failures
 

@@ -53,7 +53,12 @@ from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.state import McSnapshot, McState
 from repro.core.timestamp import Stamp, stamp_gt
-from repro.frr import activate_for_edge
+from repro.frr import (
+    BackupFragment,
+    BackupPlan,
+    activate_for_edge,
+    compute_backup_plan,
+)
 from repro.lsr.router import UnicastRouter
 from repro.obs import tracer as obs_tracer
 from repro.sim.kernel import Facility, Hold, Mailbox, Receive, Simulator
@@ -599,15 +604,18 @@ class DgmcSwitch:
         if self.config.enable_frr:
             # Reconcile fast reroute: the install itself retired any active
             # fragments (the re-proposed tree IS the repair); precompute
-            # fresh fragments against the new topology so the next failure
-            # switches over in O(1).  Installs are arbitrated to identical
-            # topologies over identical images, so every switch derives
-            # the same plan without coordination.
-            from repro.frr import compute_backup_plan
-
-            state.backup_plan = compute_backup_plan(
-                topology, self.router.network_image()
-            )
+            # fresh ones so the next failure switches over in O(1).  Only
+            # an endpoint of an edge can activate its fragment, so a switch
+            # plans its incident tree edges alone -- both endpoints derive
+            # the same fragment from identical topologies and images --
+            # and one the tree does not touch never rebuilds its image.
+            me = self.switch_id
+            if any(me in edge for edge in topology.all_edges()):
+                state.backup_plan = compute_backup_plan(
+                    topology, self.router.network_image(), me
+                )
+            else:
+                state.backup_plan = BackupPlan()
         if self.on_install is not None:
             self.on_install(
                 self.switch_id, state.spec.connection_id, stamp, proposer
@@ -730,20 +738,22 @@ class DgmcSwitch:
         """Adopt the peer's active fast-reroute fragments (resync merge).
 
         FRR activation is local to the endpoints that detect a failure;
-        a switch healing from a partition may hold the same installed
-        topology but have missed the activation window, leaving its data
-        plane pointed at the dead edge until the repair cycle converges.
-        Resync therefore carries the active-backup set: fragments are
-        adopted only when both sides agree on the installed topology
-        (the snapshot's (stamp, proposer) matches ours after the merge
-        above -- which also holds immediately after the snapshot's own
-        topology installed) and only for edges still on the installed
-        tree.  The adopted cost is re-priced against the local image;
-        like all FRR state this never touches canonical state, so the
-        gossip lattice stays monotone (activation is idempotent and
-        installs retire fragments atomically).
+        an endpoint healing from a partition may hold the same installed
+        topology but have missed its own activation window, leaving its
+        data plane pointed at the dead edge until the repair cycle
+        converges.  Resync therefore carries the active-backup set:
+        fragments are adopted only when both sides agree on the installed
+        topology (the snapshot's (stamp, proposer) matches ours after the
+        merge above -- which also holds immediately after the snapshot's
+        own topology installed), only for edges still on the installed
+        tree, and only at an endpoint of the edge -- no other switch can
+        ever hold a packet at it, so a bystander merging the same
+        snapshot keeps no state for it.  The adopted cost is re-priced
+        against the local image; like all FRR state this never touches
+        canonical state, so the gossip lattice stays monotone (activation
+        is idempotent and installs retire fragments atomically).
         """
-        backups = snap.active_backup
+        backups = [b for b in snap.active_backup if self.switch_id in b[:2]]
         if (
             not backups
             or not self.config.enable_frr
@@ -752,8 +762,6 @@ class DgmcSwitch:
             or snap.proposer != state.current_proposer
         ):
             return False
-        from repro.frr import BackupFragment
-
         image = self.router.network_image()
         tree_edges = state.installed.all_edges()
         changed = False

@@ -26,18 +26,18 @@ def activate_for_edge(states, u: int, v: int):
     """Activate every covering fragment for failed edge ``(u, v)``.
 
     ``states`` maps connection id to :class:`~repro.core.state.McState`;
-    a fragment activates when the edge is on the connection's installed
-    topology and the precomputed plan covers it.  Returns the connection
-    ids whose data plane switched over (idempotent: re-detection of an
+    a fragment activates when the connection's precomputed plan covers
+    the edge.  No check against the installed topology is needed: a
+    plan's edges are a subset of the installed tree's by construction
+    (:meth:`McState.install` clears the plan and the install path
+    recomputes it for that very topology).  Returns the connection ids
+    whose data plane switched over (idempotent: re-detection of an
     already-activated edge returns nothing).
     """
     activated = []
     for connection_id in sorted(states):
         state = states[connection_id]
-        if state.installed is None or state.backup_plan is None:
-            continue
-        edge = (u, v) if u <= v else (v, u)
-        if edge not in state.installed.all_edges():
+        if state.backup_plan is None:
             continue
         fragment = state.backup_plan.fragment_for(u, v)
         if fragment is not None and state.activate_backup(fragment):

@@ -5,12 +5,17 @@ flood -> compute -> arbitrate -> install cycle converges, so a tree-edge
 failure opens a blackhole window in which on-tree traffic is silently
 dropped.  This module closes that window with link-protection bypass
 detours in the style of the Abujassar & Ghanbari recovery schema
-(PAPERS.md): at install time, every switch precomputes -- for each edge
-of the installed :class:`~repro.trees.base.McTopology` -- a loop-free
+(PAPERS.md), computed where that schema places them -- at the node
+adjacent to the protected link: at install time, each switch
+precomputes, for every edge of the installed
+:class:`~repro.trees.base.McTopology` *incident to itself*, a loop-free
 node path that reconnects the two subtrees the edge's failure would
 sever, using the next-hop DAGs the mDT-style
 :func:`repro.lsr.spf.next_hop_dag` extraction derives from the SPF runs
-already cached in :class:`~repro.lsr.spfcache.SpfCache`.
+already cached in :class:`~repro.lsr.spfcache.SpfCache`.  The two
+endpoints of an edge hold the same fragment; interior detour switches
+and switches the tree does not touch hold none, because only the switch
+that detects the failure of its own link can ever activate one.
 
 The detour is a *tunnel*: interior detour switches need no multicast
 state -- the data plane rides the precomputed node path hop by hop and
@@ -18,11 +23,15 @@ resumes normal tree forwarding at the far endpoint of the failed edge.
 Activation is purely local (the detecting switch flips the fragment on
 in O(1), before any LSA floods); the normal D-GMC repair cycle later
 reconciles -- when the re-proposed tree installs, the active backup is
-retired and fragments are recomputed against the new topology.  None of
-this state enters :meth:`~repro.core.state.McState.canonical` or the
-wire-level tree encoding, so agreement and byte-identity invariants are
-untouched by construction: a run that activated FRR converges to the
-same installed trees as one that never did.
+retired and fragments are recomputed against the new topology.  A plan
+is therefore as old as the last install: a link failure elsewhere that
+lands on a detour before the protected edge fails leaves that edge
+unprotected until the next install (:func:`detour_is_live` drops; there
+is no nested FRR).  None of this state enters
+:meth:`~repro.core.state.McState.canonical` or the wire-level tree
+encoding, so agreement and byte-identity invariants are untouched by
+construction: a run that activated FRR converges to the same installed
+trees as one that never did.
 
 Bridge edges (whose removal disconnects the underlying graph) have no
 detour and get no fragment -- their failure blackholes until the repair
@@ -86,15 +95,16 @@ class BackupFragment:
 
 @dataclass(frozen=True)
 class BackupPlan:
-    """Every fragment protecting one installed topology.
+    """The fragments one switch holds for one installed topology: those
+    protecting the tree edges incident to it.
 
-    ``uncovered`` lists the tree edges no loop-free detour exists for
-    (bridges of the network image) -- their failures blackhole until the
-    D-GMC repair cycle converges, and the soak gates account them
-    separately.
+    ``uncovered`` lists its incident tree edges no loop-free detour
+    exists for (bridges of the network image) -- their failures blackhole
+    until the D-GMC repair cycle converges, and the soak gates account
+    them separately.
     """
 
-    fragments: Tuple[BackupFragment, ...]
+    fragments: Tuple[BackupFragment, ...] = ()
     uncovered: Tuple[Tuple[int, int], ...] = ()
 
     def fragment_for(self, u: int, v: int) -> Optional[BackupFragment]:
@@ -192,19 +202,25 @@ def _detour(
     return BackupFragment(edge=(u, v), path=tuple(path), cost=cost)
 
 
-def compute_backup_plan(topology, image) -> BackupPlan:
-    """Precompute one fragment per edge of an installed topology.
+def compute_backup_plan(topology, image, at: int) -> BackupPlan:
+    """Precompute the fragments switch ``at`` can activate: one per edge
+    of the installed topology incident to it.
 
-    ``image`` is the computing switch's network image (a plain adjacency
-    mapping or an :class:`~repro.lsr.spfcache.SpfCache`); every switch
-    computes on its own image at install time, and because installs are
-    arbitrated to identical topologies over identical images, every
-    switch derives the same plan -- the two endpoints of a failed edge
-    activate mirror-image fragments without coordinating.
+    ``image`` is ``at``'s network image (a plain adjacency mapping or an
+    :class:`~repro.lsr.spfcache.SpfCache`), read at install time.  A
+    fragment is only ever activated by a switch detecting the failure of
+    its own incident link, so no switch plans for an edge it does not
+    touch; and because installs are arbitrated to identical topologies
+    over identical images, the two endpoints of an edge derive the same
+    fragment -- always oriented along the canonical (sorted) edge --
+    without coordinating.  A switch with no incident tree edge gets an
+    empty plan and never reads ``image``.
     """
     fragments: List[BackupFragment] = []
     uncovered: List[Tuple[int, int]] = []
     for u, v in sorted(topology.all_edges()):
+        if at != u and at != v:
+            continue
         fragment = _detour(image, u, v)
         if fragment is None:
             uncovered.append((u, v))

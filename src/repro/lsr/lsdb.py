@@ -47,6 +47,10 @@ class LinkStateDatabase:
         #: ``None`` means the combined change is too large to track.
         self._prev_image: Optional[Mapping[int, Dict[int, float]]] = None
         self._pending_delta: Optional[Tuple[LinkDelta, ...]] = None
+        #: The plain row table the last image was built from (the wrapped
+        #: image only offers the slow mapping protocol); a delta-patched
+        #: rebuild copies it and shares every row the delta does not name.
+        self._rows: Dict[int, Dict[int, float]] = {}
         #: Whether the most recent accepted install affected the image
         #: (False only for content-identical refreshes detected against a
         #: live image); consumers may keep image-derived state when False.
@@ -164,18 +168,27 @@ class LinkStateDatabase:
         """
         if self._image is not None:
             return self._image
-        adj: Dict[int, Dict[int, float]] = {x: {} for x in range(self.n)}
-        for origin, lsa in self._entries.items():
-            for nbr, delay, up in lsa.links:
-                if not up:
-                    continue
-                peer = self._entries.get(nbr)
-                if peer is None:
-                    continue
-                back = peer.link_map().get(origin)
-                if back is None or not back[1]:
-                    continue
-                adj[origin][nbr] = (delay + back[0]) / 2.0
+        if self._prev_image is not None and self._pending_delta is not None:
+            # An install changes only edges incident to its origin, and the
+            # tracked delta names both ends of each: every other row equals
+            # the superseded image's, so rebuild just the named ones.
+            adj: Dict[int, Dict[int, float]] = dict(self._rows)
+            for x in {x for u, v, _, _ in self._pending_delta for x in (u, v)}:
+                adj[x] = self._lsa_edges(x, self._entries.get(x))
+        else:
+            adj = {x: {} for x in range(self.n)}
+            for origin, lsa in self._entries.items():
+                for nbr, delay, up in lsa.links:
+                    if not up:
+                        continue
+                    peer = self._entries.get(nbr)
+                    if peer is None:
+                        continue
+                    back = peer.link_map().get(origin)
+                    if back is None or not back[1]:
+                        continue
+                    adj[origin][nbr] = (delay + back[0]) / 2.0
+        self._rows = adj
         self._image = wrap_image(
             adj,
             generation=self.installs,

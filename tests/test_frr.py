@@ -12,6 +12,9 @@ jittered hello watchdog, and the stress-mode state-space isomorphism
 
 from __future__ import annotations
 
+import contextlib
+import random
+
 import pytest
 
 from repro.core import (
@@ -24,12 +27,15 @@ from repro.core.wire import encode_topology
 from repro.dataplane import BatchForwardingEngine, ForwardingEngine, McPacket
 from repro.frr import (
     BackupFragment,
+    BackupPlan,
     activate_for_edge,
     compute_backup_plan,
     detour_delay,
     detour_is_live,
 )
+from repro.frr.backup import _detour
 from repro.lsr import spf
+from repro.lsr.spfcache import GLOBAL_STATS
 from repro.net import frames
 from repro.stress.explore import StressOptions, explore
 from repro.topo.generators import grid_network, ring_network, waxman_network
@@ -102,16 +108,20 @@ class TestNextHopDag:
             )
 
 
+def plain_image(net):
+    """The up-link network as a plain dict: SPF walks the dict core."""
+    return {u: dict(nbrs) for u, nbrs in net.spf_view().items()}
+
+
 class TestBackupPlan:
-    def image(self, net):
-        return {u: dict(nbrs) for u, nbrs in net.spf_view().items()}
+    image = staticmethod(plain_image)
 
     def test_ring_edges_all_covered(self):
         net = ring_network(6)
         topo = McTopology.shared(
             MulticastTree.build([(0, 1), (1, 2)], [0, 2])
         )
-        plan = compute_backup_plan(topo, self.image(net))
+        plan = compute_backup_plan(topo, self.image(net), 1)
         assert not plan.uncovered
         for u, v in topo.all_edges():
             fragment = plan.fragment_for(u, v)
@@ -126,7 +136,7 @@ class TestBackupPlan:
         topo = McTopology.shared(
             MulticastTree.build([(0, 1), (1, 2)], [0, 2])
         )
-        plan = compute_backup_plan(topo, self.image(net))
+        plan = compute_backup_plan(topo, self.image(net), 1)
         assert plan.fragments == ()
         assert plan.uncovered == ((0, 1), (1, 2))
 
@@ -138,23 +148,32 @@ class TestBackupPlan:
             dgmc.inject(JoinEvent(sw, 1), at=10.0 * (i + 1))
         dgmc.run()
         state = next(iter(dgmc.states_for(1).values()))
-        plan = compute_backup_plan(state.installed, self.image(net))
         edges = set(state.installed.all_edges())
-        assert {f.edge for f in plan.fragments} | set(plan.uncovered) == edges
-        assert len(plan.fragments) + len(plan.uncovered) == len(edges)
+        image = self.image(net)
+        plans = {x: compute_backup_plan(state.installed, image, x) for x in range(16)}
+        # Each switch holds exactly its incident edges, so every tree
+        # edge is accounted for twice: once at either endpoint.
+        for x, plan in plans.items():
+            held = {f.edge for f in plan.fragments} | set(plan.uncovered)
+            assert held == {e for e in edges if x in e}
+        assert sum(
+            len(plan.fragments) + len(plan.uncovered) for plan in plans.values()
+        ) == 2 * len(edges)
 
     def test_install_plans_on_the_compiled_core(self, rng):
         """At or above ``csr.MIN_NODES`` the detour search runs on the
         flat-array core.  Every install used to die there with
         ``AttributeError: 'CsrGraph' object has no attribute 'backend'``;
-        it must plan, and plan exactly what the dict walk plans."""
+        an on-tree switch must plan its incident edges, and plan exactly
+        what the dict walk plans for them."""
         with _size_floor(0):
             dgmc = frr_deployment(waxman_network(24, rng), members=(1, 9, 17))
             assert dgmc.routers[1].lsdb.adjacency().csr_graph() is not None
             state = dgmc.states_for(1)[1]
             assert state.backup_plan.fragments
+            assert all(1 in f.edge for f in state.backup_plan.fragments)
             assert state.backup_plan == compute_backup_plan(
-                state.installed, self.image(dgmc.net)
+                state.installed, self.image(dgmc.net), 1
             )
 
     def test_fragment_orientation_and_delay(self):
@@ -166,13 +185,121 @@ class TestBackupPlan:
         assert detour_delay(fragment, 0, lambda a, b: 0.5) == pytest.approx(1.5)
 
 
+def oracle_plans(topology, image, switches):
+    """Per-switch plans cut from the whole-tree planner this repo used to
+    run at every switch: ``_detour`` over every sorted tree edge, then
+    restricted to the edges incident to each switch."""
+    whole = {edge: _detour(image, *edge) for edge in sorted(topology.all_edges())}
+    return {
+        x: BackupPlan(
+            fragments=tuple(f for e, f in whole.items() if x in e and f is not None),
+            uncovered=tuple(e for e, f in whole.items() if x in e and f is None),
+        )
+        for x in switches
+    }
+
+
+class TestEndpointLocalPlans:
+    """A switch plans exactly the detours it can activate (its incident
+    tree edges), each identical to the whole-tree planner's fragment."""
+
+    def deployment(self, n, seed):
+        rng = random.Random(seed)
+        net = waxman_network(n, rng)
+        members = sorted(rng.sample(range(n), rng.randint(3, 8)))
+        return frr_deployment(net, members=members), members
+
+    def assert_endpoint_local(self, dgmc, image):
+        """``image``: the network as of the last install (plans are as
+        old as that), as a plain dict -- the oracle walks the dict core."""
+        states = dgmc.states_for(1)
+        topology = next(iter(states.values())).installed
+        tree = topology.all_edges()
+        assert tree
+        expected = oracle_plans(topology, image, states)
+        total = 0
+        for x, state in states.items():
+            plan = state.backup_plan
+            assert plan == expected[x], x
+            total += len(plan.fragments) + len(plan.uncovered)
+            if not any(x in edge for edge in tree):
+                assert plan == BackupPlan()
+        assert total == 2 * len(tree)
+        for u, v in tree:
+            assert states[u].backup_plan.fragment_for(u, v) == states[
+                v
+            ].backup_plan.fragment_for(u, v)
+
+    @pytest.mark.parametrize("floor", [None, 0], ids=["dict", "csr"])
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    def test_plans_match_the_whole_tree_oracle(self, n, floor):
+        with contextlib.nullcontext() if floor is None else _size_floor(floor):
+            for seed in range(5):
+                dgmc, members = self.deployment(n, seed)
+                core = dgmc.routers[members[0]].lsdb.adjacency().csr_graph()
+                assert (core is not None) == (floor == 0)
+                self.assert_endpoint_local(dgmc, plain_image(dgmc.net))
+                # One fail -> repair -> heal cycle of a protected edge.
+                holder = dgmc.states_for(1)[members[0]]
+                u, v = holder.backup_plan.fragments[0].edge
+                computations = len(dgmc.computation_log)
+                dgmc.inject(LinkEvent(u, u, v, up=False), at=dgmc.sim.now + 1.0)
+                dgmc.run()
+                repaired = plain_image(dgmc.net)
+                self.assert_endpoint_local(dgmc, repaired)
+                # The two link-down LSAs discarded every switch's image;
+                # the repair install rebuilt it only where it planned.
+                tree = holder.installed.all_edges()
+                idle = set(dgmc.switches) - {x for edge in tree for x in edge}
+                idle -= {r.switch for r in dgmc.computation_log[computations:]}
+                assert idle
+                for x in idle:
+                    assert dgmc.routers[x].lsdb._image is None
+                installs = len(dgmc.install_log)
+                dgmc.inject(LinkEvent(u, u, v, up=True), at=dgmc.sim.now + 1.0)
+                dgmc.run()
+                # The heal reinstalls nothing, so every plan still dates
+                # from the repair: computed without the restored link.
+                assert len(dgmc.install_log) == installs
+                self.assert_endpoint_local(dgmc, repaired)
+
+    def test_off_tree_install_does_no_frr_work(self, rng, monkeypatch):
+        """An install at a switch no tree edge touches stores the empty
+        plan without reading its image or running any SPF."""
+        dgmc = frr_deployment(waxman_network(24, rng), members=(1, 9, 17))
+        tree = dgmc.states_for(1)[1].installed.all_edges()
+        x = next(
+            x for x in sorted(dgmc.switches)
+            if not any(x in edge for edge in tree)
+        )
+        switch, state = dgmc.switches[x], dgmc.switches[x].states[1]
+
+        def no_image():
+            raise AssertionError("an off-tree switch read its network image")
+
+        monkeypatch.setattr(switch.router, "network_image", no_image)
+        before = (
+            GLOBAL_STATS.hits, GLOBAL_STATS.misses, spf.RUN_COUNTER.count,
+        )
+        switch._install_body(
+            state, state.installed, state.current_stamp, state.current_proposer
+        )
+        assert state.backup_plan == BackupPlan()
+        assert before == (
+            GLOBAL_STATS.hits, GLOBAL_STATS.misses, spf.RUN_COUNTER.count,
+        )
+
+
 class TestActivationLifecycle:
     def test_install_precomputes_plan(self):
+        """Every switch holds a plan; it covers an installed edge iff the
+        switch is one of its endpoints (every ring edge has a detour)."""
         dgmc = frr_deployment()
-        for state in dgmc.states_for(1).values():
+        for x, state in dgmc.states_for(1).items():
             assert state.backup_plan is not None
+            assert state.installed.all_edges()
             for u, v in state.installed.all_edges():
-                assert state.backup_plan.covers(u, v)
+                assert state.backup_plan.covers(u, v) == (x in (u, v))
 
     def test_frr_off_keeps_no_plan(self):
         dgmc = frr_deployment(enable_frr=False)
@@ -413,17 +540,23 @@ class TestResyncAdoption:
         activate_for_edge(dgmc.switches[u].states, u, v)
         snap = dgmc.switches[u].capture_resync_snapshot(1)
         assert snap.active_backup and snap.active_backup[0][:2] == (u, v)
-        # A switch that missed the local activation adopts from the snap.
-        other = next(
-            x for x in sorted(dgmc.switches)
-            if x not in (u, v) and not dgmc.switches[x].states[1].active_backup
-        )
-        peer = dgmc.switches[other]
+        # The far endpoint missed its own activation window: it adopts.
+        peer = dgmc.switches[v]
+        assert peer.states[1].active_backup == {}
         assert peer.apply_resync_snapshot(snap) is True
         adopted = peer.states[1].active_backup[(u, v)]
         assert adopted.path == snap.active_backup[0][2]
         # Idempotent: re-applying the same snapshot changes nothing.
         assert peer.apply_resync_snapshot(snap) is False
+        # A third switch can never hold a packet at (u, v): merging the
+        # same snapshot leaves it no fragment and no data-plane recompile.
+        bystander = dgmc.switches[
+            next(x for x in sorted(dgmc.switches) if x not in (u, v))
+        ]
+        epoch = bystander.states[1].frr_epoch
+        assert bystander.apply_resync_snapshot(snap) is False
+        assert bystander.states[1].active_backup == {}
+        assert bystander.states[1].frr_epoch == epoch
 
     def test_frr_off_peer_ignores_backups(self):
         dgmc_on = frr_deployment()

@@ -10,10 +10,14 @@ what the probe cannot see -- an import inside a function body.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.core import DgmcNetwork, JoinEvent, LinkEvent, ProtocolConfig
+from repro.topo.generators import ring_network
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -54,3 +58,43 @@ def test_nothing_below_the_live_runtime_imports_it_at_any_depth():
                 if module == "repro.net" or module.startswith("repro.net."):
                     offenders.append(f"{path.relative_to(SRC)}: {module}")
     assert not offenders, offenders
+
+
+TRACE_PY = Path(SRC).parent / "benchmarks" / "e2e" / "trace.py"
+
+
+def test_the_frozen_benchmark_tracer_still_binds_every_name_it_wraps(monkeypatch):
+    """``benchmarks/e2e/trace.py`` wraps classes and functions of ``src/``
+    *by name* and reads two return values (``len(plan.fragments)``,
+    ``len(activated)``).  The regression driver runs it unedited after a
+    PR is finished, so a rename -- or a call site the rebinding cannot
+    reach -- must fail here, not there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # load read-only
+    spec = importlib.util.spec_from_file_location("_e2e_trace", TRACE_PY)
+    trace_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_py)
+    trace = trace_py.Trace()
+    trace.install()
+    try:
+        assert trace_py.installed_wrappers()
+        trace.paused = False
+        dgmc = DgmcNetwork(
+            ring_network(6),
+            ProtocolConfig(compute_time=0.5, per_hop_delay=0.05, enable_frr=True),
+        )
+        dgmc.register_symmetric(1)
+        for i, member in enumerate((0, 2, 4)):
+            dgmc.inject(JoinEvent(member, 1), at=10.0 * (i + 1))
+        dgmc.run()
+        u, v = sorted(dgmc.states_for(1)[0].installed.all_edges())[0]
+        dgmc.inject(LinkEvent(u, u, v, up=False), at=dgmc.sim.now + 1.0)
+        dgmc.run()
+    finally:
+        trace.paused = True
+        trace.remove()
+    assert trace_py.installed_wrappers() == []
+    # The install path and the failure detection both ran through the
+    # wrappers, and their after-hooks could size what came back.
+    assert trace.calls("frr", "compute_backup_plan") > 0
+    assert trace.counts["frr.fragments"] > 0
+    assert trace.counts["frr.activations"] == 2  # one per endpoint
