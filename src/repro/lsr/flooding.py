@@ -227,6 +227,8 @@ class FloodingFabric:
     def _flood(self, origin: int, payload: Any, kind: str) -> FloodDelivery:
         self.flood_counts[kind] = self.flood_counts.get(kind, 0) + 1
         record = FloodDelivery(origin, kind, self.sim.now, payload)
+        # Deliveries per distinct delay -- one hop class each, observed once.
+        classes: Dict[float, int] = {}
         for switch, delay in sorted(self.arrival_times(origin).items()):
             if switch == origin:
                 continue
@@ -235,8 +237,10 @@ class FloodingFabric:
             record.arrivals[switch] = self.sim.now + delay
             self.delivery_count += 1
             if self._hops_hist is not None:
-                self._hops_hist.observe(round(delay / self.per_hop_delay))
+                classes[delay] = classes.get(delay, 0) + 1
             self.transport.send(origin, switch, payload, delay)
+        for delay, count in classes.items():
+            self._hops_hist.observe(round(delay / self.per_hop_delay), count)
         if self._fanout_hist is not None:
             self._fanout_hist.observe(len(record.arrivals))
         if self.record_history:

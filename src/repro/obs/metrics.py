@@ -117,14 +117,15 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        self.sum += value * count
+        self.count += count
         for i, bound in enumerate(self.buckets):
             if value <= bound:
-                self.counts[i] += 1
+                self.counts[i] += count
                 return
-        self.inf_count += 1
+        self.inf_count += count
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ending at ``+Inf``."""

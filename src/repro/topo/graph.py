@@ -161,7 +161,9 @@ class Network:
         return self._hosts[host_id]
 
     def link_count(self, include_down: bool = False) -> int:
-        return sum(1 for _ in self.links(include_down=include_down))
+        if include_down:
+            return len(self._links)
+        return sum(link.up for link in self._links.values())
 
     # -- link state --------------------------------------------------------
 

@@ -12,3 +12,12 @@ from repro.core.timestamp import Stamp
 
 def S(*components: int) -> Stamp:
     return Stamp.from_dense(components)
+
+
+def base_of(stamp: Stamp) -> dict:
+    """The shared base dict ``stamp`` sits on -- compare with ``is``.
+
+    The one place the tests reach into a stamp's storage (see "How a stamp
+    is stored and compared" in docs/protocol-walkthrough.md).
+    """
+    return stamp._base

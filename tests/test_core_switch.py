@@ -7,6 +7,8 @@ MC creation and destruction (Figure 2 / Figures 4-5 behaviors).
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from repro.core import (
@@ -18,7 +20,8 @@ from repro.core import (
     Role,
 )
 from repro.core.lsa import McEvent
-from repro.topo.generators import grid_network, ring_network
+from repro.topo.generators import grid_network, ring_network, waxman_network
+from tests.stamps import base_of
 
 
 def deployment(net=None, **config_kw):
@@ -313,3 +316,60 @@ class TestRegistry:
         dgmc = deployment()
         with pytest.raises(ValueError):
             dgmc.register_symmetric(1)
+
+
+class TestStampSharing:
+    """White box: pins *sharing*, not timing (docs/protocol-walkthrough.md,
+    "How a stamp is stored and compared").  A refactor that silently puts
+    every stamp back on a base of its own keeps every count and every byte
+    -- and loses the overlay walk; it should fail here, not in a benchmark."""
+
+    N = 48
+    ROUNDS = 12
+
+    def bases(self, dgmc, stamp_of, skip=()):
+        """The distinct base objects, keyed by identity (and kept alive)."""
+        found = (
+            base_of(stamp_of(switch.states[1]))
+            for x, switch in dgmc.switches.items()
+            if x not in skip
+        )
+        return {id(base): base for base in found}
+
+    def settle(self, dgmc, *events):
+        at = dgmc.sim.now + 1.0
+        for event in events:
+            dgmc.inject(event, at=at)
+        dgmc.run()
+        ok, detail = dgmc.agreement(1)
+        assert ok, detail
+        (shared,) = self.bases(dgmc, lambda s: s.current_stamp).values()  # C: one base
+        return shared
+
+    def test_converged_switches_sit_on_one_base(self):
+        rng = Random(21)
+        dgmc = deployment(waxman_network(self.N, Random(7)))
+        members = rng.sample(range(self.N), 24)
+        for x in members:
+            shared = self.settle(dgmc, JoinEvent(x, 1))
+        kept = 0
+        for _ in range(self.ROUNDS):  # a join and a leave in conflict
+            joiner = rng.choice([x for x in range(self.N) if x not in members])
+            leaver = members.pop(rng.randrange(len(members)))
+            members.append(joiner)
+            found = shared
+            shared = self.settle(dgmc, JoinEvent(joiner, 1), LeaveEvent(leaver, 1))
+            kept += shared is found
+            # Two originators may have folded the same content into a base
+            # each: E is on the one whose proposal arrived last, nowhere else.
+            expected = self.bases(dgmc, lambda s: s.expected, skip=(joiner, leaver))
+            assert len(expected) <= 2
+        # Bases outlive events: a round leaves C on the base it found unless
+        # an overlay was folded (about one round in four at this size).
+        assert kept >= self.ROUNDS // 2
+        # One quiet event: every receiver's E is on the base of the C it accepted.
+        joiner = next(x for x in range(self.N) if x not in members)
+        shared = self.settle(dgmc, JoinEvent(joiner, 1))
+        assert list(self.bases(dgmc, lambda s: s.expected, skip=(joiner,))) == [id(shared)]
+        # R rebases only where ``R >= E`` is evaluated -- at originators.
+        assert len(self.bases(dgmc, lambda s: s.received)) > 2

@@ -9,7 +9,8 @@ on random vectors that are mostly zeros *and* on fully dense ones.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.timestamp import (
     Stamp,
@@ -18,6 +19,7 @@ from repro.core.timestamp import (
     stamp_gt,
     stamp_max,
 )
+from tests.stamps import base_of
 
 # -- the dense reference ---------------------------------------------------------
 
@@ -89,6 +91,18 @@ class TestConstruction:
         t = VectorTimestamp()
         with pytest.raises(ValueError):
             t[0] = -5
+
+    def test_rejects_a_negative_origin_at_the_write(self):
+        """``v[-1] = 2`` used to store it: ``span()`` then said 0 with one
+        stored component and the encoders failed later, inside the pump."""
+        t = sparse([1, 2])
+        with pytest.raises(ValueError):
+            t[-1] = 2
+        with pytest.raises(ValueError):
+            t.increment(-1)
+        with pytest.raises(ValueError):
+            t.snapshot().increment(-3, by=2)
+        assert t == sparse([1, 2]) and len(t) == 2 and t.span() == 2 and t.total() == 3
 
     def test_not_iterable(self):
         """Implicit zeros never end: iteration must fail, not spin."""
@@ -235,6 +249,248 @@ class TestDifferential:
         assert stamp.total() == sum(ref)
         assert len(stamp) == sum(1 for x in ref if x)
         assert dense(stamp.snapshot(), n) == tuple(ref)
+
+
+#: A write to one member of a family: (member, origin, value); value 4 means
+#: "increment".  0 and small values land below components already stored.
+family_writes = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 11), st.integers(0, 4)), max_size=30
+)
+
+
+def write(stamp: VectorTimestamp, ref: list, origin: int, value: int) -> None:
+    if value == 4:
+        stamp.increment(origin)
+        ref[origin] += 1
+    else:
+        stamp[origin] = value
+        ref[origin] = value
+
+
+class TestSharedBase:
+    """The same oracle, on operands that share a base -- or just stopped to.
+
+    ``snapshot()`` hands out the base by reference, so the hazard is
+    aliasing: a write, merge or rebase on one stamp showing through
+    another.  Every case ends by re-reading *all* the stamps involved.
+    """
+
+    N = 12
+
+    def family(self, v):
+        """A stamp and two snapshots of it, with their dense references."""
+        root = sparse(v)
+        stamps = [root, root.snapshot(), root.snapshot()]
+        assert base_of(stamps[1]) is base_of(stamps[2]) is base_of(root)
+        return stamps, [list(v) + [0] * (self.N - len(v)) for _ in stamps]
+
+    def check(self, stamps, refs):
+        for stamp, ref in zip(stamps, refs):
+            fresh = sparse(ref)
+            assert dense(stamp, self.N) == tuple(ref)
+            assert stamp == fresh and fresh == stamp and hash(stamp) == hash(fresh)
+            assert stamp.total() == sum(ref) and len(stamp) == sum(map(bool, ref))
+            assert stamp.span() == fresh.span()
+            assert sorted(stamp.items()) == sorted(fresh.items())
+            assert [stamp[i] for i in range(self.N)] == ref
+
+    @given(vectors, family_writes)
+    def test_order_and_merge_after_unrelated_writes(self, v, writes):
+        stamps, refs = self.family(v)
+        for member, origin, value in writes:
+            write(stamps[member], refs[member], origin, value)
+        self.check(stamps, refs)
+        for a, ra in zip(stamps, refs):
+            for b, rb in zip(stamps, refs):
+                assert a.geq(b) == stamp_geq(a, b) == d_geq(ra, rb)
+                assert a.gt(b) == stamp_gt(a, b) == d_gt(ra, rb)
+                assert (a == b) == (ra == rb)
+                assert (hash(a) == hash(b)) or ra != rb
+                self.check(stamps, refs)  # a compare may rebase, never rewrite
+        for i, j in ((0, 1), (2, 0), (1, 2)):
+            changed = stamps[i].merge(stamps[j])
+            expected = list(d_max(refs[i], refs[j]))
+            assert changed == (expected != refs[i])
+            refs[i] = expected
+            self.check(stamps, refs)
+            assert stamps[j].geq(stamps[i]) == (sum(refs[j]) == sum(refs[i]))
+
+    @given(vectors, family_writes, family_writes)
+    def test_operands_on_different_bases_both_ways_round(self, v, first, second):
+        """One side is re-read from its dense form, as off the wire."""
+        stamps, refs = self.family(v)
+        for member, origin, value in first:
+            write(stamps[member], refs[member], origin, value)
+        wire = [sparse(ref) for ref in refs]
+        for member, origin, value in second:
+            write(wire[member], refs[member], origin, value)
+        for a, ra in zip(stamps, [dense(s, self.N) for s in stamps]):
+            for b, rb in zip(wire, refs):
+                assert a.geq(b) == d_geq(ra, rb) and b.geq(a) == d_geq(rb, ra)
+                assert a.gt(b) == d_gt(ra, rb) and b.gt(a) == d_gt(rb, ra)
+                assert (a == b) == (tuple(ra) == tuple(rb)) == (b == a)
+        self.check(wire, refs)
+        for ours, theirs in zip(stamps, wire):
+            mine, far = dense(ours, self.N), dense(theirs, self.N)
+            there = theirs.snapshot()
+            assert there.merge(ours) == (d_max(mine, far) != far)
+            assert ours.merge(theirs) == (d_max(mine, far) != mine)
+            assert dense(ours, self.N) == dense(there, self.N) == d_max(mine, far)
+        self.check(wire, refs)
+
+    @given(vectors, st.lists(st.integers(0, 11), min_size=1, max_size=40))
+    def test_overlay_past_the_fold(self, v, origins):
+        """Enough writes that ``snapshot()`` folds: nobody's content moves."""
+        stamps, refs = self.family(v)
+        old_base = base_of(stamps[0])
+        kept = dict(old_base)
+        for origin in origins:
+            write(stamps[1], refs[1], origin, 4)
+        snap = stamps[1].snapshot()
+        again = snap.snapshot()  # snapshot of a snapshot
+        assert base_of(again) is base_of(snap) is base_of(stamps[1])
+        assert old_base == kept  # a fold builds a base, it never edits one
+        stamps += [snap, again]
+        refs += [list(refs[1]), list(refs[1])]
+        self.check(stamps, refs)
+        write(again, refs[4], origins[0], 4)
+        write(stamps[1], refs[1], origins[-1], 4)
+        self.check(stamps, refs)
+        assert snap.geq(stamps[0]) and again.gt(snap) and stamps[1].gt(stamps[2])
+        assert again.concurrent_with(stamps[1]) == (origins[0] != origins[-1])
+        self.check(stamps, refs)
+
+    def test_the_fold_is_paid_once(self):
+        """An overlay that has outgrown its base folds at ``snapshot()``;
+        the next snapshot shares the fresh base and copies nothing big."""
+        r = sparse([1] * 8)
+        first = r.snapshot()
+        for origin in range(8, 20):
+            r.increment(origin)
+        assert base_of(r) is base_of(first)  # writes never move a base
+        folded = r.snapshot()
+        assert base_of(folded) is base_of(r) is not base_of(first)
+        assert base_of(r.snapshot()) is base_of(folded)
+        assert len(folded) == 20 and folded.gt(first) and first == sparse([1] * 8)
+
+    def test_assign_shares_and_stays_independent(self):
+        source = sparse([4, 0, 6])
+        source.increment(1)
+        t = sparse([9, 9, 9])
+        t.assign(source)
+        assert base_of(t) is base_of(source) and t == sparse([4, 1, 6])
+        t.increment(1)
+        source.increment(2)
+        assert t == sparse([4, 2, 6]) and source == sparse([4, 1, 7])
+        assert t.total() == 12 and source.total() == 12 and t.concurrent_with(source)
+
+    def test_a_write_below_the_base_leaves_the_base_to_the_others(self):
+        root = sparse([3, 5, 2])
+        a, b = root.snapshot(), root.snapshot()
+        a[1] = 4  # lowers a component the shared base holds at 5
+        b[2] = 0  # and one to (implicit) zero
+        assert root == sparse([3, 5, 2]) and a == sparse([3, 4, 2]) and b == sparse([3, 5])
+        assert (len(a), len(b), a.total(), b.total()) == (3, 2, 9, 8)
+        assert root.gt(a) and root.gt(b) and a.concurrent_with(b)
+        a[1] = 5
+        b[2] = 2
+        assert a == root == b and hash(a) == hash(root) == hash(b)
+        # Raised above the base and lowered back onto it: the overlay entry goes.
+        c = root.snapshot()
+        c[0] = 7
+        c[0] = 3
+        assert c == root and base_of(c) is base_of(root) and c.geq(root) and root.geq(c)
+
+    def test_equal_content_is_where_sharing_starts(self):
+        """The two adoption points: an accept-shaped merge, and ``R >= E``."""
+        t = sparse([2, 0, 1, 4])
+        e = VectorTimestamp({0: 2, 3: 3})  # off another base, one event behind
+        assert e.merge(t) and e.total() == t.total()
+        assert base_of(e) is base_of(t) and e == t
+        r = VectorTimestamp({0: 2, 2: 1, 3: 4})
+        assert r.geq(e) and base_of(r) is base_of(e)
+        # Sharing is storage only: each still moves alone.
+        r.increment(1)
+        e.increment(0)
+        assert t == sparse([2, 0, 1, 4]) and r == sparse([2, 1, 1, 4]) and e == sparse([3, 0, 1, 4])
+        # No adoption without equality, whatever the sums say.
+        other = sparse([1, 1, 1, 4])
+        assert not other.geq(t) and base_of(other) is not base_of(t)
+
+
+class StampFamily(RuleBasedStateMachine):
+    """Random ``snapshot`` / write / ``merge`` / compare sequences on a
+    family of stamps, each mirrored by a plain dict: no operation on one
+    stamp may change the content, the sum or the hash of another."""
+
+    ORIGINS = st.integers(0, 9)
+
+    def __init__(self):
+        super().__init__()
+        self.stamps = [VectorTimestamp()]
+        self.oracles = [{}]
+
+    members = st.runner().flatmap(lambda self: st.integers(0, len(self.stamps) - 1))
+
+    @precondition(lambda self: len(self.stamps) < 8)
+    @rule(i=members)
+    def snapshot(self, i):
+        self.stamps.append(self.stamps[i].snapshot())
+        self.oracles.append(dict(self.oracles[i]))
+
+    @precondition(lambda self: len(self.stamps) < 8)
+    @rule(i=members)
+    def off_the_wire(self, i):
+        """An equal stamp on a base of its own."""
+        self.stamps.append(VectorTimestamp(self.oracles[i]))
+        self.oracles.append(dict(self.oracles[i]))
+
+    @rule(i=members, origin=ORIGINS, by=st.integers(1, 3))
+    def increment(self, i, origin, by):
+        self.stamps[i].increment(origin, by)
+        self.oracles[i][origin] = self.oracles[i].get(origin, 0) + by
+
+    @rule(i=members, origin=ORIGINS, value=st.integers(0, 6))
+    def store(self, i, origin, value):
+        self.stamps[i][origin] = value
+        if value:
+            self.oracles[i][origin] = value
+        else:
+            self.oracles[i].pop(origin, None)
+
+    @rule(i=members, j=members)
+    def merge(self, i, j):
+        mine, theirs = self.oracles[i], self.oracles[j]
+        merged = {k: max(mine.get(k, 0), theirs.get(k, 0)) for k in mine.keys() | theirs.keys()}
+        assert self.stamps[i].merge(self.stamps[j]) == (merged != mine)
+        self.oracles[i] = merged
+
+    @rule(i=members, j=members)
+    def assign(self, i, j):
+        self.stamps[i].assign(self.stamps[j])
+        self.oracles[i] = dict(self.oracles[j])
+
+    @rule(i=members, j=members)
+    def compare(self, i, j):
+        mine, theirs = self.oracles[i], self.oracles[j]
+        geq = all(mine.get(k, 0) >= count for k, count in theirs.items())
+        assert self.stamps[i].geq(self.stamps[j]) == geq
+        assert self.stamps[i].gt(self.stamps[j]) == (geq and mine != theirs)
+        assert (self.stamps[i] == self.stamps[j]) == (mine == theirs)
+
+    @invariant()
+    def every_stamp_reads_as_its_oracle(self):
+        for stamp, oracle in zip(self.stamps, self.oracles):
+            assert dict(stamp.items()) == oracle
+            assert stamp.total() == sum(oracle.values()) and len(stamp) == len(oracle)
+            assert hash(stamp) == hash(VectorTimestamp(oracle))
+            assert all(stamp[k] == oracle.get(k, 0) for k in range(10))
+
+
+StampFamily.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestStampFamily = StampFamily.TestCase
 
 
 class TestSumLemmas:

@@ -10,8 +10,10 @@ what the probe cannot see -- an import inside a function body.
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +100,69 @@ def test_the_frozen_benchmark_tracer_still_binds_every_name_it_wraps(monkeypatch
     assert trace.calls("frr", "compute_backup_plan") > 0
     assert trace.counts["frr.fragments"] > 0
     assert trace.counts["frr.activations"] == 2  # one per endpoint
+
+
+# -- the documents name code that exists ------------------------------------------
+
+ROOT = Path(SRC).parent
+DOCUMENTS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+PACKAGES = sorted(
+    path.name for path in Path(SRC, "repro").iterdir() if (path / "__init__.py").exists()
+)
+#: ``src/repro/core/switch.py``, ``repro/sim/kernel.py``, ``lsr/spfcache.py``.
+SOURCE_PATH = re.compile(
+    r"(?<![\w./-])(?:src/)?(?:repro/)?((?:%s)/[\w/]*\w\.py)\b" % "|".join(PACKAGES)
+)
+#: ``repro.core.timestamp.VectorTimestamp.merge``: modules, then attributes.
+DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.util.find_spec(".".join(parts[:cut]))
+        except ModuleNotFoundError:  # a parent that is not a package
+            continue
+        if found is not None:
+            target = importlib.import_module(".".join(parts[:cut]))
+            for attribute in parts[cut:]:
+                if not hasattr(target, attribute):
+                    return False
+                target = getattr(target, attribute)
+            return True
+    return False
+
+
+def test_every_source_path_and_dotted_name_in_the_documents_resolves():
+    missing = []
+    for document in DOCUMENTS:
+        text = document.read_text(encoding="utf-8")
+        for match in SOURCE_PATH.finditer(text):
+            if not Path(SRC, "repro", match.group(1)).exists():
+                missing.append(f"{document.name}: {match.group(0)}")
+        for match in DOTTED_NAME.finditer(text):
+            if not _resolves(match.group(0)):
+                missing.append(f"{document.name}: {match.group(0)}")
+    assert not missing, missing
+
+
+def test_the_design_package_map_is_the_source_tree():
+    """DESIGN.md section 3: every file a row names exists, every package has a row."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    block = text[text.index("```\nsrc/repro/\n"):]
+    block = block[: block.index("\ntests/")]
+    rows, missing = set(), []
+    package = None
+    for line in block.splitlines()[2:]:
+        head = re.match(r"  (\w+)/ ", line)
+        if head:
+            package = head.group(1)
+            rows.add(package)
+        elif not line.startswith("   "):
+            continue  # a top-level module row (cli.py)
+        for name in re.findall(r"(?<![\w/])\w+\.py\b", line):
+            if not Path(SRC, "repro", package, name).exists():
+                missing.append(f"{package}/{name}")
+    assert not missing, missing
+    assert rows == set(PACKAGES), rows ^ set(PACKAGES)

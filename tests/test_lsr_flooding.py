@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.lsr.flooding import FloodingFabric
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.topo.generators import grid_network, ring_network
 
@@ -93,6 +94,25 @@ class TestCounters:
         fabric.flood(0, "a")
         sim.run()
         assert fabric.delivery_count == 4
+
+    def test_flood_hops_reads_as_one_observation_per_delivery(self):
+        """Observed once per hop class with a count, not once per delivery."""
+        net = grid_network(5, 5)
+        sim, fabric, deliveries = collect_fabric(net, per_hop_delay=0.5)
+        registry = MetricsRegistry()
+        fabric.bind_metrics(registry)
+        hops = registry.histogram("flood_hops")
+        fabric.flood(0, "a")
+        fabric.flood(12, "b")
+        sim.run()
+        distances = [round(at / 0.5) for at, _, _ in deliveries]
+        assert hops.count == fabric.delivery_count == len(distances) == 48
+        assert hops.sum == sum(distances)
+        assert hops.counts == [
+            sum(low < d <= high for d in distances)
+            for low, high in zip((0,) + hops.buckets, hops.buckets)
+        ]
+        assert registry.histogram("flood_fanout").count == 2
 
     def test_count_for_unknown_kind_is_zero(self):
         net = ring_network(4)

@@ -230,6 +230,16 @@ class TestMetricsInstruments:
         assert h.cumulative() == [(1.0, 1), (4.0, 2), (float("inf"), 3)]
         assert h.mean == pytest.approx(103.5 / 3)
 
+    def test_histogram_observes_a_value_many_times_at_once(self):
+        one_by_one = MetricsRegistry().histogram("h", buckets=(1, 4))
+        counted = MetricsRegistry().histogram("h", buckets=(1, 4))
+        for value, count in ((1, 3), (3, 5), (9, 2)):
+            for _ in range(count):
+                one_by_one.observe(value)
+            counted.observe(value, count)
+        assert counted.cumulative() == one_by_one.cumulative()
+        assert (counted.sum, counted.count) == (one_by_one.sum, one_by_one.count) == (36, 10)
+
     def test_get_or_create_is_idempotent_but_type_strict(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")

@@ -54,6 +54,9 @@ class TestConstruction:
         keys = [l.key for l in net.links()]
         assert keys == [(0, 1), (0, 2), (1, 2)]
         assert net.link_count() == 3
+        net.set_link_state(0, 2, up=False)
+        assert net.link_count() == len(list(net.links())) == 2
+        assert net.link_count(include_down=True) == 3
 
 
 class TestLinkObject:
