@@ -46,16 +46,6 @@ Benchmarks:
   churn + traffic through the MOSPF baseline, whose data-driven
   shortest-path computations D-GMC's data plane never performs
   (see docs/dataplane.md).
-* ``csr_sssp_throughput`` (``--mode csr`` only) -- the flat-array graph
-  core gate (docs/graph-core.md): warm per-source SSSP through a fresh
-  :class:`~repro.lsr.spfcache.SpfCache` (CSR compile included) must be
-  >= 3x the warm dict-core Dijkstra at n = 1000 with byte-identical
-  distance/parent trees, routing tables, and next-hop DAGs.  The
-  speedup gate only applies at n >= 1000 (small ``--only`` runs cannot
-  amortize the compile); the byte-identity gates always do.
-  ``--csr-size`` overrides the size
-  (the nightly n = 10k smoke runs on a sparse random connected graph --
-  Waxman generation is itself quadratic).
 * ``frr_blackhole_soak`` / ``frr_backup_compute`` (``--mode frr``
   only) -- the fast-reroute gates (docs/fast-reroute.md): a pinned-seed
   failure/heal soak at n = 20 fails backup-covered installed-tree edges
@@ -145,10 +135,6 @@ MODES: Dict[str, tuple] = {
     # acceptance criterion while keeping the paired FRR-on/off arms
     # deterministic and fast.
     "frr": ((20,), 1),
-    # The flat-array graph-core gate: n=1000 is where the >= 3x SSSP
-    # acceptance criterion measures (--csr-size overrides, e.g. the
-    # nightly n=10k smoke).
-    "csr": ((1000,), 1),
 }
 
 #: Benchmarks that only run under --mode ispf (and via --only).
@@ -162,9 +148,6 @@ DATAPLANE_BENCHMARKS = ("dataplane_throughput", "dataplane_contrast")
 
 #: Benchmarks that only run under --mode frr (and via --only).
 FRR_BENCHMARKS = ("frr_blackhole_soak", "frr_backup_compute")
-
-#: Benchmarks that only run under --mode csr (and via --only).
-CSR_BENCHMARKS = ("csr_sssp_throughput",)
 
 #: Set by --disable-frr: the soak then runs only the unprotected arm,
 #: demonstrating the raw blackhole-window loss (the zero-loss and
@@ -902,87 +885,6 @@ def bench_frr_backup_compute(sizes, graphs) -> Dict[str, object]:
     }
 
 
-def bench_csr_sssp_throughput(sizes, graphs) -> Dict[str, object]:
-    """Flat-array CSR core vs the dict Dijkstra: >= 3x, byte-identical.
-
-    Times two warm passes over the same source set on one image:
-
-    * *dict core* -- :func:`repro.lsr.spf.dijkstra_uncached` per source
-      on the plain adjacency mapping (warmed by a prior pass, so the
-      comparison is steady-state against steady-state), and
-    * *CSR core* -- a **fresh** :class:`~repro.lsr.spfcache.SpfCache`
-      whose :meth:`~repro.lsr.spfcache.SpfCache.prewarm` bulk-solves the
-      same sources through one batched C call; the timed pass includes
-      the CSR compile, so the speedup is end-to-end for an image
-      rebuild, not a best case.
-
-    The byte-identity checks run untimed afterwards: distance/parent
-    dicts, routing tables, and next-hop DAGs from the cache (CSR path)
-    must ``repr``-match the dict core's, *including iteration order*
-    (see docs/graph-core.md for why that holds by construction).
-    """
-    from repro.lsr.spf import dijkstra_uncached, next_hop_dag
-    from repro.topo.generators import random_connected_network
-
-    n = max(sizes)
-    rng = RngRegistry(7).stream("topology")
-    # Waxman enumerates all O(n^2) node pairs at generation time; the
-    # n=10k nightly smoke needs the O(n) sparse generator instead.
-    if n > 2000:
-        net = random_connected_network(n, rng)
-    else:
-        net = waxman_network(n, rng)
-    adj = spf.network_adjacency(net)
-    sources = list(range(0, n, max(1, n // 96)))[:96]
-
-    # Warm pass: page in the adjacency dicts and the scipy/numpy code
-    # paths so both timed passes measure steady state; then best-of-3 on
-    # each side -- the minimum is the noise-robust steady-state estimate
-    # (scheduler preemption only ever adds time).
-    for s in sources:
-        dijkstra_uncached(adj, s)
-    spfcache.SpfCache(adj).prewarm(sources)
-
-    dict_s = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        dict_trees = {s: dijkstra_uncached(adj, s) for s in sources}
-        dict_s = min(dict_s, time.perf_counter() - t0)
-
-    csr_s = float("inf")
-    for _ in range(3):
-        cache = spfcache.SpfCache(adj)
-        t0 = time.perf_counter()
-        solved = cache.prewarm(sources)
-        csr_s = min(csr_s, time.perf_counter() - t0)
-
-    identical_trees = all(
-        repr(cache.sssp(s)) == repr(dict_trees[s]) for s in sources
-    )
-    identical_tables = all(
-        repr(cache.routing_table(s)) == repr(spf.routing_table(adj, s))
-        for s in sources
-    )
-    identical_dags = all(
-        repr(next_hop_dag(cache, s)) == repr(next_hop_dag(adj, s))
-        for s in sources
-    )
-    speedup = dict_s / csr_s if csr_s else float("inf")
-    return {
-        "switches": n,
-        "edges": sum(len(nbrs) for nbrs in adj.values()) // 2,
-        "sources": len(sources),
-        "backend": "scipy" if cache.csr_graph() is not None else "dict",
-        "prewarm_solves": solved,
-        "dict_ms_per_source": round(dict_s / len(sources) * 1e3, 4),
-        "csr_ms_per_source": round(csr_s / len(sources) * 1e3, 4),
-        "speedup": round(speedup, 2),
-        "identical_trees": identical_trees,
-        "identical_tables": identical_tables,
-        "identical_dags": identical_dags,
-    }
-
-
 BENCHMARKS: Dict[str, Callable] = {
     "exp1_churn": bench_exp1_churn,
     "exp2_churn": bench_exp2_churn,
@@ -996,7 +898,6 @@ BENCHMARKS: Dict[str, Callable] = {
     "dataplane_contrast": bench_dataplane_contrast,
     "frr_blackhole_soak": bench_frr_blackhole_soak,
     "frr_backup_compute": bench_frr_backup_compute,
-    "csr_sssp_throughput": bench_csr_sssp_throughput,
 }
 
 #: Keys gated with --count-tolerance when present in both runs (wall time
@@ -1054,15 +955,11 @@ def run_benchmarks(mode: str, only: Optional[List[str]] = None) -> Dict[str, obj
         elif mode == "frr":
             if name not in FRR_BENCHMARKS:
                 continue
-        elif mode == "csr":
-            if name not in CSR_BENCHMARKS:
-                continue
         elif (
             name in ISPF_BENCHMARKS
             or name in CONVERGENCE_BENCHMARKS
             or name in DATAPLANE_BENCHMARKS
             or name in FRR_BENCHMARKS
-            or name in CSR_BENCHMARKS
         ):
             continue
         start = time.perf_counter()
@@ -1261,25 +1158,6 @@ def check_invariants(report: Dict[str, object]) -> List[str]:
                     "FRR and never-FRR runs hold different installed "
                     "topologies -- backup state leaked into control state"
                 )
-    cs = benches.get("csr_sssp_throughput")
-    if cs is not None:
-        for key, what in (
-            ("identical_trees", "distance/parent trees"),
-            ("identical_tables", "routing tables"),
-            ("identical_dags", "next-hop DAGs"),
-        ):
-            if not cs[key]:
-                failures.append(
-                    f"csr_sssp_throughput: CSR core produced different "
-                    f"{what} than the dict core (must be byte-identical)"
-                )
-        # The >= 3x speedup is the n=1000 acceptance criterion; small
-        # --only runs can't amortize the compile.
-        if cs["switches"] >= 1000 and cs["speedup"] < 3.0:
-            failures.append(
-                "csr_sssp_throughput: CSR SSSP speedup "
-                f"{cs['speedup']:.2f}x < 3.0x over the dict core"
-            )
     bc = benches.get("frr_backup_compute")
     if bc is not None:
         if bc["fragments"] <= 0:
@@ -1426,14 +1304,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write this run's report to the baseline path",
     )
     parser.add_argument(
-        "--csr-size",
-        type=int,
-        default=None,
-        help="override the --mode csr graph size (e.g. 10000 for the "
-        "nightly smoke; sizes > 2000 use the sparse random connected "
-        "generator)",
-    )
-    parser.add_argument(
         "--disable-frr",
         action="store_true",
         help="run the frr soak without the protected arm, demonstrating "
@@ -1443,8 +1313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     global DISABLE_FRR
     DISABLE_FRR = args.disable_frr
-    if args.csr_size is not None:
-        MODES["csr"] = ((args.csr_size,), 1)
     print(f"regress: mode={args.mode}", flush=True)
     report = run_benchmarks(args.mode, only=args.only)
 

@@ -18,7 +18,7 @@ a :class:`_FlowTemplate` (delivery latencies, hop count, duplicate and
 TTL-drop counts) and then stamps whole batches against the template in
 O(1) per packet.
 
-Invalidation (the seam the future CSR graph core plugs into):
+Invalidation:
 
 * **install generation** -- every topology install appends to
   ``DgmcNetwork.install_log``; :meth:`BatchForwardingEngine.refresh`
@@ -441,25 +441,10 @@ class BatchForwardingEngine:
         """
         net = self.dgmc.net
         hop_delay = self.hop_delay
-        # Edge costs come from the shared flat-array core of the current
-        # up-link view when one is engaged (repro.lsr.csr): one weight
-        # array, O(log deg) slot lookups, no per-edge Link objects.  The
-        # view's weights *are* the link delays, so costs are
-        # byte-identical to the attribute path below.
-        graph = None
-        if hop_delay is None:
-            view = net.spf_view()
-            csr_getter = getattr(view, "csr_graph", None)
-            if csr_getter is not None:
-                graph = csr_getter()
 
         def hop_cost(a: int, b: int) -> float:
             if hop_delay is not None:
                 return hop_delay
-            if graph is not None:
-                w = graph.weight_of(a, b)
-                if w is not None:
-                    return w
             return net.link(a, b).delay
 
         rows: _CsrRows = {}

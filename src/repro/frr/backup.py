@@ -128,18 +128,7 @@ def _masked_shortest_path(
     edge.  A self-contained Dijkstra (lowest-parent-id tie-break, like
     :func:`repro.lsr.spf.dijkstra`) that deliberately bypasses the SPF
     run/relaxation counters: FRR work must not perturb the deterministic
-    counter baselines the benchmark gates pin.
-
-    When the image carries a compiled flat-array core (see
-    :mod:`repro.lsr.csr`), the masked solve runs there -- a cloned
-    weight array with the banned slots dead -- byte-identical (the walk
-    below records canonical lowest-id parents, which is exactly how the
-    CSR core reconstructs paths) and equally counter-free."""
-    csr_getter = getattr(image, "csr_graph", None)
-    if csr_getter is not None:
-        graph = csr_getter()
-        if graph is not None:
-            return graph.masked_path(source, target, banned)
+    counter baselines the benchmark gates pin."""
     bu, bv = banned
     dist: Dict[int, float] = {}
     parent: Dict[int, Optional[int]] = {}

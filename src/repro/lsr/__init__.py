@@ -19,7 +19,6 @@ from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr.spf import dijkstra, routing_table, shortest_path
 from repro.lsr.ispf import MAX_REPAIR_CHAIN, LinkDelta, repair_sssp
-from repro.lsr.csr import CsrGraph, CsrTree
 from repro.lsr.spfcache import SpfCache
 from repro.lsr.flooding import FloodDelivery, FloodingFabric
 from repro.lsr.router import UnicastRouter
@@ -34,8 +33,6 @@ __all__ = [
     "LinkDelta",
     "MAX_REPAIR_CHAIN",
     "repair_sssp",
-    "CsrGraph",
-    "CsrTree",
     "SpfCache",
     "FloodingFabric",
     "FloodDelivery",

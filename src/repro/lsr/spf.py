@@ -118,35 +118,6 @@ def _dijkstra_body(
     return dist, parent
 
 
-def dijkstra_csr(graph, source: int):
-    """One full SSSP on a compiled :class:`repro.lsr.csr.CsrGraph`.
-
-    Returns the solved :class:`~repro.lsr.csr.CsrTree` (flat arrays; the
-    dict views materialize lazily).  Counts and traces exactly like
-    :func:`dijkstra_uncached` -- one RUN_COUNTER tick, the settled
-    nodes' live out-degrees into RELAX_COUNTER, one ``dijkstra`` span --
-    so profiles and the bench counter baselines are backend-agnostic.
-    """
-    RUN_COUNTER.count += 1
-    tracer = obs_tracer.TRACER
-    if not tracer.enabled:
-        return graph.tree(source)
-    with tracer.span("dijkstra", cat="spf", source=source, nodes=graph.n):
-        return graph.tree(source)
-
-
-def dijkstra_csr_many(graph, sources):
-    """Batched :func:`dijkstra_csr`: one C solve covering all sources."""
-    RUN_COUNTER.count += len(sources)
-    tracer = obs_tracer.TRACER
-    if not tracer.enabled:
-        return graph.trees(sources)
-    with tracer.span(
-        "dijkstra", cat="spf", sources=len(sources), nodes=graph.n
-    ):
-        return graph.trees(sources)
-
-
 def shortest_path(adj: Adjacency, source: int, target: int) -> Optional[list[int]]:
     """Node list of the shortest path, or ``None`` if unreachable.
 

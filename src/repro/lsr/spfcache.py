@@ -36,13 +36,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.lsr import csr as _csr
 from repro.lsr import ispf as _ispf
 from repro.lsr.spf import (
     RELAX_COUNTER,
     RUN_COUNTER,
-    dijkstra_csr,
-    dijkstra_csr_many,
     dijkstra_uncached,
     first_hop_table,
 )
@@ -196,9 +193,6 @@ class SpfCache(MappingABC):
         "_prev",
         "_delta",
         "_had_history",
-        "_csr",
-        "_csr_ready",
-        "_trees",
     )
 
     def __init__(
@@ -223,13 +217,6 @@ class SpfCache(MappingABC):
         self._prev: Optional[SpfCache] = prev if usable else None
         self._delta = delta if usable else None
         self._had_history = prev is not None
-        #: Lazily compiled flat-array core (see :mod:`repro.lsr.csr`);
-        #: ``_csr_ready`` distinguishes "not compiled yet" from "tried,
-        #: unavailable".  Solved trees kept in array form for bulk
-        #: consumers; their dict views materialize on first sssp() hit.
-        self._csr: Optional[_csr.CsrGraph] = None
-        self._csr_ready = False
-        self._trees: Dict[int, _csr.CsrTree] = {}
         if self._prev is not None:
             self._trim_chain()
 
@@ -291,108 +278,28 @@ class SpfCache(MappingABC):
         pays a full run, exactly as before.
         """
         entry = self._sssp.get(source)
-        if entry is None:
-            tree = self._trees.get(source)
-            if tree is not None:
-                # Solved (e.g. by prewarm) but never read as dicts: the
-                # solve was already accounted, materializing is a hit.
-                entry = self._sssp[source] = tree.dicts()
         if entry is not None:
             GLOBAL_STATS.hits += 1
             return entry
         entry = self._repair_from_chain(source) if _ispf_on else None
-        self._count_misses(1, repaired=entry is not None)
-        if entry is None:
-            entry = self._full_run(source)
+        GLOBAL_STATS.misses += 1
+        if entry is not None:
+            GLOBAL_STATS.ispf_repairs += 1
+        else:
+            if _ispf_on and self._had_history:
+                GLOBAL_STATS.ispf_full_fallbacks += 1
+            GLOBAL_STATS.full_runs += 1
+            entry = dijkstra_uncached(self._adj, source)
         self._sssp[source] = entry
         return entry
 
-    def _count_misses(self, count: int, repaired: bool = False) -> None:
-        """Account ``count`` misses, all repaired or all paid in full."""
-        GLOBAL_STATS.misses += count
-        if repaired:
-            GLOBAL_STATS.ispf_repairs += count
-            return
-        if _ispf_on and self._had_history:
-            GLOBAL_STATS.ispf_full_fallbacks += count
-        GLOBAL_STATS.full_runs += count
-
-    def _full_run(
-        self, source: int
-    ) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
-        """One full SSSP: the CSR core when compiled, the dict core
-        otherwise -- byte-identical output and identical counters."""
-        graph = self.csr_graph()
-        if graph is not None and source in graph.index_of:
-            tree = dijkstra_csr(graph, source)
-            self._trees[source] = tree
-            return tree.dicts()
-        return dijkstra_uncached(self._adj, source)
-
-    def csr_graph(self) -> Optional[_csr.CsrGraph]:
-        """The compiled flat-array core for this image, or ``None`` when
-        the image is below the :data:`repro.lsr.csr.MIN_NODES` floor (small
-        images solve faster on dicts than they compile).
-
-        Compiled lazily on the first full SSSP of a generation.  When
-        the superseded generation already compiled and the producer
-        tracked the link deltas leading here (the same chain incremental
-        SPF replays), the new graph is a cloned-weights patch of the old
-        one instead of an O(V+E) rebuild.
-        """
-        if not self._csr_ready:
-            self._csr_ready = True
-            if len(self._adj) >= _csr.MIN_NODES:
-                graph = None
-                prev = self._prev
-                if prev is not None and prev._csr is not None and self._delta:
-                    graph = prev._csr.patched(self._delta, self._adj)
-                if graph is None:
-                    graph = _csr.CsrGraph.from_adjacency(self._adj)
-                self._csr = graph
-        return self._csr
-
-    def sssp_tree(self, source: int) -> Optional[_csr.CsrTree]:
-        """The flat-array form of the memoized SSSP, when the CSR core
-        solved it; ``None`` when the entry came from the dict core or an
-        incremental repair (callers fall back to :meth:`sssp` dicts)."""
-        tree = self._trees.get(source)
-        if tree is None and source not in self._sssp:
-            self.sssp(source)
-            tree = self._trees.get(source)
-        return tree
-
     def prewarm(self, sources) -> int:
         """Solve SSSP for every source not yet memoized; returns how many
-        solves ran.  With the CSR core engaged and no repairable history,
-        all misses go through **one** batched C solve, and the solved
-        trees stay in array form -- their dict views materialize only
-        when someone asks (counted as hits, like any memoized read).
-        This is the bulk-ingest path for image rebuilds: the data plane
-        re-warming tree roots, the bench, eccentricity sweeps.
-        """
-        pending = [
-            s
-            for s in sources
-            if s not in self._sssp and s not in self._trees
-        ]
-        if not pending:
-            return 0
-        graph = self.csr_graph()
-        repairable = _ispf_on and self._prev is not None
-        if (
-            graph is None
-            or repairable
-            or any(s not in graph.index_of for s in pending)
-        ):
-            for s in pending:
-                self.sssp(s)
-            return len(pending)
-        trees = dijkstra_csr_many(graph, pending)
-        self._count_misses(len(trees))
-        for s, tree in zip(pending, trees):
-            self._trees[s] = tree
-        return len(trees)
+        solves ran (each one a counted miss, later reads are hits)."""
+        pending = [s for s in sources if s not in self._sssp]
+        for s in pending:
+            self.sssp(s)
+        return len(pending)
 
     def _repair_from_chain(
         self, source: int
@@ -406,13 +313,7 @@ class SpfCache(MappingABC):
             node = node._prev
             base = node._sssp.get(source)
             if base is None:
-                tree = node._trees.get(source)
-                if tree is None:
-                    continue
-                # A CSR-solved ancestor never read as dicts: materialize
-                # its view so the repair chain can start from it.
-                base = tree.dicts()
-                node._sssp[source] = base
+                continue
             dist, parent = base
             for adj_i, delta_i in reversed(steps):
                 repaired = _ispf.repair_sssp_chain(

@@ -45,6 +45,12 @@ from repro.obs.metrics import MetricsRegistry
 #: Receives HelloFrame / DbdFrame / SnapFrame / LsuFrame instances.
 ControlFn = Callable[[int, Any], None]
 
+#: Receive buffer per ``recvfrom``: no UDP payload exceeds 65,507 bytes.
+#: asyncio's default is 256 KiB, above glibc's 128 KiB ``mmap``
+#: threshold, so each datagram would cost an ``mmap`` / ``munmap`` round
+#: (+22% per operation on ``live_udp_n16``; docs/live-runtime.md).
+_RECV_BUFFER = 65536
+
 
 @dataclass
 class _Pending:
@@ -248,6 +254,7 @@ class UdpTransport(Transport):
             transport, _ = await loop.create_datagram_endpoint(
                 lambda x=x: _Endpoint(self, x), local_addr=(self.host, 0)
             )
+            transport.max_size = _RECV_BUFFER
             self._endpoints[x] = transport
             sockname = transport.get_extra_info("sockname")
             self._addrs[x] = (sockname[0], sockname[1])

@@ -244,8 +244,8 @@ class Network:
         view = self._spf_views.get(key)
         if view is not None:
             return view
-        # One edge-iteration builder shared with the uncached path (and
-        # the CSR compile downstream of it): see spf.network_adjacency.
+        # One edge-iteration builder shared with the uncached path: see
+        # spf.network_adjacency.
         adj = network_adjacency(self, include_down=include_down)
         if not enabled():
             return adj

@@ -12,7 +12,6 @@ jittered hello watchdog, and the stress-mode state-space isomorphism
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import pytest
@@ -42,7 +41,6 @@ from repro.topo.generators import grid_network, ring_network, waxman_network
 from repro.trees.base import McTopology, MulticastTree
 from repro.workloads.stress import get_scenario
 from tests.stamps import S
-from tests.test_csr import _size_floor
 
 
 def frr_deployment(net=None, members=(0, 2, 4), enable_frr=True, compute_time=0.5):
@@ -160,22 +158,6 @@ class TestBackupPlan:
             len(plan.fragments) + len(plan.uncovered) for plan in plans.values()
         ) == 2 * len(edges)
 
-    def test_install_plans_on_the_compiled_core(self, rng):
-        """At or above ``csr.MIN_NODES`` the detour search runs on the
-        flat-array core.  Every install used to die there with
-        ``AttributeError: 'CsrGraph' object has no attribute 'backend'``;
-        an on-tree switch must plan its incident edges, and plan exactly
-        what the dict walk plans for them."""
-        with _size_floor(0):
-            dgmc = frr_deployment(waxman_network(24, rng), members=(1, 9, 17))
-            assert dgmc.routers[1].lsdb.adjacency().csr_graph() is not None
-            state = dgmc.states_for(1)[1]
-            assert state.backup_plan.fragments
-            assert all(1 in f.edge for f in state.backup_plan.fragments)
-            assert state.backup_plan == compute_backup_plan(
-                state.installed, self.image(dgmc.net), 1
-            )
-
     def test_fragment_orientation_and_delay(self):
         fragment = BackupFragment(edge=(0, 3), path=(0, 1, 2, 3), cost=3.0)
         assert fragment.span == 3
@@ -230,38 +212,34 @@ class TestEndpointLocalPlans:
                 v
             ].backup_plan.fragment_for(u, v)
 
-    @pytest.mark.parametrize("floor", [None, 0], ids=["dict", "csr"])
     @pytest.mark.parametrize("n", [16, 24, 40])
-    def test_plans_match_the_whole_tree_oracle(self, n, floor):
-        with contextlib.nullcontext() if floor is None else _size_floor(floor):
-            for seed in range(5):
-                dgmc, members = self.deployment(n, seed)
-                core = dgmc.routers[members[0]].lsdb.adjacency().csr_graph()
-                assert (core is not None) == (floor == 0)
-                self.assert_endpoint_local(dgmc, plain_image(dgmc.net))
-                # One fail -> repair -> heal cycle of a protected edge.
-                holder = dgmc.states_for(1)[members[0]]
-                u, v = holder.backup_plan.fragments[0].edge
-                computations = len(dgmc.computation_log)
-                dgmc.inject(LinkEvent(u, u, v, up=False), at=dgmc.sim.now + 1.0)
-                dgmc.run()
-                repaired = plain_image(dgmc.net)
-                self.assert_endpoint_local(dgmc, repaired)
-                # The two link-down LSAs discarded every switch's image;
-                # the repair install rebuilt it only where it planned.
-                tree = holder.installed.all_edges()
-                idle = set(dgmc.switches) - {x for edge in tree for x in edge}
-                idle -= {r.switch for r in dgmc.computation_log[computations:]}
-                assert idle
-                for x in idle:
-                    assert dgmc.routers[x].lsdb._image is None
-                installs = len(dgmc.install_log)
-                dgmc.inject(LinkEvent(u, u, v, up=True), at=dgmc.sim.now + 1.0)
-                dgmc.run()
-                # The heal reinstalls nothing, so every plan still dates
-                # from the repair: computed without the restored link.
-                assert len(dgmc.install_log) == installs
-                self.assert_endpoint_local(dgmc, repaired)
+    def test_plans_match_the_whole_tree_oracle(self, n):
+        for seed in range(5):
+            dgmc, members = self.deployment(n, seed)
+            self.assert_endpoint_local(dgmc, plain_image(dgmc.net))
+            # One fail -> repair -> heal cycle of a protected edge.
+            holder = dgmc.states_for(1)[members[0]]
+            u, v = holder.backup_plan.fragments[0].edge
+            computations = len(dgmc.computation_log)
+            dgmc.inject(LinkEvent(u, u, v, up=False), at=dgmc.sim.now + 1.0)
+            dgmc.run()
+            repaired = plain_image(dgmc.net)
+            self.assert_endpoint_local(dgmc, repaired)
+            # The two link-down LSAs discarded every switch's image;
+            # the repair install rebuilt it only where it planned.
+            tree = holder.installed.all_edges()
+            idle = set(dgmc.switches) - {x for edge in tree for x in edge}
+            idle -= {r.switch for r in dgmc.computation_log[computations:]}
+            assert idle
+            for x in idle:
+                assert dgmc.routers[x].lsdb._image is None
+            installs = len(dgmc.install_log)
+            dgmc.inject(LinkEvent(u, u, v, up=True), at=dgmc.sim.now + 1.0)
+            dgmc.run()
+            # The heal reinstalls nothing, so every plan still dates
+            # from the repair: computed without the restored link.
+            assert len(dgmc.install_log) == installs
+            self.assert_endpoint_local(dgmc, repaired)
 
     def test_off_tree_install_does_no_frr_work(self, rng, monkeypatch):
         """An install at a switch no tree edge touches stores the empty

@@ -14,8 +14,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsr import spfcache
-from repro.lsr.ispf import repair_sssp, repair_sssp_chain
+from repro.lsr import ispf, lsdb, spfcache
+from repro.lsr.ispf import MAX_REPAIR_CHAIN, repair_sssp, repair_sssp_chain
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr.spf import dijkstra_uncached
@@ -246,6 +246,62 @@ class TestNetworkDeltaChain:
         for x in range(5):
             assert view2.sssp(x) == dijkstra_uncached(dict(view2), x)
         assert registry_delta()[attach.SPF_ISPF_REPAIRS] > 0
+
+
+class TestSharedDeltaCap:
+    """One constant caps producer tracking and consumer replay."""
+
+    def test_single_shared_constant(self):
+        assert lsdb._MAX_PENDING_DELTAS is ispf.MAX_REPAIR_CHAIN
+        assert spfcache._MAX_REPAIR_CHAIN is ispf.MAX_REPAIR_CHAIN
+
+    def _full_mesh_lsas(self, n, seq=1, tweak=None):
+        lsas = []
+        for origin in range(n):
+            links = []
+            for nbr in range(n):
+                if nbr == origin:
+                    continue
+                delay = 1.0
+                if tweak is not None and {origin, nbr} == set(tweak[:2]):
+                    delay = tweak[2]
+                links.append((nbr, delay, True))
+            lsas.append(RouterLsa(origin, seq, tuple(links)))
+        return lsas
+
+    def _chain_run(self, installs: int, registry_delta):
+        """Memoize one source, apply ``installs`` single-link deltas
+        before the rebuild, re-query; returns the registry delta."""
+        db = LinkStateDatabase(3)
+        for lsa in self._full_mesh_lsas(3):
+            db.install(lsa)
+        image = db.adjacency()
+        image.sssp(0)
+        for k in range(installs):
+            db.install(
+                self._full_mesh_lsas(3, seq=2 + k, tweak=(0, 1, 2.0 + k))[0]
+            )
+        registry_delta()
+        new_image = db.adjacency()
+        new_image.sssp(0)
+        delta = registry_delta()
+        adj = {x: dict(nbrs) for x, nbrs in new_image.items()}
+        assert repr(new_image.sssp(0)) == repr(dijkstra_uncached(adj, 0))
+        return delta
+
+    def test_at_cap_repairs(self, registry_delta):
+        """Exactly MAX_REPAIR_CHAIN deltas stay on the repair path."""
+        diff = self._chain_run(MAX_REPAIR_CHAIN, registry_delta)
+        assert diff[attach.SPF_ISPF_REPAIRS] >= 1
+        assert diff[attach.SPF_ISPF_FALLBACKS] == 0
+
+    def test_past_cap_falls_back_exactly_once(self, registry_delta):
+        """Nine deltas (cap + 1) degrade the sequence: the re-query pays
+        exactly one full Dijkstra fallback, not one per delta."""
+        diff = self._chain_run(MAX_REPAIR_CHAIN + 1, registry_delta)
+        assert diff[attach.SPF_ISPF_FALLBACKS] == 1
+        assert diff[attach.SPF_FULL_RUNS] == 1
+        assert diff[attach.SPF_ISPF_REPAIRS] == 0
 
 
 class TestRetransmitPolicyProperties:

@@ -62,6 +62,26 @@ def test_nothing_below_the_live_runtime_imports_it_at_any_depth():
     assert not offenders, offenders
 
 
+def test_src_imports_exactly_the_declared_dependencies():
+    """The shortest-path stack is pure Python: nothing under ``src/``
+    imports numpy or scipy at any depth, and what it does import from
+    outside the standard library is ``pyproject.toml``'s ``dependencies``."""
+    third_party = set()
+    for path in sorted(Path(SRC).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for module in _imported_modules(tree):
+            top = module.split(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                third_party.add(top)
+    assert not third_party & {"numpy", "scipy"}
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)^\]", pyproject, re.S | re.M).group(1)
+    declared = {
+        re.match(r"[\w.-]+", spec).group(0) for spec in re.findall(r'"([^"]+)"', block)
+    }
+    assert third_party == declared
+
+
 TRACE_PY = Path(SRC).parent / "benchmarks" / "e2e" / "trace.py"
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lsr import spf
 from repro.topo.generators import random_connected_network, waxman_network
+from tests.test_ispf import graph_and_delta
 
 
 def line_adj():
@@ -100,6 +101,41 @@ class TestRoutingTable:
                     break
                 node = tables[node][dest]
             assert node == dest
+
+
+class TestRoutingTableLinear:
+    """The first-hop build is a single pass, not a chain walk."""
+
+    def test_path_graph_is_linear(self):
+        """n=10k path graph: total chain steps bounded by O(n), where the
+        old per-destination parent-chain walk did ~n^2/2."""
+        n = 10_000
+        adj = {i: {} for i in range(n)}
+        for i in range(n - 1):
+            adj[i][i + 1] = 1.0
+            adj[i + 1][i] = 1.0
+        before = spf.TABLE_STEP_COUNTER.count
+        table = spf.routing_table(adj, 0)
+        steps = spf.TABLE_STEP_COUNTER.count - before
+        assert steps <= 2 * n
+        assert len(table) == n - 1
+        assert all(hop == 1 for hop in table.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=graph_and_delta())
+    def test_matches_naive_chain_walk(self, case):
+        """The single-pass table equals the per-destination chain walk."""
+        adj, _, source = case
+        dist, parent = spf.dijkstra_uncached(adj, source)
+        naive = {}
+        for dest in dist:
+            if dest == source:
+                continue
+            hop = dest
+            while parent[hop] != source:
+                hop = parent[hop]
+            naive[dest] = hop
+        assert repr(spf.first_hop_table(source, dist, parent)) == repr(naive)
 
 
 class TestNetworkAdjacency:

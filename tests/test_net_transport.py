@@ -155,6 +155,20 @@ class TestUdpTransport:
 
         assert len(asyncio.run(run())) == 3
 
+    def test_receive_buffer_fits_one_datagram_below_the_mmap_threshold(self):
+        """asyncio's 256 KiB default costs an mmap/munmap pair per
+        datagram under glibc; any UDP payload fits in 64 KiB."""
+
+        async def run():
+            transport = UdpTransport([0, 1])
+            await transport.start()
+            try:
+                return [e.max_size for e in transport._endpoints.values()]
+            finally:
+                await transport.stop()
+
+        assert asyncio.run(run()) == [65536, 65536]
+
     def test_loss_triggers_retransmit_and_dedup(self):
         async def run():
             transport = UdpTransport(

@@ -37,15 +37,14 @@ class TestReportSchema:
 
     def test_every_benchmark_reports_wall_time(self, regress, quick_report):
         benches = quick_report["benchmarks"]
-        # The ispf pair, the live SLO bench, and the dataplane, frr, and
-        # csr benches only run under their own --mode (or --only).
+        # The ispf pair, the live SLO bench, and the dataplane and frr
+        # benches only run under their own --mode (or --only).
         expected = (
             set(regress.BENCHMARKS)
             - set(regress.ISPF_BENCHMARKS)
             - set(regress.CONVERGENCE_BENCHMARKS)
             - set(regress.DATAPLANE_BENCHMARKS)
             - set(regress.FRR_BENCHMARKS)
-            - set(regress.CSR_BENCHMARKS)
         )
         assert set(benches) == expected
         for record in benches.values():

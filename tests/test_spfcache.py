@@ -99,6 +99,23 @@ class TestMemoization:
         spf.shortest_path(view, 0, 3)
         assert spf.RUN_COUNTER.count - before == 1
 
+    def test_prewarm_solves_each_source_once(self, small_waxman, registry_delta):
+        adj = spf.network_adjacency(small_waxman)
+        sources = sorted(adj)
+        oracle = {s: repr(spf.dijkstra_uncached(adj, s)) for s in sources}
+        cache = SpfCache(adj)
+        registry_delta()
+        assert cache.prewarm(sources) == len(sources)
+        delta = registry_delta()
+        assert delta[attach.SPF_MISSES] == len(sources)
+        assert delta[attach.DIJKSTRA_RUNS] == len(sources)
+        for s in sources:
+            assert repr(cache.sssp(s)) == oracle[s]
+        assert cache.prewarm(sources) == 0
+        delta = registry_delta()
+        assert delta[attach.SPF_HITS] == len(sources)
+        assert delta[attach.SPF_MISSES] == 0
+
     def test_registry_delta_pins_every_spf_sample(self, registry_delta):
         """Cold solve, warm hit, one-link install, multi-link install:
         each event is written once and read through the registry."""
