@@ -69,6 +69,61 @@ def test_bench_flood_operation(benchmark):
     assert sink  # deliveries happened
 
 
+def test_bench_flood_400_switches_delivered_and_drained(benchmark):
+    """One flood at the e2e benchmark's n=400, up to the protocol's door:
+    each copy lands in a mailbox whose parked daemon wakes and drains it."""
+    net = waxman_network(400, random.Random(3))
+    sim = Simulator()
+    fabric = FloodingFabric(sim, net, per_hop_delay=0.01)
+    drained = []
+
+    def daemon(box):
+        while True:
+            drained.append((yield Receive(box)))
+            while not box.empty:
+                drained.append(box.try_receive()[1])
+
+    for x in net.switches():
+        box = Mailbox(sim)
+        sim.spawn(daemon(box))
+        fabric.register(x, lambda s, p, box=box: box.send(p))
+    sim.run()  # every daemon parked
+
+    def run():
+        del drained[:]
+        fabric.flood(0, "payload")
+        sim.run()
+        return len(drained)
+
+    assert benchmark(run) == 399
+
+
+def test_bench_zero_delay_wakes(benchmark):
+    """2 000 parked receivers woken at one instant (no wake touches the heap)."""
+
+    def setup():
+        sim = Simulator()
+        boxes = [Mailbox(sim) for _ in range(2000)]
+        woken = []
+
+        def daemon(box):
+            while True:
+                woken.append((yield Receive(box)))
+
+        for box in boxes:
+            sim.spawn(daemon(box))
+        sim.run()
+        return (sim, boxes, woken), {}
+
+    def run(sim, boxes, woken):
+        for box in boxes:
+            box.send("m")
+        sim.run()
+        assert len(woken) == 2000
+
+    benchmark.pedantic(run, setup=setup, rounds=50)
+
+
 def test_bench_hundred_switch_sparse_trial(benchmark):
     """End-to-end: one sparse D-GMC trial on 100 switches."""
     from repro.harness.experiment import run_dgmc_trial

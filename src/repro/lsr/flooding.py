@@ -5,7 +5,9 @@ first receives an LSA forwards it on every other incident up link, and
 duplicates are dropped.  The net effect is that a copy reaches every
 reachable switch along a *fastest* path.  The fabric simulates exactly that
 effect: at flood time it computes, per destination, the earliest arrival
-time over the current up-link topology, and schedules one delivery there.
+time over the current up-link topology, and hands the id-ordered
+``destination -> delay`` map to the transport, which delivers each copy
+at its time.
 
 Two timing models are supported, matching the paper's experiments:
 
@@ -17,19 +19,24 @@ Two timing models are supported, matching the paper's experiments:
 The fabric also keeps the flood counters ("flooding operations per event")
 that the evaluation section reports.
 
-How a copy physically travels is the :class:`Transport` seam, defined
-here so that the protocol stack imports nothing of the live runtime:
-:class:`KernelTransport` (below) schedules the delivery on the simulation
-kernel, :class:`repro.net.transport.UdpTransport` sends a datagram, and
-the systematic explorer's ``StressTransport`` parks it as a branch point.
+How the copies physically travel is the :class:`Transport` seam, defined
+here so that the protocol stack imports nothing of the live runtime.  A
+flood is one :meth:`Transport.send_flood` call, which by default is one
+:meth:`Transport.send` per destination in id order:
+:class:`repro.net.transport.UdpTransport` sends each as a datagram and the
+systematic explorer's ``StressTransport`` parks each as a branch point.
+:class:`KernelTransport` (below) overrides it to schedule one kernel entry
+per distinct arrival instant -- a few hop classes per flood, not n - 1
+entries -- that delivers to its destinations in id order.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lsr import spf
 from repro.obs import tracer as obs_tracer
@@ -57,6 +64,15 @@ class Transport(abc.ABC):
         (plus any injected faults).
         """
 
+    def send_flood(self, src: int, payload: Any, delays: Dict[int, float]) -> None:
+        """Carry one flood's copies of ``payload``, one per entry of ``delays``.
+
+        ``delays`` maps destination to delay in ascending id order; the
+        default is one :meth:`send` per destination in that order.
+        """
+        for dest, delay in delays.items():
+            self.send(src, dest, payload, delay)
+
     @abc.abstractmethod
     def has_handler(self, switch_id: int) -> bool:
         """Whether a handler is registered for ``switch_id``."""
@@ -75,10 +91,13 @@ class Transport(abc.ABC):
 class KernelTransport(Transport):
     """Delivery via the discrete-event kernel (the simulator's backend).
 
-    A send schedules the destination handler at ``now + delay`` on the
-    kernel's event heap.  The transport itself holds nothing, so it is
-    always :attr:`idle`: in-flight deliveries live on the heap and are
-    covered by the simulator's own quiescence check.
+    A flood is one kernel entry per distinct arrival instant ``now +
+    delay``; the entry calls the handlers of the destinations due then, in
+    id order.  That is the order of one entry per destination: a
+    synchronous flood draws consecutive ``seq``s, so no foreign entry can
+    sit between two of its same-instant copies.  The transport itself holds
+    nothing, so it is always :attr:`idle`: in-flight deliveries live in the
+    kernel and are covered by the simulator's own quiescence check.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -94,9 +113,24 @@ class KernelTransport(Transport):
         return switch_id in self._handlers
 
     def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
-        handler = self._handlers.get(dest)
-        if handler is not None:
-            self.sim.schedule(delay, partial(handler, dest, payload))
+        self.send_flood(src, payload, {dest: delay})
+
+    def send_flood(self, src: int, payload: Any, delays: Dict[int, float]) -> None:
+        now = self.sim.now
+        handlers = self._handlers
+        #: arrival instant (the float the heap compares) -> (delay, batch)
+        classes: Dict[float, Tuple[float, List[Tuple[DeliverFn, int]]]] = {}
+        for dest, delay in delays.items():
+            handler = handlers.get(dest)
+            if handler is None:
+                continue
+            at = now + delay
+            entry = classes.get(at)
+            if entry is None:
+                classes[at] = entry = (delay, [])
+            entry[1].append((handler, dest))
+        for delay, batch in classes.values():
+            self.sim.schedule(delay, partial(_deliver_batch, batch, payload))
 
     @property
     def idle(self) -> bool:
@@ -108,6 +142,11 @@ class KernelTransport(Transport):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KernelTransport(handlers={len(self._handlers)})"
+
+
+def _deliver_batch(batch: List[Tuple[DeliverFn, int]], payload: Any) -> None:
+    for handler, dest in batch:
+        handler(dest, payload)
 
 
 @dataclass
@@ -210,8 +249,8 @@ class FloodingFabric:
     def flood(self, origin: int, payload: Any, kind: str = "lsa") -> FloodDelivery:
         """Perform one flooding operation from ``origin``.
 
-        Schedules one delivery per reachable switch (excluding the origin)
-        at its earliest arrival time, and bumps the per-kind flood counter.
+        Sends one copy to every reachable switch (excluding the origin),
+        due at its earliest arrival time, and bumps the per-kind flood counter.
         Returns the :class:`FloodDelivery` record.
         """
         tracer = obs_tracer.TRACER
@@ -226,21 +265,21 @@ class FloodingFabric:
 
     def _flood(self, origin: int, payload: Any, kind: str) -> FloodDelivery:
         self.flood_counts[kind] = self.flood_counts.get(kind, 0) + 1
-        record = FloodDelivery(origin, kind, self.sim.now, payload)
-        # Deliveries per distinct delay -- one hop class each, observed once.
-        classes: Dict[float, int] = {}
-        for switch, delay in sorted(self.arrival_times(origin).items()):
-            if switch == origin:
-                continue
-            if not self.transport.has_handler(switch):
-                continue
-            record.arrivals[switch] = self.sim.now + delay
-            self.delivery_count += 1
-            if self._hops_hist is not None:
-                classes[delay] = classes.get(delay, 0) + 1
-            self.transport.send(origin, switch, payload, delay)
-        for delay, count in classes.items():
-            self._hops_hist.observe(round(delay / self.per_hop_delay), count)
+        now = self.sim.now
+        has_handler = self.transport.has_handler
+        delays = {
+            switch: delay
+            for switch, delay in sorted(self.arrival_times(origin).items())
+            if switch != origin and has_handler(switch)
+        }
+        arrivals = {switch: now + delay for switch, delay in delays.items()}
+        record = FloodDelivery(origin, kind, now, payload, arrivals)
+        self.delivery_count += len(delays)
+        self.transport.send_flood(origin, payload, delays)
+        if self._hops_hist is not None:
+            # Deliveries per distinct delay -- one hop class each, observed once.
+            for delay, count in Counter(delays.values()).items():
+                self._hops_hist.observe(round(delay / self.per_hop_delay), count)
         if self._fanout_hist is not None:
             self._fanout_hist.observe(len(record.arrivals))
         if self.record_history:

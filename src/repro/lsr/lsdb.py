@@ -177,14 +177,16 @@ class LinkStateDatabase:
                 adj[x] = self._lsa_edges(x, self._entries.get(x))
         else:
             adj = {x: {} for x in range(self.n)}
+            # One map per origin per rebuild, not one per directed link.
+            maps = {origin: lsa.link_map() for origin, lsa in self._entries.items()}
             for origin, lsa in self._entries.items():
                 for nbr, delay, up in lsa.links:
                     if not up:
                         continue
-                    peer = self._entries.get(nbr)
+                    peer = maps.get(nbr)
                     if peer is None:
                         continue
-                    back = peer.link_map().get(origin)
+                    back = peer.get(origin)
                     if back is None or not back[1]:
                         continue
                     adj[origin][nbr] = (delay + back[0]) / 2.0

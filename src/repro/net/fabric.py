@@ -384,8 +384,8 @@ class LiveFabric(ConnectionRegistrar):
     def quiesce_diagnostics(self) -> str:
         """One-line state dump for a stuck barrier: who is busy, and why.
 
-        Names every non-idle host with its pump flag, wake flag, local
-        event-heap depth, and queued MC LSAs, plus the transport's
+        Names every non-idle host with its pump flag, wake flag, pending
+        kernel entries (FIFO + heap), and queued MC LSAs, plus the transport's
         unacked frame keys -- enough to tell a wedged host from a frame
         burning its retransmit budget into a cut or a crashed peer.
         """

@@ -73,8 +73,8 @@ def attach_network_metrics(
                     "by the fabric").set_total(network.fabric.delivery_count)
         reg.counter(EVENTS_DISPATCHED, "simulation kernel events "
                     "dispatched").set_total(network.sim.events_dispatched)
-        reg.gauge(QUEUE_DEPTH, "pending entries in the kernel event "
-                  "heap").set(network.sim.queue_depth)
+        reg.gauge(QUEUE_DEPTH, "pending kernel entries (current-instant "
+                  "FIFO + heap)").set(network.sim.queue_depth)
         reg.gauge(SIM_NOW, "current simulated time").set(network.sim.now)
         comps = getattr(network, "total_computations", None)
         if comps is not None:

@@ -3,8 +3,8 @@
 The paper's two protocol entities are CSIM processes that block on a
 mailbox and hold one CPU for Tc.  That is all of CSIM this kernel keeps:
 
-* :class:`Simulator` -- a binary heap of ``(time, seq, action)`` entries
-  and the simulated clock,
+* :class:`Simulator` -- a binary heap of ``(time, seq, action)`` entries,
+  a FIFO of the actions due at the current instant, and the simulated clock,
 * :class:`Process` -- one ``send()``-driven body that yields
   :class:`Hold`, :class:`Receive` or a facility :class:`Request`,
 * :class:`Mailbox` -- an unbounded FIFO with one blocking receiver,
@@ -14,18 +14,29 @@ mailbox and hold one CPU for Tc.  That is all of CSIM this kernel keeps:
 ``seq`` is a global counter drawn at scheduling time, so same-time
 entries run in the order they were scheduled and a run is a pure function
 of its inputs (DESIGN.md invariant 7).  Everything that resumes a process
-is its own heap entry, scheduled with zero delay at the instant it
-becomes due and never run inline: the first step of a spawned process,
-the wake of a receiver by :meth:`Mailbox.send` (or by :class:`Receive`
-finding a message already queued), a CPU grant (immediate or handed over
-by :meth:`Facility.release`), and the end of a :class:`Hold`.  A delivery
-by :class:`~repro.lsr.flooding.KernelTransport` is one more entry.  Hence
-messages sent to one mailbox at one instant reach a parked receiver as
-one wake followed by queued messages, which the receiver drains with
-:meth:`Mailbox.try_receive` -- one ``ReceiveLSA()`` batch.  The explorer
-(:mod:`repro.stress`) replays schedules against this order, and the
-seeded counts of ``benchmarks/e2e/run.py --selfcheck`` are bound to it;
-``tests/test_sim_order_contract.py`` pins it.
+is its own deferred dispatch, scheduled with zero delay at the instant it
+becomes due and never run inline, so it runs after the code that caused
+it: the first step of a spawned process, the wake of a receiver by
+:meth:`Mailbox.send` (or by :class:`Receive` finding a message already
+queued), a CPU grant (immediate or handed over by
+:meth:`Facility.release`), and the end of a :class:`Hold`.  Hence messages
+sent to one mailbox at one instant reach a parked receiver as one wake
+followed by queued messages, which the receiver drains with
+:meth:`Mailbox.try_receive` -- one ``ReceiveLSA()`` batch.
+
+Zero-delay work never touches the heap.  An action whose time equals
+``now`` is appended to the current instant's FIFO; dispatch takes from the
+heap while its head is due (``time <= now``), else from the FIFO, else
+advances the clock to the heap's head.  That *is* ``(time, seq)`` order:
+every heap entry due at instant t was scheduled before t began, so its
+``seq`` is smaller than that of anything scheduled during t; and what is
+scheduled during t for t runs first-scheduled-first, which is a FIFO.  A
+flood through :class:`~repro.lsr.flooding.KernelTransport` is one heap
+entry per distinct arrival instant, not one per destination (see there).
+The explorer (:mod:`repro.stress`) replays schedules against this order,
+and the seeded counts of ``benchmarks/e2e/run.py --selfcheck`` are bound to
+it; ``tests/test_sim_order_contract.py`` pins one run of it and
+``tests/test_sim_properties.py`` checks it against a plain heap.
 """
 
 from __future__ import annotations
@@ -62,6 +73,8 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        #: Actions due at the current instant, in the order they were scheduled.
+        self._fifo: Deque[Callable[[], None]] = deque()
         self._seq = itertools.count()
         self._running = False
         #: Number of events dispatched so far (diagnostic).
@@ -74,21 +87,25 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        """Pending entries in the event heap."""
-        return len(self._heap)
+        """Pending entries: the current instant's FIFO plus the heap."""
+        return len(self._fifo) + len(self._heap)
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), action))
+        time = self._now + delay
+        if time == self._now:
+            self._fifo.append(action)
+        else:
+            heapq.heappush(self._heap, (time, next(self._seq), action))
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at an absolute simulated time."""
         self.schedule(time - self._now, action)
 
     def spawn(self, body: Any) -> None:
-        """Start a process; its first step is an entry at the current time.
+        """Start a process; its first step is an entry at the current instant.
 
         ``body`` is a generator, or any object with a generator's
         ``send`` (a tracer may wrap the generator in a proxy).
@@ -96,7 +113,9 @@ class Simulator:
         self.schedule(0.0, Process(self, body).resume)
 
     def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the heap is empty."""
+        """Time of the next pending event, or ``None`` if nothing is pending."""
+        if self._fifo:
+            return self._now
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
@@ -110,24 +129,30 @@ class Simulator:
         if not tracer.enabled:
             return self._step()
         with tracer.span(
-            "dispatch", cat="kernel", sim_time=self._now, queue_depth=len(self._heap)
+            "dispatch", cat="kernel", sim_time=self._now, queue_depth=self.queue_depth
         ):
             return self._step()
 
     def _step(self) -> bool:
-        if not self._heap:
+        # Heap entries due by now were scheduled before this instant began,
+        # so they precede everything the instant itself appended.
+        heap = self._heap
+        if heap and (heap[0][0] <= self._now or not self._fifo):
+            time, _, action = heapq.heappop(heap)
+            if time < self._now - 1e-12:
+                raise SimulationError("event heap corrupted: time went backwards")
+            if time > self._now:
+                self._now = time
+        elif self._fifo:
+            action = self._fifo.popleft()
+        else:
             return False
-        time, _, action = heapq.heappop(self._heap)
-        if time < self._now - 1e-12:
-            raise SimulationError("event heap corrupted: time went backwards")
-        if time > self._now:
-            self._now = time
         self.events_dispatched += 1
         action()
         return True
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap drains or ``until`` is reached.
+        """Run until nothing is pending or ``until`` is reached.
 
         Returns the simulated time at which the loop stopped.  When stopping
         on ``until``, the clock is advanced to exactly ``until`` (events at
@@ -139,22 +164,22 @@ class Simulator:
         tracer = obs_tracer.TRACER
         try:
             if not tracer.enabled:
-                return self._run_loop(until)
+                return self._run_loop(until, self._step)
             # The outer span makes the whole loop (heap peeks included)
             # attributable in the per-phase profile; dispatch spans nest
             # inside it, so kernel self-time is genuine loop overhead.
             with tracer.span("run", cat="kernel", sim_time=self._now):
-                return self._run_loop(until)
+                return self._run_loop(until, self.step)
         finally:
             self._running = False
 
-    def _run_loop(self, until: Optional[float]) -> float:
-        heap = self._heap
-        while heap:
-            if until is not None and heap[0][0] > until:
+    def _run_loop(self, until: Optional[float], step: Callable[[], bool]) -> float:
+        heap, fifo = self._heap, self._fifo
+        while fifo or heap:
+            if until is not None and not fifo and heap[0][0] > until:
                 self._now = until
                 break
-            self.step()
+            step()
         return self._now
 
     def run_instant(self) -> int:
@@ -170,8 +195,8 @@ class Simulator:
         """
         dispatched = 0
         horizon = self._now + _INSTANT
-        heap = self._heap
-        while heap and heap[0][0] <= horizon:
+        heap, fifo = self._heap, self._fifo
+        while fifo or (heap and heap[0][0] <= horizon):
             self.step()
             dispatched += 1
         return dispatched
@@ -186,14 +211,14 @@ class Simulator:
         Returns the new simulated time, or ``None`` when nothing is
         pending.
         """
-        if not self._heap:
+        if self.peek() is None:
             return None
         self.step()
         self.run_instant()
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulator(now={self._now:.6g}, pending={len(self._heap)})"
+        return f"Simulator(now={self._now:.6g}, pending={self.queue_depth})"
 
 
 class Command:
@@ -208,7 +233,7 @@ class Command:
 class Process:
     """Drives one body: resume it, apply the command it yields, repeat.
 
-    A process is referenced only by whatever will resume it next -- a heap
+    A process is referenced only by whatever will resume it next -- a kernel
     entry, the mailbox it is parked on, or the facility it queues for --
     so a finished process, or one parked on a discarded mailbox, is
     garbage.

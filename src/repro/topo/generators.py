@@ -75,24 +75,24 @@ def waxman_network(
         net.add_link(order[i], parent, delay=delay(order[i], parent))
 
     target_links = max(n - 1, int(round(target_degree * n / 2.0)))
+    links = n - 1  # the backbone; counted here, net.link_count() is O(links)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     for u, v in pairs:
-        if net.link_count() >= target_links:
+        if links >= target_links:
             break
         if net.has_link(u, v):
             continue
         p = beta * math.exp(-dist(u, v) / (alpha * scale))
         if rng.random() < p:
             net.add_link(u, v, delay=delay(u, v))
+            links += 1
     # Waxman rejection may not reach the target on sparse layouts; top up
     # with the closest remaining pairs so densities stay comparable.
-    if net.link_count() < target_links:
+    if links < target_links:
         remaining = [(dist(u, v), u, v) for u, v in pairs if not net.has_link(u, v)]
         remaining.sort()
-        for _, u, v in remaining:
-            if net.link_count() >= target_links:
-                break
+        for _, u, v in remaining[: target_links - links]:
             net.add_link(u, v, delay=delay(u, v))
     return net
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.lsr.flooding import FloodingFabric
+from repro.lsr.flooding import FloodingFabric, KernelTransport, Transport
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Mailbox, Receive, Simulator
 from repro.topo.generators import grid_network, ring_network
 
 
@@ -75,6 +77,105 @@ class TestTiming:
         fabric.flood(4, "x")  # center
         sim.run()
         assert all(t <= tf for t, _, _ in deliveries)
+
+
+class TestKernelEntries:
+    """One kernel entry per (flood, arrival instant); the order is that of
+    one entry per destination (docs/simulation-kernel.md, rule 2)."""
+
+    def test_one_entry_per_distinct_arrival_instant_in_id_order(self):
+        net = grid_network(4, 4)
+        sim, fabric, deliveries = collect_fabric(net, per_hop_delay=1.0)
+        fabric.flood(0, "x")
+        assert sim.queue_depth == 6  # hop classes 1..6 from a corner
+        sim.run()
+        assert sim.events_dispatched == 6
+        assert len(deliveries) == 15
+        assert deliveries == sorted(deliveries)  # by instant, then by id
+
+    def test_same_instant_floods_drain_as_one_receive_batch(self):
+        """Rule 3: copies of two floods reaching one switch at one instant
+        wake its daemon once; the second copy is drained, not a second
+        wake.  (A wake run inline by ``Mailbox.send`` breaks exactly this.)"""
+        net = grid_network(1, 3)  # a line 0-1-2
+        sim = Simulator()
+        fabric = FloodingFabric(sim, net, per_hop_delay=1.0)
+        box = Mailbox(sim)
+        batches = []
+
+        def daemon():
+            while True:
+                batch = [(yield Receive(box))]
+                while not box.empty:
+                    batch.append(box.try_receive()[1])
+                batches.append((sim.now, batch))
+
+        sim.spawn(daemon())
+        fabric.register(0, lambda s, p: None)
+        fabric.register(1, lambda s, p: box.send(p))
+        fabric.register(2, lambda s, p: None)
+        fabric.flood(0, "from-0")
+        fabric.flood(2, "from-2")
+        sim.run()
+        assert batches == [(1.0, ["from-0", "from-2"])]
+
+    def test_delays_that_round_to_one_instant_share_an_entry(self):
+        """Grouping is by the float the heap compares, ``now + delay``."""
+        sim = Simulator()
+        sim.schedule(8.0, lambda: None)
+        sim.run()
+        transport = KernelTransport(sim)
+        got = []
+        for x in (1, 2, 3):
+            transport.register(x, lambda s, p: got.append((sim.now, s)))
+        near = math.nextafter(0.5, 1.0)
+        assert near != 0.5 and 8.0 + near == 8.5
+        transport.send_flood(0, "x", {1: near, 2: 0.5, 3: near})
+        assert sim.queue_depth == 1
+        sim.run()
+        assert got == [(8.5, 1), (8.5, 2), (8.5, 3)]
+
+    def test_handlers_resolve_at_send_time(self):
+        sim = Simulator()
+        transport = KernelTransport(sim)
+        got = []
+        transport.register(1, lambda s, p: got.append(s))
+        transport.send_flood(0, "x", {1: 1.0, 2: 1.0})
+        transport.send(0, 3, "x", 1.0)
+        transport.register(2, lambda s, p: got.append(s))
+        transport.register(3, lambda s, p: got.append(s))
+        sim.run()
+        assert got == [1]
+
+    def test_a_send_only_transport_sees_one_send_per_destination(self):
+        """``Transport.send_flood`` defaults to per-destination sends in id
+        order -- what ``StressTransport``, ``UdpTransport`` and recording
+        test transports rely on."""
+
+        class SendOnly(Transport):
+            def __init__(self):
+                self.calls = []
+
+            def register(self, switch_id, handler):
+                pass
+
+            def send(self, src, dest, payload, delay=0.0):
+                self.calls.append((src, dest, payload, delay))
+
+            def has_handler(self, switch_id):
+                return switch_id != 7
+
+            idle = True
+            handler_count = 0
+
+        net = grid_network(3, 3)
+        transport = SendOnly()
+        fabric = FloodingFabric(Simulator(), net, per_hop_delay=0.5, transport=transport)
+        fabric.flood(4, "x")
+        hops = net.hop_distances(4)
+        assert transport.calls == [
+            (4, dest, "x", hops[dest] * 0.5) for dest in range(9) if dest not in (4, 7)
+        ]
 
 
 class TestCounters:

@@ -130,6 +130,26 @@ def test_live_host_honours_the_degraded_repair_ablation():
     assert detector.fire_link(1, 2, up=True) == []
 
 
+def test_host_with_only_a_wake_pending_is_not_idle():
+    """An LSA handed to a parked ReceiveLSA() daemon leaves the mailbox and
+    the heap empty: the wake is an entry in the kernel's current-instant
+    FIFO, and the quiescence barrier must still see it."""
+    hosts, transport = line_of_hosts()
+    hosts[0].fire_membership(LeaveEvent(0, CID))
+    hosts[0].sim.run()  # EventHandler() computes, then floods the leave
+    lsa = next(item for dest, item in transport.queue if dest == 1)
+    host = hosts[1]
+    host._wake.clear()  # no pump runs here; it would have taken the wake
+    assert host.idle
+    host.ingest(1, lsa)
+    host._wake.clear()
+    assert host.switch.mailboxes_empty
+    assert host.sim.queue_depth == 1 and host.sim.peek() == host.sim.now
+    assert not host.idle
+    host.sim.run()
+    assert host.idle
+
+
 def live_processes(hosts) -> int:
     """Kernel processes of these hosts that anything still references."""
     gc.collect()

@@ -82,6 +82,30 @@ class TestCanonicalKey:
         assert delivered.canonical_key() != dropped.canonical_key()
 
 
+def test_advance_is_offered_for_a_zero_delay_entry_alone():
+    """Zero-delay work lives in the kernel's current-instant FIFO, not the
+    heap; an executor holding nothing else must still offer ``advance``."""
+    probe = _fresh(get_scenario("membership-race"))
+    assert ("advance",) not in probe.enabled_steps()
+    ran = []
+    probe.sim.schedule(0.0, lambda: ran.append(probe.sim.now))
+    assert ("advance",) in probe.enabled_steps()
+    assert not probe.quiescent()
+    probe.apply(("advance",))
+    assert ran == [probe.sim.now]
+    assert ("advance",) not in probe.enabled_steps()
+
+
+def test_pending_seqs_after_one_flood_are_the_interchange_format():
+    """One flood parks one send per destination, in id order, with
+    consecutive seqs -- the numbers the committed counterexamples
+    (tests/data/stress/*.json) name in their ``deliver`` steps."""
+    probe = _fresh(get_scenario("membership-race"))
+    probe.replay([("event", 0), ("advance",)])
+    pending = probe.transport.pending
+    assert [(seq, p.src, p.dest) for seq, p in pending.items()] == [(5, 0, 1), (6, 0, 2)]
+
+
 class TestExploration:
     @pytest.mark.parametrize("name", ["membership-race", "degraded-repair"])
     def test_shipped_protocol_exhausts_clean(self, name):
