@@ -1,6 +1,6 @@
 """Micro-benchmarks of the simulation substrate.
 
-These establish that the kernel, mailboxes, and flooding fabric are fast
+These establish that the kernel, flooding fabric and switch inboxes are fast
 enough to carry the paper-scale experiments (100 switches, thousands of
 LSAs) comfortably: the figure sweeps run in seconds, not minutes.
 """
@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
+from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
+from repro.core.lsa import McEvent, McLsa
+from repro.core.mc import Role
+from repro.core.timestamp import Stamp
 from repro.lsr.flooding import FloodingFabric
-from repro.sim.kernel import Mailbox, Receive, Simulator
+from repro.sim.kernel import Simulator
 from repro.topo.generators import waxman_network
 
 
@@ -26,29 +28,6 @@ def test_bench_kernel_event_dispatch(benchmark):
         return sim.events_dispatched
 
     assert benchmark(run) == 10_000
-
-
-def test_bench_process_context_switches(benchmark):
-    def run():
-        sim = Simulator()
-        count = 0
-
-        def ping(box_in, box_out, rounds):
-            nonlocal count
-            for _ in range(rounds):
-                yield Receive(box_in)
-                count += 1
-                box_out.send("m")
-
-        a = Mailbox(sim)
-        b = Mailbox(sim)
-        sim.spawn(ping(a, b, 1000))
-        sim.spawn(ping(b, a, 1000))
-        a.send("go")
-        sim.run()
-        return count
-
-    assert benchmark(run) == 2000
 
 
 def test_bench_flood_operation(benchmark):
@@ -70,58 +49,26 @@ def test_bench_flood_operation(benchmark):
 
 
 def test_bench_flood_400_switches_delivered_and_drained(benchmark):
-    """One flood at the e2e benchmark's n=400, up to the protocol's door:
-    each copy lands in a mailbox whose parked daemon wakes and drains it."""
-    net = waxman_network(400, random.Random(3))
-    sim = Simulator()
-    fabric = FloodingFabric(sim, net, per_hop_delay=0.01)
-    drained = []
-
-    def daemon(box):
-        while True:
-            drained.append((yield Receive(box)))
-            while not box.empty:
-                drained.append(box.try_receive()[1])
-
-    for x in net.switches():
-        box = Mailbox(sim)
-        sim.spawn(daemon(box))
-        fabric.register(x, lambda s, p, box=box: box.send(p))
-    sim.run()  # every daemon parked
+    """One MC flood at the e2e benchmark's n=400, through the protocol's
+    door: each copy lands in a switch's inbox and one ReceiveLSA() wake
+    drains it.  The LSA is a stale copy of the join, so nobody answers."""
+    dgmc = DgmcNetwork(
+        waxman_network(400, random.Random(3)), ProtocolConfig(per_hop_delay=0.01)
+    )
+    dgmc.register_symmetric(1)
+    dgmc.inject(JoinEvent(0, 1), at=0.0)
+    dgmc.run()
+    stale = McLsa(0, McEvent.JOIN, 1, None, Stamp.from_dense((1,)), role=Role.BOTH)
 
     def run():
-        del drained[:]
-        fabric.flood(0, "payload")
-        sim.run()
-        return len(drained)
+        before = dgmc.fabric.delivery_count
+        dgmc.fabric.flood(0, stale, kind="mc")
+        dgmc.run()
+        assert dgmc.quiescent()  # every inbox drained
+        return dgmc.fabric.delivery_count - before
 
     assert benchmark(run) == 399
-
-
-def test_bench_zero_delay_wakes(benchmark):
-    """2 000 parked receivers woken at one instant (no wake touches the heap)."""
-
-    def setup():
-        sim = Simulator()
-        boxes = [Mailbox(sim) for _ in range(2000)]
-        woken = []
-
-        def daemon(box):
-            while True:
-                woken.append((yield Receive(box)))
-
-        for box in boxes:
-            sim.spawn(daemon(box))
-        sim.run()
-        return (sim, boxes, woken), {}
-
-    def run(sim, boxes, woken):
-        for box in boxes:
-            box.send("m")
-        sim.run()
-        assert len(woken) == 2000
-
-    benchmark.pedantic(run, setup=setup, rounds=50)
+    assert len(dgmc.computation_log) == 1  # the join's own; the stale copies cost none
 
 
 def test_bench_hundred_switch_sparse_trial(benchmark):

@@ -14,7 +14,7 @@ algorithms, carries the previous tree).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.timestamp import Stamp, VectorTimestamp
@@ -62,6 +62,12 @@ class McState:
         self.member_stamp = member.snapshot()
         #: The shared make_proposal_flag of the two protocol entities.
         self.make_proposal_flag = False
+        #: ReceiveLSA()'s mailbox -- every MC LSA delivered and not yet drained,
+        #: oldest first -- and whether a ReceiveLSA() is scheduled or running
+        #: (DgmcSwitch.deliver_mc_lsa).  Absent from :meth:`canonical`: the
+        #: explorer fingerprints the queued LSAs themselves.
+        self.inbox: List = []
+        self.receiving = False
         #: Member list: switch -> role strings ({"sender"}, {"receiver"}, both).
         self.members: Dict[int, FrozenSet[str]] = {}
         #: The currently installed topology (None before the first accept).

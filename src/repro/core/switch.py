@@ -1,15 +1,17 @@
 """The D-GMC switch: the two protocol entities of Figures 4 and 5.
 
 "Two MC protocol entities, EventHandler() and ReceiveLSA(), execute at
-every network switch."  Both are simulation processes here:
+every network switch."
 
-* ``EventHandler()`` runs once per local event per affected connection; it
-  floods an event LSA and, when no outstanding LSAs are known (``R >= E``),
-  computes and attaches a topology proposal.
-* ``ReceiveLSA()`` is a per-connection daemon that drains the connection's
-  mailbox, updates R / E / member lists, accepts proposals whose timestamp
-  dominates E, detects inconsistencies (``R[x] > T[x]``), and computes and
-  floods *triggered* proposals -- withdrawing them when new LSAs race in.
+* ``EventHandler()`` is a simulation process, run once per local event per
+  affected connection; it floods an event LSA and, when no outstanding LSAs
+  are known (``R >= E``), computes and attaches a topology proposal.
+* ``ReceiveLSA()`` is a method, run by one zero-delay wake per batch of LSAs
+  in the connection's inbox; it updates R / E / member lists, accepts
+  proposals whose timestamp dominates E, detects inconsistencies
+  (``R[x] > T[x]``), and -- as a process, the one part that costs time --
+  computes and floods *triggered* proposals, withdrawing them when new LSAs
+  race in.
 
 Topology computations cost Tc simulated time and contend for the switch's
 single CPU (a :class:`~repro.sim.kernel.Facility`); LSA bookkeeping is
@@ -25,7 +27,7 @@ Two documented deviations from the paper's pseudocode (see DESIGN.md):
    what this implementation uses.
 2. **Withdrawal scope** (Figure 5 line 29): on withdrawal the paper nulls
    the whole candidate variable, which silently discards any *received*
-   proposal picked as candidate earlier in the same mailbox batch; since
+   proposal picked as candidate earlier in the same inbox batch; since
    the LSA is already consumed, that proposal can never be reconsidered,
    and under sustained conflict a switch can permanently miss the winning
    proposal.  Here withdrawal discards only the switch's own uncommitted
@@ -46,7 +48,7 @@ Two documented deviations from the paper's pseudocode (see DESIGN.md):
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lsa import McEvent, McLsa
@@ -61,7 +63,7 @@ from repro.frr import (
 )
 from repro.lsr.router import UnicastRouter
 from repro.obs import tracer as obs_tracer
-from repro.sim.kernel import Facility, Hold, Mailbox, Receive, Simulator
+from repro.sim.kernel import Facility, Hold, Process, Simulator
 from repro.trees.base import McTopology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,7 +119,6 @@ class DgmcSwitch:
         self.on_install = on_install
         self.cpu = Facility(sim)
         self.states: Dict[int, McState] = {}
-        self._mailboxes: Dict[int, Mailbox] = {}
         #: (R, E, C, M) snapshots of destroyed connections, keyed by id, so
         #: a recreated connection resumes its event counts (see McState).
         self._tombstones: Dict[int, tuple] = {}
@@ -144,33 +145,26 @@ class DgmcSwitch:
                 spec, self.n, resume_from=self._tombstones.get(connection_id)
             )
             self.states[connection_id] = state
-            box = Mailbox(self.sim)
-            self._mailboxes[connection_id] = box
-            self.sim.spawn(self._receive_lsa_daemon(connection_id, state, box))
         return state
 
-    def _maybe_destroy(self, connection_id: int) -> bool:
+    def _maybe_destroy(self, connection_id: int) -> None:
         """Delete local MC data structures when the member list is empty.
 
         "When a switch detects an empty member list of an MC, local data
         structures corresponding to the MC are deleted."  Deletion waits
-        for an empty mailbox so queued LSAs are never dropped.
+        for an empty inbox so queued LSAs are never dropped: the inbox holds
+        *every* undelivered LSA (a ReceiveLSA() wake carries none).
         """
         state = self.states.get(connection_id)
-        box = self._mailboxes.get(connection_id)
-        if state is None or box is None:
-            return False
-        if state.empty and box.empty:
-            self._tombstones[connection_id] = (
-                state.received.snapshot(),
-                state.expected.snapshot(),
-                state.current_stamp,
-                state.member_stamp.snapshot(),
-            )
-            del self.states[connection_id]
-            del self._mailboxes[connection_id]
-            return True
-        return False
+        if state is None or not state.empty or state.inbox:
+            return
+        self._tombstones[connection_id] = (
+            state.received.snapshot(),
+            state.expected.snapshot(),
+            state.current_stamp,
+            state.member_stamp.snapshot(),
+        )
+        del self.states[connection_id]
 
     def has_connection(self, connection_id: int) -> bool:
         return connection_id in self.states
@@ -178,19 +172,29 @@ class DgmcSwitch:
     @property
     def mailboxes_empty(self) -> bool:
         """No MC LSA is queued for any connection (quiescence barriers)."""
-        return all(box.empty for box in self._mailboxes.values())
+        return not any(state.inbox for state in self.states.values())
 
     def queued_lsas(self, connection_id: int) -> list:
         """The MC LSAs queued for a connection, oldest first, unconsumed."""
-        box = self._mailboxes.get(connection_id)
-        return box.peek_all() if box is not None else []
+        state = self.states.get(connection_id)
+        return list(state.inbox) if state is not None else []
 
     # -- LSA delivery (called by the flooding fabric) ----------------------------
 
     def deliver_mc_lsa(self, lsa: McLsa) -> None:
-        """Deposit a flooded MC LSA into the connection's mailbox."""
-        self.get_or_create_state(lsa.connection_id)
-        self._mailboxes[lsa.connection_id].send(lsa)
+        """Deposit a flooded MC LSA into the connection's inbox.
+
+        Order-contract rule 3 (docs/simulation-kernel.md): ReceiveLSA() runs
+        as one zero-delay wake, deferred and never inline, so LSAs delivered
+        at one instant drain as one batch.  The wake carries no LSA -- the
+        inbox holds them all, which :meth:`_maybe_destroy` relies on.
+        """
+        connection_id = lsa.connection_id
+        state = self.get_or_create_state(connection_id)
+        state.inbox.append(lsa)
+        if not state.receiving:
+            state.receiving = True
+            self.sim.schedule(0.0, partial(self._receive_lsa, connection_id, state))
 
     # -- topology computation ----------------------------------------------------
 
@@ -398,35 +402,44 @@ class DgmcSwitch:
 
     # -- ReceiveLSA() : Figure 5 -------------------------------------------------
 
-    def _receive_lsa_daemon(self, connection_id: int, state: McState, box: Mailbox):
-        """Daemon: block on the mailbox, then run the ReceiveLSA() body.
+    def _receive_lsa(self, connection_id: int, state: McState) -> None:
+        """One invocation of the ReceiveLSA() algorithm (Figure 5).
 
-        The daemon exits when the connection's local state is destroyed.
+        Only a due triggered proposal (lines 19-31) costs simulated time,
+        so only it becomes a process, started inline in this dispatch.
+        """
+        tracer = obs_tracer.TRACER
+        if not tracer.enabled:
+            best = self._drain_inbox(state)
+        else:
+            with tracer.span(
+                "receive_lsa",
+                cat="arbitration",
+                tid=self.switch_id,
+                sim_time=self.sim.now,
+                connection=connection_id,
+            ) as span:
+                best = self._drain_inbox(state)
+                span.args["adopted_proposal"] = best[0] is not None
+                if state.trace_ctx is not None:
+                    span.args["trace_id"] = state.trace_ctx.trace_id()
+        if self._proposal_due(state):  # line 19
+            Process(self.sim, self._triggered_tail(connection_id, state, best)).resume()
+        else:
+            self._accept(connection_id, state, best)
+
+    def _drain_inbox(self, state: McState) -> Tuple[Optional[McTopology], Stamp, int]:
+        """Figure 5 lines 1-18: consume every queued LSA, pick the candidate.
+
+        The candidate ``(topology, stamp, proposer)`` starts as "the
+        installed topology": a proposal must beat what is installed.
         """
         x = self.switch_id
-        while True:
-            first = yield Receive(box)
-            yield from self._receive_lsa_body(connection_id, state, box, first)
-            if self._maybe_destroy(connection_id):
-                return
-
-    def _drain_mailbox(
-        self,
-        state: McState,
-        box: Mailbox,
-        first: McLsa,
-        candidate: Optional[McTopology],
-        candidate_stamp,
-        candidate_proposer: int,
-    ):
-        """Figure 5 lines 3-18: consume every queued LSA, pick the candidate."""
-        x = self.switch_id
-        pending: deque[McLsa] = deque([first])
-        while pending or not box.empty:
-            if pending:
-                lsa = pending.popleft()
-            else:
-                _, lsa = box.try_receive()
+        batch, state.inbox = state.inbox, []
+        candidate: Optional[McTopology] = None
+        candidate_stamp = state.current_stamp
+        candidate_proposer = state.current_proposer
+        for lsa in batch:
             if lsa.ctx is not None:
                 # Adopt the newest cause affecting this connection so the
                 # spans and floods below join its causal chain.
@@ -483,52 +496,26 @@ class DgmcSwitch:
                 state.make_proposal_flag = True
         return candidate, candidate_stamp, candidate_proposer
 
-    def _receive_lsa_body(
-        self, connection_id: int, state: McState, box: Mailbox, first: McLsa
-    ):
-        """One invocation of the ReceiveLSA() algorithm (Figure 5)."""
-        x = self.switch_id
-        # Lines 1-2.  The candidate starts as "the installed topology":
-        # a proposal must beat (stamp, proposer) of what is installed.
-        candidate: Optional[McTopology] = None
-        candidate_stamp = state.current_stamp
-        candidate_proposer = state.current_proposer
+    def _triggered_tail(self, connection_id: int, state: McState, best):
+        """Lines 19-31: the triggered proposal, a candidate like any other."""
+        own = yield from self._triggered_proposal(connection_id, state)
+        if own is not None and self._beats(own[1], self.switch_id, best[1], best[2]):
+            best = (*own, self.switch_id)  # lines 25-26 (paper misprints C)
+        self._accept(connection_id, state, best)
 
-        # Lines 3-18: consume every LSA currently in the mailbox.  The drain
-        # loop is synchronous, so it may live inside one span; the triggered
-        # computation below yields simulated time and must not.
-        tracer = obs_tracer.TRACER
-        if not tracer.enabled:
-            candidate, candidate_stamp, candidate_proposer = self._drain_mailbox(
-                state, box, first, candidate, candidate_stamp, candidate_proposer
-            )
-        else:
-            with tracer.span(
-                "receive_lsa",
-                cat="arbitration",
-                tid=x,
-                sim_time=self.sim.now,
-                connection=connection_id,
-            ) as span:
-                candidate, candidate_stamp, candidate_proposer = self._drain_mailbox(
-                    state, box, first, candidate, candidate_stamp, candidate_proposer
-                )
-                span.args["adopted_proposal"] = candidate is not None
-                if state.trace_ctx is not None:
-                    span.args["trace_id"] = state.trace_ctx.trace_id()
+    def _accept(self, connection_id: int, state: McState, best) -> None:
+        """Lines 32-35: accept the surviving candidate; ReceiveLSA() ends.
 
-        # Lines 19-31: the triggered proposal, a candidate like any other.
-        if self._proposal_due(state):
-            own = yield from self._triggered_proposal(connection_id, state)
-            if own is not None and self._beats(
-                own[1], x, candidate_stamp, candidate_proposer
-            ):
-                candidate, candidate_stamp = own  # lines 25-26 (paper misprints C)
-                candidate_proposer = x
-
-        # Lines 32-35: accept the surviving candidate.
+        LSAs that arrived during a triggered computation get the next wake.
+        """
+        candidate, stamp, proposer = best
         if candidate is not None:
-            self._install(state, candidate, candidate_stamp, candidate_proposer)
+            self._install(state, candidate, stamp, proposer)
+        self._maybe_destroy(connection_id)
+        if state.inbox:
+            self.sim.schedule(0.0, partial(self._receive_lsa, connection_id, state))
+        else:
+            state.receiving = False
 
     def _proposal_due(self, state: McState) -> bool:
         """Figure 5 line 19: the flag is set, ``R >= E`` and ``R > C``."""
@@ -551,7 +538,7 @@ class DgmcSwitch:
         proposal = yield from self._compute_proposal(state)  # line 21
         quiet = (
             self.states.get(connection_id) is state
-            and self._mailboxes[connection_id].empty
+            and not state.inbox
             and state.received.equals(old_r)
         )
         if quiet or self.config.ablate_withdrawal:  # line 22
@@ -781,7 +768,7 @@ class DgmcSwitch:
     def _resync_kick(self, connection_id: int, state: McState):
         """Triggered proposal after a resync merge (Figure 5 lines 19-31).
 
-        A snapshot merge can leave ``R > C`` with no LSA in any mailbox,
+        A snapshot merge can leave ``R > C`` with no LSA in any inbox,
         so ReceiveLSA() would never run its triggered-computation tail;
         this process runs that same tail (:meth:`_triggered_proposal`)
         and installs the result.  Concurrent kicks at several switches

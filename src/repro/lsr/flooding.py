@@ -277,9 +277,11 @@ class FloodingFabric:
         self.delivery_count += len(delays)
         self.transport.send_flood(origin, payload, delays)
         if self._hops_hist is not None:
-            # Deliveries per distinct delay -- one hop class each, observed once.
-            for delay, count in Counter(delays.values()).items():
-                self._hops_hist.observe(round(delay / self.per_hop_delay), count)
+            # Deliveries per hop class, observed once each, from the BFS map
+            # arrival_times just cached (a zero delay cannot be divided back).
+            hops = self._hops_cache[origin]
+            for distance, count in Counter(map(hops.__getitem__, delays)).items():
+                self._hops_hist.observe(distance, count)
         if self._fanout_hist is not None:
             self._fanout_hist.observe(len(record.arrivals))
         if self.record_history:

@@ -404,10 +404,9 @@ class LiveSwitch:
     def idle(self) -> bool:
         """Quiescent: nothing queued locally and the pump has drained.
 
-        Part of the fabric-wide quiescence barrier; all four conditions
-        are needed (a woken-but-not-yet-pumped host has ``_wake`` set, a
-        blocked ReceiveLSA daemon keeps both the heap and mailboxes
-        empty).
+        Part of the fabric-wide quiescence barrier (a woken-but-not-yet-
+        pumped host has ``_wake`` set; a pending ReceiveLSA() wake or
+        first step is an entry in the kernel's FIFO, not its heap).
         """
         return (
             not self._pumping

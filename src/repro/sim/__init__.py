@@ -8,36 +8,32 @@ contract):
 
 * :class:`Simulator` -- the event heap and simulated clock,
 * :class:`Process` -- a generator-driven process,
-* :class:`Mailbox` -- a FIFO message queue with one blocking receiver,
 * :class:`Facility` -- a single server with a FIFO wait queue,
 
 plus :class:`~repro.sim.rng.RngRegistry` -- named, independently seeded
 random streams for reproducible experiments.
 
-A process body is a plain Python generator that yields :class:`Hold`,
-:class:`Receive` or ``facility.request()``; helper generators compose
-with ``yield from``::
+A process body is a plain Python generator that yields :class:`Hold` or
+``facility.request()``; helper generators compose with ``yield from``::
 
     sim = Simulator()
-    box = Mailbox(sim)
+    cpu = Facility(sim)
 
-    def server():
-        while True:
-            msg = yield Receive(box)
-            yield Hold(1.5)        # service time
-            print(sim.now, msg)
+    def job(name):
+        yield cpu.request()    # wait for the single server
+        yield Hold(1.5)        # service time
+        cpu.release()
+        print(sim.now, name)
 
-    sim.spawn(server())
-    box.send("hello")
+    sim.spawn(job("first"))
+    sim.spawn(job("second"))
     sim.run(until=10.0)
 """
 
 from repro.sim.kernel import (
     Facility,
     Hold,
-    Mailbox,
     Process,
-    Receive,
     SimulationError,
     Simulator,
 )
@@ -48,8 +44,6 @@ __all__ = [
     "SimulationError",
     "Process",
     "Hold",
-    "Receive",
-    "Mailbox",
     "Facility",
     "RngRegistry",
 ]

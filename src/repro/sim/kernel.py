@@ -1,13 +1,13 @@
-"""The discrete-event kernel: a heap, a process, a mailbox and a CPU.
+"""The discrete-event kernel: a heap, a process and a CPU.
 
 The paper's two protocol entities are CSIM processes that block on a
-mailbox and hold one CPU for Tc.  That is all of CSIM this kernel keeps:
+mailbox and hold one CPU for Tc.  The mailbox is plain data on the protocol's
+own state (``DgmcSwitch.deliver_mc_lsa``); what is left of CSIM is this:
 
 * :class:`Simulator` -- a binary heap of ``(time, seq, action)`` entries,
   a FIFO of the actions due at the current instant, and the simulated clock,
 * :class:`Process` -- one ``send()``-driven body that yields
-  :class:`Hold`, :class:`Receive` or a facility :class:`Request`,
-* :class:`Mailbox` -- an unbounded FIFO with one blocking receiver,
+  :class:`Hold` or a facility :class:`Request`,
 * :class:`Facility` -- one server with a FIFO wait queue.
 
 **The order contract.**  Entries dispatch in ``(time, seq)`` order and
@@ -16,13 +16,10 @@ entries run in the order they were scheduled and a run is a pure function
 of its inputs (DESIGN.md invariant 7).  Everything that resumes a process
 is its own deferred dispatch, scheduled with zero delay at the instant it
 becomes due and never run inline, so it runs after the code that caused
-it: the first step of a spawned process, the wake of a receiver by
-:meth:`Mailbox.send` (or by :class:`Receive` finding a message already
-queued), a CPU grant (immediate or handed over by
-:meth:`Facility.release`), and the end of a :class:`Hold`.  Hence messages
-sent to one mailbox at one instant reach a parked receiver as one wake
-followed by queued messages, which the receiver drains with
-:meth:`Mailbox.try_receive` -- one ``ReceiveLSA()`` batch.
+it: the first step of a spawned process, a CPU grant (immediate or handed
+over by :meth:`Facility.release`), and the end of a :class:`Hold`.  That
+same-instant LSAs drain as one ``ReceiveLSA()`` batch is the same deferral
+applied by the switch, and is stated there (``DgmcSwitch.deliver_mc_lsa``).
 
 Zero-delay work never touches the heap.  An action whose time equals
 ``now`` is appended to the current instant's FIFO; dispatch takes from the
@@ -44,7 +41,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from functools import partial
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.obs import tracer as obs_tracer
@@ -188,7 +184,7 @@ class Simulator:
         Deterministic branch-point hook for the systematic explorer
         (:mod:`repro.stress`): after an externally chosen action (an LSA
         delivery, an injected event), the zero-delay cascade it triggers
-        -- process wake-ups, mailbox drains, flood bookkeeping -- runs to
+        -- process wake-ups, inbox drains, flood bookkeeping -- runs to
         completion while strictly-future events (topology-computation
         completions) stay queued as further branch points.  Returns the
         number of events dispatched.
@@ -233,9 +229,8 @@ class Command:
 class Process:
     """Drives one body: resume it, apply the command it yields, repeat.
 
-    A process is referenced only by whatever will resume it next -- a kernel
-    entry, the mailbox it is parked on, or the facility it queues for --
-    so a finished process, or one parked on a discarded mailbox, is
+    A process is referenced only by whatever will resume it next -- a
+    kernel entry or the facility it queues for -- so a finished process is
     garbage.
     """
 
@@ -245,20 +240,20 @@ class Process:
         self.sim = sim
         self._body = body
 
-    def resume(self, value: Any = None) -> None:
-        """Send ``value`` into the pending ``yield`` and apply the next command.
+    def resume(self) -> None:
+        """Run the body to its next ``yield`` and apply the command it yields.
 
         An exception raised by the body propagates out of the dispatching
         :meth:`Simulator.step`.
         """
         try:
-            command = self._body.send(value)
+            command = self._body.send(None)
         except StopIteration:
             return
         if not isinstance(command, Command):
             raise SimulationError(
                 f"{self._body!r} yielded unsupported object {command!r}; "
-                "yield Hold, Receive or a facility request"
+                "yield Hold or a facility request"
             )
         command.apply(self)
 
@@ -275,69 +270,6 @@ class Hold(Command):
 
     def apply(self, proc: Process) -> None:
         proc.sim.schedule(self.delay, proc.resume)
-
-
-class Receive(Command):
-    """Block until a message arrives in ``mailbox``; resumes with the message."""
-
-    __slots__ = ("mailbox",)
-
-    def __init__(self, mailbox: "Mailbox") -> None:
-        self.mailbox = mailbox
-
-    def apply(self, proc: Process) -> None:
-        self.mailbox._receive(proc)
-
-
-class Mailbox:
-    """Unbounded FIFO message queue with one blocking receiver.
-
-    Senders never block.  The D-GMC switch keeps one mailbox per
-    connection: the flooding layer deposits arriving LSAs, and the
-    connection's ``ReceiveLSA()`` daemon is woken by the first and drains
-    the rest (:meth:`try_receive`).
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._queue: Deque[Any] = deque()
-        self._receiver: Optional[Process] = None
-
-    def send(self, message: Any) -> None:
-        """Deposit a message; wakes the blocked receiver, if any."""
-        proc = self._receiver
-        if proc is None:
-            self._queue.append(message)
-        else:
-            self._receiver = None
-            self.sim.schedule(0.0, partial(proc.resume, message))
-
-    def _receive(self, proc: Process) -> None:
-        """Called by :meth:`Receive.apply`; hand over a queued message or park."""
-        if self._queue:
-            self.sim.schedule(0.0, partial(proc.resume, self._queue.popleft()))
-        elif self._receiver is not None:
-            raise SimulationError("a mailbox has one receiver; a second one blocked")
-        else:
-            self._receiver = proc
-
-    def try_receive(self) -> Tuple[bool, Any]:
-        """Non-blocking receive: ``(True, message)`` or ``(False, None)``."""
-        if self._queue:
-            return True, self._queue.popleft()
-        return False, None
-
-    def peek_all(self) -> List[Any]:
-        """Snapshot of queued messages without consuming them."""
-        return list(self._queue)
-
-    @property
-    def empty(self) -> bool:
-        return not self._queue
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        parked = "parked" if self._receiver is not None else "no"
-        return f"Mailbox(queued={len(self._queue)}, {parked} receiver)"
 
 
 class Request(Command):

@@ -14,7 +14,7 @@ but takes away its two sources of internal nondeterminism-hiding:
 * **Time advances** only on an explicit ``("advance",)`` step, which
   completes the earliest in-flight topology computation
   (:meth:`~repro.sim.kernel.Simulator.advance_to_next`).  The zero-delay
-  cascade after every step (process wake-ups, mailbox drains) runs to
+  cascade after every step (process wake-ups, inbox drains) runs to
   completion via :meth:`~repro.sim.kernel.Simulator.run_instant`, so a
   state between steps is always settled-at-an-instant.
 
@@ -264,7 +264,7 @@ class StressExecutor:
         """Hashable fingerprint collapsing symmetric interleavings.
 
         Absolute simulated time and send sequence numbers are excluded:
-        two interleavings that settle every switch, mailbox, in-flight
+        two interleavings that settle every switch, inbox, in-flight
         computation, and pending LSA into the same semantic content will
         behave identically from here on, whatever order produced them.
         """

@@ -6,10 +6,12 @@ import math
 
 import pytest
 
+from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, ProtocolConfig
 from repro.lsr.flooding import FloodingFabric, KernelTransport, Transport
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.kernel import Mailbox, Receive, Simulator
+from repro.sim.kernel import Simulator
 from repro.topo.generators import grid_network, ring_network
+from tests.batches import recorded_batches
 
 
 def collect_fabric(net, per_hop_delay=None, record_history=False):
@@ -95,29 +97,20 @@ class TestKernelEntries:
 
     def test_same_instant_floods_drain_as_one_receive_batch(self):
         """Rule 3: copies of two floods reaching one switch at one instant
-        wake its daemon once; the second copy is drained, not a second
-        wake.  (A wake run inline by ``Mailbox.send`` breaks exactly this.)"""
-        net = grid_network(1, 3)  # a line 0-1-2
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net, per_hop_delay=1.0)
-        box = Mailbox(sim)
-        batches = []
-
-        def daemon():
-            while True:
-                batch = [(yield Receive(box))]
-                while not box.empty:
-                    batch.append(box.try_receive()[1])
-                batches.append((sim.now, batch))
-
-        sim.spawn(daemon())
-        fabric.register(0, lambda s, p: None)
-        fabric.register(1, lambda s, p: box.send(p))
-        fabric.register(2, lambda s, p: None)
-        fabric.flood(0, "from-0")
-        fabric.flood(2, "from-2")
-        sim.run()
-        assert batches == [(1.0, ["from-0", "from-2"])]
+        are one ReceiveLSA() wake; the second copy is drained, not a second
+        wake.  (A wake run inline by ``deliver_mc_lsa`` breaks exactly this.)"""
+        dgmc = DgmcNetwork(
+            grid_network(1, 3),  # a line 0-1-2
+            ProtocolConfig(compute_time=0.5, per_hop_delay=1.0),
+        )
+        dgmc.register_symmetric(1)
+        dgmc.inject(JoinEvent(0, 1), at=0.0)
+        dgmc.inject(JoinEvent(2, 1), at=0.0)  # both flood at 0.5
+        with recorded_batches(dgmc.switches[1]) as batches:
+            dgmc.run(until=1.5)
+        assert [(at, [lsa.source for lsa in batch]) for at, batch in batches] == [
+            (1.5, [0, 2])
+        ]
 
     def test_delays_that_round_to_one_instant_share_an_entry(self):
         """Grouping is by the float the heap compares, ``now + delay``."""
@@ -214,6 +207,25 @@ class TestCounters:
             for low, high in zip((0,) + hops.buckets, hops.buckets)
         ]
         assert registry.histogram("flood_fanout").count == 2
+
+    def test_zero_per_hop_delay_floods_and_still_counts_hop_classes(self):
+        """Regression: ``flood_hops`` divided hop counts back out of the
+        delay, so ``per_hop_delay=0.0`` raised ZeroDivisionError at the
+        first MC flood.  Hop counts come from the BFS map itself."""
+        dgmc = DgmcNetwork(ring_network(6), ProtocolConfig(per_hop_delay=0.0))
+        dgmc.register_symmetric(1)
+        for member in (0, 2, 3):
+            dgmc.inject(JoinEvent(member, 1), at=0.0)
+        dgmc.inject(LeaveEvent(2, 1), at=5.0)
+        dgmc.run()
+        assert dgmc.agreement(1)[0]
+        assert sorted(dgmc.switches[4].states[1].members) == [0, 3]
+        hops = dgmc.metrics.histogram("flood_hops")
+        floods = dgmc.fabric.total_floods
+        # Around a 6-ring every flood reaches two switches at 1 and 2 hops, one at 3.
+        assert hops.count == dgmc.fabric.delivery_count == 5 * floods
+        assert hops.sum == 9 * floods
+        assert hops.counts[:3] == [2 * floods, 2 * floods, floods]
 
     def test_count_for_unknown_kind_is_zero(self):
         net = ring_network(4)

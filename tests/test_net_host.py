@@ -131,19 +131,25 @@ def test_live_host_honours_the_degraded_repair_ablation():
 
 
 def test_host_with_only_a_wake_pending_is_not_idle():
-    """An LSA handed to a parked ReceiveLSA() daemon leaves the mailbox and
-    the heap empty: the wake is an entry in the kernel's current-instant
-    FIFO, and the quiescence barrier must still see it."""
+    """One entry in the kernel's current-instant FIFO leaves the heap
+    empty, and the quiescence barrier must still see it: a ReceiveLSA()
+    wake (its LSA waits in the inbox until the wake drains it), or the
+    first step of an EventHandler(), which queues nothing anywhere."""
     hosts, transport = line_of_hosts()
-    hosts[0].fire_membership(LeaveEvent(0, CID))
-    hosts[0].sim.run()  # EventHandler() computes, then floods the leave
+    leaver, host = hosts[0], hosts[1]
+    for each in (leaver, host):
+        each._wake.clear()  # no pump runs here; it would have taken the wake
+        assert each.idle
+    leaver.fire_membership(LeaveEvent(0, CID))
+    leaver._wake.clear()
+    assert leaver.switch.mailboxes_empty
+    assert leaver.sim.queue_depth == 1 and leaver.sim.peek() == leaver.sim.now
+    assert not leaver.idle
+    leaver.sim.run()  # EventHandler() computes, then floods the leave
     lsa = next(item for dest, item in transport.queue if dest == 1)
-    host = hosts[1]
-    host._wake.clear()  # no pump runs here; it would have taken the wake
-    assert host.idle
     host.ingest(1, lsa)
     host._wake.clear()
-    assert host.switch.mailboxes_empty
+    assert host.switch.queued_lsas(CID) == [lsa]
     assert host.sim.queue_depth == 1 and host.sim.peek() == host.sim.now
     assert not host.idle
     host.sim.run()
@@ -163,9 +169,8 @@ def live_processes(hosts) -> int:
 def test_finished_event_handlers_are_not_retained():
     """Regression: the kernel kept every spawned process in a list nothing
     read, so a host leaked one finished EventHandler() (generator, done
-    event, names) per event for its whole lifetime.  What stays alive is
-    bounded by the connections held -- one ReceiveLSA() daemon per host --
-    however many events have passed."""
+    event, names) per event for its whole lifetime.  Nothing stays alive
+    at rest: ReceiveLSA() is a wake over an inbox, not a parked process."""
     hosts, transport = line_of_hosts()
 
     def churn(cycles: int) -> None:
@@ -175,11 +180,8 @@ def test_finished_event_handlers_are_not_retained():
             hosts[1].fire_membership(LeaveEvent(1, CID))
             settle(hosts, transport)
 
-    churn(2)
-    held = live_processes(hosts)
-    assert held == len(hosts)  # one connection: one daemon per host
-    churn(10)
-    assert live_processes(hosts) == held
+    churn(12)
+    assert live_processes(hosts) == 0
 
 
 def test_cold_booted_host_proposes_nothing_before_its_lsdb_is_complete():

@@ -23,7 +23,7 @@ from repro.harness.figures import (
     _bursty_scenario,
 )
 from repro.sim.rng import RngRegistry
-from repro.topo.generators import waxman_network
+from repro.topo.generators import ring_network, waxman_network
 from tests.stamps import S
 
 
@@ -141,8 +141,6 @@ class TestTombstoneFix:
         state.installed.shared_tree.validate({0, 3})
 
     def test_tombstone_preserves_counts(self):
-        from repro.topo.generators import ring_network
-
         dgmc = DgmcNetwork(
             ring_network(4), ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
         )
@@ -158,3 +156,30 @@ class TestTombstoneFix:
         assert state.received[0] == 3  # join + leave + join, never reset
         ok, detail = dgmc.agreement(1)
         assert ok, detail
+
+
+class TestQueuedLsaIsNeverOrphaned:
+    """Deletion waits for an empty inbox, and the inbox holds *every*
+    undelivered LSA (DESIGN.md §4b, state lifecycle).
+
+    Historical failure: the LSA that woke a parked ReceiveLSA() daemon rode
+    inside the scheduled wake, where the emptiness check could not see it.
+    Here switch 0's leave computation completes at t=2.125, the instant
+    switch 1's join LSA reaches it: EventHandler() found "no members, empty
+    mailbox" and deleted the state the wake was about to update, so switch
+    0 rejoined the vector protocol from a tombstone that never heard of
+    switch 1 -- ``[1, 2] != [2]``, permanently.
+    """
+
+    def test_leave_completing_as_a_join_lsa_arrives_keeps_the_join(self):
+        dgmc = DgmcNetwork(
+            ring_network(3), ProtocolConfig(compute_time=0.125, per_hop_delay=0.25)
+        )
+        dgmc.register_symmetric(1)
+        dgmc.inject(JoinEvent(0, 1), at=0.0)
+        dgmc.inject(JoinEvent(1, 1), at=1.75)
+        dgmc.inject(LeaveEvent(0, 1), at=2.0)
+        dgmc.inject(JoinEvent(2, 1), at=5.0)
+        dgmc.run()
+        assert dgmc.agreement(1) == (True, "connection 1: 3 switches agree")
+        assert sorted(dgmc.switches[0].states[1].members) == [1, 2]

@@ -4,13 +4,14 @@ One seeded :class:`~repro.core.protocol.DgmcNetwork` run packs two
 conflicting joins, a leave and a link flap into one Tc window, so which
 switch computes, floods, withdraws and installs *when* depends on how the
 kernel breaks every same-instant tie (ties break by schedule order; a
-mailbox wake and a CPU grant are each one deferred entry of the current
-instant's FIFO, a flood is one heap entry per arrival instant; see
+ReceiveLSA() wake and a CPU grant are each one deferred entry of the
+current instant's FIFO, a flood is one heap entry per arrival instant; see
 :mod:`repro.sim.kernel`).  Both logs are pinned to the values of the
 commit before the kernel was cut down to one module; the kernel-event
-count was re-pinned once, 318 -> 217, when zero-delay work left the heap
-and floods started delivering by hop class -- with not a byte of either
-log moving.  A change to scheduling order fails here on every push, long
+count was re-pinned twice with not a byte of either log moving: 318 -> 217
+when zero-delay work left the heap and floods started delivering by hop
+class, and 217 -> 205 when ReceiveLSA() stopped being a daemon (no first
+step to park it, once per switch: 12).  A change to scheduling order fails here on every push, long
 before the nightly ``benchmarks/e2e/run.py --selfcheck``; that the order
 *is* ``(time, seq)`` order is checked against a plain heap in
 ``tests/test_sim_properties.py``.
@@ -26,7 +27,7 @@ from repro.topo.generators import waxman_network
 CID = 1
 WINDOW = 10.0  # the conflict window opens here; Tc = 0.5
 
-KERNEL_EVENTS = 217
+KERNEL_EVENTS = 205
 
 #: (time, switch, connection)
 COMPUTATIONS = [

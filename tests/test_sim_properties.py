@@ -1,4 +1,5 @@
-"""Property-based tests of the simulation kernel itself."""
+"""Property-based tests of the simulation kernel, and of the one queue
+built on it: a switch's per-connection inbox."""
 
 from __future__ import annotations
 
@@ -8,7 +9,13 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.kernel import Facility, Hold, Mailbox, Process, Receive, Simulator
+from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
+from repro.core.lsa import McEvent, McLsa
+from repro.core.mc import Role
+from repro.core.timestamp import Stamp
+from repro.sim.kernel import Facility, Hold, Process, Simulator
+from repro.topo.generators import grid_network
+from tests.batches import recorded_batches
 
 
 class TestEventOrdering:
@@ -35,45 +42,66 @@ class TestEventOrdering:
         assert seen == sorted(range(len(delays)), key=lambda i: delays[i])
 
 
+CID = 1
+TC = 1.5
+
+
+def isolated_switch():
+    """Switch 0 of a two-switch line whose one link is down, already a
+    member: its floods reach nobody, so every LSA it drains is one the
+    test delivered; and since ``R[0] = 1``, an LSA whose sender had not
+    heard of that join makes ReceiveLSA() hold the CPU for Tc."""
+    net = grid_network(1, 2)
+    net.set_link_state(0, 1, up=False)
+    dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=TC, per_hop_delay=0.25))
+    dgmc.register_symmetric(CID)
+    dgmc.inject(JoinEvent(0, CID), at=0.0)
+    dgmc.run()
+    return dgmc, dgmc.switches[0]
+
+
+def event_lsas(count):
+    """Switch 1 joins and leaves in turn: event LSAs with indices 1, 2, ..."""
+    return [
+        McLsa(1, McEvent.JOIN, CID, None, Stamp.from_dense((0, i)), role=Role.BOTH)
+        if i % 2
+        else McLsa(1, McEvent.LEAVE, CID, None, Stamp.from_dense((0, i)))
+        for i in range(1, count + 1)
+    ]
+
+
 class TestMailboxProperties:
-    @given(st.lists(st.tuples(st.integers(), st.integers(0, 4)), max_size=60))
+    @given(st.lists(st.integers(0, 4), max_size=40))
     @settings(max_examples=30, deadline=None)
-    def test_all_messages_delivered_exactly_once(self, sends):
-        """Whether a send finds the consumer parked, woken-but-not-yet-run
-        or busy, every message arrives once, in send order."""
-        sim = Simulator()
-        box = Mailbox(sim)
-        got = []
-
-        def consumer():
-            while True:
-                got.append((yield Receive(box)))
-                yield Hold(1.5)
-
-        sim.spawn(consumer())
-        at = 0.0
-        for m, gap in sends:
+    def test_all_messages_delivered_exactly_once(self, gaps):
+        """Whether a delivery finds ReceiveLSA() idle, woken-but-not-yet-run
+        (gap 0) or holding the CPU for Tc (gaps 1 and 2 fall inside 1.5),
+        every LSA is drained once, in delivery order."""
+        dgmc, switch = isolated_switch()
+        lsas = event_lsas(len(gaps))
+        at = dgmc.sim.now
+        for lsa, gap in zip(lsas, gaps):
             at += gap
-            sim.schedule(at, lambda m=m: box.send(m))
-        sim.run()
-        assert got == [m for m, _ in sends]
+            dgmc.sim.schedule_at(at, lambda lsa=lsa: switch.deliver_mc_lsa(lsa))
+        with recorded_batches(switch) as batches:
+            dgmc.run()
+        assert [lsa for _, batch in batches for lsa in batch] == lsas
+        assert all(batch for _, batch in batches)
+        assert switch.mailboxes_empty and not switch.inflight_computes
 
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=40))
+    @given(st.integers(1, 40))
     @settings(max_examples=30, deadline=None)
-    def test_single_consumer_preserves_order(self, messages):
-        sim = Simulator()
-        box = Mailbox(sim)
-        got = []
-
-        def consumer():
-            while True:
-                got.append((yield Receive(box)))
-
-        sim.spawn(consumer())
-        for m in messages:
-            box.send(m)
-        sim.run()
-        assert got == messages
+    def test_single_consumer_preserves_order(self, count):
+        """LSAs delivered at one instant are one wake and one batch."""
+        dgmc, switch = isolated_switch()
+        lsas = event_lsas(count)
+        for lsa in lsas:
+            switch.deliver_mc_lsa(lsa)
+        assert switch.queued_lsas(CID) == lsas and dgmc.sim.queue_depth == 1
+        with recorded_batches(switch) as batches:
+            dgmc.sim.run_instant()
+        assert batches == [(dgmc.sim.now, lsas)]
+        assert switch.mailboxes_empty
 
 
 class TestFacilityProperties:
@@ -175,7 +203,6 @@ def _ops(children):
     return st.lists(
         st.one_of(
             st.tuples(st.sampled_from(["schedule", "schedule_at"]), _DELAYS, _TAGS, children),
-            st.tuples(st.just("send"), _DELAYS, _TAGS, st.integers(0, 1)),
             st.tuples(st.just("cpu"), _DELAYS, _TAGS, st.none()),
         ),
         max_size=4,
@@ -198,14 +225,7 @@ _SCRIPTS = st.lists(
 def _execute(sim, script):
     """Run ``script`` on ``sim``; everything observable goes into the log."""
     log = []
-    boxes = [Mailbox(sim), Mailbox(sim)]
     cpu = Facility(sim)
-
-    def consumer(box):
-        while True:
-            tag, hold = yield Receive(box)
-            log.append(("recv", tag, sim.now))
-            yield Hold(hold)  # un-parked meanwhile: sends queue up
 
     def worker(tag, hold):
         yield cpu.request()
@@ -215,9 +235,7 @@ def _execute(sim, script):
 
     def perform(ops):
         for kind, delay, tag, extra in ops:
-            if kind == "send":
-                boxes[extra].send((tag, delay))
-            elif kind == "cpu":
+            if kind == "cpu":
                 sim.spawn(worker(tag, delay))
             else:
                 def action(tag=tag, nested=extra):
@@ -229,8 +247,6 @@ def _execute(sim, script):
                 else:
                     sim.schedule_at(sim.now + delay, action)
 
-    for box in boxes:
-        sim.spawn(consumer(box))
     for ops, (drive, arg) in script:
         perform(ops)
         if drive == "run":
