@@ -119,18 +119,14 @@ def read_stamp_pairs(take: Callable[[str], tuple], stored: int) -> Stamp:
 
 
 def _encode_tree(key: int, tree: MulticastTree) -> bytes:
+    """One tree in one ``struct`` call: header, members, edge count, edges."""
     members = sorted(tree.members)
     edges = sorted(tree.edges)
-    parts = [
-        struct.pack(
-            "!iiH", key, -1 if tree.root is None else tree.root, len(members)
-        ),
-        struct.pack(f"!{len(members)}I", *members) if members else b"",
-        struct.pack("!I", len(edges)),
-    ]
-    for u, v in edges:
-        parts.append(struct.pack("!II", u, v))
-    return b"".join(parts)
+    return struct.pack(
+        f"!iiH{len(members)}II{2 * len(edges)}I",
+        key, -1 if tree.root is None else tree.root, len(members),
+        *members, len(edges), *chain.from_iterable(edges),
+    )
 
 
 def _encode_proposal(proposal: McTopology) -> bytes:
@@ -199,13 +195,12 @@ class _Reader:
 
 def _decode_tree(reader: _Reader) -> Tuple[int, MulticastTree]:
     key, root, member_count = reader.take("!iiH")
-    members = reader.take(f"!{member_count}I") if member_count else ()
-    (edge_count,) = reader.take("!I")
-    edges = []
-    for _ in range(edge_count):
-        edges.append(reader.take("!II"))
+    *members, edge_count = reader.take(f"!{member_count}II")
+    # One checked read for every edge: a bogus count fails the bounds
+    # check in ``take`` before anything is unpacked.
+    flat = reader.take(f"!{2 * edge_count}I")
     tree = MulticastTree.build(
-        edges, members, root=None if root < 0 else root
+        zip(flat[0::2], flat[1::2]), members, root=None if root < 0 else root
     )
     return key, tree
 

@@ -78,6 +78,14 @@ class QuiescenceTimeout(RuntimeError):
     """The fabric did not settle within ``quiesce_timeout``."""
 
 
+class PumpFailure(RuntimeError):
+    """A host's pump task died; ``__cause__`` is the exception it raised.
+
+    A dead pump never drains its host again, so the barrier fails at its
+    next poll instead of waiting out ``quiesce_timeout``.
+    """
+
+
 class LiveFabric(ConnectionRegistrar):
     """A complete live D-GMC deployment on loopback UDP."""
 
@@ -119,6 +127,13 @@ class LiveFabric(ConnectionRegistrar):
         self.crashed: set[int] = set()
         #: Cross-group pairs severed by the active partition (empty = none).
         self._partition_pairs: set[Tuple[int, int]] = set()
+        #: Host -> the exception its pump task died of, in order of death.
+        self._pump_failures: Dict[int, BaseException] = {}
+        #: Whether a barrier has raised :class:`PumpFailure` yet.
+        self._pump_failure_raised = False
+        self._c_pump_failures = self.metrics.counter(
+            "live_pump_failures_total", "host pump tasks that died with an exception"
+        )
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -149,6 +164,7 @@ class LiveFabric(ConnectionRegistrar):
             hello_interval=self.live.hello_interval,
             dead_interval=self.live.dead_interval,
             cold_boot=cold_boot,
+            on_pump_failure=self._on_pump_failure,
         )
         host.slo = self.slo
         self.transport.register(x, host.ingest)
@@ -164,6 +180,26 @@ class LiveFabric(ConnectionRegistrar):
             await host.stop()
         await self.transport.stop()
         self.slo.finalize()
+        # A pump death no barrier reported is raised here, once nothing is
+        # left open.
+        if self._pump_failures and not self._pump_failure_raised:
+            self._raise_pump_failure()
+
+    def _on_pump_failure(self, x: int, error: BaseException) -> None:
+        """A host's pump task died: count it and dump the flight recorder."""
+        self._pump_failures[x] = error
+        self._c_pump_failures.inc()
+        flight.dump_on_violation(
+            "pump-failure",
+            {"host": x, "error": repr(error), "diagnostics": self.quiesce_diagnostics()},
+            registry=self.metrics,
+        )
+
+    def _raise_pump_failure(self) -> None:
+        """Raise :class:`PumpFailure` for the first pump that died."""
+        self._pump_failure_raised = True
+        x, error = next(iter(self._pump_failures.items()))
+        raise PumpFailure(f"host {x}'s pump died: {error!r}") from error
 
     def _record_install(
         self, switch: int, connection_id: int, stamp: Stamp, proposer: int
@@ -345,7 +381,8 @@ class LiveFabric(ConnectionRegistrar):
         can be in the socket buffer while both ends look idle for one
         instant).  Raises :class:`QuiescenceTimeout` after ``timeout``
         wall seconds -- a hard guard so a lost-forever frame or a wedged
-        host cannot hang a caller (or a CI job) silently.
+        host cannot hang a caller (or a CI job) silently -- and
+        :class:`PumpFailure` at the first poll after a host's pump died.
         """
         budget = self.live.quiesce_timeout if timeout is None else timeout
         loop = asyncio.get_running_loop()
@@ -353,6 +390,8 @@ class LiveFabric(ConnectionRegistrar):
         consecutive = 0
         while True:
             await asyncio.sleep(self.live.poll_interval)
+            if self._pump_failures:
+                self._raise_pump_failure()
             if self.idle:
                 consecutive += 1
                 if consecutive >= self.live.settle_polls:

@@ -195,13 +195,26 @@ def _pack_ctx(ctx: Optional[TraceContext]) -> bytes:
     return b"\x01" + ctx.to_wire()
 
 
-def encode_data(src: int, dest: int, seq: int, lsa: Union[McLsa, NonMcLsa]) -> bytes:
-    """Build the wire bytes of one DATA frame (context taken from the LSA)."""
-    return (
-        _pack_header(DATA, src, dest, seq)
-        + _pack_ctx(getattr(lsa, "ctx", None))
-        + encode_lsa(lsa)
-    )
+def data_body(lsa: Union[McLsa, NonMcLsa]) -> bytes:
+    """The DATA frame body: trace-context prefix plus the encoded LSA.
+
+    Everything after the header, and so the same for every copy of one
+    flood: the sender encodes it once and splices a header per copy.
+    """
+    return _pack_ctx(getattr(lsa, "ctx", None)) + encode_lsa(lsa)
+
+
+def encode_data(
+    src: int, dest: int, seq: int, lsa: Union[McLsa, NonMcLsa],
+    body: Optional[bytes] = None,
+) -> bytes:
+    """Build the wire bytes of one DATA frame (context taken from the LSA).
+
+    ``body`` is ``data_body(lsa)`` when the caller already holds it.
+    """
+    if body is None:
+        body = data_body(lsa)
+    return _pack_header(DATA, src, dest, seq) + body
 
 
 def encode_ack(src: int, dest: int, seq: int) -> bytes:

@@ -42,8 +42,11 @@ from repro.topo.graph import Network
 class LiveFloodOut:
     """Host-side flooding client: origin-broadcast over the transport.
 
-    Keeps the same counters as the simulated fabric
-    (``flood_counts`` / ``delivery_count``) so diagnostics carry over.
+    A flood is one :meth:`~repro.lsr.flooding.Transport.send_flood` to
+    every peer but the origin, the seam ``FloodingFabric`` uses too (the
+    modelled delay is 0: the wire supplies its own).  Keeps the same
+    counters as the simulated fabric (``flood_counts`` /
+    ``delivery_count``) so diagnostics carry over.
     """
 
     def __init__(self, transport: Transport, switch_id: int, peers: Iterable[int]) -> None:
@@ -64,11 +67,9 @@ class LiveFloodOut:
             # The LSA dataclasses are frozen; ctx is observability-only
             # metadata (compare=False), so back-stamping is safe.
             object.__setattr__(payload, "ctx", self.current_ctx)
-        for dest in self.peers:
-            if dest == origin:
-                continue
-            self.transport.send(origin, dest, payload)
-            self.delivery_count += 1
+        delays = {dest: 0.0 for dest in self.peers if dest != origin}
+        self.transport.send_flood(origin, payload, delays)
+        self.delivery_count += len(delays)
 
     @property
     def total_floods(self) -> int:
@@ -95,6 +96,7 @@ class LiveSwitch:
         hello_interval: float = 0.0,
         dead_interval: float = 0.0,
         cold_boot: bool = False,
+        on_pump_failure: Optional[Callable[[int, BaseException], None]] = None,
     ) -> None:
         self.switch_id = switch_id
         #: Host-local copy of the physical network (its own address space);
@@ -147,6 +149,8 @@ class LiveSwitch:
         self._hello_task: Optional[asyncio.Task] = None
         self._pumping = False
         self._stopped = False
+        #: Called with (switch id, exception) if the pump task dies.
+        self.on_pump_failure = on_pump_failure
         #: Per-host mint counter for causal trace contexts.
         self._ctx_seq = 0
         #: Optional :class:`~repro.obs.slo.SloTracker` (set by the fabric).
@@ -340,13 +344,25 @@ class LiveSwitch:
         self._task = asyncio.create_task(
             self._pump_loop(), name=f"live-switch-{self.switch_id}"
         )
+        self._task.add_done_callback(self._pump_done)
         if self.hello_interval > 0:
             self._hello_task = asyncio.create_task(
                 self._hello_loop(), name=f"hello-{self.switch_id}"
             )
 
+    def _pump_done(self, task: asyncio.Task) -> None:
+        """Done callback of the pump task: report its death, if it died."""
+        if task.cancelled() or task.exception() is None:
+            return
+        if self.on_pump_failure is not None:
+            self.on_pump_failure(self.switch_id, task.exception())
+
     async def stop(self) -> None:
-        """Graceful shutdown: stop pumping and wait for the task to exit."""
+        """Graceful shutdown: stop pumping and wait for the task to exit.
+
+        A pump that died is not re-raised here: it was reported through
+        ``on_pump_failure`` when it died.
+        """
         self._stopped = True
         self._wake.set()
         if self._hello_task is not None:
@@ -357,7 +373,7 @@ class LiveSwitch:
                 pass
             self._hello_task = None
         if self._task is not None:
-            await self._task
+            await asyncio.wait([self._task])
             self._task = None
 
     async def _hello_loop(self) -> None:

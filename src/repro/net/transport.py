@@ -360,17 +360,34 @@ class UdpTransport(Transport):
 
     # -- send paths ---------------------------------------------------------------
 
-    def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
+    def send(
+        self, src: int, dest: int, payload: Any, delay: float = 0.0,
+        body: Optional[bytes] = None,
+    ) -> None:
         """Queue one reliable DATA datagram from ``src`` to ``dest``.
 
-        Must be called from within the running event loop (protocol code
-        executes inside host pump tasks, so this holds by construction).
+        ``body`` is the payload's :func:`~repro.net.frames.data_body` when
+        the caller encoded it already (:meth:`send_flood` does, once per
+        flood); only the frame header is then built here.  Must be called
+        from within the running event loop (protocol code executes inside
+        host pump tasks, so this holds by construction).
         """
         self._queue_reliable(
             src, dest,
-            lambda seq: frames.encode_data(src, dest, seq, payload),
+            lambda seq: frames.encode_data(src, dest, seq, payload, body),
             ctx=getattr(payload, "ctx", None),
         )
+
+    def send_flood(self, src: int, payload: Any, delays: Dict[int, float]) -> None:
+        """One flood: encode the DATA body once, then one :meth:`send` per
+        destination in ``delays`` order, each splicing its own header.
+
+        The body lives for this call only; a retransmit resends the frame
+        its first send built.
+        """
+        body = frames.data_body(payload)
+        for dest in delays:
+            self.send(src, dest, payload, body=body)
 
     def send_dbd(
         self, src: int, dest: int, headers: Dict[int, int], reply: bool = False
@@ -577,9 +594,11 @@ class UdpTransport(Transport):
             ctx = getattr(lsa, "ctx", None)
             tracer = obs_tracer.TRACER
             if ctx is not None:
-                # Re-attach one wire traversal later: the hop counter is
-                # the receive path's business, not the codec's.
-                lsa = replace(lsa, ctx=ctx.next_hop())
+                # One wire traversal later: the hop counter is the receive
+                # path's business, not the codec's.  The LSA was decoded
+                # for this datagram alone, so the (compare=False) context
+                # is bumped in place, as decode_frame attached it.
+                object.__setattr__(lsa, "ctx", ctx.next_hop())
                 if tracer.enabled:
                     tracer.flow(
                         ctx.trace_id(), "f",

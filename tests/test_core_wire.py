@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -257,6 +260,74 @@ class TestRobustness:
                     decode_lsa(blob)
                 except WireDecodeError:
                     pass
+
+
+def reference_tree(key: int, tree: MulticastTree) -> bytes:
+    """The tree encoding written out field by field, one edge at a time."""
+    members = sorted(tree.members)
+    edges = sorted(tree.edges)
+    parts = [
+        struct.pack("!iiH", key, -1 if tree.root is None else tree.root, len(members)),
+        struct.pack(f"!{len(members)}I", *members) if members else b"",
+        struct.pack("!I", len(edges)),
+    ]
+    for u, v in edges:
+        parts.append(struct.pack("!II", u, v))
+    return b"".join(parts)
+
+
+def reference_topology(topo: McTopology) -> bytes:
+    return struct.pack("!H", len(topo.trees)) + b"".join(
+        reference_tree(key, tree) for key, tree in topo.trees
+    )
+
+
+NODES = st.integers(0, 2**32 - 1)
+
+trees = st.builds(
+    MulticastTree.build,
+    st.lists(st.tuples(NODES, NODES), max_size=64),
+    st.frozensets(NODES, max_size=12),
+    root=st.none() | st.integers(0, 2**31 - 1),
+)
+
+topologies = st.dictionaries(
+    st.just(SHARED) | st.integers(0, 2**31 - 1), trees, max_size=3
+).map(lambda by_key: McTopology(tuple(sorted(by_key.items()))))
+
+
+class TestTreeCodecProperties:
+    """The bulk tree codec against the field-by-field reference."""
+
+    @given(topologies)
+    @settings(max_examples=100, deadline=None)
+    def test_topology_bytes_match_the_reference(self, topo):
+        data = encode_topology(topo)
+        assert data == reference_topology(topo)
+        assert decode_topology(data) == topo
+
+    @given(topologies, st.lists(st.integers(0, 2**16), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_lsa_bytes_match_the_reference_and_every_prefix_fails(self, topo, stamp):
+        lsa = McLsa(3, McEvent.JOIN, 7, topo, S(*stamp), Role.SENDER)
+        bare = bytearray(encode_lsa(replace(lsa, proposal=None)))
+        bare[2] |= 0x10  # has-proposal
+        data = encode_lsa(lsa)
+        assert data == bytes(bare) + reference_topology(topo)
+        assert decode_lsa(data) == lsa
+        for cut in range(len(data)):
+            with pytest.raises(WireDecodeError):
+                decode_lsa(data[:cut])
+
+    @pytest.mark.parametrize("tail", [b"", b"\x00" * 8, b"\xff" * 64])
+    def test_an_absurd_edge_count_is_a_fast_truncation(self, tail):
+        head = struct.pack("!HiiHI", 1, SHARED, -1, 0, 0xFFFFFFFF) + tail
+        with pytest.raises(WireDecodeError, match="truncated"):
+            decode_topology(head)
+        lsa = bytearray(encode_lsa(McLsa(0, McEvent.LEAVE, 1, None, S(1))))
+        lsa[2] |= 0x10
+        with pytest.raises(WireDecodeError, match="truncated"):
+            decode_lsa(bytes(lsa) + head)
 
 
 class TestTopologyCodec:

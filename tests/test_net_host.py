@@ -20,9 +20,10 @@ from repro.core.lsa import McLsa
 from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.protocol import ProtocolConfig
 from repro.lsr.flooding import Transport
-from repro.lsr.lsa import NonMcLsa
+from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.net import frames
-from repro.net.host import LiveSwitch
+from repro.net.host import LiveFloodOut, LiveSwitch
+from repro.obs.context import TraceContext
 from repro.sim import Process
 from repro.topo.generators import grid_network
 
@@ -154,6 +155,24 @@ def test_host_with_only_a_wake_pending_is_not_idle():
     assert not host.idle
     host.sim.run()
     assert host.idle
+
+
+def test_flood_out_is_one_send_per_peer_over_a_send_only_transport():
+    """A flood is one ``send_flood``; a transport overriding only ``send``
+    sees one call per peer but the origin, in id order."""
+    transport = RecordingTransport()
+    flood_out = LiveFloodOut(transport, 2, [4, 0, 3, 1, 2])
+    ctx = TraceContext(2, -1, "link-down", 5)
+    flood_out.current_ctx = ctx
+    lsa = NonMcLsa(2, RouterLsa(2, 7, ()))
+    flood_out.flood(2, lsa, kind="non-mc")
+    assert list(transport.queue) == [(dest, lsa) for dest in (0, 1, 3, 4)]
+    assert lsa.ctx is ctx  # back-stamped before the copies went out
+    transport.queue.clear()
+    flood_out.flood(3, lsa, kind="non-mc")  # a resync re-flood of 3's LSA
+    assert [dest for dest, _ in transport.queue] == [0, 1, 2, 4]
+    assert flood_out.delivery_count == 8
+    assert flood_out.count_for("non-mc") == 2
 
 
 def live_processes(hosts) -> int:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.events import JoinEvent, NodeEvent
 from repro.core.lsa import McEvent, McLsa
+from repro.core.protocol import ProtocolConfig
 from repro.core.timestamp import Stamp
 from repro.net.equiv import (
     check_equivalence,
@@ -21,10 +22,12 @@ from repro.net.equiv import (
     run_discrete,
     run_live,
 )
-from repro.net.fabric import LiveConfig, LiveFabric
+from repro.net.fabric import LiveConfig, LiveFabric, PumpFailure
 from repro.net.faults import FaultPlan
 from repro.net.frames import McSnapshot
 from repro.net.transport import RetransmitPolicy
+from repro.obs import flight
+from repro.topo.generators import ring_network
 
 
 LOSSY = LiveConfig(
@@ -220,6 +223,71 @@ class TestIngestValidation:
         assert counters['live_rejected_total{reason="stamp-origin-out-of-range"}'] == 2
         assert counters['live_rejected_total{reason="source-out-of-range"}'] == 1
         assert counters['live_rejected_total{reason="unknown-connection"}'] == 2
+
+
+class TestPumpSupervision:
+    """A host whose pump task dies fails the barrier at once, by name."""
+
+    @staticmethod
+    async def fabric_with_a_doomed_host(boom: Exception) -> LiveFabric:
+        fabric = LiveFabric(
+            ring_network(4), ProtocolConfig(), LiveConfig(quiesce_timeout=3.0)
+        )
+        fabric.register_symmetric(1)
+        await fabric.start()
+
+        def explode(state):
+            raise boom
+
+        fabric.hosts[2].switch._drain_inbox = explode
+        return fabric
+
+    def test_dead_pump_raises_a_named_failure_at_the_next_poll(self, tmp_path):
+        boom = RuntimeError("inbox drain exploded")
+
+        async def run():
+            fabric = await self.fabric_with_a_doomed_host(boom)
+            recorder = flight.install_recorder(flight.FlightRecorder(str(tmp_path)))
+            loop = asyncio.get_running_loop()
+            try:
+                fabric.fire_event(JoinEvent(0, 1))
+                started = loop.time()
+                with pytest.raises(PumpFailure) as first:
+                    await fabric.quiesce()
+                elapsed = loop.time() - started
+                with pytest.raises(PumpFailure):  # and every barrier after
+                    await fabric.quiesce()
+                return first.value, elapsed, fabric.metrics.snapshot(), recorder.dumps
+            finally:
+                flight.uninstall_recorder()
+                await fabric.shutdown()  # already reported: no second raise
+
+        failure, elapsed, counters, dumps = asyncio.run(run())
+        assert elapsed < 1.0  # not the 3 s quiesce_timeout
+        assert "host 2" in str(failure) and "inbox drain exploded" in str(failure)
+        assert failure.__cause__ is boom
+        assert counters["live_pump_failures_total"] == 1
+        assert len(dumps) == 1 and "pump-failure" in dumps[0]
+
+    def test_shutdown_raises_a_failure_no_barrier_reported(self):
+        boom = RuntimeError("inbox drain exploded")
+
+        async def run():
+            fabric = await self.fabric_with_a_doomed_host(boom)
+            fabric.fire_event(JoinEvent(0, 1))
+            deadline = asyncio.get_running_loop().time() + 1.0
+            while not fabric.metrics.snapshot()["live_pump_failures_total"]:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.005)
+            with pytest.raises(PumpFailure) as info:
+                await fabric.shutdown()
+            return fabric, info.value
+
+        fabric, failure = asyncio.run(run())
+        assert failure.__cause__ is boom
+        assert fabric.transport.idle  # torn down whole before the raise
+        assert all(e.is_closing() for e in fabric.transport._endpoints.values())
+        assert all(host._task is None for host in fabric.hosts.values())
 
 
 class TestLiveCli:

@@ -7,10 +7,14 @@ import asyncio
 import pytest
 
 from repro.core.lsa import McEvent, McLsa
+from repro.core.mc import Role
 from repro.lsr.flooding import KernelTransport
+from repro.net import frames
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.transport import RetransmitPolicy, UdpTransport
+from repro.obs.context import TraceContext
 from repro.sim.kernel import Simulator
+from repro.trees.base import McTopology, MulticastTree
 from tests.stamps import S
 
 
@@ -507,6 +511,114 @@ class TestUdpTransport:
         assert all_cancelled
         assert alive == []  # the loop is clean: no stray TimerHandles
         assert got == []  # and the delayed frame never fired after stop()
+
+
+def flooded_lsa() -> McLsa:
+    """A proposal-carrying LSA with a trace context, as a join floods it."""
+    topo = McTopology.shared(
+        MulticastTree.build([(0, 3), (3, 7), (7, 12)], [0, 12], root=None)
+    )
+    return McLsa(
+        0, McEvent.JOIN, 1, topo, S(2, 1, 0, 4), Role.BOTH,
+        ctx=TraceContext(0, 1, "join", 9, hop=3),
+    )
+
+
+class TestFloodEncoding:
+    """One flood encodes its DATA body once; every copy is the frame
+    ``frames.encode_data`` builds for it, first send and retransmit alike."""
+
+    PEERS = list(range(1, 16))
+
+    def test_send_flood_encodes_the_lsa_once(self, monkeypatch):
+        calls = []
+        real_encode_lsa = frames.encode_lsa
+
+        def counting(lsa):
+            calls.append(lsa)
+            return real_encode_lsa(lsa)
+
+        async def run():
+            transport = UdpTransport([0] + self.PEERS)
+            for dest in self.PEERS:
+                transport.register(dest, lambda dest, p: None)
+            await transport.start()
+            try:
+                monkeypatch.setattr(frames, "encode_lsa", counting)
+                lsa = flooded_lsa()
+                transport.send_flood(0, lsa, {dest: 0.0 for dest in self.PEERS})
+                monkeypatch.undo()
+                queued = {
+                    dest: transport._pending[(0, dest, 1)].frame
+                    for dest in self.PEERS
+                }
+                return lsa, queued
+            finally:
+                await transport.stop()
+
+        lsa, queued = asyncio.run(run())
+        assert len(calls) == 1
+        assert queued == {
+            dest: frames.encode_data(0, dest, 1, lsa) for dest in self.PEERS
+        }
+
+    def test_retransmits_resend_the_first_frame(self):
+        """Into a cut pair every attempt goes out, each the same bytes."""
+        sent = []
+
+        async def run():
+            transport = UdpTransport(
+                [0] + self.PEERS,
+                policy=RetransmitPolicy(rto=0.005, rto_max=0.01, max_attempts=3),
+            )
+            for dest in self.PEERS:
+                transport.register(dest, lambda dest, p: None)
+            await transport.start()
+            real_dispatch = transport._dispatch_frame
+
+            def recording(src, dest, frame, kind):
+                if kind == "data":
+                    sent.append((dest, frame))
+                real_dispatch(src, dest, frame, kind)
+
+            transport._dispatch_frame = recording
+            try:
+                transport.injector.cut([(0, 5)])
+                lsa = flooded_lsa()
+                transport.send_flood(0, lsa, {dest: 0.0 for dest in self.PEERS})
+                await _drive(transport, lambda: transport.idle)
+                return lsa, transport.counters()
+            finally:
+                await transport.stop()
+
+        lsa, counters = asyncio.run(run())
+        assert counters["live_retransmits_total"] == 2
+        for dest in self.PEERS:
+            copies = [frame for d, frame in sent if d == dest]
+            assert len(copies) == (3 if dest == 5 else 1)
+            assert set(copies) == {frames.encode_data(0, dest, 1, lsa)}
+
+    def test_received_lsa_is_one_hop_further(self):
+        async def run():
+            transport = UdpTransport([0, 1, 2])
+            got = []
+            for dest in (1, 2):
+                transport.register(dest, lambda dest, p: got.append(p))
+            await transport.start()
+            try:
+                lsa = flooded_lsa()
+                transport.send_flood(0, lsa, {1: 0.0, 2: 0.0})
+                await _drive(transport, lambda: len(got) == 2 and transport.idle)
+                return lsa, got
+            finally:
+                await transport.stop()
+
+        lsa, got = asyncio.run(run())
+        assert lsa.ctx.hop == 3  # the sender's copy is untouched
+        for received in got:
+            assert received == lsa and received is not lsa
+            assert received.ctx == lsa.ctx and received.ctx.hop == 4
+        assert got[0].ctx is not got[1].ctx
 
 
 class TestRetransmitPolicy:
