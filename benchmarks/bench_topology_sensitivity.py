@@ -34,7 +34,7 @@ def _families(registry: RngRegistry):
         "waxman": waxman_network(48, rng),
         "flat-random": random_connected_network(48, rng),
         "grid": grid_network(6, 8),
-        "clustered": clustered_network(4, 12, rng)[0],
+        "clustered": clustered_network(4, 12, rng),
     }
 
 

@@ -11,7 +11,6 @@ Commands:
   deployment's metrics registry,
 * ``profile``   -- per-phase (SPF / flooding / arbitration / kernel
   overhead) wall-time breakdown of a representative run,
-* ``hierarchy`` -- flat vs hierarchical D-GMC LSA-scoping comparison,
 * ``live``      -- run a scenario on the live asyncio/UDP backend and
   (optionally) check byte-level equivalence against the discrete-event
   run; ``--loss`` injects seeded datagram loss, ``--metrics`` dumps the
@@ -155,44 +154,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
-
-
-def _cmd_hierarchy(args: argparse.Namespace) -> int:
-    from repro.hier import AreaPlan, HierDgmcNetwork
-    from repro.topo.generators import clustered_network
-
-    rng = random.Random(args.seed)
-    net, assignment = clustered_network(args.areas, args.area_size, rng)
-    joiners = rng.sample(range(net.n), args.members)
-    config = ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
-
-    flat = DgmcNetwork(net.copy(), config)
-    flat.register_symmetric(1)
-    for i, sw in enumerate(joiners):
-        flat.inject(JoinEvent(sw, 1), at=50.0 * (i + 1))
-    flat.run()
-
-    plan = AreaPlan(net.copy(), assignment)
-    hier = HierDgmcNetwork(plan, config)
-    hier.register_symmetric(1)
-    for i, sw in enumerate(joiners):
-        hier.inject_join(sw, 1, at=50.0 * (i + 1))
-    hier.run()
-
-    ok, detail = hier.agreement(1)
-    print(f"{args.areas} areas x {args.area_size} switches; "
-          f"{args.members} members; hierarchy agreement: {ok}")
-    print(f"{'':>24}{'flat':>10}{'hierarchical':>14}")
-    print(f"{'LSA floodings':>24}{flat.fabric.total_floods:>10}"
-          f"{hier.total_floodings():>14}")
-    print(f"{'LSA deliveries':>24}{flat.fabric.delivery_count:>10}"
-          f"{hier.total_lsa_deliveries():>14}")
-    print(f"{'topology computations':>24}{flat.total_computations():>10}"
-          f"{hier.total_computations():>14}")
-    saved = 1.0 - hier.total_lsa_deliveries() / max(flat.fabric.delivery_count, 1)
-    print(f"\nhierarchy scopes away {saved:.0%} of LSA deliveries")
-    print(f"stitched topology spans all members: {hier.spans_members(1)}")
-    return 0 if ok else 1
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -543,12 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="switches in the conflicting join burst (default 16; 6 with --quick)",
     )
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("hierarchy", help="flat vs hierarchical D-GMC")
-    p.add_argument("--areas", type=int, default=4)
-    p.add_argument("--area-size", type=int, default=16)
-    p.add_argument("--members", type=int, default=8)
-    p.set_defaults(func=_cmd_hierarchy)
 
     p = sub.add_parser("live", help="run switches live over loopback UDP")
     p.add_argument("--switches", type=int, default=12)

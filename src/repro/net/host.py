@@ -349,9 +349,10 @@ class LiveSwitch:
             self._hello_task = asyncio.create_task(
                 self._hello_loop(), name=f"hello-{self.switch_id}"
             )
+            self._hello_task.add_done_callback(self._pump_done)
 
     def _pump_done(self, task: asyncio.Task) -> None:
-        """Done callback of the pump task: report its death, if it died."""
+        """Done callback of the pump and hello tasks: report a death."""
         if task.cancelled() or task.exception() is None:
             return
         if self.on_pump_failure is not None:
@@ -360,17 +361,14 @@ class LiveSwitch:
     async def stop(self) -> None:
         """Graceful shutdown: stop pumping and wait for the task to exit.
 
-        A pump that died is not re-raised here: it was reported through
-        ``on_pump_failure`` when it died.
+        A pump or hello task that died is not re-raised here: it was
+        reported through ``on_pump_failure`` when it died.
         """
         self._stopped = True
         self._wake.set()
         if self._hello_task is not None:
             self._hello_task.cancel()
-            try:
-                await self._hello_task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.wait([self._hello_task])
             self._hello_task = None
         if self._task is not None:
             await asyncio.wait([self._task])

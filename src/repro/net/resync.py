@@ -165,7 +165,7 @@ class ResyncManager:
         to the same counterexample.
         """
         mix = (self.host.switch_id * 2654435761 + nbr * 40503) % 997
-        return (mix / 997.0) * 0.5 * getattr(self.host, "hello_interval", 0.0)
+        return (mix / 997.0) * 0.5 * self.host.hello_interval
 
     def check_dead(self, now: float) -> None:
         """Declare neighbors silent for longer than the dead interval.

@@ -188,30 +188,26 @@ def clustered_network(
     inter_delay: float = 3.0,
     delay_range: tuple[float, float] = (0.5, 1.5),
     name: str = "",
-) -> tuple[Network, dict[int, int]]:
+) -> Network:
     """A hierarchy-shaped network: dense clusters, sparse inter-cluster links.
 
     Models a multi-area routing domain (stub areas + longer inter-area
     trunks): each cluster is a connected random subgraph of
     ``cluster_size`` switches; each *adjacent* cluster pair (ring order)
     gets ``inter_links_per_pair`` trunk links of ``inter_delay`` between
-    randomly chosen gateway switches.  Returns ``(network, assignment)``
-    where ``assignment`` maps each switch to its cluster id -- directly
-    usable as an :class:`repro.hier.partition.AreaPlan` assignment.
+    randomly chosen gateway switches.  Switch ``x`` belongs to cluster
+    ``x // cluster_size``.
     """
     if clusters < 2 or cluster_size < 2:
         raise ValueError("need >= 2 clusters of >= 2 switches")
     n = clusters * cluster_size
     net = Network(n, name=name or f"clustered-{clusters}x{cluster_size}")
-    assignment: dict[int, int] = {}
     lo, hi = delay_range
     if intra_extra_links is None:
         intra_extra_links = cluster_size
     for c in range(clusters):
         base = c * cluster_size
         ids = list(range(base, base + cluster_size))
-        for x in ids:
-            assignment[x] = c
         order = ids[:]
         rng.shuffle(order)
         for i in range(1, cluster_size):
@@ -237,7 +233,7 @@ def clustered_network(
                 if not net.has_link(u, v):
                     net.add_link(u, v, delay=inter_delay)
                     break
-    return net, assignment
+    return net
 
 
 def dumbbell_network(

@@ -28,8 +28,8 @@ class TestHelp:
 
     @pytest.mark.parametrize(
         "command",
-        ["figures", "compare", "trace", "profile", "hierarchy", "live",
-         "chaos", "stress", "dataplane"],
+        ["figures", "compare", "trace", "profile", "live", "chaos", "stress",
+         "dataplane"],
     )
     def test_subcommand_help_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -41,8 +41,8 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        for command in ("figures", "compare", "trace", "profile", "hierarchy",
-                        "live", "chaos", "stress", "dataplane"):
+        for command in ("figures", "compare", "trace", "profile", "live",
+                        "chaos", "stress", "dataplane"):
             assert command in out
 
 
@@ -59,16 +59,6 @@ class TestCommands:
         assert "phase breakdown" in capsys.readouterr().out
         with pytest.raises(SystemExit, match="members <= switches"):
             main(["profile", "--switches", "4", "--members", "9"])
-
-    def test_hierarchy_runs(self, capsys):
-        code = main(
-            ["--seed", "5", "hierarchy", "--areas", "3", "--area-size", "8",
-             "--members", "5"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "hierarchy scopes away" in out
-        assert "spans all members: True" in out
 
     def test_compare_quick(self, capsys):
         assert main(["compare", "--quick"]) == 0

@@ -22,12 +22,9 @@ def load_example(name: str):
 @pytest.mark.parametrize(
     "name",
     [
-        "quickstart",
-        "teleconference",
-        "video_broadcast",
-        "receiver_only_service",
-        "link_failure_recovery",
-        "hierarchical_domains",
+        path.stem
+        for path in sorted(EXAMPLES.glob("*.py"))
+        if path.stem != "reproduce_figures"  # has its own test below
     ],
 )
 def test_example_runs(name, capsys):

@@ -25,6 +25,7 @@ from repro.net.equiv import (
 from repro.net.fabric import LiveConfig, LiveFabric, PumpFailure
 from repro.net.faults import FaultPlan
 from repro.net.frames import McSnapshot
+from repro.net.resync import ResyncManager
 from repro.net.transport import RetransmitPolicy
 from repro.obs import flight
 from repro.topo.generators import ring_network
@@ -288,6 +289,40 @@ class TestPumpSupervision:
         assert fabric.transport.idle  # torn down whole before the raise
         assert all(e.is_closing() for e in fabric.transport._endpoints.values())
         assert all(host._task is None for host in fabric.hosts.values())
+
+    def test_dead_hello_task_is_reported_and_shutdown_completes(self, monkeypatch):
+        boom = RuntimeError("hello exploded")
+        send_hellos = ResyncManager.send_hellos
+
+        def doomed_send_hellos(self):
+            if self.host.switch_id == 2:
+                raise boom
+            send_hellos(self)
+
+        monkeypatch.setattr(ResyncManager, "send_hellos", doomed_send_hellos)
+
+        async def run():
+            fabric = LiveFabric(
+                ring_network(4), ProtocolConfig(), LiveConfig(hello_interval=0.01)
+            )
+            fabric.register_symmetric(1)
+            await fabric.start()
+            while fabric.hosts[2]._hello_task is not None and not (
+                fabric.hosts[2]._hello_task.done()
+            ):
+                await asyncio.sleep(0.005)
+            with pytest.raises(PumpFailure) as info:
+                await fabric.shutdown()
+            return fabric, info.value
+
+        fabric, failure = asyncio.run(run())
+        assert "host 2" in str(failure) and failure.__cause__ is boom
+        assert all(
+            host._task is None and host._hello_task is None
+            for host in fabric.hosts.values()
+        )
+        assert all(e.is_closing() for e in fabric.transport._endpoints.values())
+        assert fabric.metrics.snapshot()["live_pump_failures_total"] == 1
 
 
 class TestLiveCli:

@@ -257,6 +257,7 @@ class _StubHost:
         self.net = net
         self.switch_id = switch_id
         self.dead_interval = dead_interval
+        self.hello_interval = 0.0  # no dead-interval jitter
         self.switch = _StubSwitch()
         self.flood_out = _StubFloodOut()
         lsdb = LinkStateDatabase(net.n)
