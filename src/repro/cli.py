@@ -1,46 +1,32 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``figures``   -- regenerate the paper's Figures 6-8 (add ``--quick``),
-* ``compare``   -- the Section 4 D-GMC / MOSPF / brute-force comparison,
-* ``trace``     -- run a small conflict scenario and print the merged
-  protocol timeline plus the convergence profile; ``--export-trace``
-  writes a Chrome trace (chrome://tracing / Perfetto), ``--export-jsonl``
-  streams events as JSONL, ``--metrics`` dumps the Prometheus text of the
-  deployment's metrics registry,
-* ``profile``   -- per-phase (SPF / flooding / arbitration / kernel
-  overhead) wall-time breakdown of a representative run,
-* ``live``      -- run a scenario on the live asyncio/UDP backend and
-  (optionally) check byte-level equivalence against the discrete-event
-  run; ``--loss`` injects seeded datagram loss, ``--metrics`` dumps the
-  transport's counters as Prometheus text,
-* ``chaos``     -- seeded crash/restart/partition/churn soak on the live
-  backend with hello-based failure detection and neighbor resync;
-  asserts agreement and tree validity at every stable point,
-* ``stress``    -- STRESS-style systematic exploration of arbitration
-  schedules: enumerate every LSA delivery/loss/event interleaving of a
-  small scenario, check the named invariants in every state, and shrink
-  any violation to a 1-minimal replayable counterexample
-  (``--replay`` re-runs a committed one; see docs/systematic-testing.md),
-* ``dataplane`` -- drive a Zipf churn-and-traffic workload through the
-  batched forwarding engine, optionally shadowing a packet sample
-  through the per-packet reference engine (exit code checks delivery
-  equivalence) and contrasting against the MOSPF baseline
-  (``--mospf``); ``--metrics`` dumps the ``dataplane_*`` counters
-  (see docs/dataplane.md),
-* ``obs merge`` -- fuse per-host JSONL traces (``clock_sync``
-  epoch-aligned) into one cross-host Chrome trace with causal flow
-  arrows intact (see docs/observability.md).
+``repro --help`` lists the commands and ``repro <command> --help`` their
+options.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
+
+
+def _write_metrics(path: Optional[str], text: str) -> None:
+    """Write a Prometheus text dump to ``path`` when one was given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote metrics dump to {path}")
+
+
+def _print_traces(paths: List[str]) -> None:
+    """Name the files a :func:`repro.obs.merge.traced_run` block wrote."""
+    for path in paths[:-1]:
+        print(f"wrote host trace to {path}")
+    if paths:
+        print(f"wrote merged cross-host trace to {paths[-1]}")
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -84,7 +70,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.tracer import JsonlSink, RingBufferSink, get_tracer
+    from repro.obs.tracer import JsonlSink, RingBufferSink, Tracer, use_tracer
     from repro.obs.timeline import (
         build_timeline,
         convergence_profile,
@@ -92,29 +78,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.topo.generators import waxman_network
 
-    tracer = get_tracer()
-    jsonl_sink = None
-    tracing = bool(args.export_trace or args.export_jsonl)
-    if tracing:
-        sinks = [RingBufferSink()]
-        if args.export_jsonl:
-            jsonl_sink = JsonlSink(args.export_jsonl)
-            sinks.append(jsonl_sink)
-        tracer.reset()
-        tracer.configure(enabled=True, sinks=sinks)
-
+    tracer = Tracer(enabled=bool(args.export_trace or args.export_jsonl))
+    if tracer.enabled:
+        tracer.add_sink(RingBufferSink())
+    if args.export_jsonl:
+        tracer.add_sink(JsonlSink(args.export_jsonl))
     rng = random.Random(args.seed)
-    net = waxman_network(args.switches, rng)
-    dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05))
-    dgmc.fabric.record_history = True
-    dgmc.register_symmetric(1)
-    for sw in rng.sample(range(net.n), args.members):
-        dgmc.inject(JoinEvent(sw, 1), at=1.0 + rng.random())  # conflicting burst
     try:
-        dgmc.run()
+        with use_tracer(tracer):
+            net = waxman_network(args.switches, rng)
+            dgmc = DgmcNetwork(
+                net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
+            )
+            dgmc.fabric.record_history = True
+            dgmc.register_symmetric(1)
+            for sw in rng.sample(range(net.n), args.members):
+                dgmc.inject(JoinEvent(sw, 1), at=1.0 + rng.random())  # conflicting burst
+            dgmc.run()
     finally:
-        if tracing:
-            tracer.enabled = False
+        tracer.close()
     ok, detail = dgmc.agreement(1)
     print(f"burst of {args.members} joins on {net.n} switches; agreement: {ok}\n")
     print(render_timeline(build_timeline(dgmc, connection_id=1), limit=args.limit))
@@ -124,15 +106,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.export_trace:
         written = tracer.export_chrome(args.export_trace)
         print(f"\nwrote {written} trace events to {args.export_trace}")
-    if jsonl_sink is not None:
-        jsonl_sink.close()
+    if args.export_jsonl:
         print(f"wrote JSONL trace to {args.export_jsonl}")
-    if tracing:
-        tracer.configure(enabled=False, sinks=[])
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(dgmc.metrics.to_prometheus())
-        print(f"wrote metrics dump to {args.metrics}")
+    _write_metrics(args.metrics, dgmc.metrics.to_prometheus())
     return 0 if ok else 1
 
 
@@ -157,42 +133,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
-    import contextlib
-    import os
-
     from repro.net.equiv import (
         check_equivalence,
         make_scenario,
         run_discrete,
         run_live,
     )
-    from repro.obs.merge import export_host_traces, merge_traces
-    from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
+    from repro.obs.merge import traced_run
 
     scenario = make_scenario(
         switches=args.switches, seed=args.seed, events=args.events
     )
-    tracer = None
-    if args.trace_dir:
-        tracer = Tracer(enabled=True, process_name=f"live-s{args.seed}")
-        tracer.add_sink(RingBufferSink(200_000))
-    scope = (
-        use_tracer(tracer) if tracer is not None else contextlib.nullcontext()
-    )
-    with scope:
-        result = run_live(scenario, loss=args.loss, fault_seed=args.fault_seed)
-    if tracer is not None:
-        paths = export_host_traces(
-            tracer, args.trace_dir, prefix=f"live_s{args.seed}"
-        )
-        for path in paths:
-            print(f"wrote host trace to {path}")
-        if paths:
-            merged = os.path.join(
-                args.trace_dir, f"live_s{args.seed}_merged_trace.json"
-            )
-            merge_traces(paths, out_path=merged)
-            print(f"wrote merged cross-host trace to {merged}")
+    with traced_run(args.trace_dir, f"live_s{args.seed}") as traces:
+        result = run_live(scenario, loss=args.loss)
+    _print_traces(traces)
     print(
         f"live run: {scenario.net.n} switches over loopback UDP, "
         f"{len(scenario.timeline)} events, loss={args.loss:g}"
@@ -210,10 +164,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         print(f"equivalence vs discrete-event backend: {report.ok}")
         print(report.detail)
         ok = ok and report.ok
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(result.prom)
-        print(f"wrote metrics dump to {args.metrics}")
+    _write_metrics(args.metrics, result.prom)
     return 0 if ok else 1
 
 
@@ -240,14 +191,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for name, value in sorted(report.counters.items()):
         if name.startswith(("resync_", "hello_")):
             print(f"  {name} {value:g}")
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(report.prom)
-        print(f"wrote metrics dump to {args.metrics}")
-    for path in report.trace_files:
-        print(f"wrote host trace to {path}")
-    if report.merged_trace:
-        print(f"wrote merged cross-host trace to {report.merged_trace}")
+    _write_metrics(args.metrics, report.prom)
+    _print_traces(report.trace_files)
     for path in report.flight_files:
         print(f"wrote flight-recorder artifact to {path}")
     if args.expect_violation:
@@ -267,6 +212,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     import os
 
     from repro.obs.attach import attach_stress_metrics
+    from repro.obs.metrics import MetricsRegistry
     from repro.stress import (
         Counterexample,
         StressOptions,
@@ -313,14 +259,11 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     options = StressOptions(
         strategy=args.strategy,
         max_transitions=args.budget,
-        max_depth=args.max_depth,
         loss_branching=args.loss_branching,
         max_drops=args.max_drops,
-        max_counterexamples=args.max_counterexamples,
-        minimize=not args.no_minimize,
         config_overrides=overrides,
     )
-    registry = None
+    registry = MetricsRegistry()
     failed_invariants = []
     not_exhaustive = []
     for name in names:
@@ -328,7 +271,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         report = explore(scenario, options)
         for line in report.summary_lines():
             print(line)
-        registry = attach_stress_metrics(report, registry)
+        attach_stress_metrics(report, registry)
         if not report.exhaustive:
             not_exhaustive.append(name)
         for ce in report.counterexamples:
@@ -340,10 +283,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
                 ce.save(path)
                 print(f"wrote counterexample to {path}")
         print()
-    if args.metrics and registry is not None:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(registry.to_prometheus())
-        print(f"wrote metrics dump to {args.metrics}")
+    _write_metrics(args.metrics, registry.to_prometheus())
 
     if args.expect_counterexample:
         if failed_invariants:
@@ -378,18 +318,16 @@ def _cmd_dataplane(args: argparse.Namespace) -> int:
         args.switches,
         args.groups,
         rng,
-        s=args.zipf_s,
         phases=args.phases,
         events_per_phase=args.events,
         batches_per_phase=args.batches,
         batch_size=args.batch_size,
-        max_initial_members=args.max_members,
     )
     result = replay_workload(
         dgmc, workload, hop_delay=0.05, reference_sample=args.reference_sample
     )
     print(
-        f"zipf(s={args.zipf_s:g}) workload: {args.groups} groups on "
+        f"zipf(s={workload.s:g}) workload: {args.groups} groups on "
         f"{net.n} switches, {result.events} churn events, "
         f"{result.packets} packets in {result.batches} batches"
     )
@@ -427,10 +365,7 @@ def _cmd_dataplane(args: argparse.Namespace) -> int:
             f"computations ({contrast['computations_per_datagram']:.2f} "
             "per datagram; D-GMC's data plane performs zero)"
         )
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(dgmc.metrics.to_prometheus())
-        print(f"wrote metrics dump to {args.metrics}")
+    _write_metrics(args.metrics, dgmc.metrics.to_prometheus())
     return 0 if ok else 1
 
 
@@ -453,24 +388,62 @@ def _cmd_obs_merge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shared(*flags: str, **kwargs: Any) -> argparse.ArgumentParser:
+    """A parent parser declaring one option for every verb that reads it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
+    seed = _shared("--seed", type=int, default=1996)
+    metrics = _shared(
+        "--metrics",
+        metavar="PATH",
+        help="write the run's metrics registry as Prometheus text",
+    )
+    trace_dir = _shared(
+        "--trace-dir",
+        metavar="DIR",
+        help="enable causal tracing; write per-host JSONL traces plus a "
+        "merged cross-host Chrome trace into this directory, also when "
+        "the run fails",
+    )
+    m_vector = _shared(
+        "--disable-m-vector",
+        action="store_true",
+        help="ablate the membership-ordering vector M (a deliberately "
+        "broken protocol)",
+    )
+    frr = _shared(
+        "--frr",
+        action="store_true",
+        help="enable fast reroute (backup fragments activate on local "
+        "failure detection and reconcile on repair install)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="D-GMC reproduction (Huang & McKinley, ICDCS 1996)",
     )
-    parser.add_argument("--seed", type=int, default=1996)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("figures", help="regenerate Figures 6-8")
+    p = sub.add_parser("figures", help="regenerate Figures 6-8", parents=[seed])
     p.add_argument("--quick", action="store_true")
     p.set_defaults(func=_cmd_figures)
 
-    p = sub.add_parser("compare", help="D-GMC vs MOSPF vs brute-force")
+    p = sub.add_parser(
+        "compare", help="D-GMC vs MOSPF vs brute-force", parents=[seed]
+    )
     p.add_argument("--quick", action="store_true")
     p.add_argument("--bursty", action="store_true")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("trace", help="timeline of a conflicting join burst")
+    p = sub.add_parser(
+        "trace",
+        help="timeline of a conflicting join burst",
+        parents=[seed, metrics],
+    )
     p.add_argument("--switches", type=int, default=12)
     p.add_argument("--members", type=int, default=4)
     p.add_argument("--limit", type=int, default=40)
@@ -484,15 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stream trace events as one JSON object per line",
     )
-    p.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write the metrics registry as Prometheus text",
-    )
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
-        "profile", help="per-phase wall-time breakdown (SPF/flood/arbitration)"
+        "profile",
+        help="per-phase wall-time breakdown (SPF/flood/arbitration)",
+        parents=[seed],
     )
     p.add_argument("--quick", action="store_true")
     p.add_argument(
@@ -505,12 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("live", help="run switches live over loopback UDP")
+    p = sub.add_parser(
+        "live",
+        help="run switches live over loopback UDP",
+        parents=[seed, metrics, trace_dir],
+    )
     p.add_argument("--switches", type=int, default=12)
     p.add_argument("--events", type=int, default=8)
-    # SUPPRESS: accept --seed after the subcommand too, without the
-    # subparser default clobbering an already-parsed top-level --seed.
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument(
         "--loss",
         type=float,
@@ -518,31 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="injected datagram loss probability (0..1)",
     )
     p.add_argument(
-        "--fault-seed",
-        type=int,
-        default=7,
-        help="seed of the fault injector's RNG stream",
-    )
-    p.add_argument(
         "--check-equivalence",
         action="store_true",
         help="also run the discrete-event backend and compare final trees",
     )
-    p.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write the transport's metrics registry as Prometheus text",
-    )
-    p.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        help="enable causal tracing; write per-host JSONL traces plus a "
-        "merged cross-host Chrome trace into this directory",
-    )
     p.set_defaults(func=_cmd_live)
 
     p = sub.add_parser(
-        "chaos", help="seeded crash/partition/churn soak on the live backend"
+        "chaos",
+        help="seeded crash/partition/churn soak on the live backend",
+        parents=[seed, metrics, trace_dir, m_vector, frr],
     )
     p.add_argument("--switches", type=int, default=12)
     p.add_argument(
@@ -551,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         help="scheduled fault/churn actions (cleanup actions come on top)",
     )
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument(
         "--loss",
         type=float,
@@ -572,33 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
         "overtake it (0..1; the race actions' reordering dial)",
     )
     p.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write the fabric's metrics registry as Prometheus text",
-    )
-    p.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        help="enable causal tracing; write per-host JSONL traces plus a "
-        "merged cross-host Chrome trace into this directory",
-    )
-    p.add_argument(
         "--flight-dir",
         metavar="DIR",
         help="arm the flight recorder; invariant violations dump "
         "FLIGHT_*.json artifacts into this directory",
-    )
-    p.add_argument(
-        "--disable-m-vector",
-        action="store_true",
-        help="ablate the membership-ordering vector M (deliberately "
-        "broken protocol; pairs with --expect-violation)",
-    )
-    p.add_argument(
-        "--frr",
-        action="store_true",
-        help="enable fast reroute: precomputed backup fragments activate "
-        "on local failure detection and reconcile on repair install",
     )
     p.add_argument(
         "--expect-violation",
@@ -611,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stress",
         help="systematic state-space exploration of arbitration schedules",
+        parents=[metrics, m_vector, frr],
     )
     p.add_argument(
         "--scenario",
@@ -634,12 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max state transitions (replays included) per scenario",
     )
     p.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        help="truncate schedules beyond this many steps",
-    )
-    p.add_argument(
         "--loss-branching",
         action="store_true",
         help="also branch on dropping each pending LSA",
@@ -651,41 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="max LSAs dropped along one schedule (with --loss-branching)",
     )
     p.add_argument(
-        "--max-counterexamples",
-        type=int,
-        default=1,
-        help="stop a scenario after this many counterexamples",
-    )
-    p.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="keep counterexample schedules as found (skip 1-minimization)",
-    )
-    p.add_argument(
-        "--disable-m-vector",
-        action="store_true",
-        help="ablate the membership-ordering vector M (should break)",
-    )
-    p.add_argument(
         "--disable-degraded-repair",
         action="store_true",
         help="ablate degraded-tree repair on link-up (should break)",
     )
     p.add_argument(
-        "--frr",
-        action="store_true",
-        help="explore with fast reroute enabled (backup-fragment state "
-        "is canonically invisible, so the state space must match)",
-    )
-    p.add_argument(
         "--out",
         metavar="DIR",
         help="write minimized counterexamples as JSON into this directory",
-    )
-    p.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write exploration counters as Prometheus text",
     )
     p.add_argument(
         "--replay",
@@ -707,16 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dataplane",
         help="batched Zipf traffic through compiled forwarding state",
+        parents=[seed, metrics],
     )
     p.add_argument("--switches", type=int, default=30)
     p.add_argument("--groups", type=int, default=100)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument(
-        "--zipf-s",
-        type=float,
-        default=1.1,
-        help="Zipf popularity exponent across group ranks",
-    )
     p.add_argument("--phases", type=int, default=2, help="churn phases")
     p.add_argument(
         "--events", type=int, default=16, help="churn events per phase"
@@ -726,12 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--batch-size", type=int, default=256, help="packets per batch"
-    )
-    p.add_argument(
-        "--max-members",
-        type=int,
-        default=12,
-        help="initial member count of the most popular group",
     )
     p.add_argument(
         "--reference-sample",
@@ -744,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mospf",
         action="store_true",
         help="also replay the workload through the MOSPF baseline",
-    )
-    p.add_argument(
-        "--metrics",
-        metavar="PATH",
-        help="write the deployment's metrics registry as Prometheus text",
     )
     p.set_defaults(func=_cmd_dataplane)
 

@@ -19,8 +19,6 @@ exactly with ``repro chaos --seed N``.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -32,8 +30,7 @@ from repro.net.fabric import LiveConfig, LiveFabric, QuiescenceTimeout
 from repro.net.faults import FaultPlan
 from repro.net.transport import RetransmitPolicy
 from repro.obs import flight
-from repro.obs.merge import export_host_traces, merge_traces
-from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
+from repro.obs.merge import traced_run
 from repro.topo.generators import waxman_network
 
 
@@ -242,10 +239,9 @@ class ChaosReport:
     final_members: Tuple[int, ...] = ()
     counters: Dict[str, float] = field(default_factory=dict)
     prom: str = ""
-    #: Per-host JSONL traces written when ``trace_dir`` was set.
+    #: Per-host JSONL traces then the merged cross-host Chrome trace,
+    #: written when ``trace_dir`` was set (see ``traced_run``).
     trace_files: List[str] = field(default_factory=list)
-    #: The merged cross-host Chrome trace ("" = tracing was off).
-    merged_trace: str = ""
     #: Flight-recorder artifacts written during this soak.
     flight_files: List[str] = field(default_factory=list)
 
@@ -352,130 +348,114 @@ async def run_chaos_soak(settings: Optional[ChaosSettings] = None) -> ChaosRepor
     # those observations set in motion.
     failure_settle = 1.5 * cfg.dead_interval
     recovery_settle = 4.0 * cfg.hello_interval
-    tracer: Optional[Tracer] = None
-    if cfg.trace_dir:
-        tracer = Tracer(enabled=True, process_name=f"chaos-s{cfg.seed}")
-        tracer.add_sink(RingBufferSink(200_000))
     previous_recorder = flight.installed_recorder()
     if cfg.flight_dir:
         flight.install_recorder(flight.FlightRecorder(cfg.flight_dir))
-    scope = contextlib.ExitStack()
-    if tracer is not None:
-        scope.enter_context(use_tracer(tracer))
-    try:
-        await fabric.start()
-        for member in sorted(initial):
-            fabric.hosts[member].fire_membership(
-                JoinEvent(member, cfg.connection_id)
-            )
+    # Artifacts are written however the soak ends: a quiescence timeout
+    # is exactly when the trace matters most.
+    with traced_run(cfg.trace_dir, f"chaos_s{cfg.seed}") as traces:
+        try:
+            await fabric.start()
+            for member in sorted(initial):
+                fabric.hosts[member].fire_membership(
+                    JoinEvent(member, cfg.connection_id)
+                )
+                await fabric.quiesce()
+            for action in schedule:
+                if action.kind == "crash":
+                    await fabric.crash(action.target)
+                    await asyncio.sleep(failure_settle)
+                elif action.kind == "restart":
+                    await fabric.restart(action.target)
+                    restarted.add(action.target)
+                    await asyncio.sleep(recovery_settle)
+                elif action.kind == "partition":
+                    fabric.partition([list(g) for g in action.groups])
+                    await asyncio.sleep(failure_settle)
+                elif action.kind == "heal":
+                    fabric.heal_partition()
+                    await asyncio.sleep(recovery_settle)
+                elif action.kind == "join":
+                    fabric.hosts[action.target].fire_membership(
+                        JoinEvent(action.target, cfg.connection_id)
+                    )
+                elif action.kind == "race":
+                    # The stress suite's membership-race shape, live: the
+                    # leaving switch detects one of its own installed-tree
+                    # edges failing immediately after the leave, so the same
+                    # source floods a membership LSA (event k) and a link
+                    # LSA (event k+1) back-to-back with no barrier between
+                    # them.  Under injected loss/reorder the link LSA can
+                    # overtake the leave at a receiver; the M vector is what
+                    # keeps the reordered leave applied (--disable-m-vector
+                    # turns this action into a divergence detonator).
+                    x = action.target
+                    state = fabric.hosts[x].switch.states.get(cfg.connection_id)
+                    edge = None
+                    if state is not None and state.installed is not None:
+                        for u, v in sorted(state.installed.all_edges()):
+                            other = v if u == x else u if v == x else None
+                            if other is not None and other not in fabric.crashed:
+                                edge = (u, v)
+                                break
+                    fabric.hosts[x].fire_membership(
+                        LeaveEvent(x, cfg.connection_id)
+                    )
+                    if edge is not None:
+                        fabric.fire_event(LinkEvent(x, edge[0], edge[1], up=False))
+                        await fabric.quiesce()
+                        fabric.fire_event(LinkEvent(x, edge[0], edge[1], up=True))
+                else:  # leave
+                    fabric.hosts[action.target].fire_membership(
+                        LeaveEvent(action.target, cfg.connection_id)
+                    )
+                await fabric.quiesce()
+                if not fabric.partitioned and not fabric.crashed:
+                    report.checks += 1
+                    _record_violations(
+                        report,
+                        _stable_invariants(
+                            fabric, cfg.connection_id, f"after [{action.describe()}]"
+                        ),
+                        fabric,
+                    )
+            # Final settle: one extra recovery window so late link-up floods
+            # and snapshot gossip fully drain before the last verdict.
+            await asyncio.sleep(recovery_settle)
             await fabric.quiesce()
-        for action in schedule:
-            if action.kind == "crash":
-                await fabric.crash(action.target)
-                await asyncio.sleep(failure_settle)
-            elif action.kind == "restart":
-                await fabric.restart(action.target)
-                restarted.add(action.target)
-                await asyncio.sleep(recovery_settle)
-            elif action.kind == "partition":
-                fabric.partition([list(g) for g in action.groups])
-                await asyncio.sleep(failure_settle)
-            elif action.kind == "heal":
-                fabric.heal_partition()
-                await asyncio.sleep(recovery_settle)
-            elif action.kind == "join":
-                fabric.hosts[action.target].fire_membership(
-                    JoinEvent(action.target, cfg.connection_id)
-                )
-            elif action.kind == "race":
-                # The stress suite's membership-race shape, live: the
-                # leaving switch detects one of its own installed-tree
-                # edges failing immediately after the leave, so the same
-                # source floods a membership LSA (event k) and a link
-                # LSA (event k+1) back-to-back with no barrier between
-                # them.  Under injected loss/reorder the link LSA can
-                # overtake the leave at a receiver; the M vector is what
-                # keeps the reordered leave applied (--disable-m-vector
-                # turns this action into a divergence detonator).
-                x = action.target
-                state = fabric.hosts[x].switch.states.get(cfg.connection_id)
-                edge = None
-                if state is not None and state.installed is not None:
-                    for u, v in sorted(state.installed.all_edges()):
-                        other = v if u == x else u if v == x else None
-                        if other is not None and other not in fabric.crashed:
-                            edge = (u, v)
-                            break
-                fabric.hosts[x].fire_membership(
-                    LeaveEvent(x, cfg.connection_id)
-                )
-                if edge is not None:
-                    fabric.fire_event(LinkEvent(x, edge[0], edge[1], up=False))
-                    await fabric.quiesce()
-                    fabric.fire_event(LinkEvent(x, edge[0], edge[1], up=True))
-            else:  # leave
-                fabric.hosts[action.target].fire_membership(
-                    LeaveEvent(action.target, cfg.connection_id)
-                )
-            await fabric.quiesce()
-            if not fabric.partitioned and not fabric.crashed:
-                report.checks += 1
-                _record_violations(
-                    report,
-                    _stable_invariants(
-                        fabric, cfg.connection_id, f"after [{action.describe()}]"
-                    ),
-                    fabric,
-                )
-        # Final settle: one extra recovery window so late link-up floods
-        # and snapshot gossip fully drain before the last verdict.
-        await asyncio.sleep(recovery_settle)
-        await fabric.quiesce()
-        report.checks += 1
-        _record_violations(
-            report, _stable_invariants(fabric, cfg.connection_id, "final"),
-            fabric,
-        )
-        states = fabric.states_for(cfg.connection_id)
-        if states:
-            report.final_members = tuple(sorted(states[min(states)].members))
-        report.restarted = sorted(restarted)
-        report.counters = fabric.counters()
-        report.prom = fabric.metrics.to_prometheus()
-    except QuiescenceTimeout as exc:
-        # A wedged barrier is a *liveness* violation, not a harness
-        # crash: an ablated protocol can livelock on conflicting
-        # re-proposals instead of diverging at a stable point.  The
-        # fabric already dumped a flight-recorder artifact from inside
-        # quiesce(); report the verdict instead of dying mid-soak.
-        report.violations.append(f"liveness: {exc}")
-        report.violation_names.append("quiescence-timeout")
-        report.restarted = sorted(restarted)
-        report.counters = fabric.counters()
-        report.prom = fabric.metrics.to_prometheus()
-    finally:
-        await fabric.shutdown()
-        # Artifact export runs even when the soak died mid-schedule (a
-        # quiescence timeout is exactly when the trace matters most).
-        if tracer is not None and cfg.trace_dir:
-            report.trace_files = export_host_traces(
-                tracer, cfg.trace_dir, prefix=f"chaos_s{cfg.seed}"
+            report.checks += 1
+            _record_violations(
+                report, _stable_invariants(fabric, cfg.connection_id, "final"),
+                fabric,
             )
-            if report.trace_files:
-                merged = os.path.join(
-                    cfg.trace_dir, f"chaos_s{cfg.seed}_merged_trace.json"
-                )
-                merge_traces(report.trace_files, out_path=merged)
-                report.merged_trace = merged
-        if cfg.flight_dir:
-            recorder = flight.installed_recorder()
-            if recorder is not None:
-                report.flight_files = list(recorder.dumps)
-            if previous_recorder is not None:
-                flight.install_recorder(previous_recorder)
-            else:
-                flight.uninstall_recorder()
-        scope.close()
+            states = fabric.states_for(cfg.connection_id)
+            if states:
+                report.final_members = tuple(sorted(states[min(states)].members))
+            report.restarted = sorted(restarted)
+            report.counters = fabric.counters()
+            report.prom = fabric.metrics.to_prometheus()
+        except QuiescenceTimeout as exc:
+            # A wedged barrier is a *liveness* violation, not a harness
+            # crash: an ablated protocol can livelock on conflicting
+            # re-proposals instead of diverging at a stable point.  The
+            # fabric already dumped a flight-recorder artifact from inside
+            # quiesce(); report the verdict instead of dying mid-soak.
+            report.violations.append(f"liveness: {exc}")
+            report.violation_names.append("quiescence-timeout")
+            report.restarted = sorted(restarted)
+            report.counters = fabric.counters()
+            report.prom = fabric.metrics.to_prometheus()
+        finally:
+            await fabric.shutdown()
+            if cfg.flight_dir:
+                recorder = flight.installed_recorder()
+                if recorder is not None:
+                    report.flight_files = list(recorder.dumps)
+                if previous_recorder is not None:
+                    flight.install_recorder(previous_recorder)
+                else:
+                    flight.uninstall_recorder()
+    report.trace_files = traces
     return report
 
 

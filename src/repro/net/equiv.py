@@ -144,12 +144,14 @@ def run_discrete(scenario: LiveScenario) -> BackendResult:
 def run_live(
     scenario: LiveScenario,
     loss: float = 0.0,
-    fault_seed: int = 7,
     live: Optional[LiveConfig] = None,
 ) -> BackendResult:
-    """Execute the scenario live over loopback UDP (blocking wrapper)."""
+    """Execute the scenario live over loopback UDP (blocking wrapper).
+
+    Without ``live``, ``loss`` is injected by a fault plan seeded 7.
+    """
     if live is None:
-        live = LiveConfig(faults=FaultPlan(loss=loss, seed=fault_seed))
+        live = LiveConfig(faults=FaultPlan(loss=loss, seed=7))
 
     async def _run() -> BackendResult:
         fabric = LiveFabric(scenario.net.copy(), scenario.config, live)

@@ -18,17 +18,20 @@ receiver's file no matter which process wrote which.
 fabric: it splits a tracer's ring buffer by ``pid`` lane (one lane per
 live host, see ``LiveSwitch._pump_loop``) so the merged output is
 byte-equivalent to what N separate processes would have produced.
+:func:`traced_run` wraps a whole live run in a tracer and writes both
+halves' artifacts when the run ends, however it ends.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
 
-__all__ = ["MergeError", "export_host_traces", "merge_traces"]
+__all__ = ["MergeError", "export_host_traces", "merge_traces", "traced_run"]
 
 
 class MergeError(ValueError):
@@ -156,3 +159,32 @@ def merge_traces(
             json.dump(trace, fh, indent=None, sort_keys=True)
             fh.write("\n")
     return trace
+
+
+@contextmanager
+def traced_run(trace_dir: Optional[str], prefix: str) -> Iterator[List[str]]:
+    """Trace the enclosed live run into ``trace_dir`` (no-op when unset).
+
+    Installs a ring-buffered :class:`Tracer` as the process-wide tracer
+    for the block.  On any exit -- an exception included, since a run
+    that dies is the one whose trace matters most -- it writes one JSONL
+    trace per host lane (``<prefix>_host<pid>.jsonl``) and, if any lane
+    recorded events, their merge (``<prefix>_merged_trace.json``).  The
+    yielded list receives those paths, merged trace last, as the block
+    exits.
+    """
+    written: List[str] = []
+    if not trace_dir:
+        yield written
+        return
+    tracer = Tracer(enabled=True)
+    tracer.add_sink(RingBufferSink(200_000))
+    try:
+        with use_tracer(tracer):
+            yield written
+    finally:
+        written.extend(export_host_traces(tracer, trace_dir, prefix=prefix))
+        if written:
+            merged = os.path.join(trace_dir, f"{prefix}_merged_trace.json")
+            merge_traces(written, out_path=merged)
+            written.append(merged)

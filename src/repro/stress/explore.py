@@ -60,7 +60,6 @@ class StressOptions:
     max_depth: Optional[int] = None
     loss_branching: bool = False
     max_drops: int = 1
-    max_counterexamples: int = 1
     minimize: bool = True
     #: ProtocolConfig field overrides (e.g. the deviation knobs).
     config_overrides: Dict[str, bool] = field(default_factory=dict)
@@ -143,8 +142,8 @@ class _Search:
 
     def record_violation(
         self, schedule: List[Step], violations: List[Violation]
-    ) -> bool:
-        """Record a counterexample; True when the search should stop."""
+    ) -> None:
+        """Record a counterexample (the search stops at the first)."""
         v = violations[0]
         ce = Counterexample(
             scenario=self.scenario.name,
@@ -177,7 +176,6 @@ class _Search:
                 ],
             },
         )
-        return len(self.report.counterexamples) >= self.options.max_counterexamples
 
 
 def _score(ex: StressExecutor) -> int:
@@ -254,12 +252,11 @@ def _enter_state(
     report.max_depth_seen = max(report.max_depth_seen, len(schedule))
     violations = ex.check_invariants()
     if violations:
-        stop = search.record_violation(schedule, violations)
-        if stop:
-            # Stopping at the counterexample cap leaves the frontier
-            # undrained; never claim exhaustiveness for such a run.
-            search.truncated = True
-        return None, stop
+        search.record_violation(schedule, violations)
+        # Stopping at the counterexample leaves the frontier undrained;
+        # never claim exhaustiveness for such a run.
+        search.truncated = True
+        return None, True
     steps = ex.enabled_steps()
     if not steps:
         report.terminal_states += 1

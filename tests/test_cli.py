@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -15,6 +23,21 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+class TestSharedOptions:
+    @pytest.mark.parametrize(
+        "verb",
+        ["figures", "compare", "trace", "profile", "live", "chaos",
+         "dataplane"],
+    )
+    def test_seed_after_the_verb_reaches_the_handler(self, verb, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, f"_cmd_{verb}", lambda args: seen.append(args.seed) or 0
+        )
+        assert main([verb, "--seed", "5"]) == 0
+        assert seen == [5]
 
 
 class TestHelp:
@@ -48,7 +71,7 @@ class TestHelp:
 
 class TestCommands:
     def test_trace_runs_and_agrees(self, capsys):
-        assert main(["--seed", "3", "trace", "--switches", "10", "--members", "3"]) == 0
+        assert main(["trace", "--switches", "10", "--members", "3", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "agreement: True" in out
         assert "convergence profile" in out
@@ -70,6 +93,53 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 6" in out and "Figure 8" in out
         assert " NO" not in out
+
+
+class TestTraceCommand:
+    def test_failed_run_leaves_the_process_tracer_alone(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.core import DgmcNetwork
+        from repro.obs import tracer as obs_tracer
+
+        sinks = []
+
+        class RecordingSink(obs_tracer.JsonlSink):
+            def __init__(self, target):
+                super().__init__(target)
+                sinks.append(self)
+
+        def dying_run(self, *args, **kwargs):
+            raise RuntimeError("run died")
+
+        monkeypatch.setattr(obs_tracer, "JsonlSink", RecordingSink)
+        monkeypatch.setattr(DgmcNetwork, "run", dying_run)
+        with pytest.raises(RuntimeError, match="run died"):
+            main(["trace", "--switches", "6", "--members", "2",
+                  "--export-jsonl", str(tmp_path / "t.jsonl")])
+        assert obs_tracer.TRACER._sinks == []
+        assert not obs_tracer.TRACER.enabled
+        assert len(sinks) == 1 and sinks[0]._file.closed
+
+
+class TestLiveCommand:
+    def test_trace_dir_is_written_when_the_run_dies(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.net import equiv
+        from repro.obs import tracer as obs_tracer
+
+        def dying_run_live(scenario, **kwargs):
+            with obs_tracer.TRACER.span("work", cat="test", pid=3):
+                pass
+            raise RuntimeError("run died")
+
+        monkeypatch.setattr(equiv, "run_live", dying_run_live)
+        with pytest.raises(RuntimeError, match="run died"):
+            main(["live", "--switches", "4", "--events", "1", "--seed", "5",
+                  "--trace-dir", str(tmp_path)])
+        assert (tmp_path / "live_s5_host3.jsonl").exists()
+        assert (tmp_path / "live_s5_merged_trace.json").exists()
 
 
 class TestDataplaneCommand:
@@ -211,3 +281,105 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAILED" not in out
+
+
+# ---------------------------------------------------------------------------
+# Every command line the repository prints must still parse
+# ---------------------------------------------------------------------------
+
+#: ``repro ...`` or ``python -m repro[.cli] ...``, after any ``VAR=value``.
+_COMMAND = re.compile(r"^\s*(?:\w+=\S*\s+)*(?:python3? -m\s+repro(?:\.cli)?|repro)\s")
+
+
+def _repro_argv(line):
+    """The arguments of the ``repro`` command one shell line runs, or None."""
+    m = _COMMAND.match(line)
+    if m is None:
+        return None
+    argv = []
+    for arg in shlex.split(line[m.end():], comments=True):
+        if arg in ("|", "||", "&&", ";"):
+            break
+        argv.append(arg)
+    return argv
+
+
+def _shell_commands(text):
+    """Commands of a shell snippet, ``\\``-continued lines joined."""
+    lines = re.sub(r"\\\n\s*", " ", text).splitlines()
+    return [argv for argv in map(_repro_argv, lines) if argv is not None]
+
+
+def _workflow_commands(path):
+    """Commands of a workflow's ``run:`` steps, folded (``>``) blocks joined."""
+    lines = path.read_text().splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        m = re.match(r"(\s*)(?:- )?run:\s*([>|]?)(.*)$", line)
+        if not m:
+            continue
+        indent, style, inline = len(m.group(1)), m.group(2), m.group(3)
+        body = [inline]
+        for follow in lines[i + 1:] if style else ():
+            if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                break
+            body.append(follow.strip())
+        commands += _shell_commands((" " if style == ">" else "\n").join(body))
+    return commands
+
+
+def _markdown_commands(path):
+    """Commands inside the fenced code blocks of a Markdown file."""
+    blocks = re.findall(r"^ *```[^\n]*\n(.*?)^ *```", path.read_text(), re.M | re.S)
+    return [argv for block in blocks for argv in _shell_commands(block)]
+
+
+def _chaos_replay_commands(monkeypatch):
+    """The replay line a chaos flight-recorder artifact carries."""
+    from repro.core.invariants import Violation
+    from repro.net import chaos
+    from repro.obs import flight
+
+    replays = []
+    monkeypatch.setattr(
+        flight,
+        "dump_on_violation",
+        lambda reason, context, registry: replays.append(context["replay"]),
+    )
+    for settings in (
+        chaos.ChaosSettings(),
+        chaos.ChaosSettings(reorder=0.2, ablate_member_stamp=True, frr=True),
+    ):
+        chaos._record_violations(
+            chaos.ChaosReport(settings=settings, schedule=[]),
+            [Violation("agreement", "planted")],
+            SimpleNamespace(metrics=None),
+        )
+    return [_repro_argv(line) for line in replays]
+
+
+def _printed_commands(monkeypatch):
+    found = []
+    for path in sorted((REPO / ".github" / "workflows").glob("*.yml")):
+        found += [(path.name, argv) for argv in _workflow_commands(path)]
+    docs = [REPO / "README.md", REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+    for path in docs + sorted((REPO / "docs").glob("*.md")):
+        found += [(path.name, argv) for argv in _markdown_commands(path)]
+    found += [("chaos replay", argv) for argv in _chaos_replay_commands(monkeypatch)]
+    return found
+
+
+class TestPrintedCommandsParse:
+    """CI steps, docs and the flight recorder's replay line name only
+    options that exist: a failure must replay from the command it prints."""
+
+    def test_every_printed_command_parses(self, monkeypatch):
+        found = _printed_commands(monkeypatch)
+        assert {"ci.yml", "stress-deep.yml", "README.md", "SKILL.md",
+                "chaos replay"} <= {source for source, _ in found}
+        parser = build_parser()
+        for source, argv in found:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{source}: repro {shlex.join(argv)} does not parse")

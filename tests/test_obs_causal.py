@@ -607,7 +607,7 @@ class TestTraceCommandHistory:
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main(["--seed", "2", "trace", "--switches", "6", "--members", "3"])
+            rc = main(["trace", "--switches", "6", "--members", "3", "--seed", "2"])
         assert rc == 0
         assert not [w for w in caught if "record_history" in str(w.message)]
         out = capsys.readouterr().out
