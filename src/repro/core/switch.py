@@ -466,12 +466,10 @@ class DgmcSwitch:
                     # LSA also advanced R) so the systematic explorer can
                     # re-derive the counterexample that forced the M
                     # vector (see docs/systematic-testing.md).
-                    if self.config.ablate_member_stamp:
-                        applies = was_news
-                    else:
-                        applies = idx > state.member_stamp[lsa.source]
+                    newer = idx > state.member_stamp[lsa.source]
+                    applies = was_news if self.config.ablate_member_stamp else newer
                     if applies:
-                        if idx > state.member_stamp[lsa.source]:
+                        if newer:
                             state.member_stamp[lsa.source] = idx
                         if lsa.event is McEvent.JOIN:
                             state.apply_join(lsa.source, lsa.role)

@@ -20,51 +20,119 @@ through two facts about vectors of naturals:
   differences ``a_i - b_i`` sum to zero, so each is zero.  With equal
   sums, dominance *is* equality, and strict dominance is impossible.
 
-What the sums cannot decide takes one pass -- over what *changed*, not
-over what is stored.  At quiescence R, E and C at every switch equal the
-last accepted ``T``, so a stamp is a reference to a shared, never-mutated
-**base** dict plus a private **overlay** of the components written since,
-each above the base's.  Two stamps on one base differ only where their
-overlays do, so ``merge`` / ``geq`` walk overlays; operands on different
-bases (off the wire, a resync snapshot) take the full pass.  Sharing
-starts where the second fact has just proved equal content -- a ``merge``
-that ends with equal sums, a ``geq`` with equal sums that holds -- by
-adopting the other operand's storage, never changing content; and
-:meth:`VectorTimestamp.snapshot` (the copy carried in LSAs and kept as
-``old_R`` / ``C``, never mutated again, so safe to hash) first folds an
-overlay that has outgrown its base.  docs/protocol-walkthrough.md, "How a
-stamp is stored and compared", has the argument.
+A stamp holds a reference to an immutable, **interned** value: one object
+per distinct content.  Every update rebinds the reference.  Nearly every
+receiver of a flood is in the same state, so ``merge``, ``geq`` and
+``__setitem__`` first look their result up by the *identities* of their
+operands: the work is done once per distinct state, not once per receiver.
+Each table forgets its oldest entry past :data:`BOUND`, which costs a
+recomputation, never an answer: equality is still by content.
+docs/protocol-walkthrough.md, "How a stamp is stored and compared", has the
+argument.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
-from typing import Dict, ItemsView, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Dict, Hashable, ItemsView, Iterable, List, Mapping, Tuple, Union
 
 
-#: Components it costs as much to copy and walk whole as to overlay at all:
-#: a stamp this small folds at any write (see ``_outgrown``).
-SMALL = 16
+#: Entries each table below keeps before it forgets its oldest (FIFO, the
+#: way SNIPPETS.md Snippet 2 bounds its dedup set).  A flood's receivers
+#: hit within a few entries of each other: at 16 the e2e churn workloads
+#: miss no more often than at 4096.
+BOUND = 256
+
+#: A stamp's value: ``(counts, total, hash)`` -- the dict ``{origin:
+#: non-zero count}``, its sum, and ``hash(frozenset(counts.items()))``.
+#: Interned and shared, so never mutated.  ``counts`` is a plain dict of
+#: ints, which the garbage collector does not track (a dict subclass it
+#: would), so a collection visits three slots per value, not every
+#: component of every value an install log keeps.
+Value = Tuple[Dict[int, int], int, int]
+
+
+def _remember(table: dict, key: Hashable, entry: Any) -> Any:
+    """``table[key] = entry``, then forget the oldest entries past
+    :data:`BOUND` (a dict keeps insertion order, so its first key is the
+    oldest)."""
+    table[key] = entry
+    while len(table) > BOUND:
+        del table[next(iter(table))]
+    return entry
+
+
+#: hash -> the interned value with that hash (a colliding content simply
+#: stays uninterned).
+_VALUES: Dict[int, Value] = {}
+#: The memo tables.  Each entry holds its operands, so while it exists no
+#: other object can reuse their ``id`` and hit it by mistake.
+#: ``(id(a), id(b)) -> (a, b, a max b)``
+_MERGES: Dict[Tuple[int, int], Tuple[Value, Value, Value]] = {}
+#: ``(id(a), id(b)) -> (a, b, a >= b)``, for ``sum(a) > sum(b)`` only.
+_GEQS: Dict[Tuple[int, int], Tuple[Value, Value, bool]] = {}
+#: ``(id(a), i, count) -> (a, a with component i set to count)``
+_WRITES: Dict[Tuple[int, int, int], Tuple[Value, Value]] = {}
+
+
+def _intern(counts: Dict[int, int], total: int) -> Value:
+    """The value of ``counts`` (just built, not yet shared): the one
+    interned before with this content, or a new one."""
+    key = hash(frozenset(counts.items()))
+    found = _VALUES.get(key)
+    if found is not None and found[1] == total and found[0] == counts:
+        return found
+    value = (counts, total, key)
+    if found is None:
+        _remember(_VALUES, key, value)
+    return value
+
+
+def _dominates(a: Value, b: Value) -> bool:
+    """Component-wise ``a >= b``, one pass over ``b``."""
+    mine = a[0]
+    try:
+        for origin, count in b[0].items():
+            if mine[origin] < count:
+                return False
+    except KeyError:  # an implicit zero below a stored (positive) count
+        return False
+    return True
+
+
+def _max(a: Value, b: Value) -> Value:
+    """Component-wise max, one pass over ``b``: ``a`` itself when it gains
+    nothing, ``b`` itself when it reaches ``b``'s sum (fact 2: it dominates
+    ``b`` at equal sums, so it is ``b``), else an interned new value."""
+    mine = a[0]
+    gains = {}
+    gained = 0
+    for origin, count in b[0].items():
+        had = mine.get(origin, 0)
+        if count > had:
+            gains[origin] = count
+            gained += count - had
+    if not gained:
+        return a
+    if a[1] + gained == b[1]:
+        return b
+    return _intern({**mine, **gains}, a[1] + gained)
 
 
 class VectorTimestamp:
     """A sparse, sum-carrying event-count vector with the paper's partial order."""
 
-    __slots__ = ("_base", "_over", "_sum")
+    __slots__ = ("_v",)
 
     def __init__(
         self, components: Union[Mapping[int, int], Iterable[Tuple[int, int]]] = ()
     ) -> None:
-        v = dict(components)
-        if v and (min(v) < 0 or min(v.values()) < 0):
+        counts = dict(components)
+        if counts and (min(counts) < 0 or min(counts.values()) < 0):
             raise ValueError("timestamp origins and counts must be naturals")
-        if not all(v.values()):
-            v = {origin: count for origin, count in v.items() if count}
-        #: Shared ``{origin: non-zero count}``; no stamp ever mutates one.
-        self._base: Dict[int, int] = v
-        #: Private ``{origin: count}``, each count above the base's.
-        self._over: Dict[int, int] = {}
-        self._sum = sum(v.values())
+        if not all(counts.values()):
+            counts = {origin: count for origin, count in counts.items() if count}
+        self._v = _intern(counts, sum(counts.values()))
 
     @classmethod
     def from_dense(cls, values: Iterable[int]) -> "VectorTimestamp":
@@ -73,43 +141,17 @@ class VectorTimestamp:
         if values and min(values) < 0:
             raise ValueError("timestamp components must be natural numbers")
         stamp = cls.__new__(cls)  # already canonical: skip __init__'s checks
-        stamp._base = dict(compress(enumerate(values), values))
-        stamp._over = {}
-        stamp._sum = sum(values)
+        stamp._v = _intern(dict(compress(enumerate(values), values)), sum(values))
         return stamp
-
-    def _flat(self) -> Mapping[int, int]:
-        """Every stored component in one mapping: the base itself when
-        nothing was written since, so never mutate the result."""
-        return {**self._base, **self._over} if self._over else self._base
-
-    def _share(self, other: "VectorTimestamp") -> None:
-        """Adopt the storage of ``other``, whose content equals ours."""
-        self._base = other._base
-        self._over = other._over.copy()
-
-    def _outgrown(self) -> bool:
-        """Whether the overlay is due to be folded into a fresh base.
-
-        Every delivery walks an overlay, every receiver takes a full pass
-        per fold: least in sum near ``sqrt(2 * len(base))`` entries.
-        """
-        return len(self._over) ** 2 > 2 * max(len(self._base) - SMALL, 0)
 
     # -- element access ------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of *stored* (non-zero) components."""
-        base = self._base
-        stored = len(base)
-        if self._over:
-            for origin in self._over:
-                if origin not in base:
-                    stored += 1
-        return stored
+        return len(self._v[0])
 
     def __getitem__(self, i: int) -> int:
-        return self._over.get(i) or self._base.get(i, 0)
+        return self._v[0].get(i, 0)
 
     #: Implicit zeros never end: without this, ``tuple(stamp)`` would fall
     #: back to ``__getitem__`` and loop forever.  Use :meth:`items`,
@@ -117,25 +159,20 @@ class VectorTimestamp:
     __iter__ = None
 
     def __setitem__(self, i: int, value: int) -> None:
-        if i < 0 or value < 0:
-            raise ValueError("timestamp origins and counts must be naturals")
-        over = self._over
-        floor = self._base.get(i, 0)
-        self._sum += value - over.get(i, floor)
-        if value > floor:
-            over[i] = value
-        elif value == floor:
-            over.pop(i, None)
-        else:
-            # Below the shared base (never the protocol: R, E and M only
-            # grow): leave it for a private one.  Zeros stay implicit so
-            # ``==`` / ``hash`` see one form only.
-            flat = {**self._base, **over}
+        v = self._v
+        key = (id(v), i, value)
+        hit = _WRITES.get(key)
+        if hit is None:
+            if i < 0 or value < 0:
+                raise ValueError("timestamp origins and counts must be naturals")
+            counts = v[0].copy()
             if value:
-                flat[i] = value
-            else:
-                del flat[i]
-            self._base, self._over = flat, {}
+                counts[i] = value
+            else:  # zeros stay implicit, so ``==`` / ``hash`` see one form
+                counts.pop(i, None)
+            total = v[1] - v[0].get(i, 0) + value
+            hit = _remember(_WRITES, key, (v, _intern(counts, total)))
+        self._v = hit[1]
 
     def increment(self, i: int, by: int = 1) -> None:
         """``T[i] += by`` (the paper's ``R[x] = R[x] + 1``)."""
@@ -143,29 +180,21 @@ class VectorTimestamp:
 
     def items(self) -> ItemsView[int, int]:
         """The stored ``(origin, count)`` pairs, in no particular order."""
-        return self._flat().items()
+        return self._v[0].items()
 
     def total(self) -> int:
         """Sum of components: total events covered."""
-        return self._sum
+        return self._v[1]
 
     def span(self) -> int:
         """Highest origin with a non-zero component, plus one (0 when empty)."""
-        top = max(self._base, default=-1)
-        if self._over:
-            for origin in self._over:
-                if origin > top:
-                    top = origin
-        return top + 1
+        return max(self._v[0], default=-1) + 1
 
     def dense(self, n: int) -> List[int]:
         """The first ``n`` components as a list (must cover :meth:`span`)."""
-        values = list(map(self._base.get, range(n), repeat(0)))
-        if self._over:
-            for origin, count in self._over.items():
-                if origin < n:
-                    values[origin] = count
-        if sum(values) != self._sum:  # stored counts are positive: one was cut
+        counts, total, _ = self._v
+        values = list(map(counts.get, range(n), repeat(0)))
+        if sum(values) != total:  # stored counts are positive: one was cut
             raise ValueError(f"stamp has components beyond index {n - 1}")
         return values
 
@@ -173,38 +202,21 @@ class VectorTimestamp:
 
     def geq(self, other: "VectorTimestamp") -> bool:
         """Component-wise ``self >= other``."""
-        base, over = self._base, self._over
-        if base is other._base:
-            if self._sum <= other._sum:
-                # Smaller sum refutes dominance; equal sums make it equality.
-                return self._sum == other._sum and over == other._over
-            # Off its overlay ``other`` is the base, which we dominate.
-            have_of, floor = over.get, base.get
-            for origin, count in other._over.items():
-                if (have_of(origin) or floor(origin, 0)) < count:
-                    return False
+        a, b = self._v, other._v
+        if a is b:
             return True
-        if self._sum < other._sum:
-            return False
-        mine = {**base, **over} if over else base  # _flat(), inlined
-        theirs = {**other._base, **other._over} if other._over else other._base
-        if self._sum == other._sum:
-            if mine != theirs:
-                return False
-            if not other._outgrown():  # else the next snapshot folds it away
-                self._share(other)
-            return True
-        try:
-            for origin, count in theirs.items():
-                if mine[origin] < count:
-                    return False
-        except KeyError:  # an implicit zero below a stored (positive) count
-            return False
-        return True
+        if a[1] <= b[1]:
+            # Smaller sum refutes dominance; equal sums make it equality.
+            return a[1] == b[1] and a[0] == b[0]
+        key = (id(a), id(b))
+        hit = _GEQS.get(key)
+        if hit is None:
+            hit = _remember(_GEQS, key, (a, b, _dominates(a, b)))
+        return hit[2]
 
     def gt(self, other: "VectorTimestamp") -> bool:
         """Strict order: ``self >= other`` and ``self != other``."""
-        return self._sum > other._sum and self.geq(other)
+        return self._v[1] > other._v[1] and self.geq(other)
 
     def equals(self, other: "VectorTimestamp") -> bool:
         return self == other
@@ -221,65 +233,37 @@ class VectorTimestamp:
         Returns True when any component changed.  Afterwards ``self >=
         other`` holds, so ``other >= self`` is just equality of the sums.
         """
-        base, over = self._base, self._over
-        gained = 0
-        if base is other._base:
-            floor = base.get
-            for origin, count in other._over.items():
-                have = over.get(origin) or floor(origin, 0)
-                if count > have:
-                    over[origin] = count
-                    gained += count - have
-            self._sum += gained
-            return gained > 0
-        # Flattened (_flat(), inlined) for the walk only: gains land on the
-        # overlay, so the base stays the shared one.
-        mine = {**base, **over} if over else base
-        theirs = {**other._base, **other._over} if other._over else other._base
-        # Equal already -- the second of two equal-stamp proposals -- is one
-        # C-level compare, not a walk that gains nothing.
-        if self._sum != other._sum or mine != theirs:
-            have_of = mine.get
-            for origin, count in theirs.items():
-                have = have_of(origin, 0)
-                if count > have:
-                    over[origin] = count
-                    gained += count - have
-            self._sum += gained
-        if self._sum == other._sum:  # Figure 5's accept: now equal in content
-            self._base = other._base
-            self._over = other._over.copy()
-        return gained > 0
+        a, b = self._v, other._v
+        if a is b:
+            return False
+        key = (id(a), id(b))
+        hit = _MERGES.get(key)
+        if hit is None:
+            hit = _remember(_MERGES, key, (a, b, _max(a, b)))
+        self._v = hit[2]
+        return hit[2] is not a
 
     def assign(self, other: "VectorTimestamp") -> None:
         """Overwrite all components (``E = R``)."""
-        self._share(other)
-        self._sum = other._sum
+        self._v = other._v
 
     # -- conversion --------------------------------------------------------------
 
     def snapshot(self) -> "VectorTimestamp":
-        """An independent copy, as carried in LSAs (``old_R = R``): the base
-        shared, the overlay copied -- after folding one that has outgrown."""
-        if self._outgrown():
-            self._base, self._over = self._flat(), {}
+        """An independent copy, as carried in LSAs (``old_R = R``): it shares
+        the immutable value, so it costs one reference."""
         snap = type(self).__new__(type(self))
-        snap._base = self._base
-        snap._over = self._over.copy()
-        snap._sum = self._sum
+        snap._v = self._v
         return snap
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorTimestamp):
             return NotImplemented
-        if self._sum != other._sum:
-            return False
-        if self._base is other._base:
-            return self._over == other._over
-        return self._flat() == other._flat()
+        a, b = self._v, other._v
+        return a is b or (a[1] == b[1] and a[0] == b[0])
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._flat().items()))
+        return self._v[2]
 
     def __repr__(self) -> str:
         return f"VectorTimestamp({dict(sorted(self.items()))})"

@@ -25,6 +25,8 @@ Zero-dependency observability spine for the reproduction (see
   protocol stacks (SPF cache counters, flood counters, kernel gauges).
 * :mod:`repro.obs.profile` -- the per-phase wall-time breakdown behind
   ``python -m repro profile``.
+* :mod:`repro.obs.sampler` -- a ``setitimer`` sampling profiler charging
+  CPU time to the e2e benchmark's layers (``benchmarks/profile.py``).
 * :mod:`repro.obs.timeline` -- merged per-deployment protocol timelines
   and convergence profiles (``python -m repro trace``).
 
@@ -32,7 +34,7 @@ Only the stdlib-only leaves (``metrics``, ``tracer``, ``context``,
 ``slo``, ``flight``, ``merge``) are imported eagerly, so any module
 (including the sim kernel) may import this package without cycles.
 ``attach``, ``profile`` and ``timeline`` reach back into the protocol
-stack and must be imported explicitly.
+stack and must be imported explicitly, as must ``sampler``.
 """
 
 from repro.obs.context import (  # noqa: F401

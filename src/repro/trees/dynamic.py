@@ -17,12 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Optional
 
-from repro.trees.base import (
-    MulticastTree,
-    TreeError,
-    canonical_edge,
-    edge_weights,
-)
+from repro.trees.base import MulticastTree, TreeError, canonical_edge
 from repro.trees.steiner import kmb_steiner_tree, pruned_spt_steiner_tree
 
 
@@ -91,6 +86,11 @@ def prune_member(tree: MulticastTree, leaving: int) -> MulticastTree:
     return MulticastTree(frozenset(edges), frozenset(members), tree.root)
 
 
+def _cost(adj: Mapping[int, Mapping[int, float]], tree: MulticastTree) -> float:
+    """``tree.cost(edge_weights(adj))``, read off the tree's own edges."""
+    return sum(adj[u][v] for u, v in tree.edges)
+
+
 class GreedyDynamicSteiner:
     """Stateless policy object for incremental-vs-rebuild decisions.
 
@@ -139,8 +139,9 @@ class GreedyDynamicSteiner:
             return MulticastTree.empty()
         if previous is None or not previous.members:
             return self._from_scratch(adj, members)
-        weights = edge_weights(adj)
-        if any(e not in weights for e in previous.edges):
+        # Images are symmetric (the LSDB's two-way check), so a tree edge
+        # is read from one side and priced from it: no whole-image pass.
+        if any(v not in adj.get(u, ()) for u, v in previous.edges):
             # A tree link went down: incremental repair is not safe.
             return self._from_scratch(adj, members)
         tree = previous
@@ -158,7 +159,7 @@ class GreedyDynamicSteiner:
                 if self.scratch == "kmb"
                 else pruned_spt_steiner_tree(adj, members)
             )
-            if tree.cost(weights) > self.rebuild_threshold * fresh.cost(weights):
+            if _cost(adj, tree) > self.rebuild_threshold * _cost(adj, fresh):
                 self.rebuilds += 1
                 self.incremental_updates -= 1
                 return fresh

@@ -7,6 +7,7 @@ this helper instead of comparing against tuples.
 
 from __future__ import annotations
 
+from repro.core import timestamp
 from repro.core.timestamp import Stamp
 
 
@@ -14,10 +15,22 @@ def S(*components: int) -> Stamp:
     return Stamp.from_dense(components)
 
 
-def base_of(stamp: Stamp) -> dict:
-    """The shared base dict ``stamp`` sits on -- compare with ``is``.
+#: The intern table and the three memo tables (module-level dicts, never
+#: rebound, so these references stay live).
+TABLES = (timestamp._VALUES, timestamp._MERGES, timestamp._GEQS, timestamp._WRITES)
+
+
+def fresh_tables() -> None:
+    """Empty the intern and memo tables, so an identity assertion does not
+    depend on which old entry an earlier test left at the front of a FIFO."""
+    for table in TABLES:
+        table.clear()
+
+
+def value_of(stamp: Stamp) -> tuple:
+    """The interned value ``stamp`` refers to -- compare with ``is``.
 
     The one place the tests reach into a stamp's storage (see "How a stamp
     is stored and compared" in docs/protocol-walkthrough.md).
     """
-    return stamp._base
+    return stamp._v

@@ -19,9 +19,10 @@ from repro.core import (
     ProtocolConfig,
     Role,
 )
+from repro.core import timestamp
 from repro.core.lsa import McEvent
 from repro.topo.generators import grid_network, ring_network, waxman_network
-from tests.stamps import base_of
+from tests.stamps import TABLES, fresh_tables, value_of
 
 
 def deployment(net=None, **config_kw):
@@ -320,21 +321,21 @@ class TestRegistry:
 
 class TestStampSharing:
     """White box: pins *sharing*, not timing (docs/protocol-walkthrough.md,
-    "How a stamp is stored and compared").  A refactor that silently puts
-    every stamp back on a base of its own keeps every count and every byte
-    -- and loses the overlay walk; it should fail here, not in a benchmark."""
+    "How a stamp is stored and compared").  A refactor that silently gives
+    every stamp a value of its own keeps every count and every byte -- and
+    loses the memo hits; it should fail here, not in a benchmark."""
 
     N = 48
     ROUNDS = 12
 
-    def bases(self, dgmc, stamp_of, skip=()):
-        """The distinct base objects, keyed by identity (and kept alive)."""
+    def values(self, dgmc, *fields):
+        """The distinct value objects the named stamps refer to, by identity."""
         found = (
-            base_of(stamp_of(switch.states[1]))
-            for x, switch in dgmc.switches.items()
-            if x not in skip
+            value_of(getattr(switch.states[1], field))
+            for switch in dgmc.switches.values()
+            for field in fields
         )
-        return {id(base): base for base in found}
+        return {id(value): value for value in found}
 
     def settle(self, dgmc, *events):
         at = dgmc.sim.now + 1.0
@@ -343,33 +344,39 @@ class TestStampSharing:
         dgmc.run()
         ok, detail = dgmc.agreement(1)
         assert ok, detail
-        (shared,) = self.bases(dgmc, lambda s: s.current_stamp).values()  # C: one base
-        return shared
+
+    def churn(self, dgmc, rng, members, rounds):
+        """``rounds`` rounds of a join and a leave in conflict."""
+        for _ in range(rounds):
+            joiner = rng.choice([x for x in range(len(dgmc.switches)) if x not in members])
+            leaver = members.pop(rng.randrange(len(members)))
+            members.append(joiner)
+            self.settle(dgmc, JoinEvent(joiner, 1), LeaveEvent(leaver, 1))
+            yield
 
     def test_converged_switches_sit_on_one_base(self):
+        """After conflicting rounds every switch's R, E and C are one value
+        object, and so are the M vectors: equal content is shared content."""
+        fresh_tables()
         rng = Random(21)
         dgmc = deployment(waxman_network(self.N, Random(7)))
         members = rng.sample(range(self.N), 24)
         for x in members:
-            shared = self.settle(dgmc, JoinEvent(x, 1))
-        kept = 0
-        for _ in range(self.ROUNDS):  # a join and a leave in conflict
-            joiner = rng.choice([x for x in range(self.N) if x not in members])
-            leaver = members.pop(rng.randrange(len(members)))
-            members.append(joiner)
-            found = shared
-            shared = self.settle(dgmc, JoinEvent(joiner, 1), LeaveEvent(leaver, 1))
-            kept += shared is found
-            # Two originators may have folded the same content into a base
-            # each: E is on the one whose proposal arrived last, nowhere else.
-            expected = self.bases(dgmc, lambda s: s.expected, skip=(joiner, leaver))
-            assert len(expected) <= 2
-        # Bases outlive events: a round leaves C on the base it found unless
-        # an overlay was folded (about one round in four at this size).
-        assert kept >= self.ROUNDS // 2
-        # One quiet event: every receiver's E is on the base of the C it accepted.
-        joiner = next(x for x in range(self.N) if x not in members)
-        shared = self.settle(dgmc, JoinEvent(joiner, 1))
-        assert list(self.bases(dgmc, lambda s: s.expected, skip=(joiner,))) == [id(shared)]
-        # R rebases only where ``R >= E`` is evaluated -- at originators.
-        assert len(self.bases(dgmc, lambda s: s.received)) > 2
+            self.settle(dgmc, JoinEvent(x, 1))
+        for _ in self.churn(dgmc, rng, members, self.ROUNDS):
+            assert len(self.values(dgmc, "received", "expected", "current_stamp")) == 1
+            assert len(self.values(dgmc, "member_stamp")) == 1
+
+    def test_every_table_stays_within_its_bound(self, monkeypatch):
+        """Over a 200-round churn run, with a bound small enough to evict
+        all along: no table outgrows it, and eviction changes no verdict."""
+        monkeypatch.setattr(timestamp, "BOUND", 32)
+        rng = Random(5)
+        dgmc = deployment(waxman_network(16, Random(3)))
+        members = rng.sample(range(16), 6)
+        for x in members:
+            self.settle(dgmc, JoinEvent(x, 1))
+        for _ in self.churn(dgmc, rng, members, 200):
+            for table in TABLES:
+                assert len(table) <= 32
+        assert all(len(table) == 32 for table in TABLES)  # every one evicted

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core import timestamp
+from repro.core.lsa import McEvent, McLsa
 from repro.core.timestamp import (
     Stamp,
     VectorTimestamp,
@@ -19,7 +21,8 @@ from repro.core.timestamp import (
     stamp_gt,
     stamp_max,
 )
-from tests.stamps import base_of
+from repro.core.wire import decode_lsa, encode_lsa
+from tests.stamps import TABLES, fresh_tables, value_of
 
 # -- the dense reference ---------------------------------------------------------
 
@@ -268,11 +271,12 @@ def write(stamp: VectorTimestamp, ref: list, origin: int, value: int) -> None:
 
 
 class TestSharedBase:
-    """The same oracle, on operands that share a base -- or just stopped to.
+    """The same oracle, on operands that share one interned value -- or
+    just stopped to.
 
-    ``snapshot()`` hands out the base by reference, so the hazard is
-    aliasing: a write, merge or rebase on one stamp showing through
-    another.  Every case ends by re-reading *all* the stamps involved.
+    ``snapshot()`` hands out the value by reference, so the hazard is
+    aliasing: a write or merge on one stamp showing through another.
+    Every case ends by re-reading *all* the stamps involved.
     """
 
     N = 12
@@ -281,7 +285,7 @@ class TestSharedBase:
         """A stamp and two snapshots of it, with their dense references."""
         root = sparse(v)
         stamps = [root, root.snapshot(), root.snapshot()]
-        assert base_of(stamps[1]) is base_of(stamps[2]) is base_of(root)
+        assert value_of(stamps[1]) is value_of(stamps[2]) is value_of(root)
         return stamps, [list(v) + [0] * (self.N - len(v)) for _ in stamps]
 
     def check(self, stamps, refs):
@@ -306,7 +310,7 @@ class TestSharedBase:
                 assert a.gt(b) == stamp_gt(a, b) == d_gt(ra, rb)
                 assert (a == b) == (ra == rb)
                 assert (hash(a) == hash(b)) or ra != rb
-                self.check(stamps, refs)  # a compare may rebase, never rewrite
+                self.check(stamps, refs)  # a compare never rewrites
         for i, j in ((0, 1), (2, 0), (1, 2)):
             changed = stamps[i].merge(stamps[j])
             expected = list(d_max(refs[i], refs[j]))
@@ -338,56 +342,23 @@ class TestSharedBase:
             assert dense(ours, self.N) == dense(there, self.N) == d_max(mine, far)
         self.check(wire, refs)
 
-    @given(vectors, st.lists(st.integers(0, 11), min_size=1, max_size=40))
-    def test_overlay_past_the_fold(self, v, origins):
-        """Enough writes that ``snapshot()`` folds: nobody's content moves."""
-        stamps, refs = self.family(v)
-        old_base = base_of(stamps[0])
-        kept = dict(old_base)
-        for origin in origins:
-            write(stamps[1], refs[1], origin, 4)
-        snap = stamps[1].snapshot()
-        again = snap.snapshot()  # snapshot of a snapshot
-        assert base_of(again) is base_of(snap) is base_of(stamps[1])
-        assert old_base == kept  # a fold builds a base, it never edits one
-        stamps += [snap, again]
-        refs += [list(refs[1]), list(refs[1])]
-        self.check(stamps, refs)
-        write(again, refs[4], origins[0], 4)
-        write(stamps[1], refs[1], origins[-1], 4)
-        self.check(stamps, refs)
-        assert snap.geq(stamps[0]) and again.gt(snap) and stamps[1].gt(stamps[2])
-        assert again.concurrent_with(stamps[1]) == (origins[0] != origins[-1])
-        self.check(stamps, refs)
-
-    def test_the_fold_is_paid_once(self):
-        """An overlay that has outgrown its base folds at ``snapshot()``;
-        the next snapshot shares the fresh base and copies nothing big."""
-        r = sparse([1] * 8)
-        first = r.snapshot()
-        for origin in range(8, 20):
-            r.increment(origin)
-        assert base_of(r) is base_of(first)  # writes never move a base
-        folded = r.snapshot()
-        assert base_of(folded) is base_of(r) is not base_of(first)
-        assert base_of(r.snapshot()) is base_of(folded)
-        assert len(folded) == 20 and folded.gt(first) and first == sparse([1] * 8)
-
     def test_assign_shares_and_stays_independent(self):
+        fresh_tables()
         source = sparse([4, 0, 6])
         source.increment(1)
         t = sparse([9, 9, 9])
         t.assign(source)
-        assert base_of(t) is base_of(source) and t == sparse([4, 1, 6])
+        assert value_of(t) is value_of(source) and t == sparse([4, 1, 6])
         t.increment(1)
         source.increment(2)
         assert t == sparse([4, 2, 6]) and source == sparse([4, 1, 7])
         assert t.total() == 12 and source.total() == 12 and t.concurrent_with(source)
 
     def test_a_write_below_the_base_leaves_the_base_to_the_others(self):
+        fresh_tables()
         root = sparse([3, 5, 2])
         a, b = root.snapshot(), root.snapshot()
-        a[1] = 4  # lowers a component the shared base holds at 5
+        a[1] = 4  # lowers a component of the shared value
         b[2] = 0  # and one to (implicit) zero
         assert root == sparse([3, 5, 2]) and a == sparse([3, 4, 2]) and b == sparse([3, 5])
         assert (len(a), len(b), a.total(), b.total()) == (3, 2, 9, 8)
@@ -395,27 +366,106 @@ class TestSharedBase:
         a[1] = 5
         b[2] = 2
         assert a == root == b and hash(a) == hash(root) == hash(b)
-        # Raised above the base and lowered back onto it: the overlay entry goes.
+        # Raised and lowered back: back on the very value it left.
         c = root.snapshot()
         c[0] = 7
         c[0] = 3
-        assert c == root and base_of(c) is base_of(root) and c.geq(root) and root.geq(c)
+        assert value_of(a) is value_of(b) is value_of(c) is value_of(root)
+        assert c.geq(root) and root.geq(c)
 
     def test_equal_content_is_where_sharing_starts(self):
-        """The two adoption points: an accept-shaped merge, and ``R >= E``."""
+        """Equal content is one value however it was reached: a merge, a
+        construction, a write."""
+        fresh_tables()
         t = sparse([2, 0, 1, 4])
-        e = VectorTimestamp({0: 2, 3: 3})  # off another base, one event behind
+        e = VectorTimestamp({0: 2, 3: 3})  # built apart, one event behind
         assert e.merge(t) and e.total() == t.total()
-        assert base_of(e) is base_of(t) and e == t
+        assert value_of(e) is value_of(t) and e == t
         r = VectorTimestamp({0: 2, 2: 1, 3: 4})
-        assert r.geq(e) and base_of(r) is base_of(e)
+        assert value_of(r) is value_of(e)
         # Sharing is storage only: each still moves alone.
         r.increment(1)
         e.increment(0)
         assert t == sparse([2, 0, 1, 4]) and r == sparse([2, 1, 1, 4]) and e == sparse([3, 0, 1, 4])
-        # No adoption without equality, whatever the sums say.
+        # No sharing without equality, whatever the sums say.
         other = sparse([1, 1, 1, 4])
-        assert not other.geq(t) and base_of(other) is not base_of(t)
+        assert not other.geq(t) and value_of(other) is not value_of(t)
+
+
+class TestInterning:
+    """What the identity-keyed tables must never change: the answers."""
+
+    def test_a_wire_decoded_stamp_interns_to_the_local_value(self):
+        """Both stamp encodings decode onto the sender's value, so a live
+        receiver's merges hit the same memo entries a simulated one does."""
+        fresh_tables()
+        for components in ({0: 3, 7: 1}, dict.fromkeys(range(12), 2)):
+            local = VectorTimestamp(components)
+            local.increment(5)
+            lsa = McLsa(5, McEvent.LINK, 1, None, local.snapshot())
+            assert value_of(decode_lsa(encode_lsa(lsa)).timestamp) is value_of(local)
+
+    @given(vectors)
+    def test_hash_is_the_frozenset_hash(self, v):
+        """Canonical keys (``McState.canonical``) hash as they always did."""
+        stamp = sparse(v)
+        assert hash(stamp) == hash(frozenset(stamp.items()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.tuples(
+            st.lists(vectors_of(n), min_size=3, max_size=3),
+            st.lists(
+                st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 2),
+                          st.integers(0, n - 1), st.integers(0, 5)),
+                max_size=40,
+            ),
+        ))
+    )
+    def test_differential_through_eviction(self, case):
+        """The dense oracle, with every table bounded at 2: each operation
+        runs through eviction, and freed values' ids come back."""
+        start, ops = case
+        n = len(start[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(timestamp, "BOUND", 2)
+            fresh_tables()
+            stamps = [sparse(v) for v in start]
+            refs = [tuple(v) for v in start]
+            for op, i, j, origin, value in ops:
+                a, b = stamps[i], stamps[j]
+                if op == 0:
+                    assert a.merge(b) == (d_max(refs[i], refs[j]) != refs[i])
+                    refs[i] = d_max(refs[i], refs[j])
+                elif op == 1:
+                    assert a.geq(b) == d_geq(refs[i], refs[j])
+                    assert a.gt(b) == d_gt(refs[i], refs[j])
+                    assert (a == b) == (refs[i] == refs[j])
+                elif op == 2:
+                    a[origin] = value
+                    refs[i] = refs[i][:origin] + (value,) + refs[i][origin + 1:]
+                elif op == 3:
+                    a.increment(origin)
+                    refs[i] = refs[i][:origin] + (refs[i][origin] + 1,) + refs[i][origin + 1:]
+                elif op == 4:
+                    stamps[i] = b.snapshot()
+                    refs[i] = refs[j]
+                elif op == 5:
+                    stamps[i] = sparse(refs[j])  # an equal stamp, as off the wire
+                    refs[i] = refs[j]
+                else:
+                    stamps[i] = stamp_max(a, b)
+                    refs[i] = d_max(refs[i], refs[j])
+                for stamp, ref in zip(stamps, refs):
+                    assert dense(stamp, n) == ref and stamp.total() == sum(ref)
+                    assert hash(stamp) == hash(sparse(ref))
+            for table in TABLES:
+                assert len(table) <= 2
+            # What makes a recycled id harmless: an entry keeps its operands
+            # alive, so no other object can hold their ids meanwhile.
+            for table in (timestamp._MERGES, timestamp._GEQS):
+                assert all(key == (id(a), id(b)) for key, (a, b, _) in table.items())
+            assert all(key[0] == id(a) for key, (a, _) in timestamp._WRITES.items())
 
 
 class StampFamily(RuleBasedStateMachine):

@@ -10,6 +10,7 @@ from repro.lsr.ispf import MAX_REPAIR_CHAIN
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr.spfcache import GLOBAL_STATS
+from repro.topo.generators import waxman_network
 
 
 def lsa(origin, seqnum, links):
@@ -171,6 +172,41 @@ class TestPatchedImage:
                 single += 1
                 assert GLOBAL_STATS.ispf_repairs == repairs + 1
         assert tracked and degraded and single
+
+
+def assert_symmetric(image) -> None:
+    for u, row in image.items():
+        for v, w in row.items():
+            assert image[v][u] == w, (u, v)
+
+
+class TestSymmetricImage:
+    """Every image is symmetric, weights included: a topology computation
+    reads a tree edge from one side only (``GreedyDynamicSteiner.update``),
+    which is the old both-sides edge map's value only because of this."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lsdb_images_are_symmetric(self, seed):
+        rng = random.Random(seed)
+        n = 12
+        adverts = _Adverts(rng, n)
+        db = LinkStateDatabase(n)
+        for origin in range(n):
+            db.install(adverts.emit(origin))
+        for _ in range(60):
+            # One side at a time: the two advertised delays disagree.
+            db.install(adverts.mutate(rng.randrange(n)))
+            assert_symmetric(db.adjacency())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_network_views_are_symmetric(self, seed):
+        rng = random.Random(seed)
+        net = waxman_network(20, rng)
+        keys = sorted(link.key for link in net.links(include_down=True))
+        for _ in range(30):
+            net.set_link_state(*rng.choice(keys), up=rng.random() < 0.5)
+            assert_symmetric(net.spf_view())
+            assert_symmetric(net.spf_view(include_down=True))
 
 
 class TestRouterLsa:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lsr import spf
-from repro.topo.generators import grid_network, random_connected_network
+from repro.topo.generators import grid_network, random_connected_network, waxman_network
 from repro.trees.base import MulticastTree, TreeError, edge_weights
 from repro.trees.dynamic import GreedyDynamicSteiner, graft_path, prune_member
-from repro.trees.steiner import pruned_spt_steiner_tree
+from repro.trees.steiner import kmb_steiner_tree, pruned_spt_steiner_tree
 
 
 def grid_adj():
@@ -170,3 +170,64 @@ class TestPolicy:
             tree = dyn.update(adj, tree, frozenset(members))
             tree.validate(members)
             assert tree.is_tree()
+
+
+def edge_weights_update(dyn, adj, previous, members):
+    """``GreedyDynamicSteiner.update`` as it was: one ``edge_weights(adj)``
+    map over the whole image per computation, to check tree edges and to
+    price the two trees."""
+    if not members:
+        return MulticastTree.empty()
+    if previous is None or not previous.members:
+        return dyn._from_scratch(adj, members)
+    weights = edge_weights(adj)
+    if any(e not in weights for e in previous.edges):
+        return dyn._from_scratch(adj, members)
+    tree = previous
+    try:
+        for gone in sorted(previous.members - members):
+            tree = prune_member(tree, gone)
+        for new in sorted(members - previous.members):
+            tree = graft_path(adj, tree, new)
+    except TreeError:
+        return dyn._from_scratch(adj, members)
+    if dyn.rebuild_threshold != float("inf") and len(members) >= 2:
+        fresh = (
+            kmb_steiner_tree(adj, members)
+            if dyn.scratch == "kmb"
+            else pruned_spt_steiner_tree(adj, members)
+        )
+        if tree.cost(weights) > dyn.rebuild_threshold * fresh.cost(weights):
+            return fresh
+    return MulticastTree(tree.edges, members, tree.root)
+
+
+class TestEdgeWeightsFormulation:
+    @given(
+        st.integers(6, 30), st.integers(0, 10_000), st.integers(4, 16),
+        st.sampled_from([1.0, 1.2, 1.5]), st.sampled_from(["pruned-spt", "kmb"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_update_returns_the_edge_weights_trees(self, n, seed, steps, threshold, scratch):
+        """Over random Waxman images, join/leave sequences and failures of
+        non-bridge links: the same trees, edge for edge and member for member."""
+        rng = random.Random(seed)
+        net = waxman_network(n, rng)
+        dyn = GreedyDynamicSteiner(rebuild_threshold=threshold, scratch=scratch)
+        members = {rng.randrange(n)}
+        tree = None
+        for _ in range(steps):
+            if rng.random() < 0.2:
+                bridges = set(net.bridges())
+                spare = sorted(link.key for link in net.links() if link.key not in bridges)
+                if spare:
+                    net.set_link_state(*rng.choice(spare), up=False)
+            absent = [x for x in range(n) if x not in members]
+            if absent and (len(members) == 1 or rng.random() < 0.6):
+                members.add(rng.choice(absent))
+            else:
+                members.remove(rng.choice(sorted(members)))
+            adj = net.spf_view()
+            new = dyn.update(adj, tree, frozenset(members))
+            assert new == edge_weights_update(dyn, adj, tree, frozenset(members))
+            tree = new
