@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import random
+from time import perf_counter
 from typing import Any, List, Optional
 
-from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
+from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, LinkEvent, ProtocolConfig
 
 
 def _write_metrics(path: Optional[str], text: str) -> None:
@@ -69,6 +70,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _join_burst(switches: int, members: int, seed: int):
+    """A seeded Waxman network with a conflicting burst of ``members``
+    joins to connection 1 injected, and the joining switches.
+
+    Raises ``ValueError`` unless ``1 <= members <= switches``.
+    """
+    from repro.topo.generators import waxman_network
+
+    if not 1 <= members <= switches:
+        raise ValueError(f"need 1 <= members <= switches, got {members} / {switches}")
+    rng = random.Random(seed)
+    net = waxman_network(switches, rng)
+    dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05))
+    dgmc.register_symmetric(1)
+    joiners = rng.sample(range(net.n), members)
+    for sw in joiners:
+        dgmc.inject(JoinEvent(sw, 1), at=1.0 + rng.random())
+    return dgmc, joiners
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.tracer import JsonlSink, RingBufferSink, Tracer, use_tracer
     from repro.obs.timeline import (
@@ -76,33 +97,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         convergence_profile,
         render_timeline,
     )
-    from repro.topo.generators import waxman_network
 
+    try:
+        dgmc, _ = _join_burst(args.switches, args.members, args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    dgmc.fabric.record_history = True
     tracer = Tracer(enabled=bool(args.export_trace or args.export_jsonl))
     if tracer.enabled:
         tracer.add_sink(RingBufferSink())
     if args.export_jsonl:
         tracer.add_sink(JsonlSink(args.export_jsonl))
-    rng = random.Random(args.seed)
     try:
         with use_tracer(tracer):
-            net = waxman_network(args.switches, rng)
-            dgmc = DgmcNetwork(
-                net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
-            )
-            dgmc.fabric.record_history = True
-            dgmc.register_symmetric(1)
-            for sw in rng.sample(range(net.n), args.members):
-                dgmc.inject(JoinEvent(sw, 1), at=1.0 + rng.random())  # conflicting burst
             dgmc.run()
     finally:
         tracer.close()
     ok, detail = dgmc.agreement(1)
-    print(f"burst of {args.members} joins on {net.n} switches; agreement: {ok}\n")
+    print(f"burst of {args.members} joins on {args.switches} switches; agreement: {ok}\n")
     print(render_timeline(build_timeline(dgmc, connection_id=1), limit=args.limit))
     print("\nconvergence profile (switches settled over time):")
     for t, count in convergence_profile(dgmc, 1):
-        print(f"  t={t:9.4f}  {count:3d}/{net.n}")
+        print(f"  t={t:9.4f}  {count:3d}/{args.switches}")
     if args.export_trace:
         written = tracer.export_chrome(args.export_trace)
         print(f"\nwrote {written} trace events to {args.export_trace}")
@@ -112,22 +128,89 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import run_profile
+#: Samples ``repro profile`` collects: ``PROFILE_SAMPLES[quick]``.
+PROFILE_SAMPLES = (2000, 200)
 
+
+def _profile_workload(switches: int, members: int, flaps: int, seed: int):
+    """The join burst, then leave/rejoin churn of half the members, then
+    ``flaps`` link failures and repairs, so every layer does work."""
+    dgmc, joiners = _join_burst(switches, members, seed)
+    t = 100.0
+    for sw in joiners[: members // 2]:
+        dgmc.inject(LeaveEvent(sw, 1), at=t)
+        dgmc.inject(JoinEvent(sw, 1), at=t + 25.0)
+        t += 50.0
+    for link in list(dgmc.net.links())[:flaps]:
+        dgmc.inject(LinkEvent(link.u, link.u, link.v, up=False), at=t)
+        dgmc.inject(LinkEvent(link.u, link.u, link.v, up=True), at=t + 25.0)
+        t += 50.0
+    return dgmc
+
+
+def sample_profile(quick: bool = False, seed: int = 1996,
+                   switches: Optional[int] = None, members: Optional[int] = None) -> dict:
+    """Sample the profile workload until ``PROFILE_SAMPLES[quick]`` samples.
+
+    Each round runs a fresh deployment (default 48 switches and 16
+    members, 16 and 6 with ``quick``) with the sampler armed only around
+    ``dgmc.run()``.  Returns :meth:`Sampler.report` plus ``named`` (the
+    share the layers of :data:`~repro.obs.sampler.LAYERS` hold),
+    ``rounds``, ``ms_per_round`` (mean armed wall time) and one round's
+    ``events_per_round`` and ``sim_time``.
+    """
+    from repro.obs.sampler import LAYERS, Sampler
+
+    n = switches if switches is not None else (16 if quick else 48)
+    joiners = members if members is not None else (6 if quick else 16)
+    rounds, armed_s = 0, 0.0
+    with Sampler() as sampler:
+        while sampler.samples < PROFILE_SAMPLES[quick]:
+            dgmc = _profile_workload(n, joiners, 2 if quick else 6, seed)
+            with sampler.armed():
+                start = perf_counter()
+                dgmc.run()
+                armed_s += perf_counter() - start
+            rounds += 1
+    report = sampler.report()
+    return {
+        **report,
+        "named": sum(report["layers"].get(layer, 0.0) for layer in LAYERS),
+        "rounds": rounds,
+        "ms_per_round": armed_s * 1e3 / rounds,
+        "events_per_round": dgmc.sim.events_dispatched,
+        "sim_time": dgmc.sim.now,
+    }
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
     try:
-        breakdown = run_profile(
+        report = sample_profile(
             quick=args.quick, seed=args.seed,
             switches=args.switches, members=args.members,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    print(breakdown.render())
-    if breakdown.coverage < 0.9:
-        print(
-            f"warning: phases cover only {breakdown.coverage:.1%} "
-            "of the measured wall time (expected >= 90%)"
-        )
+    ms = report["ms_per_round"]
+    print(
+        f"{report['samples']} samples over {report['rounds']} rounds: "
+        f"{ms:.2f} ms, {report['events_per_round']} kernel events and "
+        f"sim time {report['sim_time']:.1f} per round"
+    )
+    print(f"\n  {'layer':<16} {'share':>6} {'ms/round':>9}")
+    for layer, share in report["layers"].items():
+        print(f"  {layer:<16} {share:6.1%} {share * ms:9.2f}")
+    named = report["named"]
+    print(f"  {'named layers':<16} {named:6.1%}")
+    print("\ntop functions:")
+    for row in report["functions"]:
+        print(f"  {row['share']:6.1%}  {row['function']}")
+    print("\ntop callers:")
+    for row in report["callers"]:
+        print(f"  {row['share']:6.1%}  {row['caller']} -> {row['function']}")
+    if named < 0.9:
+        print(f"warning: named layers hold only {named:.1%} of the samples "
+              "(expected >= 90%)")
         return 1
     return 0
 
@@ -461,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="per-phase wall-time breakdown (SPF/flood/arbitration)",
+        help="sampled layer, function and caller shares of a churn run",
         parents=[seed],
     )
     p.add_argument("--quick", action="store_true")

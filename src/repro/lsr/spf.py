@@ -85,7 +85,7 @@ def dijkstra_uncached(
     """The raw Dijkstra run (no memoization); counts into RUN_COUNTER.
 
     When tracing is enabled, each run is a ``dijkstra`` span (category
-    ``spf``) -- the SPF slice of the ``repro profile`` phase breakdown.
+    ``spf``).
     """
     RUN_COUNTER.count += 1
     tracer = obs_tracer.TRACER

@@ -23,17 +23,16 @@ Zero-dependency observability spine for the reproduction (see
   ``clock_sync`` metadata) into one cross-host Chrome trace.
 * :mod:`repro.obs.attach` -- wires a per-network registry onto the
   protocol stacks (SPF cache counters, flood counters, kernel gauges).
-* :mod:`repro.obs.profile` -- the per-phase wall-time breakdown behind
-  ``python -m repro profile``.
 * :mod:`repro.obs.sampler` -- a ``setitimer`` sampling profiler charging
-  CPU time to the e2e benchmark's layers (``benchmarks/profile.py``).
+  CPU time to the e2e benchmark's layers (``python -m repro profile``,
+  ``benchmarks/profile.py``).
 * :mod:`repro.obs.timeline` -- merged per-deployment protocol timelines
   and convergence profiles (``python -m repro trace``).
 
 Only the stdlib-only leaves (``metrics``, ``tracer``, ``context``,
 ``slo``, ``flight``, ``merge``) are imported eagerly, so any module
 (including the sim kernel) may import this package without cycles.
-``attach``, ``profile`` and ``timeline`` reach back into the protocol
+``attach`` and ``timeline`` reach back into the protocol
 stack and must be imported explicitly, as must ``sampler``.
 """
 

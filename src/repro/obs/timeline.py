@@ -7,7 +7,7 @@ a deployment's logs (computations, installs, floods);
 reduces the install log to "when had k% of switches adopted the final
 topology" -- the per-burst responsiveness curve behind Figure 6(c).
 
-Like ``attach`` and ``profile`` this module reaches into the protocol
+Like ``attach`` this module reaches into the protocol
 stack, so :mod:`repro.obs` does not import it eagerly.
 """
 

@@ -21,10 +21,9 @@ Events flow to pluggable sinks:
 * :meth:`Tracer.export_chrome` -- ``{"traceEvents": [...]}`` JSON
   loadable in Perfetto / ``chrome://tracing``.
 
-Independent of sinks, the tracer accumulates **per-category self time**
-(span duration minus enclosed spans) into :attr:`Tracer.phase_self`,
-which the ``python -m repro profile`` command turns into the
-SPF / flooding / arbitration / kernel-overhead breakdown.
+Spans record what happened and when; for where the CPU time goes use the
+sampler (:mod:`repro.obs.sampler`, ``python -m repro profile``), which no
+span's own cost biases.
 
 The module is stdlib-only and single-thread oriented (the simulator is
 single-threaded); it must stay a leaf import for the sim kernel.
@@ -138,8 +137,7 @@ class JsonlSink:
 class _Span:
     """Context manager for one span; measures and emits on exit."""
 
-    __slots__ = ("tracer", "name", "cat", "tid", "pid", "sim_ts", "args",
-                 "start", "children")
+    __slots__ = ("tracer", "name", "cat", "tid", "pid", "sim_ts", "args", "start")
 
     def __init__(self, tracer: "Tracer", name: str, cat: str, tid: int,
                  sim_ts: Optional[float], args: Dict[str, Any],
@@ -152,37 +150,22 @@ class _Span:
         self.sim_ts = sim_ts
         self.args = args
         self.start = 0.0
-        self.children = 0.0  # wall seconds spent in enclosed spans
 
     def __enter__(self) -> "_Span":
         self.start = perf_counter()
-        self.tracer._stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         end = perf_counter()
         tracer = self.tracer
-        stack = tracer._stack
-        # Tolerate mispaired exits defensively: pop back to this span.
-        while stack and stack[-1] is not self:  # pragma: no cover - misuse
-            stack.pop()
-        if stack:
-            stack.pop()
-        dur = end - self.start
-        if stack:
-            stack[-1].children += dur
-        cat = self.cat
-        tracer.phase_self[cat] = tracer.phase_self.get(cat, 0.0) + (
-            dur - self.children
-        )
         if tracer._sinks:
             tracer._emit(
                 TraceEvent(
                     name=self.name,
-                    cat=cat,
+                    cat=self.cat,
                     ph="X",
                     ts=(self.start - tracer._epoch) * 1e6,
-                    dur=dur * 1e6,
+                    dur=(end - self.start) * 1e6,
                     pid=tracer.pid if self.pid is None else self.pid,
                     tid=self.tid,
                     sim_ts=self.sim_ts,
@@ -192,7 +175,7 @@ class _Span:
 
 
 class Tracer:
-    """Span/instant recorder with pluggable sinks and phase accounting."""
+    """Span/instant recorder with pluggable sinks."""
 
     def __init__(self, enabled: bool = False, pid: int = 0,
                  process_name: str = "repro") -> None:
@@ -204,9 +187,6 @@ class Tracer:
         #: Wall-clock (unix) time of the epoch; exported as ``clock_sync``
         #: metadata so per-host traces can be merged on one time axis.
         self.epoch_unix = unix_time()
-        self._stack: List[_Span] = []
-        #: category -> accumulated span *self* time, wall seconds.
-        self.phase_self: Dict[str, float] = {}
         self.events_emitted = 0
 
     # -- configuration -----------------------------------------------------
@@ -226,17 +206,6 @@ class Tracer:
     def add_sink(self, sink: Any) -> Any:
         self._sinks.append(sink)
         return sink
-
-    def reset(self) -> None:
-        """Clear phase totals, the span stack, and the wall epoch.
-
-        Sinks are kept; their contents are the sinks' business.
-        """
-        self._epoch = perf_counter()
-        self.epoch_unix = unix_time()
-        self._stack.clear()
-        self.phase_self.clear()
-        self.events_emitted = 0
 
     def close(self) -> None:
         for sink in self._sinks:
@@ -363,10 +332,6 @@ class Tracer:
             json.dump(self.chrome_trace(), fh, indent=None, sort_keys=True)
             fh.write("\n")
         return len(ring)
-
-    def phase_breakdown(self) -> Dict[str, float]:
-        """Copy of the per-category self-time totals (wall seconds)."""
-        return dict(self.phase_self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "on" if self.enabled else "off"

@@ -161,9 +161,8 @@ class Simulator:
         try:
             if not tracer.enabled:
                 return self._run_loop(until, self._step)
-            # The outer span makes the whole loop (heap peeks included)
-            # attributable in the per-phase profile; dispatch spans nest
-            # inside it, so kernel self-time is genuine loop overhead.
+            # The outer span covers the whole loop (heap peeks included);
+            # dispatch spans nest inside it.
             with tracer.span("run", cat="kernel", sim_time=self._now):
                 return self._run_loop(until, self.step)
         finally:

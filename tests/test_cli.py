@@ -77,9 +77,16 @@ class TestCommands:
         assert "convergence profile" in out
         assert "flood" in out
 
+    def test_trace_rejects_more_members_than_switches(self):
+        with pytest.raises(SystemExit, match="members <= switches"):
+            main(["trace", "--switches", "4", "--members", "9"])
+
     def test_profile_takes_a_size(self, capsys):
-        assert main(["profile", "--switches", "20", "--members", "5"]) == 0
-        assert "phase breakdown" in capsys.readouterr().out
+        # All 24 switches joining keep the named share (~97.5%, ~1.5 pp
+        # spread) well clear of the 90% gate the exit status reports.
+        assert main(["profile", "--quick", "--switches", "24", "--members", "24"]) == 0
+        out = capsys.readouterr().out
+        assert "named layers" in out and "trees.dynamic.graft_path" in out
         with pytest.raises(SystemExit, match="members <= switches"):
             main(["profile", "--switches", "4", "--members", "9"])
 

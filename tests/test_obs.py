@@ -12,7 +12,7 @@ from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
 from repro.harness.metrics import TrialMetrics
 from repro.obs import attach
 from repro.obs.metrics import MetricsRegistry, merge_sum
-from repro.obs.profile import PHASE_ORDER, PhaseBreakdown, run_profile
+from repro.obs.sampler import LAYERS, OTHER, OUTSIDE
 from repro.obs.tracer import (
     JsonlSink,
     RingBufferSink,
@@ -49,30 +49,13 @@ def traced_run(dgmc: DgmcNetwork) -> Tracer:
 
 
 class TestSpans:
-    def test_nesting_emits_in_exit_order_and_partitions_self_time(self):
+    def test_nesting_emits_in_exit_order(self):
         tracer = Tracer(enabled=True)
         ring = tracer.add_sink(RingBufferSink())
         with tracer.span("outer", cat="a"):
             with tracer.span("inner", cat="b"):
                 pass
         assert [e.name for e in ring.events()] == ["inner", "outer"]
-        outer = ring.events()[1]
-        inner = ring.events()[0]
-        # Self time (duration minus enclosed spans) partitions the outer
-        # span exactly: a + b == outer duration, b == inner duration.
-        assert tracer.phase_self["b"] == pytest.approx(inner.dur / 1e6)
-        assert tracer.phase_self["a"] + tracer.phase_self["b"] == pytest.approx(
-            outer.dur / 1e6
-        )
-        assert tracer.phase_self["a"] >= 0.0
-
-    def test_same_category_accumulates(self):
-        tracer = Tracer(enabled=True)
-        for _ in range(3):
-            with tracer.span("s", cat="c"):
-                pass
-        assert tracer.phase_self["c"] > 0.0
-        assert set(tracer.phase_breakdown()) == {"c"}
 
     def test_span_carries_both_clocks(self):
         tracer = Tracer(enabled=True)
@@ -410,33 +393,36 @@ class TestTimelineWarning:
 
 
 class TestProfile:
-    def test_breakdown_arithmetic_and_render(self):
-        b = PhaseBreakdown(
-            phases={"spf": 0.3, "kernel-overhead": 0.6},
-            wall_s=1.0,
-            events_dispatched=10,
-            sim_time=5.0,
-        )
-        assert b.accounted_s == pytest.approx(0.9)
-        assert b.coverage == pytest.approx(0.9)
-        text = b.render()
-        assert "spf" in text and "kernel-overhead" in text and "accounted" in text
+    """``repro profile``: the sampler armed around each round's run.
 
-    def test_quick_profile_accounts_for_the_wall_time(self):
-        breakdown = run_profile(quick=True)
-        assert breakdown.coverage >= 0.9
-        assert set(breakdown.phases) <= set(PHASE_ORDER)
-        assert breakdown.events_dispatched > 0
-        assert breakdown.sim_time > 0.0
+    At 200 samples the named share spreads ~1.5 pp run to run.  It
+    averages ~94% at the quick default size (16 switches, 6 members), too
+    near the 90% gate to assert every run, and ~97.5% with 24 switches
+    all joining, where the gate is asserted.
+    """
 
-    def test_profile_is_sizeable(self):
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.cli import sample_profile
+
+        return sample_profile(quick=True), sample_profile(quick=True, switches=24, members=24)
+
+    def test_quick_profile_accounts_for_the_wall_time(self, runs):
+        for report in runs:
+            assert report["samples"] >= 200
+            assert set(report["layers"]) <= set(LAYERS) | {OTHER, OUTSIDE}
+            assert report["events_per_round"] > 0
+            assert report["sim_time"] > 0.0
+        assert runs[1]["named"] >= 0.9
+
+    def test_profile_is_sizeable(self, runs):
         """--switches/--members: the same workload at another n."""
-        small = run_profile(quick=True)
-        bigger = run_profile(quick=True, switches=30, members=9)
-        assert bigger.coverage >= 0.9
-        assert bigger.events_dispatched > small.events_dispatched
-        with pytest.raises(ValueError):
-            run_profile(switches=4, members=9)
+        from repro.cli import sample_profile
+
+        small, bigger = runs
+        assert bigger["events_per_round"] > small["events_per_round"]
+        with pytest.raises(ValueError, match="members <= switches"):
+            sample_profile(switches=4, members=9)
 
 
 class TestCliExport:
