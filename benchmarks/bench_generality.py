@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from conftest import write_result
 
-from repro.harness.experiment import run_dgmc_trial
+from repro.harness.experiment import run_trial
 from repro.harness.figures import (
     EXP1_COMPUTE,
     EXP1_PER_HOP,
@@ -42,7 +42,7 @@ def _study():
             scenario = replace(
                 _sparse_scenario(N, 0, reg), connection_type=ctype
             )
-            m = run_dgmc_trial(scenario)
+            m = run_trial(scenario)
             agreed &= m.agreed
             sparse_comp.append(m.computations_per_event)
             sparse_flood.append(m.floodings_per_event)
@@ -52,7 +52,7 @@ def _study():
                 _bursty_scenario(N, 0, reg2, EXP1_PER_HOP, EXP1_COMPUTE, "gen"),
                 connection_type=ctype,
             )
-            mb = run_dgmc_trial(burst)
+            mb = run_trial(burst)
             agreed &= mb.agreed
             bursty_comp.append(mb.computations_per_event)
         rows[ctype] = (

@@ -73,7 +73,7 @@ def test_bench_flood_400_switches_delivered_and_drained(benchmark):
 
 def test_bench_hundred_switch_sparse_trial(benchmark):
     """End-to-end: one sparse D-GMC trial on 100 switches."""
-    from repro.harness.experiment import run_dgmc_trial
+    from repro.harness.experiment import run_trial
     from repro.harness.figures import _sparse_scenario
     from repro.sim.rng import RngRegistry
 
@@ -81,7 +81,7 @@ def test_bench_hundred_switch_sparse_trial(benchmark):
     scenario = _sparse_scenario(100, 0, reg)
 
     metrics = benchmark.pedantic(
-        lambda: run_dgmc_trial(scenario), rounds=1, iterations=1
+        lambda: run_trial(scenario), rounds=1, iterations=1
     )
     assert metrics.agreed
     assert metrics.computations_per_event < 1.5

@@ -14,61 +14,27 @@ import statistics
 
 from conftest import write_result
 
-from repro.harness.experiment import run_brute_force_trial, run_dgmc_trial
+from repro.harness.experiment import build_network, run_trial
 from repro.harness.figures import _sparse_scenario
 from repro.harness.metrics import load_distribution
 from repro.sim.rng import RngRegistry
-
-from repro.baselines.brute_force import BruteForceNetwork
-from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, ProtocolConfig
 
 N = 60
 SEEDS = range(5)
 
 
 def _run_pair(seed: int):
-    reg = RngRegistry(seed).fork("load")
-    scenario = _sparse_scenario(N, 0, reg)
-    config = ProtocolConfig(
-        compute_time=scenario.compute_time, per_hop_delay=scenario.per_hop_delay
-    )
-
-    dgmc = DgmcNetwork(scenario.net.copy(), config)
-    dgmc.register_symmetric(1)
-    bf = BruteForceNetwork(
-        scenario.net.copy(),
-        compute_time=scenario.compute_time,
-        per_hop_delay=scenario.per_hop_delay,
-    )
-    bf.register_symmetric(1)
-
-    t = 4.0 * scenario.round_length
-    for sw in sorted(scenario.schedule.initial_members):
-        dgmc.inject(JoinEvent(sw, 1), at=t)
-        bf.inject_join(sw, 1, at=t)
-        t += 4.0 * scenario.round_length
-    offset = t + 4.0 * scenario.round_length
-    for ev in scenario.schedule.events:
-        if ev.join:
-            dgmc.inject(JoinEvent(ev.switch, 1), at=offset + ev.time)
-            bf.inject_join(ev.switch, 1, at=offset + ev.time)
-        else:
-            dgmc.inject(LeaveEvent(ev.switch, 1), at=offset + ev.time)
-            bf.inject_leave(ev.switch, 1, at=offset + ev.time)
-    dgmc.run()
-    bf.run()
-    return (
-        load_distribution(dgmc.computation_log, N),
-        load_distribution(bf.computation_log, N),
-    )
+    scenario = _sparse_scenario(N, 0, RngRegistry(seed).fork("load"))
+    loads = []
+    for protocol in ("dgmc", "brute-force"):
+        network = build_network(scenario, protocol)
+        run_trial(scenario, protocol, network=network)
+        loads.append(load_distribution(network.computation_log, N))
+    return tuple(loads)
 
 
 def _study():
-    rows = []
-    for seed in SEEDS:
-        dgmc_dist, bf_dist = _run_pair(seed)
-        rows.append((dgmc_dist, bf_dist))
-    return rows
+    return [_run_pair(seed) for seed in SEEDS]
 
 
 def test_switch_load_distribution(benchmark, results_dir):

@@ -13,7 +13,7 @@ import statistics
 
 from conftest import write_result
 
-from repro.harness.experiment import run_dgmc_trial
+from repro.harness.experiment import run_trial
 from repro.harness.figures import EXP1_COMPUTE, EXP1_PER_HOP, _initial_members
 from repro.sim.rng import RngRegistry
 from repro.topo.generators import (
@@ -60,7 +60,7 @@ def _study():
     for seed in SEEDS:
         registry = RngRegistry(seed).fork("topo-sensitivity")
         for name, net in _families(registry).items():
-            metrics = run_dgmc_trial(_scenario(net, registry.fork(name)))
+            metrics = run_trial(_scenario(net, registry.fork(name)))
             per_family.setdefault(name, []).append(metrics)
     return per_family
 

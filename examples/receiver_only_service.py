@@ -14,7 +14,11 @@ cost (total link delay):
 
 * D-GMC with its default Steiner heuristic,
 * CBT with a member-aware core (best case for CBT),
-* CBT with a naive fixed core (the realistic blind choice).
+* CBT over every possible core (the spread a blind choice lands in).
+
+A CBT tree is the union of the unicast paths from the members to the core
+(one JOIN-REQUEST per tree edge), so :func:`repro.trees.cbt.core_based_tree`
+computes it directly.
 
 Run:  python examples/receiver_only_service.py
 """
@@ -24,10 +28,9 @@ from __future__ import annotations
 import random
 
 from repro import DgmcNetwork, JoinEvent, ProtocolConfig
-from repro.baselines import CbtNetwork
 from repro.lsr import spf
 from repro.trees.base import edge_weights
-from repro.trees.cbt import select_core
+from repro.trees.cbt import core_based_tree, select_core
 from repro.topo import waxman_network
 
 GROUP = 5
@@ -58,23 +61,16 @@ def main(seed: int = 23) -> None:
 
     # -- CBT with a member-aware core (needs global knowledge!) ----------------
     good_core = select_core(adj, replicas, strategy="member-median")
-    cbt_good = CbtNetwork(net.copy(), per_hop_delay=0.05)
-    cbt_good.create_group(GROUP, core=good_core)
-    for i, sw in enumerate(replicas):
-        cbt_good.inject_join(sw, GROUP, at=50.0 * (i + 1))
-    cbt_good.run()
-    good_tree = cbt_good.tree(GROUP)
+    good_tree = core_based_tree(adj, replicas, good_core)
     good_cost = good_tree.cost(weights)
     print(f"CBT, member-median core {good_core:>2}: cost={good_cost:7.3f}, "
           f"{len(good_tree.edges)} edges, "
-          f"{cbt_good.control_messages} unicast control messages")
+          f"{len(good_tree.edges)} unicast control messages")
 
     # -- CBT core sensitivity: what does a blind core choice cost? -------------
     # A blind operator picks some switch without knowing the topology
     # ("many networks [...] do not typically reveal their internal
     # topologies"); sweep every possible core to see the spread.
-    from repro.trees.cbt import core_based_tree
-
     costs = sorted(
         core_based_tree(adj, replicas, core).cost(weights)
         for core in range(net.n)

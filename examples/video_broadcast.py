@@ -47,10 +47,7 @@ def run_mospf(net, source, viewers, leave_after):
     t = 1.0
     events = [(v, True) for v in viewers] + [(v, False) for v in leave_after]
     for v, join in events:
-        if join:
-            mo.inject_join(v, CHANNEL, at=t)
-        else:
-            mo.inject_leave(v, CHANNEL, at=t)
+        mo.inject((JoinEvent if join else LeaveEvent)(v, CHANNEL), at=t)
         # the video stream keeps flowing: one packet after each event
         mo.send_datagram(source, CHANNEL, at=t + 50.0)
         t += 100.0
@@ -82,12 +79,12 @@ def main(seed: int = 11) -> None:
     mo = run_mospf(net, source, viewers, leave_after)
     print("\nMOSPF (data-driven source-rooted trees):")
     print(f"  events={mo.events_injected}, "
-          f"computations={mo.total_computations} "
-          f"({mo.total_computations / mo.events_injected:.2f}/event), "
+          f"computations={mo.total_computations()} "
+          f"({mo.total_computations() / mo.events_injected:.2f}/event), "
           f"membership floodings={mo.mc_floodings()}, "
           f"datagrams delivered={mo.datagrams_delivered}")
 
-    ratio = mo.total_computations / max(dgmc.total_computations(), 1)
+    ratio = mo.total_computations() / max(dgmc.total_computations(), 1)
     print(f"\nMOSPF performed {ratio:.1f}x the topology computations of D-GMC "
           "for the same broadcast.")
 

@@ -8,14 +8,15 @@
 * :mod:`repro.baselines.brute_force` -- the "brute-force LSR-based MC
   protocol" of Section 2: every membership LSA triggers a recomputation at
   all n switches ("a single event could trigger n redundant computations").
-* :mod:`repro.baselines.cbt` -- the core-based tree protocol (Ballardie):
-  receiver-only MCs built from unicast join/quit messages toward a core,
-  with no flooding at all; included for the Section 5 trade-off study
-  (tree cost, traffic concentration, core placement sensitivity).
+
+Both take the same ``inject(JoinEvent | LeaveEvent, at)`` call as
+:class:`~repro.core.protocol.DgmcNetwork`, so
+:func:`repro.harness.experiment.run_trial` drives all three through one
+loop.  The core-based tree (CBT) of Section 5 is a tree shape, not a
+protocol run here: :mod:`repro.trees.cbt`.
 """
 
 from repro.baselines.brute_force import BruteForceNetwork
 from repro.baselines.mospf import MospfNetwork
-from repro.baselines.cbt import CbtNetwork
 
-__all__ = ["MospfNetwork", "BruteForceNetwork", "CbtNetwork"]
+__all__ = ["MospfNetwork", "BruteForceNetwork"]

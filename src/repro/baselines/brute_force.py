@@ -17,8 +17,9 @@ they converge to the same topology without arbitration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
+from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.mc import ConnectionRegistrar, ConnectionSpec, Role, default_role
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
@@ -72,7 +73,6 @@ class BruteForceNetwork(ConnectionRegistrar):
         self.cpus: Dict[int, Facility] = {
             x: Facility(self.sim) for x in net.switches()
         }
-        self.total_computations = 0
         self.events_injected = 0
         #: Per-computation records (time, switch, connection), mirroring
         #: DgmcNetwork.computation_log for load-distribution analysis.
@@ -91,25 +91,20 @@ class BruteForceNetwork(ConnectionRegistrar):
 
     # -- events ---------------------------------------------------------------
 
-    def inject_join(
-        self, switch: int, connection_id: int, at: float, role: Optional[Role] = None
-    ) -> None:
-        self.sim.schedule_at(
-            at, lambda: self._fire(switch, connection_id, join=True, role=role)
-        )
+    def inject(self, event: Union[JoinEvent, LeaveEvent], at: float) -> None:
+        """Schedule a membership event for simulated time ``at``."""
+        if not isinstance(event, (JoinEvent, LeaveEvent)):
+            raise TypeError(f"unknown event {event!r}")
+        self.sim.schedule_at(at, lambda: self._fire(event))
 
-    def inject_leave(self, switch: int, connection_id: int, at: float) -> None:
-        self.sim.schedule_at(
-            at, lambda: self._fire(switch, connection_id, join=False, role=None)
-        )
-
-    def _fire(
-        self, switch: int, connection_id: int, join: bool, role: Optional[Role]
-    ) -> None:
+    def _fire(self, event: Union[JoinEvent, LeaveEvent]) -> None:
         self.events_injected += 1
-        lsa = MembershipLsa(switch, connection_id, join, role)
-        self._apply(switch, lsa)  # the origin updates and recomputes too
-        self.fabric.flood(switch, lsa, kind="mc")
+        join = isinstance(event, JoinEvent)
+        lsa = MembershipLsa(
+            event.switch, event.connection_id, join, event.role if join else None
+        )
+        self._apply(event.switch, lsa)  # the origin updates and recomputes too
+        self.fabric.flood(event.switch, lsa, kind="mc")
 
     def _deliver(self, switch: int, payload) -> None:
         if isinstance(payload, MembershipLsa):
@@ -137,7 +132,6 @@ class BruteForceNetwork(ConnectionRegistrar):
             yield Hold(self.compute_time)
         finally:
             self.cpus[switch].release()
-        self.total_computations += 1
         from repro.core.protocol import ComputationRecord
 
         self.computation_log.append(
@@ -169,6 +163,12 @@ class BruteForceNetwork(ConnectionRegistrar):
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
 
+    def quiescent(self) -> bool:
+        return self.sim.peek() is None
+
+    def total_computations(self) -> int:
+        return len(self.computation_log)
+
     def mc_floodings(self) -> int:
         return self.fabric.count_for("mc")
 
@@ -181,12 +181,20 @@ class BruteForceNetwork(ConnectionRegistrar):
         ]
         return max(times) if times else 0.0
 
-    def agreement(self, connection_id: int) -> bool:
-        """All switches agree on members and topology (after quiescence)."""
-        snapshots = [
-            (sorted(st.members.items()), st.installed)
-            for per_switch in self.states.values()
-            for cid, st in per_switch.items()
-            if cid == connection_id
-        ]
-        return all(s == snapshots[0] for s in snapshots)
+    def agreement(self, connection_id: int) -> Tuple[bool, str]:
+        """``(ok, detail)``: every switch holding the connection has the
+        same members and topology (after quiescence)."""
+        snapshots = {
+            x: (sorted(per_switch[connection_id].members.items()),
+                per_switch[connection_id].installed)
+            for x, per_switch in self.states.items()
+            if connection_id in per_switch
+        }
+        first = min(snapshots, default=None)
+        differ = [x for x, snap in snapshots.items() if snap != snapshots[first]]
+        if differ:
+            return False, (
+                f"connection {connection_id}: switches {differ} disagree "
+                f"with switch {first}"
+            )
+        return True, f"connection {connection_id}: {len(snapshots)} switches agree"

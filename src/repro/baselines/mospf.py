@@ -12,17 +12,19 @@ other routers."  (Section 2)
 
 The simulation models exactly that: datagrams travel hop-by-hop along the
 source-rooted tree; each router with a cold cache entry for (source, group)
-pays one topology computation.  Membership LSAs and link changes flush the
-affected cache entries, so the next datagram after an event re-triggers a
+pays one topology computation.  A membership LSA flushes the group's
+cache entries, so the next datagram after an event re-triggers a
 computation at every on-tree router -- the behavior the paper's comparison
-highlights.
+highlights.  Only membership events are modelled: router LSAs are not
+delivered to the MOSPF layer, so a link change flushes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple, Union
 
+from repro.core.events import JoinEvent, LeaveEvent
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.router import bring_up_unicast
 from repro.obs import tracer as obs_tracer
@@ -68,11 +70,6 @@ class _MospfRouterState:
             if key[1] == lsa.group_id:
                 entry.valid = False
 
-    def flush_all(self) -> None:
-        """Link-state change: all cached trees are stale."""
-        for entry in self.cache.values():
-            entry.valid = False
-
 
 class MospfNetwork:
     """A network of MOSPF routers with data-driven tree computation."""
@@ -93,10 +90,12 @@ class MospfNetwork:
         self.mospf: Dict[int, _MospfRouterState] = {
             x: _MospfRouterState() for x in net.switches()
         }
-        self.total_computations = 0
+        self._computations = 0
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.events_injected = 0
+        #: group -> simulated time of the latest cache fill for it.
+        self._last_fill: Dict[int, float] = {}
         self.metrics = attach_network_metrics(self)
         self.fabric.bind_metrics(self.metrics)
         for x in net.switches():
@@ -104,17 +103,19 @@ class MospfNetwork:
 
     # -- membership events -----------------------------------------------------
 
-    def inject_join(self, switch: int, group_id: int, at: float) -> None:
-        self.sim.schedule_at(at, lambda: self._fire(switch, group_id, join=True))
+    def inject(self, event: Union[JoinEvent, LeaveEvent], at: float) -> None:
+        """Schedule a membership event (its connection is the group)."""
+        if not isinstance(event, (JoinEvent, LeaveEvent)):
+            raise TypeError(f"unknown event {event!r}")
+        self.sim.schedule_at(at, lambda: self._fire(event))
 
-    def inject_leave(self, switch: int, group_id: int, at: float) -> None:
-        self.sim.schedule_at(at, lambda: self._fire(switch, group_id, join=False))
-
-    def _fire(self, switch: int, group_id: int, join: bool) -> None:
+    def _fire(self, event: Union[JoinEvent, LeaveEvent]) -> None:
         self.events_injected += 1
-        lsa = GroupMembershipLsa(switch, group_id, join)
-        self.mospf[switch].apply_membership(lsa)
-        self.fabric.flood(switch, lsa, kind="mc")
+        lsa = GroupMembershipLsa(
+            event.switch, event.connection_id, isinstance(event, JoinEvent)
+        )
+        self.mospf[event.switch].apply_membership(lsa)
+        self.fabric.flood(event.switch, lsa, kind="mc")
 
     def _deliver(self, switch: int, payload) -> None:
         if isinstance(payload, GroupMembershipLsa):
@@ -146,7 +147,8 @@ class MospfNetwork:
             members = frozenset(state.members.get(group_id, ()))
             image = self.routers[router].network_image()
             yield Hold(self.compute_time)
-            self.total_computations += 1
+            self._computations += 1
+            self._last_fill[group_id] = self.sim.now
             receivers = members - {source}
             tracer = obs_tracer.TRACER
             if not tracer.enabled:
@@ -200,8 +202,29 @@ class MospfNetwork:
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
 
+    def quiescent(self) -> bool:
+        return self.sim.peek() is None
+
+    def total_computations(self) -> int:
+        return self._computations
+
     def mc_floodings(self) -> int:
         return self.fabric.count_for("mc")
 
+    def last_install_time(self, group_id: int) -> float:
+        """When a router last cached a tree for the group (0.0 if never)."""
+        return self._last_fill.get(group_id, 0.0)
+
     def members_of(self, group_id: int, at_router: int = 0) -> frozenset:
         return frozenset(self.mospf[at_router].members.get(group_id, ()))
+
+    def agreement(self, group_id: int) -> Tuple[bool, str]:
+        """``(ok, detail)``: every router holds the same member list
+        (after quiescence)."""
+        differ = [
+            x for x in self.mospf
+            if self.members_of(group_id, x) != self.members_of(group_id)
+        ]
+        if differ:
+            return False, f"group {group_id}: routers {differ} disagree with router 0"
+        return True, f"group {group_id}: {len(self.mospf)} routers agree"

@@ -1,7 +1,8 @@
 """Experiment harness: runs scenarios and regenerates the paper's figures.
 
-* :mod:`repro.harness.experiment` -- run one scenario under D-GMC or a
-  baseline and extract :class:`~repro.harness.metrics.TrialMetrics`,
+* :mod:`repro.harness.experiment` -- one trial loop that runs a scenario
+  under D-GMC or a baseline and extracts
+  :class:`~repro.harness.metrics.TrialMetrics`,
 * :mod:`repro.harness.metrics` -- the paper's three metrics: per-trial
   counters, mean + 95% CI aggregation, rounds, per-switch load,
 * :mod:`repro.harness.sweeps` -- repeat over network sizes and random
@@ -11,11 +12,7 @@
 * :mod:`repro.harness.report` -- plain-text rendering of figure series.
 """
 
-from repro.harness.experiment import (
-    run_brute_force_trial,
-    run_dgmc_trial,
-    run_mospf_trial,
-)
+from repro.harness.experiment import PROTOCOLS, run_trial
 from repro.harness.sweeps import SweepRow, sweep
 from repro.harness.figures import (
     baseline_comparison,
@@ -26,9 +23,8 @@ from repro.harness.figures import (
 from repro.harness.report import render_rows
 
 __all__ = [
-    "run_dgmc_trial",
-    "run_brute_force_trial",
-    "run_mospf_trial",
+    "PROTOCOLS",
+    "run_trial",
     "sweep",
     "SweepRow",
     "experiment1",

@@ -1,6 +1,7 @@
 """Run one scenario under a protocol and extract trial metrics.
 
-Every trial has the same three phases:
+D-GMC and both baselines go through one loop, :func:`run_trial`, and
+every trial has the same three phases:
 
 1. **Setup** -- the schedule's initial members join, widely spaced, and the
    simulation runs to quiescence; this models an MC in steady state before
@@ -9,32 +10,29 @@ Every trial has the same three phases:
    start after setup), and the simulation runs to quiescence again.
 3. **Harvest** -- counters are differenced against their post-setup
    snapshots so the metrics cover exactly the measured events.
+
+The loop branches only where the protocols differ: how each network is
+built (:func:`build_network`), and MOSPF's data-driven costs, which need
+data -- one priming datagram per sender at the end of setup, then one per
+sender a flooding diameter (the LSA has settled) after every event.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional, Union
 
 from repro.baselines.brute_force import BruteForceNetwork
 from repro.baselines.mospf import MospfNetwork
 from repro.core.events import JoinEvent, LeaveEvent
-from repro.core.mc import Role
+from repro.core.mc import ConnectionSpec, ConnectionType, Role
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
 from repro.harness.metrics import TrialMetrics
 from repro.workloads.scenario import Scenario
 
+#: The protocol labels :func:`run_trial` accepts and reports.
+PROTOCOLS = ("dgmc", "mospf", "brute-force")
 
-def _register(dgmc: DgmcNetwork, scenario: Scenario) -> None:
-    if scenario.connection_type == "symmetric":
-        dgmc.register_symmetric(scenario.connection_id)
-    elif scenario.connection_type == "receiver-only":
-        dgmc.register_receiver_only(scenario.connection_id)
-    elif scenario.connection_type == "asymmetric":
-        dgmc.register_asymmetric(scenario.connection_id)
-    else:
-        raise ValueError(
-            f"unknown connection type {scenario.connection_type!r}"
-        )
+Deployment = Union[DgmcNetwork, BruteForceNetwork, MospfNetwork]
 
 
 def _join_role(scenario: Scenario, switch: int) -> Role | None:
@@ -50,177 +48,89 @@ def _join_role(scenario: Scenario, switch: int) -> Role | None:
     return (Role.SENDER, Role.RECEIVER, Role.BOTH)[switch % 3]
 
 
-def run_dgmc_trial(scenario: Scenario) -> TrialMetrics:
-    """Execute a scenario under D-GMC and return its metrics."""
-    config = ProtocolConfig(
-        compute_time=scenario.compute_time,
-        per_hop_delay=scenario.per_hop_delay,
+def build_network(scenario: Scenario, protocol: str) -> Deployment:
+    """A fresh ``protocol`` deployment on the scenario's network, its
+    connection registered (MOSPF groups need no registration)."""
+    spec = ConnectionSpec(
+        scenario.connection_id, ConnectionType(scenario.connection_type)
     )
-    dgmc = DgmcNetwork(scenario.net, config)
-    _register(dgmc, scenario)
+    timing = dict(
+        compute_time=scenario.compute_time, per_hop_delay=scenario.per_hop_delay
+    )
+    if protocol == "mospf":
+        return MospfNetwork(scenario.net, **timing)
+    if protocol == "dgmc":
+        network = DgmcNetwork(scenario.net, ProtocolConfig(**timing))
+    elif protocol == "brute-force":
+        network = BruteForceNetwork(scenario.net, **timing)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    network.register_connection(spec)
+    return network
+
+
+def run_trial(
+    scenario: Scenario,
+    protocol: str = "dgmc",
+    network: Optional[Deployment] = None,
+) -> TrialMetrics:
+    """Execute ``scenario`` under ``protocol`` and return its metrics.
+
+    ``network`` defaults to a fresh :func:`build_network`; pass one built
+    by the caller to inspect it afterwards (e.g. its computation log).
+    """
+    if network is None:
+        network = build_network(scenario, protocol)
     m = scenario.connection_id
-    round_length = scenario.round_length
+    members = sorted(scenario.schedule.initial_members)
+    senders = members if isinstance(network, MospfNetwork) else []
+    datagram_gap = scenario.flooding_diameter()
+    gap = 4.0 * scenario.round_length
+
+    def join(switch: int, at: float) -> None:
+        network.inject(JoinEvent(switch, m, role=_join_role(scenario, switch)), at=at)
 
     # Phase 1: setup -- initial members join far apart, no conflicts.
-    setup_gap = 4.0 * round_length
-    t = setup_gap
-    for switch in sorted(scenario.schedule.initial_members):
-        dgmc.inject(JoinEvent(switch, m, role=_join_role(scenario, switch)), at=t)
-        t += setup_gap
-    dgmc.run()
-    assert dgmc.quiescent(), "setup phase did not quiesce"
+    # MOSPF's caches are then primed, so the measured computations are
+    # those *caused by the events*.
+    t = gap
+    for switch in members:
+        join(switch, t)
+        t += gap
+    for s in senders:
+        network.send_datagram(s, m, at=t)
+        t += gap
+    network.run()
+    assert network.quiescent(), "setup phase did not quiesce"
 
-    # Snapshot counters after setup.
-    events0 = dgmc.mc_event_count
-    comps0 = dgmc.total_computations()
-    floods0 = dgmc.mc_floodings()
-    snap0 = dgmc.metrics.snapshot()
+    events0 = network.events_injected
+    comps0 = network.total_computations()
+    floods0 = network.mc_floodings()
+    snap0 = network.metrics.snapshot()
 
     # Phase 2: the measured workload.
-    t0 = dgmc.sim.now + 4.0 * round_length
-    first_event_time = None
-    for ev in scenario.schedule.events:
+    t0 = network.sim.now + gap
+    events = scenario.schedule.events
+    for ev in events:
         at = t0 + ev.time
-        if first_event_time is None:
-            first_event_time = at
         if ev.join:
-            dgmc.inject(
-                JoinEvent(ev.switch, m, role=_join_role(scenario, ev.switch)),
-                at=at,
-            )
+            join(ev.switch, at)
         else:
-            dgmc.inject(LeaveEvent(ev.switch, m), at=at)
-    dgmc.run()
-    assert dgmc.quiescent(), "measured phase did not quiesce"
-
-    agreed, _ = dgmc.agreement(m)
-    return TrialMetrics(
-        events=dgmc.mc_event_count - events0,
-        computations=dgmc.total_computations() - comps0,
-        floodings=dgmc.mc_floodings() - floods0,
-        first_event_time=first_event_time or 0.0,
-        last_install_time=dgmc.last_install_time(m),
-        round_length=round_length,
-        agreed=agreed,
-        protocol="dgmc",
-        metrics=dgmc.metrics.delta(snap0),
-    )
-
-
-def run_brute_force_trial(scenario: Scenario) -> TrialMetrics:
-    """Execute a scenario under the brute-force event-driven protocol."""
-    bf = BruteForceNetwork(
-        scenario.net,
-        compute_time=scenario.compute_time,
-        per_hop_delay=scenario.per_hop_delay,
-    )
-    m = scenario.connection_id
-    if scenario.connection_type == "symmetric":
-        bf.register_symmetric(m)
-    else:
-        bf.register_receiver_only(m)
-    round_length = scenario.round_length
-
-    setup_gap = 4.0 * round_length
-    t = setup_gap
-    for switch in sorted(scenario.schedule.initial_members):
-        bf.inject_join(switch, m, at=t)
-        t += setup_gap
-    bf.run()
-
-    events0 = bf.events_injected
-    comps0 = bf.total_computations
-    floods0 = bf.mc_floodings()
-    snap0 = bf.metrics.snapshot()
-
-    t0 = bf.sim.now + 4.0 * round_length
-    first_event_time = None
-    for ev in scenario.schedule.events:
-        at = t0 + ev.time
-        if first_event_time is None:
-            first_event_time = at
-        if ev.join:
-            bf.inject_join(ev.switch, m, at=at)
-        else:
-            bf.inject_leave(ev.switch, m, at=at)
-    bf.run()
-
-    return TrialMetrics(
-        events=bf.events_injected - events0,
-        computations=bf.total_computations - comps0,
-        floodings=bf.mc_floodings() - floods0,
-        first_event_time=first_event_time or 0.0,
-        last_install_time=bf.last_install_time(m),
-        round_length=round_length,
-        agreed=bf.agreement(m),
-        protocol="brute-force",
-        metrics=bf.metrics.delta(snap0),
-    )
-
-
-def run_mospf_trial(
-    scenario: Scenario,
-    senders: Optional[Iterable[int]] = None,
-    datagram_gap: Optional[float] = None,
-) -> TrialMetrics:
-    """Execute a scenario under MOSPF.
-
-    ``senders`` default to the schedule's initial members; each sender
-    transmits one datagram ``datagram_gap`` after every membership event
-    (default: one flooding diameter, i.e. after the LSA has settled), which
-    is the minimum traffic that realizes MOSPF's data-driven costs.
-    """
-    mo = MospfNetwork(
-        scenario.net,
-        compute_time=scenario.compute_time,
-        per_hop_delay=scenario.per_hop_delay,
-    )
-    m = scenario.connection_id
-    round_length = scenario.round_length
-    if senders is None:
-        senders = sorted(scenario.schedule.initial_members)
-    if datagram_gap is None:
-        datagram_gap = scenario.flooding_diameter()
-
-    setup_gap = 4.0 * round_length
-    t = setup_gap
-    for switch in sorted(scenario.schedule.initial_members):
-        mo.inject_join(switch, m, at=t)
-        t += setup_gap
-    # Prime the caches: one datagram per sender before measurement starts,
-    # so the measured computations are those *caused by the events*.
-    for s in senders:
-        mo.send_datagram(s, m, at=t)
-        t += setup_gap
-    mo.run()
-
-    events0 = mo.events_injected
-    comps0 = mo.total_computations
-    floods0 = mo.mc_floodings()
-    snap0 = mo.metrics.snapshot()
-
-    t0 = mo.sim.now + 4.0 * round_length
-    first_event_time = None
-    for ev in scenario.schedule.events:
-        at = t0 + ev.time
-        if first_event_time is None:
-            first_event_time = at
-        if ev.join:
-            mo.inject_join(ev.switch, m, at=at)
-        else:
-            mo.inject_leave(ev.switch, m, at=at)
+            network.inject(LeaveEvent(ev.switch, m), at=at)
         for s in senders:
-            mo.send_datagram(s, m, at=at + datagram_gap)
-    mo.run()
+            network.send_datagram(s, m, at=at + datagram_gap)
+    network.run()
+    assert network.quiescent(), "measured phase did not quiesce"
 
+    agreed, _ = network.agreement(m)
     return TrialMetrics(
-        events=mo.events_injected - events0,
-        computations=mo.total_computations - comps0,
-        floodings=mo.mc_floodings() - floods0,
-        first_event_time=first_event_time or 0.0,
-        last_install_time=mo.sim.now,
-        round_length=round_length,
-        agreed=True,
-        protocol="mospf",
-        metrics=mo.metrics.delta(snap0),
+        events=network.events_injected - events0,
+        computations=network.total_computations() - comps0,
+        floodings=network.mc_floodings() - floods0,
+        first_event_time=t0 + events[0].time if events else 0.0,
+        last_install_time=network.last_install_time(m),
+        round_length=scenario.round_length,
+        agreed=agreed,
+        protocol=protocol,
+        metrics=network.metrics.delta(snap0),
     )

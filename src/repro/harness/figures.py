@@ -22,13 +22,10 @@ means with 95% confidence intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence
 
-from repro.harness.experiment import (
-    run_brute_force_trial,
-    run_dgmc_trial,
-    run_mospf_trial,
-)
+from repro.harness.experiment import PROTOCOLS, run_trial
 from repro.harness.sweeps import SweepRow, sweep
 from repro.harness.metrics import Aggregate
 from repro.sim.rng import RngRegistry
@@ -135,7 +132,7 @@ def experiment1(
         lambda n, g, reg: _bursty_scenario(
             n, g, reg, EXP1_PER_HOP, EXP1_COMPUTE, "exp1"
         ),
-        run_dgmc_trial,
+        run_trial,
         seed=seed,
     )
 
@@ -152,7 +149,7 @@ def experiment2(
         lambda n, g, reg: _bursty_scenario(
             n, g, reg, EXP2_PER_HOP, EXP2_COMPUTE, "exp2"
         ),
-        run_dgmc_trial,
+        run_trial,
         seed=seed,
     )
 
@@ -167,7 +164,7 @@ def experiment3(
         sizes,
         graphs_per_size,
         _sparse_scenario,
-        run_dgmc_trial,
+        run_trial,
         seed=seed,
     )
 
@@ -201,19 +198,16 @@ def baseline_comparison(
             return _bursty_scenario(n, g, reg, EXP1_PER_HOP, EXP1_COMPUTE, "cmp")
         return _sparse_scenario(n, g, reg)
 
-    rows: List[ComparisonRow] = []
-    dgmc_rows = sweep(sizes, graphs_per_size, factory, run_dgmc_trial, seed=seed)
-    mospf_rows = sweep(sizes, graphs_per_size, factory, run_mospf_trial, seed=seed)
-    bf_rows = sweep(
-        sizes, graphs_per_size, factory, run_brute_force_trial, seed=seed
-    )
-    for d, m, b in zip(dgmc_rows, mospf_rows, bf_rows):
-        rows.append(
-            ComparisonRow(
-                d.size,
-                d.computations_per_event,
-                m.computations_per_event,
-                b.computations_per_event,
-            )
+    rows = {
+        p: sweep(sizes, graphs_per_size, factory, partial(run_trial, protocol=p), seed=seed)
+        for p in PROTOCOLS
+    }
+    return [
+        ComparisonRow(
+            d.size,
+            d.computations_per_event,
+            m.computations_per_event,
+            b.computations_per_event,
         )
-    return rows
+        for d, m, b in zip(rows["dgmc"], rows["mospf"], rows["brute-force"])
+    ]

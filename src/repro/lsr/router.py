@@ -143,23 +143,19 @@ class UnicastRouter:
 
 
 def bring_up_unicast(
-    net: Network,
-    fabric: FloodingFabric,
-    deliver_via_fabric: bool = False,
+    net: Network, fabric: FloodingFabric
 ) -> Dict[int, UnicastRouter]:
     """Create one router per switch with fully synchronized databases.
 
     For experiments that start from a converged unicast layer (the paper's
     setting: membership events arrive on a stable network), the routers'
     databases are populated directly rather than simulating the initial
-    flood storm.  Set ``deliver_via_fabric`` to instead flood the initial
-    LSAs through the fabric (requires hooks registered by the caller).
+    flood storm.
     """
     routers = {x: UnicastRouter(x, net, fabric) for x in net.switches()}
-    lsas = {x: routers[x].originate(flood=deliver_via_fabric) for x in net.switches()}
-    if not deliver_via_fabric:
-        for x, router in routers.items():
-            for origin, lsa in lsas.items():
-                if origin != x:
-                    router.lsdb.install(lsa)
+    lsas = {x: routers[x].originate(flood=False) for x in net.switches()}
+    for x, router in routers.items():
+        for origin, lsa in lsas.items():
+            if origin != x:
+                router.lsdb.install(lsa)
     return routers

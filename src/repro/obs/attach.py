@@ -4,12 +4,12 @@ All three protocol stacks (:class:`~repro.core.protocol.DgmcNetwork`,
 :class:`~repro.baselines.mospf.MospfNetwork`,
 :class:`~repro.baselines.brute_force.BruteForceNetwork`) expose the same
 substrate surface -- ``fabric`` (the flooding fabric), ``sim`` (the
-kernel) and ``total_computations``.  :func:`attach_network_metrics`
+kernel) and ``total_computations()``.  :func:`attach_network_metrics`
 duck-types on that surface, so the metrics plumbing exists exactly once:
 it builds the per-network registry and registers one collector per
 counter owner -- :func:`repro.lsr.spfcache.collect_spf` for the
-process-wide SPF counters, and one for the network's own flood counters
-and kernel state.  Callers diff :meth:`MetricsRegistry.snapshot` /
+process-wide SPF counters, and one for the network's own flood counters,
+computation count and kernel state.  Callers diff :meth:`MetricsRegistry.snapshot` /
 :meth:`~MetricsRegistry.delta` around a phase; nothing else copies a count.
 
 Imports of the protocol stack stay inside functions, keeping
@@ -76,10 +76,8 @@ def attach_network_metrics(
         reg.gauge(QUEUE_DEPTH, "pending kernel entries (current-instant "
                   "FIFO + heap)").set(network.sim.queue_depth)
         reg.gauge(SIM_NOW, "current simulated time").set(network.sim.now)
-        comps = getattr(network, "total_computations", None)
-        if comps is not None:
-            reg.counter(COMPUTATIONS, "topology computations performed"
-                        ).set_total(comps() if callable(comps) else comps)
+        reg.counter(COMPUTATIONS, "topology computations performed"
+                    ).set_total(network.total_computations())
 
     from repro.lsr.spfcache import collect_spf
 

@@ -1,13 +1,13 @@
 """Network topology model and random topology generators.
 
 The paper's network consists of *switches* joined by point-to-point
-*links*, with *hosts* attached to ingress switches.  :class:`Network`
-captures that model; :mod:`repro.topo.generators` builds the random graphs
-used by the simulation study ("10 graphs were generated randomly for each
-network size").
+*links*.  :class:`Network` captures that model;
+:mod:`repro.topo.generators` builds the random graphs used by the
+simulation study ("10 graphs were generated randomly for each network
+size").
 """
 
-from repro.topo.graph import Host, Link, Network
+from repro.topo.graph import Link, Network
 from repro.topo.generators import (
     clustered_network,
     dumbbell_network,
@@ -23,7 +23,6 @@ from repro.topo.validate import TopologyError, validate_network
 __all__ = [
     "Network",
     "Link",
-    "Host",
     "waxman_network",
     "random_connected_network",
     "grid_network",

@@ -1,4 +1,4 @@
-"""The network model: switches, bidirectional links, and attached hosts.
+"""The network model: switches and bidirectional links.
 
 Switches are integers ``0..n-1`` (the paper's LSA source addresses are
 drawn from ``{0, 1, ..., n-1}``).  Links are undirected, carry a
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple
 
 import networkx as nx
 
@@ -49,18 +49,8 @@ class Link:
         return f"Link({self.u}-{self.v}, delay={self.delay:.4g}, {state})"
 
 
-@dataclass
-class Host:
-    """A host attached to its ingress switch."""
-
-    host_id: str
-    ingress: int
-    #: Free-form attributes (e.g. application role).
-    attrs: dict = field(default_factory=dict)
-
-
 class Network:
-    """A switch-level network graph with link state and host attachments.
+    """A switch-level network graph with link state.
 
     The class intentionally stores its own adjacency (rather than wrapping a
     :class:`networkx.Graph` directly) so that link up/down transitions are a
@@ -75,7 +65,6 @@ class Network:
         self.name = name
         self._adj: Dict[int, Dict[int, Link]] = {x: {} for x in range(n)}
         self._links: Dict[Tuple[int, int], Link] = {}
-        self._hosts: Dict[str, Host] = {}
         #: Optional 2-D coordinates (used by Waxman generation and plotting).
         self.positions: Dict[int, Tuple[float, float]] = {}
         #: Topology version: bumped by every link addition or up/down
@@ -113,15 +102,6 @@ class Network:
         self._invalidate_views(("add", u, v, delay))
         return link
 
-    def attach_host(self, host_id: str, ingress: int, **attrs) -> Host:
-        """Attach a host to its ingress switch."""
-        self._check_node(ingress)
-        if host_id in self._hosts:
-            raise ValueError(f"duplicate host {host_id!r}")
-        host = Host(host_id, ingress, dict(attrs))
-        self._hosts[host_id] = host
-        return host
-
     def _check_node(self, x: int) -> None:
         if not (0 <= x < self.n):
             raise ValueError(f"switch id {x} out of range [0, {self.n})")
@@ -153,12 +133,6 @@ class Network:
 
     def degree(self, x: int) -> int:
         return len(self.neighbors(x))
-
-    def hosts(self) -> Iterable[Host]:
-        return self._hosts.values()
-
-    def host(self, host_id: str) -> Host:
-        return self._hosts[host_id]
 
     def link_count(self, include_down: bool = False) -> int:
         if include_down:
@@ -389,13 +363,11 @@ class Network:
         return g
 
     def copy(self) -> "Network":
-        """Deep copy (hosts and link states included)."""
+        """Deep copy (link states included)."""
         net = Network(self.n, name=self.name)
         for link in self.links(include_down=True):
             new = net.add_link(link.u, link.v, delay=link.delay, capacity=link.capacity)
             new.up = link.up
-        for host in self.hosts():
-            net.attach_host(host.host_id, host.ingress, **host.attrs)
         net.positions = dict(self.positions)
         return net
 

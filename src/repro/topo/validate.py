@@ -25,10 +25,5 @@ def validate_network(net: Network, require_connected: bool = True) -> None:
         for endpoint in link.key:
             if not (0 <= endpoint < net.n):
                 raise TopologyError(f"link endpoint {endpoint} out of range")
-    for host in net.hosts():
-        if not (0 <= host.ingress < net.n):
-            raise TopologyError(
-                f"host {host.host_id!r} attached to invalid switch {host.ingress}"
-            )
     if require_connected and not net.is_connected():
         raise TopologyError("network is not connected over up links")

@@ -8,8 +8,6 @@ are relatively evenly distributed over long periods of time."
 
 * :mod:`repro.workloads.membership` -- bursty and sparse (Poisson)
   join/leave event schedules,
-* :mod:`repro.workloads.traffic` -- datagram schedules for the MOSPF
-  baseline (data-driven computations need data),
 * :mod:`repro.workloads.scenario` -- bundling of a topology, a connection,
   and an event schedule into one runnable scenario,
 * :mod:`repro.workloads.zipf` -- Zipf-popularity group churn and traffic
@@ -22,7 +20,6 @@ from repro.workloads.membership import (
     bursty_schedule,
     sparse_schedule,
 )
-from repro.workloads.traffic import datagram_schedule_after_events
 from repro.workloads.scenario import Scenario
 from repro.workloads.failures import FailureInjector, FailureRecord
 from repro.workloads.zipf import (
@@ -36,7 +33,6 @@ __all__ = [
     "MembershipSchedule",
     "bursty_schedule",
     "sparse_schedule",
-    "datagram_schedule_after_events",
     "Scenario",
     "FailureInjector",
     "FailureRecord",

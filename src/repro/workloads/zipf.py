@@ -30,6 +30,7 @@ from random import Random
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.protocol import DgmcNetwork
 from repro.core.state import McState
 from repro.core.timestamp import VectorTimestamp
@@ -433,7 +434,7 @@ def mospf_contrast(
     at = 1.0
     for g, members in workload.initial:
         for switch in members:
-            mospf.inject_join(switch, g, at=at)
+            mospf.inject(JoinEvent(switch, g), at=at)
             at += 0.1
     mospf.run()
 
@@ -441,11 +442,8 @@ def mospf_contrast(
     start = perf_counter()
     for phase in workload.phases:
         for event in phase.events:
-            at = mospf.sim.now + 0.5
-            if event.join:
-                mospf.inject_join(event.switch, event.group, at=at)
-            else:
-                mospf.inject_leave(event.switch, event.group, at=at)
+            kind = JoinEvent if event.join else LeaveEvent
+            mospf.inject(kind(event.switch, event.group), at=mospf.sim.now + 0.5)
             mospf.run()
         for batch in phase.batches:
             at = mospf.sim.now + 1.0
@@ -460,8 +458,8 @@ def mospf_contrast(
         "delivered": float(mospf.datagrams_delivered),
         "wall_s": wall,
         "pps": datagrams / wall if wall else 0.0,
-        "tree_computations": float(mospf.total_computations),
+        "tree_computations": float(mospf.total_computations()),
         "computations_per_datagram": (
-            mospf.total_computations / datagrams if datagrams else 0.0
+            mospf.total_computations() / datagrams if datagrams else 0.0
         ),
     }

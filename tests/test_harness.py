@@ -6,11 +6,7 @@ import random
 
 import pytest
 
-from repro.harness.experiment import (
-    run_brute_force_trial,
-    run_dgmc_trial,
-    run_mospf_trial,
-)
+from repro.harness.experiment import PROTOCOLS, run_trial
 from repro.harness.figures import (
     EXP1_COMPUTE,
     EXP1_PER_HOP,
@@ -44,39 +40,44 @@ def tiny_scenario(n=12, sparse=True, seed=3):
 
 
 class TestTrialRunners:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_trial_contract(self, protocol):
+        """Every protocol counts the schedule's events, agrees, reports its
+        label and reproduces its counts exactly."""
+        a = run_trial(tiny_scenario(sparse=False), protocol)
+        b = run_trial(tiny_scenario(sparse=False), protocol)
+        assert a.events == 5
+        assert a.agreed
+        assert a.protocol == protocol
+        assert (a.computations, a.floodings, a.last_install_time) == (
+            b.computations,
+            b.floodings,
+            b.last_install_time,
+        )
+
     def test_dgmc_sparse_trial_near_unity(self):
-        m = run_dgmc_trial(tiny_scenario(sparse=True))
-        assert m.events == 5
-        assert m.agreed
+        m = run_trial(tiny_scenario(sparse=True))
         assert m.computations_per_event <= 1.5
         assert m.floodings_per_event <= 1.5
-        assert m.protocol == "dgmc"
 
     def test_dgmc_bursty_trial(self):
-        m = run_dgmc_trial(tiny_scenario(sparse=False))
-        assert m.events == 5
-        assert m.agreed
+        m = run_trial(tiny_scenario(sparse=False))
         assert m.convergence_rounds > 0
 
     def test_brute_force_costs_n_per_event(self):
-        sc = tiny_scenario(n=12, sparse=True)
-        m = run_brute_force_trial(sc)
+        m = run_trial(tiny_scenario(n=12, sparse=True), "brute-force")
         assert m.computations_per_event == pytest.approx(12.0)
-        assert m.agreed
-        assert m.protocol == "brute-force"
 
     def test_mospf_costs_tree_size_per_event(self):
-        sc = tiny_scenario(n=12, sparse=True)
-        m = run_mospf_trial(sc)
+        m = run_trial(tiny_scenario(n=12, sparse=True), "mospf")
         # senders = initial member (1); each event triggers computations at
         # every on-tree router: strictly more than D-GMC's ~1.
         assert m.computations_per_event > 1.5
-        assert m.protocol == "mospf"
 
     def test_asymmetric_scenarios_supported(self):
         sc = tiny_scenario()
         sc.connection_type = "asymmetric"
-        m = run_dgmc_trial(sc)
+        m = run_trial(sc)
         assert m.agreed
         assert m.events == 5
 
@@ -84,16 +85,14 @@ class TestTrialRunners:
         sc = tiny_scenario()
         sc.connection_type = "broadcast"
         with pytest.raises(ValueError):
-            run_dgmc_trial(sc)
+            run_trial(sc)
 
-    def test_trials_reproducible(self):
-        a = run_dgmc_trial(tiny_scenario(sparse=False))
-        b = run_dgmc_trial(tiny_scenario(sparse=False))
-        assert (a.computations, a.floodings, a.last_install_time) == (
-            b.computations,
-            b.floodings,
-            b.last_install_time,
-        )
+    def test_brute_force_rejects_unknown_connection_type(self):
+        # Not silently run as receiver-only.
+        sc = tiny_scenario()
+        sc.connection_type = "broadcast"
+        with pytest.raises(ValueError):
+            run_trial(sc, "brute-force")
 
 
 class TestSweep:
@@ -101,7 +100,7 @@ class TestSweep:
         def factory(n, g, reg):
             return tiny_scenario(n=n, seed=reg.root_seed % 1000)
 
-        rows = sweep((8, 12), 3, factory, run_dgmc_trial, seed=1)
+        rows = sweep((8, 12), 3, factory, run_trial, seed=1)
         assert [r.size for r in rows] == [8, 12]
         assert all(len(r.trials) == 3 for r in rows)
         assert all(r.all_agreed for r in rows)
@@ -110,7 +109,7 @@ class TestSweep:
         def factory(n, g, reg):
             return tiny_scenario(n=n, seed=g)
 
-        rows = sweep((10,), 3, factory, run_dgmc_trial)
+        rows = sweep((10,), 3, factory, run_trial)
         row = rows[0]
         assert row.computations_per_event.count == 3
         assert row.floodings_per_event.mean > 0

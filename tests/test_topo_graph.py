@@ -71,26 +71,6 @@ class TestLinkObject:
         assert Link(7, 3).key == (3, 7)
 
 
-class TestHosts:
-    def test_attach_and_lookup(self):
-        net = Network(3)
-        net.attach_host("alice", 1, role="speaker")
-        host = net.host("alice")
-        assert host.ingress == 1
-        assert host.attrs["role"] == "speaker"
-
-    def test_duplicate_host_rejected(self):
-        net = Network(3)
-        net.attach_host("h", 0)
-        with pytest.raises(ValueError):
-            net.attach_host("h", 1)
-
-    def test_invalid_ingress_rejected(self):
-        net = Network(3)
-        with pytest.raises(ValueError):
-            net.attach_host("h", 9)
-
-
 class TestNeighborsAndState:
     def test_neighbors_sorted(self):
         net = triangle()
@@ -187,13 +167,11 @@ class TestExportCopy:
 
     def test_copy_is_deep(self):
         net = triangle()
-        net.attach_host("h", 0)
         net.set_link_state(0, 1, up=False)
         clone = net.copy()
         assert clone.neighbors(0) == [2]
         clone.set_link_state(0, 1, up=True)
         assert net.neighbors(0) == [2]  # original untouched
-        assert clone.host("h").ingress == 0
 
 
 def g_edges(g):

@@ -14,7 +14,6 @@ from repro.workloads.membership import (
     sparse_schedule,
 )
 from repro.workloads.scenario import Scenario
-from repro.workloads.traffic import datagram_schedule_after_events
 from repro.topo.generators import grid_network
 
 
@@ -111,23 +110,6 @@ class TestScheduleModel:
         sched = MembershipSchedule(frozenset({0}), [])
         assert sched.span == 0.0
         sched.validate()
-
-
-class TestTraffic:
-    def test_one_datagram_per_sender_per_event(self):
-        sched = MembershipSchedule(
-            frozenset({0}),
-            [ScheduledEvent(1.0, 1, True), ScheduledEvent(5.0, 2, True)],
-        )
-        sends = datagram_schedule_after_events(sched, senders=[0, 1], gap=0.5)
-        assert sends == [(1.5, 0), (1.5, 1), (5.5, 0), (5.5, 1)]
-
-    def test_senders_deduplicated_and_sorted(self):
-        sched = MembershipSchedule(
-            frozenset({0}), [ScheduledEvent(1.0, 1, True)]
-        )
-        sends = datagram_schedule_after_events(sched, senders=[2, 0, 2], gap=1.0)
-        assert [s for _, s in sends] == [0, 2]
 
 
 class TestScenario:
