@@ -10,10 +10,10 @@ broadcast, remote teaching; MOSPF/ATM-UNI style).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from dataclasses import dataclass
+from typing import Dict, FrozenSet
 
-from repro.trees.algorithms import RECEIVER, SENDER
+from repro.trees.algorithms import RECEIVER, SENDER, make_algorithm
 
 
 class ConnectionType(enum.Enum):
@@ -54,29 +54,19 @@ def default_role(ctype: ConnectionType) -> Role:
 
 @dataclass(frozen=True)
 class ConnectionSpec:
-    """Static description of one MC: its identifier, type, and algorithm.
+    """Static description of one MC: its identifier and type.
 
-    ``algorithm`` / ``algorithm_options`` select the topology computation
-    (see :func:`repro.trees.algorithms.make_algorithm`); ``None`` picks the
-    default for the type (greedy-incremental shared tree, or per-source
-    SPTs for asymmetric MCs).
+    The type alone picks the topology computation
+    (:func:`repro.trees.algorithms.make_algorithm`): an incremental shared
+    Steiner tree, or per-sender source-rooted trees for asymmetric MCs.
     """
 
     connection_id: int
     ctype: ConnectionType
-    algorithm: Optional[str] = None
-    algorithm_options: tuple = field(default_factory=tuple)
 
     def make_algorithm(self):
-        """Instantiate this connection's topology algorithm."""
-        from repro.trees.algorithms import make_algorithm
-
-        options = dict(self.algorithm_options)
-        if self.ctype is ConnectionType.ASYMMETRIC:
-            return make_algorithm("asymmetric")
-        if self.algorithm is not None:
-            options["method"] = self.algorithm
-        return make_algorithm(self.ctype.value, **options)
+        """This connection's topology algorithm (one instance per type)."""
+        return make_algorithm(self.ctype.value)
 
     def __post_init__(self) -> None:
         if self.connection_id < 0:
@@ -87,7 +77,7 @@ class ConnectionRegistrar:
     """The provisioning API of a deployment, over ``connection_registry``.
 
     Both execution backends (:class:`~repro.core.protocol.DgmcNetwork` and
-    the live ``LiveFabric``) declare an MC -- its id, type and algorithm --
+    the live ``LiveFabric``) declare an MC -- its id and type --
     before use, like the paper's pre-registered MC identifiers.
     """
 
@@ -99,14 +89,14 @@ class ConnectionRegistrar:
         self.connection_registry[spec.connection_id] = spec
         return spec
 
-    def register_symmetric(self, connection_id: int, **kw) -> ConnectionSpec:
+    def register_symmetric(self, connection_id: int) -> ConnectionSpec:
         return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.SYMMETRIC, **kw)
+            ConnectionSpec(connection_id, ConnectionType.SYMMETRIC)
         )
 
-    def register_receiver_only(self, connection_id: int, **kw) -> ConnectionSpec:
+    def register_receiver_only(self, connection_id: int) -> ConnectionSpec:
         return self.register_connection(
-            ConnectionSpec(connection_id, ConnectionType.RECEIVER_ONLY, **kw)
+            ConnectionSpec(connection_id, ConnectionType.RECEIVER_ONLY)
         )
 
     def register_asymmetric(self, connection_id: int) -> ConnectionSpec:

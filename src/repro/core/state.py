@@ -78,7 +78,7 @@ class McState:
         self.current_proposer: int = n
         #: Simulated time of the most recent install (convergence metric).
         self.last_install_time: float = 0.0
-        #: The connection's topology algorithm (may carry incremental state).
+        #: The connection's topology algorithm: stateless, one instance per type.
         self.algorithm = spec.make_algorithm()
         #: Diagnostics: number of proposals this switch computed / accepted.
         self.proposals_computed = 0

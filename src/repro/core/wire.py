@@ -38,13 +38,14 @@ Non-MC LSA (``F = 0``)::
     source  u16 (S)
     seqnum  u32
     link_count u16                      } D: the RouterLsa description
-    per link: neighbor u16, delay f64, up u8
+    per link: neighbor u16, delay f64 (finite, > 0), up u8
 
 All integers are big-endian (network byte order).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from itertools import chain
 from operator import lt
@@ -235,6 +236,10 @@ def _decode_lsa_body(data: bytes) -> Union[McLsa, NonMcLsa]:
     links = []
     for _ in range(link_count):
         neighbor, delay, up = reader.take("!HdB")
+        if not (math.isfinite(delay) and delay > 0):
+            # Network.add_link's rule: an image weight must be a positive
+            # real, or the tree computations' heaps stop being ordered.
+            raise WireDecodeError(f"bad link delay {delay!r}")
         links.append((neighbor, delay, bool(up)))
     if not reader.done():
         raise WireDecodeError("trailing bytes after non-MC LSA")

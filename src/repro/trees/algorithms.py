@@ -1,16 +1,18 @@
-"""The pluggable topology-computation interface used by the D-GMC protocol.
+"""The topology computation of each MC type, behind one interface.
 
 D-GMC is "independent of the particular algorithm used to compute the MC
 topology".  A :class:`TopologyAlgorithm` maps (network image, member list
 with roles, previously installed topology) to a new
 :class:`~repro.trees.base.McTopology`:
 
-* :class:`SharedTreeAlgorithm` -- one shared tree over the relevant member
-  set (symmetric and receiver-only MCs; Steiner heuristics, optionally
-  with incremental updates, or a core-based tree),
+* :class:`SharedTreeAlgorithm` -- one shared Steiner tree over the member
+  set (symmetric and receiver-only MCs), kept by Section 3.5's
+  incremental updates (:class:`~repro.trees.dynamic.GreedyDynamicSteiner`),
 * :class:`SourceTreesAlgorithm` -- one source-rooted shortest-path tree per
   sender (asymmetric MCs, MOSPF-style).
 
+The connection type alone picks the computation, and both are stateless:
+:func:`make_algorithm` hands every switch the same instance.
 Determinism is required: all switches computing on the same image and
 member list must produce equal topologies (value equality of
 :class:`McTopology`), which every implementation here guarantees.
@@ -19,17 +21,11 @@ member list must produce equal topologies (value equality of
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.trees.base import McTopology, MulticastTree
-from repro.trees.cbt import core_based_tree, select_core
 from repro.trees.dynamic import GreedyDynamicSteiner
 from repro.trees.spt import source_rooted_tree
-from repro.trees.steiner import (
-    kmb_steiner_tree,
-    pruned_spt_steiner_tree,
-    takahashi_matsuyama_tree,
-)
 
 #: Membership roles.  A symmetric member holds both.
 SENDER = "sender"
@@ -119,37 +115,12 @@ def senders_of(members: MemberRoles) -> frozenset:
 class SharedTreeAlgorithm(TopologyAlgorithm):
     """One shared tree spanning every member switch.
 
-    ``method`` selects the heuristic: ``"greedy-incremental"`` (default;
-    Section 3.5's incremental update with rebuild policy), ``"pruned-spt"``,
-    ``"kmb"``, ``"tm"`` (Takahashi–Matsuyama), ``"cbt"`` (core-based tree
-    over the member set), or ``"delay-bounded"`` (QoS: every
-    anchor-to-member delay within ``delay_bound``; see
-    :mod:`repro.trees.constrained`).
+    The tree is kept by Section 3.5's incremental update: grafts and prunes
+    from the installed tree, rebuilt from scratch when the network broke it
+    or it grew too costly (:meth:`GreedyDynamicSteiner.update`).
     """
 
-    def __init__(
-        self,
-        method: str = "greedy-incremental",
-        rebuild_threshold: float = 1.5,
-        core_strategy: str = "member-median",
-        delay_bound: Optional[float] = None,
-    ) -> None:
-        valid = (
-            "greedy-incremental",
-            "pruned-spt",
-            "kmb",
-            "tm",
-            "cbt",
-            "delay-bounded",
-        )
-        if method not in valid:
-            raise ValueError(f"method must be one of {valid}, got {method!r}")
-        if method == "delay-bounded" and delay_bound is None:
-            raise ValueError("delay-bounded method requires delay_bound")
-        self.method = method
-        self.core_strategy = core_strategy
-        self.delay_bound = delay_bound
-        self._dynamic = GreedyDynamicSteiner(rebuild_threshold=rebuild_threshold)
+    _dynamic = GreedyDynamicSteiner()
 
     def compute(
         self,
@@ -160,23 +131,8 @@ class SharedTreeAlgorithm(TopologyAlgorithm):
         member_set = dominant_members(adj, frozenset(members))
         if not member_set:
             return McTopology.empty()
-        if self.method == "kmb":
-            tree = kmb_steiner_tree(adj, member_set)
-        elif self.method == "tm":
-            tree = takahashi_matsuyama_tree(adj, member_set)
-        elif self.method == "pruned-spt":
-            tree = pruned_spt_steiner_tree(adj, member_set)
-        elif self.method == "delay-bounded":
-            from repro.trees.constrained import delay_bounded_tree
-
-            tree = delay_bounded_tree(adj, member_set, self.delay_bound)
-        elif self.method == "cbt":
-            core = select_core(adj, member_set, strategy=self.core_strategy)
-            tree = core_based_tree(adj, member_set, core)
-        else:  # greedy-incremental
-            prev_tree = previous.shared_tree if previous is not None else None
-            tree = self._dynamic.update(adj, prev_tree, member_set)
-        return McTopology.shared(tree)
+        prev_tree = previous.shared_tree if previous is not None else None
+        return McTopology.shared(self._dynamic.update(adj, prev_tree, member_set))
 
 
 class SourceTreesAlgorithm(TopologyAlgorithm):
@@ -201,17 +157,23 @@ class SourceTreesAlgorithm(TopologyAlgorithm):
         return McTopology.per_source(trees)
 
 
-def make_algorithm(connection_type: str, **kwargs) -> TopologyAlgorithm:
-    """Factory keyed by MC type name.
+#: One instance per computation: neither holds state between calls.
+_SHARED_TREE = SharedTreeAlgorithm()
+_ALGORITHMS: Dict[str, TopologyAlgorithm] = {
+    "symmetric": _SHARED_TREE,
+    "receiver-only": _SHARED_TREE,
+    "asymmetric": SourceTreesAlgorithm(),
+}
 
-    ``"symmetric"`` and ``"receiver-only"`` yield a
-    :class:`SharedTreeAlgorithm`; ``"asymmetric"`` yields a
-    :class:`SourceTreesAlgorithm`.  Keyword arguments are forwarded.
+
+def make_algorithm(connection_type: str) -> TopologyAlgorithm:
+    """The topology computation of an MC type, keyed by its name.
+
+    ``"symmetric"`` and ``"receiver-only"`` yield the shared
+    :class:`SharedTreeAlgorithm`; ``"asymmetric"`` the shared
+    :class:`SourceTreesAlgorithm`.
     """
-    if connection_type in ("symmetric", "receiver-only"):
-        return SharedTreeAlgorithm(**kwargs)
-    if connection_type == "asymmetric":
-        if kwargs:
-            raise ValueError("SourceTreesAlgorithm takes no options")
-        return SourceTreesAlgorithm()
-    raise ValueError(f"unknown connection type {connection_type!r}")
+    try:
+        return _ALGORITHMS[connection_type]
+    except KeyError:
+        raise ValueError(f"unknown connection type {connection_type!r}") from None

@@ -30,8 +30,6 @@ def select_core(
 
     * ``member-median``: the switch minimizing the sum of shortest-path
       distances to all members (1-median restricted to reachable switches).
-    * ``member-center``: the switch minimizing its maximum distance to any
-      member (minimizes worst-case latency through the core).
     * ``first-member``: the smallest member id (a naive fixed choice, for
       the sensitivity study).
     """
@@ -40,7 +38,7 @@ def select_core(
         raise TreeError("cannot select a core for an empty member set")
     if strategy == "first-member":
         return members[0]
-    if strategy not in ("member-median", "member-center"):
+    if strategy != "member-median":
         raise ValueError(f"unknown core selection strategy {strategy!r}")
     # Distances from each member to everything (members are few; the
     # network image is shared by all switches so the choice is consistent).
@@ -51,9 +49,7 @@ def select_core(
     candidates = sorted(set.intersection(*(set(d) for d in per_member.values())))
     if not candidates:
         raise TreeError("no switch reaches every member")
-    if strategy == "member-median":
-        return min(candidates, key=lambda c: (sum(per_member[m][c] for m in members), c))
-    return min(candidates, key=lambda c: (max(per_member[m][c] for m in members), c))
+    return min(candidates, key=lambda c: (sum(per_member[m][c] for m in members), c))
 
 
 def core_based_tree(

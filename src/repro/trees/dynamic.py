@@ -9,16 +9,17 @@ the present topology deviates significantly from an optimal one."
 :func:`graft_path` / :func:`prune_member` implement the Imase–Waxman GREEDY
 operations (Dynamic Steiner Tree Problem, SIAM J. Discrete Math 1991);
 :class:`GreedyDynamicSteiner` wraps them with a from-scratch rebuild policy
-based on a cost-degradation threshold.
+based on a cost-degradation threshold: a maintained tree costing more than
+1.5 times a fresh pruned shortest-path tree is replaced by it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.trees.base import MulticastTree, TreeError, canonical_edge
-from repro.trees.steiner import kmb_steiner_tree, pruned_spt_steiner_tree
+from repro.trees.steiner import pruned_spt_steiner_tree
 
 
 def graft_path(
@@ -92,36 +93,17 @@ def _cost(adj: Mapping[int, Mapping[int, float]], tree: MulticastTree) -> float:
 
 
 class GreedyDynamicSteiner:
-    """Stateless policy object for incremental-vs-rebuild decisions.
+    """The incremental-vs-rebuild policy; holds no state between calls.
 
-    ``rebuild_threshold`` r: when the maintained tree's cost exceeds
-    ``r x`` the cost of a fresh heuristic tree, a from-scratch computation
-    is performed instead of the incremental result.  ``r = inf`` disables
-    rebuilds (pure GREEDY); ``r = 1`` rebuilds on any degradation.
+    When the maintained tree costs more than :attr:`REBUILD_THRESHOLD`
+    times a fresh :attr:`from_scratch` tree, the fresh tree is used instead
+    of the incremental result.
     """
 
-    def __init__(
-        self,
-        rebuild_threshold: float = 1.5,
-        scratch: str = "pruned-spt",
-    ) -> None:
-        if rebuild_threshold < 1.0:
-            raise ValueError("rebuild_threshold must be >= 1")
-        if scratch not in ("pruned-spt", "kmb"):
-            raise ValueError(f"unknown scratch algorithm {scratch!r}")
-        self.rebuild_threshold = rebuild_threshold
-        self.scratch = scratch
-        #: Counters for the ablation study.
-        self.incremental_updates = 0
-        self.rebuilds = 0
-
-    def _from_scratch(
-        self, adj: Mapping[int, Mapping[int, float]], members: Iterable[int]
-    ) -> MulticastTree:
-        self.rebuilds += 1
-        if self.scratch == "kmb":
-            return kmb_steiner_tree(adj, members)
-        return pruned_spt_steiner_tree(adj, members)
+    #: Cost ratio (maintained / fresh) above which the tree is rebuilt.
+    REBUILD_THRESHOLD = 1.5
+    #: The from-scratch computation: one Dijkstra, as the paper's Tc models.
+    from_scratch = staticmethod(pruned_spt_steiner_tree)
 
     def update(
         self,
@@ -138,12 +120,12 @@ class GreedyDynamicSteiner:
         if not members:
             return MulticastTree.empty()
         if previous is None or not previous.members:
-            return self._from_scratch(adj, members)
+            return self.from_scratch(adj, members)
         # Images are symmetric (the LSDB's two-way check), so a tree edge
         # is read from one side and priced from it: no whole-image pass.
         if any(v not in adj.get(u, ()) for u, v in previous.edges):
             # A tree link went down: incremental repair is not safe.
-            return self._from_scratch(adj, members)
+            return self.from_scratch(adj, members)
         tree = previous
         try:
             for gone in sorted(previous.members - members):
@@ -151,16 +133,9 @@ class GreedyDynamicSteiner:
             for new in sorted(members - previous.members):
                 tree = graft_path(adj, tree, new)
         except TreeError:
-            return self._from_scratch(adj, members)
-        self.incremental_updates += 1
-        if self.rebuild_threshold != float("inf") and len(members) >= 2:
-            fresh = (
-                kmb_steiner_tree(adj, members)
-                if self.scratch == "kmb"
-                else pruned_spt_steiner_tree(adj, members)
-            )
-            if _cost(adj, tree) > self.rebuild_threshold * _cost(adj, fresh):
-                self.rebuilds += 1
-                self.incremental_updates -= 1
+            return self.from_scratch(adj, members)
+        if len(members) >= 2:
+            fresh = self.from_scratch(adj, members)
+            if _cost(adj, tree) > self.REBUILD_THRESHOLD * _cost(adj, fresh):
                 return fresh
         return MulticastTree(tree.edges, members, tree.root)

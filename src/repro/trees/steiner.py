@@ -11,20 +11,15 @@ survey).  Two classic polynomial heuristics are provided:
   deterministic anchor terminal, pruned to the terminals.  This is the
   "from scratch" computation used by default in the simulation study,
   because its cost (one Dijkstra) matches the Tc regime the paper models.
-* :func:`takahashi_matsuyama_tree` -- the Takahashi–Matsuyama (1980)
-  shortest-path heuristic: grow the tree terminal by terminal, always
-  grafting the terminal currently cheapest to reach.  Same 2(1 - 1/k)
-  worst-case bound as KMB, usually better trees than pruned-SPT, and the
-  *static batch analogue* of the Imase–Waxman GREEDY joins the dynamic
-  algorithm performs one event at a time.
 
-All are deterministic: ties break toward smaller node ids, so every
+Both are deterministic: ties break toward smaller node ids, so every
 switch computing on the same network image produces the identical tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+import heapq
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from repro.lsr import spf
 from repro.trees.base import MulticastTree, TreeError, canonical_edge
@@ -61,19 +56,17 @@ def _metric_closure(
     return dist, paths
 
 
-def _mst_prim(nodes: list, weight) -> list:
-    """Prim's MST over an abstract complete graph; returns edge list.
+def _mst_prim(nodes: list, neighbours: Callable) -> list:
+    """Prim's MST over ``nodes``; returns the ``(parent, child)`` edge list.
 
-    ``weight(u, v)`` must be defined for every node pair.  Deterministic:
-    ties break toward smaller (weight, node) pairs.
+    ``neighbours(u)`` yields ``(v, weight)`` pairs.  Deterministic: pops
+    are ordered by ``(weight, u, v)``, so ties break toward smaller ids.
     """
     if len(nodes) <= 1:
         return []
-    import heapq
-
     start = min(nodes)
     in_tree = {start}
-    heap = [(weight(start, v), start, v) for v in nodes if v != start]
+    heap = [(w, start, v) for v, w in neighbours(start)]
     heapq.heapify(heap)
     edges = []
     while heap and len(in_tree) < len(nodes):
@@ -82,9 +75,9 @@ def _mst_prim(nodes: list, weight) -> list:
             continue
         in_tree.add(v)
         edges.append((u, v))
-        for x in nodes:
+        for x, wx in neighbours(v):
             if x not in in_tree:
-                heapq.heappush(heap, (weight(v, x), v, x))
+                heapq.heappush(heap, (wx, v, x))
     if len(in_tree) < len(nodes):
         raise TreeError("MST inputs are disconnected")
     return edges
@@ -107,10 +100,12 @@ def kmb_steiner_tree(
         return MulticastTree.empty(terms)
     closure_dist, closure_paths = _metric_closure(adj, terms)
 
-    def closure_weight(a: int, b: int) -> float:
-        return closure_dist[(a, b) if a < b else (b, a)]
+    def closure_neighbours(a: int):
+        for b in terms:
+            if b != a:
+                yield b, closure_dist[(a, b) if a < b else (b, a)]
 
-    closure_mst = _mst_prim(list(terms), closure_weight)
+    closure_mst = _mst_prim(list(terms), closure_neighbours)
 
     # Union of the shortest paths realizing the closure MST edges.
     sub_adj: Dict[int, Dict[int, float]] = {}
@@ -122,83 +117,14 @@ def kmb_steiner_tree(
             sub_adj.setdefault(u, {})[v] = w
             sub_adj.setdefault(v, {})[u] = w
 
-    # MST of the subgraph (ordinary sparse Prim via the closure helper on
-    # actual edges: emulate by running Prim restricted to sub_adj).
-    import heapq
-
-    nodes = sorted(sub_adj)
-    start = nodes[0]
-    in_tree = {start}
-    heap = [(w, start, v) for v, w in sub_adj[start].items()]
-    heapq.heapify(heap)
-    edges = set()
-    while heap and len(in_tree) < len(nodes):
-        w, u, v = heapq.heappop(heap)
-        if v in in_tree:
-            continue
-        in_tree.add(v)
-        edges.add(canonical_edge(u, v))
-        for x, wx in sub_adj[v].items():
-            if x not in in_tree:
-                heapq.heappush(heap, (wx, v, x))
-
+    # MST of that subgraph.
+    edges = {
+        canonical_edge(u, v)
+        for u, v in _mst_prim(sorted(sub_adj), lambda u: sub_adj[u].items())
+    }
     tree = MulticastTree.build(edges, terms)
     # Prune non-terminal leaves (reuse the receiver-prune with no root).
     return prune_to_receivers(tree, terms).with_members(terms)
-
-
-def takahashi_matsuyama_tree(
-    adj: Mapping[int, Mapping[int, float]], terminals: Iterable[int]
-) -> MulticastTree:
-    """Takahashi–Matsuyama shortest-path Steiner heuristic.
-
-    Start from the smallest terminal; repeatedly run a multi-source
-    Dijkstra from the current tree and graft the cheapest-to-reach
-    remaining terminal along its shortest path.
-    """
-    import heapq
-
-    terms = frozenset(terminals)
-    if not terms:
-        return MulticastTree.empty()
-    if len(terms) == 1:
-        return MulticastTree.empty(terms)
-    remaining = set(terms)
-    anchor = min(remaining)
-    remaining.discard(anchor)
-    tree_nodes = {anchor}
-    edges: set = set()
-    while remaining:
-        # Multi-source Dijkstra seeded at every current tree node.
-        dist: Dict[int, float] = {}
-        parent: Dict[int, int | None] = {}
-        heap = [(0.0, node, None) for node in sorted(tree_nodes)]
-        heapq.heapify(heap)
-        target = None
-        while heap:
-            d, node, via = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            parent[node] = via
-            if node in remaining:
-                target = node
-                break
-            for nbr, w in adj.get(node, {}).items():
-                if nbr not in dist:
-                    heapq.heappush(heap, (d + w, nbr, node))
-        if target is None:
-            raise TreeError(
-                f"terminals unreachable from the tree: {sorted(remaining)}"
-            )
-        node = target
-        while parent[node] is not None:
-            edges.add(canonical_edge(node, parent[node]))  # type: ignore[arg-type]
-            tree_nodes.add(node)
-            node = parent[node]  # type: ignore[assignment]
-        tree_nodes.add(target)
-        remaining.discard(target)
-    return MulticastTree.build(edges, terms)
 
 
 def pruned_spt_steiner_tree(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.mc import ConnectionSpec, ConnectionType, Role, default_role
+from repro.core.state import McState
 from repro.trees.algorithms import (
     RECEIVER,
     SENDER,
@@ -41,27 +42,17 @@ class TestConnectionSpec:
         asym = ConnectionSpec(2, ConnectionType.ASYMMETRIC)
         assert isinstance(asym.make_algorithm(), SourceTreesAlgorithm)
 
-    def test_named_algorithm(self):
-        spec = ConnectionSpec(1, ConnectionType.SYMMETRIC, algorithm="kmb")
-        algo = spec.make_algorithm()
-        assert isinstance(algo, SharedTreeAlgorithm)
-        assert algo.method == "kmb"
-
-    def test_algorithm_options(self):
-        spec = ConnectionSpec(
-            1,
-            ConnectionType.RECEIVER_ONLY,
-            algorithm="cbt",
-            algorithm_options=(("core_strategy", "member-center"),),
-        )
-        algo = spec.make_algorithm()
-        assert algo.method == "cbt"
-        assert algo.core_strategy == "member-center"
-
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             ConnectionSpec(-1, ConnectionType.SYMMETRIC)
 
-    def test_each_call_returns_fresh_instance(self):
-        spec = ConnectionSpec(1, ConnectionType.SYMMETRIC)
-        assert spec.make_algorithm() is not spec.make_algorithm()
+    def test_every_state_of_a_type_holds_the_same_algorithm(self):
+        """The computations are stateless, so no switch or connection
+        allocates its own: one object per MC type."""
+        for ctype in ConnectionType:
+            states = [
+                McState(ConnectionSpec(cid, ctype), n=4)
+                for cid in (1, 2)
+                for _ in range(3)
+            ]
+            assert len({id(state.algorithm) for state in states}) == 1

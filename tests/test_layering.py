@@ -167,6 +167,16 @@ def test_every_source_path_and_dotted_name_in_the_documents_resolves():
     assert not missing, missing
 
 
+def test_every_package_export_resolves():
+    """A name left in an ``__all__`` after its definition was deleted."""
+    stale = []
+    for package in ["repro", *(f"repro.{name}" for name in PACKAGES)]:
+        module = importlib.import_module(package)
+        exported = getattr(module, "__all__", ())
+        stale += [f"{package}.{name}" for name in exported if not hasattr(module, name)]
+    assert not stale, stale
+
+
 def test_the_design_package_map_is_the_source_tree():
     """DESIGN.md section 3: every file a row names exists, every package has a row."""
     text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")

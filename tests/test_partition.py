@@ -47,7 +47,7 @@ class TestAlgorithmDegradation:
         net = grid_network(1, 4)
         net.set_link_state(1, 2, up=False)
         adj = spf.network_adjacency(net)
-        topo = SharedTreeAlgorithm(method="pruned-spt").compute(
+        topo = SharedTreeAlgorithm().compute(
             adj, {0: BOTH, 1: BOTH, 3: BOTH}, None
         )
         tree = topo.shared_tree

@@ -67,7 +67,7 @@ class TestSharedSimulator:
 class TestConnectionSpecPlumbing:
     def test_register_generic_spec(self):
         dgmc = DgmcNetwork(ring_network(4), ProtocolConfig(compute_time=0.2))
-        spec = ConnectionSpec(9, ConnectionType.SYMMETRIC, algorithm="kmb")
+        spec = ConnectionSpec(9, ConnectionType.SYMMETRIC)
         dgmc.register_connection(spec)
         dgmc.inject(JoinEvent(0, 9), at=1.0)
         dgmc.inject(JoinEvent(2, 9), at=20.0)

@@ -1,4 +1,4 @@
-"""Tests for the pluggable TopologyAlgorithm interface."""
+"""Tests for the TopologyAlgorithm of each MC type and its factory."""
 
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from repro.trees.algorithms import (
     senders_of,
 )
 from repro.trees.base import SHARED, McTopology
+from repro.trees.dynamic import GreedyDynamicSteiner, graft_path
+from repro.trees.steiner import pruned_spt_steiner_tree
 
 
 BOTH = frozenset((SENDER, RECEIVER))
@@ -40,26 +42,20 @@ class TestSharedTree:
         topo = algo.compute(grid_adj(), {0: BOTH, 8: BOTH}, None)
         topo.shared_tree.validate([0, 8])
 
-    @pytest.mark.parametrize("method", ["pruned-spt", "kmb", "cbt"])
-    def test_stateless_methods(self, method):
-        algo = SharedTreeAlgorithm(method=method)
-        topo = algo.compute(grid_adj(), {0: BOTH, 2: BOTH, 6: BOTH}, None)
-        topo.shared_tree.validate([0, 2, 6])
-
-    def test_incremental_uses_previous(self):
-        algo = SharedTreeAlgorithm(rebuild_threshold=float("inf"))
+    def test_incremental_uses_previous(self, monkeypatch):
+        monkeypatch.setattr(GreedyDynamicSteiner, "REBUILD_THRESHOLD", float("inf"))
+        algo = SharedTreeAlgorithm()
         t1 = algo.compute(grid_adj(), {0: BOTH, 8: BOTH}, None)
         t2 = algo.compute(grid_adj(), {0: BOTH, 8: BOTH, 2: BOTH}, t1)
-        assert t1.shared_tree.edges <= t2.shared_tree.edges
-        assert algo._dynamic.incremental_updates == 1
+        assert t2.shared_tree == graft_path(grid_adj(), t1.shared_tree, 2)
+
+    def test_first_tree_is_the_pruned_spt(self):
+        topo = SharedTreeAlgorithm().compute(grid_adj(), {0: BOTH, 2: BOTH, 6: BOTH}, None)
+        assert topo.shared_tree == pruned_spt_steiner_tree(grid_adj(), {0, 2, 6})
 
     def test_empty_membership(self):
         algo = SharedTreeAlgorithm()
         assert algo.compute(grid_adj(), {}, None) == McTopology.empty()
-
-    def test_invalid_method_rejected(self):
-        with pytest.raises(ValueError):
-            SharedTreeAlgorithm(method="magic")
 
     def test_determinism_across_instances(self):
         # Two switches with separate algorithm instances and identical
@@ -96,16 +92,14 @@ class TestSourceTrees:
 class TestFactory:
     def test_symmetric_and_receiver_only_are_shared(self):
         assert isinstance(make_algorithm("symmetric"), SharedTreeAlgorithm)
-        assert isinstance(
-            make_algorithm("receiver-only", method="kmb"), SharedTreeAlgorithm
-        )
+        assert isinstance(make_algorithm("receiver-only"), SharedTreeAlgorithm)
 
     def test_asymmetric_is_source_trees(self):
         assert isinstance(make_algorithm("asymmetric"), SourceTreesAlgorithm)
 
-    def test_asymmetric_rejects_options(self):
-        with pytest.raises(ValueError):
-            make_algorithm("asymmetric", method="kmb")
+    def test_one_instance_per_type(self):
+        for ctype in ("symmetric", "receiver-only", "asymmetric"):
+            assert make_algorithm(ctype) is make_algorithm(ctype)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):

@@ -31,12 +31,6 @@ class TestSelectCore:
         core = select_core(grid_adj(), [0, 2, 6, 8], strategy="member-median")
         assert core == 0
 
-    def test_center_strategy(self):
-        core = select_core(grid_adj(), [0, 8], strategy="member-center")
-        # any node at distance 2 from both corners qualifies; tie-break is
-        # the smallest id among minimizers
-        assert core == 2
-
     def test_first_member_strategy(self):
         assert select_core(grid_adj(), [7, 3, 5], strategy="first-member") == 3
 

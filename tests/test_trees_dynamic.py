@@ -11,7 +11,7 @@ from repro.lsr import spf
 from repro.topo.generators import grid_network, random_connected_network, waxman_network
 from repro.trees.base import MulticastTree, TreeError, edge_weights
 from repro.trees.dynamic import GreedyDynamicSteiner, graft_path, prune_member
-from repro.trees.steiner import kmb_steiner_tree, pruned_spt_steiner_tree
+from repro.trees.steiner import pruned_spt_steiner_tree
 
 
 def grid_adj():
@@ -86,45 +86,70 @@ class TestPrune:
         assert pruned.edges == frozenset({(0, 1)})
 
 
+def _without_rebuilds(monkeypatch):
+    monkeypatch.setattr(GreedyDynamicSteiner, "REBUILD_THRESHOLD", float("inf"))
+
+
 class TestPolicy:
     def test_first_computation_is_from_scratch(self):
         adj = grid_adj()
-        dyn = GreedyDynamicSteiner()
-        tree = dyn.update(adj, None, frozenset({0, 8}))
+        tree = GreedyDynamicSteiner().update(adj, None, frozenset({0, 8}))
         tree.validate([0, 8])
-        assert dyn.rebuilds == 1
-        assert dyn.incremental_updates == 0
+        assert tree == pruned_spt_steiner_tree(adj, {0, 8})
 
-    def test_join_is_incremental(self):
+    def test_join_is_incremental(self, monkeypatch):
+        _without_rebuilds(monkeypatch)
         adj = grid_adj()
-        dyn = GreedyDynamicSteiner(rebuild_threshold=float("inf"))
+        dyn = GreedyDynamicSteiner()
         tree = dyn.update(adj, None, frozenset({0, 8}))
         tree2 = dyn.update(adj, tree, frozenset({0, 8, 2}))
         tree2.validate([0, 8, 2])
-        assert dyn.incremental_updates == 1
+        assert tree2 == graft_path(adj, tree, 2)
 
-    def test_leave_is_incremental(self):
+    def test_leave_is_incremental(self, monkeypatch):
+        _without_rebuilds(monkeypatch)
         adj = grid_adj()
-        dyn = GreedyDynamicSteiner(rebuild_threshold=float("inf"))
+        dyn = GreedyDynamicSteiner()
         tree = dyn.update(adj, None, frozenset({0, 8, 2}))
         tree2 = dyn.update(adj, tree, frozenset({0, 8}))
         tree2.validate([0, 8])
-        assert dyn.incremental_updates == 1
+        assert tree2 == prune_member(tree, 2)
+
+    def test_threshold_picks_graft_or_fresh_tree(self):
+        # Triangle 0-1-2 with a tail 0-3-4, unit weights.  The installed
+        # tree takes the long side 0-1-2; grafting 4 costs 4, the fresh
+        # tree 0-2, 0-3-4 costs 3.  The ratio 4/3 stays under the 1.5
+        # threshold, so the graft is kept; a 1.0 threshold takes the
+        # fresh tree.
+        adj = {0: {}, 1: {}, 2: {}, 3: {}, 4: {}}
+        for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (3, 4)):
+            adj[u][v] = adj[v][u] = 1.0
+        installed = MulticastTree.build([(0, 1), (1, 2)], [0, 2])
+        members = frozenset({0, 2, 4})
+        dyn = GreedyDynamicSteiner()
+        grafted = graft_path(adj, installed, 4)
+        fresh = pruned_spt_steiner_tree(adj, members)
+        assert grafted.edges == frozenset({(0, 1), (1, 2), (0, 3), (3, 4)})
+        assert fresh.edges == frozenset({(0, 2), (0, 3), (3, 4)})
+        assert dyn.update(adj, installed, members) == grafted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GreedyDynamicSteiner, "REBUILD_THRESHOLD", 1.0)
+            assert dyn.update(adj, installed, members) == fresh
 
     def test_broken_tree_edge_forces_rebuild(self):
         adj = grid_adj()
         dyn = GreedyDynamicSteiner()
-        tree = dyn.update(adj, None, frozenset({0, 8}))
+        members = frozenset({0, 8})
+        tree = dyn.update(adj, None, members)
         # remove an edge the tree uses from the adjacency (link failure)
         u, v = sorted(tree.edges)[0]
         broken = {
             x: {y: w for y, w in nbrs.items() if {x, y} != {u, v}}
             for x, nbrs in adj.items()
         }
-        rebuilds_before = dyn.rebuilds
-        tree2 = dyn.update(broken, tree, frozenset({0, 8}))
+        tree2 = dyn.update(broken, tree, members)
         tree2.validate([0, 8])
-        assert dyn.rebuilds == rebuilds_before + 1
+        assert tree2 == pruned_spt_steiner_tree(broken, members)
         assert (u, v) not in tree2.edges
 
     def test_empty_membership_returns_empty(self):
@@ -132,18 +157,13 @@ class TestPolicy:
         tree = dyn.update(grid_adj(), None, frozenset())
         assert len(tree.edges) == 0
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            GreedyDynamicSteiner(rebuild_threshold=0.5)
-        with pytest.raises(ValueError):
-            GreedyDynamicSteiner(scratch="nonsense")
-
-    def test_tight_threshold_triggers_rebuild(self):
+    def test_tight_threshold_triggers_rebuild(self, monkeypatch):
         # With threshold 1.0 any degradation rebuilds; cost never exceeds
         # the fresh heuristic's.
+        monkeypatch.setattr(GreedyDynamicSteiner, "REBUILD_THRESHOLD", 1.0)
         adj = grid_adj()
         weights = edge_weights(adj)
-        dyn = GreedyDynamicSteiner(rebuild_threshold=1.0)
+        dyn = GreedyDynamicSteiner()
         members = frozenset({0, 8})
         tree = dyn.update(adj, None, members)
         for new in (2, 6, 4):
@@ -172,17 +192,18 @@ class TestPolicy:
             assert tree.is_tree()
 
 
-def edge_weights_update(dyn, adj, previous, members):
+def edge_weights_update(adj, previous, members):
     """``GreedyDynamicSteiner.update`` as it was: one ``edge_weights(adj)``
     map over the whole image per computation, to check tree edges and to
     price the two trees."""
+    threshold = GreedyDynamicSteiner.REBUILD_THRESHOLD
     if not members:
         return MulticastTree.empty()
     if previous is None or not previous.members:
-        return dyn._from_scratch(adj, members)
+        return pruned_spt_steiner_tree(adj, members)
     weights = edge_weights(adj)
     if any(e not in weights for e in previous.edges):
-        return dyn._from_scratch(adj, members)
+        return pruned_spt_steiner_tree(adj, members)
     tree = previous
     try:
         for gone in sorted(previous.members - members):
@@ -190,14 +211,10 @@ def edge_weights_update(dyn, adj, previous, members):
         for new in sorted(members - previous.members):
             tree = graft_path(adj, tree, new)
     except TreeError:
-        return dyn._from_scratch(adj, members)
-    if dyn.rebuild_threshold != float("inf") and len(members) >= 2:
-        fresh = (
-            kmb_steiner_tree(adj, members)
-            if dyn.scratch == "kmb"
-            else pruned_spt_steiner_tree(adj, members)
-        )
-        if tree.cost(weights) > dyn.rebuild_threshold * fresh.cost(weights):
+        return pruned_spt_steiner_tree(adj, members)
+    if threshold != float("inf") and len(members) >= 2:
+        fresh = pruned_spt_steiner_tree(adj, members)
+        if tree.cost(weights) > threshold * fresh.cost(weights):
             return fresh
     return MulticastTree(tree.edges, members, tree.root)
 
@@ -205,29 +222,33 @@ def edge_weights_update(dyn, adj, previous, members):
 class TestEdgeWeightsFormulation:
     @given(
         st.integers(6, 30), st.integers(0, 10_000), st.integers(4, 16),
-        st.sampled_from([1.0, 1.2, 1.5]), st.sampled_from(["pruned-spt", "kmb"]),
+        st.sampled_from([1.0, 1.2, 1.5]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_update_returns_the_edge_weights_trees(self, n, seed, steps, threshold, scratch):
+    def test_update_returns_the_edge_weights_trees(self, n, seed, steps, threshold):
         """Over random Waxman images, join/leave sequences and failures of
         non-bridge links: the same trees, edge for edge and member for member."""
         rng = random.Random(seed)
         net = waxman_network(n, rng)
-        dyn = GreedyDynamicSteiner(rebuild_threshold=threshold, scratch=scratch)
+        dyn = GreedyDynamicSteiner()
         members = {rng.randrange(n)}
         tree = None
-        for _ in range(steps):
-            if rng.random() < 0.2:
-                bridges = set(net.bridges())
-                spare = sorted(link.key for link in net.links() if link.key not in bridges)
-                if spare:
-                    net.set_link_state(*rng.choice(spare), up=False)
-            absent = [x for x in range(n) if x not in members]
-            if absent and (len(members) == 1 or rng.random() < 0.6):
-                members.add(rng.choice(absent))
-            else:
-                members.remove(rng.choice(sorted(members)))
-            adj = net.spf_view()
-            new = dyn.update(adj, tree, frozenset(members))
-            assert new == edge_weights_update(dyn, adj, tree, frozenset(members))
-            tree = new
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GreedyDynamicSteiner, "REBUILD_THRESHOLD", threshold)
+            for _ in range(steps):
+                if rng.random() < 0.2:
+                    bridges = set(net.bridges())
+                    spare = sorted(
+                        link.key for link in net.links() if link.key not in bridges
+                    )
+                    if spare:
+                        net.set_link_state(*rng.choice(spare), up=False)
+                absent = [x for x in range(n) if x not in members]
+                if absent and (len(members) == 1 or rng.random() < 0.6):
+                    members.add(rng.choice(absent))
+                else:
+                    members.remove(rng.choice(sorted(members)))
+                adj = net.spf_view()
+                new = dyn.update(adj, tree, frozenset(members))
+                assert new == edge_weights_update(adj, tree, frozenset(members))
+                tree = new
