@@ -4,23 +4,25 @@ The paper's claim is that concurrently computed proposals, ordered by the
 R / E / C vector timestamps, leave every switch with the same member
 list, the same C and the same installed topology once flooding
 quiesces.  This module is the only place in ``src/`` that writes such a
-condition down.  :func:`check_invariants` takes the plain data both
+condition down.  :func:`check_invariants` takes the data both
 execution backends expose under the same names --
-``states_for(connection_id)``, the physical ``net``, ``install_log`` --
-plus a ``settled`` flag, and every harness calls it: the systematic
-explorer (every state; ``settled`` in terminal loss-free states), the
-chaos soak (stable points), the simulated-vs-live equivalence harness,
-and :func:`verify_deployment`.  A violation is reported the same way
-everywhere: a :class:`Violation` carrying a stable *invariant name* (CLI
-exit messages, counterexample files and regression tests key on it) and
-a human-readable detail.  The name x harness matrix is in
-docs/systematic-testing.md.
+``states_for(connection_id)``, the physical ``net``, ``install_log`` (an
+:class:`InstallLog`) -- plus a ``settled`` flag, and every harness calls
+it: the systematic explorer (every state; ``settled`` in terminal
+loss-free states), the chaos soak (stable points), the simulated-vs-live
+equivalence harness, and :func:`verify_deployment`.  A violation is
+reported the same way everywhere: a :class:`Violation` carrying a stable
+*invariant name* (CLI exit messages, counterexample files and regression
+tests key on it) and a human-readable detail.  The name x harness matrix
+is in docs/systematic-testing.md.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import DefaultDict, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.mc import ConnectionType
 from repro.core.state import McState
@@ -86,6 +88,63 @@ class Violation:
     def describe(self) -> str:
         prefix = f"{self.context}: " if self.context else ""
         return f"{prefix}{self.invariant}: {self.detail}"
+
+
+class InstallRecord(NamedTuple):
+    """One topology install (a switch adopting a proposal), read back."""
+
+    time: float
+    switch: int
+    connection_id: int
+    proposer: int
+    stamp_total: int
+
+
+class InstallLog:
+    """Every topology install of one deployment, and the ``stale-install`` rule.
+
+    Five ``array`` columns, 28 B per install.  :meth:`record` applies the
+    rule once, when the install happens, against the last stamp the same
+    switch installed for the connection; that table, like the columns,
+    outlives tombstones and restarts.  Indexing and iteration yield
+    :class:`InstallRecord` tuples.
+    """
+
+    def __init__(self) -> None:
+        self.columns = (array("d"), array("i"), array("I"), array("i"), array("q"))
+        self.time, self.switch, self.connection, self.proposer, self.stamp_total = self.columns
+        self._last: DefaultDict[int, Dict[int, Stamp]] = defaultdict(dict)
+        #: connection id -> ``stale-install`` details, in install order.
+        self.stale: Dict[int, List[str]] = {}
+
+    def record(
+        self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
+    ) -> None:
+        total = stamp.total()
+        lasts = self._last[connection_id]
+        last = lasts.get(switch)
+        # A dominated stamp has the smaller sum, so the sums clear nearly
+        # every install without a stamp compare.
+        if last is not None and last.total() > total and stamp_gt(last, stamp):
+            self.stale.setdefault(connection_id, []).append(
+                f"switch {switch} replaced installed stamp {last} with "
+                f"dominated stamp {stamp} (proposer {proposer})"
+            )
+        lasts[switch] = stamp
+        self.time.append(time)
+        self.switch.append(switch)
+        self.connection.append(connection_id)
+        self.proposer.append(proposer)
+        self.stamp_total.append(total)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, i: int) -> InstallRecord:
+        return InstallRecord(*[column[i] for column in self.columns])
+
+    def __iter__(self) -> Iterator[InstallRecord]:
+        return map(InstallRecord, *self.columns)
 
 
 def check_agreement(
@@ -178,7 +237,7 @@ def check_invariants(
     connection_id: int,
     states: Dict[int, McState],
     net,
-    install_log: Iterable,
+    install_log: InstallLog,
     settled: bool,
     context: str = "",
 ) -> List[Violation]:
@@ -187,27 +246,17 @@ def check_invariants(
     ``states`` are the per-switch states of the live switches
     (``states_for(connection_id)``), ``net`` the physical
     :class:`~repro.topo.graph.Network` (its up links), ``install_log``
-    the backend's :class:`~repro.core.protocol.InstallRecord` list.
-    ``settled`` asserts the convergence conditions too: the caller
-    vouches that flooding has quiesced with nothing lost.
+    the backend's :class:`InstallLog`, which checked ``stale-install``
+    per install.  ``settled`` asserts the convergence conditions too:
+    the caller vouches that flooding has quiesced with nothing lost.
     """
     found: List[Violation] = []
 
     def broken(invariant: str, detail: str) -> None:
         found.append(Violation(invariant, detail, context))
 
-    installed: Dict[int, Stamp] = {}
-    for record in install_log:
-        if record.connection_id != connection_id:
-            continue
-        prev = installed.get(record.switch)
-        if prev is not None and stamp_gt(prev, record.stamp):
-            broken(
-                STALE_INSTALL,
-                f"switch {record.switch} replaced installed stamp {prev} with "
-                f"dominated stamp {record.stamp} (proposer {record.proposer})",
-            )
-        installed[record.switch] = record.stamp
+    for detail in install_log.stale.get(connection_id, ()):
+        broken(STALE_INSTALL, detail)
     trees = [
         (x, key, tree)
         for x, state in sorted(states.items())

@@ -69,8 +69,8 @@ class ConnectionSpec:
         return make_algorithm(self.ctype.value)
 
     def __post_init__(self) -> None:
-        if self.connection_id < 0:
-            raise ValueError("connection_id must be non-negative")
+        if not 0 <= self.connection_id < 2**32:  # the wire's and the install log's u32
+            raise ValueError("connection_id must be in [0, 2**32)")
 
 
 class ConnectionRegistrar:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, NodeEvent
-from repro.core.invariants import check_agreement
+from repro.core.invariants import InstallLog, check_agreement
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.state import McState
@@ -100,17 +100,6 @@ class ComputationRecord:
     connection_id: int
 
 
-@dataclass
-class InstallRecord:
-    """One topology install (a switch adopting a proposal)."""
-
-    time: float
-    switch: int
-    connection_id: int
-    stamp: Stamp
-    proposer: int
-
-
 class DgmcNetwork(ConnectionRegistrar):
     """A complete simulated D-GMC deployment."""
 
@@ -136,7 +125,7 @@ class DgmcNetwork(ConnectionRegistrar):
         self.routers: Dict[int, UnicastRouter] = bring_up_unicast(net, self.fabric)
         self.switches: Dict[int, DgmcSwitch] = {}
         self.computation_log: List[ComputationRecord] = []
-        self.install_log: List[InstallRecord] = []
+        self.install_log = InstallLog()
         self.events_injected = 0
         self._mc_event_count = 0
         #: Switches currently failed ("nodal events"); they neither
@@ -184,9 +173,7 @@ class DgmcNetwork(ConnectionRegistrar):
     def _record_install(
         self, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
-        self.install_log.append(
-            InstallRecord(self.sim.now, switch, connection_id, stamp, proposer)
-        )
+        self.install_log.record(self.sim.now, switch, connection_id, stamp, proposer)
         state = self.switches[switch].states.get(connection_id)
         if state is not None:
             retired = state.take_frr_retirements()

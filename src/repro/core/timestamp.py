@@ -48,7 +48,7 @@ BOUND = 256
 #: Interned and shared, so never mutated.  ``counts`` is a plain dict of
 #: ints, which the garbage collector does not track (a dict subclass it
 #: would), so a collection visits three slots per value, not every
-#: component of every value an install log keeps.
+#: component of every value a deployment keeps.
 Value = Tuple[Dict[int, int], int, int]
 
 

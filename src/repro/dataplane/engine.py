@@ -20,10 +20,10 @@ O(1) per packet.
 
 Invalidation:
 
-* **install generation** -- every topology install appends to
+* **install generation** -- every topology install is recorded in
   ``DgmcNetwork.install_log``; :meth:`BatchForwardingEngine.refresh`
-  scans the new suffix and drops compiled state and templates for
-  exactly the touched connections.
+  reads the connection column from where it last stopped and drops
+  compiled state and templates for exactly the touched connections.
 * **physical generation** -- ``Network.version`` advances on every link
   add or up/down flip.  When :meth:`~repro.topo.graph.Network.
   up_delta_since` can name the single changed link, only connections
@@ -283,7 +283,7 @@ class BatchForwardingEngine:
             self._net_version = net_version
         log = self.dgmc.install_log
         if len(log) > self._log_pos:
-            for m in {record.connection_id for record in log[self._log_pos:]}:
+            for m in set(log.connection[self._log_pos:]):
                 self.invalidate(m)
             self._log_pos = len(log)
         if self._compiled and self.dgmc.config.enable_frr:

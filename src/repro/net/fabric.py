@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, NodeEvent
-from repro.core.invariants import check_agreement
+from repro.core.invariants import InstallLog, check_agreement
 from repro.core.mc import ConnectionRegistrar, ConnectionSpec
-from repro.core.protocol import InstallRecord, ProtocolConfig
+from repro.core.protocol import ProtocolConfig
 from repro.core.state import McState
 from repro.core.timestamp import Stamp
 from repro.net.faults import FaultPlan
@@ -120,7 +120,7 @@ class LiveFabric(ConnectionRegistrar):
         self._started = False
         self._shut_down = False
         self.events_injected = 0
-        self.install_log: List[InstallRecord] = []
+        self.install_log = InstallLog()
         #: Boot generation per switch (bumped by every restart).
         self.generations: Dict[int, int] = {x: 1 for x in net.switches()}
         #: Currently crashed switches (no host object, traffic blackholed).
@@ -207,11 +207,7 @@ class LiveFabric(ConnectionRegistrar):
         # ``time`` is the installing host's *local* sim clock: there is no
         # global clock in the live runtime, only per-host schedulers.
         host = self.hosts[switch]
-        self.install_log.append(
-            InstallRecord(
-                host.sim.now, switch, connection_id, stamp, proposer,
-            )
-        )
+        self.install_log.record(host.sim.now, switch, connection_id, stamp, proposer)
         state = host.switch.states.get(connection_id)
         if state is not None:
             self.slo.record_frr_retired(state.take_frr_retirements())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.lsa import McLsa
 from repro.core.protocol import DgmcNetwork
@@ -59,15 +59,8 @@ def build_timeline(
     for rec in dgmc.install_log:
         if connection_id is not None and rec.connection_id != connection_id:
             continue
-        entries.append(
-            TimelineEntry(
-                rec.time,
-                "install",
-                rec.switch,
-                rec.connection_id,
-                f"stamp_total={rec.stamp.total()} proposer={rec.proposer}",
-            )
-        )
+        detail = f"stamp_total={rec.stamp_total} proposer={rec.proposer}"
+        entries.append(TimelineEntry(rec.time, "install", rec.switch, rec.connection_id, detail))
     for flood in dgmc.fabric.history:
         payload = flood.payload
         if not isinstance(payload, McLsa):
@@ -108,18 +101,16 @@ def convergence_profile(
 ) -> List[Tuple[float, int]]:
     """Adoption curve of the *final* consensus topology.
 
-    Returns ``[(time, switches_converged_so_far), ...]``: for each switch,
-    its *last* install (the moment it settled on what it still holds),
-    sorted by time.  The curve's tail is the convergence time; its shape
-    shows how agreement spreads through the network.
+    Returns ``[(time, switches_converged_so_far), ...]``: for each live
+    switch, its *last* install (the moment it settled on what it still
+    holds), sorted by time.  The curve's tail is the convergence time; its
+    shape shows how agreement spreads through the network.
     """
-    states = dgmc.states_for(connection_id)
-    last_install: Dict[int, float] = {}
-    for rec in dgmc.install_log:
-        if rec.connection_id != connection_id:
-            continue
-        if rec.switch not in states:
-            continue
-        last_install[rec.switch] = rec.time
+    live = set(dgmc.states_for(connection_id)) - dgmc.dead_switches
+    last_install = {
+        rec.switch: rec.time
+        for rec in dgmc.install_log
+        if rec.connection_id == connection_id and rec.switch in live
+    }
     times = sorted(last_install.values())
     return [(t, i + 1) for i, t in enumerate(times)]

@@ -225,7 +225,7 @@ class ConvergedGroups:
     group into every switch.  Each churn event mutates the shared state,
     recomputes the group's topology once (through the network's memoizing
     SPF view, so Dijkstra runs are shared across groups), reinstalls it,
-    and appends an install record via the protocol's own hook -- so
+    and records the install in the deployment's ``install_log`` -- so
     data-plane engines observe the same install-generation signal the
     live protocol produces, and their invalidation fires identically.
 
@@ -262,7 +262,7 @@ class ConvergedGroups:
             state.install(topology, stamp, self.dgmc.sim.now, proposer)
             for x in range(n):
                 self.dgmc.switches[x].states[g] = state
-            self.dgmc._record_install(proposer, g, stamp, proposer)
+            self.dgmc.install_log.record(self.dgmc.sim.now, proposer, g, stamp, proposer)
 
     def apply(self, event: GroupEvent) -> None:
         """Apply one churn event: mutate membership, recompute, reinstall."""
@@ -276,8 +276,9 @@ class ConvergedGroups:
         adj = self.dgmc.net.spf_view()
         topology = state.algorithm.compute(adj, state.members, state.installed)
         stamp = counts.snapshot()
-        state.install(topology, stamp, self.dgmc.sim.now, event.switch)
-        self.dgmc._record_install(event.switch, event.group, stamp, event.switch)
+        now = self.dgmc.sim.now
+        state.install(topology, stamp, now, event.switch)
+        self.dgmc.install_log.record(now, event.switch, event.group, stamp, event.switch)
 
 
 @dataclass

@@ -46,6 +46,11 @@ class TestConnectionSpec:
         with pytest.raises(ValueError):
             ConnectionSpec(-1, ConnectionType.SYMMETRIC)
 
+    def test_id_must_fit_the_wire(self):
+        ConnectionSpec(2**32 - 1, ConnectionType.SYMMETRIC)
+        with pytest.raises(ValueError):
+            ConnectionSpec(2**32, ConnectionType.SYMMETRIC)
+
     def test_every_state_of_a_type_holds_the_same_algorithm(self):
         """The computations are stateless, so no switch or connection
         allocates its own: one object per MC type."""

@@ -1,10 +1,11 @@
 """The invariant x harness matrix: one contract, checked whole, everywhere.
 
 For every name in ``ALL_INVARIANTS`` one violation is planted on a settled
-3-switch deployment (a mutated ``McState``, an appended ``InstallRecord``,
-a downed link), and the shared entry function, ``verify_deployment``,
-``StressExecutor.check_invariants``, the chaos soak's stable-point check
-and the equivalence harness's verdict must each report exactly that name.
+3-switch deployment (a mutated ``McState``, a dominated install recorded
+through ``InstallLog.record``, a downed link), and the shared entry
+function, ``verify_deployment``, ``StressExecutor.check_invariants``, the
+chaos soak's stable-point check and the equivalence harness's verdict
+must each report exactly that name.
 Parametrised over ``ALL_INVARIANTS``: a name added later without a
 planting here fails with a ``KeyError``.
 """
@@ -23,7 +24,6 @@ from repro.core.invariants import (
     check_invariants,
     verify_deployment,
 )
-from repro.core.protocol import InstallRecord
 from repro.core.timestamp import Stamp
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.net import chaos, equiv
@@ -71,7 +71,7 @@ PLANT = {
     "spans": lambda d: install_everywhere(d, shared()),
     "stamp-order": outrun_expected,
     "links-up": lambda d: d.net.set_link_state(0, 2, False),
-    "stale-install": lambda d: d.install_log.append(InstallRecord(0.0, 0, CID, Stamp(), 0)),
+    "stale-install": lambda d: d.install_log.record(0.0, 0, CID, Stamp(), 0),
     "lsdb-complete": empty_a_restarted_lsdb,
 }
 

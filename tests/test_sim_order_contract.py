@@ -86,6 +86,12 @@ def test_golden_dispatch_order():
     net = waxman_network(12, random.Random(1996))
     dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05))
     dgmc.register_symmetric(CID)
+    installs = []  # the whole stamps, which the install log keeps only the sums of
+    for switch in dgmc.switches.values():
+        def on_install(x, connection_id, stamp, proposer, record=switch.on_install):
+            installs.append((dgmc.sim.now, x, connection_id, stamp, proposer))
+            record(x, connection_id, stamp, proposer)
+        switch.on_install = on_install
     for at, member in enumerate((0, 5, 9), start=1):
         dgmc.inject(JoinEvent(member, CID), at=float(at))
     dgmc.run()
@@ -101,12 +107,11 @@ def test_golden_dispatch_order():
     assert dgmc.agreement(CID)[0]
 
     computations = [(c.time, c.switch, c.connection_id) for c in dgmc.computation_log]
-    installs = [
-        (i.time, i.switch, i.connection_id, tuple(sorted(i.stamp.items())), i.proposer)
-        for i in dgmc.install_log
-    ]
+    pinned = [(t, x, m, tuple(sorted(c.items())), p) for t, x, m, c, p in installs]
     assert computations == COMPUTATIONS
-    assert len(installs) == SETUP_INSTALLS + len(WINDOW_INSTALLS)
-    assert installs[SETUP_INSTALLS:] == WINDOW_INSTALLS
+    assert len(pinned) == SETUP_INSTALLS + len(WINDOW_INSTALLS)
+    assert pinned[SETUP_INSTALLS:] == WINDOW_INSTALLS
+    log = dgmc.install_log
+    assert list(zip(*log.columns)) == [(t, x, m, p, c.total()) for t, x, m, c, p in installs]
     assert dgmc.sim.events_dispatched == KERNEL_EVENTS
     assert dgmc.sim.now == 12.25

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
-from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
-from repro.topo.generators import ring_network
+from repro.core import DgmcNetwork, JoinEvent, NodeEvent, ProtocolConfig
+from repro.topo.generators import ring_network, waxman_network
 from repro.obs.timeline import (
     build_timeline,
     convergence_profile,
@@ -79,3 +81,16 @@ class TestConvergenceProfile:
     def test_empty_for_unknown_connection(self):
         dgmc = traced_deployment()
         assert convergence_profile(dgmc, 99) == []
+
+    def test_failed_switch_is_not_counted_as_settled(self):
+        dgmc = DgmcNetwork(waxman_network(10, Random(3)), ProtocolConfig(compute_time=0.5))
+        dgmc.register_symmetric(1)
+        for at, member in enumerate((0, 4, 7), start=1):
+            dgmc.inject(JoinEvent(member, 1), at=10.0 * at)
+        dgmc.inject(NodeEvent(9, up=False), at=40.0)
+        dgmc.inject(JoinEvent(2, 1), at=50.0)
+        dgmc.run()
+        assert 9 in dgmc.states_for(1)  # the dead switch still holds its old state
+        profile = convergence_profile(dgmc, 1)
+        assert len(profile) == 9  # the live switches, each settled once
+        assert profile[-1][0] == pytest.approx(dgmc.last_install_time(1))
