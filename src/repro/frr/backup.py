@@ -41,6 +41,12 @@ The detour search is deliberately *local* (it never calls
 ``spf.dijkstra_uncached``), so ``spf.RUN_COUNTER`` / ``RELAX_COUNTER``
 and the cache counters the benchmark gates pin stay bit-identical when
 FRR is off, and FRR-on runs only add its own deterministic work.
+
+A detour is a function of the image's content and the edge, so it is
+memoised in the image's ``detours`` dict, which
+:class:`~repro.lsr.spfcache.SpfCache` shares across every image of the
+same content in a deployment: both endpoints of an edge, and every later
+image with that content, reuse one :class:`BackupFragment` object.
 """
 
 from __future__ import annotations
@@ -203,14 +209,18 @@ def compute_backup_plan(topology, image, at: int) -> BackupPlan:
     over identical images, the two endpoints of an edge derive the same
     fragment -- always oriented along the canonical (sorted) edge --
     without coordinating.  A switch with no incident tree edge gets an
-    empty plan and never reads ``image``.
+    empty plan and never reads ``image``.  A cached image memoises each
+    edge's detour (module docstring); a plain one recomputes it.
     """
+    detours = getattr(image, "detours", {})
     fragments: List[BackupFragment] = []
     uncovered: List[Tuple[int, int]] = []
     for u, v in sorted(topology.all_edges()):
         if at != u and at != v:
             continue
-        fragment = _detour(image, u, v)
+        if (u, v) not in detours:
+            detours[(u, v)] = _detour(image, u, v)
+        fragment = detours[(u, v)]
         if fragment is None:
             uncovered.append((u, v))
         else:

@@ -14,9 +14,14 @@ produced by :func:`repro.lsr.spf.dijkstra_uncached`:
 
 That canonical form is what makes local repair exact: after the distance
 update, the correct parent of any node is recomputable from its own
-neighborhood alone, so repaired results are byte-identical to a fresh
-full run (``benchmarks/regress.py --mode ispf`` and the Hypothesis suite
-in ``tests/test_ispf.py`` gate exactly that).
+neighborhood alone.  A full run also settles its nodes in ``(dist,
+parent, node)`` order (the source, whose parent is None, first), and a
+repair emits its dicts in that order too, so repaired results are
+byte-identical to a fresh full run, iteration order included
+(``benchmarks/regress.py --mode ispf`` and the Hypothesis suite in
+``tests/test_ispf.py`` gate exactly that).  Images with the same content
+share their solved trees (:mod:`repro.lsr.spfcache`), so a consumer may
+read a tree another switch repaired where its own would have run in full.
 
 A *weight-decrease* (or link-up) can only shorten distances: a seeded
 Dijkstra from the improved endpoints relaxes the strictly-improved
@@ -217,7 +222,7 @@ def _repair_decrease(
     if fixed is None:  # pragma: no cover - inconsistent inputs
         return None
     spf.RELAX_COUNTER.count += relaxed + fixed
-    return dist, parent
+    return _settle_order(dist, parent)
 
 
 def _repair_increase(
@@ -288,7 +293,24 @@ def _repair_increase(
     if fixed is None:  # pragma: no cover - inconsistent inputs
         return None
     spf.RELAX_COUNTER.count += relaxed + fixed
-    return dist, parent
+    return _settle_order(dist, parent)
+
+
+def _settle_order(
+    dist: Dict[int, float], parent: Dict[int, Optional[int]]
+) -> SsspResult:
+    """``dist`` and ``parent`` rebuilt in a full run's settle order.
+
+    :func:`repro.lsr.spf.dijkstra_uncached` pops ``(dist, parent, node)``
+    heap entries in increasing order and settles each node at its first
+    pop, so its dicts iterate sorted by that key, with the source (parent
+    None, ranked -1) first.
+    """
+    order = sorted(
+        dist,
+        key=lambda x: (dist[x], -1 if parent[x] is None else parent[x], x),
+    )
+    return {x: dist[x] for x in order}, {x: parent[x] for x in order}
 
 
 def _fix_parents(

@@ -5,6 +5,15 @@ origin.  The *network image* -- the complete local picture of the network
 that LSR gives every switch, and that D-GMC topology computations run on --
 is derived from the database with OSPF's two-way check: a link is part of
 the image only when **both** endpoints currently advertise it as up.
+
+A database is built with its deployment's
+:class:`~repro.lsr.spfcache.SolvedImages` table and keeps its image's
+:func:`~repro.lsr.spfcache.content_key`: a full scan computes it, and
+each install updates it from its link delta in O(delta).  Images with the
+same content -- most switches' after a flood -- then share one set of
+solved SPF tables and one row table, so the exact-content check of the
+next image compares unchanged rows by identity; databases holding equal
+LSAs share one full scan.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.lsr.ispf import MAX_REPAIR_CHAIN, LinkDelta
 from repro.lsr.lsa import RouterLsa
-from repro.lsr.spfcache import GLOBAL_STATS, wrap_image
+from repro.lsr.spfcache import GLOBAL_STATS, SolvedImages, SpfCache, rekey, wrap_image
 
 #: Longest delta sequence worth replaying through incremental SPF; past
 #: this, a full Dijkstra is cheaper than the chain of repairs.  Shared
@@ -28,12 +37,18 @@ class LinkStateDatabase:
 
     The image is handed out as a :class:`~repro.lsr.spfcache.SpfCache`
     snapshot keyed by the install generation: every accepted LSA install
-    discards the snapshot (and its memoized SPF results) and the next
-    :meth:`adjacency` call builds a fresh one.
+    discards the snapshot and the next :meth:`adjacency` call builds a
+    fresh one, which adopts the solved SPF results of any image in the
+    deployment's ``solved`` table with the same content.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, solved: SolvedImages) -> None:
         self.n = n
+        #: The deployment's table of solved images.
+        self.solved = solved
+        #: The image content's key: the first full scan sets it, and the
+        #: installs after it (the only ones with a link delta) update it.
+        self._key = 0
         self._entries: Dict[int, RouterLsa] = {}
         self._image: Optional[Mapping[int, Dict[int, float]]] = None
         #: Count of accepted (newer) installs, for diagnostics.  Doubles as
@@ -76,6 +91,8 @@ class LinkStateDatabase:
         self._entries[lsa.origin] = lsa
         self.installs += 1
         self.last_install_changed_image = changes != ()
+        if changes:
+            self._key = rekey(self._key, changes)
         if self._image is not None:
             if changes == ():
                 return True
@@ -113,7 +130,12 @@ class LinkStateDatabase:
             peer = self._entries.get(nbr)
             if peer is None:
                 continue
-            back = peer.link_map().get(origin)
+            # The peer's last entry for ``origin`` (what its link_map()
+            # holds), read without building that dict.
+            back = None
+            for peer_nbr, peer_delay, peer_up in peer.links:
+                if peer_nbr == origin:
+                    back = peer_delay, peer_up
             if back is None or not back[1]:
                 continue
             edges[nbr] = (delay + back[0]) / 2.0
@@ -176,30 +198,41 @@ class LinkStateDatabase:
             for x in {x for u, v, _, _ in self._pending_delta for x in (u, v)}:
                 adj[x] = self._lsa_edges(x, self._entries.get(x))
         else:
-            adj = {x: {} for x in range(self.n)}
-            # One map per origin per rebuild, not one per directed link.
-            maps = {origin: lsa.link_map() for origin, lsa in self._entries.items()}
-            for origin, lsa in self._entries.items():
-                for nbr, delay, up in lsa.links:
-                    if not up:
-                        continue
-                    peer = maps.get(nbr)
-                    if peer is None:
-                        continue
-                    back = peer.get(origin)
-                    if back is None or not back[1]:
-                        continue
-                    adj[origin][nbr] = (delay + back[0]) / 2.0
-        self._rows = adj
-        self._image = wrap_image(
+            adj, self._key = self.solved.scan(self._entries, self._scan)
+        image = wrap_image(
             adj,
             generation=self.installs,
             prev=self._prev_image,
             delta=self._pending_delta,
+            table=self.solved,
+            key=self._key,
         )
+        # A table hit reads the rows of the content's first image: adopt
+        # them, so images of one content keep sharing row objects.
+        self._rows = image.rows if isinstance(image, SpfCache) else adj
+        self._image = image
         self._prev_image = None
         self._pending_delta = None
-        return self._image
+        return image
+
+    def _scan(self) -> Dict[int, Dict[int, float]]:
+        """The image of every stored LSA (see :meth:`SolvedImages.scan
+        <repro.lsr.spfcache.SolvedImages.scan>`)."""
+        adj: Dict[int, Dict[int, float]] = {x: {} for x in range(self.n)}
+        # One map per origin per rebuild, not one per directed link.
+        maps = {origin: lsa.link_map() for origin, lsa in self._entries.items()}
+        for origin, lsa in self._entries.items():
+            for nbr, delay, up in lsa.links:
+                if not up:
+                    continue
+                peer = maps.get(nbr)
+                if peer is None:
+                    continue
+                back = peer.get(origin)
+                if back is None or not back[1]:
+                    continue
+                adj[origin][nbr] = (delay + back[0]) / 2.0
+        return adj
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LinkStateDatabase(n={self.n}, origins={len(self._entries)})"

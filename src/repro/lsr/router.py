@@ -19,6 +19,7 @@ from repro.lsr.flooding import FloodingFabric
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr import spf
+from repro.lsr.spfcache import SolvedImages
 from repro.topo.graph import Network
 
 
@@ -30,12 +31,15 @@ class UnicastRouter:
         switch_id: int,
         net: Network,
         fabric: FloodingFabric,
+        solved: SolvedImages,
         on_image_change: Optional[Callable[[], None]] = None,
     ) -> None:
         self.switch_id = switch_id
         self.net = net
         self.fabric = fabric
-        self.lsdb = LinkStateDatabase(net.n)
+        #: ``solved`` is the deployment's table of solved images, shared
+        #: by all of its routers.
+        self.lsdb = LinkStateDatabase(net.n, solved)
         self._seqnum = 0
         self._routing_table: Optional[Dict[int, int]] = None
         #: Hook invoked whenever the network image changes (used by D-GMC
@@ -150,9 +154,11 @@ def bring_up_unicast(
     For experiments that start from a converged unicast layer (the paper's
     setting: membership events arrive on a stable network), the routers'
     databases are populated directly rather than simulating the initial
-    flood storm.
+    flood storm.  The routers are one deployment: they share one table of
+    solved images, which no other deployment on ``net`` reads.
     """
-    routers = {x: UnicastRouter(x, net, fabric) for x in net.switches()}
+    solved = SolvedImages()
+    routers = {x: UnicastRouter(x, net, fabric, solved) for x in net.switches()}
     lsas = {x: routers[x].originate(flood=False) for x in net.switches()}
     for x, router in routers.items():
         for origin, lsa in lsas.items():

@@ -1,4 +1,4 @@
-"""LSDB-generation-keyed SPF result cache.
+"""LSDB-generation-keyed SPF result cache, shared by image content.
 
 D-GMC's cost model charges *one* topology computation per event, yet the
 substrate underneath used to re-run full Dijkstra from scratch on every
@@ -25,6 +25,24 @@ replace them wholesale on invalidation (LSA install, link up/down), which
 preserves snapshot semantics: a computation that captured the old image
 keeps computing on the old image.
 
+Every switch computes on its own image, but the simulator hosts a whole
+deployment in one process, and after a flood most switches hold images
+with the same content.  SPF results are a function of content alone
+(lowest-id tie-breaks, and repairs emit a full run's dict order), so each
+deployment keeps one :class:`SolvedImages` table -- made by
+:func:`~repro.lsr.router.bring_up_unicast` or
+:class:`~repro.net.fabric.LiveFabric` and handed to every router of that
+deployment -- and a cache whose content is already in the table adopts
+that entry's solved dicts and its row table instead of starting empty.
+The table is keyed by :func:`content_key`, an order-free sum of per-edge
+hashes the LSDB updates from each install's link delta; a hit also needs
+equal content, so a colliding key never shares.  Each cache keeps its
+own ``generation`` and repair chain.  The entry also holds ``detours``,
+the memo :mod:`repro.frr.backup` keeps its detours in.  The table also
+remembers the LSDB full scans that built its images, so databases that
+hold equal LSAs scan them once.  A :class:`~repro.topo.graph.Network`
+keeps a table of its own for its views.
+
 Memoized results are shared; callers must treat the returned ``dist`` /
 ``parent`` mappings as immutable (every in-tree consumer already does).
 """
@@ -34,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.lsr import ispf as _ispf
 from repro.lsr.spf import (
@@ -55,6 +73,17 @@ _ispf_on = True
 #: producer-side pending-delta cap -- see
 #: :data:`repro.lsr.ispf.MAX_REPAIR_CHAIN` for why they must agree.
 _MAX_REPAIR_CHAIN = _ispf.MAX_REPAIR_CHAIN
+
+#: Image contents one deployment's :class:`SolvedImages` keeps before it
+#: forgets its oldest (FIFO, the way :data:`repro.core.timestamp.BOUND`
+#: bounds the stamp tables); a forgotten entry costs a re-solve, never an
+#: answer.  Measured on the benchmark's ``linkflap_frr_n60`` (seed 7):
+#: 3,000 fail/heal cycles made 35 distinct contents, at most 9 of them
+#: held by the routers at once, and evicted none; the other workloads have
+#: no link events and hold one.
+SOLVED_BOUND = 64
+
+_KEY_MASK = (1 << 64) - 1
 
 
 def set_enabled(flag: bool) -> bool:
@@ -175,12 +204,119 @@ def collect_spf(reg) -> None:
     ).set_total(RELAX_COUNTER.count)
 
 
+def _edge_hash(u: int, v: int, weight: float) -> int:
+    """One undirected edge's term in :func:`content_key`."""
+    return hash((u, v, weight) if u < v else (v, u, weight)) & _KEY_MASK
+
+
+def content_key(adj: Mapping[int, Mapping[int, float]]) -> int:
+    """An image's content key: the sum of its edges' :func:`_edge_hash`
+    modulo 2**64, so any insertion order gives the same key and one link
+    delta updates it in O(1) (:func:`rekey`)."""
+    key = 0
+    for u, row in adj.items():
+        for v, weight in row.items():
+            if u < v:
+                key += hash((u, v, weight))
+    return key & _KEY_MASK
+
+
+def rekey(key: int, delta: Tuple[_ispf.LinkDelta, ...]) -> int:
+    """``key`` after the ordered link ``delta``: each changed edge's old
+    term out, its new term in."""
+    for u, v, old_w, new_w in delta:
+        if old_w is not None:
+            key -= _edge_hash(u, v, old_w)
+        if new_w is not None:
+            key += _edge_hash(u, v, new_w)
+    return key & _KEY_MASK
+
+
+class _Solved:
+    """The solved tables of one image content, adopted by every
+    :class:`SpfCache` built on that content."""
+
+    __slots__ = ("adj", "sssp", "tables", "dags", "ecc", "detours")
+
+    def __init__(self, adj: Mapping[int, Mapping[int, float]]) -> None:
+        self.adj = adj
+        self.sssp: Dict[int, Tuple[Dict[int, float], Dict[int, Optional[int]]]] = {}
+        self.tables: Dict[int, Dict[int, int]] = {}
+        self.dags: Dict[int, Dict[int, tuple]] = {}
+        self.ecc: Dict[int, float] = {}
+        self.detours: Dict[Tuple[int, int], object] = {}
+
+
+def _remember(table: dict, key: int, value) -> None:
+    """``table[key] = value``, then forget the oldest entries past
+    :data:`SOLVED_BOUND` (a dict keeps insertion order)."""
+    table[key] = value
+    while len(table) > SOLVED_BOUND:
+        del table[next(iter(table))]
+
+
+class SolvedImages:
+    """One deployment's solved images by :func:`content_key`, and the
+    LSDB full scans that built them by the LSAs scanned.
+
+    :meth:`entry` returns the entry an image adopts.  A key hit whose
+    stored content differs (a hash collision) gets a fresh entry that
+    stays out of the table, so a collision never shares; :meth:`scan`
+    likewise shares a scan only between equal LSA sets.  Each table
+    forgets its oldest entry past :data:`SOLVED_BOUND`.
+    """
+
+    __slots__ = ("_entries", "_scans")
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, _Solved] = {}
+        self._scans: Dict[int, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entry(self, key: int, adj: Mapping[int, Mapping[int, float]]) -> _Solved:
+        found = self._entries.get(key)
+        if found is not None:
+            return found if found.adj == adj else _Solved(adj)
+        found = _Solved(adj)
+        _remember(self._entries, key, found)
+        return found
+
+    def scan(
+        self, lsas: Mapping[int, object], build: Callable[[], Dict[int, Dict[int, float]]]
+    ) -> Tuple[Dict[int, Dict[int, float]], int]:
+        """``build()``'s image of ``lsas`` (``{origin: RouterLsa}``) and
+        its content key, built once per distinct LSA set.
+
+        Every database of a deployment brought up together holds the
+        same LSAs, and each builds its first image lazily, on first use:
+        at n=400 that is an O(m) scan, key and exact check per switch.
+        A hit needs equal LSAs; the image is shared, so it must not be
+        mutated.
+        """
+        if not _enabled:  # plain images share nothing
+            adj = build()
+            return adj, content_key(adj)
+        lsas_key = sum(hash((origin, lsa.seqnum)) for origin, lsa in lsas.items())
+        found = self._scans.get(lsas_key)
+        if found is not None and found[0] == lsas:
+            return found[1], found[2]
+        adj = build()
+        key = content_key(adj)
+        if found is None:
+            _remember(self._scans, lsas_key, (dict(lsas), adj, key))
+        return adj, key
+
+
 class SpfCache(MappingABC):
     """An adjacency mapping with memoized SPF results.
 
     Instances are immutable snapshots of one network image: producers
     build a *new* cache whenever the image changes, rather than mutating
-    an existing one.
+    an existing one.  A cache built with a ``solved`` entry reads and
+    fills that entry's dicts and reads its rows (:attr:`rows`); without
+    one they are its own.
     """
 
     __slots__ = (
@@ -190,6 +326,7 @@ class SpfCache(MappingABC):
         "_tables",
         "_dags",
         "_ecc",
+        "detours",
         "_prev",
         "_delta",
         "_had_history",
@@ -201,14 +338,20 @@ class SpfCache(MappingABC):
         generation: int = 0,
         prev: Optional[object] = None,
         delta: Optional[Tuple[_ispf.LinkDelta, ...]] = None,
+        solved: Optional[_Solved] = None,
     ) -> None:
-        self._adj = adj
+        if solved is None:
+            solved = _Solved(adj)
+        self._adj = solved.adj
         #: The producer's image version this snapshot was built from.
         self.generation = generation
-        self._sssp: Dict[int, Tuple[Dict[int, float], Dict[int, Optional[int]]]] = {}
-        self._tables: Dict[int, Dict[int, int]] = {}
-        self._dags: Dict[int, Dict[int, tuple]] = {}
-        self._ecc: Dict[int, float] = {}
+        self._sssp = solved.sssp
+        self._tables = solved.tables
+        self._dags = solved.dags
+        self._ecc = solved.ecc
+        #: ``(u, v) -> BackupFragment or None``, filled by
+        #: :func:`repro.frr.backup.compute_backup_plan`.
+        self.detours = solved.detours
         #: The superseded generation plus the ordered link deltas leading
         #: here, when the producer knows them -- the ISPF repair chain.  A
         #: ``prev`` without a usable ``delta`` only marks that history
@@ -231,6 +374,12 @@ class SpfCache(MappingABC):
                 node._delta = None
                 return
             node = node._prev
+
+    @property
+    def rows(self) -> Mapping[int, Mapping[int, float]]:
+        """The plain row table this image reads: on a table hit, the one
+        the content's first image was built from (do not mutate)."""
+        return self._adj
 
     # -- mapping protocol (read-only view of the wrapped adjacency) --------
 
@@ -385,6 +534,9 @@ def wrap_image(
     generation: int = 0,
     prev: Optional[object] = None,
     delta: Optional[Tuple[_ispf.LinkDelta, ...]] = None,
+    *,
+    table: SolvedImages,
+    key: int,
 ):
     """Wrap a freshly built image in a cache, honoring the global switch.
 
@@ -392,8 +544,12 @@ def wrap_image(
     ``prev`` snapshot plus the ordered link ``delta`` sequence leading
     here, making the new generation repairable by incremental SPF.
     ``prev`` with ``delta=None`` records that history existed but the
-    change was too large to track (fallback accounting only).
+    change was too large to track (fallback accounting only).  ``key`` is
+    the image's :func:`content_key`: the cache shares the solved tables and
+    rows of every image in ``table`` with that content.
     """
     if not _enabled:
         return adj
-    return SpfCache(adj, generation=generation, prev=prev, delta=delta)
+    return SpfCache(
+        adj, generation=generation, prev=prev, delta=delta, solved=table.entry(key, adj)
+    )

@@ -31,6 +31,7 @@ from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import McState
 from repro.core.timestamp import Stamp
+from repro.lsr.spfcache import SolvedImages
 from repro.net.faults import FaultPlan
 from repro.net.host import LiveSwitch
 from repro.net.transport import RetransmitPolicy, UdpTransport
@@ -115,6 +116,9 @@ class LiveFabric(ConnectionRegistrar):
         #: Connection provisioning database, shared by every host (static
         #: config, like the paper's pre-registered MC identifiers).
         self.connection_registry: Dict[int, ConnectionSpec] = {}
+        #: The hosts share one process, so they share one table of solved
+        #: SPF images (a restarted host too).
+        self.solved = SolvedImages()
         self._pending_events: List[Tuple[float, int, Any]] = []
         self._event_seq = 0
         self._started = False
@@ -157,6 +161,7 @@ class LiveFabric(ConnectionRegistrar):
             self.net.copy(),
             self.config,
             self.transport,
+            self.solved,
             connection_registry=self.connection_registry,
             time_scale=self.live.time_scale,
             on_install=self._record_install,

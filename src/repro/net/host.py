@@ -31,6 +31,7 @@ from repro.core.timestamp import Stamp
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.router import UnicastRouter
+from repro.lsr.spfcache import SolvedImages
 from repro.net.resync import ResyncManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs import tracer as obs_tracer
@@ -88,6 +89,7 @@ class LiveSwitch:
         net: Network,
         config: ProtocolConfig,
         transport: Transport,
+        solved: SolvedImages,
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
         time_scale: float = 0.0,
         on_computation: Optional[Callable[[int, int], None]] = None,
@@ -105,7 +107,7 @@ class LiveSwitch:
         self.sim = Simulator()
         self.time_scale = time_scale
         self.flood_out = LiveFloodOut(transport, switch_id, net.switches())
-        self.router = UnicastRouter(switch_id, net, self.flood_out)
+        self.router = UnicastRouter(switch_id, net, self.flood_out, solved)
         self.connection_registry: Dict[int, ConnectionSpec] = (
             connection_registry if connection_registry is not None else {}
         )

@@ -59,6 +59,8 @@ class Network:
     """
 
     def __init__(self, n: int, name: str = "") -> None:
+        from repro.lsr.spfcache import SolvedImages
+
         if n < 1:
             raise ValueError("network must contain at least one switch")
         self.n = n
@@ -79,6 +81,9 @@ class Network:
         #: ``("add", u, v, delay)`` or ``("state", u, v, delay, old_up, up)``.
         self._last_event: Optional[Tuple] = None
         self._last_event_version = -1
+        #: Solved SPF images by content, shared by this network's own views
+        #: only: a deployment's routers share a table of their own.
+        self._solved = SolvedImages()
 
     # -- construction ------------------------------------------------------
 
@@ -212,7 +217,7 @@ class Network:
         mapping as immutable.
         """
         from repro.lsr.spf import network_adjacency
-        from repro.lsr.spfcache import SpfCache, enabled, wrap_image
+        from repro.lsr.spfcache import SpfCache, content_key, enabled, wrap_image
 
         key = bool(include_down)
         view = self._spf_views.get(key)
@@ -237,6 +242,8 @@ class Network:
             generation=self._version,
             prev=prev,
             delta=delta,
+            table=self._solved,
+            key=content_key(adj),
         )
         self._spf_views[key] = view
         return view

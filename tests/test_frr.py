@@ -212,6 +212,20 @@ class TestEndpointLocalPlans:
                 v
             ].backup_plan.fragment_for(u, v)
 
+    def test_endpoints_hold_one_fragment_object(self):
+        """Both endpoints plan on images of one content, so the second
+        reads the detour the first computed (the image's detour memo)."""
+        for seed in range(3):
+            dgmc, _ = self.deployment(24, seed)
+            states = dgmc.states_for(1)
+            tree = next(iter(states.values())).installed.all_edges()
+            covered = 0
+            for u, v in tree:
+                fragment = states[u].backup_plan.fragment_for(u, v)
+                assert fragment is states[v].backup_plan.fragment_for(u, v)
+                covered += fragment is not None
+            assert covered
+
     @pytest.mark.parametrize("n", [16, 24, 40])
     def test_plans_match_the_whole_tree_oracle(self, n):
         for seed in range(5):

@@ -61,7 +61,7 @@ def outrun_expected(dgmc) -> None:
 
 
 def empty_a_restarted_lsdb(dgmc) -> None:
-    dgmc.routers[1].lsdb = LinkStateDatabase(dgmc.net.n)
+    dgmc.routers[1].lsdb = LinkStateDatabase(dgmc.net.n, dgmc.routers[1].lsdb.solved)
 
 
 PLANT = {

@@ -18,9 +18,11 @@ from repro.lsr import ispf, lsdb, spfcache
 from repro.lsr.ispf import MAX_REPAIR_CHAIN, repair_sssp, repair_sssp_chain
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
-from repro.lsr.spf import dijkstra_uncached
+from repro.lsr.spfcache import SolvedImages
+from repro.lsr.spf import dijkstra_uncached, network_adjacency
 from repro.net.transport import RetransmitPolicy
 from repro.obs import attach
+from repro.topo.generators import waxman_network
 from repro.topo.graph import Network
 
 #: Few distinct values with repeats: maximizes equal-length paths, the
@@ -119,6 +121,54 @@ class TestRepairMatchesScratch:
         assert repaired == dijkstra_uncached(current, source)
 
 
+class TestRepairSettleOrder:
+    """A repaired tree iterates in a full run's settle order, not only
+    with its values: images of equal content share solved trees, so a
+    switch may read a repaired tree where it would have run in full."""
+
+    @staticmethod
+    def _assert_full_run_order(repaired, full):
+        assert list(repaired[0]) == list(full[0])
+        assert list(repaired[1]) == list(full[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_and_delta())
+    def test_single_delta(self, case):
+        adj, delta, source = case
+        dist_old, parent_old = dijkstra_uncached(adj, source)
+        post = _apply(adj, delta)
+        repaired = repair_sssp(post, source, dist_old, parent_old, delta)
+        self._assert_full_run_order(repaired, dijkstra_uncached(post, source))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=MAX_REPAIR_CHAIN),
+    )
+    def test_delta_chain_on_waxman(self, seed, steps):
+        """Every source of a 30-node Waxman graph, through a chain of
+        single-edge changes (the e2e link-flap shape)."""
+        rng = random.Random(seed)
+        adj = network_adjacency(waxman_network(30, rng))
+        deltas = []
+        current = adj
+        for _ in range(steps):
+            edges = sorted((u, v) for u in current for v in current[u] if u < v)
+            u, v = rng.choice(edges)
+            old_w = current[u][v]
+            step = (u, v, old_w, rng.choice((None, old_w / 2, old_w * 2)))
+            deltas.append(step)
+            current = _apply(current, step)
+        for source in range(30):
+            dist_old, parent_old = dijkstra_uncached(adj, source)
+            repaired = repair_sssp_chain(
+                current, source, dist_old, parent_old, tuple(deltas)
+            )
+            self._assert_full_run_order(
+                repaired, dijkstra_uncached(current, source)
+            )
+
+
 class TestRepairDeterministic:
     def test_diamond_tie_break_after_removal(self):
         """parent[3] moves 1 -> 2 when the 1--3 edge disappears."""
@@ -171,7 +221,7 @@ def _lsa(origin, seqnum, links):
 
 def _square_db():
     """4-switch ring 0-1-2-3-0 with unit delays, fully installed."""
-    db = LinkStateDatabase(4)
+    db = LinkStateDatabase(4, SolvedImages())
     ring = {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}
     for origin, nbrs in ring.items():
         db.install(_lsa(origin, 1, [(n, 1.0, True) for n in nbrs]))
@@ -272,7 +322,7 @@ class TestSharedDeltaCap:
     def _chain_run(self, installs: int, registry_delta):
         """Memoize one source, apply ``installs`` single-link deltas
         before the rebuild, re-query; returns the registry delta."""
-        db = LinkStateDatabase(3)
+        db = LinkStateDatabase(3, SolvedImages())
         for lsa in self._full_mesh_lsas(3):
             db.install(lsa)
         image = db.adjacency()

@@ -9,7 +9,7 @@ import pytest
 from repro.lsr.ispf import MAX_REPAIR_CHAIN
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
-from repro.lsr.spfcache import GLOBAL_STATS
+from repro.lsr.spfcache import GLOBAL_STATS, SolvedImages, content_key
 from repro.topo.generators import waxman_network
 
 
@@ -19,29 +19,29 @@ def lsa(origin, seqnum, links):
 
 class TestInstall:
     def test_first_install_accepted(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         assert db.install(lsa(0, 1, [(1, 1.0, True)]))
         assert db.get(0).seqnum == 1
 
     def test_newer_replaces(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True)]))
         assert db.install(lsa(0, 2, [(1, 1.0, False)]))
         assert db.get(0).seqnum == 2
 
     def test_stale_rejected(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 5, [(1, 1.0, True)]))
         assert not db.install(lsa(0, 3, [(1, 1.0, False)]))
         assert db.get(0).seqnum == 5
 
     def test_same_seqnum_rejected(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, []))
         assert not db.install(lsa(0, 1, []))
 
     def test_complete(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, []))
         assert not db.complete()
         db.install(lsa(1, 1, []))
@@ -50,7 +50,7 @@ class TestInstall:
 
 class TestImage:
     def test_two_way_check_requires_both_sides(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True)]))
         assert db.adjacency()[0] == {}  # 1 has not advertised yet
         db.install(lsa(1, 1, [(0, 1.0, True)]))
@@ -58,19 +58,19 @@ class TestImage:
         assert db.adjacency()[1] == {0: 1.0}
 
     def test_down_on_either_side_hides_link(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True)]))
         db.install(lsa(1, 1, [(0, 1.0, False)]))
         assert db.adjacency()[0] == {}
 
     def test_delay_averaged(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True)]))
         db.install(lsa(1, 1, [(0, 3.0, True)]))
         assert db.adjacency()[0][1] == pytest.approx(2.0)
 
     def test_image_cache_invalidated_by_install(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True)]))
         db.install(lsa(1, 1, [(0, 1.0, True)]))
         first = db.adjacency()
@@ -79,7 +79,7 @@ class TestImage:
         assert db.adjacency()[0] == {}
 
     def test_image_cached_between_installs(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True)]))
         db.install(lsa(1, 1, [(0, 1.0, True)]))
         assert db.adjacency() is db.adjacency()
@@ -136,7 +136,7 @@ class TestPatchedImage:
         rng = random.Random(seed)
         n = 12
         adverts = _Adverts(rng, n)
-        db = LinkStateDatabase(n)
+        db = LinkStateDatabase(n, SolvedImages())
         # Two origins are unknown at first: one arrives after its peers,
         # the other never does (its peers' links to it stay one-way).
         late, never = rng.sample(range(n), 2)
@@ -144,6 +144,7 @@ class TestPatchedImage:
         for origin in known:
             db.install(adverts.emit(origin))
         tracked = degraded = single = 0
+        seen = set()
         for step in range(80):
             if step == 30:
                 db.install(adverts.emit(late))
@@ -160,18 +161,41 @@ class TestPatchedImage:
             delta = db._pending_delta if stale else None
             tracked += delta is not None
             degraded += stale and delta is None
-            repairs = GLOBAL_STATS.ispf_repairs
             image = db.adjacency()
-            fresh = LinkStateDatabase(n)
+            fresh = LinkStateDatabase(n, SolvedImages())
             for lsa_ in db.entries().values():
                 fresh.install(lsa_)
             assert rows(image) == rows(fresh.adjacency()), step
             # Solving on every generation keeps the repair chain rooted.
+            # A content seen before may be a table hit; a new one with a
+            # single-change delta is repaired.
+            content = frozenset((u, v, w) for u, row in image.items() for v, w in row.items())
+            repairs = GLOBAL_STATS.ispf_repairs
             assert image.sssp(0) == fresh.adjacency().sssp(0)
-            if delta is not None and len(delta) == 1:
+            if delta is not None and len(delta) == 1 and content not in seen:
                 single += 1
                 assert GLOBAL_STATS.ispf_repairs == repairs + 1
+            seen.add(content)
         assert tracked and degraded and single
+
+
+class TestContentKey:
+    """The key an install updates from its link delta equals the key a
+    full scan of the resulting image computes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_key_equals_full_scan(self, seed):
+        rng = random.Random(seed)
+        n = 12
+        adverts = _Adverts(rng, n)
+        db = LinkStateDatabase(n, SolvedImages())
+        for origin in range(n):
+            db.install(adverts.emit(origin))
+        for step in range(60):
+            for _ in range(rng.choice((1, 1, 2, MAX_REPAIR_CHAIN + 1))):
+                db.install(adverts.mutate(rng.randrange(n)))
+            image = db.adjacency()
+            assert db._key == content_key(image), step
 
 
 def assert_symmetric(image) -> None:
@@ -190,7 +214,7 @@ class TestSymmetricImage:
         rng = random.Random(seed)
         n = 12
         adverts = _Adverts(rng, n)
-        db = LinkStateDatabase(n)
+        db = LinkStateDatabase(n, SolvedImages())
         for origin in range(n):
             db.install(adverts.emit(origin))
         for _ in range(60):

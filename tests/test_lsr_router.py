@@ -7,6 +7,7 @@ import pytest
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.lsa import NonMcLsa
 from repro.lsr.router import UnicastRouter, bring_up_unicast
+from repro.lsr.spfcache import SolvedImages
 from repro.sim.kernel import Simulator
 from repro.topo.generators import grid_network, ring_network
 
@@ -100,7 +101,7 @@ class TestOriginate:
         net = ring_network(4)
         sim = Simulator()
         fabric = FloodingFabric(sim, net)
-        router = UnicastRouter(0, net, fabric)
+        router = UnicastRouter(0, net, fabric, SolvedImages())
         a = router.originate(flood=False)
         b = router.originate(flood=False)
         assert b.seqnum == a.seqnum + 1
@@ -109,7 +110,7 @@ class TestOriginate:
         net = ring_network(4)
         sim = Simulator()
         fabric = FloodingFabric(sim, net)
-        router = UnicastRouter(0, net, fabric)
+        router = UnicastRouter(0, net, fabric, SolvedImages())
         lsa = router.originate(flood=False)
         assert sorted(nbr for nbr, _, _ in lsa.links) == [1, 3]
 
@@ -118,6 +119,6 @@ class TestOriginate:
         net.set_link_state(0, 1, up=False)
         sim = Simulator()
         fabric = FloodingFabric(sim, net)
-        router = UnicastRouter(0, net, fabric)
+        router = UnicastRouter(0, net, fabric, SolvedImages())
         lsa = router.originate(flood=False)
         assert lsa.link_map()[1][1] is False

@@ -21,6 +21,7 @@ from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.protocol import ProtocolConfig
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
+from repro.lsr.spfcache import SolvedImages
 from repro.net import frames
 from repro.net.host import LiveFloodOut, LiveSwitch
 from repro.obs.context import TraceContext
@@ -69,8 +70,11 @@ def line_of_hosts(**config_kw):
     net = grid_network(1, 3)
     transport = RecordingTransport()
     registry = {}
+    solved = SolvedImages()
     hosts = {
-        x: LiveSwitch(x, net.copy(), config, transport, connection_registry=registry)
+        x: LiveSwitch(
+            x, net.copy(), config, transport, solved, connection_registry=registry
+        )
         for x in net.switches()
     }
     for x, host in hosts.items():
@@ -217,7 +221,7 @@ def test_cold_booted_host_proposes_nothing_before_its_lsdb_is_complete():
     survivor.fire_link(0, 1, up=False)
     settle(hosts, transport)
     reborn = LiveSwitch(
-        0, old.net.copy(), old.config, transport,
+        0, old.net.copy(), old.config, transport, old.router.lsdb.solved,
         connection_registry=old.connection_registry, generation=2, cold_boot=True,
     )
     reborn.boot_cold()

@@ -17,6 +17,7 @@ from repro.core.events import JoinEvent
 from repro.core.protocol import ProtocolConfig
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
+from repro.lsr.spfcache import SolvedImages
 from repro.net import frames
 from repro.net.fabric import LiveConfig, LiveFabric, QuiescenceTimeout
 from repro.net.faults import FaultPlan
@@ -260,7 +261,7 @@ class _StubHost:
         self.hello_interval = 0.0  # no dead-interval jitter
         self.switch = _StubSwitch()
         self.flood_out = _StubFloodOut()
-        lsdb = LinkStateDatabase(net.n)
+        lsdb = LinkStateDatabase(net.n, SolvedImages())
         lsdb.install(RouterLsa(switch_id, 5, ()))
         self.router = _StubRouter(lsdb)
         self.link_events: list = []

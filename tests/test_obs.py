@@ -28,10 +28,11 @@ from repro.obs.timeline import build_timeline
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_trace.json"
 
 
-def ring_deployment(record_history: bool = False) -> DgmcNetwork:
-    """The deterministic two-join scenario shared by the trace tests."""
+def ring_deployment(record_history: bool = False, net=None) -> DgmcNetwork:
+    """The deterministic two-join scenario shared by the trace tests, on
+    ``net`` (default: a fresh 6-ring)."""
     dgmc = DgmcNetwork(
-        ring_network(6), ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
+        net or ring_network(6), ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
     )
     dgmc.fabric.record_history = record_history
     dgmc.register_symmetric(1)
@@ -174,9 +175,19 @@ class TestGoldenTrace:
         with ``python tests/data/regen_golden_trace.py`` when the
         instrumentation points intentionally change.
         """
-        tracer = traced_run(ring_deployment())
-        events = tracer.events()
-        projection = {
+        assert self.projection() == json.loads(GOLDEN_PATH.read_text())
+
+    def test_golden_trace_after_another_deployment(self):
+        """Solved SPF images are shared within a deployment only, so a
+        deployment that ran first on the same Network moves nothing."""
+        first = ring_deployment()
+        first.run()
+        assert self.projection(first.net) == json.loads(GOLDEN_PATH.read_text())
+
+    @staticmethod
+    def projection(net=None) -> dict:
+        events = traced_run(ring_deployment(net=net)).events()
+        return {
             "kernel_events": sum(1 for e in events if e.cat == "kernel"),
             "events": [
                 [e.name, e.cat, e.tid, e.sim_ts]
@@ -184,7 +195,6 @@ class TestGoldenTrace:
                 if e.cat != "kernel"
             ],
         }
-        assert projection == json.loads(GOLDEN_PATH.read_text())
 
 
 class TestMetricsInstruments:

@@ -12,12 +12,12 @@ from repro.core import (
     LinkEvent,
     ProtocolConfig,
 )
-from repro.lsr import spf, spfcache
+from repro.lsr import lsdb, spf, spfcache
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
-from repro.lsr.spfcache import SpfCache
+from repro.lsr.spfcache import SOLVED_BOUND, SolvedImages, SpfCache, content_key
 from repro.obs import attach
-from repro.topo.generators import grid_network, waxman_network
+from repro.topo.generators import grid_network, ring_network, waxman_network
 from repro.topo.graph import Network
 from repro.trees.spt import source_rooted_tree
 
@@ -120,7 +120,7 @@ class TestMemoization:
         """Cold solve, warm hit, one-link install, multi-link install:
         each event is written once and read through the registry."""
         lsa = TestInvalidation._lsa
-        db = LinkStateDatabase(3)
+        db = LinkStateDatabase(3, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
         db.install(lsa(1, 1, [(0, 1.0, True), (2, 1.0, True)]))
         db.install(lsa(2, 1, [(0, 1.0, True), (1, 1.0, True)]))
@@ -178,7 +178,7 @@ class TestInvalidation:
         return RouterLsa(origin, seqnum, tuple(links))
 
     def test_lsdb_install_invalidates_snapshot(self, registry_delta):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(self._lsa(0, 1, [(1, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True)]))
         image1 = db.adjacency()
@@ -196,7 +196,7 @@ class TestInvalidation:
 
     def test_lsdb_refresh_install_keeps_snapshot(self, registry_delta):
         """A pure seqnum refresh must not discard the image or its memos."""
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(self._lsa(0, 1, [(1, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True)]))
         image = db.adjacency()
@@ -210,7 +210,7 @@ class TestInvalidation:
     def test_lsdb_single_link_install_repairs_instead_of_rerunning(
         self, registry_delta
     ):
-        db = LinkStateDatabase(3)
+        db = LinkStateDatabase(3, SolvedImages())
         db.install(self._lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True), (2, 1.0, True)]))
         db.install(self._lsa(2, 1, [(0, 1.0, True), (1, 1.0, True)]))
@@ -223,7 +223,7 @@ class TestInvalidation:
         assert dist == spf.dijkstra_uncached(dict(db.adjacency()), 0)[0]
         with spfcache.ispf_disabled():
             # The toggle restores the old recompute-from-scratch path.
-            db2 = LinkStateDatabase(2)
+            db2 = LinkStateDatabase(2, SolvedImages())
             db2.install(self._lsa(0, 1, [(1, 1.0, True)]))
             db2.install(self._lsa(1, 1, [(0, 1.0, True)]))
             db2.adjacency().sssp(0)
@@ -232,7 +232,7 @@ class TestInvalidation:
             assert registry_delta()[attach.SPF_ISPF_REPAIRS] == 0
 
     def test_lsdb_stale_install_keeps_snapshot(self):
-        db = LinkStateDatabase(2)
+        db = LinkStateDatabase(2, SolvedImages())
         db.install(self._lsa(0, 5, [(1, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True)]))
         image = db.adjacency()
@@ -342,7 +342,7 @@ class TestGlobalSwitch:
             assert not spfcache.enabled()
             view = net.spf_view()
             assert isinstance(view, dict)
-            db = LinkStateDatabase(2)
+            db = LinkStateDatabase(2, SolvedImages())
             db.install(RouterLsa(0, 1, ((1, 1.0, True),)))
             db.install(RouterLsa(1, 1, ((0, 1.0, True),)))
             assert isinstance(db.adjacency(), dict)
@@ -357,3 +357,138 @@ class TestGlobalSwitch:
             spf.shortest_path(view, 0, 3)
             spf.shortest_path(view, 0, 3)
             assert spf.RUN_COUNTER.count - before == 2
+
+
+def _ring_lsa(origin, seqnum, n=6, delays=None, down=()):
+    """Switch ``origin``'s LSA on an ``n``-ring: ``delays`` maps a
+    neighbor to its advertised delay (default 1.0), ``down`` lists the
+    neighbors it advertises down."""
+    delays = delays or {}
+    links = tuple(
+        (nbr, delays.get(nbr, 1.0), nbr not in down)
+        for nbr in sorted({(origin - 1) % n, (origin + 1) % n})
+    )
+    return RouterLsa(origin, seqnum, links)
+
+
+class TestSolvedImages:
+    """One deployment solves each image content once: every image with
+    that content adopts one entry of the deployment's table."""
+
+    def test_install_orders_reach_one_entry(self, registry_delta, monkeypatch):
+        scans = []
+        scan = LinkStateDatabase._scan
+        monkeypatch.setattr(
+            LinkStateDatabase, "_scan", lambda db: scans.append(db) or scan(db)
+        )
+        table = SolvedImages()
+        a = LinkStateDatabase(6, table)
+        b = LinkStateDatabase(6, table)
+        for x in range(6):
+            a.install(_ring_lsa(x, 1))
+        for x in reversed(range(6)):
+            b.install(_ring_lsa(x, 1))
+        assert a.adjacency().detours is b.adjacency().detours
+        assert scans == [a]  # equal LSAs: b reads a's full scan
+        assert a._rows is b._rows
+        # Two link changes, applied in opposite orders with an image
+        # built in between: the key follows each delta.
+        cut = _ring_lsa(2, 2, down=(3,))
+        slow = _ring_lsa(4, 2, delays={5: 3.0})
+        a.install(cut)
+        a.adjacency()
+        a.install(slow)
+        b.install(slow)
+        b.adjacency()
+        b.install(cut)
+        image_a, image_b = a.adjacency(), b.adjacency()
+        assert image_a is not image_b
+        assert image_a.detours is image_b.detours
+        assert a._key == b._key == content_key(image_a)
+        registry_delta()
+        assert image_a.sssp(0) is image_b.sssp(0)
+        delta = registry_delta()
+        assert (delta[attach.SPF_MISSES], delta[attach.SPF_HITS]) == (1, 1)
+
+    def test_colliding_key_never_shares(self, monkeypatch):
+        monkeypatch.setattr(spfcache, "content_key", lambda adj: 0)
+        monkeypatch.setattr(lsdb, "rekey", lambda key, delta: 0)
+        table = SolvedImages()
+        a = LinkStateDatabase(6, table)
+        b = LinkStateDatabase(6, table)
+        for x in range(6):
+            a.install(_ring_lsa(x, 1))
+            b.install(_ring_lsa(x, 1, delays={(x + 1) % 6: 2.0, (x - 1) % 6: 2.0}))
+        image_a, image_b = a.adjacency(), b.adjacency()
+        assert a._key == b._key == 0
+        assert image_a.detours is not image_b.detours
+        assert len(table) == 1
+        plain_b = {x: dict(row) for x, row in image_b.items()}
+        assert image_b.sssp(0) == spf.dijkstra_uncached(plain_b, 0)
+        assert image_a.sssp(0) != image_b.sssp(0)
+
+    def test_deployments_never_share(self):
+        first = DgmcNetwork(ring_network(6), ProtocolConfig())
+        second = DgmcNetwork(first.net, ProtocolConfig())
+        for dgmc in (first, second):
+            images = [router.network_image() for router in dgmc.routers.values()]
+            # Converged, every router of a deployment holds one content,
+            # and so one entry.
+            assert len({id(image.detours) for image in images}) == 1
+        assert first.routers[0].lsdb.solved is not second.routers[0].lsdb.solved
+        assert (
+            first.routers[0].network_image().detours
+            is not second.routers[0].network_image().detours
+        )
+
+    def test_deployments_on_one_network_count_alike(self, registry_delta):
+        """A deployment solves what it computes on, whatever another
+        deployment on the same Network solved before it.  Per-hop flood
+        delays keep the network's own view (shared by design) out."""
+        net = grid_network(3, 4)
+        counters = (
+            attach.SPF_HITS,
+            attach.SPF_MISSES,
+            attach.SPF_ISPF_REPAIRS,
+            attach.DIJKSTRA_RUNS,
+        )
+        seen = []
+        for _ in range(2):
+            dgmc = DgmcNetwork(net, ProtocolConfig(per_hop_delay=0.05))
+            dgmc.register_symmetric(1)
+            registry_delta()
+            for member in (0, 5, 11):
+                dgmc.inject(JoinEvent(member, 1), at=dgmc.sim.now + 1.0)
+                dgmc.run()
+            for up in (False, True):
+                dgmc.inject(LinkEvent(5, 5, 6, up=up), at=dgmc.sim.now + 1.0)
+                dgmc.run()
+            delta = registry_delta()
+            seen.append(tuple(delta[name] for name in counters))
+        assert seen[0][1] > 0 and seen[0][2] > 0
+        assert seen[0] == seen[1]
+
+    def test_fifo_eviction_is_deterministic(self):
+        """The table forgets its oldest entries past SOLVED_BOUND, whatever
+        was read in between (first in, first out; not least recently
+        used)."""
+        table = SolvedImages()
+        images = [
+            {0: {1: float(w)}, 1: {0: float(w)}} for w in range(1, SOLVED_BOUND + 3)
+        ]
+        entries = [table.entry(content_key(adj), adj) for adj in images[:-2]]
+        assert table.entry(content_key(images[0]), dict(images[0])) is entries[0]
+        entries += [table.entry(content_key(adj), adj) for adj in images[-2:]]
+        assert len(table) == SOLVED_BOUND
+        for adj, entry in zip(images[2:], entries[2:]):
+            assert table.entry(content_key(adj), adj) is entry
+        for adj, entry in zip(images[:2], entries[:2]):
+            assert table.entry(content_key(adj), adj) is not entry
+
+    def test_disabled_images_share_nothing(self):
+        with spfcache.disabled():
+            dgmc = DgmcNetwork(ring_network(6), ProtocolConfig())
+            images = [router.network_image() for router in dgmc.routers.values()]
+            assert all(type(image) is dict for image in images)
+            assert len({id(image) for image in images}) == len(images)
+        assert len(dgmc.routers[0].lsdb.solved) == 0
