@@ -16,7 +16,7 @@ the modes, every gate and the tolerances.
 Usage:
     PYTHONPATH=src python benchmarks/regress.py --smoke
     PYTHONPATH=src python benchmarks/regress.py --smoke --check
-    PYTHONPATH=src python benchmarks/regress.py --mode ispf --update-baseline
+    PYTHONPATH=src python benchmarks/regress.py --mode frr --update-baseline
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ DEFAULT_BASELINE = HERE / "bench_baseline.json"
 MODES: Dict[str, tuple] = {
     "quick": ((16,), 1),
     "smoke": ((20, 40), 2),
-    # The incremental-SPF invariant gate: small size for breadth, n=100
-    # because that is where the acceptance criterion measures the win.
-    "ispf": ((20, 100), 1),
     # The live-runtime convergence SLO gate (real sockets, wall clock).
     "convergence_slo": ((12,), 1),
     # The batched-forwarding gate: n=100 is where the >= 10x speedup
@@ -166,7 +163,7 @@ def _churn_bring_up(n: int, graph: int, seed: int, tag: str) -> tuple:
     """The exp1 bursty scenario on a fresh network, its initial joins injected.
 
     The scenario is rebuilt deterministically from the seed, so every
-    invocation (cache or ISPF on or off) sees byte-identical inputs.
+    invocation (cache on or off) sees byte-identical inputs.
     Returns ``(rng registry, scenario, network, gap)``; the joins run at
     the caller's next ``dgmc.run()``.
     """
@@ -215,18 +212,15 @@ def _churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
 def _failure_churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
     """One churn trial with an interleaved link failure/repair campaign.
 
-    This is the workload where incremental SPF must engage: every link
-    event floods exactly one changed LSA, so each LSDB sees a single-link
-    image delta.  Relaxations and ISPF counters are measured over the
-    post-convergence event phase only (bring-up pays the same full
-    Dijkstras under either policy).
+    Every link event floods exactly one changed LSA, so each LSDB sees a
+    single-link image delta and the images of one deployment change
+    content, and share solved results, switch by switch.
     """
     from repro.workloads.failures import FailureInjector
 
-    registry, scenario, dgmc, gap = _churn_bring_up(n, graph, seed, "regress-ispf")
+    registry, scenario, dgmc, gap = _churn_bring_up(n, graph, seed, "regress-failures")
     dgmc.run()
 
-    snap0 = GLOBAL_REGISTRY.snapshot()
     injector = FailureInjector(dgmc, registry.stream("failures"))
     horizon = max(
         (ev.time for ev in scenario.schedule.events),
@@ -241,38 +235,36 @@ def _failure_churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
         mean_downtime=2.0 * scenario.round_length,
     )
     _run_schedule(dgmc, scenario, t0, f"failure churn n={n}")
-    delta = GLOBAL_REGISTRY.delta(snap0)
     return {
-        "relaxations": int(delta[attach.SPF_RELAXATIONS]),
-        "ispf_repairs": int(delta[attach.SPF_ISPF_REPAIRS]),
-        "ispf_full_fallbacks": int(delta[attach.SPF_ISPF_FALLBACKS]),
         "link_events": injector.failures_injected + injector.repairs_completed,
         "trees": canonical_tree_bytes(dgmc.states_for(scenario.connection_id)),
         "tables": _routing_blob(dgmc),
     }
 
 
-def _paired_trials(sizes, graphs, trial, seed: int, off) -> List[tuple]:
-    """``(trial as shipped, the same trial inside off())`` per size and graph."""
+def _paired_trials(sizes, graphs, trial, seed: int) -> List[tuple]:
+    """``(trial as shipped, the same trial inside spfcache.disabled())``
+    per size and graph."""
     pairs = []
     for n in sizes:
         for g in range(graphs):
             shipped = trial(n, g, seed=seed)
-            with off():
+            with spfcache.disabled():
                 pairs.append((shipped, trial(n, g, seed=seed)))
     return pairs
 
 
-def _identical_outputs(pairs) -> Dict[str, bool]:
-    return {
-        "identical_trees": all(on["trees"] == off["trees"] for on, off in pairs),
-        "identical_tables": all(on["tables"] == off["tables"] for on, off in pairs),
-    }
+def _identical(pairs, key: str) -> bool:
+    return all(on[key] == off[key] for on, off in pairs)
 
 
 def bench_cache_equivalence(sizes, graphs) -> Dict[str, object]:
-    """Cached vs uncached churn runs: identical trees, >= 2x fewer Dijkstras."""
-    pairs = _paired_trials(sizes, graphs, _churn_run, 1996, spfcache.disabled)
+    """Shared-image vs uncached runs (:func:`repro.lsr.spfcache.disabled`,
+    the oracle), under membership churn and under a link-failure
+    campaign: byte-identical installed trees and routing tables, and
+    >= 2x fewer Dijkstras under churn."""
+    pairs = _paired_trials(sizes, graphs, _churn_run, 1996)
+    failure_pairs = _paired_trials(sizes, graphs, _failure_churn_run, 2026)
     cached_runs = sum(on["dijkstra_runs"] for on, _ in pairs)
     uncached_runs = sum(off["dijkstra_runs"] for _, off in pairs)
     reduction = uncached_runs / cached_runs if cached_runs else float("inf")
@@ -281,13 +273,25 @@ def bench_cache_equivalence(sizes, graphs) -> Dict[str, object]:
         "dijkstra_runs_cached": cached_runs,
         "dijkstra_runs_uncached": uncached_runs,
         "dijkstra_reduction": reduction,
-        "identical_trees": all(on["trees"] == off["trees"] for on, off in pairs),
+        "identical_trees": _identical(pairs, "trees"),
+        "identical_tables": _identical(pairs, "tables"),
+        "failure_trials": len(failure_pairs),
+        "link_events": sum(on["link_events"] for on, _ in failure_pairs),
+        "identical_failure_trees": _identical(failure_pairs, "trees"),
+        "identical_failure_tables": _identical(failure_pairs, "tables"),
     }
 
 
 def _check_cache_equivalence(eq, top_n: int) -> Iterable[str]:
+    differ = "cached and uncached runs produced different"
     if not eq["identical_trees"]:
-        yield "cached and uncached runs produced different installed topologies"
+        yield f"{differ} installed topologies"
+    if not eq["identical_tables"]:
+        yield f"{differ} routing tables"
+    if not eq["identical_failure_trees"]:
+        yield f"{differ} installed topologies under link failures"
+    if not eq["identical_failure_tables"]:
+        yield f"{differ} routing tables under link failures"
     if eq["dijkstra_reduction"] < 2.0:
         yield f"Dijkstra reduction {eq['dijkstra_reduction']:.2f}x < 2.0x"
 
@@ -361,68 +365,6 @@ def _check_tracing_overhead(tr, top_n: int) -> Iterable[str]:
             f"disabled tracing hook costs {tr['disabled_hook_fraction']:.1%} "
             "of the mean dispatch time (> 5%)"
         )
-
-
-def bench_ispf_churn(sizes, graphs) -> Dict[str, object]:
-    """ISPF on vs off over membership churn: byte-identical outputs.
-
-    Pure membership churn never invalidates LSDB images (no link events),
-    so this benchmark is an equivalence gate only -- the engagement and
-    relaxation gates live on ``ispf_failure_churn``.
-    """
-    pairs = _paired_trials(sizes, graphs, _churn_run, 2026, spfcache.ispf_disabled)
-    return {"trials": len(pairs), **_identical_outputs(pairs)}
-
-
-def _check_ispf_identical(record, top_n: int) -> Iterable[str]:
-    differ = "ISPF-repaired and full-recompute runs produced different"
-    if not record["identical_trees"]:
-        yield f"{differ} installed topologies"
-    if not record["identical_tables"]:
-        yield f"{differ} routing tables"
-
-
-def bench_ispf_failure_churn(sizes, graphs) -> Dict[str, object]:
-    """Churn + link failures, ISPF on vs off: identical outputs, fewer
-    relaxations.
-
-    Each injected failure/repair floods exactly one changed LSA, so every
-    LSDB sees a single-link image delta -- the case ISPF must repair
-    instead of recomputing.  Gated invariants
-    (:func:`_check_ispf_failure_churn`): byte-identical installed
-    topologies *and* routing tables, ``ispf_repairs > 0``, and (at
-    n >= 100) a >= 2x reduction in edge relaxations over the
-    post-convergence phase.
-    """
-    pairs = _paired_trials(
-        sizes, graphs, _failure_churn_run, 2026, spfcache.ispf_disabled
-    )
-    relax_ispf = sum(on["relaxations"] for on, _ in pairs)
-    relax_full = sum(off["relaxations"] for _, off in pairs)
-    reduction = relax_full / relax_ispf if relax_ispf else float("inf")
-    return {
-        "trials": len(pairs),
-        "link_events": sum(on["link_events"] for on, _ in pairs),
-        "relaxations_ispf": relax_ispf,
-        "relaxations_full": relax_full,
-        "relaxation_reduction": round(reduction, 3),
-        "ispf_repairs": sum(on["ispf_repairs"] for on, _ in pairs),
-        "ispf_full_fallbacks": sum(on["ispf_full_fallbacks"] for on, _ in pairs),
-        **_identical_outputs(pairs),
-    }
-
-
-def _check_ispf_failure_churn(fc, top_n: int) -> Iterable[str]:
-    yield from _check_ispf_identical(fc, top_n)
-    if fc["ispf_repairs"] <= 0:
-        yield (
-            "ispf_repairs == 0 -- the incremental fast path stopped "
-            "engaging on the link-event workload"
-        )
-    # The >= 2x relaxation win is an n=100 acceptance criterion; a
-    # quick --only run at small n must not flake on it.
-    if top_n >= 100 and fc["relaxation_reduction"] < 2.0:
-        yield f"relaxation reduction {fc['relaxation_reduction']:.2f}x < 2.0x"
 
 
 async def _slo_scenario(n: int, seed: int) -> Dict[str, object]:
@@ -934,11 +876,6 @@ BENCHMARKS: Dict[str, Benchmark] = {
     "spf_substrate": Benchmark(bench_spf_substrate, SWEEP, counters=("dijkstra_runs",)),
     "cache_equivalence": Benchmark(bench_cache_equivalence, SWEEP, _check_cache_equivalence),
     "tracing_overhead": Benchmark(bench_tracing_overhead, SWEEP, _check_tracing_overhead),
-    "ispf_churn": Benchmark(bench_ispf_churn, ("ispf",), _check_ispf_identical),
-    "ispf_failure_churn": Benchmark(
-        bench_ispf_failure_churn, ("ispf",), _check_ispf_failure_churn,
-        counters=("relaxations_ispf",),
-    ),
     "convergence_slo": Benchmark(
         bench_convergence_slo, ("convergence_slo",), _check_convergence_slo,
         latencies=("install_p50_ms", "install_p99_ms", "repair_p50_ms", "repair_p99_ms"),

@@ -38,9 +38,9 @@ detour and get no fragment -- their failure blackholes until the repair
 cycle converges, exactly as before.
 
 The detour search is deliberately *local* (it never calls
-``spf.dijkstra_uncached``), so ``spf.RUN_COUNTER`` / ``RELAX_COUNTER``
-and the cache counters the benchmark gates pin stay bit-identical when
-FRR is off, and FRR-on runs only add its own deterministic work.
+``spf.dijkstra_uncached``), so ``spf.RUN_COUNTER`` and the cache
+counters the benchmark gates pin stay bit-identical when FRR is off, and
+FRR-on runs only add its own deterministic work.
 
 A detour is a function of the image's content and the edge, so it is
 memoised in the image's ``detours`` dict, which
@@ -133,7 +133,7 @@ def _masked_shortest_path(
     """Shortest ``source -> target`` node path avoiding the ``banned``
     edge.  A self-contained Dijkstra (lowest-parent-id tie-break, like
     :func:`repro.lsr.spf.dijkstra`) that deliberately bypasses the SPF
-    run/relaxation counters: FRR work must not perturb the deterministic
+    run counter: FRR work must not perturb the deterministic
     counter baselines the benchmark gates pin."""
     bu, bv = banned
     dist: Dict[int, float] = {}

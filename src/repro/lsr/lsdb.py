@@ -20,26 +20,30 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.lsr.ispf import MAX_REPAIR_CHAIN, LinkDelta
 from repro.lsr.lsa import RouterLsa
-from repro.lsr.spfcache import GLOBAL_STATS, SolvedImages, SpfCache, rekey, wrap_image
+from repro.lsr.spfcache import (
+    GLOBAL_STATS,
+    LinkDelta,
+    SolvedImages,
+    SpfCache,
+    rekey,
+    wrap_image,
+)
 
-#: Longest delta sequence worth replaying through incremental SPF; past
-#: this, a full Dijkstra is cheaper than the chain of repairs.  Shared
-#: with the cache-side repair horizon (see
-#: :data:`repro.lsr.ispf.MAX_REPAIR_CHAIN`): tracking more deltas than
-#: the cache replays would silently drop them past the horizon.
-_MAX_PENDING_DELTAS = MAX_REPAIR_CHAIN
+#: Most link changes tracked between two image rebuilds.  Up to this many,
+#: the rebuild recomputes only the rows they name; past it, the next
+#: :meth:`LinkStateDatabase.adjacency` scans every LSA.
+MAX_PENDING_DELTAS = 8
 
 
 class LinkStateDatabase:
     """Newest-LSA-per-origin store with a cached adjacency image.
 
     The image is handed out as a :class:`~repro.lsr.spfcache.SpfCache`
-    snapshot keyed by the install generation: every accepted LSA install
-    discards the snapshot and the next :meth:`adjacency` call builds a
-    fresh one, which adopts the solved SPF results of any image in the
-    deployment's ``solved`` table with the same content.
+    snapshot: every accepted LSA install that changes it discards the
+    snapshot and the next :meth:`adjacency` call builds a fresh one, which
+    adopts the solved SPF results of any image in the deployment's
+    ``solved`` table with the same content.
     """
 
     def __init__(self, n: int, solved: SolvedImages) -> None:
@@ -51,20 +55,17 @@ class LinkStateDatabase:
         self._key = 0
         self._entries: Dict[int, RouterLsa] = {}
         self._image: Optional[Mapping[int, Dict[int, float]]] = None
-        #: Count of accepted (newer) installs, for diagnostics.  Doubles as
-        #: the SPF cache generation: each install starts a new image.
+        #: Count of accepted (newer) installs, for diagnostics.
         self.installs = 0
-        #: The superseded image (when one existed at invalidation time) and
-        #: the ordered link deltas leading from it to the next image --
-        #: possibly several, when multiple installs land between rebuilds.
-        #: Threaded into the next :func:`wrap_image` so incremental SPF can
-        #: repair the old generation's trees instead of recomputing them;
-        #: ``None`` means the combined change is too large to track.
-        self._prev_image: Optional[Mapping[int, Dict[int, float]]] = None
+        #: The ordered link deltas since the last image was built --
+        #: possibly several, when multiple installs land between rebuilds;
+        #: ``None`` when no image was built yet or the combined change is
+        #: longer than :data:`MAX_PENDING_DELTAS`.
         self._pending_delta: Optional[Tuple[LinkDelta, ...]] = None
         #: The plain row table the last image was built from (the wrapped
         #: image only offers the slow mapping protocol); a delta-patched
         #: rebuild copies it and shares every row the delta does not name.
+        #: Empty until the first image is built.
         self._rows: Dict[int, Dict[int, float]] = {}
         #: Whether the most recent accepted install affected the image
         #: (False only for content-identical refreshes detected against a
@@ -78,15 +79,14 @@ class LinkStateDatabase:
         pure seqnum refresh) keeps the current image -- and its memoized
         SPF results -- valid.  Link changes (from this and any further
         installs before the next rebuild) accumulate as an ordered delta
-        sequence for the next image generation; past
-        :data:`_MAX_PENDING_DELTAS` changes the sequence degrades to the
-        old discard-everything behavior.
+        sequence for the next image; past :data:`MAX_PENDING_DELTAS`
+        changes the next rebuild scans every LSA.
         """
         current = self._entries.get(lsa.origin)
         if current is not None and not lsa.is_newer_than(current):
             return False
         changes: Optional[Tuple[LinkDelta, ...]] = None
-        if self._image is not None or self._prev_image is not None:
+        if self._rows:  # an image was built: track how this one differs
             changes = self._image_delta(current, lsa)
         self._entries[lsa.origin] = lsa
         self.installs += 1
@@ -96,23 +96,20 @@ class LinkStateDatabase:
         if self._image is not None:
             if changes == ():
                 return True
-            self._prev_image = self._image
             self._image = None
             self._pending_delta = (
                 changes
-                if changes is not None
-                and len(changes) <= _MAX_PENDING_DELTAS
+                if changes is not None and len(changes) <= MAX_PENDING_DELTAS
                 else None
             )
             GLOBAL_STATS.invalidations += 1
-        elif self._prev_image is not None and changes:
+        elif changes and self._pending_delta is not None:
             # Further image-affecting installs before the rebuild extend
-            # the sequence (incremental SPF replays it in order).
-            if self._pending_delta is not None:
-                combined = self._pending_delta + changes
-                self._pending_delta = (
-                    combined if len(combined) <= _MAX_PENDING_DELTAS else None
-                )
+            # the sequence.
+            combined = self._pending_delta + changes
+            self._pending_delta = (
+                combined if len(combined) <= MAX_PENDING_DELTAS else None
+            )
         return True
 
     def _lsa_edges(self, origin: int, lsa: Optional[RouterLsa]) -> Dict[int, float]:
@@ -190,7 +187,7 @@ class LinkStateDatabase:
         """
         if self._image is not None:
             return self._image
-        if self._prev_image is not None and self._pending_delta is not None:
+        if self._pending_delta is not None:
             # An install changes only edges incident to its origin, and the
             # tracked delta names both ends of each: every other row equals
             # the superseded image's, so rebuild just the named ones.
@@ -199,19 +196,11 @@ class LinkStateDatabase:
                 adj[x] = self._lsa_edges(x, self._entries.get(x))
         else:
             adj, self._key = self.solved.scan(self._entries, self._scan)
-        image = wrap_image(
-            adj,
-            generation=self.installs,
-            prev=self._prev_image,
-            delta=self._pending_delta,
-            table=self.solved,
-            key=self._key,
-        )
+        image = wrap_image(adj, table=self.solved, key=self._key)
         # A table hit reads the rows of the content's first image: adopt
         # them, so images of one content keep sharing row objects.
         self._rows = image.rows if isinstance(image, SpfCache) else adj
         self._image = image
-        self._prev_image = None
         self._pending_delta = None
         return image
 

@@ -128,8 +128,8 @@ class UnicastRouter:
         """Next-hop table from this switch (computed lazily, cached).
 
         With a cache-wrapped image the table is memoized per image
-        generation in the LSDB's SPF cache; the local memo only serves
-        plain (cache-disabled) images.
+        content in the deployment's solved images; the local memo only
+        serves plain (cache-disabled) images.
         """
         image = self.network_image()
         cached = getattr(image, "routing_table", None)

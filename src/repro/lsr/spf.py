@@ -37,12 +37,6 @@ class RunCounter:
 
 RUN_COUNTER = RunCounter()
 
-#: Process-wide count of edge relaxations (edges examined), by full runs
-#: and by :mod:`repro.lsr.ispf` repairs alike.  This is the unit in which
-#: the bench gate verifies that incremental SPF does strictly less work
-#: than recomputing from scratch.
-RELAX_COUNTER = RunCounter()
-
 #: Process-wide count of first-hop propagation steps spent deriving
 #: routing tables.  One step per destination: tables are built by a
 #: single pass in nondecreasing-distance order (each destination
@@ -100,7 +94,6 @@ def _dijkstra_body(
 ) -> tuple[Dict[int, float], Dict[int, Optional[int]]]:
     dist: Dict[int, float] = {}
     parent: Dict[int, Optional[int]] = {}
-    relaxed = 0
     # Heap entries: (distance, tie-break parent id, node, parent).
     heap: list[tuple[float, int, int, Optional[int]]] = [(0.0, -1, source, None)]
     while heap:
@@ -109,12 +102,9 @@ def _dijkstra_body(
             continue
         dist[node] = d
         parent[node] = via
-        nbrs = adj.get(node, {})
-        relaxed += len(nbrs)
-        for nbr, w in nbrs.items():
+        for nbr, w in adj.get(node, {}).items():
             if nbr not in dist:
                 heapq.heappush(heap, (d + w, node, nbr, node))
-    RELAX_COUNTER.count += relaxed
     return dist, parent
 
 

@@ -1,4 +1,4 @@
-"""LSDB-generation-keyed SPF result cache, shared by image content.
+"""Per-image SPF result cache, shared by image content.
 
 D-GMC's cost model charges *one* topology computation per event, yet the
 substrate underneath used to re-run full Dijkstra from scratch on every
@@ -28,20 +28,23 @@ keeps computing on the old image.
 Every switch computes on its own image, but the simulator hosts a whole
 deployment in one process, and after a flood most switches hold images
 with the same content.  SPF results are a function of content alone
-(lowest-id tie-breaks, and repairs emit a full run's dict order), so each
-deployment keeps one :class:`SolvedImages` table -- made by
+(lowest-id tie-breaks), so each deployment keeps one
+:class:`SolvedImages` table -- made by
 :func:`~repro.lsr.router.bring_up_unicast` or
 :class:`~repro.net.fabric.LiveFabric` and handed to every router of that
 deployment -- and a cache whose content is already in the table adopts
 that entry's solved dicts and its row table instead of starting empty.
 The table is keyed by :func:`content_key`, an order-free sum of per-edge
 hashes the LSDB updates from each install's link delta; a hit also needs
-equal content, so a colliding key never shares.  Each cache keeps its
-own ``generation`` and repair chain.  The entry also holds ``detours``,
-the memo :mod:`repro.frr.backup` keeps its detours in.  The table also
-remembers the LSDB full scans that built its images, so databases that
-hold equal LSAs scan them once.  A :class:`~repro.topo.graph.Network`
-keeps a table of its own for its views.
+equal content, so a colliding key never shares.  A miss on a content
+nobody in the deployment has solved runs one
+:func:`~repro.lsr.spf.dijkstra_uncached`, memoised in that entry: this
+table is the only way one image reuses another's SPF results.  The entry
+also holds ``detours``, the memo :mod:`repro.frr.backup` keeps its
+detours in.  The table also remembers the LSDB full scans that built its
+images, so databases that hold equal LSAs scan them once.  A
+:class:`~repro.topo.graph.Network` keeps a table of its own for its
+views.
 
 Memoized results are shared; callers must treat the returned ``dist`` /
 ``parent`` mappings as immutable (every in-tree consumer already does).
@@ -54,25 +57,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.lsr import ispf as _ispf
-from repro.lsr.spf import (
-    RELAX_COUNTER,
-    RUN_COUNTER,
-    dijkstra_uncached,
-    first_hop_table,
-)
+from repro.lsr.spf import RUN_COUNTER, dijkstra_uncached, first_hop_table
 from repro.obs import attach
 from repro.obs.metrics import REGISTRY as _GLOBAL_REGISTRY
 
 _enabled = True
-_ispf_on = True
-
-#: Longest chain of single-link repairs applied before giving up and
-#: running full Dijkstra; also bounds how many superseded generations a
-#: live cache can keep reachable.  One shared constant with the
-#: producer-side pending-delta cap -- see
-#: :data:`repro.lsr.ispf.MAX_REPAIR_CHAIN` for why they must agree.
-_MAX_REPAIR_CHAIN = _ispf.MAX_REPAIR_CHAIN
 
 #: Image contents one deployment's :class:`SolvedImages` keeps before it
 #: forgets its oldest (FIFO, the way :data:`repro.core.timestamp.BOUND`
@@ -114,51 +103,26 @@ def disabled():
         set_enabled(previous)
 
 
-def set_ispf_enabled(flag: bool) -> bool:
-    """Globally enable/disable incremental SPF repair; returns the previous
-    value.  When disabled, every cache miss pays a full Dijkstra even if a
-    single-link delta from the previous generation is known -- the
-    pre-ISPF behavior.  ``benchmarks/regress.py --mode ispf`` flips this
-    to prove repaired and recomputed trees are byte-identical.
-    """
-    global _ispf_on
-    previous = _ispf_on
-    _ispf_on = bool(flag)
-    return previous
-
-
-def ispf_enabled() -> bool:
-    return _ispf_on
-
-
-@contextmanager
-def ispf_disabled():
-    """Context manager: run a block with incremental SPF repair off."""
-    previous = set_ispf_enabled(False)
-    try:
-        yield
-    finally:
-        set_ispf_enabled(previous)
-
-
 @dataclass
 class CacheStats:
     """Process-wide SPF cache counters; the one instance is
     :data:`GLOBAL_STATS`.  Each field is written at exactly one site per
     event kind and read only by :func:`collect_spf` (and the frozen
-    ``benchmarks/e2e``, by name)."""
+    ``benchmarks/e2e``, by name).
+
+    ``ispf_repairs`` and ``ispf_full_fallbacks`` counted the incremental
+    SPF repairs this package no longer makes.  Nothing writes them; they
+    stay, always 0, because the frozen ``benchmarks/e2e/scenarios.py``
+    reads both by name."""
 
     hits: int = 0
     misses: int = 0
-    #: Image generations discarded (LSA installs, link state changes);
+    #: Images discarded (LSA installs, link state changes);
     #: written by the producers, LinkStateDatabase and Network.
     invalidations: int = 0
     #: Full Dijkstra executions performed on behalf of a cache.
     full_runs: int = 0
-    #: Misses answered by incremental repair instead of a full Dijkstra.
     ispf_repairs: int = 0
-    #: Misses where repair history existed but ISPF still fell back to a
-    #: full run (multi-link delta, broken chain, or source never solved).
     ispf_full_fallbacks: int = 0
 
 
@@ -186,22 +150,14 @@ def collect_spf(reg) -> None:
         "full Dijkstra executions performed by caches",
     ).set_total(GLOBAL_STATS.full_runs)
     reg.counter(
-        attach.SPF_ISPF_REPAIRS,
-        "cache misses answered by incremental SPF repair",
-    ).set_total(GLOBAL_STATS.ispf_repairs)
-    reg.counter(
-        attach.SPF_ISPF_FALLBACKS,
-        "cache misses that fell back to full Dijkstra despite repair "
-        "history (multi-link delta or unsolved source)",
-    ).set_total(GLOBAL_STATS.ispf_full_fallbacks)
-    reg.counter(
         attach.DIJKSTRA_RUNS,
         "full Dijkstra executions (cached misses and uncached calls)",
     ).set_total(RUN_COUNTER.count)
-    reg.counter(
-        attach.SPF_RELAXATIONS,
-        "edge relaxations, by full Dijkstra runs and ISPF repairs",
-    ).set_total(RELAX_COUNTER.count)
+
+
+#: One image change ``(u, v, old_weight, new_weight)``.  ``None`` on a side
+#: means the edge is absent before/after the change.
+LinkDelta = Tuple[int, int, Optional[float], Optional[float]]
 
 
 def _edge_hash(u: int, v: int, weight: float) -> int:
@@ -221,7 +177,7 @@ def content_key(adj: Mapping[int, Mapping[int, float]]) -> int:
     return key & _KEY_MASK
 
 
-def rekey(key: int, delta: Tuple[_ispf.LinkDelta, ...]) -> int:
+def rekey(key: int, delta: Tuple[LinkDelta, ...]) -> int:
     """``key`` after the ordered link ``delta``: each changed edge's old
     term out, its new term in."""
     for u, v, old_w, new_w in delta:
@@ -319,32 +275,17 @@ class SpfCache(MappingABC):
     one they are its own.
     """
 
-    __slots__ = (
-        "_adj",
-        "generation",
-        "_sssp",
-        "_tables",
-        "_dags",
-        "_ecc",
-        "detours",
-        "_prev",
-        "_delta",
-        "_had_history",
-    )
+    # ``__weakref__``: tests watch a superseded image get collected.
+    __slots__ = ("_adj", "_sssp", "_tables", "_dags", "_ecc", "detours", "__weakref__")
 
     def __init__(
         self,
         adj: Mapping[int, Mapping[int, float]],
-        generation: int = 0,
-        prev: Optional[object] = None,
-        delta: Optional[Tuple[_ispf.LinkDelta, ...]] = None,
         solved: Optional[_Solved] = None,
     ) -> None:
         if solved is None:
             solved = _Solved(adj)
         self._adj = solved.adj
-        #: The producer's image version this snapshot was built from.
-        self.generation = generation
         self._sssp = solved.sssp
         self._tables = solved.tables
         self._dags = solved.dags
@@ -352,28 +293,6 @@ class SpfCache(MappingABC):
         #: ``(u, v) -> BackupFragment or None``, filled by
         #: :func:`repro.frr.backup.compute_backup_plan`.
         self.detours = solved.detours
-        #: The superseded generation plus the ordered link deltas leading
-        #: here, when the producer knows them -- the ISPF repair chain.  A
-        #: ``prev`` without a usable ``delta`` only marks that history
-        #: existed (for fallback accounting) and is not retained.
-        usable = bool(delta) and isinstance(prev, SpfCache)
-        self._prev: Optional[SpfCache] = prev if usable else None
-        self._delta = delta if usable else None
-        self._had_history = prev is not None
-        if self._prev is not None:
-            self._trim_chain()
-
-    def _trim_chain(self) -> None:
-        """Cap the repair chain so superseded images can be collected."""
-        depth = 1
-        node = self._prev
-        while node is not None and node._prev is not None:
-            depth += 1
-            if depth >= _MAX_REPAIR_CHAIN:
-                node._prev = None
-                node._delta = None
-                return
-            node = node._prev
 
     @property
     def rows(self) -> Mapping[int, Mapping[int, float]]:
@@ -408,8 +327,7 @@ class SpfCache(MappingABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SpfCache(nodes={len(self._adj)}, gen={self.generation}, "
-            f"sssp={len(self._sssp)})"
+            f"SpfCache(nodes={len(self._adj)}, sssp={len(self._sssp)})"
         )
 
     # -- memoized SPF results ----------------------------------------------
@@ -417,28 +335,16 @@ class SpfCache(MappingABC):
     def sssp(
         self, source: int
     ) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
-        """Memoized single-source shortest paths (``spf.dijkstra``).
-
-        On a miss, when this generation descends from a superseded one by
-        a chain of known single-link deltas and that ancestor already
-        solved ``source``, the old tree is *repaired* (see
-        :mod:`repro.lsr.ispf`) instead of re-running full Dijkstra;
-        otherwise -- and whenever ISPF is globally disabled -- the miss
-        pays a full run, exactly as before.
-        """
+        """Memoized single-source shortest paths (``spf.dijkstra``): a
+        miss on this content pays one full run, which every image of the
+        content then reads."""
         entry = self._sssp.get(source)
         if entry is not None:
             GLOBAL_STATS.hits += 1
             return entry
-        entry = self._repair_from_chain(source) if _ispf_on else None
         GLOBAL_STATS.misses += 1
-        if entry is not None:
-            GLOBAL_STATS.ispf_repairs += 1
-        else:
-            if _ispf_on and self._had_history:
-                GLOBAL_STATS.ispf_full_fallbacks += 1
-            GLOBAL_STATS.full_runs += 1
-            entry = dijkstra_uncached(self._adj, source)
+        GLOBAL_STATS.full_runs += 1
+        entry = dijkstra_uncached(self._adj, source)
         self._sssp[source] = entry
         return entry
 
@@ -449,30 +355,6 @@ class SpfCache(MappingABC):
         for s in pending:
             self.sssp(s)
         return len(pending)
-
-    def _repair_from_chain(
-        self, source: int
-    ) -> Optional[Tuple[Dict[int, float], Dict[int, Optional[int]]]]:
-        """Walk superseded generations for a solved tree and repair it
-        forward through each intervening delta; None when impossible."""
-        steps: list = []
-        node = self
-        while node._prev is not None and len(steps) < _MAX_REPAIR_CHAIN:
-            steps.append((node._adj, node._delta))
-            node = node._prev
-            base = node._sssp.get(source)
-            if base is None:
-                continue
-            dist, parent = base
-            for adj_i, delta_i in reversed(steps):
-                repaired = _ispf.repair_sssp_chain(
-                    adj_i, source, dist, parent, delta_i
-                )
-                if repaired is None:  # pragma: no cover - inconsistent chain
-                    return None
-                dist, parent = repaired
-            return dist, parent
-        return None
 
     def routing_table(self, source: int) -> Dict[int, int]:
         """Memoized OSPF-style next-hop table from ``source``."""
@@ -530,26 +412,13 @@ class SpfCache(MappingABC):
 
 
 def wrap_image(
-    adj: Dict[int, Dict[int, float]],
-    generation: int = 0,
-    prev: Optional[object] = None,
-    delta: Optional[Tuple[_ispf.LinkDelta, ...]] = None,
-    *,
-    table: SolvedImages,
-    key: int,
+    adj: Dict[int, Dict[int, float]], *, table: SolvedImages, key: int
 ):
     """Wrap a freshly built image in a cache, honoring the global switch.
 
-    Producers that know *how* the image changed pass the superseded
-    ``prev`` snapshot plus the ordered link ``delta`` sequence leading
-    here, making the new generation repairable by incremental SPF.
-    ``prev`` with ``delta=None`` records that history existed but the
-    change was too large to track (fallback accounting only).  ``key`` is
-    the image's :func:`content_key`: the cache shares the solved tables and
-    rows of every image in ``table`` with that content.
+    ``key`` is the image's :func:`content_key`: the cache shares the
+    solved tables and rows of every image in ``table`` with that content.
     """
     if not _enabled:
         return adj
-    return SpfCache(
-        adj, generation=generation, prev=prev, delta=delta, solved=table.entry(key, adj)
-    )
+    return SpfCache(adj, solved=table.entry(key, adj))

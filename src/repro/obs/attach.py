@@ -33,9 +33,6 @@ SPF_HITS = "spf_cache_hits_total"
 SPF_MISSES = "spf_cache_misses_total"
 SPF_INVALIDATIONS = "spf_cache_invalidations_total"
 SPF_FULL_RUNS = "spf_cache_full_runs_total"
-SPF_ISPF_REPAIRS = "spf_ispf_repairs_total"
-SPF_ISPF_FALLBACKS = "spf_ispf_full_fallbacks_total"
-SPF_RELAXATIONS = "spf_relaxations_total"
 DIJKSTRA_RUNS = "spf_dijkstra_runs_total"
 COMPUTATIONS = "computations_total"
 FLOOD_OPERATIONS = "flood_operations_total"

@@ -74,13 +74,9 @@ class Network:
         self._version = 0
         #: Cached SPF views, keyed by include_down (see spf_view).
         self._spf_views: Dict[bool, object] = {}
-        #: Views superseded by the last invalidation, kept one step so the
-        #: next :meth:`spf_view` can chain them for incremental SPF.
-        self._prev_views: Dict[bool, object] = {}
-        #: The mutation behind the latest version bump:
-        #: ``("add", u, v, delay)`` or ``("state", u, v, delay, old_up, up)``.
-        self._last_event: Optional[Tuple] = None
-        self._last_event_version = -1
+        #: How the latest version bump changed the up-link adjacency:
+        #: ``(u, v, old_weight, new_weight)``, ``None`` for an absent edge.
+        self._last_delta: Optional[Tuple] = None
         #: Solved SPF images by content, shared by this network's own views
         #: only: a deployment's routers share a table of their own.
         self._solved = SolvedImages()
@@ -104,7 +100,7 @@ class Network:
         self._links[key] = link
         self._adj[u][v] = link
         self._adj[v][u] = link
-        self._invalidate_views(("add", u, v, delay))
+        self._invalidate_views((u, v, None, delay))
         return link
 
     def _check_node(self, x: int) -> None:
@@ -151,7 +147,10 @@ class Network:
         link = self.link(u, v)
         old_up = link.up
         link.up = up
-        self._invalidate_views(("state", u, v, link.delay, old_up, up))
+        delay = link.delay
+        self._invalidate_views(
+            (u, v, delay if old_up else None, delay if up else None)
+        )
         return link
 
     # -- SPF views -----------------------------------------------------------
@@ -161,32 +160,14 @@ class Network:
         """Monotone topology version (bumped per link add / state change)."""
         return self._version
 
-    def _invalidate_views(self, event: Optional[Tuple] = None) -> None:
+    def _invalidate_views(self, delta: Tuple) -> None:
         self._version += 1
-        self._last_event = event
-        self._last_event_version = self._version
+        self._last_delta = delta
         if self._spf_views:
-            self._prev_views = self._spf_views
             self._spf_views = {}
             from repro.lsr.spfcache import GLOBAL_STATS
 
             GLOBAL_STATS.invalidations += 1
-
-    @staticmethod
-    def _event_delta(event: Optional[Tuple], include_down: bool):
-        """Translate a recorded mutation into a view's single-link delta
-        ``(u, v, old_weight, new_weight)``, or None if untranslatable."""
-        if event is None:
-            return None
-        if event[0] == "add":
-            _, u, v, delay = event
-            return (u, v, None, delay)
-        _, u, v, delay, old_up, new_up = event
-        if include_down:
-            # The all-links view keeps every edge regardless of state, so
-            # an up/down flip leaves it unchanged (a no-op delta).
-            return (u, v, delay, delay)
-        return (u, v, delay if old_up else None, delay if new_up else None)
 
     def up_delta_since(self, version: int):
         """How the up-link adjacency changed since ``version``.
@@ -200,10 +181,9 @@ class Network:
         """
         if version == self._version:
             return ()
-        if version != self._version - 1 or self._last_event_version != self._version:
+        if version != self._version - 1:
             return None
-        delta = self._event_delta(self._last_event, include_down=False)
-        return None if delta is None else (delta,)
+        return (self._last_delta,)
 
     def spf_view(self, include_down: bool = False):
         """A memoizing adjacency view (delays as weights) of this network.
@@ -211,13 +191,11 @@ class Network:
         Equivalent in content to :func:`repro.lsr.spf.network_adjacency`
         but wrapped in an :class:`~repro.lsr.spfcache.SpfCache`, so SPF
         results are reused until the next link mutation invalidates the
-        view.  When exactly one recorded mutation separates the new view
-        from its predecessor, the delta is threaded into the cache so
-        misses repair the old trees incrementally.  Treat the returned
-        mapping as immutable.
+        view, and a view whose content an earlier one had reads that
+        view's solved results.  Treat the returned mapping as immutable.
         """
         from repro.lsr.spf import network_adjacency
-        from repro.lsr.spfcache import SpfCache, content_key, enabled, wrap_image
+        from repro.lsr.spfcache import content_key, enabled, wrap_image
 
         key = bool(include_down)
         view = self._spf_views.get(key)
@@ -228,23 +206,7 @@ class Network:
         adj = network_adjacency(self, include_down=include_down)
         if not enabled():
             return adj
-        prev = self._prev_views.pop(key, None)
-        delta = None
-        if (
-            isinstance(prev, SpfCache)
-            and prev.generation == self._version - 1
-            and self._last_event_version == self._version
-        ):
-            single = self._event_delta(self._last_event, include_down=key)
-            delta = (single,) if single is not None else None
-        view = wrap_image(
-            adj,
-            generation=self._version,
-            prev=prev,
-            delta=delta,
-            table=self._solved,
-            key=content_key(adj),
-        )
+        view = wrap_image(adj, table=self._solved, key=content_key(adj))
         self._spf_views[key] = view
         return view
 

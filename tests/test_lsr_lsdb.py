@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from repro.lsr.ispf import MAX_REPAIR_CHAIN
 from repro.lsr.lsa import NonMcLsa, RouterLsa
-from repro.lsr.lsdb import LinkStateDatabase
-from repro.lsr.spfcache import GLOBAL_STATS, SolvedImages, content_key
+from repro.lsr.lsdb import MAX_PENDING_DELTAS, LinkStateDatabase
+from repro.lsr.spf import dijkstra_uncached
+from repro.lsr.spfcache import SolvedImages, content_key
 from repro.topo.generators import waxman_network
 
 
@@ -84,6 +84,36 @@ class TestImage:
         db.install(lsa(1, 1, [(0, 1.0, True)]))
         assert db.adjacency() is db.adjacency()
 
+    @staticmethod
+    def _square_db():
+        """4-switch ring 0-1-2-3-0 with unit delays, fully installed."""
+        db = LinkStateDatabase(4, SolvedImages())
+        for origin, nbrs in {0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (0, 2)}.items():
+            db.install(lsa(origin, 1, [(n, 1.0, True) for n in nbrs]))
+        return db
+
+    def test_refresh_install_keeps_image(self):
+        db = self._square_db()
+        image = db.adjacency()
+        image.sssp(0)
+        # Pure seqnum refresh: identical link content.
+        db.install(lsa(0, 2, [(1, 1.0, True), (3, 1.0, True)]))
+        assert not db.last_install_changed_image
+        assert db.adjacency() is image
+
+    def test_single_link_change_matches_full_run(self):
+        db = self._square_db()
+        image = db.adjacency()
+        for x in range(4):
+            image.sssp(x)
+        # Switch 0 re-advertises the 0--1 link slower.
+        db.install(lsa(0, 2, [(1, 3.0, True), (3, 1.0, True)]))
+        assert db.last_install_changed_image
+        image2 = db.adjacency()
+        assert image2 is not image
+        for x in range(4):
+            assert image2.sssp(x) == dijkstra_uncached(dict(image2), x)
+
 
 def rows(image) -> str:
     """Every row of an image, iteration order included."""
@@ -129,7 +159,9 @@ class _Adverts:
 
 class TestPatchedImage:
     """A rebuild that recomputes only the rows its delta names yields the
-    image the full scan would, and still feeds incremental SPF."""
+    image, and the shortest paths, the full scan would: for delta runs
+    below, at and past :data:`MAX_PENDING_DELTAS` (past it, the rebuild
+    is the full scan)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_patched_rebuild_equals_full_scan(self, seed):
@@ -143,40 +175,32 @@ class TestPatchedImage:
         known = [x for x in range(n) if x not in (late, never)]
         for origin in known:
             db.install(adverts.emit(origin))
-        tracked = degraded = single = 0
-        seen = set()
-        for step in range(80):
+        db.adjacency()
+        for step in range(60):
             if step == 30:
                 db.install(adverts.emit(late))
                 known.append(late)
-            elif step % 10 == 9:
-                # More image changes than the repair horizon tracks.
-                affecting = 0
-                while affecting <= MAX_REPAIR_CHAIN:
-                    db.install(adverts.mutate(rng.choice(known)))
-                    affecting += db.last_install_changed_image
-            elif step:
+            # A run of image changes below, at or past the cap.
+            run = (rng.randrange(1, MAX_PENDING_DELTAS), MAX_PENDING_DELTAS,
+                   MAX_PENDING_DELTAS + 1)[step % 3]
+            changes = 0
+            while changes < run:
                 db.install(adverts.mutate(rng.choice(known)))
-            stale = db._image is None and db._prev_image is not None
-            delta = db._pending_delta if stale else None
-            tracked += delta is not None
-            degraded += stale and delta is None
+                changes += db.last_install_changed_image
+            pending = db._pending_delta
+            if step != 30:  # at 30 the late arrival's own changes come first
+                tracked = None if pending is None else len(pending)
+                assert tracked == (run if run <= MAX_PENDING_DELTAS else None), step
             image = db.adjacency()
             fresh = LinkStateDatabase(n, SolvedImages())
             for lsa_ in db.entries().values():
                 fresh.install(lsa_)
             assert rows(image) == rows(fresh.adjacency()), step
-            # Solving on every generation keeps the repair chain rooted.
-            # A content seen before may be a table hit; a new one with a
-            # single-change delta is repaired.
-            content = frozenset((u, v, w) for u, row in image.items() for v, w in row.items())
-            repairs = GLOBAL_STATS.ispf_repairs
-            assert image.sssp(0) == fresh.adjacency().sssp(0)
-            if delta is not None and len(delta) == 1 and content not in seen:
-                single += 1
-                assert GLOBAL_STATS.ispf_repairs == repairs + 1
-            seen.add(content)
-        assert tracked and degraded and single
+            plain = {x: dict(row) for x, row in fresh.adjacency().items()}
+            for source in (0, late):
+                assert repr(image.sssp(source)) == repr(
+                    dijkstra_uncached(plain, source)
+                ), step
 
 
 class TestContentKey:
@@ -192,7 +216,7 @@ class TestContentKey:
         for origin in range(n):
             db.install(adverts.emit(origin))
         for step in range(60):
-            for _ in range(rng.choice((1, 1, 2, MAX_REPAIR_CHAIN + 1))):
+            for _ in range(rng.choice((1, 1, 2, MAX_PENDING_DELTAS + 1))):
                 db.install(adverts.mutate(rng.randrange(n)))
             image = db.adjacency()
             assert db._key == content_key(image), step

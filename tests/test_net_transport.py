@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import Role
@@ -629,3 +631,16 @@ class TestRetransmitPolicy:
         assert timeouts[1] == 0.04
         assert all(a <= b for a, b in zip(timeouts, timeouts[1:]))
         assert timeouts[-1] == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.001, max_value=0.2),
+        st.floats(min_value=0.2, max_value=5.0),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_timeout_monotone_and_capped(self, rto, rto_max, attempts):
+        policy = RetransmitPolicy(rto=rto, rto_max=rto_max)
+        timeouts = [policy.timeout(a) for a in range(1, attempts + 1)]
+        assert all(b >= a for a, b in zip(timeouts, timeouts[1:]))
+        assert all(t <= rto_max for t in timeouts)
+        assert timeouts[0] == min(rto, rto_max)

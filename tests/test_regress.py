@@ -66,7 +66,18 @@ class TestInvariants:
     def test_cache_equivalence_meets_acceptance_bar(self, quick_report):
         eq = quick_report["benchmarks"]["cache_equivalence"]
         assert eq["identical_trees"] is True
+        assert eq["identical_tables"] is True
         assert eq["dijkstra_reduction"] >= 2.0
+
+    def test_failure_churn_meets_acceptance_bar(self, regress, quick_report):
+        """The link-failure campaign runs inside cache_equivalence, and the
+        oracle agrees with the shared-image run on it too."""
+        eq = quick_report["benchmarks"]["cache_equivalence"]
+        assert eq["failure_trials"] == eq["trials"]
+        assert eq["link_events"] > 0
+        assert eq["identical_failure_trees"] is True
+        assert eq["identical_failure_tables"] is True
+        assert regress.check_invariants(quick_report) == []
 
     def test_violations_are_reported(self, regress, quick_report):
         broken = copy.deepcopy(quick_report)
@@ -76,41 +87,29 @@ class TestInvariants:
         failures = regress.check_invariants(broken)
         assert len(failures) == 3
 
+    def test_table_mismatches_are_reported(self, regress, monkeypatch):
+        """Equal trees do not excuse different unicast next hops: plant a
+        routing-table difference between the shared-image runs and the
+        oracle's, in both campaigns."""
+        from repro.lsr import spfcache
 
-class TestIspfGate:
-    def test_only_selects_ispf_benchmark(self, regress):
-        report = regress.run_benchmarks("quick", only=["ispf_churn"])
-        assert set(report["benchmarks"]) == {"ispf_churn"}
-        record = report["benchmarks"]["ispf_churn"]
-        assert record["identical_trees"] is True
-        assert record["identical_tables"] is True
-
-    def test_failure_churn_meets_acceptance_bar(self, regress):
-        report = regress.run_benchmarks("quick", only=["ispf_failure_churn"])
-        fc = report["benchmarks"]["ispf_failure_churn"]
-        assert fc["identical_trees"] is True
-        assert fc["identical_tables"] is True
-        assert fc["ispf_repairs"] > 0
-        assert fc["relaxations_ispf"] < fc["relaxations_full"]
-        assert regress.check_invariants(report) == []
-
-    def test_ispf_violations_are_reported(self, regress):
-        report = {
-            "sizes": [20, 100],
-            "benchmarks": {
-                "ispf_failure_churn": {
-                    "identical_trees": False,
-                    "identical_tables": False,
-                    "ispf_repairs": 0,
-                    "relaxation_reduction": 1.5,
-                },
-            },
-        }
-        failures = regress.check_invariants(report)
-        assert len(failures) == 4
-        # The relaxation gate only applies at acceptance scale (n >= 100).
-        report["sizes"] = [16]
-        assert len(regress.check_invariants(report)) == 3
+        blob = regress._routing_blob
+        monkeypatch.setattr(
+            regress,
+            "_routing_blob",
+            lambda dgmc: blob(dgmc) + (b"" if spfcache.enabled() else b"!"),
+        )
+        record = regress.bench_cache_equivalence((16,), 1)
+        assert record["identical_trees"] and record["identical_failure_trees"]
+        failures = regress.check_invariants(
+            {"sizes": [16], "benchmarks": {"cache_equivalence": record}}
+        )
+        assert failures == [
+            "cache_equivalence: cached and uncached runs produced different "
+            "routing tables",
+            "cache_equivalence: cached and uncached runs produced different "
+            "routing tables under link failures",
+        ]
 
 
 class TestDataplaneGate:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -117,8 +119,9 @@ class TestMemoization:
         assert delta[attach.SPF_MISSES] == 0
 
     def test_registry_delta_pins_every_spf_sample(self, registry_delta):
-        """Cold solve, warm hit, one-link install, multi-link install:
-        each event is written once and read through the registry."""
+        """Cold solve, warm hit, one-link install, multi-link install, a
+        content seen before: each event is written once and read through
+        the registry."""
         lsa = TestInvalidation._lsa
         db = LinkStateDatabase(3, SolvedImages())
         db.install(lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
@@ -129,47 +132,35 @@ class TestMemoization:
             attach.SPF_MISSES,
             attach.SPF_INVALIDATIONS,
             attach.SPF_FULL_RUNS,
-            attach.SPF_ISPF_REPAIRS,
-            attach.SPF_ISPF_FALLBACKS,
             attach.DIJKSTRA_RUNS,
         )
 
         def step():
             delta = registry_delta()
-            return tuple(delta[name] for name in spf_samples), delta[
-                attach.SPF_RELAXATIONS
-            ]
+            return tuple(delta[name] for name in spf_samples)
 
         registry_delta()
         db.adjacency().sssp(0)  # cold: one miss, one full Dijkstra
-        counts, relaxed = step()
-        assert counts == (0, 1, 0, 1, 0, 0, 1)
-        assert relaxed == 6  # three settled nodes, two live edges each
+        assert step() == (0, 1, 0, 1, 1)
 
         db.adjacency().sssp(0)  # warm: one hit, no work
-        assert step() == ((1, 0, 0, 0, 0, 0, 0), 0)
+        assert step() == (1, 0, 0, 0, 0)
 
-        # One changed link: the image is invalidated once and the miss is
-        # repaired incrementally, with no Dijkstra run.
+        # One changed link: the image is invalidated once and the new
+        # content's miss pays one full run.
         db.install(lsa(0, 2, [(1, 5.0, True), (2, 1.0, True)]))
         db.adjacency().sssp(0)
-        counts, relaxed = step()
-        assert counts == (0, 1, 1, 0, 1, 0, 0)
-        assert relaxed > 0
+        assert step() == (0, 1, 1, 1, 1)
 
-        # Two changed links in one LSA still replay as an ordered chain.
+        # Two changed links in one LSA: the same.
         db.install(lsa(0, 3, [(1, 1.0, True), (2, 4.0, True)]))
         db.adjacency().sssp(0)
-        counts, _ = step()
-        assert counts == (0, 1, 1, 0, 1, 0, 0)
+        assert step() == (0, 1, 1, 1, 1)
 
-        # Past the repair horizon the history is known but unusable: the
-        # miss falls back to exactly one full run.
-        for k in range(spfcache._MAX_REPAIR_CHAIN + 1):
-            db.install(lsa(0, 4 + k, [(1, 2.0 + k, True), (2, 4.0, True)]))
+        # Back to the first content: its solved tree is read, not re-run.
+        db.install(lsa(0, 4, [(1, 1.0, True), (2, 1.0, True)]))
         db.adjacency().sssp(0)
-        counts, _ = step()
-        assert counts == (0, 1, 1, 1, 0, 1, 1)
+        assert step() == (1, 0, 1, 0, 0)
 
 
 class TestInvalidation:
@@ -207,9 +198,7 @@ class TestInvalidation:
         assert db.adjacency() is image
         assert registry_delta()[attach.SPF_INVALIDATIONS] == 0
 
-    def test_lsdb_single_link_install_repairs_instead_of_rerunning(
-        self, registry_delta
-    ):
+    def test_lsdb_single_link_install_runs_one_dijkstra(self, registry_delta):
         db = LinkStateDatabase(3, SolvedImages())
         db.install(self._lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
         db.install(self._lsa(1, 1, [(0, 1.0, True), (2, 1.0, True)]))
@@ -218,18 +207,33 @@ class TestInvalidation:
         registry_delta()
         assert db.install(self._lsa(0, 2, [(1, 5.0, True), (2, 1.0, True)]))
         assert db.last_install_changed_image
-        dist, parent = db.adjacency().sssp(0)
-        assert registry_delta()[attach.SPF_ISPF_REPAIRS] == 1
-        assert dist == spf.dijkstra_uncached(dict(db.adjacency()), 0)[0]
-        with spfcache.ispf_disabled():
-            # The toggle restores the old recompute-from-scratch path.
-            db2 = LinkStateDatabase(2, SolvedImages())
-            db2.install(self._lsa(0, 1, [(1, 1.0, True)]))
-            db2.install(self._lsa(1, 1, [(0, 1.0, True)]))
-            db2.adjacency().sssp(0)
-            db2.install(self._lsa(0, 2, [(1, 2.0, True)]))
-            db2.adjacency().sssp(0)
-            assert registry_delta()[attach.SPF_ISPF_REPAIRS] == 0
+        image = db.adjacency()
+        solved = image.sssp(0)
+        delta = registry_delta()
+        assert (delta[attach.SPF_MISSES], delta[attach.SPF_FULL_RUNS]) == (1, 1)
+        assert delta[attach.DIJKSTRA_RUNS] == 1
+        plain = {x: dict(row) for x, row in image.items()}
+        assert repr(solved) == repr(spf.dijkstra_uncached(plain, 0))
+
+    def test_superseded_image_is_collectable(self):
+        """Once an install or a link event supersedes an image, nothing
+        the producer or the next image holds keeps it alive."""
+        db = LinkStateDatabase(3, SolvedImages())
+        db.install(self._lsa(0, 1, [(1, 1.0, True), (2, 1.0, True)]))
+        db.install(self._lsa(1, 1, [(0, 1.0, True), (2, 1.0, True)]))
+        db.install(self._lsa(2, 1, [(0, 1.0, True), (1, 1.0, True)]))
+        db.adjacency().sssp(0)
+        old_image = weakref.ref(db.adjacency())
+        db.install(self._lsa(0, 2, [(1, 5.0, True), (2, 1.0, True)]))
+        db.adjacency().sssp(0)
+        net = diamond()
+        net.spf_view().sssp(0)
+        old_view = weakref.ref(net.spf_view())
+        net.set_link_state(0, 1, up=False)
+        net.spf_view().sssp(0)
+        gc.collect()
+        assert old_image() is None
+        assert old_view() is None
 
     def test_lsdb_stale_install_keeps_snapshot(self):
         db = LinkStateDatabase(2, SolvedImages())
@@ -449,7 +453,7 @@ class TestSolvedImages:
         counters = (
             attach.SPF_HITS,
             attach.SPF_MISSES,
-            attach.SPF_ISPF_REPAIRS,
+            attach.SPF_INVALIDATIONS,
             attach.DIJKSTRA_RUNS,
         )
         seen = []
