@@ -143,7 +143,7 @@ def bench_spf_substrate(sizes, graphs) -> Dict[str, object]:
     return {
         "switches": n,
         "path_queries": queries,
-        "dijkstra_runs": int(delta[attach.SPF_FULL_RUNS]),
+        "dijkstra_runs": misses,
         "spf_hits": hits,
         "spf_misses": misses,
         "spf_hit_rate": _hit_rate(hits, misses),

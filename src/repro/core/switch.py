@@ -594,10 +594,9 @@ class DgmcSwitch:
             # plans its incident tree edges alone -- both endpoints derive
             # the same fragment from identical topologies and images --
             # and one the tree does not touch never rebuilds its image.
-            me = self.switch_id
-            if any(me in edge for edge in topology.all_edges()):
+            if self.switch_id in topology.edge_nodes():
                 state.backup_plan = compute_backup_plan(
-                    topology, self.router.network_image(), me
+                    topology, self.router.network_image(), self.switch_id
                 )
             else:
                 state.backup_plan = BackupPlan()

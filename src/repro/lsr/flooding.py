@@ -39,6 +39,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lsr import spf
+from repro.lsr.spfcache import remember
 from repro.obs import tracer as obs_tracer
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.kernel import Simulator
@@ -191,9 +192,13 @@ class FloodingFabric:
         #: Total individual LSA deliveries (diagnostic).
         self.delivery_count = 0
         self.history: list[FloodDelivery] = []
-        #: Per-origin BFS hop counts, valid for one topology version
-        #: (fixed per-hop timing floods one BFS per event otherwise).
-        self._hops_cache: Dict[int, Dict[int, int]] = {}
+        #: Per-origin BFS hop counts by the network's exact up-link state
+        #: (:attr:`Network.up_state <repro.topo.graph.Network.up_state>`),
+        #: so a heal returns to the counts from before the failure (fixed
+        #: per-hop timing floods one BFS per event otherwise).
+        self._hops_by_state: Dict[tuple, Dict[int, Dict[int, int]]] = {}
+        #: The current state's entry, re-read when ``net.version`` moves.
+        self._hops: Dict[int, Dict[int, int]] = {}
         self._hops_version = -1
         #: Optional per-flood histograms, created by :meth:`bind_metrics`.
         self._fanout_hist: Optional[Histogram] = None
@@ -236,12 +241,16 @@ class FloodingFabric:
         """
         if self.per_hop_delay is not None:
             if self._hops_version != self.net.version:
-                self._hops_cache.clear()
                 self._hops_version = self.net.version
-            hops = self._hops_cache.get(origin)
+                state = self.net.up_state
+                self._hops = self._hops_by_state.get(state)
+                if self._hops is None:
+                    self._hops = {}
+                    remember(self._hops_by_state, state, self._hops)
+            hops = self._hops.get(origin)
             if hops is None:
                 hops = self.net.hop_distances(origin)
-                self._hops_cache[origin] = hops
+                self._hops[origin] = hops
             return {x: h * self.per_hop_delay for x, h in hops.items()}
         dist, _ = spf.dijkstra(self.net.spf_view(), origin)
         return dist
@@ -279,7 +288,7 @@ class FloodingFabric:
         if self._hops_hist is not None:
             # Deliveries per hop class, observed once each, from the BFS map
             # arrival_times just cached (a zero delay cannot be divided back).
-            hops = self._hops_cache[origin]
+            hops = self._hops[origin]
             for distance, count in Counter(map(hops.__getitem__, delays)).items():
                 self._hops_hist.observe(distance, count)
         if self._fanout_hist is not None:

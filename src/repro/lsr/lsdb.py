@@ -7,26 +7,28 @@ is derived from the database with OSPF's two-way check: a link is part of
 the image only when **both** endpoints currently advertise it as up.
 
 A database is built with its deployment's
-:class:`~repro.lsr.spfcache.SolvedImages` table and keeps its image's
-:func:`~repro.lsr.spfcache.content_key`: a full scan computes it, and
-each install updates it from its link delta in O(delta).  Images with the
-same content -- most switches' after a flood -- then share one set of
-solved SPF tables and one row table, so the exact-content check of the
-next image compares unchanged rows by identity; databases holding equal
-LSAs share one full scan.
+:class:`~repro.lsr.spfcache.SolvedImages` table.  Its first image scans
+every LSA; from then on the database holds the table's
+:class:`~repro.lsr.spfcache.LsaSet` equal to its LSAs.  A flood hands one
+LSA to every database, and most hold the same set when it arrives, so an
+install is one lookup of the move the first database computed (its link
+delta and the set after), and an image is one lookup of the image the
+first database built.  Images with the same content -- reached in any
+install order -- share one set of solved SPF tables and one row table.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.spfcache import (
     GLOBAL_STATS,
     LinkDelta,
+    LsaSet,
     SolvedImages,
     SpfCache,
-    rekey,
     wrap_image,
 )
 
@@ -41,18 +43,20 @@ class LinkStateDatabase:
 
     The image is handed out as a :class:`~repro.lsr.spfcache.SpfCache`
     snapshot: every accepted LSA install that changes it discards the
-    snapshot and the next :meth:`adjacency` call builds a fresh one, which
-    adopts the solved SPF results of any image in the deployment's
-    ``solved`` table with the same content.
+    snapshot, and the next :meth:`adjacency` call returns the image of
+    the new LSA set -- the one another database of the deployment built,
+    or a fresh one that adopts the solved SPF results of any image in the
+    deployment's ``solved`` table with the same content.
     """
 
     def __init__(self, n: int, solved: SolvedImages) -> None:
         self.n = n
         #: The deployment's table of solved images.
         self.solved = solved
-        #: The image content's key: the first full scan sets it, and the
-        #: installs after it (the only ones with a link delta) update it.
-        self._key = 0
+        #: The deployment's LSA set equal to ``_entries``: the first full
+        #: scan finds it, and each install after it (the only ones with a
+        #: link delta) moves to the next.  ``None`` before the first image.
+        self._lsas: Optional[LsaSet] = None
         self._entries: Dict[int, RouterLsa] = {}
         self._image: Optional[Mapping[int, Dict[int, float]]] = None
         #: Count of accepted (newer) installs, for diagnostics.
@@ -62,10 +66,10 @@ class LinkStateDatabase:
         #: ``None`` when no image was built yet or the combined change is
         #: longer than :data:`MAX_PENDING_DELTAS`.
         self._pending_delta: Optional[Tuple[LinkDelta, ...]] = None
-        #: The plain row table the last image was built from (the wrapped
-        #: image only offers the slow mapping protocol); a delta-patched
-        #: rebuild copies it and shares every row the delta does not name.
-        #: Empty until the first image is built.
+        #: The plain row table of the last image this database held (the
+        #: wrapped image only offers the slow mapping protocol); a
+        #: delta-patched rebuild copies it and shares every row the delta
+        #: does not name.  Empty until the first image is built.
         self._rows: Dict[int, Dict[int, float]] = {}
         #: Whether the most recent accepted install affected the image
         #: (False only for content-identical refreshes detected against a
@@ -80,19 +84,19 @@ class LinkStateDatabase:
         SPF results -- valid.  Link changes (from this and any further
         installs before the next rebuild) accumulate as an ordered delta
         sequence for the next image; past :data:`MAX_PENDING_DELTAS`
-        changes the next rebuild scans every LSA.
+        changes the next rebuild scans every LSA.  The delta is read
+        from the deployment's memo of moves out of the held LSA set, and
+        computed only when no database made this move before.
         """
         current = self._entries.get(lsa.origin)
         if current is not None and not lsa.is_newer_than(current):
             return False
         changes: Optional[Tuple[LinkDelta, ...]] = None
-        if self._rows:  # an image was built: track how this one differs
-            changes = self._image_delta(current, lsa)
+        if self._lsas is not None:  # an image was built: track how this one differs
+            changes, self._lsas = self.solved.move(self._lsas, lsa, self._image_delta)
         self._entries[lsa.origin] = lsa
         self.installs += 1
         self.last_install_changed_image = changes != ()
-        if changes:
-            self._key = rekey(self._key, changes)
         if self._image is not None:
             if changes == ():
                 return True
@@ -187,22 +191,36 @@ class LinkStateDatabase:
         """
         if self._image is not None:
             return self._image
-        if self._pending_delta is not None:
-            # An install changes only edges incident to its origin, and the
-            # tracked delta names both ends of each: every other row equals
-            # the superseded image's, so rebuild just the named ones.
-            adj: Dict[int, Dict[int, float]] = dict(self._rows)
-            for x in {x for u, v, _, _ in self._pending_delta for x in (u, v)}:
-                adj[x] = self._lsa_edges(x, self._entries.get(x))
-        else:
-            adj, self._key = self.solved.scan(self._entries, self._scan)
-        image = wrap_image(adj, table=self.solved, key=self._key)
-        # A table hit reads the rows of the content's first image: adopt
-        # them, so images of one content keep sharing row objects.
-        self._rows = image.rows if isinstance(image, SpfCache) else adj
+        lsas = self._lsas
+        image = lsas.image() if lsas is not None and lsas.image is not None else None
+        if image is None:
+            if lsas is None:
+                lsas = self._lsas = self.solved.scan(self._entries, self._scan)
+            elif lsas.rows is None:
+                lsas.rows = self._build_rows()
+            image = wrap_image(lsas.rows, table=self.solved, key=lsas.key)
+            if isinstance(image, SpfCache):
+                # A table hit reads the rows of the content's first image:
+                # adopt them, so images of one content keep sharing rows.
+                lsas.rows = image.rows
+                lsas.image = weakref.ref(image)
+        self._rows = lsas.rows
         self._image = image
         self._pending_delta = None
         return image
+
+    def _build_rows(self) -> Dict[int, Dict[int, float]]:
+        """The rows of the stored LSAs' image: the last image's rows
+        patched by the pending delta, or a full scan past its cap."""
+        if self._pending_delta is None:
+            return self._scan()
+        # An install changes only edges incident to its origin, and the
+        # tracked delta names both ends of each: every other row equals
+        # the superseded image's, so rebuild just the named ones.
+        adj: Dict[int, Dict[int, float]] = dict(self._rows)
+        for x in {x for u, v, _, _ in self._pending_delta for x in (u, v)}:
+            adj[x] = self._lsa_edges(x, self._entries.get(x))
+        return adj
 
     def _scan(self) -> Dict[int, Dict[int, float]]:
         """The image of every stored LSA (see :meth:`SolvedImages.scan

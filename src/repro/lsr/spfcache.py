@@ -41,10 +41,12 @@ nobody in the deployment has solved runs one
 :func:`~repro.lsr.spf.dijkstra_uncached`, memoised in that entry: this
 table is the only way one image reuses another's SPF results.  The entry
 also holds ``detours``, the memo :mod:`repro.frr.backup` keeps its
-detours in.  The table also remembers the LSDB full scans that built its
-images, so databases that hold equal LSAs scan them once.  A
-:class:`~repro.topo.graph.Network` keeps a table of its own for its
-views.
+detours in.  The table also keeps its databases' LSA sets
+(:class:`LsaSet`): the full scan that built a set's first image, that
+image, and the installs out of the set, so a flood's LSA is diffed once
+per deployment and each LSA set's image is built once, not once per
+switch.  A :class:`~repro.topo.graph.Network` keeps a table of its own
+for its views.
 
 Memoized results are shared; callers must treat the returned ``dist`` /
 ``parent`` mappings as immutable (every in-tree consumer already does).
@@ -63,13 +65,18 @@ from repro.obs.metrics import REGISTRY as _GLOBAL_REGISTRY
 
 _enabled = True
 
-#: Image contents one deployment's :class:`SolvedImages` keeps before it
+#: Entries each memo of a deployment's link-state work keeps before it
 #: forgets its oldest (FIFO, the way :data:`repro.core.timestamp.BOUND`
-#: bounds the stamp tables); a forgotten entry costs a re-solve, never an
-#: answer.  Measured on the benchmark's ``linkflap_frr_n60`` (seed 7):
-#: 3,000 fail/heal cycles made 35 distinct contents, at most 9 of them
-#: held by the routers at once, and evicted none; the other workloads have
-#: no link events and hold one.
+#: bounds the stamp tables): image contents and LSA sets in
+#: :class:`SolvedImages`, the moves out of one :class:`LsaSet`, and the
+#: flooding fabric's hop counts by up-link state.  A forgotten entry costs
+#: a recomputation, never an answer.  Measured on the benchmark's
+#: ``linkflap_frr_n60`` (seed 7), 3,000 fail/heal cycles: 35 distinct
+#: contents, none evicted; 6,003 distinct LSA sets (each link event's one
+#: LSA makes one), 5,939 of them evicted, each long after every router had
+#: moved on (at a round's end the routers held at most 2); 6,002 memoised
+#: moves, at most one per set; 35 up-link states, none evicted.  The other
+#: workloads have no link events and hold one of each.
 SOLVED_BOUND = 64
 
 _KEY_MASK = (1 << 64) - 1
@@ -120,8 +127,6 @@ class CacheStats:
     #: Images discarded (LSA installs, link state changes);
     #: written by the producers, LinkStateDatabase and Network.
     invalidations: int = 0
-    #: Full Dijkstra executions performed on behalf of a cache.
-    full_runs: int = 0
     ispf_repairs: int = 0
     ispf_full_fallbacks: int = 0
 
@@ -145,10 +150,6 @@ def collect_spf(reg) -> None:
         attach.SPF_INVALIDATIONS,
         "SPF cache image invalidations (LSA installs, link state changes)",
     ).set_total(GLOBAL_STATS.invalidations)
-    reg.counter(
-        attach.SPF_FULL_RUNS,
-        "full Dijkstra executions performed by caches",
-    ).set_total(GLOBAL_STATS.full_runs)
     reg.counter(
         attach.DIJKSTRA_RUNS,
         "full Dijkstra executions (cached misses and uncached calls)",
@@ -203,30 +204,68 @@ class _Solved:
         self.detours: Dict[Tuple[int, int], object] = {}
 
 
-def _remember(table: dict, key: int, value) -> None:
+def remember(table: dict, key, value) -> None:
     """``table[key] = value``, then forget the oldest entries past
-    :data:`SOLVED_BOUND` (a dict keeps insertion order)."""
+    :data:`SOLVED_BOUND` (a dict keeps insertion order).  Every memo of a
+    deployment's link-state work is bounded this way."""
     table[key] = value
     while len(table) > SOLVED_BOUND:
         del table[next(iter(table))]
 
 
+class LsaSet:
+    """One set of stored LSAs in a deployment's databases, and the work
+    that follows from it.
+
+    ``lsas`` is ``{origin: RouterLsa}`` (never mutated) and ``lsas_key``
+    its order-free key, the XOR of ``hash((origin, seqnum))``.  (Not their
+    sum: a tuple hash of small ints is close to linear, so sums collide
+    whenever two origins' seqnums trade places.  The 4,096 sets six
+    origins reach with up to three installs each have 347 distinct sums
+    and 4,096 distinct XORs.)
+
+    ``key`` is the :func:`content_key` of its image, ``rows`` the plain
+    row table that image reads (``None`` until some database builds it),
+    and ``image`` a weak reference to the wrapped image itself, so an
+    image no database holds is still collected.  ``moves`` memoises the
+    installs out of this set: ``(origin, seqnum) -> (lsa, link delta,
+    the set after)``.
+    """
+
+    __slots__ = ("lsas", "lsas_key", "key", "rows", "image", "moves")
+
+    def __init__(
+        self,
+        lsas: Dict[int, object],
+        lsas_key: int,
+        key: int,
+        rows: Optional[Dict[int, Dict[int, float]]] = None,
+    ) -> None:
+        self.lsas = lsas
+        self.lsas_key = lsas_key
+        self.key = key
+        self.rows = rows
+        self.image: Optional[Callable[[], Optional["SpfCache"]]] = None
+        self.moves: Dict[Tuple[int, int], tuple] = {}
+
+
 class SolvedImages:
-    """One deployment's solved images by :func:`content_key`, and the
-    LSDB full scans that built them by the LSAs scanned.
+    """One deployment's solved images by :func:`content_key`, and its
+    databases' LSA sets (:class:`LsaSet`) by LSA-set key.
 
     :meth:`entry` returns the entry an image adopts.  A key hit whose
     stored content differs (a hash collision) gets a fresh entry that
-    stays out of the table, so a collision never shares; :meth:`scan`
-    likewise shares a scan only between equal LSA sets.  Each table
-    forgets its oldest entry past :data:`SOLVED_BOUND`.
+    stays out of the table, so a collision never shares.  :meth:`scan`
+    and :meth:`move` likewise share a set only between equal LSA sets,
+    and a memoised move only with an equal LSA.  Each table forgets its
+    oldest entry past :data:`SOLVED_BOUND`.
     """
 
-    __slots__ = ("_entries", "_scans")
+    __slots__ = ("_entries", "_sets")
 
     def __init__(self) -> None:
         self._entries: Dict[int, _Solved] = {}
-        self._scans: Dict[int, tuple] = {}
+        self._sets: Dict[int, LsaSet] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -236,33 +275,73 @@ class SolvedImages:
         if found is not None:
             return found if found.adj == adj else _Solved(adj)
         found = _Solved(adj)
-        _remember(self._entries, key, found)
+        remember(self._entries, key, found)
         return found
 
     def scan(
         self, lsas: Mapping[int, object], build: Callable[[], Dict[int, Dict[int, float]]]
-    ) -> Tuple[Dict[int, Dict[int, float]], int]:
-        """``build()``'s image of ``lsas`` (``{origin: RouterLsa}``) and
-        its content key, built once per distinct LSA set.
+    ) -> LsaSet:
+        """The :class:`LsaSet` of ``lsas`` with its rows, ``build()``
+        once per distinct LSA set.
 
         Every database of a deployment brought up together holds the
         same LSAs, and each builds its first image lazily, on first use:
         at n=400 that is an O(m) scan, key and exact check per switch.
-        A hit needs equal LSAs; the image is shared, so it must not be
-        mutated.
+        This is the only place an LSA-set key is taken over every LSA;
+        :meth:`move` updates it per install.  With caching disabled the
+        set is the caller's alone.
         """
-        if not _enabled:  # plain images share nothing
-            adj = build()
-            return adj, content_key(adj)
-        lsas_key = sum(hash((origin, lsa.seqnum)) for origin, lsa in lsas.items())
-        found = self._scans.get(lsas_key)
-        if found is not None and found[0] == lsas:
-            return found[1], found[2]
+        lsas_key = 0
+        for origin, lsa in lsas.items():
+            lsas_key ^= hash((origin, lsa.seqnum))
+        found = self._sets.get(lsas_key) if _enabled else None
+        if found is not None and found.lsas == lsas:
+            if found.rows is None:
+                found.rows = build()
+            return found
         adj = build()
-        key = content_key(adj)
+        lsaset = LsaSet(dict(lsas), lsas_key, content_key(adj), adj)
+        if found is None and _enabled:
+            remember(self._sets, lsas_key, lsaset)
+        return lsaset
+
+    def move(
+        self,
+        before: LsaSet,
+        lsa,
+        delta: Callable[[object, object], Tuple[LinkDelta, ...]],
+    ) -> Tuple[Tuple[LinkDelta, ...], LsaSet]:
+        """Install ``lsa`` in a database holding ``before``: the install's
+        image delta and the set the database then holds.
+
+        A hit is one lookup.  A miss calls ``delta(old, lsa)`` with the
+        LSA it replaces, as the database would, and finds or makes the
+        set after: the memo is exact because the set after is built from
+        ``before.lsas`` and ``lsa``, and ``before.lsas`` equals the
+        database's own.
+        """
+        move = (lsa.origin, lsa.seqnum)
+        found = before.moves.get(move)
+        if found is not None and found[0] == lsa:
+            return found[1], found[2]
+        old = before.lsas.get(lsa.origin)
+        changes = delta(old, lsa)
+        lsas = dict(before.lsas)
+        lsas[lsa.origin] = lsa
+        lsas_key = before.lsas_key ^ hash(move)
+        if old is not None:
+            lsas_key ^= hash((old.origin, old.seqnum))
+        after = self._sets.get(lsas_key) if _enabled else None
+        if after is None or after.lsas != lsas:
+            fresh = LsaSet(lsas, lsas_key, rekey(before.key, changes))
+            if changes == ():  # a refresh: the same image
+                fresh.rows, fresh.image = before.rows, before.image
+            if after is None and _enabled:
+                remember(self._sets, lsas_key, fresh)
+            after = fresh
         if found is None:
-            _remember(self._scans, lsas_key, (dict(lsas), adj, key))
-        return adj, key
+            remember(before.moves, move, (lsa, changes, after))
+        return changes, after
 
 
 class SpfCache(MappingABC):
@@ -343,7 +422,6 @@ class SpfCache(MappingABC):
             GLOBAL_STATS.hits += 1
             return entry
         GLOBAL_STATS.misses += 1
-        GLOBAL_STATS.full_runs += 1
         entry = dijkstra_uncached(self._adj, source)
         self._sssp[source] = entry
         return entry

@@ -32,7 +32,6 @@ __all__ = [
 SPF_HITS = "spf_cache_hits_total"
 SPF_MISSES = "spf_cache_misses_total"
 SPF_INVALIDATIONS = "spf_cache_invalidations_total"
-SPF_FULL_RUNS = "spf_cache_full_runs_total"
 DIJKSTRA_RUNS = "spf_dijkstra_runs_total"
 COMPUTATIONS = "computations_total"
 FLOOD_OPERATIONS = "flood_operations_total"

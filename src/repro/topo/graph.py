@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 import networkx as nx
 
@@ -77,6 +77,8 @@ class Network:
         #: How the latest version bump changed the up-link adjacency:
         #: ``(u, v, old_weight, new_weight)``, ``None`` for an absent edge.
         self._last_delta: Optional[Tuple] = None
+        #: Keys of the links that are down, kept by set_link_state.
+        self._down: FrozenSet[Tuple[int, int]] = frozenset()
         #: Solved SPF images by content, shared by this network's own views
         #: only: a deployment's routers share a table of their own.
         self._solved = SolvedImages()
@@ -147,6 +149,8 @@ class Network:
         link = self.link(u, v)
         old_up = link.up
         link.up = up
+        if up != old_up:
+            self._down = self._down - {link.key} if up else self._down | {link.key}
         delay = link.delay
         self._invalidate_views(
             (u, v, delay if old_up else None, delay if up else None)
@@ -159,6 +163,17 @@ class Network:
     def version(self) -> int:
         """Monotone topology version (bumped per link add / state change)."""
         return self._version
+
+    @property
+    def up_state(self) -> Tuple[int, FrozenSet[Tuple[int, int]]]:
+        """The exact up-link state: the link count and the down links' keys.
+
+        Links are only ever added, and always up, so two equal values
+        name the same up links -- a link that fails and heals returns the
+        network to the value it had before the failure, whatever versions
+        passed in between.
+        """
+        return len(self._links), self._down
 
     def _invalidate_views(self, delta: Tuple) -> None:
         self._version += 1
@@ -335,8 +350,9 @@ class Network:
         """Deep copy (link states included)."""
         net = Network(self.n, name=self.name)
         for link in self.links(include_down=True):
-            new = net.add_link(link.u, link.v, delay=link.delay, capacity=link.capacity)
-            new.up = link.up
+            net.add_link(link.u, link.v, delay=link.delay, capacity=link.capacity)
+            if not link.up:
+                net.set_link_state(link.u, link.v, up=False)
         net.positions = dict(self.positions)
         return net
 

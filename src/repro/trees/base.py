@@ -11,6 +11,7 @@ tree.  Both are hashable values, so proposals compare by content.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 Edge = Tuple[int, int]
@@ -170,10 +171,23 @@ class McTopology:
         return self.tree_map().get(SHARED)
 
     def all_edges(self) -> FrozenSet[Edge]:
+        """Every edge of every tree (memoised: a topology is immutable)."""
+        return self._all_edges
+
+    def edge_nodes(self) -> FrozenSet[int]:
+        """Every switch that some tree edge touches (memoised)."""
+        return self._edge_nodes
+
+    @cached_property
+    def _all_edges(self) -> FrozenSet[Edge]:
         edges: set[Edge] = set()
         for _, tree in self.trees:
             edges |= tree.edges
         return frozenset(edges)
+
+    @cached_property
+    def _edge_nodes(self) -> FrozenSet[int]:
+        return frozenset(x for edge in self._all_edges for x in edge)
 
     def spans(self, members: Iterable[int]) -> bool:
         """True when every constituent tree spans ``members``.

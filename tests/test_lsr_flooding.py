@@ -11,6 +11,7 @@ from repro.lsr.flooding import FloodingFabric, KernelTransport, Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.topo.generators import grid_network, ring_network
+from repro.topo.graph import Network
 from tests.batches import recorded_batches
 
 
@@ -231,6 +232,33 @@ class TestCounters:
         net = ring_network(4)
         _, fabric, _ = collect_fabric(net)
         assert fabric.count_for("nothing") == 0
+
+
+class TestHopCache:
+    def test_heal_reads_the_counts_from_before_the_failure(self, monkeypatch):
+        """Hop counts are keyed on the exact up-link state, so a heal
+        returns to the BFS computed before the failure, and the
+        ``flood_hops`` histogram reads that entry."""
+        net = grid_network(4, 4)
+        sim, fabric, _ = collect_fabric(net, per_hop_delay=1.0)
+        registry = MetricsRegistry()
+        fabric.bind_metrics(registry)
+        hops = registry.histogram("flood_hops")
+        before = fabric.arrival_times(5)
+        net.set_link_state(5, 6, up=False)
+        assert fabric.arrival_times(5) != before
+        calls = []
+        bfs = Network.hop_distances
+        monkeypatch.setattr(
+            Network, "hop_distances", lambda net, x: calls.append(x) or bfs(net, x)
+        )
+        net.set_link_state(5, 6, up=True)
+        assert fabric.arrival_times(5) == before
+        fabric.flood(5, "x")
+        sim.run()
+        assert calls == []
+        assert hops.count == fabric.delivery_count == 15
+        assert hops.sum == sum(before.values())
 
 
 class TestHistory:

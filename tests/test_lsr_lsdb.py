@@ -219,7 +219,163 @@ class TestContentKey:
             for _ in range(rng.choice((1, 1, 2, MAX_PENDING_DELTAS + 1))):
                 db.install(adverts.mutate(rng.randrange(n)))
             image = db.adjacency()
-            assert db._key == content_key(image), step
+            assert db._lsas.key == content_key(image), step
+
+
+def _stream(seed: int, n: int, rounds: int):
+    """The boot LSAs and then one list of LSAs per round of a seeded link
+    history: fail and heal of a link (both sides), seqnum-only refreshes,
+    a delay change and a one-sided down advertisement."""
+    rng = random.Random(seed)
+    adverts = _Adverts(rng, n)
+    boot = [adverts.emit(x) for x in range(n)]
+    out = []
+    failed = None
+    for r in range(rounds):
+        kind = r % 5
+        if kind == 0:  # fail a link that is up on both sides
+            u = rng.randrange(n)
+            v = rng.choice(sorted(adverts.links[u]))
+            adverts.links[u][v][1] = adverts.links[v][u][1] = False
+            failed = (u, v)
+            out.append([adverts.emit(u), adverts.emit(v)])
+        elif kind == 1:  # heal it
+            u, v = failed
+            adverts.links[u][v][1] = adverts.links[v][u][1] = True
+            out.append([adverts.emit(v), adverts.emit(u)])
+        elif kind == 2:  # seqnum-only refreshes
+            out.append([adverts.emit(x) for x in rng.sample(range(n), 3)])
+        elif kind == 3:  # one side changes its delay
+            u = rng.randrange(n)
+            side = adverts.links[u][rng.choice(sorted(adverts.links[u]))]
+            side[0] = rng.choice((0.5, 1.5, 3.0))
+            out.append([adverts.emit(u)])
+        else:  # one side advertises a link down, then up again
+            u = rng.randrange(n)
+            side = adverts.links[u][rng.choice(sorted(adverts.links[u]))]
+            side[1] = False
+            first = adverts.emit(u)
+            side[1] = True
+            out.append([first, adverts.emit(u)])
+    return boot, out
+
+
+def _deliveries(seed: int, boot, rounds):
+    """One database's arrival order: every LSA of a round arrives, in a
+    seeded order, in that round or the next, so LSAs overtake each other
+    and an older one can arrive after a newer (and is rejected)."""
+    rng = random.Random(seed)
+    late = []
+    order = [list(boot)]
+    for lsas in rounds:
+        now = list(late)
+        late = []
+        for item in lsas:
+            (late if rng.random() < 0.3 else now).append(item)
+        rng.shuffle(now)
+        order.append(now)
+    order.append(late)
+    return order
+
+
+def _observe(db):
+    return db.last_install_changed_image, db._pending_delta
+
+
+class TestSharedLsaSets:
+    """Databases that share a deployment's LSA-set memo behave exactly
+    like databases that each own one: every install result, image and
+    content key matches at every step."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_memo_matches_private_tables(self, seed):
+        n, k = 10, 4
+        boot, rounds = _stream(seed, n, 90)
+        table = SolvedImages()
+        shared = [LinkStateDatabase(n, table) for _ in range(k)]
+        private = [LinkStateDatabase(n, SolvedImages()) for _ in range(k)]
+        orders = [_deliveries(seed * 100 + i, boot, rounds) for i in range(k)]
+        rng = random.Random(seed)
+        for step in range(len(orders[0])):
+            for i in range(k):
+                for item in orders[i][step]:
+                    ours, theirs = shared[i].install(item), private[i].install(item)
+                    assert ours == theirs, (step, i)
+                    assert _observe(shared[i]) == _observe(private[i]), (step, i)
+                if rng.random() < 0.6:  # images are built lazily, when used
+                    ours, theirs = shared[i].adjacency(), private[i].adjacency()
+                    assert rows(ours) == rows(theirs), (step, i)
+                    assert shared[i]._lsas.key == private[i]._lsas.key
+                    assert shared[i]._lsas.key == content_key(ours)
+                    # A database's LSA set is its own stored LSAs.
+                    assert shared[i]._lsas.lsas == shared[i].entries()
+            # Equal LSAs, reached in any order, are one set.
+            held = [db for db in shared if db._lsas is not None]
+            for db in held[1:]:
+                if db.entries() == held[0].entries():
+                    assert db._lsas is held[0]._lsas, step
+        # The stream ends with every database holding every LSA: one set,
+        # one image object, while the private tables hold k of each.
+        images = [db.adjacency() for db in shared]
+        assert all(image is images[0] for image in images)
+        assert len({id(db._lsas) for db in private}) == k
+
+    def test_traded_seqnums_key_apart(self):
+        """Two origins' seqnums trading places give two LSA-set keys, so
+        both sets keep a table slot (a sum of tuple hashes collides here)."""
+        n = 6
+
+        def ring(x, seqnum):
+            return lsa(x, seqnum, [((x - 1) % n, 1.0, True), ((x + 1) % n, 1.0, True)])
+
+        table = SolvedImages()
+        a, b = LinkStateDatabase(n, table), LinkStateDatabase(n, table)
+        for db, installs in ((a, ((1, 2), (3, 2), (3, 3))), (b, ((1, 2), (1, 3), (3, 2)))):
+            for x in range(n):
+                db.install(ring(x, 1))
+            db.adjacency()
+            for x, seqnum in installs:
+                db.install(ring(x, seqnum))
+        assert a._lsas.lsas_key != b._lsas.lsas_key
+        for db in (a, b):
+            assert table._sets[db._lsas.lsas_key] is db._lsas
+
+    def test_colliding_lsa_sets_share_nothing(self):
+        """Equal (origin, seqnum) pairs with different links -- the LSA
+        set keys collide, as after a cold boot -- never share a set, a
+        move or an image."""
+        n = 6
+        table = SolvedImages()
+        a, b, c = (LinkStateDatabase(n, table) for _ in range(3))
+        fast = [lsa(x, 1, [((x - 1) % n, 1.0, True), ((x + 1) % n, 1.0, True)])
+                for x in range(n)]
+        slow = [lsa(x, 1, [((x - 1) % n, 2.0, True), ((x + 1) % n, 2.0, True)])
+                for x in range(n)]
+        for item in fast:
+            a.install(item)
+            c.install(item)
+        for item in slow:
+            b.install(item)
+        a.adjacency(), b.adjacency(), c.adjacency()
+        assert a._lsas is c._lsas
+        assert a._lsas.lsas_key == b._lsas.lsas_key
+        assert b._lsas is not a._lsas
+        assert rows(b.adjacency()) != rows(a.adjacency())
+        # One move key, two LSAs: a's memoised move never serves c.
+        cut = lsa(0, 2, [(1, 1.0, False), (5, 1.0, True)])
+        other = lsa(0, 2, [(1, 1.0, True), (5, 1.0, False)])
+        a.install(cut)
+        c.install(other)
+        assert a._lsas is not c._lsas
+        assert a._lsas.lsas_key == c._lsas.lsas_key
+        for db in (a, b, c):
+            reference = LinkStateDatabase(n, SolvedImages())
+            for item in db.entries().values():
+                reference.install(item)
+            assert rows(db.adjacency()) == rows(reference.adjacency())
+            assert db._lsas.key == content_key(reference.adjacency())
+        assert a.adjacency()[0] == {5: 1.0}
+        assert c.adjacency()[0] == {1: 1.0}
 
 
 def assert_symmetric(image) -> None:

@@ -142,10 +142,14 @@ class TestCrashBlackhole:
 
 
 class TestSoakSmoke:
-    def test_small_seeded_soak_settles(self):
-        report = run_chaos_soak_sync(
+    @pytest.fixture(scope="class")
+    def report(self):
+        """One seeded soak, read by both tests."""
+        return run_chaos_soak_sync(
             ChaosSettings(switches=6, seed=7, actions=8, quiesce_timeout=30.0)
         )
+
+    def test_small_seeded_soak_settles(self, report):
         assert report.ok, report.violations
         assert report.checks >= 1
         assert report.crash_count >= 1
@@ -155,10 +159,7 @@ class TestSoakSmoke:
         assert report.counters["live_hellos_sent_total"] >= 1
         assert report.prom  # Prometheus dump for the CI artifact
 
-    def test_report_summary_mentions_seed(self):
-        report = run_chaos_soak_sync(
-            ChaosSettings(switches=6, seed=7, actions=8, quiesce_timeout=30.0)
-        )
+    def test_report_summary_mentions_seed(self, report):
         text = "\n".join(report.summary_lines())
         assert "seed 7" in text
         assert "violations: 0" in text

@@ -14,7 +14,7 @@ from repro.core import (
     LinkEvent,
     ProtocolConfig,
 )
-from repro.lsr import lsdb, spf, spfcache
+from repro.lsr import spf, spfcache
 from repro.lsr.lsa import RouterLsa
 from repro.lsr.lsdb import LinkStateDatabase
 from repro.lsr.spfcache import SOLVED_BOUND, SolvedImages, SpfCache, content_key
@@ -84,7 +84,6 @@ class TestMemoization:
         assert delta[attach.DIJKSTRA_RUNS] == 1
         assert delta[attach.SPF_MISSES] == 1
         assert delta[attach.SPF_HITS] == 1
-        assert delta[attach.SPF_FULL_RUNS] == 1
 
     def test_repeated_path_queries_solve_sssp_once(self, small_waxman):
         view = small_waxman.spf_view()
@@ -131,7 +130,6 @@ class TestMemoization:
             attach.SPF_HITS,
             attach.SPF_MISSES,
             attach.SPF_INVALIDATIONS,
-            attach.SPF_FULL_RUNS,
             attach.DIJKSTRA_RUNS,
         )
 
@@ -141,26 +139,26 @@ class TestMemoization:
 
         registry_delta()
         db.adjacency().sssp(0)  # cold: one miss, one full Dijkstra
-        assert step() == (0, 1, 0, 1, 1)
+        assert step() == (0, 1, 0, 1)
 
         db.adjacency().sssp(0)  # warm: one hit, no work
-        assert step() == (1, 0, 0, 0, 0)
+        assert step() == (1, 0, 0, 0)
 
         # One changed link: the image is invalidated once and the new
         # content's miss pays one full run.
         db.install(lsa(0, 2, [(1, 5.0, True), (2, 1.0, True)]))
         db.adjacency().sssp(0)
-        assert step() == (0, 1, 1, 1, 1)
+        assert step() == (0, 1, 1, 1)
 
         # Two changed links in one LSA: the same.
         db.install(lsa(0, 3, [(1, 1.0, True), (2, 4.0, True)]))
         db.adjacency().sssp(0)
-        assert step() == (0, 1, 1, 1, 1)
+        assert step() == (0, 1, 1, 1)
 
         # Back to the first content: its solved tree is read, not re-run.
         db.install(lsa(0, 4, [(1, 1.0, True), (2, 1.0, True)]))
         db.adjacency().sssp(0)
-        assert step() == (1, 0, 1, 0, 0)
+        assert step() == (1, 0, 1, 0)
 
 
 class TestInvalidation:
@@ -210,7 +208,7 @@ class TestInvalidation:
         image = db.adjacency()
         solved = image.sssp(0)
         delta = registry_delta()
-        assert (delta[attach.SPF_MISSES], delta[attach.SPF_FULL_RUNS]) == (1, 1)
+        assert delta[attach.SPF_MISSES] == 1
         assert delta[attach.DIJKSTRA_RUNS] == 1
         plain = {x: dict(row) for x, row in image.items()}
         assert repr(solved) == repr(spf.dijkstra_uncached(plain, 0))
@@ -396,7 +394,8 @@ class TestSolvedImages:
         assert scans == [a]  # equal LSAs: b reads a's full scan
         assert a._rows is b._rows
         # Two link changes, applied in opposite orders with an image
-        # built in between: the key follows each delta.
+        # built in between: the key follows each delta, and both orders
+        # reach one LSA set, whose image b rebinds rather than rebuilds.
         cut = _ring_lsa(2, 2, down=(3,))
         slow = _ring_lsa(4, 2, delays={5: 3.0})
         a.install(cut)
@@ -406,9 +405,9 @@ class TestSolvedImages:
         b.adjacency()
         b.install(cut)
         image_a, image_b = a.adjacency(), b.adjacency()
-        assert image_a is not image_b
-        assert image_a.detours is image_b.detours
-        assert a._key == b._key == content_key(image_a)
+        assert image_a is image_b
+        assert a._lsas is b._lsas
+        assert a._lsas.key == content_key(image_a)
         registry_delta()
         assert image_a.sssp(0) is image_b.sssp(0)
         delta = registry_delta()
@@ -416,7 +415,7 @@ class TestSolvedImages:
 
     def test_colliding_key_never_shares(self, monkeypatch):
         monkeypatch.setattr(spfcache, "content_key", lambda adj: 0)
-        monkeypatch.setattr(lsdb, "rekey", lambda key, delta: 0)
+        monkeypatch.setattr(spfcache, "rekey", lambda key, delta: 0)
         table = SolvedImages()
         a = LinkStateDatabase(6, table)
         b = LinkStateDatabase(6, table)
@@ -424,7 +423,8 @@ class TestSolvedImages:
             a.install(_ring_lsa(x, 1))
             b.install(_ring_lsa(x, 1, delays={(x + 1) % 6: 2.0, (x - 1) % 6: 2.0}))
         image_a, image_b = a.adjacency(), b.adjacency()
-        assert a._key == b._key == 0
+        assert a._lsas.key == b._lsas.key == 0
+        assert a._lsas is not b._lsas
         assert image_a.detours is not image_b.detours
         assert len(table) == 1
         plain_b = {x: dict(row) for x, row in image_b.items()}

@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+from repro.lsr.flooding import FloodingFabric
+from repro.sim.kernel import Simulator
 from repro.topo.graph import Link, Network
 
 
@@ -172,6 +174,30 @@ class TestExportCopy:
         assert clone.neighbors(0) == [2]
         clone.set_link_state(0, 1, up=True)
         assert net.neighbors(0) == [2]  # original untouched
+
+    def test_copy_with_down_links_records_them(self):
+        """A copy goes through set_link_state: it knows its down links, so
+        its distances, flood arrival times and last delta are the
+        original's, and a heal on the copy is seen as one."""
+        net = triangle()
+        net.set_link_state(1, 2, up=False)  # the last link by key
+        clone = net.copy()
+        assert clone.up_state == net.up_state == (3, frozenset({(1, 2)}))
+        for x in net.switches():
+            assert clone.hop_distances(x) == net.hop_distances(x)
+            assert clone.delay_distances(x) == net.delay_distances(x)
+        for per_hop_delay in (None, 0.5):
+            fabrics = [
+                FloodingFabric(Simulator(), g, per_hop_delay=per_hop_delay)
+                for g in (net, clone)
+            ]
+            assert fabrics[0].arrival_times(1) == fabrics[1].arrival_times(1)
+        # The last mutation took 1-2 down, not up.
+        assert clone.up_delta_since(clone.version - 1) == ((1, 2, 2.0, None),)
+        fabric = FloodingFabric(Simulator(), clone, per_hop_delay=0.5)
+        assert fabric.arrival_times(1) == {1: 0.0, 0: 0.5, 2: 1.0}
+        clone.set_link_state(1, 2, up=True)
+        assert fabric.arrival_times(1) == {1: 0.0, 0: 0.5, 2: 0.5}
 
 
 def g_edges(g):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.core.wire import decode_topology, encode_topology
 from repro.trees.base import (
     SHARED,
     McTopology,
@@ -115,6 +118,23 @@ class TestMcTopology:
         t2 = MulticastTree.build([(1, 2), (2, 3)], [1, 3], root=3)
         topo = McTopology.per_source({0: t1, 3: t2})
         assert topo.all_edges() == frozenset({(0, 1), (1, 2), (2, 3)})
+
+    def test_edge_nodes_are_the_edges_nodes(self):
+        """The memoised node set is the one derived from the edges (an
+        isolated member is not in it), and a deep copy or a wire round
+        trip, before or after memoisation, carries the same sets."""
+        t1 = MulticastTree.build([(0, 1), (1, 2)], [0, 2, 7], root=0)
+        t2 = MulticastTree.build([(2, 3)], [2, 3], root=3)
+        topo = McTopology.per_source({0: t1, 3: t2})
+        cold = copy.deepcopy(topo)
+        derived = frozenset(x for edge in topo.all_edges() for x in edge)
+        assert topo.edge_nodes() == derived == frozenset({0, 1, 2, 3})
+        assert topo.all_edges() is topo.all_edges()
+        for clone in (cold, copy.deepcopy(topo), decode_topology(encode_topology(topo))):
+            assert clone == topo and hash(clone) == hash(topo)
+            assert clone.all_edges() == topo.all_edges()
+            assert clone.edge_nodes() == derived
+        assert McTopology.empty().edge_nodes() == frozenset()
 
     def test_total_cost_sums_trees(self):
         t1 = MulticastTree.build([(0, 1)], [0, 1], root=0)
