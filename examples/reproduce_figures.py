@@ -3,8 +3,10 @@
 
 Runs Experiments 1-3 (Figures 6, 7, 8) at paper scale -- network sizes 20
 to 100, ten random graphs per size -- plus the Section 4 baseline
-comparison, and prints the reproduced panels.  This is the script that
-generates the numbers recorded in EXPERIMENTS.md.
+comparison on sparse and then bursty events, and prints the reproduced
+panels.  This is the script that generates the numbers recorded in
+EXPERIMENTS.md; it is the ``repro figures``, ``repro compare`` and
+``repro compare --bursty`` commands run in turn.
 
 Run:  python examples/reproduce_figures.py            # paper scale (~2 min)
       python examples/reproduce_figures.py --quick    # smoke scale (~15 s)
@@ -15,16 +17,10 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.harness.figures import (
-    baseline_comparison,
-    experiment1,
-    experiment2,
-    experiment3,
-)
-from repro.harness.report import render_comparison, render_rows
+from repro.cli import main as repro
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="small sizes / few graphs"
@@ -32,56 +28,15 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--seed", type=int, default=1996)
     args = parser.parse_args(argv)
 
-    if args.quick:
-        sizes, graphs, cmp_graphs = (20, 60), 3, 2
-    else:
-        sizes, graphs, cmp_graphs = (20, 40, 60, 80, 100), 10, 5
-
+    shared = ["--seed", str(args.seed)] + (["--quick"] if args.quick else [])
     t0 = time.time()
-    print(
-        render_rows(
-            experiment1(sizes=sizes, graphs_per_size=graphs, seed=args.seed),
-            "Figure 6 -- Experiment 1: bursty events, computation dominates "
-            "(Tc >> per-hop delay)",
-        )
-    )
-    print()
-    print(
-        render_rows(
-            experiment2(sizes=sizes, graphs_per_size=graphs, seed=args.seed),
-            "Figure 7 -- Experiment 2: bursty events, communication dominates "
-            "(Tf >> Tc)",
-        )
-    )
-    print()
-    print(
-        render_rows(
-            experiment3(sizes=sizes, graphs_per_size=graphs, seed=args.seed),
-            "Figure 8 -- Experiment 3: normal traffic periods (sparse events)",
-            include_convergence=False,
-        )
-    )
-    print()
-    print(
-        render_comparison(
-            baseline_comparison(
-                sizes=sizes, graphs_per_size=cmp_graphs, seed=args.seed
-            ),
-            "Section 4 comparison -- computations/event, sparse events: "
-            "D-GMC vs MOSPF vs brute-force",
-        )
-    )
-    print()
-    print(
-        render_comparison(
-            baseline_comparison(
-                sizes=sizes, graphs_per_size=cmp_graphs, seed=args.seed, bursty=True
-            ),
-            "Section 4 comparison -- computations/event, bursty events",
-        )
-    )
-    print(f"\ntotal wall time: {time.time() - t0:.1f}s")
+    statuses = []
+    for verb in (["figures"], ["compare"], ["compare", "--bursty"]):
+        statuses.append(repro(verb + shared))
+        print()
+    print(f"total wall time: {time.time() - t0:.1f}s")
+    return max(statuses)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

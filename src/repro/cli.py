@@ -22,12 +22,10 @@ def _write_metrics(path: Optional[str], text: str) -> None:
         print(f"wrote metrics dump to {path}")
 
 
-def _print_traces(paths: List[str]) -> None:
-    """Name the files a :func:`repro.obs.merge.traced_run` block wrote."""
-    for path in paths[:-1]:
-        print(f"wrote host trace to {path}")
-    if paths:
-        print(f"wrote merged cross-host trace to {paths[-1]}")
+def _print_trace(path: Optional[str]) -> None:
+    """Name the file a :func:`repro.obs.tracer.traced_run` block wrote."""
+    if path:
+        print(f"wrote Chrome trace to {path}")
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -222,14 +220,14 @@ def _cmd_live(args: argparse.Namespace) -> int:
         run_discrete,
         run_live,
     )
-    from repro.obs.merge import traced_run
+    from repro.obs.tracer import traced_run
 
     scenario = make_scenario(
         switches=args.switches, seed=args.seed, events=args.events
     )
-    with traced_run(args.trace_dir, f"live_s{args.seed}") as traces:
+    with traced_run(args.trace_dir, f"live_s{args.seed}") as trace:
         result = run_live(scenario, loss=args.loss)
-    _print_traces(traces)
+    _print_trace(trace)
     print(
         f"live run: {scenario.net.n} switches over loopback UDP, "
         f"{len(scenario.timeline)} events, loss={args.loss:g}"
@@ -275,7 +273,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if name.startswith(("resync_", "hello_")):
             print(f"  {name} {value:g}")
     _write_metrics(args.metrics, report.prom)
-    _print_traces(report.trace_files)
+    _print_trace(report.trace_file)
     for path in report.flight_files:
         print(f"wrote flight-recorder artifact to {path}")
     if args.expect_violation:
@@ -452,25 +450,6 @@ def _cmd_dataplane(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_obs_merge(args: argparse.Namespace) -> int:
-    from repro.obs.merge import MergeError, merge_traces
-
-    try:
-        trace = merge_traces(args.traces, out_path=args.out)
-    except (MergeError, OSError) as exc:
-        print(f"merge failed: {exc}")
-        return 1
-    events = trace["traceEvents"]
-    pids = {e.get("pid") for e in events if e.get("ph") != "M"}
-    flows = sum(1 for e in events if e.get("ph") in ("s", "f"))
-    print(
-        f"merged {len(args.traces)} trace files: {len(events)} events "
-        f"across {len(pids)} host lanes ({flows} causal flow events)"
-    )
-    print(f"wrote merged Chrome trace to {args.out}")
-    return 0
-
-
 def _shared(*flags: str, **kwargs: Any) -> argparse.ArgumentParser:
     """A parent parser declaring one option for every verb that reads it."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -488,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_dir = _shared(
         "--trace-dir",
         metavar="DIR",
-        help="enable causal tracing; write per-host JSONL traces plus a "
-        "merged cross-host Chrome trace into this directory, also when "
-        "the run fails",
+        help="enable causal tracing; write the run as one Chrome trace, "
+        "one lane per host, into this directory, also when the run fails",
     )
     m_vector = _shared(
         "--disable-m-vector",
@@ -717,28 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also replay the workload through the MOSPF baseline",
     )
     p.set_defaults(func=_cmd_dataplane)
-
-    p = sub.add_parser(
-        "obs", help="observability artifact tools (trace merge)"
-    )
-    obs_sub = p.add_subparsers(dest="obs_command", required=True)
-    m = obs_sub.add_parser(
-        "merge",
-        help="fuse per-host JSONL traces into one cross-host Chrome trace",
-    )
-    m.add_argument(
-        "traces",
-        nargs="+",
-        metavar="JSONL",
-        help="per-host JSONL trace files (clock_sync metadata aligns them)",
-    )
-    m.add_argument(
-        "--out",
-        required=True,
-        metavar="PATH",
-        help="path of the merged Chrome trace JSON",
-    )
-    m.set_defaults(func=_cmd_obs_merge)
     return parser
 
 

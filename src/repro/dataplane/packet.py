@@ -61,9 +61,3 @@ class DeliveryRecord:
         """Send-to-deliver latency at one receiver, or None if missed."""
         t = self.delivered.get(receiver)
         return None if t is None else t - self.packet.sent_at
-
-    def max_latency(self) -> Optional[float]:
-        """Worst delivery latency among reached receivers."""
-        times = [self.latency(r) for r in self.delivered]
-        times = [t for t in times if t is not None]
-        return max(times) if times else None

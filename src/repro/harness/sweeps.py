@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from repro.harness.metrics import Aggregate, TrialMetrics, aggregate
-from repro.obs.metrics import merge_sum
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenario import Scenario
 
@@ -42,11 +41,6 @@ class SweepRow:
     @property
     def convergence_rounds(self) -> Aggregate:
         return self.agg(lambda t: t.convergence_rounds)
-
-    @property
-    def metric_totals(self) -> dict:
-        """Registry sample deltas summed across the row's trials."""
-        return merge_sum(t.metrics for t in self.trials)
 
     @property
     def all_agreed(self) -> bool:

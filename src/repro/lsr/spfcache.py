@@ -167,14 +167,16 @@ def _edge_hash(u: int, v: int, weight: float) -> int:
 
 
 def content_key(adj: Mapping[int, Mapping[int, float]]) -> int:
-    """An image's content key: the sum of its edges' :func:`_edge_hash`
-    modulo 2**64, so any insertion order gives the same key and one link
-    delta updates it in O(1) (:func:`rekey`)."""
+    """An image's content key: the XOR of its edges' :func:`_edge_hash`,
+    so any insertion order gives the same key and one link delta updates
+    it in O(1) (:func:`rekey`).  XOR, not a sum: tuple hashes are close to
+    linear, so on a 6x6 unit grid half of the two-links-down images share
+    a summed key with another image, and none share an XORed one."""
     key = 0
     for u, row in adj.items():
         for v, weight in row.items():
             if u < v:
-                key += hash((u, v, weight))
+                key ^= hash((u, v, weight))
     return key & _KEY_MASK
 
 
@@ -183,10 +185,10 @@ def rekey(key: int, delta: Tuple[LinkDelta, ...]) -> int:
     term out, its new term in."""
     for u, v, old_w, new_w in delta:
         if old_w is not None:
-            key -= _edge_hash(u, v, old_w)
+            key ^= _edge_hash(u, v, old_w)
         if new_w is not None:
-            key += _edge_hash(u, v, new_w)
-    return key & _KEY_MASK
+            key ^= _edge_hash(u, v, new_w)
+    return key
 
 
 class _Solved:

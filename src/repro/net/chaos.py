@@ -30,7 +30,7 @@ from repro.net.fabric import LiveConfig, LiveFabric, QuiescenceTimeout
 from repro.net.faults import FaultPlan
 from repro.net.transport import RetransmitPolicy
 from repro.obs import flight
-from repro.obs.merge import traced_run
+from repro.obs.tracer import traced_run
 from repro.topo.generators import waxman_network
 
 
@@ -75,8 +75,8 @@ class ChaosSettings:
     dead_interval: float = 0.40
     quiesce_timeout: float = 60.0
     connection_id: int = 1
-    #: Directory for causal trace artifacts: per-host JSONL traces plus
-    #: one merged cross-host Chrome trace (None = tracing off).
+    #: Directory the soak's Chrome trace, one lane per host, is written
+    #: into (None = tracing off).
     trace_dir: Optional[str] = None
     #: Directory the flight recorder dumps ``FLIGHT_*.json`` into on any
     #: invariant violation or quiescence timeout (None = recorder off).
@@ -239,9 +239,9 @@ class ChaosReport:
     final_members: Tuple[int, ...] = ()
     counters: Dict[str, float] = field(default_factory=dict)
     prom: str = ""
-    #: Per-host JSONL traces then the merged cross-host Chrome trace,
-    #: written when ``trace_dir`` was set (see ``traced_run``).
-    trace_files: List[str] = field(default_factory=list)
+    #: The Chrome trace written when ``trace_dir`` was set (see
+    #: ``traced_run``).
+    trace_file: Optional[str] = None
     #: Flight-recorder artifacts written during this soak.
     flight_files: List[str] = field(default_factory=list)
 
@@ -353,7 +353,7 @@ async def run_chaos_soak(settings: Optional[ChaosSettings] = None) -> ChaosRepor
         flight.install_recorder(flight.FlightRecorder(cfg.flight_dir))
     # Artifacts are written however the soak ends: a quiescence timeout
     # is exactly when the trace matters most.
-    with traced_run(cfg.trace_dir, f"chaos_s{cfg.seed}") as traces:
+    with traced_run(cfg.trace_dir, f"chaos_s{cfg.seed}") as trace:
         try:
             await fabric.start()
             for member in sorted(initial):
@@ -455,7 +455,7 @@ async def run_chaos_soak(settings: Optional[ChaosSettings] = None) -> ChaosRepor
                     flight.install_recorder(previous_recorder)
                 else:
                     flight.uninstall_recorder()
-    report.trace_files = traces
+    report.trace_file = trace
     return report
 
 

@@ -5,7 +5,9 @@ Zero-dependency observability spine for the reproduction (see
 
 * :mod:`repro.obs.tracer` -- process-wide :data:`~repro.obs.tracer.TRACER`
   emitting span/instant events (sim-time *and* wall-time) to ring-buffer /
-  JSONL sinks, exportable as Chrome ``trace_event`` JSON for Perfetto.
+  JSONL sinks, exportable as Chrome ``trace_event`` JSON for Perfetto;
+  :func:`~repro.obs.tracer.traced_run` writes a live run's host lanes as
+  one such trace.
 * :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.MetricsRegistry`
   of counters/gauges/histograms with a Prometheus text dump, snapshot and
   delta APIs, and lazy collectors.
@@ -19,8 +21,6 @@ Zero-dependency observability spine for the reproduction (see
 * :mod:`repro.obs.flight` -- the failure flight recorder: bounded recent
   history + metrics snapshot dumped as ``FLIGHT_*.json`` the instant an
   invariant breaks.
-* :mod:`repro.obs.merge` -- fuse per-host JSONL traces (epoch-aligned
-  ``clock_sync`` metadata) into one cross-host Chrome trace.
 * :mod:`repro.obs.attach` -- wires a per-network registry onto the
   protocol stacks (SPF cache counters, flood counters, kernel gauges).
 * :mod:`repro.obs.sampler` -- a ``setitimer`` sampling profiler charging
@@ -30,7 +30,7 @@ Zero-dependency observability spine for the reproduction (see
   and convergence profiles (``python -m repro trace``).
 
 Only the stdlib-only leaves (``metrics``, ``tracer``, ``context``,
-``slo``, ``flight``, ``merge``) are imported eagerly, so any module
+``slo``, ``flight``) are imported eagerly, so any module
 (including the sim kernel) may import this package without cycles.
 ``attach`` and ``timeline`` reach back into the protocol
 stack and must be imported explicitly, as must ``sampler``.
@@ -48,11 +48,6 @@ from repro.obs.flight import (  # noqa: F401
     install_recorder,
     installed_recorder,
     uninstall_recorder,
-)
-from repro.obs.merge import (  # noqa: F401
-    MergeError,
-    export_host_traces,
-    merge_traces,
 )
 from repro.obs.metrics import (  # noqa: F401
     Counter,
@@ -75,5 +70,6 @@ from repro.obs.tracer import (  # noqa: F401
     TraceEvent,
     Tracer,
     get_tracer,
+    traced_run,
     use_tracer,
 )

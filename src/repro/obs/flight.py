@@ -22,9 +22,8 @@ from recorder lifetime:
 The artifact is self-describing: ``reason`` says which invariant broke,
 ``context`` carries whatever the harness knows about how to replay it
 (seed, schedule, settings), ``trace_events`` are Chrome-format dicts
-(loadable in Perfetto directly, or mergeable with
-:mod:`repro.obs.merge`), and ``tracer_epoch_unix`` anchors their
-timestamps to the wall clock for cross-host alignment.
+(loadable in Perfetto directly), and ``tracer_epoch_unix`` anchors their
+timestamps to the wall clock.
 """
 
 from __future__ import annotations

@@ -330,12 +330,3 @@ REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
-
-
-def merge_sum(parts: Iterable[Dict[str, float]]) -> Dict[str, float]:
-    """Key-wise sum of snapshot/delta dicts (sweep-level aggregation)."""
-    total: Dict[str, float] = {}
-    for part in parts:
-        for key, value in part.items():
-            total[key] = total.get(key, 0.0) + value
-    return total

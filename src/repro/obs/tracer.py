@@ -32,11 +32,12 @@ single-threaded); it must stay a leaf import for the sim kernel.
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter, time as unix_time
-from typing import Any, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Dict, IO, Iterator, List, Optional, Union
 
 __all__ = [
     "TraceEvent",
@@ -46,6 +47,7 @@ __all__ = [
     "TRACER",
     "get_tracer",
     "use_tracer",
+    "traced_run",
 ]
 
 
@@ -184,24 +186,13 @@ class Tracer:
         self.process_name = process_name
         self._sinks: List[Any] = []
         self._epoch = perf_counter()
-        #: Wall-clock (unix) time of the epoch; exported as ``clock_sync``
-        #: metadata so per-host traces can be merged on one time axis.
+        #: Wall-clock (unix) time of the epoch; the flight recorder writes
+        #: it as ``tracer_epoch_unix`` so a dump's timestamps read as wall
+        #: time.
         self.epoch_unix = unix_time()
         self.events_emitted = 0
 
     # -- configuration -----------------------------------------------------
-
-    def configure(
-        self,
-        enabled: Optional[bool] = None,
-        sinks: Optional[Iterable[Any]] = None,
-    ) -> "Tracer":
-        """Change the enabled flag and/or replace the sink list."""
-        if sinks is not None:
-            self._sinks = list(sinks)
-        if enabled is not None:
-            self.enabled = enabled
-        return self
 
     def add_sink(self, sink: Any) -> Any:
         self._sinks.append(sink)
@@ -358,3 +349,29 @@ def use_tracer(tracer: Tracer):
         yield tracer
     finally:
         TRACER = previous
+
+
+@contextmanager
+def traced_run(trace_dir: Optional[str], prefix: str) -> Iterator[Optional[str]]:
+    """Trace the enclosed live run into ``trace_dir`` (no-op when unset).
+
+    Installs a ring-buffered :class:`Tracer` as the process-wide tracer
+    for the block and yields the path of the trace it will write,
+    ``<prefix>_trace.json`` (``None`` when ``trace_dir`` is unset).  On
+    any exit -- an exception included, since a run that dies is the one
+    whose trace matters most -- it writes the ring as one Chrome trace:
+    each live host emits in its own ``pid`` lane, so ``udp_send`` /
+    ``udp_recv`` flow pairs bind across lanes by their shared ids.
+    """
+    if not trace_dir:
+        yield None
+        return
+    os.makedirs(trace_dir, exist_ok=True)
+    path = os.path.join(trace_dir, f"{prefix}_trace.json")
+    tracer = Tracer(enabled=True)
+    tracer.add_sink(RingBufferSink(200_000))
+    try:
+        with use_tracer(tracer):
+            yield path
+    finally:
+        tracer.export_chrome(path)

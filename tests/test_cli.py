@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -90,17 +91,6 @@ class TestCommands:
         with pytest.raises(SystemExit, match="members <= switches"):
             main(["profile", "--switches", "4", "--members", "9"])
 
-    def test_compare_quick(self, capsys):
-        assert main(["compare", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "MOSPF" in out and "brute-force" in out
-
-    def test_figures_quick(self, capsys):
-        assert main(["figures", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 6" in out and "Figure 8" in out
-        assert " NO" not in out
-
 
 class TestTraceCommand:
     def test_failed_run_leaves_the_process_tracer_alone(
@@ -145,8 +135,8 @@ class TestLiveCommand:
         with pytest.raises(RuntimeError, match="run died"):
             main(["live", "--switches", "4", "--events", "1", "--seed", "5",
                   "--trace-dir", str(tmp_path)])
-        assert (tmp_path / "live_s5_host3.jsonl").exists()
-        assert (tmp_path / "live_s5_merged_trace.json").exists()
+        trace = json.loads((tmp_path / "live_s5_trace.json").read_text())
+        assert 3 in {e["pid"] for e in trace["traceEvents"]}
 
 
 class TestDataplaneCommand:

@@ -37,10 +37,10 @@ def test_example_runs(name, capsys):
 
 def test_reproduce_figures_quick(capsys):
     module = load_example("reproduce_figures")
-    module.main(["--quick"])
+    assert module.main(["--quick"]) == 0
     out = capsys.readouterr().out
     assert "Figure 6" in out
     assert "Figure 7" in out
     assert "Figure 8" in out
-    assert "brute-force" in out
+    assert "MOSPF" in out and "brute-force" in out
     assert " NO" not in out  # every row agreed

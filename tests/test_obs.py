@@ -11,7 +11,7 @@ import pytest
 from repro.core import DgmcNetwork, JoinEvent, ProtocolConfig
 from repro.harness.metrics import TrialMetrics
 from repro.obs import attach
-from repro.obs.metrics import MetricsRegistry, merge_sum
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import LAYERS, OTHER, OUTSIDE
 from repro.obs.tracer import (
     JsonlSink,
@@ -240,13 +240,6 @@ class TestMetricsInstruments:
             reg.gauge("x")
         with pytest.raises(TypeError):
             reg.histogram("x")
-
-    def test_merge_sum(self):
-        assert merge_sum([{"a": 1.0, "b": 2.0}, {"a": 3.0, "c": 1.0}]) == {
-            "a": 4.0,
-            "b": 2.0,
-            "c": 1.0,
-        }
 
 
 class TestSnapshotDelta:

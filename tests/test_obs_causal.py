@@ -1,11 +1,11 @@
-"""Causal observability: trace contexts, SLO chains, flight recorder, merge.
+"""Causal observability: trace contexts, SLO chains, flight recorder, traces.
 
 The distributed half of :mod:`repro.obs` -- everything that exists so a
 cause born on one host can be followed across the wire: the 12-byte
 :class:`TraceContext`, its ride inside version-2 frames, the flow events
 that draw the causal arrows, the convergence-SLO chains keyed on trace
 ids, the flight recorder that snapshots the lot on a violation, and the
-per-host trace merge that puts it all on one wall-clock axis.
+one Chrome trace a live run writes with a lane per host.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.net.frames import (
     encode_lsu,
     encode_snap,
 )
+from repro.obs import tracer as obs_tracer
 from repro.obs.context import (
     CAUSE_CODES,
     CAUSE_NAMES,
@@ -44,10 +45,9 @@ from repro.obs.flight import (
     installed_recorder,
     uninstall_recorder,
 )
-from repro.obs.merge import MergeError, export_host_traces, merge_traces
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLO_BUCKETS, SloTracker
-from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
+from repro.obs.tracer import RingBufferSink, Tracer, traced_run, use_tracer
 from tests.stamps import S
 
 def ctx(cause="join", origin=3, connection_id=1, seq=7, hop=0):
@@ -468,130 +468,46 @@ class TestFlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Cross-host trace merge
+# One trace per live run
 # ---------------------------------------------------------------------------
 
 
-class TestTraceMerge:
-    def _host_trace(self, path, epoch, events, pid=0):
-        lines = [
-            {
-                "name": "clock_sync",
-                "cat": "__metadata",
-                "ph": "M",
-                "ts": 0.0,
-                "pid": pid,
-                "tid": 0,
-                "args": {"epoch_unix": epoch},
-            }
-        ]
-        lines.extend(events)
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        return str(path)
-
-    def test_export_splits_lanes_and_leads_with_clock_sync(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        tracer.add_sink(RingBufferSink())
-        tracer.instant("a", pid=0)
-        tracer.instant("b", pid=2)
-        tracer.instant("c", pid=0)
-        paths = export_host_traces(tracer, str(tmp_path), prefix="t")
-        assert [p.rsplit("/", 1)[1] for p in paths] == [
-            "t_host0.jsonl",
-            "t_host2.jsonl",
-        ]
-        lane0 = [json.loads(line) for line in open(paths[0], encoding="utf-8")]
-        assert lane0[0]["name"] == "clock_sync"
-        assert lane0[0]["args"]["epoch_unix"] == tracer.epoch_unix
-        assert [e["name"] for e in lane0[1:]] == ["a", "c"]
-
-    def test_epoch_delta_shifts_onto_one_axis(self, tmp_path):
-        # Host 1 booted 2 seconds after host 0; its local ts=100us event
-        # really happened 2.0001s into host 0's axis.
-        early = self._host_trace(
-            tmp_path / "h0.jsonl",
-            1000.0,
-            [{"name": "send", "ph": "s", "ts": 50.0, "pid": 0, "tid": 0, "id": 9}],
-            pid=0,
-        )
-        late = self._host_trace(
-            tmp_path / "h1.jsonl",
-            1002.0,
-            [{"name": "recv", "ph": "f", "ts": 100.0, "pid": 1, "tid": 0, "id": 9}],
-            pid=1,
-        )
-        out = tmp_path / "merged.json"
-        trace = merge_traces([early, late], out_path=str(out))
-        by_name = {e["name"]: e for e in trace["traceEvents"]}
-        assert by_name["send"]["ts"] == pytest.approx(50.0)
-        assert by_name["recv"]["ts"] == pytest.approx(2_000_100.0)
-        assert by_name["send"]["id"] == by_name["recv"]["id"]  # arrow survives
-        assert trace["metadata"]["base_epoch_unix"] == 1000.0
-        assert json.loads(out.read_text()) == trace
-
-    def test_clock_sync_dropped_but_other_metadata_kept(self, tmp_path):
-        path = self._host_trace(
-            tmp_path / "h.jsonl",
-            5.0,
-            [
-                {
-                    "name": "process_name",
-                    "cat": "__metadata",
-                    "ph": "M",
-                    "ts": 0.0,
-                    "pid": 0,
-                    "tid": 0,
-                    "args": {"name": "host0"},
-                },
-                {"name": "e", "ph": "i", "ts": 1.0, "pid": 0, "tid": 0},
-            ],
-        )
-        names = [e["name"] for e in merge_traces([path])["traceEvents"]]
-        assert "clock_sync" not in names
-        assert names == ["process_name", "e"]  # metadata sorts first
-
-    def test_file_without_clock_sync_is_accepted_unshifted(self, tmp_path):
-        anchored = self._host_trace(
-            tmp_path / "a.jsonl",
-            1000.0,
-            [{"name": "x", "ph": "i", "ts": 10.0, "pid": 0, "tid": 0}],
-        )
-        bare = tmp_path / "b.jsonl"
-        bare.write_text(
-            json.dumps({"name": "y", "ph": "i", "ts": 20.0, "pid": 1, "tid": 0})
-            + "\n"
-        )
-        trace = merge_traces([anchored, str(bare)])
-        by_name = {e["name"]: e for e in trace["traceEvents"]}
-        assert by_name["x"]["ts"] == 10.0 and by_name["y"]["ts"] == 20.0
-
-    def test_merge_errors(self, tmp_path):
-        with pytest.raises(MergeError, match="no trace files"):
-            merge_traces([])
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        with pytest.raises(MergeError, match="not JSON"):
-            merge_traces([str(bad)])
-        listy = tmp_path / "list.jsonl"
-        listy.write_text("[1, 2]\n")
-        with pytest.raises(MergeError, match="not a trace object"):
-            merge_traces([str(listy)])
-
-    def test_export_then_merge_round_trips_same_process(self, tmp_path):
-        """The writer half and reader half agree without any real network."""
-        tracer = Tracer(enabled=True)
-        tracer.add_sink(RingBufferSink())
+class TestTracedRun:
+    def test_host_lanes_share_one_chrome_trace(self, tmp_path):
+        """Each host emits in its own lane of one file, and the flow pair
+        binds across lanes by its shared id."""
         c = ctx()
         fid = c.flow_id(0, 1, 1)
-        tracer.flow("udp_send", "s", fid, pid=0, **c.to_args())
-        tracer.flow("udp_recv", "f", fid, pid=1, **c.to_args())
-        paths = export_host_traces(tracer, str(tmp_path))
-        trace = merge_traces(paths)
-        arrows = [e for e in trace["traceEvents"] if e["ph"] in ("s", "f")]
-        assert len(arrows) == 2
-        assert arrows[0]["id"] == arrows[1]["id"] == fid
-        # Same tracer, same epoch: the merge must not have shifted anything.
-        assert arrows[0]["ts"] <= arrows[1]["ts"]
+        with traced_run(str(tmp_path), "live_s1") as path:
+            obs_tracer.TRACER.flow("udp_send", "s", fid, pid=0, **c.to_args())
+            obs_tracer.TRACER.flow("udp_recv", "f", fid, pid=1, **c.to_args())
+        assert [p.name for p in tmp_path.iterdir()] == ["live_s1_trace.json"]
+        assert path == str(tmp_path / "live_s1_trace.json")
+        events = json.loads(open(path, encoding="utf-8").read())["traceEvents"]
+        assert {e["pid"] for e in events} == {0, 1}
+        arrows = [e for e in events if e["ph"] in ("s", "f")]
+        assert [(e["ph"], e["pid"], e["id"]) for e in arrows] == [
+            ("s", 0, fid), ("f", 1, fid),
+        ]
+        # The only metadata is the lane name: no per-file clock anchors.
+        assert {e["name"] for e in events if e["ph"] == "M"} == {"process_name"}
+
+    def test_overflowed_ring_reports_its_evictions(self, tmp_path, monkeypatch):
+        class SmallRing(RingBufferSink):
+            def __init__(self, capacity):
+                super().__init__(3)
+
+        monkeypatch.setattr(obs_tracer, "RingBufferSink", SmallRing)
+        with traced_run(str(tmp_path), "chaos_s1") as path:
+            for i in range(5):
+                obs_tracer.TRACER.instant(f"e{i}", pid=i % 2)
+        trace = json.loads(open(path, encoding="utf-8").read())
+        assert trace["metadata"]["evicted_events"] == 2
+
+    def test_unset_directory_traces_nothing(self):
+        with traced_run(None, "live_s1") as path:
+            assert not obs_tracer.TRACER.enabled
+        assert path is None
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,29 @@ class TestSolvedImages:
         assert image_b.sssp(0) == spf.dijkstra_uncached(plain_b, 0)
         assert image_a.sssp(0) != image_b.sssp(0)
 
+    def test_summed_key_collision_gets_two_entries(self):
+        """Edges 0-1 and 5-11 hash to the same sum as 1-2 and 4-10, one of
+        the collisions among a 6x6 unit grid's two-links-down images; the
+        XORed content key tells them apart, so each keeps its own entry."""
+
+        def image(*edges):
+            adj = {}
+            for u, v in edges:
+                adj.setdefault(u, {})[v] = 1.0
+                adj.setdefault(v, {})[u] = 1.0
+            return adj
+
+        pairs = [((0, 1), (5, 11)), ((1, 2), (4, 10))]
+        summed = {sum(hash((u, v, 1.0)) for u, v in p) % 2**64 for p in pairs}
+        assert len(summed) == 1
+        first, second = (image(*p) for p in pairs)
+        assert content_key(first) != content_key(second)
+        table = SolvedImages()
+        entries = [table.entry(content_key(adj), adj) for adj in (first, second)]
+        assert len(table) == 2
+        assert entries[0] is not entries[1]
+        assert table.entry(content_key(second), dict(second)) is entries[1]
+
     def test_deployments_never_share(self):
         first = DgmcNetwork(ring_network(6), ProtocolConfig())
         second = DgmcNetwork(first.net, ProtocolConfig())
