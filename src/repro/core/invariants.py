@@ -113,7 +113,8 @@ class InstallLog:
     def __init__(self) -> None:
         self.columns = (array("d"), array("i"), array("I"), array("i"), array("q"))
         self.time, self.switch, self.connection, self.proposer, self.stamp_total = self.columns
-        self._last: DefaultDict[int, Dict[int, Stamp]] = defaultdict(dict)
+        #: connection id -> switch -> (last stamp installed, its total).
+        self._last: DefaultDict[int, Dict[int, Tuple[Stamp, int]]] = defaultdict(dict)
         #: connection id -> ``stale-install`` details, in install order.
         self.stale: Dict[int, List[str]] = {}
 
@@ -125,12 +126,12 @@ class InstallLog:
         last = lasts.get(switch)
         # A dominated stamp has the smaller sum, so the sums clear nearly
         # every install without a stamp compare.
-        if last is not None and last.total() > total and stamp_gt(last, stamp):
+        if last is not None and last[1] > total and stamp_gt(last[0], stamp):
             self.stale.setdefault(connection_id, []).append(
-                f"switch {switch} replaced installed stamp {last} with "
+                f"switch {switch} replaced installed stamp {last[0]} with "
                 f"dominated stamp {stamp} (proposer {proposer})"
             )
-        lasts[switch] = stamp
+        lasts[switch] = (stamp, total)
         self.time.append(time)
         self.switch.append(switch)
         self.connection.append(connection_id)

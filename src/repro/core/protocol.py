@@ -19,7 +19,7 @@ from repro.core.invariants import InstallLog, check_agreement
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.state import McState
-from repro.core.switch import DgmcSwitch
+from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
 from repro.lsr.flooding import FloodingFabric
 from repro.lsr.lsa import NonMcLsa
@@ -124,6 +124,8 @@ class DgmcNetwork(ConnectionRegistrar):
         self.connection_registry: Dict[int, ConnectionSpec] = {}
         self.routers: Dict[int, UnicastRouter] = bring_up_unicast(net, self.fabric)
         self.switches: Dict[int, DgmcSwitch] = {}
+        #: ReceiveLSA() transitions, shared by this deployment's switches.
+        self.receive_memo = ReceiveMemo()
         self.computation_log: List[ComputationRecord] = []
         self.install_log = InstallLog()
         self.events_injected = 0
@@ -157,6 +159,7 @@ class DgmcNetwork(ConnectionRegistrar):
                 self.fabric,
                 self.config,
                 self.connection_registry,
+                self.receive_memo,
                 on_computation=self._record_computation,
                 on_install=self._record_install,
             )
@@ -174,6 +177,8 @@ class DgmcNetwork(ConnectionRegistrar):
         self, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
         self.install_log.record(self.sim.now, switch, connection_id, stamp, proposer)
+        if not self.config.enable_frr:
+            return  # fragments exist, and so retire, only under fast reroute
         state = self.switches[switch].states.get(connection_id)
         if state is not None:
             retired = state.take_frr_retirements()

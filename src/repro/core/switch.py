@@ -53,8 +53,8 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, Role, default_role
-from repro.core.state import McSnapshot, McState
-from repro.core.timestamp import Stamp, stamp_gt
+from repro.core.state import Arbitration, McSnapshot, McState, arbitration
+from repro.core.timestamp import Stamp, remember, stamp_gt, stamp_max
 from repro.frr import (
     BackupFragment,
     BackupPlan,
@@ -91,6 +91,67 @@ class _InflightCompute:
         self.acquired_at: Optional[float] = None
 
 
+class ReceiveMemo:
+    """The ReceiveLSA() transitions (Figure 5 lines 1-19) one deployment
+    has computed, so that switches in the same state drain the same batch
+    once.
+
+    Equal state plus equal input gives an equal transition.  A switch
+    ``x``'s drain reads its :class:`~repro.core.state.Arbitration` record,
+    each LSA's source, event, role, stamp and whether it carries a
+    proposal, and of ``x`` itself only the bit ``R[x] > T[x]`` of line 15
+    (the batch moves R only at its LSAs' sources, so while no LSA is
+    ``x``'s own, ``R[x]`` is the record's throughout).  That is the key;
+    the entry is the record after the batch (and after the candidate's
+    install, when no triggered proposal is due), whether one is due, and
+    the index in the batch of the candidate proposal.  A batch holding
+    ``x``'s own LSA is drained without the table.
+
+    Records key by identity (they are interned, so equal ones are one
+    object), stamps by content, so a live host's decoded LSAs hit too.  An
+    entry holds its operands, and a hit compares them with the lookup's
+    (identity first, then content), so even a copied table cannot answer
+    for another input.  The
+    deployment's :class:`~repro.core.protocol.ProtocolConfig` is an input
+    too (the ablation knobs change the drain), which is why each
+    deployment owns its table.  It forgets its oldest entry past
+    :data:`repro.core.timestamp.BOUND`, which costs a recomputation.
+    ``hits`` and ``misses`` count lookups.
+    """
+
+    __slots__ = ("table", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.table: Dict[tuple, tuple] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: tuple, operands: tuple):
+        """``(record after, due, candidate index)``, or None on a miss."""
+        hit = self.table.get(key)
+        if hit is not None and hit[0] == operands:
+            self.hits += 1
+            return hit[1]
+        self.misses += 1
+        return None
+
+    def put(self, key: tuple, operands: tuple, transition: tuple) -> None:
+        remember(self.table, key, (operands, transition))
+
+
+def _receive_key(lsa: McLsa) -> tuple:
+    """What the drain reads of ``lsa``, as one cheap hashable value: S, V,
+    the role, the hash of T and whether P is null (:class:`ReceiveMemo`
+    checks T itself).  Enum members and None are singletons, so their ids
+    are their values.  Built on the LSA's first drain and kept on it: a
+    flooded LSA is one object at every receiver."""
+    key = lsa.__dict__["_receive_key"] = (
+        lsa.source, id(lsa.event), id(lsa.role), hash(lsa.timestamp),
+        lsa.proposal is None,
+    )
+    return key
+
+
 class DgmcSwitch:
     """Per-switch D-GMC protocol engine."""
 
@@ -103,6 +164,7 @@ class DgmcSwitch:
         fabric: "FloodingFabric",
         config: "ProtocolConfig",
         connection_registry: Dict[int, ConnectionSpec],
+        memo: ReceiveMemo,
         on_computation: Optional[Callable[[int, int], None]] = None,
         on_install: Optional[Callable[[int, int, Stamp, int], None]] = None,
     ) -> None:
@@ -113,6 +175,8 @@ class DgmcSwitch:
         self.fabric = fabric
         self.config = config
         self.connection_registry = connection_registry
+        #: The deployment's ReceiveLSA() transitions (shared by its switches).
+        self.memo = memo
         #: Hook (switch, connection) -> None fired per topology computation.
         self.on_computation = on_computation
         #: Hook (switch, connection, stamp, proposer) fired per install.
@@ -144,6 +208,7 @@ class DgmcSwitch:
             state = McState(
                 spec, self.n, resume_from=self._tombstones.get(connection_id)
             )
+            state.wake = partial(self._receive_lsa, connection_id, state)
             self.states[connection_id] = state
         return state
 
@@ -158,11 +223,12 @@ class DgmcSwitch:
         state = self.states.get(connection_id)
         if state is None or not state.empty or state.inbox:
             return
+        record = state.record
         self._tombstones[connection_id] = (
-            state.received.snapshot(),
-            state.expected.snapshot(),
-            state.current_stamp,
-            state.member_stamp.snapshot(),
+            record.received,
+            record.expected,
+            record.current_stamp,
+            record.member_stamp,
         )
         del self.states[connection_id]
 
@@ -190,11 +256,13 @@ class DgmcSwitch:
         inbox holds them all, which :meth:`_maybe_destroy` relies on.
         """
         connection_id = lsa.connection_id
-        state = self.get_or_create_state(connection_id)
+        state = self.states.get(connection_id)
+        if state is None:
+            state = self.get_or_create_state(connection_id)
         state.inbox.append(lsa)
         if not state.receiving:
             state.receiving = True
-            self.sim.schedule(0.0, partial(self._receive_lsa, connection_id, state))
+            self.sim.schedule(0.0, state.wake)
 
     # -- topology computation ----------------------------------------------------
 
@@ -208,7 +276,7 @@ class DgmcSwitch:
         mutate), so a computation in flight keeps its consistent old view
         while reusing any Dijkstra result already solved on it.
         """
-        members = dict(state.members)
+        members = state.members  # immutable: the snapshot is the reference
         image = self.router.network_image()
         previous = state.installed
         inflight = _InflightCompute(
@@ -268,21 +336,30 @@ class DgmcSwitch:
         state = self.get_or_create_state(connection_id)
         if ctx is not None:
             state.trace_ctx = ctx
+        members = state.members
         if event is McEvent.JOIN:
             if role is None:
                 role = default_role(state.spec.ctype)
-            state.apply_join(x, role)
+            members = members.joined(x, role.as_role_set())
         elif event is McEvent.LEAVE:
-            state.apply_leave(x)
+            members = members.left(x)
         # Line 1: R[x] += 1; E[x] += 1.
-        state.received.increment(x)
-        state.expected.increment(x)
+        received = state.received.snapshot()
+        received.increment(x)
+        expected = state.expected.snapshot()
+        expected.increment(x)
+        member_stamp = state.member_stamp
         if event in (McEvent.JOIN, McEvent.LEAVE):
             # M orders membership views of x (link events move R only).
-            state.member_stamp[x] = state.received[x]
+            member_stamp = member_stamp.snapshot()
+            member_stamp[x] = received[x]
+        state.rebind(
+            received=received, expected=expected, member_stamp=member_stamp,
+            members=members,
+        )
 
         if state.no_outstanding_lsas() or self.config.ablate_re_gate:  # line 2
-            old_r = state.received.snapshot()  # line 4
+            old_r = state.received  # line 4 (a shared stamp: it never changes)
             proposal = yield from self._compute_proposal(state)  # line 5
             if state.received.equals(old_r):  # line 6: proposal still valid
                 self._flood(
@@ -297,7 +374,7 @@ class DgmcSwitch:
                 state.make_proposal_flag = True
         else:  # lines 15-17: outstanding LSAs known; defer to ReceiveLSA()
             self._flood(
-                McLsa(x, event, connection_id, None, state.received.snapshot(),
+                McLsa(x, event, connection_id, None, state.received,
                       role, ctx=state.trace_ctx)
             )
             state.make_proposal_flag = True
@@ -410,7 +487,7 @@ class DgmcSwitch:
         """
         tracer = obs_tracer.TRACER
         if not tracer.enabled:
-            best = self._drain_inbox(state)
+            best, due = self._receive_batch(state)
         else:
             with tracer.span(
                 "receive_lsa",
@@ -419,31 +496,75 @@ class DgmcSwitch:
                 sim_time=self.sim.now,
                 connection=connection_id,
             ) as span:
-                best = self._drain_inbox(state)
+                best, due = self._receive_batch(state)
                 span.args["adopted_proposal"] = best[0] is not None
                 if state.trace_ctx is not None:
                     span.args["trace_id"] = state.trace_ctx.trace_id()
-        if self._proposal_due(state):  # line 19
+        if due:  # line 19
             Process(self.sim, self._triggered_tail(connection_id, state, best)).resume()
         else:
             self._accept(connection_id, state, best)
 
-    def _drain_inbox(self, state: McState) -> Tuple[Optional[McTopology], Stamp, int]:
-        """Figure 5 lines 1-18: consume every queued LSA, pick the candidate.
+    def _receive_batch(self, state: McState):
+        """Figure 5 lines 1-19 on the queued batch, once per distinct input.
 
-        The candidate ``(topology, stamp, proposer)`` starts as "the
-        installed topology": a proposal must beat what is installed.
+        Looks the transition up in the deployment's :class:`ReceiveMemo`
+        and runs :meth:`_drain_inbox` only on a miss.  Returns the
+        candidate ``(topology, stamp, proposer)`` -- "the installed
+        topology" unless an LSA's proposal beat it -- and whether a
+        triggered proposal is due.
         """
         x = self.switch_id
         batch, state.inbox = state.inbox, []
-        candidate: Optional[McTopology] = None
-        candidate_stamp = state.current_stamp
-        candidate_proposer = state.current_proposer
+        record = state.record
+        heard = record.received[x]
+        key = (id(record),)
+        operands = (record,)
+        own = False
         for lsa in batch:
             if lsa.ctx is not None:
                 # Adopt the newest cause affecting this connection so the
-                # spans and floods below join its causal chain.
+                # spans and floods that follow join its causal chain.
                 state.trace_ctx = lsa.ctx
+            stamp = lsa.timestamp
+            content = lsa.__dict__.get("_receive_key") or _receive_key(lsa)
+            key += (content, heard > stamp[x])
+            operands += (stamp,)
+            own = own or lsa.source == x
+        transition = None if own else self.memo.get(key, operands)
+        if transition is None:
+            transition = self._drain_inbox(record, batch)
+            if not own:
+                self.memo.put(key, operands, transition)
+        state.record, due, chosen = transition
+        if chosen is None:
+            return (None, record.current_stamp, record.current_proposer), due
+        lsa = batch[chosen]
+        # Not due: the transition took C over already (this stamp, frozen).
+        stamp = lsa.timestamp if due else state.record.current_stamp
+        return (lsa.proposal, stamp, lsa.source), due
+
+    def _drain_inbox(
+        self, record: Arbitration, batch: List[McLsa]
+    ) -> Tuple[Arbitration, bool, Optional[int]]:
+        """Figure 5 lines 1-19: consume a batch of LSAs, pick the candidate.
+
+        Returns the record after the batch, whether a triggered proposal
+        is due, and the index of the LSA whose proposal is the candidate,
+        or None when none beat the installed topology (the candidate
+        starts as "the installed topology": a proposal must beat what is
+        installed).
+        """
+        x = self.switch_id
+        received = record.received.snapshot()
+        expected = record.expected.snapshot()
+        member_stamp = record.member_stamp.snapshot()
+        members = record.members
+        flag = record.make_proposal_flag
+        chosen: Optional[int] = None
+        candidate_stamp = record.current_stamp
+        candidate_proposer = record.current_proposer
+        for index, lsa in enumerate(batch):
             if lsa.is_event_lsa:  # lines 5-9
                 # The LSA's own stamp component is the authoritative event
                 # index of its origin: apply iff it is news, and *set* R
@@ -453,9 +574,9 @@ class DgmcSwitch:
                 # resync-overtaken event LSAs harmless no-ops and lets R
                 # heal past gaps left by frames a partition swallowed.
                 idx = lsa.timestamp[lsa.source]
-                was_news = idx > state.received[lsa.source]
+                was_news = idx > received[lsa.source]
                 if was_news:
-                    state.received[lsa.source] = idx
+                    received[lsa.source] = idx
                 if lsa.event in (McEvent.JOIN, McEvent.LEAVE):
                     # Membership moves on its own M order, so a join
                     # arriving *after* a link event already jumped R is
@@ -466,33 +587,50 @@ class DgmcSwitch:
                     # LSA also advanced R) so the systematic explorer can
                     # re-derive the counterexample that forced the M
                     # vector (see docs/systematic-testing.md).
-                    newer = idx > state.member_stamp[lsa.source]
+                    newer = idx > member_stamp[lsa.source]
                     applies = was_news if self.config.ablate_member_stamp else newer
                     if applies:
                         if newer:
-                            state.member_stamp[lsa.source] = idx
+                            member_stamp[lsa.source] = idx
                         if lsa.event is McEvent.JOIN:
-                            state.apply_join(lsa.source, lsa.role)
+                            members = members.joined(
+                                lsa.source, lsa.role.as_role_set()
+                            )
                         else:
-                            state.apply_leave(lsa.source)
-            state.expected.merge(lsa.timestamp)  # line 10
+                            members = members.left(lsa.source)
+            expected.merge(lsa.timestamp)  # line 10
             # Line 11, ``T >= E``.  The merge just made ``E >= T``, and
             # dominance between stamps of equal sum is equality (see
             # repro.core.timestamp), so the test is one integer compare.
             if (
                 lsa.proposal is not None
-                and lsa.timestamp.total() == state.expected.total()
+                and lsa.timestamp.total() == expected.total()
             ):  # lines 11-14
-                state.make_proposal_flag = False
+                flag = False
                 if self._beats(
                     lsa.timestamp, lsa.source, candidate_stamp, candidate_proposer
                 ):
-                    candidate = lsa.proposal
+                    chosen = index
                     candidate_stamp = lsa.timestamp
                     candidate_proposer = lsa.source
-            elif state.received[x] > lsa.timestamp[x]:  # lines 15-16
-                state.make_proposal_flag = True
-        return candidate, candidate_stamp, candidate_proposer
+            elif received[x] > lsa.timestamp[x]:  # lines 15-16
+                flag = True
+        current_stamp, current_proposer = record.current_stamp, record.current_proposer
+        due = self._proposal_due(Arbitration(
+            received, expected, current_stamp, member_stamp, current_proposer,
+            flag, members,
+        ))  # line 19
+        if chosen is not None and not due:
+            # Lines 32-33 follow in this same dispatch (_accept): take C and
+            # the proposer over now, so every switch sharing this
+            # transition shares the installed record too and install()
+            # skips its rebind (an arbitration() per receiver per flood).
+            current_stamp, current_proposer = candidate_stamp, candidate_proposer
+        after = arbitration(
+            received, expected, current_stamp, member_stamp, current_proposer,
+            flag, members,
+        )
+        return after, due, chosen
 
     def _triggered_tail(self, connection_id: int, state: McState, best):
         """Lines 19-31: the triggered proposal, a candidate like any other."""
@@ -509,18 +647,19 @@ class DgmcSwitch:
         candidate, stamp, proposer = best
         if candidate is not None:
             self._install(state, candidate, stamp, proposer)
-        self._maybe_destroy(connection_id)
+        if not state.members:
+            self._maybe_destroy(connection_id)
         if state.inbox:
-            self.sim.schedule(0.0, partial(self._receive_lsa, connection_id, state))
+            self.sim.schedule(0.0, state.wake)
         else:
             state.receiving = False
 
-    def _proposal_due(self, state: McState) -> bool:
+    def _proposal_due(self, record: Arbitration) -> bool:
         """Figure 5 line 19: the flag is set, ``R >= E`` and ``R > C``."""
         return (
-            state.make_proposal_flag
-            and (state.no_outstanding_lsas() or self.config.ablate_re_gate)
-            and (state.covers_new_events() or self.config.ablate_rc_gate)
+            record.make_proposal_flag
+            and (record.no_outstanding_lsas() or self.config.ablate_re_gate)
+            and (record.covers_new_events() or self.config.ablate_rc_gate)
         )
 
     def _triggered_proposal(self, connection_id: int, state: McState):
@@ -532,7 +671,7 @@ class DgmcSwitch:
         ReceiveLSA() and the resync kick both run this once
         :meth:`_proposal_due`; each keeps its own candidate / install step.
         """
-        old_r = state.received.snapshot()  # line 20
+        old_r = state.received  # line 20 (a shared stamp: it never changes)
         proposal = yield from self._compute_proposal(state)  # line 21
         quiet = (
             self.states.get(connection_id) is state
@@ -544,9 +683,9 @@ class DgmcSwitch:
                 McLsa(self.switch_id, McEvent.NONE, connection_id, proposal, old_r,
                       ctx=state.trace_ctx)
             )  # line 23
-            # Line 24: E = R.  (merge, not assign: with the withdrawal
+            # Line 24: E = R.  (max, not assign: with the withdrawal
             # ablation E may already exceed old_r and must stay monotone.)
-            state.expected.merge(old_r)
+            state.expected = stamp_max(state.expected, old_r)
             state.make_proposal_flag = False  # line 27
             return proposal, old_r
         # Lines 28-30: withdraw -- the own, never-adopted proposal only.  A
@@ -684,24 +823,31 @@ class DgmcSwitch:
         arbitrate the merged event set.
         """
         state = self.get_or_create_state(snap.connection_id)
-        changed = False
         if snap.ctx is not None:
             state.trace_ctx = snap.ctx
         member_view = snap.member_map()
-        if state.received.merge(snap.received):
-            changed = True
+        received = state.received.snapshot()
+        member_stamp = state.member_stamp.snapshot()
+        members = state.members
+        changed = received.merge(snap.received)
         for origin, their_m in snap.member_stamp.items():
-            if their_m > state.member_stamp[origin]:
-                state.member_stamp[origin] = their_m
+            if their_m > member_stamp[origin]:
+                member_stamp[origin] = their_m
                 if origin in member_view:
-                    state.members[origin] = member_view[origin]
+                    members = members.with_roles(origin, member_view[origin])
                 else:
-                    state.members.pop(origin, None)
+                    members = members.left(origin)
                 changed = True
-        if state.expected.merge(snap.received):
+        expected = state.expected.snapshot()
+        if expected.merge(snap.received):
             changed = True
-        if state.expected.merge(snap.expected):
+        if expected.merge(snap.expected):
             changed = True
+        if changed:
+            state.rebind(
+                received=received, expected=expected, member_stamp=member_stamp,
+                members=members,
+            )
         if snap.topology is not None and self._beats(
             snap.current, snap.proposer, state.current_stamp, state.current_proposer
         ):
@@ -772,7 +918,10 @@ class DgmcSwitch:
         converge through the equal-stamp lower-proposer rule, like any
         other triggered-proposal race.
         """
-        if self.states.get(connection_id) is not state or not self._proposal_due(state):
+        if (
+            self.states.get(connection_id) is not state
+            or not self._proposal_due(state.record)
+        ):
             return
         own = yield from self._triggered_proposal(connection_id, state)
         if own is None:

@@ -52,7 +52,7 @@ BOUND = 256
 Value = Tuple[Dict[int, int], int, int]
 
 
-def _remember(table: dict, key: Hashable, entry: Any) -> Any:
+def remember(table: dict, key: Hashable, entry: Any) -> Any:
     """``table[key] = entry``, then forget the oldest entries past
     :data:`BOUND` (a dict keeps insertion order, so its first key is the
     oldest)."""
@@ -84,7 +84,7 @@ def _intern(counts: Dict[int, int], total: int) -> Value:
         return found
     value = (counts, total, key)
     if found is None:
-        _remember(_VALUES, key, value)
+        remember(_VALUES, key, value)
     return value
 
 
@@ -171,7 +171,7 @@ class VectorTimestamp:
             else:  # zeros stay implicit, so ``==`` / ``hash`` see one form
                 counts.pop(i, None)
             total = v[1] - v[0].get(i, 0) + value
-            hit = _remember(_WRITES, key, (v, _intern(counts, total)))
+            hit = remember(_WRITES, key, (v, _intern(counts, total)))
         self._v = hit[1]
 
     def increment(self, i: int, by: int = 1) -> None:
@@ -211,7 +211,7 @@ class VectorTimestamp:
         key = (id(a), id(b))
         hit = _GEQS.get(key)
         if hit is None:
-            hit = _remember(_GEQS, key, (a, b, _dominates(a, b)))
+            hit = remember(_GEQS, key, (a, b, _dominates(a, b)))
         return hit[2]
 
     def gt(self, other: "VectorTimestamp") -> bool:
@@ -239,7 +239,7 @@ class VectorTimestamp:
         key = (id(a), id(b))
         hit = _MERGES.get(key)
         if hit is None:
-            hit = _remember(_MERGES, key, (a, b, _max(a, b)))
+            hit = remember(_MERGES, key, (a, b, _max(a, b)))
         self._v = hit[2]
         return hit[2] is not a
 
@@ -250,9 +250,9 @@ class VectorTimestamp:
     # -- conversion --------------------------------------------------------------
 
     def snapshot(self) -> "VectorTimestamp":
-        """An independent copy, as carried in LSAs (``old_R = R``): it shares
-        the immutable value, so it costs one reference."""
-        snap = type(self).__new__(type(self))
+        """An independent, writable copy: it shares the immutable value, so
+        it costs one reference."""
+        snap = VectorTimestamp.__new__(VectorTimestamp)
         snap._v = self._v
         return snap
 
@@ -271,6 +271,30 @@ class VectorTimestamp:
 
 #: Annotation name for a stamp held as an immutable snapshot (T, C, old_R).
 Stamp = VectorTimestamp
+
+
+class FrozenStamp(VectorTimestamp):
+    """A stamp that refuses in-place writes: the form an arbitration record
+    (:class:`repro.core.state.Arbitration`) holds R, E, C and M in, since
+    every switch in the same state shares the one record.  Read it like any
+    stamp; to change it, write a :meth:`snapshot` and rebind."""
+
+    __slots__ = ()
+
+    def _shared(self, *args: Any) -> None:
+        raise TypeError("this stamp is shared: write a snapshot() and rebind it")
+
+    __setitem__ = merge = assign = _shared  # type: ignore[assignment]
+
+
+def frozen(stamp: Stamp) -> FrozenStamp:
+    """``stamp`` as a :class:`FrozenStamp` (itself when it already is one)."""
+    if type(stamp) is FrozenStamp:
+        return stamp
+    out = FrozenStamp.__new__(FrozenStamp)
+    out._v = stamp._v
+    return out
+
 
 #: The order on snapshots, spelled as functions.  (These three names, and
 #: the methods ``geq`` / ``gt`` / ``merge`` / ``assign`` / ``snapshot``, are

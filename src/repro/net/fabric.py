@@ -30,6 +30,7 @@ from repro.core.invariants import InstallLog, check_agreement
 from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import McState
+from repro.core.switch import ReceiveMemo
 from repro.core.timestamp import Stamp
 from repro.lsr.spfcache import SolvedImages
 from repro.net.faults import FaultPlan
@@ -119,6 +120,8 @@ class LiveFabric(ConnectionRegistrar):
         #: The hosts share one process, so they share one table of solved
         #: SPF images (a restarted host too).
         self.solved = SolvedImages()
+        #: ... and one table of ReceiveLSA() transitions.
+        self.receive_memo = ReceiveMemo()
         self._pending_events: List[Tuple[float, int, Any]] = []
         self._event_seq = 0
         self._started = False
@@ -162,6 +165,7 @@ class LiveFabric(ConnectionRegistrar):
             self.config,
             self.transport,
             self.solved,
+            self.receive_memo,
             connection_registry=self.connection_registry,
             time_scale=self.live.time_scale,
             on_install=self._record_install,
@@ -215,7 +219,8 @@ class LiveFabric(ConnectionRegistrar):
         self.install_log.record(host.sim.now, switch, connection_id, stamp, proposer)
         state = host.switch.states.get(connection_id)
         if state is not None:
-            self.slo.record_frr_retired(state.take_frr_retirements())
+            if self.config.enable_frr:  # fragments retire only under FRR
+                self.slo.record_frr_retired(state.take_frr_retirements())
             self.slo.record_install(
                 state.trace_ctx, switch, state.member_set
             )

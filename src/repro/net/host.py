@@ -26,7 +26,7 @@ from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec
 from repro.core.protocol import ProtocolConfig
 from repro.core.state import McState
-from repro.core.switch import DgmcSwitch
+from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
@@ -90,6 +90,7 @@ class LiveSwitch:
         config: ProtocolConfig,
         transport: Transport,
         solved: SolvedImages,
+        memo: ReceiveMemo,
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
         time_scale: float = 0.0,
         on_computation: Optional[Callable[[int, int], None]] = None,
@@ -119,6 +120,7 @@ class LiveSwitch:
             self.flood_out,
             config,
             self.connection_registry,
+            memo,
             on_computation=on_computation,
             on_install=on_install,
         )

@@ -34,6 +34,8 @@ SPF_MISSES = "spf_cache_misses_total"
 SPF_INVALIDATIONS = "spf_cache_invalidations_total"
 DIJKSTRA_RUNS = "spf_dijkstra_runs_total"
 COMPUTATIONS = "computations_total"
+RECEIVE_MEMO_HITS = "receive_memo_hits_total"
+RECEIVE_MEMO_MISSES = "receive_memo_misses_total"
 FLOOD_OPERATIONS = "flood_operations_total"
 LSA_DELIVERIES = "lsa_deliveries_total"
 EVENTS_DISPATCHED = "sim_events_dispatched_total"
@@ -74,6 +76,12 @@ def attach_network_metrics(
         reg.gauge(SIM_NOW, "current simulated time").set(network.sim.now)
         reg.counter(COMPUTATIONS, "topology computations performed"
                     ).set_total(network.total_computations())
+        memo = getattr(network, "receive_memo", None)
+        if memo is not None:  # D-GMC only: the baselines have no ReceiveLSA()
+            reg.counter(RECEIVE_MEMO_HITS, "ReceiveLSA() batches answered by "
+                        "the deployment's transition table").set_total(memo.hits)
+            reg.counter(RECEIVE_MEMO_MISSES, "ReceiveLSA() batches drained "
+                        "(no transition to share)").set_total(memo.misses)
 
     from repro.lsr.spfcache import collect_spf
 

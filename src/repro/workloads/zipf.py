@@ -31,6 +31,7 @@ from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.events import JoinEvent, LeaveEvent
+from repro.core.mc import default_role
 from repro.core.protocol import DgmcNetwork
 from repro.core.state import McState
 from repro.core.timestamp import VectorTimestamp
@@ -253,8 +254,11 @@ class ConvergedGroups:
             state = McState(spec, n)
             counts = VectorTimestamp()
             for switch in members:
-                state.apply_join(switch, None)
                 counts.increment(switch)
+            # One member map, not one per join (each join copies the map).
+            state.members = dict.fromkeys(
+                members, default_role(spec.ctype).as_role_set()
+            )
             self._event_counts[g] = counts
             topology = state.algorithm.compute(adj, state.members, None)
             proposer = min(members)

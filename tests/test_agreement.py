@@ -115,7 +115,7 @@ class TestDgmcNetworkAgreement:
         ok, _ = dgmc.agreement(CID)
         assert ok
         # Tamper with one switch's converged state post-run.
-        dgmc.switches[1].states[CID].members.pop(0)
+        dgmc.switches[1].states[CID].apply_leave(0)
         ok, detail = dgmc.agreement(CID)
         assert not ok
         assert "switch 1" in detail
@@ -129,7 +129,7 @@ class TestDgmcNetworkAgreement:
         dgmc.inject(JoinEvent(2, CID), at=50.0)
         dgmc.run()
         # A failed switch's stale state must not break agreement.
-        dgmc.switches[1].states[CID].members.pop(0, None)
+        dgmc.switches[1].states[CID].apply_leave(0)
         dgmc.dead_switches.add(1)
         ok, _ = dgmc.agreement(CID)
         assert ok

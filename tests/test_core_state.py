@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.mc import ConnectionSpec, ConnectionType, Role
 from repro.core.state import McState
-from repro.core.timestamp import Stamp
+from repro.core.timestamp import Stamp, stamp_max
 from repro.trees.algorithms import RECEIVER, SENDER
 from repro.trees.base import McTopology, MulticastTree
 from tests.stamps import S
@@ -14,6 +14,14 @@ from tests.stamps import S
 
 def make_state(ctype=ConnectionType.SYMMETRIC, n=4):
     return McState(ConnectionSpec(1, ctype), n)
+
+
+def bumped(stamp: Stamp, origin: int) -> Stamp:
+    """``stamp`` with one more event from ``origin``: a state's stamps are
+    shared, so a test writes a snapshot and rebinds it."""
+    out = stamp.snapshot()
+    out.increment(origin)
+    return out
 
 
 class TestMembership:
@@ -64,15 +72,15 @@ class TestPredicates:
 
     def test_outstanding_after_expected_merge(self):
         st = make_state()
-        st.expected.merge(S(0, 1, 0, 0))
+        st.expected = stamp_max(st.expected, S(0, 1, 0, 0))
         assert not st.no_outstanding_lsas()
-        st.received.increment(1)
+        st.received = bumped(st.received, 1)
         assert st.no_outstanding_lsas()
 
     def test_covers_new_events(self):
         st = make_state()
         assert not st.covers_new_events()  # R == C == 0
-        st.received.increment(0)
+        st.received = bumped(st.received, 0)
         assert st.covers_new_events()
 
 
@@ -101,10 +109,9 @@ class TestCanonical:
 
         a = make_state()
         for origin in (0, 3, 3, 1):
-            a.received.increment(origin)
-            a.expected.increment(origin)
-        a.member_stamp[0] = 1
-        a.member_stamp[3] = 2
+            a.received = bumped(a.received, origin)
+            a.expected = bumped(a.expected, origin)
+        a.member_stamp = Stamp({0: 1, 3: 2})
         a.apply_join(0, None)
         a.apply_join(3, None)
         a.install(topo, S(1, 1, 0, 2), now=1.0, proposer=0)
@@ -112,29 +119,40 @@ class TestCanonical:
         b = make_state()
         b.apply_join(3, None)
         b.apply_join(0, None)
-        b.expected.merge(S(0, 1, 0, 2))
-        b.expected.merge(S(1, 0, 0, 1))
-        b.received[2] = 5
-        b.received[2] = 0  # an origin touched, then back to an implicit zero
-        b.received.merge(S(1, 1, 0, 2))
-        b.member_stamp.merge(S(0, 0, 0, 2))
-        b.member_stamp.increment(0)
+        expected = b.expected.snapshot()
+        expected.merge(S(0, 1, 0, 2))
+        expected.merge(S(1, 0, 0, 1))
+        received = b.received.snapshot()
+        received[2] = 5
+        received[2] = 0  # an origin touched, then back to an implicit zero
+        received.merge(S(1, 1, 0, 2))
+        member_stamp = b.member_stamp.snapshot()
+        member_stamp.merge(S(0, 0, 0, 2))
+        member_stamp.increment(0)
+        b.expected, b.received, b.member_stamp = expected, received, member_stamp
         reordered = McTopology.shared(MulticastTree.build([(3, 1), (1, 0)], [3, 0]))
         b.install(reordered, Stamp({3: 2, 1: 1, 0: 1}), now=9.0, proposer=0)
 
         assert a.canonical() == b.canonical()
         assert hash(a.canonical()) == hash(b.canonical())
-        b.received.increment(2)
+        b.received = bumped(b.received, 2)
         assert a.canonical() != b.canonical()
 
     def test_tombstone_resume_copies_the_vectors(self):
         """A recreated state must not alias the tombstone's stamps."""
         first = make_state()
-        first.received.increment(1)
+        first.received = bumped(first.received, 1)
         tomb = (
             first.received.snapshot(), first.expected.snapshot(),
             first.current_stamp, first.member_stamp.snapshot(),
         )
         resumed = McState(first.spec, first.n, resume_from=tomb)
-        resumed.received.increment(1)
-        assert tomb[0] == S(0, 1) and resumed.received == S(0, 2)
+        with pytest.raises(TypeError):
+            resumed.received.increment(1)
+        assert tomb[0] == S(0, 1)
+        tomb[0].increment(1)  # the tombstone's copy is writable...
+        assert resumed.received == S(0, 1)  # ...and not the resumed R
+        resumed.received = bumped(resumed.received, 1)
+        assert tomb[0] == S(0, 2) and resumed.received == S(0, 2)
+        tomb[0].increment(1)
+        assert resumed.received == S(0, 2)

@@ -52,12 +52,15 @@ def install_everywhere(dgmc, topology) -> None:
 
 
 def diverge_roles(dgmc) -> None:
-    dgmc.states_for(CID)[2].members[0] = frozenset({"sender"})
+    state = dgmc.states_for(CID)[2]
+    state.members = {**state.members, 0: frozenset({"sender"})}
 
 
 def outrun_expected(dgmc) -> None:
     for state in dgmc.states_for(CID).values():
-        state.received.increment(1)  # R > E: an event nobody announced
+        received = state.received.snapshot()
+        received.increment(1)  # R > E: an event nobody announced
+        state.received = received
 
 
 def empty_a_restarted_lsdb(dgmc) -> None:

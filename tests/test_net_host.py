@@ -19,6 +19,7 @@ from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.lsa import McLsa
 from repro.core.mc import ConnectionSpec, ConnectionType
 from repro.core.protocol import ProtocolConfig
+from repro.core.switch import ReceiveMemo
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.spfcache import SolvedImages
@@ -71,9 +72,11 @@ def line_of_hosts(**config_kw):
     transport = RecordingTransport()
     registry = {}
     solved = SolvedImages()
+    memo = ReceiveMemo()
     hosts = {
         x: LiveSwitch(
-            x, net.copy(), config, transport, solved, connection_registry=registry
+            x, net.copy(), config, transport, solved, memo,
+            connection_registry=registry,
         )
         for x in net.switches()
     }
@@ -222,7 +225,7 @@ def test_cold_booted_host_proposes_nothing_before_its_lsdb_is_complete():
     settle(hosts, transport)
     reborn = LiveSwitch(
         0, old.net.copy(), old.config, transport, old.router.lsdb.solved,
-        connection_registry=old.connection_registry, generation=2, cold_boot=True,
+        old.switch.memo, connection_registry=old.connection_registry, generation=2, cold_boot=True,
     )
     reborn.boot_cold()
     # ... hears it again: the repair computation takes the CPU (R > C) ...

@@ -240,7 +240,7 @@ class TestPumpSupervision:
         def explode(state):
             raise boom
 
-        fabric.hosts[2].switch._drain_inbox = explode
+        fabric.hosts[2].switch._receive_batch = explode
         return fabric
 
     def test_dead_pump_raises_a_named_failure_at_the_next_poll(self, tmp_path):

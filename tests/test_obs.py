@@ -332,7 +332,7 @@ class TestNetworkMetrics:
             for key, value in vars(attach).items()
             if key.isupper() and not key.startswith("STRESS_")
         ]
-        assert len(names) == len(set(names)) == 10
+        assert len(names) == len(set(names)) == 12
         snap = dgmc.metrics.snapshot()
         lines = dgmc.metrics.to_prometheus().splitlines()
         for name in names:
