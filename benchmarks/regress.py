@@ -531,7 +531,7 @@ def _check_dataplane_throughput(dp, top_n: int) -> Iterable[str]:
             f"{dp['mismatches']} shadow packets"
         )
     # The >= 10x speedup is the n=100 acceptance criterion; small-n
-    # runs (--only under quick/smoke) can't amortize compilation.
+    # runs (--only under quick/smoke) can't amortize the template walks.
     if top_n >= 100 and dp["speedup"] < 10.0:
         yield (
             f"batched engine speedup {dp['speedup']:.1f}x < 10.0x "

@@ -667,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "dataplane",
-        help="batched Zipf traffic through compiled forwarding state",
+        help="batched Zipf traffic through cached flow templates",
         parents=[seed, metrics],
     )
     p.add_argument("--switches", type=int, default=30)

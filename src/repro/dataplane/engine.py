@@ -1,54 +1,51 @@
-"""Batched data-plane forwarding over compiled flat-array state.
+"""Batched data-plane forwarding over cached flow templates.
 
 The paper's traffic-side claim (Section 2) is that D-GMC's precomputed
 per-connection topologies make forwarding cheap: unlike MOSPF, no
 shortest-path computation ever runs on the data path.  The reference
 :class:`~repro.dataplane.forwarding.ForwardingEngine` demonstrates the
-*semantics* of that data plane but walks dicts and schedules one simulator
-event per hop per packet -- far too slow to drive traffic at volume.
+*semantics* of that data plane but schedules one simulator event per hop
+per packet -- far too slow to drive traffic at volume.
 
-:class:`BatchForwardingEngine` is the volume path.  It compiles each
-switch's installed :class:`~repro.trees.base.McTopology` into CSR
-next-hop arrays -- one row per (switch, tree key), holding only *live*
-out-edges with their hop costs -- plus per-switch member/deliver bitmaps.
-Because packets of the same flow (connection, source) injected into the
-same control-plane snapshot are processed identically by the reference
-engine, the engine replays the reference semantics **once** per flow into
-a :class:`_FlowTemplate` (delivery latencies, hop count, duplicate and
-TTL-drop counts) and then stamps whole batches against the template in
-O(1) per packet.
+:class:`BatchForwardingEngine` is the volume path.  Packets of the same
+flow (connection, source) injected into the same control-plane snapshot
+are processed identically by the reference engine, so the batched engine
+walks each flow **once** into a :class:`_FlowTemplate` (per-receiver
+hop-cost chains, hop count, duplicate and TTL-drop counts) and then stamps
+whole batches against the template in O(1) per packet.  The walk is a
+local ``(time, seq)`` heap that calls the reference engine's own per-hop
+rules -- tree fan-out, dead-link drops, FRR detours, the unicast contact
+stage, delivery roles, the TTL guard -- so there is one implementation of
+each rule, and the batched engine adds only the caching around it.
 
 Invalidation:
 
 * **install generation** -- every topology install is recorded in
   ``DgmcNetwork.install_log``; :meth:`BatchForwardingEngine.refresh`
-  reads the connection column from where it last stopped and drops
-  compiled state and templates for exactly the touched connections.
+  reads the connection column from where it last stopped and drops the
+  templates of exactly the touched connections.
 * **physical generation** -- ``Network.version`` advances on every link
   add or up/down flip.  When :meth:`~repro.topo.graph.Network.
-  up_delta_since` can name the single changed link, only connections
-  whose compiled state *depends* on it (a tree edge, an active detour
-  link, or any unicast-stage template) are dropped -- counted by
+  up_delta_since` can name the single changed link ``(u, v)``, only the
+  connections whose walks may have read it are dropped -- counted by
   ``dataplane_partial_invalidations_total`` -- so one failure does not
-  recompile every unrelated group; a wider gap falls back to dropping
-  everything.
+  rebuild every unrelated group; a wider gap falls back to dropping
+  everything.  A walk reads link state only at the incident tree edges of
+  the switches it visits and along the detours of the active fragments
+  held there, plus, on the unicast contact stage, routing state anywhere.
+  So a connection is dropped iff u or v is a visited switch or a node of
+  such a detour, or one of its walks rode unicast: that set is sound.
 * **fast-reroute epoch** -- backup fragment activation/retirement
   mutates :class:`~repro.core.state.McState` without an install record
   or a version bump; under ``enable_frr`` the engine snapshots each
-  connection's summed ``frr_epoch`` at compile time and re-checks it on
-  refresh (scoped drop on change).  With FRR off this scan never runs.
-
-Active backup fragments compile as *splices*: a dead tree edge covered
-by an activated fragment becomes one logical CSR entry to the far
-endpoint whose cost is the detour's left-to-right link-delay sum and
-whose hop span is the detour length, so stamped timestamps, hop counts,
-and TTL behavior match the reference engine's tunnel semantics bit for
-bit.
+  connection's summed ``frr_epoch`` when its first template is built and
+  re-checks it on refresh (scoped drop on change).  With FRR off this
+  scan never runs.
 
 Equivalence contract: dispatching at a quiescent point (no in-flight
 LSAs, proposals, or membership churn) produces records identical to the
-reference engine, field for field -- the Hypothesis property test in
-``tests/test_dataplane.py`` enforces this.  Dispatching mid-transient is
+reference engine, field for field -- the Hypothesis property tests in
+``tests/test_dataplane.py`` enforce this.  Dispatching mid-transient is
 permitted but sees membership as of the last install; callers that
 mutate ``McState`` out-of-band (without an install record) must call
 :meth:`invalidate` themselves.
@@ -57,26 +54,12 @@ mutate ``McState`` out-of-band (without an install record) must call
 from __future__ import annotations
 
 import heapq
-from array import array
-from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.mc import ConnectionType
 from repro.core.protocol import DgmcNetwork
-from repro.dataplane.forwarding import DeliveryReport
+from repro.dataplane.forwarding import DeliveryReport, ForwardingEngine
 from repro.dataplane.packet import DeliveryRecord, McPacket
-from repro.frr import detour_delay, detour_is_live
-from repro.lsr import spf
 from repro.obs import tracer as tracer_module
-from repro.trees.algorithms import RECEIVER
-from repro.trees.base import SHARED, McTopology
-
-#: CSR row bundle per tree key: (indptr, neighbor ids, per-hop costs,
-#: per-entry hop spans).  Spans are 1 for ordinary tree edges and the
-#: detour length for spliced backup fragments.
-_CsrRows = Dict[int, Tuple[array, array, array, array]]
-
-_TREE, _UNICAST = 0, 1
 
 
 def _fold_time(at: float, chain: Tuple[float, ...]) -> float:
@@ -85,15 +68,6 @@ def _fold_time(at: float, chain: Tuple[float, ...]) -> float:
     for cost in chain:
         t += cost
     return t
-
-
-class _CompiledTopology:
-    """CSR fan-out arrays for one unique installed topology object."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: _CsrRows) -> None:
-        self.rows = rows
 
 
 class _FlowTemplate:
@@ -129,53 +103,29 @@ class _FlowTemplate:
 
 
 class _CompiledConnection:
-    """All compiled forwarding state for one connection.
+    """One connection's flow templates and what their walks read."""
 
-    Per-switch fields index 0..n-1 and describe *that switch's own* view
-    (during reconvergence the views differ; the compiler groups switches
-    by state / installed-topology identity so converged deployments --
-    where every switch shares one view -- compile each view exactly once).
-    """
+    __slots__ = ("templates", "reads", "uses_unicast", "frr_epoch")
 
-    __slots__ = (
-        "connection_id", "n", "asymmetric",
-        "topo_of", "topologies", "member_bit", "deliver_bit",
-        "members_of", "intended_of",
-        "dep_links", "uses_unicast", "frr_epoch",
-    )
-
-    def __init__(self, connection_id: int, n: int) -> None:
-        self.connection_id = connection_id
-        self.n = n
-        self.asymmetric = False
-        #: Canonical links this compiled state depends on: every tree
-        #: edge (live or dead) plus every link of a spliced detour.  The
-        #: scoped-invalidation path keeps the connection compiled when a
-        #: single link change misses this set entirely.
-        self.dep_links: set = set()
-        #: True once any template rode the unicast (receiver-only
-        #: contact) stage -- those depend on arbitrary routing-table
-        #: state, so any link change invalidates them.
+    def __init__(self, frr_epoch: int) -> None:
+        #: Source switch -> its flow template.
+        self.templates: Dict[int, _FlowTemplate] = {}
+        #: Switches whose link state some walk may have read: every
+        #: visited switch plus the path nodes of the active fragments it
+        #: holds.  A single link change touching neither endpoint keeps
+        #: the templates.
+        self.reads: Set[int] = set()
+        #: True once any walk could not start on its source's tree: the
+        #: receiver-only contact stage reads routing state anywhere, so
+        #: any link change drops the connection.
         self.uses_unicast = False
-        #: Summed ``McState.frr_epoch`` across the distinct holder
-        #: states at compile time (FRR change detector).
-        self.frr_epoch = 0
-        #: Per switch: index into ``topologies`` (-1: no state or no install).
-        self.topo_of: List[int] = [-1] * n
-        self.topologies: List[_CompiledTopology] = []
-        #: Per switch: 1 when the switch is a member in its own view.
-        self.member_bit = bytearray(n)
-        #: Per switch: 1 when a local delivery happens there (member with a
-        #: receiver-eligible role).
-        self.deliver_bit = bytearray(n)
-        #: Per switch: its own member set / intended-receiver set (None: no
-        #: state); shared frozensets across switches with identical views.
-        self.members_of: List[Optional[FrozenSet[int]]] = [None] * n
-        self.intended_of: List[Optional[FrozenSet[int]]] = [None] * n
+        #: Summed ``McState.frr_epoch`` across the distinct holder states
+        #: when the first template was built (FRR change detector).
+        self.frr_epoch = frr_epoch
 
 
 class BatchForwardingEngine:
-    """Dispatches traffic batches against compiled forwarding state."""
+    """Dispatches traffic batches against cached flow templates."""
 
     def __init__(
         self,
@@ -184,14 +134,12 @@ class BatchForwardingEngine:
         ttl: Optional[int] = None,
     ) -> None:
         self.dgmc = dgmc
-        #: Data-packet per-hop delay; defaults to the physical link delay
-        #: (must match the reference engine's setting for equivalence).
-        self.hop_delay = hop_delay
-        #: Hop limit per packet; defaults to 4n like the reference engine.
-        self.ttl = ttl
+        #: The per-hop rules every template walk asks, with the per-hop
+        #: delay and hop limit (both must match the reference engine's
+        #: settings for equivalence).
+        self._rules = ForwardingEngine(dgmc, hop_delay, ttl)
         self.report = DeliveryReport()
         self._compiled: Dict[int, _CompiledConnection] = {}
-        self._templates: Dict[int, Dict[int, _FlowTemplate]] = {}
         self._net_version = dgmc.net.version
         self._log_pos = len(dgmc.install_log)
         metrics = dgmc.metrics
@@ -201,10 +149,10 @@ class BatchForwardingEngine:
             "dataplane_packets_total", "Packets dispatched by the batched engine")
         self._compiles = metrics.counter(
             "dataplane_compiled_connections_total",
-            "Connections compiled into CSR forwarding arrays")
+            "Connections whose flow templates were (re)started from empty")
         self._template_builds = metrics.counter(
             "dataplane_template_builds_total",
-            "Flow templates built by replaying reference semantics")
+            "Flow templates built by walking the reference rules")
         self._template_hits = metrics.counter(
             "dataplane_template_hits_total",
             "Packets served from an existing flow template")
@@ -249,34 +197,30 @@ class BatchForwardingEngine:
         return records
 
     def refresh(self) -> None:
-        """Drop compiled state invalidated since the last dispatch.
+        """Drop flow templates invalidated since the last dispatch.
 
         A ``Network.version`` change (link added / up / down) that
         :meth:`~repro.topo.graph.Network.up_delta_since` can pin to a
-        single link drops only the connections depending on it (tree
-        edge, spliced detour link, or any unicast-stage template);
-        wider gaps drop everything.  New ``install_log`` entries drop
-        exactly the touched connections.  Under ``enable_frr``, a
-        changed per-connection ``frr_epoch`` sum (activation or
-        retirement without an install record or version bump) also
-        drops that connection only.
+        single link drops only the connections whose walks read it
+        (see the module docstring); wider gaps drop everything.  New
+        ``install_log`` entries drop exactly the touched connections.
+        Under ``enable_frr``, a changed per-connection ``frr_epoch`` sum
+        (activation or retirement without an install record or version
+        bump) also drops that connection only.
         """
         net_version = self.dgmc.net.version
         if net_version != self._net_version:
             delta = self.dgmc.net.up_delta_since(self._net_version)
             if delta is None:
-                self._invalidations.inc(len(self._compiled))
-                self._compiled.clear()
-                self._templates.clear()
+                self.invalidate()
                 self._net_version = net_version
                 self._log_pos = len(self.dgmc.install_log)
                 return
             if delta:
                 u, v = delta[0][0], delta[0][1]
-                edge = (u, v) if u <= v else (v, u)
                 for m in [
                     m for m, c in self._compiled.items()
-                    if c.uses_unicast or edge in c.dep_links
+                    if c.uses_unicast or u in c.reads or v in c.reads
                 ]:
                     self.invalidate(m)
                 self._partial_invalidations.inc()
@@ -308,7 +252,7 @@ class BatchForwardingEngine:
         return total
 
     def invalidate(self, connection_id: Optional[int] = None) -> None:
-        """Drop compiled state for one connection (or all, when ``None``).
+        """Drop the templates of one connection (or all, when ``None``).
 
         Callers that mutate :class:`~repro.core.state.McState` without an
         install record (no ``install_log`` entry) must call this before
@@ -317,304 +261,85 @@ class BatchForwardingEngine:
         if connection_id is None:
             self._invalidations.inc(len(self._compiled))
             self._compiled.clear()
-            self._templates.clear()
-            return
-        dropped = self._compiled.pop(connection_id, None) is not None
-        dropped = self._templates.pop(connection_id, None) is not None or dropped
-        if dropped:
+        elif self._compiled.pop(connection_id, None) is not None:
             self._invalidations.inc()
 
-    # -- compilation -----------------------------------------------------------
+    # -- flow templates ----------------------------------------------------------
 
-    def _template(self, connection_id: int, source: int) -> _FlowTemplate:
-        per_flow = self._templates.setdefault(connection_id, {})
-        template = per_flow.get(source)
+    def _template(self, packet: McPacket) -> _FlowTemplate:
+        """The template of ``packet``'s flow; a miss walks ``packet``
+        through the reference rules."""
+        connection_id, source = packet.connection_id, packet.source
+        compiled = self._compiled.get(connection_id)
+        if compiled is None:
+            epoch = self._frr_epoch_sum(connection_id) if self.dgmc.config.enable_frr else 0
+            compiled = self._compiled[connection_id] = _CompiledConnection(epoch)
+            self._compiles.inc()
+        template = compiled.templates.get(source)
         if template is not None:
             self._template_hits.inc()
             return template
-        compiled = self._compiled.get(connection_id)
-        if compiled is None:
-            compiled = self._compile(connection_id)
-            self._compiled[connection_id] = compiled
-            self._compiles.inc()
-        template = self._replay(compiled, source)
-        per_flow[source] = template
+        template = self._walk(packet, compiled)
+        compiled.templates[source] = template
         self._template_builds.inc()
         return template
 
-    def _compile(self, connection_id: int) -> _CompiledConnection:
-        n = self.dgmc.net.n
-        compiled = _CompiledConnection(connection_id, n)
-        # Group holders by state identity: a converged deployment (or one
-        # seeded by ConvergedGroups) shares one state object everywhere,
-        # so each distinct view is analyzed exactly once.
-        states: Dict[int, object] = {}
-        holders: Dict[int, List[int]] = {}
-        for x, switch in self.dgmc.switches.items():
-            state = switch.states.get(connection_id)
-            if state is not None:
-                key = id(state)
-                row = holders.get(key)
-                if row is None:
-                    states[key] = state
-                    holders[key] = [x]
-                else:
-                    row.append(x)
-        topo_index: Dict[tuple, int] = {}
-        for key, switches in holders.items():
-            state = states[key]
-            compiled.frr_epoch += state.frr_epoch
-            asymmetric = state.spec.ctype is ConnectionType.ASYMMETRIC
-            compiled.asymmetric = asymmetric
-            members = state.member_set
-            if asymmetric:
-                intended = frozenset(
-                    m for m, roles in state.members.items() if RECEIVER in roles
-                )
-                delivering = intended
-            else:
-                intended = members
-                delivering = members
-            topo = -1
-            if state.installed is not None:
-                # Two views sharing one installed object can still hold
-                # different active fragments (activation is per state),
-                # so the dedup key covers the splice content too.
-                topo_key = (
-                    id(state.installed),
-                    tuple(
-                        (edge, fragment.path)
-                        for edge, fragment in sorted(state.active_backup.items())
-                    ),
-                )
-                topo = topo_index.get(topo_key, -1)
-                if topo < 0:
-                    topo = len(compiled.topologies)
-                    compiled.topologies.append(
-                        self._compile_topology(
-                            state.installed, n,
-                            state.active_backup, compiled.dep_links,
-                        )
-                    )
-                    topo_index[topo_key] = topo
-            if len(holders) == 1 and len(switches) == n:
-                # Fully converged: one shared view everywhere (the common
-                # case after quiescence and the ConvergedGroups fast path).
-                compiled.members_of = [members] * n
-                compiled.intended_of = [intended] * n
-                compiled.topo_of = [topo] * n
-                for m in members:
-                    compiled.member_bit[m] = 1
-                for m in delivering:
-                    compiled.deliver_bit[m] = 1
-                break
-            for x in switches:
-                compiled.members_of[x] = members
-                compiled.intended_of[x] = intended
-                if x in members:
-                    compiled.member_bit[x] = 1
-                    if x in delivering:
-                        compiled.deliver_bit[x] = 1
-                compiled.topo_of[x] = topo
-        return compiled
-
-    def _compile_topology(
-        self,
-        topology: McTopology,
-        n: int,
-        active_backup: Dict[Tuple[int, int], object],
-        dep_links: set,
-    ) -> _CompiledTopology:
-        """CSR rows per tree key, dead links excluded at compile time.
-
-        Neighbor order within a row reproduces the reference engine's
-        traversal order (other endpoints of the sorted incident edges,
-        then detour splices in the same edge order), so replays fan out
-        in the identical sequence.
-
-        A dead tree edge covered by an *activated* backup fragment whose
-        detour is fully live compiles into one logical entry to the far
-        endpoint: cost is the detour's link delays summed left to right
-        from this endpoint (matching :func:`repro.frr.detour_delay`'s
-        addition order, so folded timestamps stay bit-exact against the
-        reference engine) and span is the detour hop length.
-        """
-        net = self.dgmc.net
-        hop_delay = self.hop_delay
-
-        def hop_cost(a: int, b: int) -> float:
-            if hop_delay is not None:
-                return hop_delay
-            return net.link(a, b).delay
-
-        rows: _CsrRows = {}
-        for tree_key, tree in topology.trees:
-            per_node: Dict[int, List[Tuple[int, float, int]]] = {}
-            dead: List[Tuple[int, int]] = []
-            for u, v in sorted(tree.edges):
-                dep_links.add((u, v) if u <= v else (v, u))
-                if not net.has_link(u, v) or not net.link(u, v).up:
-                    dead.append((u, v))
-                    continue  # data-plane drop on a dead link
-                cost = hop_cost(u, v)
-                per_node.setdefault(u, []).append((v, cost, 1))
-                per_node.setdefault(v, []).append((u, cost, 1))
-            if active_backup:
-                for u, v in dead:
-                    key = (u, v) if u <= v else (v, u)
-                    fragment = active_backup.get(key)
-                    if fragment is None or not detour_is_live(fragment, net):
-                        continue
-                    for a, b in zip(fragment.path, fragment.path[1:]):
-                        dep_links.add((a, b) if a <= b else (b, a))
-                    span = fragment.span
-                    per_node.setdefault(u, []).append(
-                        (v, detour_delay(fragment, u, hop_cost), span)
-                    )
-                    per_node.setdefault(v, []).append(
-                        (u, detour_delay(fragment, v, hop_cost), span)
-                    )
-            counts = [0] * n
-            for x, out in per_node.items():
-                counts[x] = len(out)
-            indptr = array("l", accumulate(counts, initial=0))
-            neighbors = array("l")
-            costs = array("d")
-            spans = array("l")
-            for x in sorted(per_node):
-                for nbr, cost, span in per_node[x]:
-                    neighbors.append(nbr)
-                    costs.append(cost)
-                    spans.append(span)
-            rows[tree_key] = (indptr, neighbors, costs, spans)
-        return _CompiledTopology(rows)
-
-    # -- template replay ---------------------------------------------------------
-
-    def _nearest_member(
-        self, source: int, members: FrozenSet[int]
-    ) -> Optional[int]:
-        """The receiver-only contact node, exactly as the reference picks it."""
-        if not members:
-            return None
-        image = self.dgmc.routers[source].network_image()
-        dist, _ = spf.dijkstra(image, source)
-        reachable = [(dist[m], m) for m in sorted(members) if m in dist]
-        return min(reachable)[1] if reachable else None
-
-    def _replay(self, compiled: _CompiledConnection, source: int) -> _FlowTemplate:
-        """Replay the reference engine's per-packet walk over the arrays.
+    def _walk(self, packet: McPacket, compiled: _CompiledConnection) -> _FlowTemplate:
+        """Run the reference engine's per-packet walk on a local heap.
 
         Exactness argument: reference packets share no mutable state (the
         duplicate-suppression set is per packet, records are per packet),
         and the simulator orders events by ``(time, seq)`` with ``seq``
         drawn at scheduling time -- so a packet's own events pop in the
         same relative order from a local ``(time, seq)`` heap as from the
-        global queue, and the walk below is delivery-for-delivery
-        identical to the reference at any fixed control-plane snapshot.
+        global queue.  Every decision below is the reference engine's own
+        method, so the walk is delivery-for-delivery identical to the
+        reference at any fixed control-plane snapshot.  Arrival times are
+        carried as hop-cost chains, not sums (see :class:`_FlowTemplate`).
         """
-        n = compiled.n
-        if compiled.members_of[source] is None or compiled.topo_of[source] < 0:
-            return _FlowTemplate(True, frozenset(), (), 0, 0, 0)
-        intended = compiled.intended_of[source] or frozenset()
-        tree_key = source if compiled.asymmetric else SHARED
-        initial_ttl = self.ttl if self.ttl is not None else 4 * n
-
-        topo_of = compiled.topo_of
-        topologies = compiled.topologies
-        member_bit = compiled.member_bit
-        deliver_bit = compiled.deliver_bit
-
-        def row(x: int) -> Optional[Tuple[array, array, array]]:
-            index = topo_of[x]
-            return None if index < 0 else topologies[index].rows.get(tree_key)
-
-        def on_tree(x: int) -> bool:
-            if member_bit[x]:
-                return True
-            r = row(x)
-            return r is not None and r[0][x + 1] > r[0][x]
-
-        seen: set = set()
+        rules = self._rules
+        tally = DeliveryRecord(packet)  # intended, hops, duplicates, TTL drops
+        contact = rules._ingress(packet, tally)
+        if contact != packet.source:
+            compiled.uses_unicast = True  # the contact stage reads routing state
+        if contact is None:
+            return _FlowTemplate(True, tally.intended, (), 0, 0, 0)
+        # Heap entries: (time, seq, switch, came_from, contact, ttl, chain);
+        # the contact is set while the packet rides the unicast stage.
+        heap: List[tuple] = [(0.0, 0, packet.source, None, contact, rules._hop_limit(), ())]
+        seq = 1
+        seen: Set[int] = set()
         delivered: Dict[int, Tuple[float, ...]] = {}
-        hops = duplicates = ttl_drops = 0
-        heap: List[tuple] = []
-        seq = 0
-
-        def push(
-            t: float, kind: int, node: int, extra, ttl: int,
-            chain: Tuple[float, ...],
-        ) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (t, seq, kind, node, extra, ttl, chain))
-            seq += 1
-
-        def tree_arrive(
-            t: float, x: int, came_from: Optional[int], ttl: int,
-            chain: Tuple[float, ...],
-        ) -> None:
-            nonlocal hops, duplicates, ttl_drops
-            if x in seen:
-                duplicates += 1
-                return
-            seen.add(x)
-            if deliver_bit[x] and x not in delivered:
-                delivered[x] = chain
-            r = row(x)
-            if r is None:
-                return
-            indptr, neighbors, costs, spans = r
-            targets = [
-                i for i in range(indptr[x], indptr[x + 1])
-                if neighbors[i] != came_from
-            ]
-            if ttl <= 0:
-                if targets:
-                    ttl_drops += 1  # the hop limit suppressed real fan-out
-                return
-            for i in targets:
-                span = spans[i]
-                if span > ttl:
-                    ttl_drops += 1  # detour longer than the remaining ttl
-                    continue
-                hops += span
-                push(t + costs[i], _TREE, neighbors[i], x, ttl - span,
-                     chain + (costs[i],))
-
-        if on_tree(source):
-            push(0.0, _TREE, source, None, initial_ttl, ())
-        else:
-            compiled.uses_unicast = True
-            contact = self._nearest_member(source, compiled.members_of[source])
-            if contact is None:
-                return _FlowTemplate(True, intended, (), 0, 0, 0)
-            push(0.0, _UNICAST, source, contact, initial_ttl, ())
-
         while heap:
-            t, _, kind, node, extra, ttl, chain = heapq.heappop(heap)
-            if kind == _TREE:
-                tree_arrive(t, node, extra, ttl, chain)
+            t, _, x, came_from, contact, ttl, chain = heapq.heappop(heap)
+            if contact is not None and not rules._on_tree(x, packet):
+                hop = rules._unicast_hop(x, contact, tally, ttl)
+                if hop is not None:
+                    next_hop, cost = hop
+                    heapq.heappush(
+                        heap, (t + cost, seq, next_hop, None, contact, ttl - 1, chain + (cost,))
+                    )
+                    seq += 1
                 continue
-            # Unicast stage of receiver-only delivery, toward the contact.
-            if on_tree(node):
-                tree_arrive(t, node, None, ttl, chain)
+            if x in seen:
+                tally.duplicates += 1
                 continue
-            next_hop = self.dgmc.routers[node].next_hop(extra)
-            if next_hop is None or not self.dgmc.net.link(node, next_hop).up:
-                continue  # unroutable right now: dropped
-            if ttl <= 0:
-                ttl_drops += 1
-                continue
-            hops += 1
-            cost = (
-                self.hop_delay
-                if self.hop_delay is not None
-                else self.dgmc.net.link(node, next_hop).delay
-            )
-            push(t + cost, _UNICAST, next_hop, extra, ttl - 1, chain + (cost,))
-
+            seen.add(x)
+            if rules._delivers(x, packet):
+                delivered[x] = chain
+            for y, cost, left in rules._tree_hops(x, came_from, packet, tally, ttl):
+                heapq.heappush(heap, (t + cost, seq, y, x, None, left, chain + (cost,)))
+                seq += 1
+        reads = compiled.reads
+        reads |= seen
+        for x in seen:
+            held = self.dgmc.switches[x].states.get(packet.connection_id)
+            if held is not None:
+                for fragment in held.active_backup.values():
+                    reads.update(fragment.path)
         return _FlowTemplate(
-            False, intended, tuple(delivered.items()), hops, duplicates, ttl_drops
+            False, tally.intended, tuple(delivered.items()),
+            tally.hops, tally.duplicates, tally.ttl_drops,
         )
 
     # -- batch stamping -----------------------------------------------------------
@@ -633,7 +358,7 @@ class BatchForwardingEngine:
             flow = (packet.connection_id, packet.source)
             cached = stamped.get(flow)
             if cached is None:
-                template = self._template(packet.connection_id, packet.source)
+                template = self._template(packet)
                 delivered = {
                     x: _fold_time(at, chain) for x, chain in template.deliveries
                 }

@@ -10,12 +10,16 @@ churn).
 
 Loop safety: per-packet duplicate suppression at each switch plus a hop
 TTL bound every packet's work even under pathological disagreement.
+
+The per-hop rules (tree fan-out, dead-link drops, FRR detours, the
+unicast contact stage, delivery roles, the TTL guard) are written once,
+here: the batched engine's flow templates walk these same methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.core.mc import ConnectionType
 from repro.core.protocol import DgmcNetwork
@@ -85,7 +89,6 @@ class ForwardingEngine:
         #: but bounds unicast ping-pong under inconsistent routing tables).
         self.ttl = ttl
         self.report = DeliveryReport()
-        self._seen: Dict[int, Set[int]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -100,24 +103,36 @@ class ForwardingEngine:
 
     def _inject(self, packet: McPacket, record: DeliveryRecord) -> None:
         packet.sent_at = self.dgmc.sim.now
+        contact = self._ingress(packet, record)
+        if contact is not None:
+            # The packet's duplicate-suppression set rides its scheduled
+            # hops and dies with the last of them.
+            self._unicast_arrive(
+                packet.source, contact, packet, record, self._hop_limit(), set()
+            )
+
+    def _ingress(self, packet: McPacket, record: DeliveryRecord) -> Optional[int]:
+        """Where ``packet`` enters its tree: the source itself when it is
+        on the tree, else the contact node it first unicasts toward
+        (receiver-only two-stage delivery: the nearest member).  Sets
+        ``record.intended``; returns None, marking the record
+        undeliverable, when the source holds no installed view or
+        reaches no member."""
         source_switch = self.dgmc.switches.get(packet.source)
         state = source_switch.states.get(packet.connection_id) if source_switch else None
         if state is None or state.installed is None:
             record.undeliverable = True
-            return
+            return None
         record.intended = self._intended_receivers(state)
-        self._seen[packet.packet_id] = set()
-        ttl = self.ttl if self.ttl is not None else 4 * self.dgmc.net.n
         if self._on_tree(packet.source, packet):
-            self._tree_arrive(packet.source, None, packet, record, ttl)
-        else:
-            # Receiver-only two-stage delivery: unicast toward the nearest
-            # member (the contact node), then spread over the tree.
-            contact = self._nearest_member(packet.source, state)
-            if contact is None:
-                record.undeliverable = True
-                return
-            self._unicast_arrive(packet.source, contact, packet, record, ttl)
+            return packet.source
+        contact = self._nearest_member(packet.source, state)
+        if contact is None:
+            record.undeliverable = True
+        return contact
+
+    def _hop_limit(self) -> int:
+        return self.ttl if self.ttl is not None else 4 * self.dgmc.net.n
 
     def _intended_receivers(self, state) -> frozenset:
         if state.spec.ctype is ConnectionType.ASYMMETRIC:
@@ -136,18 +151,19 @@ class ForwardingEngine:
 
     # -- per-hop mechanics ----------------------------------------------------------
 
-    def _local_tree_edges(self, switch: int, packet: McPacket) -> List[tuple]:
-        """Tree edges incident to ``switch`` in *its own* installed view."""
+    def _tree_neighbors(self, switch: int, packet: McPacket) -> Tuple[int, ...]:
+        """Tree neighbors of ``switch`` in *its own* installed view, in
+        sorted-edge order."""
         state = self.dgmc.switches[switch].states.get(packet.connection_id)
         if state is None or state.installed is None:
-            return []
+            return ()
         asymmetric = state.spec.ctype is ConnectionType.ASYMMETRIC
         tree = state.installed.tree_map().get(
             packet.source if asymmetric else SHARED
         )
         if tree is None:
-            return []
-        return [e for e in sorted(tree.edges) if switch in e]
+            return ()
+        return tree.adjacency().get(switch, ())
 
     def _on_tree(self, switch: int, packet: McPacket) -> bool:
         state = self.dgmc.switches[switch].states.get(packet.connection_id)
@@ -155,23 +171,27 @@ class ForwardingEngine:
             return False
         if switch in state.members:
             return True
-        return bool(self._local_tree_edges(switch, packet))
+        return bool(self._tree_neighbors(switch, packet))
 
     def _hop_cost(self, u: int, v: int) -> float:
         if self.hop_delay is not None:
             return self.hop_delay
         return self.dgmc.net.link(u, v).delay
 
-    def _deliver_local(self, switch: int, packet: McPacket, record: DeliveryRecord) -> None:
+    def _delivers(self, switch: int, packet: McPacket) -> bool:
+        """True when ``switch`` keeps a copy: a member in its own view,
+        with a receiving role on an asymmetric MC."""
         state = self.dgmc.switches[switch].states.get(packet.connection_id)
         if state is None:
-            return
+            return False
         roles = state.members.get(switch)
         if roles is None:
-            return
-        if state.spec.ctype is ConnectionType.ASYMMETRIC and RECEIVER not in roles:
-            return
-        record.delivered.setdefault(switch, self.dgmc.sim.now)
+            return False
+        return state.spec.ctype is not ConnectionType.ASYMMETRIC or RECEIVER in roles
+
+    def _deliver_local(self, switch: int, packet: McPacket, record: DeliveryRecord) -> None:
+        if self._delivers(switch, packet):
+            record.delivered.setdefault(switch, self.dgmc.sim.now)
 
     def _tree_arrive(
         self,
@@ -180,55 +200,63 @@ class ForwardingEngine:
         packet: McPacket,
         record: DeliveryRecord,
         ttl: int,
+        seen: Set[int],
     ) -> None:
-        seen = self._seen[packet.packet_id]
         if switch in seen:
             record.duplicates += 1
             return
         seen.add(switch)
         self._deliver_local(switch, packet, record)
+        for neighbor, delay, left in self._tree_hops(
+            switch, came_from, packet, record, ttl
+        ):
+            self.dgmc.sim.schedule(
+                delay,
+                lambda n=neighbor, s=switch, t=left: self._tree_arrive(
+                    n, s, packet, record, t, seen
+                ),
+            )
+
+    def _tree_hops(
+        self,
+        switch: int,
+        came_from: Optional[int],
+        packet: McPacket,
+        record: DeliveryRecord,
+        ttl: int,
+    ) -> List[Tuple[int, float, int]]:
+        """The hops a tree arrival at ``switch`` sends, in scheduling order,
+        as ``(next switch, delay, ttl left)``; counts them (and any the hop
+        limit suppresses) on ``record``."""
         targets = self._forward_targets(switch, came_from, packet)
         detours = self._detour_targets(switch, came_from, packet)
         if ttl <= 0:
             if targets or detours:
                 record.ttl_drops += 1  # the hop limit suppressed real fan-out
-            return
-        for neighbor in targets:
-            record.hops += 1
-            self.dgmc.sim.schedule(
-                self._hop_cost(switch, neighbor),
-                lambda n=neighbor, s=switch: self._tree_arrive(
-                    n, s, packet, record, ttl - 1
-                ),
-            )
+            return []
+        hops = [(neighbor, self._hop_cost(switch, neighbor), ttl - 1) for neighbor in targets]
+        record.hops += len(hops)
         for fragment in detours:
             # Tunnel semantics: the packet rides the whole precomputed
-            # detour as one scheduled resumption at the far endpoint of
-            # the failed edge -- interior detour switches hold no tree
-            # state and neither dedup nor deliver.  Delay and hops are
-            # the summed per-link costs so timestamps match a
-            # hypothetical hop-by-hop ride (and the batched engine's
-            # compiled splice) exactly.
+            # detour as one hop to the far endpoint of the failed edge --
+            # interior detour switches hold no tree state and neither
+            # dedup nor deliver.  Delay and hops are the summed per-link
+            # costs, so timestamps match a hop-by-hop ride exactly.
             span = fragment.span
             if ttl < span:
                 record.ttl_drops += 1
                 continue
             far = fragment.edge[0] if fragment.edge[1] == switch else fragment.edge[1]
             record.hops += span
-            self.dgmc.sim.schedule(
-                detour_delay(fragment, switch, self._hop_cost),
-                lambda f=far, s=switch, t=ttl - span: self._tree_arrive(
-                    f, s, packet, record, t
-                ),
-            )
+            hops.append((far, detour_delay(fragment, switch, self._hop_cost), ttl - span))
+        return hops
 
     def _forward_targets(
         self, switch: int, came_from: Optional[int], packet: McPacket
     ) -> List[int]:
         """Live tree neighbors the packet would fan out to from ``switch``."""
         targets: List[int] = []
-        for edge in self._local_tree_edges(switch, packet):
-            neighbor = edge[0] if edge[1] == switch else edge[1]
+        for neighbor in self._tree_neighbors(switch, packet):
             if neighbor == came_from:
                 continue
             if not self.dgmc.net.has_link(switch, neighbor):
@@ -251,8 +279,7 @@ class ForwardingEngine:
         if state is None or not state.active_backup:
             return []
         fragments: List[Any] = []
-        for edge in self._local_tree_edges(switch, packet):
-            neighbor = edge[0] if edge[1] == switch else edge[1]
+        for neighbor in self._tree_neighbors(switch, packet):
             if neighbor == came_from:
                 continue
             if self.dgmc.net.has_link(switch, neighbor) and self.dgmc.net.link(
@@ -272,21 +299,34 @@ class ForwardingEngine:
         packet: McPacket,
         record: DeliveryRecord,
         ttl: int,
+        seen: Set[int],
     ) -> None:
-        """Stage 1 of receiver-only delivery: ride unicast toward the contact."""
+        """Stage 1 of receiver-only delivery: ride unicast toward the
+        contact, joining the tree at the first on-tree switch (at once,
+        for a source on its tree)."""
         if self._on_tree(switch, packet):
-            self._tree_arrive(switch, None, packet, record, ttl)
+            self._tree_arrive(switch, None, packet, record, ttl, seen)
             return
+        hop = self._unicast_hop(switch, contact, record, ttl)
+        if hop is not None:
+            next_hop, delay = hop
+            self.dgmc.sim.schedule(
+                delay,
+                lambda: self._unicast_arrive(
+                    next_hop, contact, packet, record, ttl - 1, seen
+                ),
+            )
+
+    def _unicast_hop(
+        self, switch: int, contact: int, record: DeliveryRecord, ttl: int
+    ) -> Optional[Tuple[int, float]]:
+        """The ``(next hop, delay)`` an off-tree ``switch`` sends toward the
+        contact, or None when it drops the packet; counts it on ``record``."""
         next_hop = self.dgmc.routers[switch].next_hop(contact)
         if next_hop is None or not self.dgmc.net.link(switch, next_hop).up:
-            return  # unroutable right now: dropped
+            return None  # unroutable right now: dropped
         if ttl <= 0:
             record.ttl_drops += 1  # the hop limit suppressed a live forward
-            return
+            return None
         record.hops += 1
-        self.dgmc.sim.schedule(
-            self._hop_cost(switch, next_hop),
-            lambda n=next_hop: self._unicast_arrive(
-                n, contact, packet, record, ttl - 1
-            ),
-        )
+        return next_hop, self._hop_cost(switch, next_hop)

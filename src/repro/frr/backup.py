@@ -232,9 +232,9 @@ def detour_delay(fragment: BackupFragment, endpoint: int, hop_cost) -> float:
     """Total data-plane delay of riding the detour from ``endpoint``.
 
     Summed left-to-right over the oriented path with ``hop_cost(a, b)``
-    per link, matching the addition order the batched engine's compiled
-    cost chains fold in -- both engines must stamp bit-identical
-    delivery timestamps.
+    per link.  Both forwarding engines add this one sum as a single hop
+    (the reference schedules it, the batched engine's template chains
+    fold it), so they stamp bit-identical delivery timestamps.
     """
     delay = 0.0
     path = fragment.path_from(endpoint)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 Edge = Tuple[int, int]
@@ -64,12 +65,22 @@ class MulticastTree:
             touched.add(self.root)
         return frozenset(touched)
 
-    def adjacency(self) -> Dict[int, list[int]]:
+    def adjacency(self) -> Mapping[int, Tuple[int, ...]]:
+        """Neighbours per node, in sorted-edge order (memoised, read-only)."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> Mapping[int, Tuple[int, ...]]:
         adj: Dict[int, list[int]] = {}
         for u, v in sorted(self.edges):
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
-        return adj
+        return MappingProxyType({x: tuple(nbrs) for x, nbrs in adj.items()})
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Copies and pickles carry the fields only: a read-only mapping
+        # does not pickle, and the memo rebuilds on first use.
+        return {name: getattr(self, name) for name in ("edges", "members", "root")}
 
     def degree(self, node: int) -> int:
         return sum(1 for e in self.edges if node in e)

@@ -11,8 +11,8 @@ its share of churn events and traffic -- plus the machinery to replay it:
   schedule of churn phases interleaved with packet batches,
 * :class:`ConvergedGroups` -- converged-state bring-up and churn for
   many-group deployments (1k groups at n=100 switches), bypassing the
-  control-plane flood storm while recording installs so compiled
-  data-plane state invalidates exactly as under the live protocol,
+  control-plane flood storm while recording installs so the batched
+  engine's flow templates invalidate exactly as under the live protocol,
 * :func:`replay_workload` -- drives the batched engine over the workload
   (optionally shadowing a sample of packets through the reference engine
   for an exact delivery-equivalence check),
@@ -356,7 +356,7 @@ def replay_workload(
     ``reference_sample`` > 0 additionally shadows that many packets
     (spread across batches) through the per-packet reference engine at
     the same injection times and cross-checks every record field --
-    the compiled-equals-reference invariant the benchmark gate enforces.
+    the batched-equals-reference invariant the benchmark gate enforces.
     """
     seeder = ConvergedGroups(dgmc)
     seeder.seed(workload)

@@ -1,10 +1,11 @@
 """Tests for the multicast data plane: per-type delivery semantics.
 
-The second half of the file covers the batched engine: compiled-state
+The second half of the file covers the batched engine: template-stamped
 forwarding must be delivery-for-delivery identical to the per-packet
 reference engine at every quiescent dispatch point -- unit cases first,
-then a Hypothesis property over random topologies, connection types,
-membership interleavings, and TTL settings.
+then Hypothesis properties over random topologies, connection types,
+membership interleavings, TTL settings, and (with one engine kept across
+them) raw link flips and hand-activated backup fragments.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core import (
     Role,
 )
 from repro.dataplane import BatchForwardingEngine, ForwardingEngine, McPacket
+from repro.frr import activate_for_edge
 from repro.topo.generators import grid_network, ring_network, waxman_network
 
 
@@ -311,14 +313,14 @@ class TestBatchedEngine:
         dgmc.inject(JoinEvent(2, 1), at=20.0)
         dgmc.run()
         engine = assert_batched_matches_reference(dgmc, [(0, 1)])
-        before = engine._template(1, 0)
+        before = engine._template(McPacket(0, 1))
         dgmc.inject(JoinEvent(5, 1), at=dgmc.sim.now + 10.0)
         dgmc.run()
         # the install log advanced: the next dispatch recompiles and the
         # new member appears in the deliveries
         record = engine.dispatch([McPacket(0, 1)], at=dgmc.sim.now + 1.0)[0]
         assert 5 in record.delivered
-        assert engine._template(1, 0) is not before
+        assert engine._template(McPacket(0, 1)) is not before
 
     def test_invalidates_on_link_event(self):
         dgmc = deployment(net=ring_network(6))
@@ -439,6 +441,121 @@ def test_batched_engine_equals_reference_under_churn(run):
         assert_batched_matches_reference(
             dgmc, [(src, 1) for src in sources], ttl=ttl
         )
+
+
+@st.composite
+def reuse_runs(draw):
+    """Random topology + a plan mixing churn, raw link flips and FRR."""
+    n = draw(st.integers(5, 12))
+    topo_seed = draw(st.integers(0, 4000))
+    ctype = draw(
+        st.sampled_from(["symmetric", "receiver-only", "asymmetric"])
+    )
+    steps = draw(st.integers(2, 6))
+    plan_seed = draw(st.integers(0, 4000))
+    frr = draw(st.booleans())
+    return n, topo_seed, ctype, steps, plan_seed, frr
+
+
+@given(reuse_runs())
+@settings(max_examples=30, deadline=None)
+def test_batched_templates_reused_across_invalidation(run):
+    """One batched engine lives through membership churn, raw link flips
+    (no protocol reaction) and hand-activated backup fragments; at every
+    quiescent point each record equals a fresh reference engine's.  Only
+    the engine's own invalidation keeps its templates honest here: a flip
+    it fails to attribute to a flow leaves that flow's template stale."""
+    n, topo_seed, ctype, steps, plan_seed, frr = run
+    net = waxman_network(n, random.Random(topo_seed))
+    dgmc = DgmcNetwork(
+        net,
+        ProtocolConfig(compute_time=0.5, per_hop_delay=0.05, enable_frr=frr),
+    )
+    {"symmetric": dgmc.register_symmetric,
+     "receiver-only": dgmc.register_receiver_only,
+     "asymmetric": dgmc.register_asymmetric}[ctype](1)
+    batched = BatchForwardingEngine(dgmc)
+    rng = random.Random(plan_seed)
+    members: set[int] = set()
+    roles = (
+        [Role.SENDER, Role.RECEIVER, Role.BOTH]
+        if ctype == "asymmetric"
+        else [None]
+    )
+    for step in range(steps):
+        if step == 0 or len(members) < 2 or rng.random() < 0.4:
+            absent = [x for x in range(n) if x not in members]
+            if absent and (len(members) < 2 or rng.random() < 0.6):
+                sw = rng.choice(absent)
+                dgmc.inject(
+                    JoinEvent(sw, 1, role=rng.choice(roles)), at=dgmc.sim.now + 1.0
+                )
+                members.add(sw)
+            else:
+                sw = rng.choice(sorted(members))
+                dgmc.inject(LeaveEvent(sw, 1), at=dgmc.sim.now + 1.0)
+                members.discard(sw)
+            dgmc.run()
+        else:
+            # Raw flips, mostly of installed tree edges: one flip is a
+            # single-link delta (scoped invalidation), two are a wide gap.
+            tree_edges = sorted({
+                e
+                for s in dgmc.states_for(1).values() if s.installed
+                for e in s.installed.all_edges()
+            })
+            for _ in range(rng.choice([1, 1, 1, 2])):
+                if tree_edges and rng.random() < 0.7:
+                    u, v = rng.choice(tree_edges)
+                else:
+                    link = rng.choice(list(net.links(include_down=True)))
+                    u, v = link.u, link.v
+                up = not net.link(u, v).up
+                net.set_link_state(u, v, up=up)
+                if frr and not up:
+                    for x in (u, v):
+                        activate_for_edge(dgmc.switches[x].states, u, v)
+        at = dgmc.sim.now + 1.0
+        # Members' templates are reused across steps; an off-tree source
+        # rides unicast, which makes any later flip drop the connection,
+        # so one joins only now and then.
+        sources = sorted(members)
+        if rng.random() < 0.2:
+            sources.append(rng.randrange(n))
+        flows = [(src, 1) for src in sources]
+        reference = ForwardingEngine(dgmc)
+        ref_records = [reference.send(McPacket(src, m), at=at) for src, m in flows]
+        batch_records = batched.dispatch(
+            [McPacket(src, m) for src, m in flows], at=at
+        )
+        dgmc.run()
+        for ref, bat in zip(ref_records, batch_records):
+            assert record_key(ref) == record_key(bat), (step, ref.packet)
+
+
+class TestReferenceEngineState:
+    def test_no_per_packet_state_outlives_the_run(self):
+        """Each packet's duplicate-suppression set rides its own hops: once
+        the run drains, the engine holds nothing per packet."""
+        dgmc = deployment()
+        for i, sw in enumerate([0, 2, 4]):
+            dgmc.inject(JoinEvent(sw, 1), at=10.0 * (i + 1))
+        dgmc.run()
+        engine = ForwardingEngine(dgmc)
+
+        def container_sizes():
+            return {
+                name: len(value) for name, value in vars(engine).items()
+                if name != "report" and isinstance(value, (dict, set, list))
+            }
+
+        before = container_sizes()
+        for i in range(500):
+            engine.send(McPacket((0, 2, 4)[i % 3], 1), at=100.0 + i)
+        dgmc.run()
+        assert engine.report.packets == 500
+        assert engine.report.mean_delivery_ratio == 1.0
+        assert container_sizes() == before
 
 
 class TestReport:

@@ -492,6 +492,35 @@ class TestScopedInvalidation:
         )
 
 
+    def test_detour_link_flip_recompiles_its_group(self):
+        """A walk that rode a detour read the detour's links: a flip there
+        drops that group even though no switch it visited touches it."""
+        dgmc = self.two_group_deployment()
+        engine = BatchForwardingEngine(dgmc, hop_delay=0.05)
+        u, v = sorted(dgmc.states_for(1)[0].installed.all_edges())[0]
+        dgmc.net.set_link_state(u, v, up=False)
+        for x in (u, v):
+            activate_for_edge(dgmc.switches[x].states, u, v)
+        first = engine.dispatch(
+            [McPacket(0, 1), McPacket(4, 2)], at=dgmc.sim.now + 1.0
+        )
+        assert all(r.complete for r in first)
+        fragment = dgmc.switches[u].states[1].active_backup[(u, v)]
+        assert (u, v) == (0, 1) and {6, 7} <= set(fragment.path)
+        compiled = dict(engine._compiled)
+        dgmc.net.set_link_state(6, 7, up=False)  # interior detour link
+        at = dgmc.sim.now + 2.0
+        records = engine.dispatch([McPacket(0, 1), McPacket(4, 2)], at=at)
+        assert engine._compiled[1] is not compiled[1]
+        assert engine._compiled[2] is compiled[2]
+        reference = ForwardingEngine(dgmc, hop_delay=0.05)
+        ref_records = [reference.send(McPacket(src, 1 if src == 0 else 2), at=at)
+                       for src in (0, 4)]
+        dgmc.run()
+        assert [record_key(r) for r in records] == [record_key(r) for r in ref_records]
+        assert not records[0].complete  # no nested FRR on a dead detour
+
+
 class TestSnapWireFormat:
     def snapshot(self, active_backup=()):
         topo = McTopology.shared(MulticastTree.build([(0, 1), (1, 2)], [0, 2]))

@@ -98,6 +98,19 @@ class TestMulticastTree:
     def test_len_counts_edges(self):
         assert len(self.path_tree()) == 3
 
+    def test_adjacency_is_memoised_read_only_sorted_edge_order(self):
+        """Neighbours come as tuples in sorted-edge order, the mapping is
+        built once and refuses writes, and copies made after the memo
+        carry the same value."""
+        tree = MulticastTree.build([(2, 3), (1, 2), (0, 2)], members=[0, 3])
+        adj = tree.adjacency()
+        assert adj is tree.adjacency()
+        assert dict(adj) == {0: (2,), 1: (2,), 2: (0, 1, 3), 3: (2,)}
+        with pytest.raises(TypeError):
+            adj[9] = ()  # type: ignore[index]
+        for clone in (copy.deepcopy(tree), copy.copy(tree)):
+            assert clone == tree and dict(clone.adjacency()) == dict(adj)
+
 
 class TestMcTopology:
     def test_shared_roundtrip(self):
