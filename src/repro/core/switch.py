@@ -117,6 +117,11 @@ class ReceiveMemo:
     deployment owns its table.  It forgets its oldest entry past
     :data:`repro.core.timestamp.BOUND`, which costs a recomputation.
     ``hits`` and ``misses`` count lookups.
+
+    This is the one place ReceiveLSA() work is shared across switches, and
+    it was measured to pay: against the drain it replaced,
+    ``churn_sparse_n400`` read ``op_ms_p50`` 5.175 -> 4.443 ms (-14.2%,
+    better in 10 of 10 alternating 18 s pairs; docs/benchmarking.md).
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -361,7 +366,7 @@ class DgmcSwitch:
         if state.no_outstanding_lsas() or self.config.ablate_re_gate:  # line 2
             old_r = state.received  # line 4 (a shared stamp: it never changes)
             proposal = yield from self._compute_proposal(state)  # line 5
-            if state.received.equals(old_r):  # line 6: proposal still valid
+            if state.received == old_r:  # line 6: proposal still valid
                 self._flood(
                     McLsa(x, event, connection_id, proposal, old_r, role,
                           ctx=state.trace_ctx)
@@ -676,7 +681,7 @@ class DgmcSwitch:
         quiet = (
             self.states.get(connection_id) is state
             and not state.inbox
-            and state.received.equals(old_r)
+            and state.received == old_r
         )
         if quiet or self.config.ablate_withdrawal:  # line 22
             self._flood(

@@ -49,13 +49,13 @@ import math
 import struct
 from itertools import chain
 from operator import lt
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import Role
 from repro.core.timestamp import Stamp
 from repro.lsr.lsa import NonMcLsa, RouterLsa
-from repro.trees.base import McTopology, MulticastTree
+from repro.trees.base import SHARED, McTopology, MulticastTree
 
 MAGIC = 0xD6
 VERSION = 1
@@ -175,8 +175,9 @@ def encode_lsa(lsa: Union[McLsa, NonMcLsa]) -> bytes:
     raise TypeError(f"cannot encode {lsa!r}")
 
 
-class _Reader:
-    """Cursor over a byte buffer with checked struct reads."""
+class Reader:
+    """Cursor over a byte buffer with checked struct reads, for LSAs and
+    frame bodies alike; a read past the end raises WireDecodeError."""
 
     def __init__(self, data: bytes) -> None:
         self.data = data
@@ -185,7 +186,7 @@ class _Reader:
     def take(self, fmt: str) -> tuple:
         size = struct.calcsize(fmt)
         if self.offset + size > len(self.data):
-            raise WireDecodeError("truncated LSA")
+            raise WireDecodeError("truncated data")
         values = struct.unpack_from(fmt, self.data, self.offset)
         self.offset += size
         return values
@@ -194,20 +195,29 @@ class _Reader:
         return self.offset == len(self.data)
 
 
-def _decode_tree(reader: _Reader) -> Tuple[int, MulticastTree]:
-    key, root, member_count = reader.take("!iiH")
-    *members, edge_count = reader.take(f"!{member_count}II")
-    # One checked read for every edge: a bogus count fails the bounds
-    # check in ``take`` before anything is unpacked.
-    flat = reader.take(f"!{2 * edge_count}I")
-    tree = MulticastTree.build(
-        zip(flat[0::2], flat[1::2]), members, root=None if root < 0 else root
-    )
-    return key, tree
+def _decode_proposal(reader: Reader) -> McTopology:
+    """One topology, its :attr:`~McTopology.node_span` read off the raw ids."""
+    trees = []
+    top = -1
+    for _ in range(reader.take("!H")[0]):
+        key, root, member_count = reader.take("!iiH")
+        if key < SHARED:
+            raise WireDecodeError(f"bad tree key {key}")
+        *members, edge_count = reader.take(f"!{member_count}II")
+        # One checked read for every edge: a bogus count fails the bounds
+        # check in ``take`` before anything is unpacked.
+        flat = reader.take(f"!{2 * edge_count}I")
+        top = max(top, key, root, *members, *flat)
+        trees.append((key, MulticastTree.build(
+            zip(flat[0::2], flat[1::2]), members, root=None if root < 0 else root
+        )))
+    proposal = McTopology(tuple(trees))
+    proposal.__dict__["node_span"] = top + 1  # what the cached property computes
+    return proposal
 
 
 def _decode_lsa_body(data: bytes) -> Union[McLsa, NonMcLsa]:
-    reader = _Reader(data)
+    reader = Reader(data)
     magic, version, flags = reader.take("!BBB")
     if magic != MAGIC:
         raise WireDecodeError(f"bad magic 0x{magic:02x}")
@@ -225,9 +235,7 @@ def _decode_lsa_body(data: bytes) -> Union[McLsa, NonMcLsa]:
         role = _ROLE_BY_CODE.get((flags >> 5) & 0x03)
         proposal: Optional[McTopology] = None
         if flags & 0x10:
-            (tree_count,) = reader.take("!H")
-            trees = tuple(_decode_tree(reader) for _ in range(tree_count))
-            proposal = McTopology(trees)
+            proposal = _decode_proposal(reader)
         if not reader.done():
             raise WireDecodeError("trailing bytes after MC LSA")
         return McLsa(source, event, connection_id, proposal, stamp, role)
@@ -275,12 +283,11 @@ def encode_topology(topology: McTopology) -> bytes:
 def decode_topology(data: bytes) -> McTopology:
     """Inverse of :func:`encode_topology`; raises :class:`WireDecodeError`."""
     try:
-        reader = _Reader(data)
-        (tree_count,) = reader.take("!H")
-        trees = tuple(_decode_tree(reader) for _ in range(tree_count))
+        reader = Reader(data)
+        topology = _decode_proposal(reader)
         if not reader.done():
             raise WireDecodeError("trailing bytes after topology")
-        return McTopology(trees)
+        return topology
     except WireDecodeError:
         raise
     except (struct.error, ValueError, KeyError, IndexError, TypeError) as exc:

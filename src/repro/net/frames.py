@@ -70,6 +70,7 @@ from typing import Dict, FrozenSet, Optional, Tuple, Union
 from repro.core.lsa import McLsa
 from repro.core.state import McSnapshot
 from repro.core.wire import (
+    Reader,
     WireDecodeError,
     decode_lsa,
     decode_topology,
@@ -300,46 +301,15 @@ def encode_lsu(src: int, dest: int, seq: int, lsa: NonMcLsa) -> bytes:
     )
 
 
-class _BodyReader:
-    """Cursor over a frame body with checked struct reads."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.offset = 0
-
-    def take(self, st: struct.Struct) -> tuple:
-        if self.offset + st.size > len(self.data):
-            raise FrameDecodeError("truncated frame body")
-        values = st.unpack_from(self.data, self.offset)
-        self.offset += st.size
-        return values
-
-    def take_fmt(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.offset + size > len(self.data):
-            raise FrameDecodeError("truncated frame body")
-        values = struct.unpack_from(fmt, self.data, self.offset)
-        self.offset += size
-        return values
-
-    def rest(self) -> bytes:
-        out = self.data[self.offset:]
-        self.offset = len(self.data)
-        return out
-
-    def done(self) -> bool:
-        return self.offset == len(self.data)
-
-
 def _decode_dbd(src: int, dest: int, seq: int, body: bytes) -> DbdFrame:
-    reader = _BodyReader(body)
-    reply, count = reader.take(_DBD_HEAD)
+    reader = Reader(body)
+    reply, count = reader.take(_DBD_HEAD.format)
     if reply not in (0, 1):
         raise FrameDecodeError(f"bad DBD reply flag {reply}")
     headers = []
     last_origin = -1
     for _ in range(count):
-        origin, seqnum = reader.take(_DBD_ENTRY)
+        origin, seqnum = reader.take(_DBD_ENTRY.format)
         if origin <= last_origin:
             raise FrameDecodeError("DBD headers not strictly sorted by origin")
         last_origin = origin
@@ -352,56 +322,45 @@ def _decode_dbd(src: int, dest: int, seq: int, body: bytes) -> DbdFrame:
 def _decode_snap(
     src: int, dest: int, seq: int, body: bytes, pairs: bool
 ) -> SnapFrame:
-    reader = _BodyReader(body)
-    connection_id, proposer = reader.take(_SNAP_HEAD)
+    reader = Reader(body)
+    connection_id, proposer = reader.take(_SNAP_HEAD.format)
     if pairs:
-        try:
-            received, expected, current, member_stamp = (
-                read_stamp_pairs(reader.take_fmt, *reader.take(_U16))
-                for _ in range(4)
-            )
-        except FrameDecodeError:
-            raise
-        except WireDecodeError as exc:
-            raise FrameDecodeError(f"bad SNAP stamp: {exc}") from exc
-    else:
-        (n,) = reader.take(_U16)
         received, expected, current, member_stamp = (
-            read_stamp_dense(reader.take_fmt, n) for _ in range(4)
+            read_stamp_pairs(reader.take, *reader.take("!H")) for _ in range(4)
         )
-    (member_count,) = reader.take_fmt("!H")
+    else:
+        (n,) = reader.take("!H")
+        received, expected, current, member_stamp = (
+            read_stamp_dense(reader.take, n) for _ in range(4)
+        )
+    (member_count,) = reader.take("!H")
     members = []
     last_switch = -1
     for _ in range(member_count):
-        switch, bits = reader.take(_SNAP_MEMBER)
+        switch, bits = reader.take(_SNAP_MEMBER.format)
         if switch <= last_switch:
             raise FrameDecodeError("SNAP members not strictly sorted")
         last_switch = switch
         members.append((switch, _roles_from_bits(bits)))
-    (backup_count,) = reader.take_fmt("!H")
+    (backup_count,) = reader.take("!H")
     active_backup = []
     last_edge = (-1, -1)
     for _ in range(backup_count):
-        u, v, path_len = reader.take(_SNAP_BACKUP)
+        u, v, path_len = reader.take(_SNAP_BACKUP.format)
         if u > v:
             raise FrameDecodeError("SNAP backup edge not canonical")
         if (u, v) <= last_edge:
             raise FrameDecodeError("SNAP backups not strictly sorted")
         last_edge = (u, v)
-        path = reader.take_fmt(f"!{path_len}H") if path_len else ()
+        path = reader.take(f"!{path_len}H") if path_len else ()
         active_backup.append((u, v, tuple(path)))
-    (has_topology,) = reader.take_fmt("!B")
+    (has_topology,) = reader.take("!B")
     if has_topology not in (0, 1):
         raise FrameDecodeError(f"bad SNAP topology flag {has_topology}")
     topology: Optional[bytes] = None
     if has_topology:
-        topology = reader.rest()
-        try:
-            decode_topology(topology)
-        except FrameDecodeError:
-            raise
-        except WireDecodeError as exc:
-            raise FrameDecodeError(f"bad SNAP topology: {exc}") from exc
+        topology = body[reader.offset :]
+        decode_topology(topology)  # raises on bytes that are no topology
     elif not reader.done():
         raise FrameDecodeError("trailing bytes after SNAP")
     snapshot = McSnapshot(
@@ -416,15 +375,6 @@ def _decode_snap(
         active_backup=tuple(active_backup),
     )
     return SnapFrame(src, dest, seq, snapshot)
-
-
-def _decode_lsa_body(body: bytes, context: str) -> Union[McLsa, NonMcLsa]:
-    try:
-        return decode_lsa(body)
-    except FrameDecodeError:
-        raise
-    except WireDecodeError as exc:
-        raise FrameDecodeError(f"bad {context} payload: {exc}") from exc
 
 
 def _take_ctx(body: bytes) -> Tuple[Optional[TraceContext], bytes]:
@@ -457,14 +407,25 @@ def decode_frame(data: bytes) -> Frame:
         version == PAIR_FRAME_VERSION and ftype == SNAP
     ):
         raise FrameDecodeError(f"unsupported frame version {version}")
-    body = data[_HEADER.size :]
+    try:
+        return _decode_body(version, ftype, src, dest, seq, data[_HEADER.size :])
+    except FrameDecodeError:
+        raise
+    except WireDecodeError as exc:  # the one translation: a bad body
+        raise FrameDecodeError(f"bad payload in a type-{ftype} frame: {exc}") from exc
+
+
+def _decode_body(
+    version: int, ftype: int, src: int, dest: int, seq: int, body: bytes
+) -> Frame:
+    """The frame after its header; raises :class:`WireDecodeError`."""
     if ftype == ACK:
         if body:
             raise FrameDecodeError("trailing bytes after ACK")
         return AckFrame(src, dest, seq)
     if ftype == DATA:
         ctx, payload = _take_ctx(body)
-        lsa = _decode_lsa_body(payload, "DATA")
+        lsa = decode_lsa(payload)
         if ctx is not None:
             # The LSA was built two lines up and nobody else holds it:
             # stamp the (observability-only, compare=False) context in
@@ -487,7 +448,7 @@ def decode_frame(data: bytes) -> Frame:
         return frame
     if ftype == LSU:
         ctx, payload = _take_ctx(body)
-        lsa = _decode_lsa_body(payload, "LSU")
+        lsa = decode_lsa(payload)
         if not isinstance(lsa, NonMcLsa):
             raise FrameDecodeError("LSU frames carry non-MC LSAs only")
         if ctx is not None:

@@ -25,9 +25,10 @@ from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec
 from repro.core.protocol import ProtocolConfig
-from repro.core.state import McState
+from repro.core.state import McSnapshot, McState
 from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
+from repro.core.wire import decode_topology
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.router import UnicastRouter
@@ -220,9 +221,7 @@ class LiveSwitch:
         if dest != self.switch_id:  # pragma: no cover - transport bug guard
             raise ValueError(f"host {self.switch_id} got a frame for {dest}")
         if isinstance(payload, McLsa):
-            if not self.admit(
-                payload.source, payload.timestamp.span(), payload.connection_id
-            ):
+            if not self.admit_lsa(payload):
                 return
             self.switch.deliver_mc_lsa(payload)
         elif isinstance(payload, NonMcLsa):
@@ -234,26 +233,51 @@ class LiveSwitch:
             raise TypeError(f"unexpected payload {payload!r}")
         self._wake.set()
 
-    def admit(self, source: int, span: int, connection_id: int) -> bool:
-        """Semantic check of a decoded MC LSA's or snapshot's indices:
-        its source, the :meth:`~repro.core.timestamp.VectorTimestamp.span`
-        of its stamp(s), and its connection id.
+    def admit_lsa(self, lsa: McLsa) -> bool:
+        """:meth:`admit` for a decoded MC LSA and its proposal's nodes."""
+        span = 0 if lsa.proposal is None else lsa.proposal.node_span
+        return self.admit(lsa.source, lsa.connection_id, lsa.timestamp.span(), span)
+
+    def admit_snapshot(self, source: int, snap: McSnapshot) -> bool:
+        """:meth:`admit` for a decoded snapshot: members, backup-path and
+        topology nodes, and the proposer."""
+        nodes = [switch for switch, _ in snap.members]
+        for u, v, path in snap.active_backup:
+            nodes += (u, v, *path)
+        span = max(nodes, default=-1) + 1
+        if snap.topology is not None:
+            span = max(span, decode_topology(snap.topology).node_span)
+        stamp_span = max(stamp.span() for stamp in snap.stamps())
+        return self.admit(source, snap.connection_id, stamp_span, span, snap.proposer)
+
+    def admit(
+        self, source: int, connection_id: int, stamp_span: int,
+        span: int = 0, proposer: int = 0,
+    ) -> bool:
+        """Semantic check of a decoded frame's indices, once, at ingest:
+        ``stamp_span`` and ``span`` are the highest stamp origin and the
+        highest other switch id it names, plus one.
 
         A frame can decode cleanly and still name switches this network
-        does not have; arbitrating on one would plant an origin in E that
-        R can never reach (``R >= E`` false forever: the connection stops
-        proposing).  One naming a connection that is not provisioned
-        would raise out of the datagram callback when the switch looks up
-        its spec.  Such frames are dropped here, before arbitration, and
-        counted by reason.
+        does not have: a stamp origin past ``n`` plants an origin in E
+        that R can never reach (``R >= E`` false forever: the connection
+        stops proposing), and a tree, member or backup path through one
+        installs a topology nobody can forward over.  A connection that
+        is not provisioned would raise out of the datagram callback.  Such
+        frames are dropped here and counted by reason.  A proposer may be
+        ``n``, the "no proposer yet" sentinel.
         """
         n = self.net.n
         if source >= n:
             reason = "source-out-of-range"
-        elif span > n:
+        elif stamp_span > n:
             reason = "stamp-origin-out-of-range"
         elif connection_id not in self.connection_registry:
             reason = "unknown-connection"
+        elif proposer > n:
+            reason = "proposer-out-of-range"
+        elif span > n:  # a node id past the network
+            reason = "node-out-of-range"
         else:
             return True
         self.metrics.counter(

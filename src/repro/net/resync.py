@@ -205,7 +205,8 @@ class ResyncManager:
         elif isinstance(frame, frames.DbdFrame):
             self.on_dbd(frame)
         elif isinstance(frame, frames.SnapFrame):
-            self.on_snap(frame)
+            if self.host.admit_snapshot(frame.src, frame.snapshot):
+                self.on_snap(frame)
         elif isinstance(frame, frames.LsuFrame):
             self.on_lsu(frame)
         else:  # pragma: no cover - transport bug guard
@@ -344,12 +345,6 @@ class ResyncManager:
 
     def on_snap(self, frame: "frames.SnapFrame") -> None:
         snap = frame.snapshot
-        if not self.host.admit(
-            frame.src,
-            max(stamp.span() for stamp in snap.stamps()),
-            snap.connection_id,
-        ):
-            return
         if self.cold_boot and not self.host.router.lsdb.complete():
             # The merge below is what lets a restarted host propose (it
             # inherits R > C and kicks).  On a partial image that proposal

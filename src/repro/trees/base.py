@@ -200,6 +200,12 @@ class McTopology:
     def _edge_nodes(self) -> FrozenSet[int]:
         return frozenset(x for edge in self._all_edges for x in edge)
 
+    @cached_property
+    def node_span(self) -> int:
+        """Highest switch id named (edge end, member, root, sender key),
+        plus one; 0 when none is.  The wire decoder seeds it."""
+        return max((max((key, *tree.nodes())) for key, tree in self.trees), default=-1) + 1
+
     def spans(self, members: Iterable[int]) -> bool:
         """True when every constituent tree spans ``members``.
 

@@ -15,13 +15,13 @@ def S(*components: int) -> Stamp:
     return Stamp.from_dense(components)
 
 
-#: The intern table and the three memo tables (module-level dicts, never
+#: The intern table and the write table (module-level dicts, never
 #: rebound, so these references stay live).
-TABLES = (timestamp._VALUES, timestamp._MERGES, timestamp._GEQS, timestamp._WRITES)
+TABLES = (timestamp._VALUES, timestamp._WRITES)
 
 
 def fresh_tables() -> None:
-    """Empty the intern and memo tables, so an identity assertion does not
+    """Empty the intern and write tables, so an identity assertion does not
     depend on which old entry an earlier test left at the front of a FIFO."""
     for table in TABLES:
         table.clear()

@@ -323,7 +323,7 @@ class TestStampSharing:
     """White box: pins *sharing*, not timing (docs/protocol-walkthrough.md,
     "How a stamp is stored and compared").  A refactor that silently gives
     every stamp a value of its own keeps every count and every byte -- and
-    loses the memo hits; it should fail here, not in a benchmark."""
+    loses the ReceiveMemo hits; it should fail here, not in a benchmark."""
 
     N = 48
     ROUNDS = 12

@@ -313,7 +313,15 @@ class TestTreeCodecProperties:
     def test_topology_bytes_match_the_reference(self, topo):
         data = encode_topology(topo)
         assert data == reference_topology(topo)
-        assert decode_topology(data) == topo
+        decoded = decode_topology(data)
+        assert decoded == topo
+        assert decoded.node_span == topo.node_span  # decoder-seeded vs computed
+
+    def test_a_tree_key_below_shared_is_rejected(self):
+        data = bytearray(encode_topology(per_source_topology()))
+        data[2:6] = struct.pack("!i", -2)  # the first tree's key
+        with pytest.raises(WireDecodeError, match="key"):
+            decode_topology(bytes(data))
 
     @given(topologies, st.lists(st.integers(0, 2**16), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)

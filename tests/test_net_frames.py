@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -330,6 +332,25 @@ class TestRobustness:
     def test_try_decode_returns_none(self):
         assert try_decode_frame(b"junk") is None
         assert try_decode_frame(encode_ack(1, 2, 3)) == AckFrame(1, 2, 3)
+
+    def test_every_truncated_body_raises_the_frame_error(self):
+        """Frame bodies and the LSAs in them share one reader, whose
+        errors are the codec's; ``decode_frame`` turns them into
+        :class:`FrameDecodeError` in one place, so every cut of every
+        real frame raises exactly that and ``try_decode_frame`` nothing."""
+        backup = replace(sample_snapshot(), active_backup=((0, 1, (0, 2, 1)),))
+        real = (
+            encode_data(3, 9, 42, sample_mc_lsa()),
+            encode_lsu(2, 0, 9, sample_router_lsa()),
+            encode_dbd(1, 2, 5, {0: 3, 4: 17}),
+            encode_snap(3, 8, 11, backup),
+            encode_snap(3, 8, 11, sparse_snapshot()),
+        )
+        for data in real:
+            for cut in range(len(data)):
+                with pytest.raises(FrameDecodeError):
+                    decode_frame(data[:cut])
+                assert try_decode_frame(data[:cut]) is None
 
     @given(st.binary(min_size=0, max_size=96))
     @settings(max_examples=200, deadline=None)

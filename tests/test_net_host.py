@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import gc
 from collections import deque
+from dataclasses import replace
+
+import pytest
 
 from repro.core.events import JoinEvent, LeaveEvent
-from repro.core.lsa import McLsa
-from repro.core.mc import ConnectionSpec, ConnectionType
+from repro.core.lsa import McEvent, McLsa
+from repro.core.mc import ConnectionSpec, ConnectionType, Role
 from repro.core.protocol import ProtocolConfig
 from repro.core.switch import ReceiveMemo
+from repro.core.wire import decode_lsa, encode_lsa, encode_topology
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.spfcache import SolvedImages
@@ -28,6 +32,7 @@ from repro.net.host import LiveFloodOut, LiveSwitch
 from repro.obs.context import TraceContext
 from repro.sim import Process
 from repro.topo.generators import grid_network
+from repro.trees.base import McTopology, MulticastTree
 
 CID = 1
 MEMBERS = {0, 2}
@@ -251,3 +256,81 @@ def test_cold_booted_host_proposes_nothing_before_its_lsdb_is_complete():
     settle(hosts, transport)
     for x, host in hosts.items():
         assert host.states[CID].installed.spans(MEMBERS), f"host {x} degraded"
+
+
+def rejections(host) -> dict:
+    """``live_rejected_total`` by reason, as the host's registry holds it."""
+    prefix = 'live_rejected_total{reason="'
+    return {
+        key[len(prefix):-2]: value
+        for key, value in host.metrics.snapshot().items()
+        if key.startswith(prefix)
+    }
+
+
+def test_a_proposal_naming_a_switch_past_n_is_rejected_at_ingest():
+    """Regression: ingest checked an MC LSA's source, stamp and connection
+    only, so a join whose (cleanly decoded) proposal names switch 99 on a
+    3-switch network was accepted and installed."""
+    hosts, transport = line_of_hosts()
+    receiver, proposer = hosts[0], hosts[1]
+    installed = receiver.states[CID].installed
+    stamp = proposer.states[CID].received.snapshot()
+    stamp.increment(1)
+    bogus = McTopology.shared(MulticastTree.build([(0, 1), (1, 99)], [0, 1, 99]))
+    lsa = McLsa(1, McEvent.JOIN, CID, bogus, stamp, Role.BOTH)
+    receiver.ingest(0, decode_lsa(encode_lsa(lsa)))
+    settle(hosts, transport)
+    assert receiver.states[CID].installed is installed
+    assert rejections(receiver) == {"node-out-of-range": 1}
+
+
+def snapshot_naming(host, field: str):
+    """``host``'s snapshot of ``CID`` with one field pointing past n = 3."""
+    snap = host.switch.capture_resync_snapshot(CID)
+    if field == "members":
+        return replace(snap, members=snap.members + ((99, frozenset({"receiver"})),))
+    if field == "topology":  # one event ahead, so its topology would install
+        ahead = snap.current.snapshot()
+        ahead.increment(1)
+        tree = MulticastTree.build([(0, 1), (1, 99)], [0, 99])
+        return replace(
+            snap, received=ahead, expected=ahead, current=ahead,
+            topology=encode_topology(McTopology.shared(tree)),
+        )
+    if field == "active_backup":
+        return replace(snap, active_backup=((0, 1, (0, 99, 1)),))
+    return replace(snap, proposer=4)
+
+
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        ("members", "node-out-of-range"),
+        ("topology", "node-out-of-range"),
+        ("active_backup", "node-out-of-range"),
+        ("proposer", "proposer-out-of-range"),
+    ],
+)
+def test_a_snapshot_naming_a_switch_past_n_is_rejected_at_ingest(field, reason):
+    """A SNAP frame is checked like an MC LSA: every member, topology node
+    and backup-path node must be a switch of this network, and the
+    proposer one of them or the "no proposer" sentinel n.  Each frame
+    below travels the codec (encode, decode) before it is handled."""
+    hosts, transport = line_of_hosts()
+    receiver = hosts[0]
+    before = receiver.states[CID].canonical()
+    snap = snapshot_naming(hosts[1], field)
+    frame = frames.decode_frame(frames.encode_snap(1, 0, 0, snap))
+    receiver.resync.handle(frame, now=0.0)
+    settle(hosts, transport)
+    assert receiver.states[CID].canonical() == before
+    assert rejections(receiver) == {reason: 1}
+
+
+def test_the_no_proposer_sentinel_is_admitted():
+    """Proposer n is "no proposer yet", which a real snapshot carries."""
+    hosts, _ = line_of_hosts()
+    snap = replace(hosts[1].switch.capture_resync_snapshot(CID), proposer=3)
+    assert hosts[0].admit_snapshot(1, snap)
+    assert rejections(hosts[0]) == {}

@@ -14,11 +14,14 @@ Covers the three properties the methodology rests on:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from repro.stress import (
     StressExecutor,
     StressOptions,
+    StressReport,
     explore,
     minimize_schedule,
     replay_violates,
@@ -28,6 +31,13 @@ from repro.workloads.stress import get_scenario
 
 def _fresh(scenario, **overrides) -> StressExecutor:
     return StressExecutor(scenario, scenario.make_config(**overrides))
+
+
+@lru_cache(maxsize=None)
+def _default_dfs(name: str) -> StressReport:
+    """The exhaustive default-DFS exploration of ``name``, run once and
+    read by every test that asks about it (the report is never mutated)."""
+    return explore(get_scenario(name), StressOptions())
 
 
 class TestCanonicalKey:
@@ -109,7 +119,7 @@ def test_pending_seqs_after_one_flood_are_the_interchange_format():
 class TestExploration:
     @pytest.mark.parametrize("name", ["membership-race", "degraded-repair"])
     def test_shipped_protocol_exhausts_clean(self, name):
-        report = explore(get_scenario(name), StressOptions())
+        report = _default_dfs(name)
         assert report.exhaustive and not report.budget_hit
         assert report.ok, [ce.detail for ce in report.counterexamples]
         assert report.states_explored > 0
@@ -130,8 +140,10 @@ class TestExploration:
         and the canonical LSA payloads, so a stamp representation that
         split or merged states -- a stored zero, an unstable hash, a
         sorted-vs-unsorted key -- would move these counts."""
-        options = StressOptions() if budget is None else StressOptions(max_transitions=budget)
-        report = explore(get_scenario(name), options)
+        if budget is None:
+            report = _default_dfs(name)
+        else:
+            report = explore(get_scenario(name), StressOptions(max_transitions=budget))
         assert report.ok
         assert report.exhaustive == (budget is None)
         assert (report.states_explored, report.terminal_states, report.transitions) == (
@@ -171,7 +183,7 @@ class TestExploration:
 
     def test_strategies_explore_the_same_state_space(self):
         """dfs and bfs visit different orders but the same canonical set."""
-        dfs = explore(get_scenario("degraded-repair"), StressOptions())
+        dfs = _default_dfs("degraded-repair")
         bfs = explore(
             get_scenario("degraded-repair"), StressOptions(strategy="bfs")
         )
