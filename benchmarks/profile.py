@@ -15,6 +15,18 @@ caller -> function pairs::
     python3 benchmarks/profile.py --quick      # benchmarks/results/BENCH_profile_quick.json
     python3 benchmarks/profile.py --workload churn_sparse_n400   # one, printed
 
+``--calls`` adds a deterministic count beside the sampled shares: each
+workload's seeded prefix (the rounds whose input digest the benchmark
+reports) runs again in a fresh process under ``sys.setprofile``, outside
+any timed section, and the calls into ``repro`` functions (generator
+resumes included) are counted per event in total, per layer and for the
+top functions.  Two fresh processes give the same counts (on the
+simulated workloads; the live one varies with OS timing), so a wall-time
+difference too small to resolve can be checked against them::
+
+    python3 benchmarks/profile.py --quick --calls
+    python3 benchmarks/profile.py --workload linkflap_frr_n60 --calls   # the counts, printed
+
 Like ``benchmarks/e2e/run.py`` it runs with ``PYTHONHASHSEED=0`` and a
 pinned address-space layout (it borrows that script's bootstrap).  The
 file name shadows the standard library's ``profile`` for scripts run from
@@ -27,6 +39,7 @@ import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,12 +91,90 @@ def profile_workload(name: str, seed: int, seconds: float, quick: bool) -> dict:
     }
 
 
+def count_calls(name: str, seed: int, quick: bool) -> dict:
+    """Calls into ``repro`` per event over one workload's seeded prefix,
+    in this (fresh) process; set-up runs before the profiler is on."""
+    from e2e import metrics, workloads
+    from e2e.clock import Clock
+    from e2e.scenarios import make_scenario
+
+    from repro.obs.sampler import TOP, layer_of
+
+    spec = workloads.SPECS[name]
+    prefix = spec.quick_prefix_rounds if quick else spec.prefix_rounds
+    scenario = make_scenario(spec, seed, Clock())
+    scenario.setup()
+    window = metrics.Window()
+    counts: dict = {}
+    #: code -> the module its frames run in (the sampler's rule: a
+    #: dataclass's generated ``__init__`` belongs to the declaring module)
+    modules: dict = {}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            count = counts.get(code)
+            if count is None:
+                modules[code] = frame.f_globals.get("__name__", "")
+                counts[code] = 1
+            else:
+                counts[code] = count + 1
+
+    sys.setprofile(hook)
+    try:
+        for _ in range(prefix):
+            window.add(scenario.next_round(None))
+    finally:
+        sys.setprofile(None)
+        scenario.teardown()
+    if window.failed:
+        raise RuntimeError(f"{name}: {window.failed} operations failed: {scenario.failures}")
+
+    layers: Counter = Counter()
+    functions: Counter = Counter()
+    for code, count in counts.items():
+        module = modules[code]
+        if module != "repro" and not module.startswith("repro."):
+            continue
+        layers[layer_of(module)] += count
+        functions[f"{module}.{getattr(code, 'co_qualname', code.co_name)}"] += count
+    events = window.events
+    return {
+        "prefix_rounds": prefix,
+        "events": events,
+        "per_event": sum(layers.values()) / events,
+        "layers": {layer: count / events for layer, count in layers.most_common()},
+        "functions": [
+            {"function": function, "per_event": count / events}
+            for function, count in functions.most_common(TOP)
+        ],
+    }
+
+
+def _run_workload(name: str, seed: int, quick: bool, calls: bool) -> dict:
+    """``main --workload name`` in a fresh process; its printed record."""
+    cmd = [sys.executable, __file__, "--workload", name, "--seed", str(seed)]
+    if quick:
+        cmd.append("--quick")
+    if calls:
+        cmd.append("--calls")
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise RuntimeError(f"{name} exited {proc.returncode}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", help="profile one workload here and print it")
     parser.add_argument("--seed", type=int, default=1996)
     parser.add_argument("--quick", action="store_true",
                         help=f"{QUICK_SECONDS:g} s per workload, short prefix")
+    parser.add_argument("--calls", action="store_true",
+                        help="also count calls into repro per event over the seeded "
+                             "prefix, in a fresh process per workload (with "
+                             "--workload: print only those counts)")
     args = parser.parse_args(argv)
     seconds = QUICK_SECONDS if args.quick else FULL_SECONDS
 
@@ -93,24 +184,24 @@ def main(argv=None) -> int:
     from e2e import workloads
 
     if args.workload is not None:
-        record = profile_workload(args.workload, args.seed, seconds, args.quick)
+        if args.calls:
+            record = count_calls(args.workload, args.seed, args.quick)
+        else:
+            record = profile_workload(args.workload, args.seed, seconds, args.quick)
         print(json.dumps(record, sort_keys=True))
         return 0
 
     report = {"seed": args.seed, "seconds": seconds, "quick": args.quick, "workloads": {}}
     for name in workloads.SPECS:
-        cmd = [sys.executable, __file__, "--workload", name, "--seed", str(args.seed)]
-        if args.quick:
-            cmd.append("--quick")
-        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            raise RuntimeError(f"{name} exited {proc.returncode}")
-        record = json.loads(proc.stdout.splitlines()[-1])
+        record = _run_workload(name, args.seed, args.quick, calls=False)
         report["workloads"][name] = record
         top = sorted(record["layers"].items(), key=lambda kv: -kv[1]["share"])[:4]
-        print(f"{name}: {record['samples']} samples, op_ms_p50 {record['op_ms_p50']:.3f}; "
-              + ", ".join(f"{layer} {v['share']:.0%}" for layer, v in top))
+        line = (f"{name}: {record['samples']} samples, op_ms_p50 {record['op_ms_p50']:.3f}; "
+                + ", ".join(f"{layer} {v['share']:.0%}" for layer, v in top))
+        if args.calls:
+            record["calls"] = _run_workload(name, args.seed, args.quick, calls=True)
+            line += f"; {record['calls']['per_event']:,.0f} calls per event"
+        print(line)
     out = QUICK_OUT if args.quick else FULL_OUT
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")

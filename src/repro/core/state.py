@@ -21,6 +21,7 @@ transition once per distinct record and rebinds the rest
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -438,6 +439,14 @@ class McSnapshot:
 
     def member_map(self) -> Dict[int, FrozenSet[str]]:
         return dict(self.members)
+
+    @cached_property
+    def decoded_topology(self) -> Optional[McTopology]:
+        """``topology`` decoded, once per snapshot: the frame decoder reads
+        it to validate the bytes, and ingest and install reuse it."""
+        from repro.core.wire import decode_topology
+
+        return None if self.topology is None else decode_topology(self.topology)
 
     def stamps(self) -> Tuple[Stamp, Stamp, Stamp, Stamp]:
         """R, E, C, M in wire order."""

@@ -856,11 +856,7 @@ class DgmcSwitch:
         if snap.topology is not None and self._beats(
             snap.current, snap.proposer, state.current_stamp, state.current_proposer
         ):
-            from repro.core.wire import decode_topology
-
-            self._install(
-                state, decode_topology(snap.topology), snap.current, snap.proposer
-            )
+            self._install(state, snap.decoded_topology, snap.current, snap.proposer)
             changed = True
         if self._adopt_backup_fragments(state, snap):
             changed = True

@@ -4,10 +4,9 @@ Flooding in a link-state network is hop-by-hop: a switch that originates or
 first receives an LSA forwards it on every other incident up link, and
 duplicates are dropped.  The net effect is that a copy reaches every
 reachable switch along a *fastest* path.  The fabric simulates exactly that
-effect: at flood time it computes, per destination, the earliest arrival
-time over the current up-link topology, and hands the id-ordered
-``destination -> delay`` map to the transport, which delivers each copy
-at its time.
+effect: it computes, per destination, the earliest arrival time over the
+current up-link topology, and hands the copies to the transport, which
+delivers each at its time.
 
 Two timing models are supported, matching the paper's experiments:
 
@@ -19,24 +18,46 @@ Two timing models are supported, matching the paper's experiments:
 The fabric also keeps the flood counters ("flooding operations per event")
 that the evaluation section reports.
 
+**One plan per (origin, up-link state).**  Which copies a flood sends, and
+when, depends only on the origin, the up-link topology and the registered
+handlers, so the fabric builds it once as a :class:`FloodPlan` and reuses
+it: the copies grouped into same-delay classes, ``(delay, ((handler,
+dest), ...))``, plus the per-hop counts behind the ``flood_hops``
+histogram.  Under per-hop timing the plans are keyed on
+``(Network.up_state, handler count)`` -- a heal returns to the plans from
+before the failure -- in a table bounded by
+:func:`~repro.lsr.spfcache.remember`; under Dijkstra timing (link delays)
+on ``Network.version``.  Either is re-read only when ``net.version`` or the
+handler count moves, so a cached flood is one dict lookup plus one
+``schedule`` per arrival instant.
+
 How the copies physically travel is the :class:`Transport` seam, defined
 here so that the protocol stack imports nothing of the live runtime.  A
-flood is one :meth:`Transport.send_flood` call, which by default is one
-:meth:`Transport.send` per destination in id order:
+flood is one :meth:`Transport.send_plan` call, which by default is one
+:meth:`Transport.send_flood` over the plan's id-ordered ``delays`` view,
+itself one :meth:`Transport.send` per destination in id order:
 :class:`repro.net.transport.UdpTransport` sends each as a datagram and the
 systematic explorer's ``StressTransport`` parks each as a branch point.
 :class:`KernelTransport` (below) overrides it to schedule one kernel entry
 per distinct arrival instant -- a few hop classes per flood, not n - 1
 entries -- that delivers to its destinations in id order.
+
+**Order contract.**  The kernel ``seq`` order is that of one entry per
+destination: the classes appear in order of their first destination in id
+order, destinations ascend inside a class, and a class is one arrival
+*instant*, the float ``now + delay`` the heap compares.  A plan groups by
+``delay``; two distinct delays that land on one float instant (possible
+only at a large ``now``) are merged at send time by one pass over the
+classes (:meth:`KernelTransport.send_plan`).
 """
 
 from __future__ import annotations
 
 import abc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.lsr import spf
 from repro.lsr.spfcache import remember
@@ -47,6 +68,65 @@ from repro.topo.graph import Network
 
 #: Delivery hook signature: (destination switch id, decoded payload).
 DeliverFn = Callable[[int, Any], None]
+#: One copy's destination as a plan holds it: ``(handler, dest)``.
+Binding = Tuple[Optional[DeliverFn], int]
+#: Copies due together: ``(delay, ((handler, dest), ...))``, dests ascending.
+FloodClass = Tuple[float, Tuple[Binding, ...]]
+
+
+def _group_copies(
+    copies: Iterable[Tuple[float, Binding]], now: float = 0.0
+) -> Tuple[FloodClass, ...]:
+    """Group ``(delay, (handler, dest))`` copies, given in ascending
+    ``dest`` order, by arrival instant ``now + delay``.
+
+    The classes come out in order of their first destination, each holding
+    the delay of that destination; at ``now = 0.0`` the instant is the
+    delay itself.
+    """
+    classes: Dict[float, Tuple[float, List[Binding]]] = {}
+    for delay, binding in copies:
+        at = now + delay
+        entry = classes.get(at)
+        if entry is None:
+            classes[at] = entry = (delay, [])
+        entry[1].append(binding)
+    return tuple([(delay, tuple(batch)) for delay, batch in classes.values()])
+
+
+class FloodPlan:
+    """One flood's copies from one origin over one up-link state.
+
+    ``classes`` groups the copies by delay (:func:`_group_copies`),
+    ``fanout`` counts them, and ``hop_counts`` holds ``(hops, copies)``
+    pairs under per-hop timing (empty otherwise).  :attr:`delays` is the
+    id-ordered ``dest -> delay`` view that per-destination transports
+    send; it is derived on each read, so a cached plan stores every copy
+    once.
+    """
+
+    __slots__ = ("classes", "fanout", "hop_counts")
+
+    def __init__(
+        self,
+        copies: List[Tuple[float, Binding]],
+        hop_counts: Tuple[Tuple[int, int], ...] = (),
+    ) -> None:
+        self.classes = _group_copies(copies)
+        self.fanout = len(copies)
+        self.hop_counts = hop_counts
+
+    @property
+    def delays(self) -> Dict[int, float]:
+        """``dest -> delay`` in ascending id order."""
+        return {dest: delay for delay, (_, dest) in self.copies()}
+
+    def copies(self) -> List[Tuple[float, Binding]]:
+        """Every ``(delay, (handler, dest))`` copy, in ascending ``dest`` order."""
+        return sorted(
+            [(delay, binding) for delay, batch in self.classes for binding in batch],
+            key=lambda copy: copy[1][1],
+        )
 
 
 class Transport(abc.ABC):
@@ -74,6 +154,17 @@ class Transport(abc.ABC):
         for dest, delay in delays.items():
             self.send(src, dest, payload, delay)
 
+    def send_plan(self, src: int, payload: Any, plan: FloodPlan) -> None:
+        """Carry the copies of one :class:`FloodPlan`; the default is
+        :meth:`send_flood` over the plan's id-ordered ``delays``."""
+        self.send_flood(src, payload, plan.delays)
+
+    def bindings(self, dests: List[int]) -> List[Optional[Binding]]:
+        """What a :class:`FloodPlan` holds for a copy to each of ``dests``:
+        ``None`` for a switch with no handler.  A per-destination transport
+        needs no handler there (its copies go through :meth:`send`)."""
+        return [(None, x) if self.has_handler(x) else None for x in dests]
+
     @abc.abstractmethod
     def has_handler(self, switch_id: int) -> bool:
         """Whether a handler is registered for ``switch_id``."""
@@ -96,42 +187,46 @@ class KernelTransport(Transport):
     delay``; the entry calls the handlers of the destinations due then, in
     id order.  That is the order of one entry per destination: a
     synchronous flood draws consecutive ``seq``s, so no foreign entry can
-    sit between two of its same-instant copies.  The transport itself holds
-    nothing, so it is always :attr:`idle`: in-flight deliveries live in the
-    kernel and are covered by the simulator's own quiescence check.
+    sit between two of its same-instant copies.  A plan binds each copy to
+    the ``(handler, dest)`` pair made once at :meth:`register`, so plans
+    share those pairs.  The transport itself holds nothing in flight, so it
+    is always :attr:`idle`: in-flight deliveries live in the kernel and are
+    covered by the simulator's own quiescence check.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._handlers: Dict[int, DeliverFn] = {}
+        self._bindings: Dict[int, Binding] = {}
 
     def register(self, switch_id: int, handler: DeliverFn) -> None:
-        if switch_id in self._handlers:
+        if switch_id in self._bindings:
             raise ValueError(f"switch {switch_id} already registered")
-        self._handlers[switch_id] = handler
+        self._bindings[switch_id] = (handler, switch_id)
 
     def has_handler(self, switch_id: int) -> bool:
-        return switch_id in self._handlers
+        return switch_id in self._bindings
+
+    def bindings(self, dests: List[int]) -> List[Optional[Binding]]:
+        return list(map(self._bindings.get, dests))
 
     def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
         self.send_flood(src, payload, {dest: delay})
 
     def send_flood(self, src: int, payload: Any, delays: Dict[int, float]) -> None:
+        bindings = self._bindings
+        self.send_plan(src, payload, FloodPlan(
+            [(delay, bindings[dest]) for dest, delay in delays.items() if dest in bindings]
+        ))
+
+    def send_plan(self, src: int, payload: Any, plan: FloodPlan) -> None:
         now = self.sim.now
-        handlers = self._handlers
-        #: arrival instant (the float the heap compares) -> (delay, batch)
-        classes: Dict[float, Tuple[float, List[Tuple[DeliverFn, int]]]] = {}
-        for dest, delay in delays.items():
-            handler = handlers.get(dest)
-            if handler is None:
-                continue
-            at = now + delay
-            entry = classes.get(at)
-            if entry is None:
-                classes[at] = entry = (delay, [])
-            entry[1].append((handler, dest))
-        for delay, batch in classes.values():
-            self.sim.schedule(delay, partial(_deliver_batch, batch, payload))
+        classes = plan.classes
+        if len({now + delay for delay, _ in classes}) < len(classes):
+            # Two delays land on one float instant: regroup by that instant.
+            classes = _group_copies(plan.copies(), now)
+        schedule = self.sim.schedule
+        for delay, batch in classes:
+            schedule(delay, partial(_deliver_batch, batch, payload))
 
     @property
     def idle(self) -> bool:
@@ -139,13 +234,13 @@ class KernelTransport(Transport):
 
     @property
     def handler_count(self) -> int:
-        return len(self._handlers)
+        return len(self._bindings)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"KernelTransport(handlers={len(self._handlers)})"
+        return f"KernelTransport(handlers={len(self._bindings)})"
 
 
-def _deliver_batch(batch: List[Tuple[DeliverFn, int]], payload: Any) -> None:
+def _deliver_batch(batch: Tuple[Binding, ...], payload: Any) -> None:
     for handler, dest in batch:
         handler(dest, payload)
 
@@ -158,8 +253,13 @@ class FloodDelivery:
     kind: str
     start_time: float
     payload: Any
-    #: switch -> scheduled arrival time
-    arrivals: Dict[int, float] = field(default_factory=dict)
+    plan: FloodPlan
+
+    @property
+    def arrivals(self) -> Dict[int, float]:
+        """switch -> scheduled arrival time, derived from the plan on read."""
+        start = self.start_time
+        return {x: start + delay for x, delay in self.plan.delays.items()}
 
 
 class FloodingFabric:
@@ -192,14 +292,15 @@ class FloodingFabric:
         #: Total individual LSA deliveries (diagnostic).
         self.delivery_count = 0
         self.history: list[FloodDelivery] = []
-        #: Per-origin BFS hop counts by the network's exact up-link state
-        #: (:attr:`Network.up_state <repro.topo.graph.Network.up_state>`),
-        #: so a heal returns to the counts from before the failure (fixed
-        #: per-hop timing floods one BFS per event otherwise).
-        self._hops_by_state: Dict[tuple, Dict[int, Dict[int, int]]] = {}
-        #: The current state's entry, re-read when ``net.version`` moves.
-        self._hops: Dict[int, Dict[int, int]] = {}
-        self._hops_version = -1
+        #: Per-origin flood plans by ``(up_state, handler count)`` under
+        #: per-hop timing (see the module docstring), so a heal returns to
+        #: the plans from before the failure: a link flap would otherwise
+        #: run one BFS per origin per event.
+        self._plans_by_state: Dict[tuple, Dict[int, FloodPlan]] = {}
+        #: The current entry, re-read when ``(net.version, handler count)``
+        #: moves.
+        self._plans: Dict[int, FloodPlan] = {}
+        self._plans_version = (-1, -1)
         #: Optional per-flood histograms, created by :meth:`bind_metrics`.
         self._fanout_hist: Optional[Histogram] = None
         self._hops_hist: Optional[Histogram] = None
@@ -240,20 +341,50 @@ class FloodingFabric:
         Evaluated against the network's *current* up-link topology.
         """
         if self.per_hop_delay is not None:
-            if self._hops_version != self.net.version:
-                self._hops_version = self.net.version
-                state = self.net.up_state
-                self._hops = self._hops_by_state.get(state)
-                if self._hops is None:
-                    self._hops = {}
-                    remember(self._hops_by_state, state, self._hops)
-            hops = self._hops.get(origin)
-            if hops is None:
-                hops = self.net.hop_distances(origin)
-                self._hops[origin] = hops
-            return {x: h * self.per_hop_delay for x, h in hops.items()}
+            return self._hop_times(self.net.hop_distances(origin))
         dist, _ = spf.dijkstra(self.net.spf_view(), origin)
         return dist
+
+    def _hop_times(self, hops: Dict[int, int]) -> Dict[int, float]:
+        return {x: h * self.per_hop_delay for x, h in hops.items()}
+
+    def plan(self, origin: int) -> FloodPlan:
+        """The :class:`FloodPlan` of a flood from ``origin`` now."""
+        version = (self.net.version, self.transport.handler_count)
+        if version != self._plans_version:
+            self._plans_version = version
+            if self.per_hop_delay is None:
+                self._plans = {}
+            else:
+                state = (self.net.up_state, version[1])
+                self._plans = self._plans_by_state.get(state)
+                if self._plans is None:
+                    self._plans = {}
+                    remember(self._plans_by_state, state, self._plans)
+        plan = self._plans.get(origin)
+        if plan is None:
+            plan = self._plans[origin] = self._build_plan(origin)
+        return plan
+
+    def _build_plan(self, origin: int) -> FloodPlan:
+        if self.per_hop_delay is None:
+            hops = None
+            arrivals = self.arrival_times(origin)
+        else:
+            hops = self.net.hop_distances(origin)
+            arrivals = self._hop_times(hops)
+        dests = [x for x in sorted(arrivals) if x != origin]
+        copies = [
+            (arrivals[dest], bound)
+            for dest, bound in zip(dests, self.transport.bindings(dests))
+            if bound is not None
+        ]
+        if hops is None:
+            return FloodPlan(copies)
+        # Copies per hop class, from the BFS map itself (a zero delay
+        # cannot be divided back).
+        counts = Counter([hops[dest] for _, (_, dest) in copies])
+        return FloodPlan(copies, tuple(counts.items()))
 
     def flood(self, origin: int, payload: Any, kind: str = "lsa") -> FloodDelivery:
         """Perform one flooding operation from ``origin``.
@@ -269,30 +400,20 @@ class FloodingFabric:
             "flood", cat="flood", tid=origin, sim_time=self.sim.now, kind=kind
         ) as span:
             record = self._flood(origin, payload, kind)
-            span.args["fanout"] = len(record.arrivals)
+            span.args["fanout"] = record.plan.fanout
             return record
 
     def _flood(self, origin: int, payload: Any, kind: str) -> FloodDelivery:
         self.flood_counts[kind] = self.flood_counts.get(kind, 0) + 1
-        now = self.sim.now
-        has_handler = self.transport.has_handler
-        delays = {
-            switch: delay
-            for switch, delay in sorted(self.arrival_times(origin).items())
-            if switch != origin and has_handler(switch)
-        }
-        arrivals = {switch: now + delay for switch, delay in delays.items()}
-        record = FloodDelivery(origin, kind, now, payload, arrivals)
-        self.delivery_count += len(delays)
-        self.transport.send_flood(origin, payload, delays)
+        plan = self.plan(origin)
+        record = FloodDelivery(origin, kind, self.sim.now, payload, plan)
+        self.delivery_count += plan.fanout
+        self.transport.send_plan(origin, payload, plan)
         if self._hops_hist is not None:
-            # Deliveries per hop class, observed once each, from the BFS map
-            # arrival_times just cached (a zero delay cannot be divided back).
-            hops = self._hops[origin]
-            for distance, count in Counter(map(hops.__getitem__, delays)).items():
+            for distance, count in plan.hop_counts:
                 self._hops_hist.observe(distance, count)
         if self._fanout_hist is not None:
-            self._fanout_hist.observe(len(record.arrivals))
+            self._fanout_hist.observe(plan.fanout)
         if self.record_history:
             self.history.append(record)
         return record

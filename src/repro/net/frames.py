@@ -73,7 +73,6 @@ from repro.core.wire import (
     Reader,
     WireDecodeError,
     decode_lsa,
-    decode_topology,
     encode_lsa,
     pack_stamp_dense,
     pack_stamp_pairs,
@@ -320,7 +319,8 @@ def _decode_dbd(src: int, dest: int, seq: int, body: bytes) -> DbdFrame:
 
 
 def _decode_snap(
-    src: int, dest: int, seq: int, body: bytes, pairs: bool
+    src: int, dest: int, seq: int, body: bytes, ctx: Optional[TraceContext],
+    pairs: bool,
 ) -> SnapFrame:
     reader = Reader(body)
     connection_id, proposer = reader.take(_SNAP_HEAD.format)
@@ -360,7 +360,6 @@ def _decode_snap(
     topology: Optional[bytes] = None
     if has_topology:
         topology = body[reader.offset :]
-        decode_topology(topology)  # raises on bytes that are no topology
     elif not reader.done():
         raise FrameDecodeError("trailing bytes after SNAP")
     snapshot = McSnapshot(
@@ -373,7 +372,9 @@ def _decode_snap(
         members=tuple(members),
         topology=topology,
         active_backup=tuple(active_backup),
+        ctx=ctx,
     )
+    snapshot.decoded_topology  # raises on bytes that are no topology
     return SnapFrame(src, dest, seq, snapshot)
 
 
@@ -440,12 +441,9 @@ def _decode_body(
         return _decode_dbd(src, dest, seq, body)
     if ftype == SNAP:
         ctx, payload = _take_ctx(body)
-        frame = _decode_snap(
-            src, dest, seq, payload, pairs=version == PAIR_FRAME_VERSION
+        return _decode_snap(
+            src, dest, seq, payload, ctx, pairs=version == PAIR_FRAME_VERSION
         )
-        if ctx is not None:
-            frame = SnapFrame(src, dest, seq, replace(frame.snapshot, ctx=ctx))
-        return frame
     if ftype == LSU:
         ctx, payload = _take_ctx(body)
         lsa = decode_lsa(payload)

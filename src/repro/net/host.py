@@ -28,7 +28,6 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import McSnapshot, McState
 from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
-from repro.core.wire import decode_topology
 from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.router import UnicastRouter
@@ -45,7 +44,8 @@ class LiveFloodOut:
     """Host-side flooding client: origin-broadcast over the transport.
 
     A flood is one :meth:`~repro.lsr.flooding.Transport.send_flood` to
-    every peer but the origin, the seam ``FloodingFabric`` uses too (the
+    every peer but the origin, the seam ``FloodingFabric``'s plans reach
+    through :meth:`~repro.lsr.flooding.Transport.send_plan` too (the
     modelled delay is 0: the wire supplies its own).  Keeps the same
     counters as the simulated fabric (``flood_counts`` /
     ``delivery_count``) so diagnostics carry over.
@@ -246,7 +246,7 @@ class LiveSwitch:
             nodes += (u, v, *path)
         span = max(nodes, default=-1) + 1
         if snap.topology is not None:
-            span = max(span, decode_topology(snap.topology).node_span)
+            span = max(span, snap.decoded_topology.node_span)
         stamp_span = max(stamp.span() for stamp in snap.stamps())
         return self.admit(source, snap.connection_id, stamp_span, span, snap.proposer)
 

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, ProtocolConfig
 from repro.lsr.flooding import FloodingFabric, KernelTransport, Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
-from repro.topo.generators import grid_network, ring_network
+from repro.topo.generators import grid_network, random_connected_network, ring_network
 from repro.topo.graph import Network
 from tests.batches import recorded_batches
 
@@ -236,29 +240,108 @@ class TestCounters:
 
 class TestHopCache:
     def test_heal_reads_the_counts_from_before_the_failure(self, monkeypatch):
-        """Hop counts are keyed on the exact up-link state, so a heal
-        returns to the BFS computed before the failure, and the
-        ``flood_hops`` histogram reads that entry."""
+        """Flood plans, hop counts included, are keyed on the exact up-link
+        state, so a heal returns to the plan built before the failure, with
+        no BFS, and the ``flood_hops`` histogram reads that plan."""
         net = grid_network(4, 4)
         sim, fabric, _ = collect_fabric(net, per_hop_delay=1.0)
         registry = MetricsRegistry()
         fabric.bind_metrics(registry)
         hops = registry.histogram("flood_hops")
-        before = fabric.arrival_times(5)
+        before, plan = fabric.arrival_times(5), fabric.plan(5)
         net.set_link_state(5, 6, up=False)
-        assert fabric.arrival_times(5) != before
+        assert fabric.plan(5).delays != plan.delays
         calls = []
         bfs = Network.hop_distances
         monkeypatch.setattr(
             Network, "hop_distances", lambda net, x: calls.append(x) or bfs(net, x)
         )
         net.set_link_state(5, 6, up=True)
-        assert fabric.arrival_times(5) == before
+        assert fabric.plan(5) is plan
         fabric.flood(5, "x")
         sim.run()
         assert calls == []
         assert hops.count == fabric.delivery_count == 15
         assert hops.sum == sum(before.values())
+
+
+class TestFloodPlans:
+    """One plan per (origin, up-link state, handlers), equal to a fresh one."""
+
+    @staticmethod
+    def fresh_plan(fabric, origin):
+        """The plan a fabric that never flooded before builds now."""
+        transport = KernelTransport(fabric.sim)
+        switches = list(fabric.net.switches())
+        for bound in fabric.transport.bindings(switches):
+            if bound is not None:
+                transport.register(bound[1], bound[0])
+        return FloodingFabric(
+            fabric.sim, fabric.net, fabric.per_hop_delay, transport=transport
+        ).plan(origin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        per_hop=st.sampled_from([None, 0.5]),
+        steps=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 11)), min_size=1, max_size=30
+        ),
+    )
+    def test_a_cached_plan_equals_a_fresh_one_under_link_flips(self, seed, per_hop, steps):
+        net = random_connected_network(12, random.Random(seed), extra_links=8)
+        links = sorted((link.u, link.v) for link in net.links())
+        sim, fabric, _ = collect_fabric(net, per_hop_delay=per_hop)
+        for pick, origin in steps:
+            u, v = links[pick % len(links)]
+            net.set_link_state(u, v, up=not net.link(u, v).up)
+            cached, fresh = fabric.plan(origin), self.fresh_plan(fabric, origin)
+            assert cached.classes == fresh.classes
+            assert cached.delays == fresh.delays
+            assert cached.hop_counts == fresh.hop_counts
+            assert cached.fanout == len(cached.delays)
+            if per_hop is not None:
+                hops = net.hop_distances(origin)
+                assert sorted(cached.hop_counts) == sorted(
+                    Counter(hops[x] for x in cached.delays).items()
+                )
+
+    def test_a_handler_registered_after_a_flood_joins_the_next_one(self):
+        net = ring_network(5)
+        sim = Simulator()
+        fabric = FloodingFabric(sim, net, per_hop_delay=1.0)
+        got = []
+        for x in (1, 2, 4):
+            fabric.register(x, lambda s, p: got.append((p, s)))
+        fabric.flood(0, "a")
+        fabric.register(3, lambda s, p: got.append((p, s)))
+        fabric.flood(0, "b")
+        sim.run()
+        assert sorted(got) == [("a", 1), ("a", 2), ("a", 4)] + [
+            ("b", x) for x in (1, 2, 3, 4)
+        ]
+
+    def test_hop_delays_on_one_float_instant_are_one_entry_in_id_order(self):
+        """At ``now = 2**53`` (float spacing 2) the 1.1 and 2.2 hop delays
+        both round to ``now + 2``: the plan's two delay classes are one
+        kernel entry, its copies in id order, as one entry per
+        destination would run them."""
+        net = grid_network(1, 5)  # a line 0-1-2-3-4
+        sim, fabric, deliveries = collect_fabric(net, per_hop_delay=1.1)
+        sim.schedule(2.0**53, lambda: None)
+        sim.run()
+        now = sim.now
+        plan = fabric.plan(2)
+        assert [delay for delay, _ in plan.classes] == [2.2, 1.1]
+        assert now + 1.1 == now + 2.2 == now + 2
+        fabric.flood(2, "x")
+        assert sim.queue_depth == 1
+        sim.run()
+        one_entry_each = sorted(
+            (now + delay, x) for x, delay in plan.delays.items()
+        )
+        assert [(at, x) for at, x, _ in deliveries] == one_entry_each
+        assert [x for _, x, _ in deliveries] == [0, 1, 3, 4]
 
 
 class TestHistory:

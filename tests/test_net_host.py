@@ -13,6 +13,7 @@ restarted host proposes nothing before its database exchange completes.
 from __future__ import annotations
 
 import gc
+import sys
 from collections import deque
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, ConnectionType, Role
 from repro.core.protocol import ProtocolConfig
+from repro.core import wire
 from repro.core.switch import ReceiveMemo
 from repro.core.wire import decode_lsa, encode_lsa, encode_topology
 from repro.lsr.flooding import Transport
@@ -326,6 +328,39 @@ def test_a_snapshot_naming_a_switch_past_n_is_rejected_at_ingest(field, reason):
     settle(hosts, transport)
     assert receiver.states[CID].canonical() == before
     assert rejections(receiver) == {reason: 1}
+
+
+def test_an_installing_snapshot_decodes_its_topology_once(monkeypatch):
+    """Regression: the frame decoder decoded a SNAP's topology only to
+    validate it, ingest decoded it again for its node range and the merge
+    a third time to install it.  One decode now serves all three."""
+    hosts, _ = line_of_hosts()
+    receiver = hosts[0]
+    snap = hosts[1].switch.capture_resync_snapshot(CID)
+    ahead = snap.current.snapshot()
+    ahead.increment(1)
+    topology = encode_topology(
+        McTopology.shared(MulticastTree.build([(0, 1), (1, 2)], [0, 2]))
+    )
+    snap = replace(
+        snap, received=ahead, expected=ahead, current=ahead, topology=topology
+    )
+    data = frames.encode_snap(1, 0, 0, snap)
+    original, decoded = wire.decode_topology, []
+
+    def counted(data):
+        decoded.append(data)
+        return original(data)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("repro") and getattr(
+            module, "decode_topology", None
+        ) is original:
+            monkeypatch.setattr(module, "decode_topology", counted)
+    receiver.resync.handle(frames.decode_frame(data), now=0.0)
+    assert encode_topology(receiver.states[CID].installed) == topology
+    assert rejections(receiver) == {}
+    assert decoded == [topology]
 
 
 def test_the_no_proposer_sentinel_is_admitted():

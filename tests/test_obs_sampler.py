@@ -3,10 +3,15 @@ named by the e2e tracer's layers."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.obs.sampler import INTERVAL_S, LAYERS, MODULE_LAYERS, OTHER, Sampler, layer_of
 
@@ -61,3 +66,74 @@ def test_the_layer_names_are_the_e2e_tracers(monkeypatch):
     for module in MODULE_LAYERS:
         assert importlib.util.find_spec(module) is not None, module
     assert layer_of("repro.topo.generators") == OTHER
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PROFILE_PY = ROOT / "benchmarks" / "profile.py"
+
+
+def test_call_counts_repeat_across_fresh_processes():
+    """``profile.py --calls`` is a deterministic count: two fresh processes
+    count the same calls on the link-flap workload's quick prefix."""
+    cmd = [sys.executable, str(PROFILE_PY), "--workload", "linkflap_frr_n60",
+           "--calls", "--quick"]
+    runs = [
+        subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+        for _ in range(2)
+    ]
+    first, second = (json.loads(run.stdout.splitlines()[-1]) for run in runs)
+    assert first == second
+    assert first["events"] > 0 and first["per_event"] > 0
+    assert first["layers"]["lsr.flooding"] > 0
+    assert sum(first["layers"].values()) == pytest.approx(first["per_event"])
+
+
+def _resolves(name: str) -> bool:
+    """Whether a sampled ``module.qualname`` still names code: the longest
+    importable module prefix, then attributes up to the first ``<locals>``
+    / ``<listcomp>`` / ... component, ending at a function or a property
+    (whose getter the qualname names).  A dataclass's generated methods
+    are named ``__create_fn__.<locals>.__init__`` in the declaring module."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        rest = []
+        for part in parts[cut:]:
+            if part.startswith("<"):
+                break
+            rest.append(part)
+        if rest == ["__create_fn__"]:
+            return True
+        try:
+            for part in rest:
+                target = getattr(target, part)
+        except AttributeError:
+            return False
+        return callable(target) or isinstance(target, property)
+    return False
+
+
+def test_every_function_in_the_committed_profile_still_resolves():
+    """A committed profile naming deleted code is stale: regenerate it."""
+    report = json.loads((ROOT / "BENCH_profile.json").read_text(encoding="utf-8"))
+    names = set()
+    for record in report["workloads"].values():
+        names.update(row["function"] for row in record["functions"])
+        names.update(row["caller"] for row in record["callers"] if row["caller"])
+        names.update(row["function"] for row in record["callers"])
+        names.update(row["function"] for row in record.get("calls", {}).get("functions", ()))
+    names = {name for name in names if name.startswith("repro.")}
+    assert names
+    assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def test_the_resolver_rejects_a_deleted_function():
+    assert _resolves("repro.lsr.flooding.FloodingFabric.flood")
+    assert _resolves("repro.lsr.flooding.FloodingFabric.flood.<locals>.<dictcomp>")
+    assert _resolves("repro.core.lsa.__create_fn__.<locals>.__init__")
+    assert _resolves("repro.sim.kernel.Simulator.now")  # a property
+    assert not _resolves("repro.dataplane.engine.BatchForwardingEngine._compile")
+    assert not _resolves("repro.no_such_module.f")
