@@ -16,6 +16,13 @@ operations of each side::
 
 Each pair's ``op_ms_p50`` goes to stderr as it lands.
 
+Below each workload's rows comes the work both sides did: calls into
+``repro`` per event over the workload's seeded prefix, counted once per
+side by that checkout's ``benchmarks/profile.py --workload W --calls`` in a
+process of its own, before any timed pass.  The count is exact, so an
+``op_ms_p50`` delta the pairs cannot resolve beside a flat count (within
+:data:`FLAT`) is named layout noise rather than argued.
+
 The metrics and which way is better come from the change's
 ``BENCHMARK.json``; nothing under ``benchmarks/e2e`` is touched.
 """
@@ -29,10 +36,13 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+PROFILER = Path("benchmarks") / "profile.py"
+#: A calls delta within this fraction is flat.
+FLAT = 0.01
 
 #: One side's run: the driver's result line (``attempted``, ``failed``,
 #: ``metrics: {name: {"value", "unit"}}``).
@@ -59,6 +69,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Run:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}")
     return parse_result(proc.stdout)
+
+
+def calls_per_event(
+    checkout: Path, workload: str, seed: int, run=subprocess.run
+) -> Optional[float]:
+    """Calls into ``repro`` per event, as ``checkout``'s own profiler counts
+    them; None when it cannot (no ``--calls`` there, or it failed)."""
+    if not (checkout / PROFILER).exists():
+        return None
+    proc = run(
+        [sys.executable, str(checkout / PROFILER), "--workload", workload,
+         "--seed", str(seed), "--calls"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        return None
+    return json.loads(proc.stdout.splitlines()[-1])["per_event"]
 
 
 def run_pairs(
@@ -110,7 +137,7 @@ def metric_row(
     iqr = pq[2] - pq[0]
     delta = cq[1] - pq[1]
     notes = [f"parent IQR {fmt(iqr)}"]
-    if abs(delta) <= iqr:
+    if unresolved(parent, change):
         notes[0] += " — unresolved"
     if sweep:
         notes.append("every change run better than every parent run")
@@ -124,10 +151,34 @@ def metric_row(
     ]
 
 
+def unresolved(parent: Sequence[float], change: Sequence[float]) -> bool:
+    """The median difference lies within the parent's inter-quartile range."""
+    pq, cq = quartiles(parent), quartiles(change)
+    return abs(cq[1] - pq[1]) <= pq[2] - pq[0]
+
+
+def calls_row(
+    parent: Optional[float], change: Optional[float], wall_unresolved: bool
+) -> str:
+    """The work row: calls into repro per event, parent -> change."""
+    cells = ["n/a" if side is None else fmt(side) for side in (parent, change)]
+    if parent is None or change is None or not parent:
+        note = "not counted"
+    else:
+        ratio = change / parent - 1.0
+        note = f"{100.0 * ratio:+.1f}%"
+        if abs(ratio) <= FLAT:
+            note += " (flat"
+            note += "; the unresolved wall reading is layout noise)" if wall_unresolved else ")"
+    return f"|  | repro calls / event | {cells[0]} | {cells[1]} | | {note} |"
+
+
 def table_rows(
-    workload: str, pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[dict]
+    workload: str, pairs: Sequence[Tuple[Run, Run]], metrics: Sequence[dict],
+    calls: Optional[Tuple[Optional[float], Optional[float]]] = None,
 ) -> List[str]:
-    """Markdown rows for one workload: one per metric, then failed ops."""
+    """Markdown rows for one workload: one per metric, then failed ops,
+    then (when counted) calls per event, ``(parent, change)``."""
     parents = [p for p, _ in pairs]
     changes = [c for _, c in pairs]
     rows = []
@@ -145,6 +196,10 @@ def table_rows(
         for side in (parents, changes)
     ]
     rows.append(f"|  | failed / attempted | {ops[0]} | {ops[1]} | | |")
+    if calls is not None:
+        p50 = [[run["metrics"]["op_ms_p50"]["value"] for run in side]
+               for side in (parents, changes)]
+        rows.append(calls_row(*calls, unresolved(*p50)))
     return rows
 
 
@@ -177,12 +232,13 @@ def main(argv=None) -> int:
 
     metrics = end_to_end_metrics(args.change)
     rows = list(HEADER)
+    parent, change = args.parent.resolve(), args.change.resolve()
     for workload in args.workload:
-        runs = run_pairs(
-            args.parent.resolve(), args.change.resolve(), workload,
-            args.pairs, args.seed, args.seconds,
-        )
-        rows += table_rows(workload, runs, metrics)
+        calls = tuple(calls_per_event(side, workload, args.seed) for side in (parent, change))
+        print(f"# {workload} repro calls per event: parent {calls[0]} change {calls[1]}",
+              file=sys.stderr)
+        runs = run_pairs(parent, change, workload, args.pairs, args.seed, args.seconds)
+        rows += table_rows(workload, runs, metrics, calls)
     print("\n".join(rows))
     return 0
 

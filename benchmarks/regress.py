@@ -26,6 +26,7 @@ import json
 import pathlib
 import platform
 import random
+import subprocess
 import sys
 import time
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -838,6 +839,47 @@ def _check_frr_backup_compute(bc, top_n: int) -> Iterable[str]:
 # -- the registry ------------------------------------------------------------
 
 
+def e2e_workloads() -> List[str]:
+    """The end-to-end benchmark's simulated workloads, whose seeded counts
+    repeat exactly (a live run's follow OS timing: retransmits, resyncs)."""
+    if str(HERE) not in sys.path:
+        sys.path.insert(0, str(HERE))
+    from e2e.workloads import SPECS
+
+    return [name for name, spec in SPECS.items() if spec.kind != "live"]
+
+
+def count_calls(workload: str, run=subprocess.run) -> Dict[str, float]:
+    """Calls into ``repro`` per event, in total and per sampler layer, over
+    ``workload``'s quick seeded prefix: ``profile.py --workload W --calls
+    --quick``, a fresh process outside any timed section."""
+    proc = run(
+        [sys.executable, str(HERE / "profile.py"), "--workload", workload,
+         "--calls", "--quick"],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"profile.py --calls {workload} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-400:]}")
+    record = json.loads(proc.stdout.splitlines()[-1])
+    return {"total": record["per_event"], **record["layers"]}
+
+
+def bench_repro_calls(sizes, graphs) -> Dict[str, object]:
+    """The work count behind every wall-clock claim, gated.
+
+    Calls into ``repro`` are an exact count (docs/benchmarking.md, "Work,
+    counted exactly"), so a rise is a regression even where the wall clock
+    cannot resolve one.  The count depends on how the interpreter frames
+    comprehensions, so the record names its Python minor version and is
+    gated only against a baseline from the same one (:data:`CALLS`).
+    """
+    return {
+        "python_minor": "%d.%d" % sys.version_info[:2],
+        CALLS: {workload: count_calls(workload) for workload in e2e_workloads()},
+    }
+
+
 def _no_invariants(record, top_n: int) -> Iterable[str]:
     return ()
 
@@ -859,6 +901,13 @@ class Benchmark(NamedTuple):
     check: Callable[[Dict[str, object], int], Iterable[str]] = _no_invariants
     counters: Tuple[str, ...] = ()
     latencies: Tuple[str, ...] = ()
+
+
+#: The record key of :func:`bench_repro_calls`: ``{workload: {"total" or
+#: layer: calls per event}}``.  Every number in the baseline's table is
+#: held within :data:`COUNT_TOLERANCE` (a layer gone from the run counts
+#: 0), so a layer whose calls double fails however small its share.
+CALLS = "calls_per_event"
 
 
 #: The small sweep: ``quick`` for the unit tests, ``smoke`` for CI.
@@ -896,6 +945,7 @@ BENCHMARKS: Dict[str, Benchmark] = {
         bench_frr_backup_compute, ("frr",), _check_frr_backup_compute,
         counters=("fragments",),
     ),
+    "repro_calls": Benchmark(bench_repro_calls, ("smoke",)),
 }
 
 
@@ -995,6 +1045,7 @@ def compare_to_baseline(
                     f"{name}: {key} {record[key]} exceeds baseline "
                     f"{base[key]} by more than {COUNT_TOLERANCE:.0%}"
                 )
+        failures += _call_regressions(name, record, base)
         for key in BENCHMARKS[name].latencies:
             limit = base[key] * (1.0 + LATENCY_TOLERANCE) + LATENCY_GRACE_MS
             if record[key] > limit:
@@ -1002,6 +1053,26 @@ def compare_to_baseline(
                     f"{name}: {key} {record[key]:.1f}ms exceeds baseline "
                     f"{base[key]:.1f}ms beyond the latency tolerance "
                     f"(limit {limit:.1f}ms)"
+                )
+    return failures
+
+
+def _call_regressions(
+    name: str, record: Dict[str, object], base: Dict[str, object]
+) -> List[str]:
+    """The :data:`CALLS` gate: every count in the baseline's table, when
+    the baseline ran on this run's Python minor version."""
+    if CALLS not in base or base["python_minor"] != record["python_minor"]:
+        return []
+    failures = []
+    for workload, counts in base[CALLS].items():
+        now = record[CALLS][workload]
+        for layer, calls in counts.items():
+            if now.get(layer, 0.0) > calls * (1.0 + COUNT_TOLERANCE):
+                failures.append(
+                    f"{name}: {workload} {layer} calls per event "
+                    f"{now.get(layer, 0.0):,.1f} exceed baseline {calls:,.1f} "
+                    f"by more than {COUNT_TOLERANCE:.0%}"
                 )
     return failures
 

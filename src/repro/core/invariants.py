@@ -103,17 +103,32 @@ class InstallRecord(NamedTuple):
 class InstallLog:
     """Every topology install of one deployment, and the ``stale-install`` rule.
 
-    Five ``array`` columns, 28 B per install.  :meth:`record` applies the
-    rule once, when the install happens, against the last stamp the same
-    switch installed for the connection; that table, like the columns,
-    outlives tombstones and restarts.  Indexing and iteration yield
-    :class:`InstallRecord` tuples.
+    A flood's receivers install one proposal at one instant, so the log
+    keeps one physical *row* per consecutive run of installs sharing
+    ``(time, connection, stamp, proposer)`` -- the four ``row_*``
+    ``array`` columns, 24 B -- and one 4 B entry per install in
+    ``switches``, where a row's first install is stored as ``~switch``
+    (negative): that is what marks where a row begins.  So an install costs
+    at most 28 B, and about 4 B inside a flood.
+
+    Read back, the log has one row per install: ``len()``, indexing and
+    iteration count and yield one :class:`InstallRecord` per install.
+    :meth:`record` applies the rule to every install, when it happens,
+    against the last stamp the same switch installed for the connection;
+    that table, like the rows, outlives tombstones and restarts.
     """
 
     def __init__(self) -> None:
-        self.columns = (array("d"), array("i"), array("I"), array("i"), array("q"))
-        self.time, self.switch, self.connection, self.proposer, self.stamp_total = self.columns
-        #: connection id -> switch -> (last stamp installed, its total).
+        self.row_time = array("d")
+        self.row_connection = array("I")
+        self.row_proposer = array("i")
+        self.row_stamp_total = array("q")
+        self.switches = array("i")
+        #: ``(time, connection, proposer, (stamp, its total), the
+        #: connection's _last table)`` of the last row.
+        self._run: Optional[tuple] = None
+        #: connection id -> switch -> (last stamp installed, its total), one
+        #: tuple per row.
         self._last: DefaultDict[int, Dict[int, Tuple[Stamp, int]]] = defaultdict(dict)
         #: connection id -> ``stale-install`` details, in install order.
         self.stale: Dict[int, List[str]] = {}
@@ -121,31 +136,67 @@ class InstallLog:
     def record(
         self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
-        total = stamp.total()
-        lasts = self._last[connection_id]
+        run = self._run
+        if (
+            run is not None and (run[3][0] is stamp or run[3][0] == stamp)
+            and run[0] == time and run[1] == connection_id and run[2] == proposer
+        ):
+            self.switches.append(switch)
+        else:
+            total = stamp.total()
+            run = self._run = (
+                time, connection_id, proposer, (stamp, total), self._last[connection_id]
+            )
+            self.row_time.append(time)
+            self.row_connection.append(connection_id)
+            self.row_proposer.append(proposer)
+            self.row_stamp_total.append(total)
+            self.switches.append(~switch)
+        installed, lasts = run[3], run[4]
         last = lasts.get(switch)
         # A dominated stamp has the smaller sum, so the sums clear nearly
         # every install without a stamp compare.
-        if last is not None and last[1] > total and stamp_gt(last[0], stamp):
+        if last is not None and last[1] > installed[1] and stamp_gt(last[0], stamp):
             self.stale.setdefault(connection_id, []).append(
                 f"switch {switch} replaced installed stamp {last[0]} with "
                 f"dominated stamp {stamp} (proposer {proposer})"
             )
-        lasts[switch] = (stamp, total)
-        self.time.append(time)
-        self.switch.append(switch)
-        self.connection.append(connection_id)
-        self.proposer.append(proposer)
-        self.stamp_total.append(total)
+        lasts[switch] = installed
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self.switches)
+
+    def _install(self, row: int, switch: int) -> InstallRecord:
+        return InstallRecord(
+            self.row_time[row], ~switch if switch < 0 else switch,
+            self.row_connection[row], self.row_proposer[row],
+            self.row_stamp_total[row],
+        )
 
     def __getitem__(self, i: int) -> InstallRecord:
-        return InstallRecord(*[column[i] for column in self.columns])
+        switches = self.switches
+        switch = switches[i]  # raises IndexError past either end
+        if i < 0:
+            i += len(switches)
+        # Rows begun after install i, counted from the end: [-1] reads none.
+        later = sum(1 for s in switches[i + 1:] if s < 0)
+        return self._install(len(self.row_time) - 1 - later, switch)
 
     def __iter__(self) -> Iterator[InstallRecord]:
-        return map(InstallRecord, *self.columns)
+        row = -1
+        for switch in self.switches:
+            if switch < 0:
+                row += 1
+            yield self._install(row, switch)
+
+    def connections_since(self, start: int) -> set:
+        """The connections of the installs from index ``start`` on."""
+        switches = self.switches
+        if start >= len(switches):
+            return set()
+        begun = sum(1 for s in switches[start:] if s < 0)
+        first = len(self.row_time) - begun - (switches[start] >= 0)
+        return set(self.row_connection[first:])
 
 
 def check_agreement(

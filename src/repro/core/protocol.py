@@ -161,7 +161,10 @@ class DgmcNetwork(ConnectionRegistrar):
                 self.connection_registry,
                 self.receive_memo,
                 on_computation=self._record_computation,
-                on_install=self._record_install,
+                on_install=(
+                    self._record_install if self.config.enable_frr
+                    else self.install_log.record
+                ),
             )
             self.switches[x] = switch
             self.fabric.register(x, self._deliver)
@@ -174,11 +177,12 @@ class DgmcNetwork(ConnectionRegistrar):
         )
 
     def _record_install(
-        self, switch: int, connection_id: int, stamp: Stamp, proposer: int
+        self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
-        self.install_log.record(self.sim.now, switch, connection_id, stamp, proposer)
-        if not self.config.enable_frr:
-            return  # fragments exist, and so retire, only under fast reroute
+        """The install hook under fast reroute, where an install also retires
+        fragments (without it the switches log into ``install_log``
+        directly)."""
+        self.install_log.record(time, switch, connection_id, stamp, proposer)
         state = self.switches[switch].states.get(connection_id)
         if state is not None:
             retired = state.take_frr_retirements()

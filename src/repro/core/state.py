@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.timestamp import Stamp, VectorTimestamp, frozen, remember
@@ -37,9 +37,10 @@ class MemberMap(dict):
 
     Records share their member maps, so every write raises; :meth:`joined`,
     :meth:`with_roles` and :meth:`left` return the map after a change.
-    Maps are interned by content under ``key``, the XOR of ``hash((switch,
-    roles))`` over the entries, which a change updates in O(1) (the way
-    :class:`repro.lsr.spfcache.LsaSet` keys LSA sets).
+    A map hashes by ``key``, the XOR of ``hash((switch, roles))`` over the
+    entries, which a change updates in O(1) (the way
+    :class:`repro.lsr.spfcache.LsaSet` keys LSA sets); records, which are
+    interned, make switches in one state share one map.
     """
 
     __slots__ = ("key", "_switches")
@@ -77,7 +78,7 @@ class MemberMap(dict):
             key ^= hash((switch, had))
         out = MemberMap(self)
         dict.__setitem__(out, switch, roles)
-        return _intern_map(out, key)
+        return _keyed(out, key)
 
     def left(self, switch: int) -> "MemberMap":
         """The map without ``switch``."""
@@ -86,34 +87,23 @@ class MemberMap(dict):
             return self
         out = MemberMap(self)
         dict.__delitem__(out, switch)
-        return _intern_map(out, self.key ^ hash((switch, had)))
+        return _keyed(out, self.key ^ hash((switch, had)))
 
 
-#: key -> the interned map with that key (a colliding content simply stays
-#: uninterned, as in repro.core.timestamp).  Without it and the stamp write
-#: table, ``churn_dense_n64`` read ``op_ms_p50`` +4.8% and p90 +10.7%.
-_MAPS: Dict[int, MemberMap] = {}
-
-
-def _intern_map(members: MemberMap, key: int) -> MemberMap:
+def _keyed(members: MemberMap, key: int) -> MemberMap:
     members.key = key
     members._switches = None
-    found = _MAPS.get(key)
-    if found is not None and dict.__eq__(found, members):
-        return found
-    if found is None:
-        remember(_MAPS, key, members)
     return members
 
 
 def member_map(entries: Mapping[int, FrozenSet[str]]) -> MemberMap:
-    """The interned :class:`MemberMap` holding ``entries``."""
+    """The :class:`MemberMap` holding ``entries``."""
     if isinstance(entries, MemberMap):
         return entries
     key = 0
     for item in entries.items():
         key ^= hash(item)
-    return _intern_map(MemberMap(entries), key)
+    return _keyed(MemberMap(entries), key)
 
 
 _NO_MEMBERS = member_map({})
@@ -167,7 +157,11 @@ class Arbitration(NamedTuple):
 
 
 #: hash -> the interned record with that hash: equal states are one object,
-#: which is what lets ReceiveMemo key a switch's state by ``id(record)``.
+#: which is what lets a wake run group switches into classes and
+#: ReceiveMemo key a switch's state, both by ``id(record)``.  It answers
+#: 56% of its 11.4 lookups per event at n=400 (51% of 9.9 on
+#: ``churn_dense_n64``); without it no two switches share a record, and
+#: ``churn_sparse_n400`` read ``op_ms_p50`` 3.1 -> 18-27 ms.
 _RECORDS: Dict[int, Arbitration] = {}
 
 
@@ -252,9 +246,9 @@ class McState:
         #: explorer fingerprints the queued LSAs themselves.
         self.inbox: List = []
         self.receiving = False
-        #: The zero-delay wake that runs ReceiveLSA() on this state (bound
-        #: once by the switch that owns it).
-        self.wake: Optional[Callable[[], None]] = None
+        #: The switch that owns this state, whose ReceiveLSA() a wake runs
+        #: (repro.core.switch.receive_run).
+        self.owner = None
         #: The currently installed topology (None before the first accept).
         self.installed: Optional[McTopology] = None
         #: Simulated time of the most recent install (convergence metric).

@@ -13,6 +13,16 @@ every network switch."
   computes and floods *triggered* proposals, withdrawing them when new LSAs
   race in.
 
+ReceiveLSA() is a *class step*.  The wakes of one instant share one kernel
+entry (:meth:`~repro.sim.kernel.Simulator.schedule_wake`), and that entry,
+:func:`receive_run`, groups its switches by what Figure 5 reads of them --
+the :class:`~repro.core.state.Arbitration` record, the batch and the bits
+``R[x] > T[x]`` -- so lines 1-19 run once per class
+(:meth:`DgmcSwitch._transition`, itself memoised across instants by the
+deployment's :class:`ReceiveMemo`).  Each switch then applies its class's
+outcome in wake order (:meth:`DgmcSwitch._conclude`, lines 19-35), exactly
+as a switch woken alone does.  A flood to ~400 switches meets ~24 classes.
+
 Topology computations cost Tc simulated time and contend for the switch's
 single CPU (a :class:`~repro.sim.kernel.Facility`); LSA bookkeeping is
 free, which matches the paper's cost model ("timestamp accesses are assumed
@@ -48,7 +58,6 @@ Two documented deviations from the paper's pseudocode (see DESIGN.md):
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lsa import McEvent, McLsa
@@ -94,7 +103,7 @@ class _InflightCompute:
 class ReceiveMemo:
     """The ReceiveLSA() transitions (Figure 5 lines 1-19) one deployment
     has computed, so that switches in the same state drain the same batch
-    once.
+    once, across wake runs.
 
     Equal state plus equal input gives an equal transition.  A switch
     ``x``'s drain reads its :class:`~repro.core.state.Arbitration` record,
@@ -118,10 +127,11 @@ class ReceiveMemo:
     :data:`repro.core.timestamp.BOUND`, which costs a recomputation.
     ``hits`` and ``misses`` count lookups.
 
-    This is the one place ReceiveLSA() work is shared across switches, and
-    it was measured to pay: against the drain it replaced,
-    ``churn_sparse_n400`` read ``op_ms_p50`` 5.175 -> 4.443 ms (-14.2%,
-    better in 10 of 10 alternating 18 s pairs; docs/benchmarking.md).
+    A wake run looks a class of switches up once (:func:`receive_run`), so
+    the table answers what repeats across instants and floods: 74% of its
+    24.6 lookups per event at n=400, 62.5% of 13.5 on ``churn_dense_n64``.
+    Without it ``op_ms_p50`` read +9.1% at n=400 and +10.6% at n=64 (150
+    rounds each, alternating with it on, in one process).
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -171,7 +181,7 @@ class DgmcSwitch:
         connection_registry: Dict[int, ConnectionSpec],
         memo: ReceiveMemo,
         on_computation: Optional[Callable[[int, int], None]] = None,
-        on_install: Optional[Callable[[int, int, Stamp, int], None]] = None,
+        on_install: Optional[Callable[[float, int, int, Stamp, int], None]] = None,
     ) -> None:
         self.sim = sim
         self.switch_id = switch_id
@@ -184,7 +194,7 @@ class DgmcSwitch:
         self.memo = memo
         #: Hook (switch, connection) -> None fired per topology computation.
         self.on_computation = on_computation
-        #: Hook (switch, connection, stamp, proposer) fired per install.
+        #: Hook (time, switch, connection, stamp, proposer) fired per install.
         self.on_install = on_install
         self.cpu = Facility(sim)
         self.states: Dict[int, McState] = {}
@@ -213,7 +223,7 @@ class DgmcSwitch:
             state = McState(
                 spec, self.n, resume_from=self._tombstones.get(connection_id)
             )
-            state.wake = partial(self._receive_lsa, connection_id, state)
+            state.owner = self
             self.states[connection_id] = state
         return state
 
@@ -258,7 +268,8 @@ class DgmcSwitch:
         Order-contract rule 3 (docs/simulation-kernel.md): ReceiveLSA() runs
         as one zero-delay wake, deferred and never inline, so LSAs delivered
         at one instant drain as one batch.  The wake carries no LSA -- the
-        inbox holds them all, which :meth:`_maybe_destroy` relies on.
+        inbox holds them all, which :meth:`_maybe_destroy` relies on -- and
+        joins the kernel's open wake run (:func:`receive_run`).
         """
         connection_id = lsa.connection_id
         state = self.states.get(connection_id)
@@ -267,7 +278,7 @@ class DgmcSwitch:
         state.inbox.append(lsa)
         if not state.receiving:
             state.receiving = True
-            self.sim.schedule(0.0, state.wake)
+            self.sim.schedule_wake(state, receive_run)
 
     # -- topology computation ----------------------------------------------------
 
@@ -484,12 +495,9 @@ class DgmcSwitch:
 
     # -- ReceiveLSA() : Figure 5 -------------------------------------------------
 
-    def _receive_lsa(self, connection_id: int, state: McState) -> None:
-        """One invocation of the ReceiveLSA() algorithm (Figure 5).
-
-        Only a due triggered proposal (lines 19-31) costs simulated time,
-        so only it becomes a process, started inline in this dispatch.
-        """
+    def _receive_lsa(self, state: McState) -> None:
+        """One invocation of the ReceiveLSA() algorithm (Figure 5) at this
+        switch alone: the per-switch path of :func:`receive_run`."""
         tracer = obs_tracer.TRACER
         if not tracer.enabled:
             best, due = self._receive_batch(state)
@@ -499,38 +507,48 @@ class DgmcSwitch:
                 cat="arbitration",
                 tid=self.switch_id,
                 sim_time=self.sim.now,
-                connection=connection_id,
+                connection=state.spec.connection_id,
             ) as span:
                 best, due = self._receive_batch(state)
                 span.args["adopted_proposal"] = best[0] is not None
                 if state.trace_ctx is not None:
                     span.args["trace_id"] = state.trace_ctx.trace_id()
-        if due:  # line 19
-            Process(self.sim, self._triggered_tail(connection_id, state, best)).resume()
-        else:
-            self._accept(connection_id, state, best)
+        self._conclude(state, best, due)
 
     def _receive_batch(self, state: McState):
-        """Figure 5 lines 1-19 on the queued batch, once per distinct input.
+        """Figure 5 lines 1-19 on the queued batch: :meth:`_transition`,
+        then its outcome applied to ``state``.  Returns the candidate
+        ``(topology, stamp, proposer)`` -- "the installed topology" unless
+        an LSA's proposal beat it -- and whether a triggered proposal is
+        due."""
+        batch, state.inbox = state.inbox, []
+        after, due, best, ctx = self._transition(state.record, batch)
+        if ctx is not None:
+            state.trace_ctx = ctx
+        state.record = after
+        return best, due
+
+    def _transition(self, record: Arbitration, batch: List[McLsa]) -> tuple:
+        """What draining ``batch`` from ``record`` does at this switch, once
+        per distinct input: ``(record after, due, candidate, trace context
+        to adopt)``.
 
         Looks the transition up in the deployment's :class:`ReceiveMemo`
-        and runs :meth:`_drain_inbox` only on a miss.  Returns the
-        candidate ``(topology, stamp, proposer)`` -- "the installed
-        topology" unless an LSA's proposal beat it -- and whether a
-        triggered proposal is due.
+        and runs :meth:`_drain_inbox` only on a miss.  Reads of the switch
+        only its id, so switches whose record, batch and ``R[x] > T[x]``
+        bits are equal share the result (:func:`receive_run`).  The context
+        is the newest cause in the batch: the spans and floods that follow
+        join its causal chain.
         """
         x = self.switch_id
-        batch, state.inbox = state.inbox, []
-        record = state.record
         heard = record.received[x]
         key = (id(record),)
         operands = (record,)
         own = False
+        ctx = None
         for lsa in batch:
             if lsa.ctx is not None:
-                # Adopt the newest cause affecting this connection so the
-                # spans and floods that follow join its causal chain.
-                state.trace_ctx = lsa.ctx
+                ctx = lsa.ctx
             stamp = lsa.timestamp
             content = lsa.__dict__.get("_receive_key") or _receive_key(lsa)
             key += (content, heard > stamp[x])
@@ -541,13 +559,37 @@ class DgmcSwitch:
             transition = self._drain_inbox(record, batch)
             if not own:
                 self.memo.put(key, operands, transition)
-        state.record, due, chosen = transition
+        after, due, chosen = transition
         if chosen is None:
-            return (None, record.current_stamp, record.current_proposer), due
+            return after, due, (None, record.current_stamp, record.current_proposer), ctx
         lsa = batch[chosen]
         # Not due: the transition took C over already (this stamp, frozen).
-        stamp = lsa.timestamp if due else state.record.current_stamp
-        return (lsa.proposal, stamp, lsa.source), due
+        stamp = lsa.timestamp if due else after.current_stamp
+        return after, due, (lsa.proposal, stamp, lsa.source), ctx
+
+    def _conclude(self, state: McState, best, due: bool) -> None:
+        """Lines 19 and 32-35, after lines 1-19.
+
+        Only a due triggered proposal (lines 19-31) costs simulated time,
+        so only it becomes a process, started inline in this dispatch, and
+        concludes when it is done.  Otherwise the surviving candidate is
+        accepted now and ReceiveLSA() ends: LSAs that arrived meanwhile get
+        the next wake.
+        """
+        if due:  # line 19
+            Process(
+                self.sim, self._triggered_tail(state.spec.connection_id, state, best)
+            ).resume()
+            return
+        candidate, stamp, proposer = best
+        if candidate is not None:
+            self._install(state, candidate, stamp, proposer)
+        if not state.record.members:
+            self._maybe_destroy(state.spec.connection_id)
+        if state.inbox:
+            self.sim.schedule_wake(state, receive_run)
+        else:
+            state.receiving = False
 
     def _drain_inbox(
         self, record: Arbitration, batch: List[McLsa]
@@ -626,7 +668,7 @@ class DgmcSwitch:
             flag, members,
         ))  # line 19
         if chosen is not None and not due:
-            # Lines 32-33 follow in this same dispatch (_accept): take C and
+            # Lines 32-33 follow in this same dispatch (_conclude): take C and
             # the proposer over now, so every switch sharing this
             # transition shares the installed record too and install()
             # skips its rebind (an arbitration() per receiver per flood).
@@ -642,22 +684,7 @@ class DgmcSwitch:
         own = yield from self._triggered_proposal(connection_id, state)
         if own is not None and self._beats(own[1], self.switch_id, best[1], best[2]):
             best = (*own, self.switch_id)  # lines 25-26 (paper misprints C)
-        self._accept(connection_id, state, best)
-
-    def _accept(self, connection_id: int, state: McState, best) -> None:
-        """Lines 32-35: accept the surviving candidate; ReceiveLSA() ends.
-
-        LSAs that arrived during a triggered computation get the next wake.
-        """
-        candidate, stamp, proposer = best
-        if candidate is not None:
-            self._install(state, candidate, stamp, proposer)
-        if not state.members:
-            self._maybe_destroy(connection_id)
-        if state.inbox:
-            self.sim.schedule(0.0, state.wake)
-        else:
-            state.receiving = False
+        self._conclude(state, best, False)
 
     def _proposal_due(self, record: Arbitration) -> bool:
         """Figure 5 line 19: the flag is set, ``R >= E`` and ``R > C``."""
@@ -729,7 +756,8 @@ class DgmcSwitch:
             return self._install_body(state, topology, stamp, proposer)
 
     def _install_body(self, state: McState, topology, stamp, proposer: int) -> None:
-        state.install(topology, stamp, self.sim.now, proposer=proposer)
+        now = self.sim.now
+        state.install(topology, stamp, now, proposer=proposer)
         if self.config.enable_frr:
             # Reconcile fast reroute: the install itself retired any active
             # fragments (the re-proposed tree IS the repair); precompute
@@ -746,7 +774,7 @@ class DgmcSwitch:
                 state.backup_plan = BackupPlan()
         if self.on_install is not None:
             self.on_install(
-                self.switch_id, state.spec.connection_id, stamp, proposer
+                now, self.switch_id, state.spec.connection_id, stamp, proposer
             )
 
     @staticmethod
@@ -951,3 +979,76 @@ class DgmcSwitch:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DgmcSwitch(id={self.switch_id}, connections={sorted(self.states)})"
+
+
+def receive_run(states: List[McState]) -> None:
+    """One kernel wake run of ReceiveLSA() (:meth:`Simulator.schedule_wake`):
+    the states woken at one instant, in enrolment order, run as classes.
+
+    Switches in equal state that receive equal input make equal
+    transitions (the equivalence reduction of Helmy, Estrin & Gupta,
+    PAPERS.md).  So the run groups its states by ``(record, the inbox's
+    LSAs, R[x] > T[x])`` -- the record and the LSAs by identity, the bits
+    as an int, read only where ``R[x]`` is stored -- and runs
+    :meth:`DgmcSwitch._transition` once per class, for its first state.
+    Every state, in enrolment order, then applies its class's outcome and
+    concludes, as :meth:`DgmcSwitch._receive_lsa` does: the context, the
+    record, then the install or the triggered process.  A lookup reads
+    only its own state's record and batch (plus content-keyed tables), and
+    concluding delivers nothing inline (every copy of a flood is
+    deferred), so the effects are the per-switch path's, in its order.
+
+    A batch holding the switch's own LSA (its ``R[x]`` moves inside the
+    drain), a switch of another deployment than the run's first (another
+    :class:`ReceiveMemo`), a run of one, and a run under an enabled tracer
+    (which spans each ReceiveLSA()) take the per-switch path.
+    """
+    if len(states) == 1 or obs_tracer.TRACER.enabled:
+        for state in states:
+            state.owner._receive_lsa(state)
+        return
+    memo = states[0].owner.memo
+    # (record, LSAs) -> [R and each T (as getters), the batch's sources,
+    # the outcomes by R[x] > T[x] bits, and the record and batch, which
+    # pin the ids in the key for the length of the run].  Neighbours in a
+    # run mostly share one, so the current group is checked first.
+    groups: Dict[tuple, list] = {}
+    record = single = None
+    for state in states:
+        switch = state.owner
+        inbox = state.inbox
+        if len(inbox) != 1 or state.record is not record or inbox[0] is not single:
+            if len(inbox) == 1:
+                key = (id(state.record), id(inbox[0]))
+            else:
+                key = (id(state.record), *map(id, inbox))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [
+                    state.record.received.counts().get,
+                    [lsa.timestamp.counts().get for lsa in inbox],
+                    {lsa.source for lsa in inbox},
+                    {},
+                    state.record,
+                    inbox,
+                ]
+            received, stamps, sources, outcomes, record, batch = group
+            single = batch[0] if len(batch) == 1 else None
+        x = switch.switch_id
+        if x in sources or switch.memo is not memo:
+            switch._receive_lsa(state)
+            continue
+        heard = received(x, 0)
+        bits = 0
+        if heard:
+            for stamp in stamps:
+                bits = bits << 1 | (heard > stamp(x, 0))
+        outcome = outcomes.get(bits)
+        if outcome is None:
+            outcome = outcomes[bits] = switch._transition(record, batch)
+        state.inbox = []
+        after, due, best, ctx = outcome
+        if ctx is not None:
+            state.trace_ctx = ctx
+        state.record = after
+        switch._conclude(state, best, due)

@@ -227,7 +227,7 @@ class BatchForwardingEngine:
             self._net_version = net_version
         log = self.dgmc.install_log
         if len(log) > self._log_pos:
-            for m in set(log.connection[self._log_pos:]):
+            for m in log.connections_since(self._log_pos):
                 self.invalidate(m)
             self._log_pos = len(log)
         if self._compiled and self.dgmc.config.enable_frr:

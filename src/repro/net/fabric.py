@@ -211,12 +211,12 @@ class LiveFabric(ConnectionRegistrar):
         raise PumpFailure(f"host {x}'s pump died: {error!r}") from error
 
     def _record_install(
-        self, switch: int, connection_id: int, stamp: Stamp, proposer: int
+        self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
         # ``time`` is the installing host's *local* sim clock: there is no
         # global clock in the live runtime, only per-host schedulers.
         host = self.hosts[switch]
-        self.install_log.record(host.sim.now, switch, connection_id, stamp, proposer)
+        self.install_log.record(time, switch, connection_id, stamp, proposer)
         state = host.switch.states.get(connection_id)
         if state is not None:
             if self.config.enable_frr:  # fragments retire only under FRR

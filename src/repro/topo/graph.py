@@ -135,7 +135,8 @@ class Network:
         )
 
     def degree(self, x: int) -> int:
-        return len(self.neighbors(x))
+        """Number of up links at ``x``."""
+        return sum(link.up for link in self._adj[x].values())
 
     def link_count(self, include_down: bool = False) -> int:
         if include_down:
@@ -228,14 +229,20 @@ class Network:
     # -- graph algorithms ----------------------------------------------------
 
     def hop_distances(self, source: int) -> Dict[int, int]:
-        """BFS hop counts from ``source`` over up links (unreachable omitted)."""
+        """BFS hop counts from ``source`` over up links (unreachable omitted).
+
+        Walks the adjacency as stored: a hop count does not depend on the
+        order neighbours are visited in.
+        """
+        adj = self._adj
         dist = {source: 0}
         frontier = deque([source])
         while frontier:
             x = frontier.popleft()
-            for y in self.neighbors(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
+            hops = dist[x] + 1
+            for y, link in adj[x].items():
+                if link.up and y not in dist:
+                    dist[y] = hops
                     frontier.append(y)
         return dist
 
@@ -250,9 +257,9 @@ class Network:
             if x in dist:
                 continue
             dist[x] = d
-            for y in self.neighbors(x):
-                if y not in dist:
-                    heapq.heappush(heap, (d + self._adj[x][y].delay, y))
+            for y, link in self._adj[x].items():
+                if link.up and y not in dist:
+                    heapq.heappush(heap, (d + link.delay, y))
         return dist
 
     def is_connected(self) -> bool:
@@ -267,17 +274,23 @@ class Network:
         deep topologies cannot hit the recursion limit): O(V + E) total,
         versus probing connectivity once per link.
         """
+        adj = self._adj
         disc: Dict[int, int] = {}
         low: Dict[int, int] = {}
         out: list[Tuple[int, int]] = []
         counter = 0
+
+        def up_neighbors(x: int) -> Iterator[int]:
+            # The visiting order moves no bridge, and the output is sorted.
+            return (y for y, link in adj[x].items() if link.up)
+
         for root in self.switches():
             if root in disc:
                 continue
             # Stack frames: (node, parent, iterator over up-neighbors).
             disc[root] = low[root] = counter
             counter += 1
-            stack = [(root, -1, iter(self.neighbors(root)))]
+            stack = [(root, -1, up_neighbors(root))]
             # One parent edge may be retraversed per node (parallel links
             # are rejected at add_link, so a single skip is exact).
             skipped_parent = {root: False}
@@ -294,7 +307,7 @@ class Network:
                     disc[nbr] = low[nbr] = counter
                     counter += 1
                     skipped_parent[nbr] = False
-                    stack.append((nbr, node, iter(self.neighbors(nbr))))
+                    stack.append((nbr, node, up_neighbors(nbr)))
                     advanced = True
                     break
                 if advanced:

@@ -64,9 +64,33 @@ class TestRecord:
         assert log[-1] == InstallRecord(2.5, 5, 8, 5, 4)
         assert log[-1].time == 2.5 and log[0].switch == 3 and log[0].proposer == 4
         assert list(log) == [InstallRecord(1.5, 3, 7, 4, 3), log[1]]
-        assert list(log.connection) == [7, 8]
+        assert [install.connection_id for install in log] == [7, 8]
         log.record(3.5, 5, 2**32 - 1, S(2, 2), 5)  # the largest id the wire carries
         assert log[-1].connection_id == 2**32 - 1
+
+
+    def test_a_run_of_equal_installs_is_one_row(self):
+        """Consecutive installs of one (time, connection, stamp, proposer)
+        share a physical row; reading back still yields one per install."""
+        log = InstallLog()
+        flood = S(2, 1)
+        for switch in (4, 1, 7):
+            log.record(1.5, switch, 7, flood, 3)
+        log.record(1.5, 2, 7, S(2, 1), 3)  # an equal stamp, another object
+        log.record(1.5, 5, 7, S(2, 1), 5)  # another proposer
+        log.record(2.0, 5, 8, S(2, 2), 5)
+        log.record(2.0, 6, 8, S(2, 2), 5)
+        assert len(log.row_time) == 3 and len(log) == 7
+        installs = [InstallRecord(1.5, x, 7, 3, 3) for x in (4, 1, 7, 2)] + [
+            InstallRecord(1.5, 5, 7, 5, 3),
+            InstallRecord(2.0, 5, 8, 5, 4),
+            InstallRecord(2.0, 6, 8, 5, 4),
+        ]
+        assert list(log) == installs
+        assert [log[i] for i in range(-7, 7)] == installs * 2
+        assert [log.connections_since(i) for i in range(8)] == (
+            [{7, 8}] * 5 + [{8}] * 2 + [set()]
+        )
 
 
 def test_rule_outlives_a_destroyed_and_recreated_connection():

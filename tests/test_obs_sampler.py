@@ -134,6 +134,6 @@ def test_the_resolver_rejects_a_deleted_function():
     assert _resolves("repro.lsr.flooding.FloodingFabric.flood")
     assert _resolves("repro.lsr.flooding.FloodingFabric.flood.<locals>.<dictcomp>")
     assert _resolves("repro.core.lsa.__create_fn__.<locals>.__init__")
-    assert _resolves("repro.sim.kernel.Simulator.now")  # a property
+    assert _resolves("repro.sim.kernel.Simulator.queue_depth")  # a property
     assert not _resolves("repro.dataplane.engine.BatchForwardingEngine._compile")
     assert not _resolves("repro.no_such_module.f")

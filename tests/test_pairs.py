@@ -83,3 +83,40 @@ def test_rows_for_a_resolved_win_and_an_unresolved_metric(pairs):
         "600.0 / 612.0 / 615.0 | 2/5 | +0.3% (parent IQR 20.00 — unresolved) |"
     )
     assert ops == "|  | failed / attempted | 0 / 5,000 | 1 / 5,000 | | |"
+
+
+class Finished:
+    def __init__(self, returncode: int, stdout: str) -> None:
+        self.returncode, self.stdout, self.stderr = returncode, stdout, ""
+
+
+def test_calls_come_from_each_checkouts_profiler(pairs, tmp_path):
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "profile.py").write_text("")
+    seen = []
+
+    def run(cmd, cwd, **kwargs):
+        seen.append((cmd[1:], cwd))
+        return Finished(0, "# note\n" + json.dumps({"events": 40, "per_event": 4178.3}))
+
+    assert pairs.calls_per_event(tmp_path, "churn_dense_n64", 7, run=run) == 4178.3
+    assert seen == [([str(tmp_path / "benchmarks" / "profile.py"), "--workload",
+                      "churn_dense_n64", "--seed", "7", "--calls"], tmp_path)]
+    assert pairs.calls_per_event(tmp_path, "w", 7, run=lambda *a, **k: Finished(2, "")) is None
+    assert pairs.calls_per_event(tmp_path / "none", "w", 7, run=run) is None
+
+
+def test_an_unresolved_wall_beside_flat_calls_is_layout_noise(pairs):
+    parent = [(1.42, 600.0), (1.41, 610.0), (1.44, 590.0), (1.40, 640.0), (1.43, 620.0)]
+    change = [(1.43, 600.0), (1.40, 610.0), (1.42, 590.0), (1.44, 640.0), (1.41, 620.0)]
+    runs = [(pairs.parse_result(stdout(*p)), pairs.parse_result(stdout(*c)))
+            for p, c in zip(parent, change)]
+    *_, flat = pairs.table_rows("w", runs, METRICS, calls=(4178.3, 4180.0))
+    assert flat == (
+        "|  | repro calls / event | 4178 | 4180 | | +0.0% "
+        "(flat; the unresolved wall reading is layout noise) |"
+    )
+    *_, fell = pairs.table_rows("w", runs, METRICS, calls=(16828.5, 9500.0))
+    assert fell == "|  | repro calls / event | 16828 | 9500 | | -43.5% |"
+    *_, missing = pairs.table_rows("w", runs, METRICS, calls=(None, 9500.0))
+    assert missing == "|  | repro calls / event | n/a | 9500 | | not counted |"

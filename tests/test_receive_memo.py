@@ -95,7 +95,9 @@ def flap_run() -> DgmcNetwork:
 class TestMemoEqualsDrain:
     def test_churn(self, request):
         memoised = churn_run()
-        assert memoised.receive_memo.hits > memoised.receive_memo.misses
+        # A class of switches is one lookup (repro.core.switch.receive_run),
+        # so the table answers what repeats across instants: 298 of 779 here.
+        assert memoised.receive_memo.hits > 0
         request.getfixturevalue("always_miss")
         assert outcome(churn_run()) == outcome(memoised)
 
@@ -206,15 +208,12 @@ class TestSharedValues:
 
 
 def test_every_table_stays_within_its_bound(monkeypatch):
-    """The transition table and the record and member-map tables forget
-    their oldest entries past ``BOUND``, and eviction changes no
-    decision."""
+    """The transition table and the record table forget their oldest
+    entries past ``BOUND``, and eviction changes no decision."""
     free = outcome(churn_run())
     monkeypatch.setattr(timestamp, "BOUND", 8)
-    shared = (state_module._RECORDS, state_module._MAPS)
-    for table in shared:
-        table.clear()  # the run above left this run's contents in them
+    state_module._RECORDS.clear()  # the run above left this run's records
     dgmc = churn_run()
-    tables = (dgmc.receive_memo.table, *shared)
-    assert [len(table) for table in tables] == [8] * 3  # every one evicted
+    tables = (dgmc.receive_memo.table, state_module._RECORDS)
+    assert [len(table) for table in tables] == [8] * 2  # every one evicted
     assert outcome(dgmc) == free

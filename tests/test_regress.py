@@ -319,3 +319,56 @@ class TestRegistry:
             if key not in baseline["modes"][mode]["benchmarks"][name]
         ]
         assert missing == []
+
+
+class TestCallsGate:
+    """``repro_calls``: calls into repro per event, per workload and
+    layer, held within ``COUNT_TOLERANCE`` of the baseline."""
+
+    COUNTS = {"total": 1000.0, "core.switch": 400.0, "sim": 596.0, "lsr.lsdb": 4.0}
+
+    def report(self, regress, counts, python="3.11"):
+        record = {"python_minor": python, "wall_time_s": 8.0,
+                  regress.CALLS: {"churn_sparse_n400": counts}}
+        return {"mode": "smoke", "benchmarks": {"repro_calls": record}}
+
+    def test_equal_counts_pass(self, regress):
+        run = self.report(regress, dict(self.COUNTS))
+        assert regress.compare_to_baseline(run, as_baseline(regress, run)) == []
+
+    def test_a_planted_2x_regression_in_one_layer_fails(self, regress):
+        baseline = as_baseline(regress, self.report(regress, dict(self.COUNTS)))
+        planted = dict(self.COUNTS, **{"lsr.lsdb": 8.0, "total": 1004.0})
+        failures = regress.compare_to_baseline(self.report(regress, planted), baseline)
+        assert len(failures) == 1 and "lsr.lsdb calls per event" in failures[0]
+        # The total alone rose 0.4%: a total-only gate would have passed it.
+        gone = {k: v for k, v in self.COUNTS.items() if k != "lsr.lsdb"}
+        assert regress.compare_to_baseline(self.report(regress, gone), baseline) == []
+
+    def test_another_python_minor_is_not_gated(self, regress):
+        baseline = as_baseline(regress, self.report(regress, dict(self.COUNTS)))
+        doubled = {k: 2 * v for k, v in self.COUNTS.items()}
+        run = self.report(regress, doubled, python="3.12")
+        assert regress.compare_to_baseline(run, baseline) == []
+
+    def test_counts_come_from_profile_calls(self, regress):
+        seen = []
+
+        class Done:
+            returncode = 0
+            stderr = ""
+            stdout = "# note\n" + json.dumps(
+                {"events": 8, "per_event": 12.5, "layers": {"sim": 10.0, "trees": 2.5}}
+            )
+
+        def run(cmd, **kwargs):
+            seen.append(cmd[1:])
+            return Done
+
+        assert regress.count_calls("churn_dense_n64", run=run) == {
+            "total": 12.5, "sim": 10.0, "trees": 2.5,
+        }
+        assert seen == [[str(ROOT / "benchmarks" / "profile.py"), "--workload",
+                         "churn_dense_n64", "--calls", "--quick"]]
+        assert "churn_dense_n64" in regress.e2e_workloads()
+        assert "live_udp_n16" not in regress.e2e_workloads()  # timing-dependent counts

@@ -3,18 +3,20 @@
 One seeded :class:`~repro.core.protocol.DgmcNetwork` run packs two
 conflicting joins, a leave and a link flap into one Tc window, so which
 switch computes, floods, withdraws and installs *when* depends on how the
-kernel breaks every same-instant tie (ties break by schedule order; a
-ReceiveLSA() wake and a CPU grant are each one deferred entry of the
-current instant's FIFO, a flood is one heap entry per arrival instant; see
-:mod:`repro.sim.kernel`).  Both logs are pinned to the values of the
-commit before the kernel was cut down to one module; the kernel-event
-count was re-pinned twice with not a byte of either log moving: 318 -> 217
-when zero-delay work left the heap and floods started delivering by hop
-class, and 217 -> 205 when ReceiveLSA() stopped being a daemon (no first
-step to park it, once per switch: 12).  A change to scheduling order fails here on every push, long
-before the nightly ``benchmarks/e2e/run.py --selfcheck``; that the order
-*is* ``(time, seq)`` order is checked against a plain heap in
-``tests/test_sim_properties.py``.
+kernel breaks every same-instant tie (ties break by schedule order; the
+ReceiveLSA() wakes of one instant share one wake run, a CPU grant is one
+deferred entry of the current instant's FIFO, a flood is one heap entry per
+arrival instant; see :mod:`repro.sim.kernel`).  Both logs are pinned to the
+values of the commit before the kernel was cut down to one module; the
+kernel-event count was re-pinned three times with not a byte of either log
+moving: 318 -> 217 when zero-delay work left the heap and floods started
+delivering by hop class, 217 -> 205 when ReceiveLSA() stopped being a
+daemon (no first step to park it, once per switch: 12), and 205 -> 125 when
+the wakes enrolled while nothing else was scheduled started sharing one
+entry (``Simulator.schedule_wake``).  A change to scheduling order fails
+here on every push, long before the nightly ``benchmarks/e2e/run.py
+--selfcheck``; that the order *is* ``(time, seq)`` order is checked against
+a plain heap in ``tests/test_sim_properties.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.topo.generators import waxman_network
 CID = 1
 WINDOW = 10.0  # the conflict window opens here; Tc = 0.5
 
-KERNEL_EVENTS = 205
+KERNEL_EVENTS = 125
 
 #: (time, switch, connection)
 COMPUTATIONS = [
@@ -88,9 +90,9 @@ def test_golden_dispatch_order():
     dgmc.register_symmetric(CID)
     installs = []  # the whole stamps, which the install log keeps only the sums of
     for switch in dgmc.switches.values():
-        def on_install(x, connection_id, stamp, proposer, record=switch.on_install):
-            installs.append((dgmc.sim.now, x, connection_id, stamp, proposer))
-            record(x, connection_id, stamp, proposer)
+        def on_install(t, x, connection_id, stamp, proposer, record=switch.on_install):
+            installs.append((t, x, connection_id, stamp, proposer))
+            record(t, x, connection_id, stamp, proposer)
         switch.on_install = on_install
     for at, member in enumerate((0, 5, 9), start=1):
         dgmc.inject(JoinEvent(member, CID), at=float(at))
@@ -112,6 +114,6 @@ def test_golden_dispatch_order():
     assert len(pinned) == SETUP_INSTALLS + len(WINDOW_INSTALLS)
     assert pinned[SETUP_INSTALLS:] == WINDOW_INSTALLS
     log = dgmc.install_log
-    assert list(zip(*log.columns)) == [(t, x, m, p, c.total()) for t, x, m, c, p in installs]
+    assert list(map(tuple, log)) == [(t, x, m, p, c.total()) for t, x, m, c, p in installs]
     assert dgmc.sim.events_dispatched == KERNEL_EVENTS
     assert dgmc.sim.now == 12.25

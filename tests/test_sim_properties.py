@@ -145,17 +145,40 @@ class TestFacilityProperties:
         assert end == sum(services) or abs(end - sum(services)) < 1e-9
 
 
+class WakeRun:
+    def __init__(self, dispatch, item):
+        self.dispatch, self.items = dispatch, [item]
+
+    def __call__(self):
+        self.dispatch(self.items)
+
+
 class HeapReference:
-    """The order contract, literally: one heap of ``(time, seq, action)``."""
+    """The order contract, literally: one heap of ``(time, seq, action)``.
+
+    A wake run is an entry like any other; a wake joins it while it is
+    undispatched and nothing else was scheduled for its instant since."""
 
     def __init__(self):
         self.now, self.heap, self.seq, self.events_dispatched = 0.0, [], itertools.count(), 0
+        self.open = None  # the run a wake may still join
 
     def schedule(self, delay, action):
-        heapq.heappush(self.heap, (self.now + delay, next(self.seq), action))
+        time = self.now + delay
+        if time == self.now:
+            self.open = None
+        heapq.heappush(self.heap, (time, next(self.seq), action))
 
     def schedule_at(self, time, action):
         self.schedule(time - self.now, action)
+
+    def schedule_wake(self, item, dispatch):
+        if self.open is not None and self.open.dispatch is dispatch:
+            self.open.items.append(item)
+        else:
+            run = WakeRun(dispatch, item)
+            self.schedule(0.0, run)
+            self.open = run
 
     def spawn(self, body):
         self.schedule(0.0, Process(self, body).resume)
@@ -167,6 +190,8 @@ class HeapReference:
         if not self.heap or self.heap[0][0] > horizon:
             return False
         time, _, action = heapq.heappop(self.heap)
+        if action is self.open:
+            self.open = None
         self.now = max(self.now, time)
         self.events_dispatched += 1
         action()
@@ -204,6 +229,7 @@ def _ops(children):
         st.one_of(
             st.tuples(st.sampled_from(["schedule", "schedule_at"]), _DELAYS, _TAGS, children),
             st.tuples(st.just("cpu"), _DELAYS, _TAGS, st.none()),
+            st.tuples(st.sampled_from(["wake", "wake2"]), st.none(), _TAGS, children),
         ),
         max_size=4,
     )
@@ -233,10 +259,22 @@ def _execute(sim, script):
         yield Hold(hold)
         cpu.release()  # hands over to the oldest waiter, if any
 
+    def wakes(kind):
+        def dispatch(items):
+            log.append((kind, [tag for tag, _ in items], sim.now))
+            for _, nested in items:
+                perform(nested)  # may enrol wakes: they open a new run
+
+        return dispatch
+
+    dispatches = {"wake": wakes("wake"), "wake2": wakes("wake2")}
+
     def perform(ops):
         for kind, delay, tag, extra in ops:
             if kind == "cpu":
                 sim.spawn(worker(tag, delay))
+            elif kind in dispatches:
+                sim.schedule_wake((tag, extra), dispatches[kind])
             else:
                 def action(tag=tag, nested=extra):
                     log.append(("run", tag, sim.now))
@@ -261,7 +299,8 @@ class TestOrderContract:
     @given(_SCRIPTS)
     @settings(max_examples=300, deadline=None)
     def test_dispatch_equals_a_plain_time_seq_heap(self, script):
-        """Zero-delay work skips the heap (:mod:`repro.sim.kernel`), yet the
-        action log, every clock reading, every ``peek()`` and the dispatch
-        count equal those of a scheduler that is nothing but the heap."""
+        """Zero-delay work skips the heap and wakes share runs
+        (:mod:`repro.sim.kernel`), yet the action log, every clock
+        reading, every ``peek()`` and the dispatch count equal those of a
+        scheduler that is nothing but the heap."""
         assert _execute(Simulator(), script) == _execute(HeapReference(), script)

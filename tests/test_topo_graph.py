@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lsr.flooding import FloodingFabric
 from repro.sim.kernel import Simulator
@@ -115,6 +118,74 @@ class TestDistances:
         net = Network(3)
         net.add_link(0, 1)
         assert 2 not in net.hop_distances(0)
+
+
+def sorted_hop_distances(net: Network, source: int) -> dict:
+    """The BFS as it was written over sorted neighbour lists."""
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        x = frontier.popleft()
+        for y in net.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                frontier.append(y)
+    return dist
+
+
+def sorted_delay_distances(net: Network, source: int) -> dict:
+    dist: dict = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x in dist:
+            continue
+        dist[x] = d
+        for y in net.neighbors(x):
+            if y not in dist:
+                heapq.heappush(heap, (d + net.link(x, y).delay, y))
+    return dist
+
+
+def probed_bridges(net: Network) -> list:
+    """Up links whose failure splits their component, one probe each."""
+    out = []
+    for link in list(net.links()):
+        before = len(sorted_hop_distances(net, link.u))
+        net.set_link_state(link.u, link.v, up=False)
+        if link.v not in sorted_hop_distances(net, link.u):
+            out.append(link.key)
+        net.set_link_state(link.u, link.v, up=True)
+        assert len(sorted_hop_distances(net, link.u)) == before
+    return sorted(out)
+
+
+@st.composite
+def damaged_networks(draw):
+    """A random graph with random delays and random failed links."""
+    n = draw(st.integers(1, 12))
+    net = Network(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        net.add_link(u, v, delay=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.25])))
+    for link in list(net.links()):
+        if draw(st.booleans()):
+            net.set_link_state(link.u, link.v, up=False)
+    return net
+
+
+class TestWalksOverTheAdjacency:
+    """The walks read the adjacency as stored, not sorted neighbour
+    lists, and return exactly what the sorted walks returned."""
+
+    @given(damaged_networks())
+    @settings(max_examples=150, deadline=None)
+    def test_walks_equal_the_sorted_walks(self, net):
+        for x in net.switches():
+            assert net.hop_distances(x) == sorted_hop_distances(net, x)
+            assert net.delay_distances(x) == sorted_delay_distances(net, x)
+            assert net.degree(x) == len(net.neighbors(x))
+        assert net.bridges() == probed_bridges(net)
 
 
 class TestConnectivity:
