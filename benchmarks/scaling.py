@@ -9,7 +9,8 @@ size:
 * ``op_ms_p50`` and the sampled layer shares of one timed pass
   (``passes.timed_pass`` under :mod:`repro.obs.sampler`, armed through
   ``benchmarks/profile.py``), with ``core.switch`` + ``core.timestamp``
-  in ms per event;
+  (the arbitration) and ``trees`` (the topology computations) in ms per
+  event;
 * from a second, unsampled run of the workload's fixed prefix of rounds:
   LSA deliveries, installs, kernel events, computations and floodings
   per event (seeded, so they repeat exactly);
@@ -54,6 +55,8 @@ COUNTS = {
 }
 #: The layers whose sum is the ReceiveLSA() bookkeeping the curve watches.
 ARBITRATION = ("core.switch", "core.timestamp")
+#: The layer of the topology computations, watched beside it.
+TREES = "trees"
 
 
 def scaled_spec(n: int):
@@ -115,6 +118,7 @@ def measure(n: int, quick: bool) -> dict:
         "arbitration_ms_per_event": sum(
             layers.get(layer, {}).get("ms_per_event", 0.0) for layer in ARBITRATION
         ),
+        "trees_ms_per_event": layers.get(TREES, {}).get("ms_per_event", 0.0),
         "layer_shares": {layer: v["share"] for layer, v in layers.items()},
         **prefix_counts(spec, SEED, quick),
     }
@@ -131,7 +135,8 @@ def slope(points: Sequence[tuple]) -> float:
 
 def report(rows: List[dict]) -> dict:
     keys = [
-        "op_ms_p50", "arbitration_ms_per_event", "lsa_deliveries_per_event",
+        "op_ms_p50", "arbitration_ms_per_event", "trees_ms_per_event",
+        "lsa_deliveries_per_event",
         "installs_per_event", "kernel_events_per_event",
     ]
     return {
@@ -174,6 +179,7 @@ def main(argv=None) -> int:
         rows.append(row)
         print(f"n={n:5d}  op_ms_p50 {row['op_ms_p50']:7.3f}  "
               f"switch+timestamp {row['arbitration_ms_per_event']:6.3f} ms  "
+              f"trees {row['trees_ms_per_event']:6.3f} ms  "
               f"deliveries {row['lsa_deliveries_per_event']:8.1f}  "
               f"installs {row['installs_per_event']:8.1f}")
     slopes = report(rows)

@@ -220,3 +220,34 @@ def eccentricity(adj: Adjacency, node: int) -> float:
         return cached(node)
     dist, _ = dijkstra(adj, node)
     return max(dist.values()) if dist else 0.0
+
+
+def component_labels(adj: Adjacency) -> Mapping[int, int]:
+    """Node -> a label its whole connected component shares.
+
+    A label is a node of the component, so a node absent from the image
+    never equals one.  Cached adjacencies return their memoised labels
+    (one walk per image content); treat them as immutable.  Plain
+    mappings pay the walk on every call.
+    """
+    cached = getattr(adj, "components", None)
+    if cached is not None:
+        return cached()
+    return component_labels_uncached(adj)
+
+
+def component_labels_uncached(adj: Adjacency) -> Dict[int, int]:
+    """The raw component walk (no memoization): each component is labelled
+    by its first node in ``adj``'s iteration order."""
+    labels: Dict[int, int] = {}
+    for start in adj:
+        if start in labels:
+            continue
+        labels[start] = start
+        stack = [start]
+        while stack:
+            for nbr in adj.get(stack.pop(), ()):
+                if nbr not in labels:
+                    labels[nbr] = start
+                    stack.append(nbr)
+    return labels

@@ -15,10 +15,13 @@ dataplane, the baselines).  On top of the mapping protocol it memoizes
 
 * :meth:`sssp` -- the ``(dist, parent)`` pair of one full Dijkstra run,
 * :meth:`routing_table` -- the OSPF next-hop table derived from it,
-* :meth:`eccentricity` and :meth:`shortest_path` -- cheap derivations.
+* :meth:`eccentricity` and :meth:`shortest_path` -- cheap derivations,
+* :meth:`components` -- the connected-component labels of the image, which
+  the tree algorithms partition members by.
 
 :mod:`repro.lsr.spf` duck-types on these methods: ``spf.dijkstra(adj, s)``
-delegates to ``adj.sssp(s)`` whenever ``adj`` is a cache, so callers never
+delegates to ``adj.sssp(s)`` and ``spf.component_labels(adj)`` to
+``adj.components()`` whenever ``adj`` is a cache, so callers never
 change.  Producers -- :class:`~repro.lsr.lsdb.LinkStateDatabase` and
 :class:`~repro.topo.graph.Network` -- hand out cache-wrapped images and
 replace them wholesale on invalidation (LSA install, link up/down), which
@@ -33,7 +36,8 @@ with the same content.  SPF results are a function of content alone
 :func:`~repro.lsr.router.bring_up_unicast` or
 :class:`~repro.net.fabric.LiveFabric` and handed to every router of that
 deployment -- and a cache whose content is already in the table adopts
-that entry's solved dicts and its row table instead of starting empty.
+that entry's solved dicts, component labels and row table instead of
+starting empty.
 The table is keyed by :func:`content_key`, an order-free sum of per-edge
 hashes the LSDB updates from each install's link delta; a hit also needs
 equal content, so a colliding key never shares.  A miss on a content
@@ -41,7 +45,8 @@ nobody in the deployment has solved runs one
 :func:`~repro.lsr.spf.dijkstra_uncached`, memoised in that entry: this
 table is the only way one image reuses another's SPF results.  The entry
 also holds ``detours``, the memo :mod:`repro.frr.backup` keeps its
-detours in.  The table also keeps its databases' LSA sets
+detours in.  Every memo of a content lives in its entry, so the table's
+:data:`SOLVED_BOUND` bounds them all.  The table also keeps its databases' LSA sets
 (:class:`LsaSet`): the full scan that built a set's first image, that
 image, and the installs out of the set, so a flood's LSA is diffed once
 per deployment and each LSA set's image is built once, not once per
@@ -59,7 +64,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
-from repro.lsr.spf import RUN_COUNTER, dijkstra_uncached, first_hop_table
+from repro.lsr.spf import (
+    RUN_COUNTER,
+    component_labels_uncached,
+    dijkstra_uncached,
+    first_hop_table,
+)
 from repro.obs import attach
 from repro.obs.metrics import REGISTRY as _GLOBAL_REGISTRY
 
@@ -193,9 +203,10 @@ def rekey(key: int, delta: Tuple[LinkDelta, ...]) -> int:
 
 class _Solved:
     """The solved tables of one image content, adopted by every
-    :class:`SpfCache` built on that content."""
+    :class:`SpfCache` built on that content.  ``components`` is ``None``
+    until :meth:`SpfCache.components` first labels the content."""
 
-    __slots__ = ("adj", "sssp", "tables", "dags", "ecc", "detours")
+    __slots__ = ("adj", "sssp", "tables", "dags", "ecc", "detours", "components")
 
     def __init__(self, adj: Mapping[int, Mapping[int, float]]) -> None:
         self.adj = adj
@@ -204,6 +215,7 @@ class _Solved:
         self.dags: Dict[int, Dict[int, tuple]] = {}
         self.ecc: Dict[int, float] = {}
         self.detours: Dict[Tuple[int, int], object] = {}
+        self.components: Optional[Dict[int, int]] = None
 
 
 def remember(table: dict, key, value) -> None:
@@ -352,12 +364,14 @@ class SpfCache(MappingABC):
     Instances are immutable snapshots of one network image: producers
     build a *new* cache whenever the image changes, rather than mutating
     an existing one.  A cache built with a ``solved`` entry reads and
-    fills that entry's dicts and reads its rows (:attr:`rows`); without
-    one they are its own.
+    fills that entry's memos and reads its rows (:attr:`rows`); without
+    one they are its own.  The memos read per query are bound on the
+    view; the rest (eccentricities, component labels) are read through
+    ``_solved``.
     """
 
     # ``__weakref__``: tests watch a superseded image get collected.
-    __slots__ = ("_adj", "_sssp", "_tables", "_dags", "_ecc", "detours", "__weakref__")
+    __slots__ = ("_adj", "_sssp", "_tables", "_dags", "_solved", "detours", "__weakref__")
 
     def __init__(
         self,
@@ -370,7 +384,7 @@ class SpfCache(MappingABC):
         self._sssp = solved.sssp
         self._tables = solved.tables
         self._dags = solved.dags
-        self._ecc = solved.ecc
+        self._solved = solved
         #: ``(u, v) -> BackupFragment or None``, filled by
         #: :func:`repro.frr.backup.compute_backup_plan`.
         self.detours = solved.detours
@@ -466,14 +480,25 @@ class SpfCache(MappingABC):
 
     def eccentricity(self, node: int) -> float:
         """Memoized largest shortest-path distance from ``node``."""
-        value = self._ecc.get(node)
+        ecc = self._solved.ecc
+        value = ecc.get(node)
         if value is not None:
             GLOBAL_STATS.hits += 1
             return value
         dist, _ = self.sssp(node)
         value = max(dist.values()) if dist else 0.0
-        self._ecc[node] = value
+        ecc[node] = value
         return value
+
+    def components(self) -> Dict[int, int]:
+        """Memoized connected-component labels (``spf.component_labels``):
+        one walk of the rows per content, which every image of the content
+        then reads.  Not an SPF result, so it counts no hit or miss."""
+        solved = self._solved
+        labels = solved.components
+        if labels is None:
+            labels = solved.components = component_labels_uncached(self._adj)
+        return labels
 
     def shortest_path(self, source: int, target: int) -> Optional[list]:
         """Shortest node path, reconstructed from the memoized SSSP.

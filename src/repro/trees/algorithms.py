@@ -16,6 +16,16 @@ The connection type alone picks the computation, and both are stateless:
 Determinism is required: all switches computing on the same image and
 member list must produce equal topologies (value equality of
 :class:`McTopology`), which every implementation here guarantees.
+
+A local image may be partitioned (a failed link or switch the rest of the
+network has not repaired around), and the paper leaves partitions for
+further study; a computation must still not fail there.  Each one serves
+the members a single component holds -- :func:`dominant_members` for a
+shared tree, :func:`reachable_members` per sender -- and both group
+members by the image's component labels
+(:func:`~repro.lsr.spf.component_labels`), which a cached image computes
+once per content.  So a computation pays for its membership, not for a
+walk of the image.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, Mapping, Optional
 
+from repro.lsr.spf import component_labels
 from repro.trees.base import McTopology, MulticastTree
 from repro.trees.dynamic import GreedyDynamicSteiner
 from repro.trees.spt import source_rooted_tree
@@ -64,21 +75,18 @@ def reachable_members(
     the protocol to survive [...] network partitioning remains for further
     study"), but topology computation must not fail when the local image
     is partitioned: each partition deterministically serves the members it
-    can reach, anchored at the smallest member id present.
+    can reach, anchored at the smallest member id present.  An anchor
+    absent from the image reaches only itself.
     """
     if not members:
         return members
     if anchor is None:
         anchor = min(members)
-    seen = {anchor}
-    stack = [anchor]
-    while stack:
-        node = stack.pop()
-        for nbr in adj.get(node, ()):
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return frozenset(m for m in members if m in seen)
+    labels = component_labels(adj)
+    label = labels.get(anchor)
+    if label is None:
+        return frozenset(m for m in members if m == anchor)
+    return frozenset(m for m in members if labels.get(m) == label)
 
 
 def dominant_members(
@@ -89,19 +97,24 @@ def dominant_members(
     Shared trees use this instead of anchoring at ``min(members)``: when a
     switch dies (a "nodal event") its ghost membership lingers, and an
     anchor that happens to be the ghost would strand every live member.
-    Components are compared by member count, ties broken by smallest
-    member id, so all switches pick the same group.
+    A member absent from the image is a group of its own.  Groups are
+    compared by member count, ties broken by smallest member id, so all
+    switches pick the same group.
+
+    The members are grouped by the image's component labels
+    (:func:`~repro.lsr.spf.component_labels`), which a cached image
+    computes once per content: the cost per call is the member count,
+    not the image.
     """
-    remaining = set(members)
-    best: frozenset = frozenset()
-    while remaining:
-        anchor = min(remaining)
-        component = reachable_members(adj, frozenset(remaining), anchor=anchor)
-        component = component | {anchor}
-        if len(component) > len(best):
-            best = frozenset(component)
-        remaining -= component
-    return frozenset(m for m in best if m in members)
+    labels = component_labels(adj)
+    groups: Dict[int, list] = {}
+    # A label is a node of the image, so an absent member's own id keys
+    # a group nobody else joins.
+    for m in sorted(members):
+        groups.setdefault(labels.get(m, m), []).append(m)
+    # Groups are in order of smallest member, and max() keeps the first
+    # of equal sizes.
+    return frozenset(max(groups.values(), key=len, default=()))
 
 
 def receivers_of(members: MemberRoles) -> frozenset:

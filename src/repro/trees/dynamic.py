@@ -18,8 +18,11 @@ from __future__ import annotations
 import heapq
 from typing import Mapping, Optional
 
-from repro.trees.base import MulticastTree, TreeError, canonical_edge
+from repro.trees.base import MulticastTree, TreeError
 from repro.trees.steiner import pruned_spt_steiner_tree
+
+#: The row of a node absent from the image (never written).
+_NO_ROW: Mapping[int, float] = {}
 
 
 def graft_path(
@@ -31,7 +34,8 @@ def graft_path(
 
     A multi-source Dijkstra from every current tree node finds the cheapest
     attachment path; its edges are grafted.  If the tree is empty the new
-    member forms a trivial tree.
+    member forms a trivial tree.  A cached image is searched through its
+    plain row table (:attr:`~repro.lsr.spfcache.SpfCache.rows`).
     """
     members = tree.members | {new_member}
     tree_nodes = tree.nodes()
@@ -39,29 +43,40 @@ def graft_path(
         return MulticastTree(tree.edges, frozenset(members), tree.root)
     if new_member in tree_nodes:
         return MulticastTree(tree.edges, frozenset(members), tree.root)
-    # Multi-source Dijkstra seeded at all tree nodes (deterministic ties).
-    dist: dict[int, float] = {}
-    parent: dict[int, Optional[int]] = {}
-    heap = [(0.0, node, None) for node in sorted(tree_nodes)]
+    rows = getattr(adj, "rows", adj)
+    # Multi-source Dijkstra from all tree nodes (deterministic ties).  The
+    # tree nodes settle at distance 0 before anything else (weights are
+    # positive), so they are settled up front and the heap starts as their
+    # edges out of the tree.
+    dist: dict[int, float] = dict.fromkeys(tree_nodes, 0.0)
+    parent: dict[int, Optional[int]] = dict.fromkeys(tree_nodes)
+    heap = [
+        (w, nbr, node)
+        for node in tree_nodes
+        for nbr, w in rows.get(node, _NO_ROW).items()
+        if nbr not in dist
+    ]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, node, via = heapq.heappop(heap)
+        d, node, via = pop(heap)
         if node in dist:
             continue
         dist[node] = d
         parent[node] = via
         if node == new_member:
             break
-        for nbr, w in adj.get(node, {}).items():
+        for nbr, w in rows.get(node, _NO_ROW).items():
             if nbr not in dist:
-                heapq.heappush(heap, (d + w, nbr, node))
+                push(heap, (d + w, nbr, node))
     if new_member not in dist:
         raise TreeError(f"member {new_member} unreachable from the tree")
     edges = set(tree.edges)
     node = new_member
-    while parent[node] is not None:
-        edges.add(canonical_edge(node, parent[node]))  # type: ignore[arg-type]
-        node = parent[node]  # type: ignore[assignment]
+    up = parent[node]
+    while up is not None:
+        edges.add((node, up) if node <= up else (up, node))  # canonical_edge
+        node, up = up, parent[up]
     return MulticastTree(frozenset(edges), frozenset(members), tree.root)
 
 
@@ -87,9 +102,9 @@ def prune_member(tree: MulticastTree, leaving: int) -> MulticastTree:
     return MulticastTree(frozenset(edges), frozenset(members), tree.root)
 
 
-def _cost(adj: Mapping[int, Mapping[int, float]], tree: MulticastTree) -> float:
-    """``tree.cost(edge_weights(adj))``, read off the tree's own edges."""
-    return sum(adj[u][v] for u, v in tree.edges)
+def _cost(rows: Mapping[int, Mapping[int, float]], tree: MulticastTree) -> float:
+    """``tree.cost(edge_weights(rows))``, read off the tree's own edges."""
+    return sum([rows[u][v] for u, v in tree.edges])
 
 
 class GreedyDynamicSteiner:
@@ -121,21 +136,25 @@ class GreedyDynamicSteiner:
             return MulticastTree.empty()
         if previous is None or not previous.members:
             return self.from_scratch(adj, members)
+        # The plain row table of a cached image: its lookups skip the
+        # mapping protocol.
+        rows = getattr(adj, "rows", adj)
         # Images are symmetric (the LSDB's two-way check), so a tree edge
         # is read from one side and priced from it: no whole-image pass.
-        if any(v not in adj.get(u, ()) for u, v in previous.edges):
-            # A tree link went down: incremental repair is not safe.
-            return self.from_scratch(adj, members)
+        for u, v in previous.edges:
+            if v not in rows.get(u, _NO_ROW):
+                # A tree link went down: incremental repair is not safe.
+                return self.from_scratch(adj, members)
         tree = previous
         try:
             for gone in sorted(previous.members - members):
                 tree = prune_member(tree, gone)
             for new in sorted(members - previous.members):
-                tree = graft_path(adj, tree, new)
+                tree = graft_path(rows, tree, new)
         except TreeError:
             return self.from_scratch(adj, members)
         if len(members) >= 2:
             fresh = self.from_scratch(adj, members)
-            if _cost(adj, tree) > self.REBUILD_THRESHOLD * _cost(adj, fresh):
+            if _cost(rows, tree) > self.REBUILD_THRESHOLD * _cost(rows, fresh):
                 return fresh
         return MulticastTree(tree.edges, members, tree.root)

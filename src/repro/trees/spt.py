@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.lsr import spf
-from repro.trees.base import MulticastTree, TreeError, canonical_edge
+from repro.trees.base import MulticastTree, TreeError
 
 
 def source_rooted_tree(
@@ -19,7 +19,9 @@ def source_rooted_tree(
     source: int,
     receivers: Iterable[int],
 ) -> MulticastTree:
-    """Shortest-path tree from ``source`` pruned to ``receivers``.
+    """Shortest-path tree from ``source`` pruned to ``receivers``: the union
+    of the source -> receiver paths, so every leaf is a receiver (or the
+    source itself).
 
     Raises :class:`TreeError` when some receiver is unreachable.
     """
@@ -28,17 +30,19 @@ def source_rooted_tree(
     missing = receivers - dist.keys()
     if missing:
         raise TreeError(f"receivers unreachable from {source}: {sorted(missing)}")
-    edges = set()
-    for r in receivers:
-        node = r
-        while parent[node] is not None:
-            edge = canonical_edge(node, parent[node])  # type: ignore[arg-type]
+    edges: set = set()
+    for node in receivers:
+        up = parent[node]
+        while up is not None:
+            edge = (node, up) if node <= up else (up, node)  # canonical_edge
             if edge in edges:
                 break  # the rest of the path to the root is already present
             edges.add(edge)
-            node = parent[node]  # type: ignore[assignment]
-    members = receivers | {source}
-    return MulticastTree.build(edges, members, root=source)
+            node, up = up, parent[up]
+    # The edges are canonical already: no MulticastTree.build pass.  They
+    # are inserted one by one all the same, as that pass did, so the set
+    # iterates in the order it did (sums over the edges are float sums).
+    return MulticastTree(frozenset(iter(edges)), receivers | {source}, source)
 
 
 def prune_to_receivers(tree: MulticastTree, receivers: Iterable[int]) -> MulticastTree:

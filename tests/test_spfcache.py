@@ -519,3 +519,40 @@ class TestSolvedImages:
             assert all(type(image) is dict for image in images)
             assert len({id(image) for image in images}) == len(images)
         assert len(dgmc.routers[0].lsdb.solved) == 0
+
+
+class TestComponentLabels:
+    """The component labels are one more memo of an image's content."""
+
+    def test_images_of_one_content_share_one_memo(self):
+        table = SolvedImages()
+        a = LinkStateDatabase(6, table)
+        b = LinkStateDatabase(6, table)
+        for x in range(6):
+            a.install(_ring_lsa(x, 1))
+        for x in reversed(range(6)):
+            b.install(_ring_lsa(x, 1))
+        labels = spf.component_labels(a.adjacency())
+        assert spf.component_labels(b.adjacency()) is labels
+        assert len(set(labels.values())) == 1 and sorted(labels) == list(range(6))
+
+    def test_a_link_failure_gets_fresh_labels(self):
+        net = ring_network(6)
+        before = spf.component_labels(net.spf_view())
+        assert spf.component_labels(net.spf_view()) is before
+        net.set_link_state(0, 1, up=False)
+        net.set_link_state(3, 4, up=False)
+        after = spf.component_labels(net.spf_view())
+        assert after is not before
+        assert len(set(before.values())) == 1
+        assert {1, 2, 3} == {x for x in after if after[x] == after[1]}
+        assert {4, 5, 0} == {x for x in after if after[x] == after[0]}
+        assert after[0] != after[1]
+
+    def test_a_disabled_cache_walks_every_call(self):
+        net = diamond()
+        with spfcache.disabled():
+            view = net.spf_view()
+            first = spf.component_labels(view)
+            assert spf.component_labels(view) is not first
+            assert spf.component_labels(view) == first

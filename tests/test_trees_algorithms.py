@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lsr import spf
+from repro.lsr.spfcache import SpfCache
 from repro.topo.generators import grid_network
 from repro.trees.algorithms import (
     RECEIVER,
     SENDER,
     SharedTreeAlgorithm,
     SourceTreesAlgorithm,
+    dominant_members,
     make_algorithm,
+    reachable_members,
     receivers_of,
     senders_of,
 )
-from repro.trees.base import SHARED, McTopology
+from repro.trees.base import SHARED, McTopology, MulticastTree
 from repro.trees.dynamic import GreedyDynamicSteiner, graft_path
+from repro.trees.spt import prune_to_receivers, source_rooted_tree
 from repro.trees.steiner import pruned_spt_steiner_tree
 
 
@@ -104,3 +109,107 @@ class TestFactory:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             make_algorithm("broadcast")
+
+
+def _reach(adj, anchor):
+    """Every node a DFS from ``anchor`` reaches (the oracle's one walk)."""
+    seen = {anchor}
+    stack = [anchor]
+    while stack:
+        for nbr in adj.get(stack.pop(), ()):
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return seen
+
+
+def _oracle_reachable(adj, members, anchor=None):
+    if not members:
+        return members
+    if anchor is None:
+        anchor = min(members)
+    seen = _reach(adj, anchor)
+    return frozenset(m for m in members if m in seen)
+
+
+def _oracle_dominant(adj, members):
+    remaining = set(members)
+    best = frozenset()
+    while remaining:
+        anchor = min(remaining)
+        seen = _reach(adj, anchor)
+        component = frozenset(m for m in remaining if m in seen) | {anchor}
+        if len(component) > len(best):
+            best = component
+        remaining -= component
+    return best
+
+
+@st.composite
+def partitioned_images(draw):
+    """``(adj, members)``: a random symmetric image over ``0..n-1`` (often
+    partitioned, isolated nodes included) and members drawn from
+    ``0..n+3``, so ids ``n`` and up are ghosts absent from the image."""
+    n = draw(st.integers(1, 12))
+    adj = {x: {} for x in range(n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else ():
+        weight = float(draw(st.integers(1, 4)))
+        adj[u][v] = adj[v][u] = weight
+    members = draw(st.frozensets(st.integers(0, n + 3), max_size=n + 4))
+    return adj, members
+
+
+class TestComponentPartition:
+    """reachable_members / dominant_members read the image's component
+    labels; a DFS per call is the oracle, on a plain dict and on a cached
+    view alike."""
+
+    @given(partitioned_images())
+    @settings(max_examples=300, deadline=None)
+    def test_labels_equal_a_dfs(self, case):
+        adj, members = case
+        for view in (adj, SpfCache(adj)):
+            assert reachable_members(view, members) == _oracle_reachable(adj, members)
+            for anchor in range(len(adj) + 4):
+                assert reachable_members(view, members, anchor=anchor) == (
+                    _oracle_reachable(adj, members, anchor)
+                ), anchor
+            assert dominant_members(view, members) == _oracle_dominant(adj, members)
+
+    @given(partitioned_images())
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_spt_needs_no_prune(self, case):
+        adj, members = case
+        terms = _oracle_dominant(adj, members)
+        if not terms:
+            return
+        for view in (adj, SpfCache(adj)):
+            anchor = min(terms)
+            composed = prune_to_receivers(
+                source_rooted_tree(view, anchor, terms - {anchor}), terms
+            )
+            pruned = pruned_spt_steiner_tree(view, terms)
+            assert pruned == MulticastTree(composed.edges, terms, root=None)
+            # Same iteration order too: the rebuild test's float sums run
+            # over it.
+            assert list(pruned.edges) == list(composed.edges)
+
+    @given(st.frozensets(st.integers(0, 35), min_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_spt_iterates_as_the_composition_did(self, terms):
+        # Trees of 20-35 edges, where a set copied in one pass and one
+        # grown edge by edge mostly iterate in different orders.
+        adj = spf.network_adjacency(grid_network(6, 6))
+        anchor = min(terms)
+        composed = prune_to_receivers(
+            source_rooted_tree(adj, anchor, terms - {anchor}), terms
+        )
+        assert list(pruned_spt_steiner_tree(adj, terms).edges) == list(composed.edges)
+
+    def test_ghosts_are_groups_of_their_own(self):
+        # Two live members apart, two ghosts: the ghosts would win as one
+        # group; as two, the tie goes to the smallest member id.
+        adj = {0: {}, 1: {}}
+        assert dominant_members(adj, frozenset({0, 1, 5, 6})) == frozenset({0})
+        assert reachable_members(adj, frozenset({0, 5, 6}), anchor=5) == frozenset({5})
