@@ -540,6 +540,10 @@ def _check_dataplane_throughput(dp, top_n: int) -> Iterable[str]:
         )
 
 
+#: Replays behind each rate of :func:`bench_dataplane_contrast` (best of).
+CONTRAST_REPLAYS = 3
+
+
 def bench_dataplane_contrast(sizes, graphs) -> Dict[str, object]:
     """D-GMC batched forwarding vs the MOSPF baseline, heavy traffic.
 
@@ -548,7 +552,9 @@ def bench_dataplane_contrast(sizes, graphs) -> Dict[str, object]:
     (source, group) sighting, so large sizes are prohibitive -- which is
     the paper's point).  Gated: MOSPF's computations per datagram stay
     positive while D-GMC's data plane performs zero, and the batched
-    packet rate exceeds MOSPF's.
+    packet rate exceeds MOSPF's.  Each rate is the best of
+    :data:`CONTRAST_REPLAYS` replays of the same workload, so one pass
+    stalled by the host cannot flip the order.
     """
     from repro.workloads.zipf import (
         mospf_contrast,
@@ -569,12 +575,20 @@ def bench_dataplane_contrast(sizes, graphs) -> Dict[str, object]:
         batch_size=256,
         max_initial_members=12,
     )
-    dgmc = DgmcNetwork(
-        net.copy(), ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
+    config = ProtocolConfig(compute_time=0.5, per_hop_delay=0.05)
+    result = max(
+        (
+            replay_workload(DgmcNetwork(net.copy(), config), workload, hop_delay=0.05)
+            for _ in range(CONTRAST_REPLAYS)
+        ),
+        key=lambda replay: replay.batched_pps,
     )
-    result = replay_workload(dgmc, workload, hop_delay=0.05)
-    contrast = mospf_contrast(
-        net.copy(), workload, compute_time=0.5, per_hop_delay=0.05
+    contrast = max(
+        (
+            mospf_contrast(net.copy(), workload, compute_time=0.5, per_hop_delay=0.05)
+            for _ in range(CONTRAST_REPLAYS)
+        ),
+        key=lambda replay: replay["pps"],
     )
     return {
         "switches": n,

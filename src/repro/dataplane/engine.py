@@ -12,7 +12,13 @@ flow (connection, source) injected into the same control-plane snapshot
 are processed identically by the reference engine, so the batched engine
 walks each flow **once** into a :class:`_FlowTemplate` (per-receiver
 hop-cost chains, hop count, duplicate and TTL-drop counts) and then stamps
-whole batches against the template in O(1) per packet.  The walk is a
+whole batches against the template.  Stamping costs one flow's work per
+distinct flow in a batch -- the template lookup and the delivered map
+folded at the injection time, kept as one row of record fields -- and per
+packet only a positional build of a slotted
+:class:`~repro.dataplane.packet.DeliveryRecord` from its flow's row.
+Same-flow records of a batch share one read-only delivered map, and the
+hit and TTL-drop counters rise once per batch.  The walk is a
 local ``(time, seq)`` heap that calls the reference engine's own per-hop
 rules -- tree fan-out, dead-link drops, FRR detours, the unicast contact
 stage, delivery roles, the TTL guard -- so there is one implementation of
@@ -179,8 +185,8 @@ class BatchForwardingEngine:
         """Dispatch one batch injected at time ``at``; returns its records.
 
         Unlike the reference engine this does not touch the simulator:
-        delivery times are stamped from the flow template (``at`` plus
-        the precomputed per-receiver latency).
+        delivery times are stamped from the flow template (each
+        receiver's hop-cost chain folded from ``at``).
         """
         batch = list(packets)
         self.refresh()
@@ -268,7 +274,7 @@ class BatchForwardingEngine:
 
     def _template(self, packet: McPacket) -> _FlowTemplate:
         """The template of ``packet``'s flow; a miss walks ``packet``
-        through the reference rules."""
+        through the reference rules and counts one build."""
         connection_id, source = packet.connection_id, packet.source
         compiled = self._compiled.get(connection_id)
         if compiled is None:
@@ -276,12 +282,9 @@ class BatchForwardingEngine:
             compiled = self._compiled[connection_id] = _CompiledConnection(epoch)
             self._compiles.inc()
         template = compiled.templates.get(source)
-        if template is not None:
-            self._template_hits.inc()
-            return template
-        template = self._walk(packet, compiled)
-        compiled.templates[source] = template
-        self._template_builds.inc()
+        if template is None:
+            template = compiled.templates[source] = self._walk(packet, compiled)
+            self._template_builds.inc()
         return template
 
     def _walk(self, packet: McPacket, compiled: _CompiledConnection) -> _FlowTemplate:
@@ -345,40 +348,39 @@ class BatchForwardingEngine:
     # -- batch stamping -----------------------------------------------------------
 
     def _dispatch(self, batch: List[McPacket], at: float) -> List[DeliveryRecord]:
+        # Same flow + same injection time => identical outcome: each flow is
+        # resolved once per batch into one row of record fields (the
+        # delivered map stamped at ``at``, then the template's counts), and
+        # every packet's record is built positionally from its flow's row.
+        # Same-flow records share the delivered map (treat it as read-only);
+        # each reference-engine record owns its dict, but the contents --
+        # what equivalence is defined over -- are identical.
+        rows: Dict[Tuple[int, int], tuple] = {}
         records: List[DeliveryRecord] = []
-        add = self.report.records.append
-        # Same flow + same injection time => identical outcome; resolve the
-        # template and stamp the delivered map once per flow per batch.
-        # Same-flow records share the delivered mapping (treat it as
-        # read-only); each reference-engine record owns its dict, but the
-        # contents -- what equivalence is defined over -- are identical.
-        stamped: Dict[Tuple[int, int], Tuple[_FlowTemplate, Dict[int, float]]] = {}
-        ttl_drops = 0
+        add = records.append
+        record = DeliveryRecord
+        builds_before = self._template_builds.value
+        ttl_limited = False
         for packet in batch:
+            packet.sent_at = at
             flow = (packet.connection_id, packet.source)
-            cached = stamped.get(flow)
-            if cached is None:
+            row = rows.get(flow)
+            if row is None:
                 template = self._template(packet)
                 delivered = {
                     x: _fold_time(at, chain) for x, chain in template.deliveries
                 }
-                stamped[flow] = (template, delivered)
-            else:
-                template, delivered = cached
-                self._template_hits.inc()
-            ttl_drops += template.ttl_drops
-            packet.sent_at = at
-            record = DeliveryRecord(
-                packet,
-                delivered=delivered,
-                intended=template.intended,
-                hops=template.hops,
-                duplicates=template.duplicates,
-                ttl_drops=template.ttl_drops,
-                undeliverable=template.undeliverable,
-            )
-            add(record)
-            records.append(record)
-        if ttl_drops:
-            self._ttl_drop_counter.inc(ttl_drops)
+                row = rows[flow] = (
+                    delivered, template.intended, template.hops,
+                    template.duplicates, template.ttl_drops, template.undeliverable,
+                )
+                ttl_limited = ttl_limited or template.ttl_drops > 0
+            add(record(packet, *row))
+        # Every packet but a template's first is a hit; the counters rise
+        # once per batch, not once per packet.
+        self._template_hits.inc(
+            len(batch) - (self._template_builds.value - builds_before))
+        if ttl_limited:
+            self._ttl_drop_counter.inc(sum(r.ttl_drops for r in records))
+        self.report.records.extend(records)
         return records

@@ -16,7 +16,7 @@ class McPacket:
     source: int
     connection_id: int
     payload: Any = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Time the packet was injected (set by the engine).
     sent_at: float = 0.0
 
@@ -27,9 +27,13 @@ class McPacket:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
-    """What happened to one packet."""
+    """What happened to one packet.
+
+    Slotted: the batched engine builds one record per packet (positionally,
+    in field order), so a record carries no per-instance ``__dict__``.
+    """
 
     packet: McPacket
     #: receiver switch -> delivery time (first copy only).

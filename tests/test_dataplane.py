@@ -367,6 +367,43 @@ class TestBatchedEngine:
         # one build, three same-flow hits
         assert samples["dataplane_template_hits_total"] == 3
 
+    def test_mixed_batch_counters_and_records(self):
+        # TestTtlGuard's line 0-1-2-3-4 with ttl=2: connection 1 (members
+        # 0, 4) loses its far end to the hop limit; connection 2 (members
+        # 1, 2) does not.
+        dgmc = deployment(net=grid_network(1, 5))
+        dgmc.register_symmetric(2)
+        dgmc.inject(JoinEvent(0, 1), at=10.0)
+        dgmc.inject(JoinEvent(4, 1), at=20.0)
+        dgmc.inject(JoinEvent(1, 2), at=30.0)
+        dgmc.inject(JoinEvent(2, 2), at=40.0)
+        dgmc.run()
+        engine = BatchForwardingEngine(dgmc, ttl=2)
+        reference = ForwardingEngine(dgmc, ttl=2)
+        engine.dispatch([McPacket(1, 2)], at=dgmc.sim.now + 1.0)  # built earlier
+        # (1, 2) hits its earlier template, (0, 1) is TTL-limited, and
+        # (2, 2) misses mid-batch, after hits of both other flows.
+        flows = [(1, 2), (0, 1), (1, 2), (0, 1), (2, 2), (1, 2), (2, 2), (0, 1)]
+        batch = [McPacket(src, m) for src, m in flows]
+        at = dgmc.sim.now + 2.0
+        records = engine.dispatch(batch, at=at)
+        shadow = [reference.send(packet, at=at) for packet in batch]
+        dgmc.run()
+
+        samples = dgmc.metrics.snapshot()
+        packets = samples["dataplane_packets_total"]
+        assert packets == 1 + len(batch)
+        assert samples["dataplane_template_builds_total"] == 3
+        assert samples["dataplane_template_hits_total"] == (
+            packets - samples["dataplane_template_builds_total"])
+        assert samples["dataplane_ttl_drops_total"] == sum(
+            r.ttl_drops for r in engine.report.records) == 3
+        assert len(engine.report.records) == 1 + len(batch)
+        assert all(r is s for r, s in zip(engine.report.records[1:], records))
+        assert all(r.packet is p for r, p in zip(records, batch))
+        for ref, bat in zip(shadow, records):
+            assert ref == bat
+
     def test_batch_dispatch_span_emitted(self):
         from repro.obs.tracer import RingBufferSink, Tracer, use_tracer
 
