@@ -69,6 +69,7 @@ from repro.frr import (
     BackupPlan,
     activate_for_edge,
     compute_backup_plan,
+    path_cost,
 )
 from repro.lsr.router import UnicastRouter
 from repro.obs import tracer as obs_tracer
@@ -928,12 +929,10 @@ class DgmcSwitch:
             edge = (u, v) if u <= v else (v, u)
             if edge not in tree_edges or edge in state.active_backup:
                 continue
-            cost = 0.0
-            for a, b in zip(path, path[1:]):
-                cost += image.get(a, {}).get(b, 0.0)
-            if state.activate_backup(
-                BackupFragment(edge=edge, path=tuple(path), cost=cost)
-            ):
+            fragment = BackupFragment(
+                edge=edge, path=tuple(path), cost=path_cost(image, path)
+            )
+            if state.activate_backup(fragment):
                 changed = True
         return changed
 

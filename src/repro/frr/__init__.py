@@ -10,6 +10,7 @@ from repro.frr.backup import (
     compute_backup_plan,
     detour_delay,
     detour_is_live,
+    path_cost,
 )
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "compute_backup_plan",
     "detour_delay",
     "detour_is_live",
+    "path_cost",
 ]
 
 

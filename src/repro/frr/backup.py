@@ -37,10 +37,12 @@ Bridge edges (whose removal disconnects the underlying graph) have no
 detour and get no fragment -- their failure blackholes until the repair
 cycle converges, exactly as before.
 
-The detour search is deliberately *local* (it never calls
-``spf.dijkstra_uncached``), so ``spf.RUN_COUNTER`` and the cache
-counters the benchmark gates pin stay bit-identical when FRR is off, and
-FRR-on runs only add its own deterministic work.
+The detour search runs the one Dijkstra loop, :func:`repro.lsr.spf.search`,
+over the image's plain rows with the protected edge masked out, stopped at
+the far endpoint.  It never goes through ``spf.dijkstra_uncached`` or the
+image's memos, so ``spf.RUN_COUNTER`` and the cache counters the benchmark
+gates pin stay bit-identical when FRR is off, and FRR-on runs only add its
+own deterministic work.
 
 A detour is a function of the image's content and the edge, so it is
 memoised in the image's ``detours`` dict, which
@@ -51,9 +53,8 @@ image with that content, reuse one :class:`BackupFragment` object.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.lsr import spf
 
@@ -63,6 +64,7 @@ __all__ = [
     "compute_backup_plan",
     "detour_delay",
     "detour_is_live",
+    "path_cost",
 ]
 
 
@@ -124,48 +126,23 @@ class BackupPlan:
         return self.fragment_for(u, v) is not None
 
 
-def _masked_shortest_path(
-    image: Mapping[int, Mapping[int, float]],
-    source: int,
-    target: int,
-    banned: Tuple[int, int],
+def _path(
+    rows: Mapping[int, Mapping[int, float]], source: int, target: int
 ) -> Optional[List[int]]:
-    """Shortest ``source -> target`` node path avoiding the ``banned``
-    edge.  A self-contained Dijkstra (lowest-parent-id tie-break, like
-    :func:`repro.lsr.spf.dijkstra`) that deliberately bypasses the SPF
-    run counter: FRR work must not perturb the deterministic
-    counter baselines the benchmark gates pin."""
-    bu, bv = banned
-    dist: Dict[int, float] = {}
-    parent: Dict[int, Optional[int]] = {}
-    heap: List[Tuple[float, int, int, Optional[int]]] = [(0.0, -1, source, None)]
-    while heap:
-        d, _, node, via = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        parent[node] = via
-        if node == target:
-            break
-        for nbr, w in image.get(node, {}).items():
-            if (node == bu and nbr == bv) or (node == bv and nbr == bu):
-                continue
-            if nbr not in dist:
-                heapq.heappush(heap, (d + w, node, nbr, node))
-    if target not in dist:
-        return None
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return path
+    """Shortest ``source -> target`` node path over plain ``rows``, or
+    None: :func:`repro.lsr.spf.search` stopped at the target, uncounted."""
+    _, parent = spf.search(rows, source, target)
+    return spf.path_to(parent, target) if target in parent else None
 
 
-def _tail_path(
-    image: Mapping[int, Mapping[int, float]], source: int, target: int
-) -> Optional[List[int]]:
-    """Unmasked local shortest path (same tie-break, counter-free)."""
-    return _masked_shortest_path(image, source, target, (-1, -1))
+def path_cost(image: Mapping[int, Mapping[int, float]], path) -> float:
+    """Summed link weight of a node ``path`` in ``image``, left to right;
+    a link the image does not hold counts ``0.0``."""
+    rows = getattr(image, "rows", image)
+    cost = 0.0
+    for a, b in zip(path, path[1:]):
+        cost += rows.get(a, {}).get(b, 0.0)
+    return cost
 
 
 def _detour(
@@ -178,23 +155,26 @@ def _detour(
     the detour is that hop followed by its shortest path to ``v`` -- the
     LFA downstream criterion guarantees this tail cannot revisit ``u``,
     hence cannot use the protected edge.  Only when no alternate exists
-    does the masked Dijkstra fallback search the full graph minus the
-    edge (None for bridges).
+    does the search run over the image's rows with the edge masked out
+    (None for bridges).  Both searches read the plain rows, not the
+    cached image, and stop at ``v``.
     """
+    rows = getattr(image, "rows", image)
     path: Optional[List[int]] = None
     alternates = [n for n in spf.next_hop_dag(image, u).get(v, ()) if n != v]
     if alternates:
-        tail = _tail_path(image, alternates[0], v)
+        tail = _path(rows, alternates[0], v)
         if tail is not None and u not in tail:
             path = [u] + tail
     if path is None:
-        path = _masked_shortest_path(image, u, v, (u, v))
+        masked = dict(rows)
+        for a, b in ((u, v), (v, u)):
+            masked[a] = row = dict(rows.get(a, {}))
+            row.pop(b, None)
+        path = _path(masked, u, v)
     if path is None:
         return None
-    cost = 0.0
-    for a, b in zip(path, path[1:]):
-        cost += image[a][b]
-    return BackupFragment(edge=(u, v), path=tuple(path), cost=cost)
+    return BackupFragment(edge=(u, v), path=tuple(path), cost=path_cost(rows, path))
 
 
 def compute_backup_plan(topology, image, at: int) -> BackupPlan:

@@ -84,14 +84,22 @@ def dijkstra_uncached(
     RUN_COUNTER.count += 1
     tracer = obs_tracer.TRACER
     if not tracer.enabled:
-        return _dijkstra_body(adj, source)
+        return search(adj, source)
     with tracer.span("dijkstra", cat="spf", source=source, nodes=len(adj)):
-        return _dijkstra_body(adj, source)
+        return search(adj, source)
 
 
-def _dijkstra_body(
-    adj: Adjacency, source: int
+def search(
+    adj: Adjacency, source: int, target: Optional[int] = None
 ) -> tuple[Dict[int, float], Dict[int, Optional[int]]]:
+    """The repo's one Dijkstra loop, uncounted: every SSSP solve, masked
+    detour search and delay-distance walk runs it.
+
+    Returns ``(dist, parent)`` over the nodes settled so far.  With a
+    ``target`` the loop stops once that node settles; everything settled
+    until then, the target's parent chain included, is exactly what the
+    full run settles.
+    """
     dist: Dict[int, float] = {}
     parent: Dict[int, Optional[int]] = {}
     # Heap entries: (distance, tie-break parent id, node, parent).
@@ -102,29 +110,35 @@ def _dijkstra_body(
             continue
         dist[node] = d
         parent[node] = via
+        if node == target:
+            break
         for nbr, w in adj.get(node, {}).items():
             if nbr not in dist:
                 heapq.heappush(heap, (d + w, node, nbr, node))
     return dist, parent
 
 
-def shortest_path(adj: Adjacency, source: int, target: int) -> Optional[list[int]]:
-    """Node list of the shortest path, or ``None`` if unreachable.
-
-    On a cached adjacency, repeated queries from one source reuse a single
-    SSSP solve instead of re-running Dijkstra per ``(source, target)``.
-    """
-    cached = getattr(adj, "shortest_path", None)
-    if cached is not None:
-        return cached(source, target)
-    dist, parent = dijkstra(adj, source)
-    if target not in dist:
-        return None
+def path_to(parent: Mapping[int, Optional[int]], target: int) -> list[int]:
+    """The node path from the source to a settled ``target``, rebuilt
+    from a solve's parent pointers."""
     path = [target]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])  # type: ignore[arg-type]
     path.reverse()
     return path
+
+
+def shortest_path(adj: Adjacency, source: int, target: int) -> Optional[list[int]]:
+    """Node list of the shortest path, or ``None`` if unreachable.
+
+    On a cached adjacency, repeated queries from one source reuse a single
+    memoised SSSP solve instead of re-running Dijkstra per
+    ``(source, target)``.
+    """
+    dist, parent = dijkstra(adj, source)
+    if target not in dist:
+        return None
+    return path_to(parent, target)
 
 
 def path_edges(path: list[int]) -> list[tuple[int, int]]:
@@ -211,15 +225,6 @@ def routing_table(adj: Adjacency, source: int) -> Dict[int, int]:
         return cached(source)
     dist, parent = dijkstra(adj, source)
     return first_hop_table(source, dist, parent)
-
-
-def eccentricity(adj: Adjacency, node: int) -> float:
-    """Largest shortest-path distance from ``node`` to any reachable node."""
-    cached = getattr(adj, "eccentricity", None)
-    if cached is not None:
-        return cached(node)
-    dist, _ = dijkstra(adj, node)
-    return max(dist.values()) if dist else 0.0
 
 
 def component_labels(adj: Adjacency) -> Mapping[int, int]:

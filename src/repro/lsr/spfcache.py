@@ -15,14 +15,15 @@ dataplane, the baselines).  On top of the mapping protocol it memoizes
 
 * :meth:`sssp` -- the ``(dist, parent)`` pair of one full Dijkstra run,
 * :meth:`routing_table` -- the OSPF next-hop table derived from it,
-* :meth:`eccentricity` and :meth:`shortest_path` -- cheap derivations,
+* :meth:`dag` -- the next-hop DAG fast reroute picks detours from,
 * :meth:`components` -- the connected-component labels of the image, which
   the tree algorithms partition members by.
 
 :mod:`repro.lsr.spf` duck-types on these methods: ``spf.dijkstra(adj, s)``
 delegates to ``adj.sssp(s)`` and ``spf.component_labels(adj)`` to
 ``adj.components()`` whenever ``adj`` is a cache, so callers never
-change.  Producers -- :class:`~repro.lsr.lsdb.LinkStateDatabase` and
+change; ``spf.shortest_path`` rebuilds its path from the memoised
+solve.  Producers -- :class:`~repro.lsr.lsdb.LinkStateDatabase` and
 :class:`~repro.topo.graph.Network` -- hand out cache-wrapped images and
 replace them wholesale on invalidation (LSA install, link up/down), which
 preserves snapshot semantics: a computation that captured the old image
@@ -38,7 +39,7 @@ with the same content.  SPF results are a function of content alone
 deployment -- and a cache whose content is already in the table adopts
 that entry's solved dicts, component labels and row table instead of
 starting empty.
-The table is keyed by :func:`content_key`, an order-free sum of per-edge
+The table is keyed by :func:`content_key`, an order-free XOR of per-edge
 hashes the LSDB updates from each install's link delta; a hit also needs
 equal content, so a colliding key never shares.  A miss on a content
 nobody in the deployment has solved runs one
@@ -206,14 +207,13 @@ class _Solved:
     :class:`SpfCache` built on that content.  ``components`` is ``None``
     until :meth:`SpfCache.components` first labels the content."""
 
-    __slots__ = ("adj", "sssp", "tables", "dags", "ecc", "detours", "components")
+    __slots__ = ("adj", "sssp", "tables", "dags", "detours", "components")
 
     def __init__(self, adj: Mapping[int, Mapping[int, float]]) -> None:
         self.adj = adj
         self.sssp: Dict[int, Tuple[Dict[int, float], Dict[int, Optional[int]]]] = {}
         self.tables: Dict[int, Dict[int, int]] = {}
         self.dags: Dict[int, Dict[int, tuple]] = {}
-        self.ecc: Dict[int, float] = {}
         self.detours: Dict[Tuple[int, int], object] = {}
         self.components: Optional[Dict[int, int]] = None
 
@@ -366,8 +366,7 @@ class SpfCache(MappingABC):
     an existing one.  A cache built with a ``solved`` entry reads and
     fills that entry's memos and reads its rows (:attr:`rows`); without
     one they are its own.  The memos read per query are bound on the
-    view; the rest (eccentricities, component labels) are read through
-    ``_solved``.
+    view; the component labels are read through ``_solved``.
     """
 
     # ``__weakref__``: tests watch a superseded image get collected.
@@ -478,18 +477,6 @@ class SpfCache(MappingABC):
         self._dags[source] = dag
         return dag
 
-    def eccentricity(self, node: int) -> float:
-        """Memoized largest shortest-path distance from ``node``."""
-        ecc = self._solved.ecc
-        value = ecc.get(node)
-        if value is not None:
-            GLOBAL_STATS.hits += 1
-            return value
-        dist, _ = self.sssp(node)
-        value = max(dist.values()) if dist else 0.0
-        ecc[node] = value
-        return value
-
     def components(self) -> Dict[int, int]:
         """Memoized connected-component labels (``spf.component_labels``):
         one walk of the rows per content, which every image of the content
@@ -499,21 +486,6 @@ class SpfCache(MappingABC):
         if labels is None:
             labels = solved.components = component_labels_uncached(self._adj)
         return labels
-
-    def shortest_path(self, source: int, target: int) -> Optional[list]:
-        """Shortest node path, reconstructed from the memoized SSSP.
-
-        Repeated ``(source, *)`` queries on one image solve the SSSP once
-        -- previously every query paid a full Dijkstra.
-        """
-        dist, parent = self.sssp(source)
-        if target not in dist:
-            return None
-        path = [target]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        return path
 
 
 def wrap_image(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -248,19 +248,9 @@ class Network:
 
     def delay_distances(self, source: int) -> Dict[int, float]:
         """Dijkstra cumulative-delay distances from ``source`` over up links."""
-        import heapq
+        from repro.lsr.spf import network_adjacency, search
 
-        dist: Dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x in dist:
-                continue
-            dist[x] = d
-            for y, link in self._adj[x].items():
-                if link.up and y not in dist:
-                    heapq.heappush(heap, (d + link.delay, y))
-        return dist
+        return search(network_adjacency(self), source)[0]
 
     def is_connected(self) -> bool:
         """True when every switch is reachable over up links."""
@@ -335,18 +325,20 @@ class Network:
         With ``per_hop_delay`` given, the flood takes ``hops * per_hop_delay``
         along the fastest hop path; otherwise actual link delays are summed.
         """
+        from repro.lsr.spf import network_adjacency, search
+
+        if per_hop_delay is None:
+            adj = network_adjacency(self)
+            distances: Callable[[int], Mapping[int, float]] = lambda x: search(adj, x)[0]
+            scale = 1.0  # exact: x * 1.0 == x
+        else:
+            distances, scale = self.hop_distances, per_hop_delay
         worst = 0.0
         for x in self.switches():
-            if per_hop_delay is not None:
-                dist = self.hop_distances(x)
-                if len(dist) < self.n:
-                    return math.inf
-                worst = max(worst, max(dist.values()) * per_hop_delay)
-            else:
-                dist = self.delay_distances(x)
-                if len(dist) < self.n:
-                    return math.inf
-                worst = max(worst, max(dist.values()))
+            dist = distances(x)
+            if len(dist) < self.n:
+                return math.inf
+            worst = max(worst, max(dist.values()) * scale)
         return worst
 
     # -- export / copy ---------------------------------------------------------

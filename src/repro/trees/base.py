@@ -34,6 +34,26 @@ def canonical_edges(edges: Iterable[Edge]) -> FrozenSet[Edge]:
     return frozenset(canonical_edge(u, v) for u, v in edges)
 
 
+def path_union(parent: Mapping[int, Optional[int]], targets: Iterable[int]) -> set:
+    """Canonical edges of the union of the root -> ``target`` paths that
+    a shortest-path solve's ``parent`` pointers give.
+
+    Each target's walk toward the root stops at the first edge already in
+    the union (the rest of that path is present), so the edges are
+    inserted in one fixed order: ``targets`` order, then leaf to root.
+    """
+    edges: set = set()
+    for node in targets:
+        up = parent[node]
+        while up is not None:
+            edge = (node, up) if node <= up else (up, node)  # canonical_edge
+            if edge in edges:
+                break
+            edges.add(edge)
+            node, up = up, parent[up]
+    return edges
+
+
 @dataclass(frozen=True)
 class MulticastTree:
     """An undirected tree (or forest) spanning an MC's members.

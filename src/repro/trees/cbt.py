@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.lsr import spf
-from repro.trees.base import MulticastTree, TreeError, canonical_edge
+from repro.trees.base import MulticastTree, TreeError, path_union
 
 
 def select_core(
@@ -63,13 +63,4 @@ def core_based_tree(
     missing = members - dist.keys()
     if missing:
         raise TreeError(f"members unreachable from core {core}: {sorted(missing)}")
-    edges = set()
-    for m in members:
-        node = m
-        while parent[node] is not None:
-            edge = canonical_edge(node, parent[node])  # type: ignore[arg-type]
-            if edge in edges:
-                break
-            edges.add(edge)
-            node = parent[node]  # type: ignore[assignment]
-    return MulticastTree.build(edges, members, root=core)
+    return MulticastTree.build(path_union(parent, members), members, root=core)

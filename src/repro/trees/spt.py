@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.lsr import spf
-from repro.trees.base import MulticastTree, TreeError
+from repro.trees.base import MulticastTree, TreeError, path_union
 
 
 def source_rooted_tree(
@@ -30,15 +30,7 @@ def source_rooted_tree(
     missing = receivers - dist.keys()
     if missing:
         raise TreeError(f"receivers unreachable from {source}: {sorted(missing)}")
-    edges: set = set()
-    for node in receivers:
-        up = parent[node]
-        while up is not None:
-            edge = (node, up) if node <= up else (up, node)  # canonical_edge
-            if edge in edges:
-                break  # the rest of the path to the root is already present
-            edges.add(edge)
-            node, up = up, parent[up]
+    edges = path_union(parent, receivers)
     # The edges are canonical already: no MulticastTree.build pass.  They
     # are inserted one by one all the same, as that pass did, so the set
     # iterates in the order it did (sums over the edges are float sums).

@@ -47,12 +47,7 @@ def _metric_closure(
                 raise TreeError(f"terminal {b} unreachable from {a}")
             pair = (a, b) if a < b else (b, a)
             dist[pair] = d[b]
-            node, path = b, [b]
-            while parent[node] is not None:
-                node = parent[node]  # type: ignore[assignment]
-                path.append(node)
-            path.reverse()
-            paths[a][b] = path
+            paths[a][b] = spf.path_to(parent, b)
     return dist, paths
 
 

@@ -38,7 +38,7 @@ from repro.lsr.spfcache import GLOBAL_STATS
 from repro.net import frames
 from repro.stress.explore import StressOptions, explore
 from repro.topo.generators import grid_network, ring_network, waxman_network
-from repro.trees.base import McTopology, MulticastTree
+from repro.trees.base import McTopology, MulticastTree, path_union
 from repro.workloads.stress import get_scenario
 from tests.stamps import S
 
@@ -280,6 +280,67 @@ class TestEndpointLocalPlans:
         assert before == (
             GLOBAL_STATS.hits, GLOBAL_STATS.misses, spf.RUN_COUNTER.count,
         )
+
+
+class TestDetourOracle:
+    """A detour with no loop-free-alternate tail is the shortest path of
+    the image with the protected edge masked out, as the counted oracle
+    finds it on an explicitly masked plain copy."""
+
+    @staticmethod
+    def flapped(seed):
+        """A seeded Waxman network with about an eighth of its links down."""
+        rng = random.Random(seed)
+        net = waxman_network(rng.choice((12, 20, 30)), rng)
+        links = sorted(link.key for link in net.links())
+        for key in rng.sample(links, len(links) // 8 + 1):
+            net.set_link_state(*key, up=False)
+        return net
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_masked_detours_match_the_oracle(self, cached):
+        searched = tails = 0
+        for seed in range(12):
+            net = self.flapped(seed)
+            plain = plain_image(net)
+            image = net.spf_view() if cached else plain
+            for u, v in sorted(link.key for link in net.links()):
+                fragment = _detour(image, u, v)
+                dag = spf.next_hop_dag(plain, u)
+                alternates = [n for n in dag.get(v, ()) if n != v]
+                if alternates:
+                    tail = spf.shortest_path(plain, alternates[0], v)
+                    if tail is not None and u not in tail:
+                        tails += 1
+                        assert fragment.path == (u, *tail)
+                        continue
+                masked = {x: dict(row) for x, row in plain.items()}
+                del masked[u][v], masked[v][u]
+                dist, parent = spf.dijkstra_uncached(masked, u)
+                if v not in dist:
+                    assert fragment is None
+                    continue
+                searched += 1
+                # Dijkstra sums a path's weights source to target, as the
+                # fragment's cost does.
+                assert fragment == BackupFragment(
+                    edge=(u, v), path=tuple(spf.path_to(parent, v)), cost=dist[v]
+                )
+        assert searched and tails
+
+    def test_a_plan_over_memoised_dags_runs_no_dijkstra(self):
+        for seed in range(6):
+            net = self.flapped(seed)
+            image = net.spf_view()
+            dist, parent = spf.dijkstra(image, 0)
+            tree = MulticastTree.build(path_union(parent, sorted(dist)), dist)
+            topology = McTopology.shared(tree)
+            for x in image:
+                spf.next_hop_dag(image, x)
+            before = spf.RUN_COUNTER.count
+            plans = [compute_backup_plan(topology, image, x) for x in image]
+            assert spf.RUN_COUNTER.count == before
+            assert any(plan.fragments for plan in plans)
 
 
 class TestActivationLifecycle:

@@ -82,6 +82,28 @@ def test_src_imports_exactly_the_declared_dependencies():
     assert third_party == declared
 
 
+#: The modules that may import ``heapq``, each with the heap it keeps.
+#: Every shortest-path search runs ``repro.lsr.spf.search``; a second
+#: Dijkstra loop elsewhere fails here.
+HEAP_USERS = {
+    "repro/lsr/spf.py": "the one Dijkstra loop",
+    "repro/trees/dynamic.py": "graft_path's search, whose ties break apart from spf's",
+    "repro/trees/steiner.py": "Prim's MST over the metric closure",
+    "repro/sim/kernel.py": "the simulator's timed event heap",
+    "repro/dataplane/engine.py": "the reference engine's packet-delivery heap",
+    "repro/stress/explore.py": "the explorer's schedule frontier",
+}
+
+
+def test_only_the_declared_modules_keep_a_heap():
+    users = set()
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "heapq" in set(_imported_modules(tree)):
+            users.add(path.relative_to(SRC).as_posix())
+    assert users == set(HEAP_USERS)
+
+
 TRACE_PY = Path(SRC).parent / "benchmarks" / "e2e" / "trace.py"
 
 

@@ -166,10 +166,25 @@ class TestNetworkAdjacency:
         assert 1 in adj_all[0]
 
 
-class TestEccentricity:
-    def test_line_eccentricity(self):
-        assert spf.eccentricity(line_adj(), 0) == pytest.approx(3.0)
-        assert spf.eccentricity(line_adj(), 1) == pytest.approx(2.0)
+class TestSearch:
+    """``spf.search`` is the one heap loop: stopped at a target it keeps
+    the full run's parent chain, and it counts no run."""
 
-    def test_isolated_node(self):
-        assert spf.eccentricity({0: {}}, 0) == 0.0
+    @settings(max_examples=60, deadline=None)
+    @given(graph_and_source())
+    def test_stopping_at_a_target_keeps_its_path(self, case):
+        adj, source = case
+        dist, parent = spf.search(adj, source)
+        for target in adj:
+            stopped_dist, stopped_parent = spf.search(adj, source, target)
+            if target not in dist:
+                assert target not in stopped_parent
+                continue
+            assert stopped_dist[target] == dist[target]
+            assert spf.path_to(stopped_parent, target) == spf.path_to(parent, target)
+
+    def test_search_counts_no_run(self):
+        before = spf.RUN_COUNTER.count
+        spf.search(line_adj(), 0)
+        spf.search(line_adj(), 0, 3)
+        assert spf.RUN_COUNTER.count == before

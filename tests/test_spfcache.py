@@ -46,7 +46,6 @@ class TestCorrectnessVsUncached:
         for src in net.switches():
             assert spf.dijkstra(view, src) == spf.dijkstra_uncached(plain, src)
             assert spf.routing_table(view, src) == spf.routing_table(plain, src)
-            assert spf.eccentricity(view, src) == spf.eccentricity(plain, src)
 
     def test_shortest_path_matches_all_pairs(self, small_waxman):
         plain = spf.network_adjacency(small_waxman)
@@ -92,11 +91,10 @@ class TestMemoization:
             spf.shortest_path(view, 0, target)
         assert spf.RUN_COUNTER.count - before == 1
 
-    def test_routing_table_and_eccentricity_share_the_sssp(self):
+    def test_routing_table_and_shortest_path_share_the_sssp(self):
         view = diamond().spf_view()
         before = spf.RUN_COUNTER.count
         spf.routing_table(view, 0)
-        spf.eccentricity(view, 0)
         spf.shortest_path(view, 0, 3)
         assert spf.RUN_COUNTER.count - before == 1
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import copy
+import random
 
 import pytest
 
 from repro.core.wire import decode_topology, encode_topology
+from repro.lsr import spf
+from repro.topo.generators import waxman_network
 from repro.trees.base import (
     SHARED,
     McTopology,
@@ -15,6 +18,7 @@ from repro.trees.base import (
     canonical_edge,
     canonical_edges,
     edge_weights,
+    path_union,
 )
 
 
@@ -25,6 +29,18 @@ class TestCanonical:
 
     def test_edges_deduplicated(self):
         assert canonical_edges([(1, 2), (2, 1)]) == frozenset({(1, 2)})
+
+
+class TestPathUnion:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_of_the_solved_paths(self, seed):
+        adj = spf.network_adjacency(waxman_network(20, random.Random(seed)))
+        dist, parent = spf.dijkstra(adj, 0)
+        targets = sorted(dist, reverse=True)
+        union = set()
+        for target in targets:
+            union.update(spf.path_edges(spf.path_to(parent, target)))
+        assert path_union(parent, targets) == union
 
 
 class TestMulticastTree:
