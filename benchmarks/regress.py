@@ -207,6 +207,7 @@ def _churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
         "trees": canonical_tree_bytes(dgmc.states_for(scenario.connection_id)),
         "tables": _routing_blob(dgmc),
         "events": dgmc.sim.events_dispatched,
+        "receive_lookups": dgmc.receive_memo.hits + dgmc.receive_memo.misses,
     }
 
 
@@ -305,6 +306,9 @@ def bench_tracing_overhead(sizes, graphs) -> Dict[str, object]:
 
     * enabling tracing causes **zero** additional Dijkstra runs and
       byte-identical installed topologies,
+    * enabling tracing makes exactly the untraced run's ReceiveLSA()
+      transition lookups (``ReceiveMemo`` hits + misses): the traced run
+      takes the same class path, so the tracer times the code that runs,
     * the disabled hook (one ``TRACER.enabled`` attribute check, measured
       by microbenchmark) costs <= 5% of the mean event-dispatch time --
       a machine-stable formulation of "<= 5% wall-time overhead" that
@@ -341,6 +345,8 @@ def bench_tracing_overhead(sizes, graphs) -> Dict[str, object]:
         "events_dispatched": events,
         "dijkstra_runs_disabled": disabled["dijkstra_runs"],
         "dijkstra_runs_enabled": enabled["dijkstra_runs"],
+        "receive_lookups_disabled": disabled["receive_lookups"],
+        "receive_lookups_enabled": enabled["receive_lookups"],
         "identical_trees": disabled["trees"] == enabled["trees"],
         "wall_disabled_s": round(wall_disabled, 4),
         "wall_enabled_s": round(wall_enabled, 4),
@@ -358,6 +364,11 @@ def _check_tracing_overhead(tr, top_n: int) -> Iterable[str]:
         yield (
             "enabling tracing changed the Dijkstra run count "
             f"({tr['dijkstra_runs_disabled']} -> {tr['dijkstra_runs_enabled']})"
+        )
+    if tr["receive_lookups_enabled"] != tr["receive_lookups_disabled"]:
+        yield (
+            "enabling tracing changed the ReceiveMemo lookup count "
+            f"({tr['receive_lookups_disabled']} -> {tr['receive_lookups_enabled']})"
         )
     if not tr["identical_trees"]:
         yield "traced and untraced runs produced different installed topologies"

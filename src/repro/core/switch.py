@@ -15,20 +15,20 @@ every network switch."
 
 ReceiveLSA() is a *class step*.  The wakes of one instant share one kernel
 entry (:meth:`~repro.sim.kernel.Simulator.schedule_wake`), and that entry,
-:func:`receive_run`, groups its switches by what Figure 5 reads of them --
-the :class:`~repro.core.state.Arbitration` record, the batch and the bits
-``R[x] > T[x]`` -- so lines 1-19 run once per class
-(:meth:`DgmcSwitch._transition`, itself memoised across instants by the
-deployment's :class:`ReceiveMemo`).  Each switch then applies its class's
-outcome in wake order (:meth:`DgmcSwitch._conclude`, lines 19-35), exactly
-as a switch woken alone does.  A flood to ~400 switches meets ~24 classes.
+:func:`receive_run` (the only ReceiveLSA()), groups its switches by what
+Figure 5 reads of them -- the :class:`~repro.core.state.Arbitration`
+record, the batch and the bits ``R[x] > T[x]`` -- so lines 1-19 run once
+per class (:meth:`DgmcSwitch._transition`, itself memoised across instants
+by the deployment's :class:`ReceiveMemo`).  Each switch then applies its
+class's outcome in wake order (:meth:`DgmcSwitch._conclude`, lines 19-35).
+A flood to ~400 switches meets ~24 classes; a lone wake is a class of one.
 
 Topology computations cost Tc simulated time and contend for the switch's
 single CPU (a :class:`~repro.sim.kernel.Facility`); LSA bookkeeping is
 free, which matches the paper's cost model ("timestamp accesses are assumed
 to be atomic").
 
-Two documented deviations from the paper's pseudocode (see DESIGN.md):
+Three documented deviations from the paper's pseudocode (see DESIGN.md):
 
 1. Line 26 of Figure 5 reads ``candidate_proposal_stamp = C`` after a
    successful triggered flood, which would leave C frozen forever and
@@ -66,7 +66,7 @@ from repro.core.state import Arbitration, McSnapshot, McState, arbitration
 from repro.core.timestamp import Stamp, remember, stamp_gt, stamp_max
 from repro.frr import (
     BackupFragment,
-    BackupPlan,
+    EMPTY_PLAN,
     activate_for_edge,
     compute_backup_plan,
     path_cost,
@@ -115,7 +115,7 @@ class ReceiveMemo:
     the entry is the record after the batch (and after the candidate's
     install, when no triggered proposal is due), whether one is due, and
     the index in the batch of the candidate proposal.  A batch holding
-    ``x``'s own LSA is drained without the table.
+    ``x``'s own LSA, a class of one, is drained without the table.
 
     Records key by identity (they are interned, so equal ones are one
     object), stamps by content, so a live host's decoded LSAs hit too.  An
@@ -128,9 +128,10 @@ class ReceiveMemo:
     :data:`repro.core.timestamp.BOUND`, which costs a recomputation.
     ``hits`` and ``misses`` count lookups.
 
-    A wake run looks a class of switches up once (:func:`receive_run`), so
-    the table answers what repeats across instants and floods: 74% of its
-    24.6 lookups per event at n=400, 62.5% of 13.5 on ``churn_dense_n64``.
+    A wake run, traced or not, looks a class of switches up once
+    (:func:`receive_run`), so the table answers what repeats across
+    instants and floods: 74% of its 24.6 lookups per event at n=400, 62.5%
+    of 13.5 on ``churn_dense_n64``.
     Without it ``op_ms_p50`` read +9.1% at n=400 and +10.6% at n=64 (150
     rounds each, alternating with it on, in one process).
     """
@@ -496,39 +497,6 @@ class DgmcSwitch:
 
     # -- ReceiveLSA() : Figure 5 -------------------------------------------------
 
-    def _receive_lsa(self, state: McState) -> None:
-        """One invocation of the ReceiveLSA() algorithm (Figure 5) at this
-        switch alone: the per-switch path of :func:`receive_run`."""
-        tracer = obs_tracer.TRACER
-        if not tracer.enabled:
-            best, due = self._receive_batch(state)
-        else:
-            with tracer.span(
-                "receive_lsa",
-                cat="arbitration",
-                tid=self.switch_id,
-                sim_time=self.sim.now,
-                connection=state.spec.connection_id,
-            ) as span:
-                best, due = self._receive_batch(state)
-                span.args["adopted_proposal"] = best[0] is not None
-                if state.trace_ctx is not None:
-                    span.args["trace_id"] = state.trace_ctx.trace_id()
-        self._conclude(state, best, due)
-
-    def _receive_batch(self, state: McState):
-        """Figure 5 lines 1-19 on the queued batch: :meth:`_transition`,
-        then its outcome applied to ``state``.  Returns the candidate
-        ``(topology, stamp, proposer)`` -- "the installed topology" unless
-        an LSA's proposal beat it -- and whether a triggered proposal is
-        due."""
-        batch, state.inbox = state.inbox, []
-        after, due, best, ctx = self._transition(state.record, batch)
-        if ctx is not None:
-            state.trace_ctx = ctx
-        state.record = after
-        return best, due
-
     def _transition(self, record: Arbitration, batch: List[McLsa]) -> tuple:
         """What draining ``batch`` from ``record`` does at this switch, once
         per distinct input: ``(record after, due, candidate, trace context
@@ -772,7 +740,7 @@ class DgmcSwitch:
                     topology, self.router.network_image(), self.switch_id
                 )
             else:
-                state.backup_plan = BackupPlan()
+                state.backup_plan = EMPTY_PLAN
         if self.on_install is not None:
             self.on_install(
                 now, self.switch_id, state.spec.connection_id, stamp, proposer
@@ -981,42 +949,45 @@ class DgmcSwitch:
 
 
 def receive_run(states: List[McState]) -> None:
-    """One kernel wake run of ReceiveLSA() (:meth:`Simulator.schedule_wake`):
-    the states woken at one instant, in enrolment order, run as classes.
+    """ReceiveLSA() (Figure 5) for one kernel wake run
+    (:meth:`Simulator.schedule_wake`): the states woken at one instant, in
+    enrolment order, run as classes.
 
-    Switches in equal state that receive equal input make equal
-    transitions (the equivalence reduction of Helmy, Estrin & Gupta,
-    PAPERS.md).  So the run groups its states by ``(record, the inbox's
-    LSAs, R[x] > T[x])`` -- the record and the LSAs by identity, the bits
-    as an int, read only where ``R[x]`` is stored -- and runs
-    :meth:`DgmcSwitch._transition` once per class, for its first state.
-    Every state, in enrolment order, then applies its class's outcome and
-    concludes, as :meth:`DgmcSwitch._receive_lsa` does: the context, the
-    record, then the install or the triggered process.  A lookup reads
-    only its own state's record and batch (plus content-keyed tables), and
-    concluding delivers nothing inline (every copy of a flood is
-    deferred), so the effects are the per-switch path's, in its order.
+    Switches in equal state that receive equal input make equal transitions
+    (the equivalence reduction of Helmy, Estrin & Gupta, PAPERS.md).  So the
+    run groups its states by ``(record, the inbox's LSAs, R[x] > T[x])`` --
+    the record and the LSAs by identity, the bits as an int, read only where
+    ``R[x]`` is stored -- and runs :meth:`DgmcSwitch._transition` once per
+    class, for its first state.  Every state, in enrolment order, then
+    applies its class's outcome and concludes (:meth:`DgmcSwitch._conclude`).
+    A lookup reads only its own state's record and batch, and concluding
+    delivers nothing inline, so each switch ends as if woken alone.
 
-    A batch holding the switch's own LSA (its ``R[x]`` moves inside the
-    drain), a switch of another deployment than the run's first (another
-    :class:`ReceiveMemo`), a run of one, and a run under an enabled tracer
-    (which spans each ReceiveLSA()) take the per-switch path.
+    A lone wake, a batch holding the switch's own LSA (its ``R[x]`` moves in
+    the drain) and a switch of another deployment (another
+    :class:`ReceiveMemo`) are classes of one; a run of one builds no class
+    table.  An enabled tracer spans each woken switch (``receive_lsa``) from
+    its intact inbox to just before it concludes.
     """
-    if len(states) == 1 or obs_tracer.TRACER.enabled:
-        for state in states:
-            state.owner._receive_lsa(state)
-        return
+    tracer = obs_tracer.TRACER
+    tracing = tracer.enabled
     memo = states[0].owner.memo
     # (record, LSAs) -> [R and each T (as getters), the batch's sources,
     # the outcomes by R[x] > T[x] bits, and the record and batch, which
     # pin the ids in the key for the length of the run].  Neighbours in a
     # run mostly share one, so the current group is checked first.
-    groups: Dict[tuple, list] = {}
+    groups: Optional[Dict[tuple, list]] = {} if len(states) > 1 else None
     record = single = None
     for state in states:
         switch = state.owner
+        x = switch.switch_id
         inbox = state.inbox
-        if len(inbox) != 1 or state.record is not record or inbox[0] is not single:
+        if tracing:
+            span = tracer.span("receive_lsa", cat="arbitration", tid=x, sim_time=switch.sim.now,
+                               connection=state.spec.connection_id).__enter__()
+        if groups is not None and (
+            len(inbox) != 1 or state.record is not record or inbox[0] is not single
+        ):
             if len(inbox) == 1:
                 key = (id(state.record), id(inbox[0]))
             else:
@@ -1026,28 +997,29 @@ def receive_run(states: List[McState]) -> None:
                 group = groups[key] = [
                     state.record.received.counts().get,
                     [lsa.timestamp.counts().get for lsa in inbox],
-                    {lsa.source for lsa in inbox},
-                    {},
-                    state.record,
-                    inbox,
+                    {lsa.source for lsa in inbox}, {}, state.record, inbox,
                 ]
             received, stamps, sources, outcomes, record, batch = group
             single = batch[0] if len(batch) == 1 else None
-        x = switch.switch_id
-        if x in sources or switch.memo is not memo:
-            switch._receive_lsa(state)
-            continue
-        heard = received(x, 0)
-        bits = 0
-        if heard:
-            for stamp in stamps:
-                bits = bits << 1 | (heard > stamp(x, 0))
-        outcome = outcomes.get(bits)
-        if outcome is None:
-            outcome = outcomes[bits] = switch._transition(record, batch)
+        if groups is None or x in sources or switch.memo is not memo:
+            outcome = switch._transition(state.record, inbox)
+        else:
+            heard = received(x, 0)
+            bits = 0
+            if heard:
+                for stamp in stamps:
+                    bits = bits << 1 | (heard > stamp(x, 0))
+            outcome = outcomes.get(bits)
+            if outcome is None:
+                outcome = outcomes[bits] = switch._transition(record, batch)
         state.inbox = []
         after, due, best, ctx = outcome
         if ctx is not None:
             state.trace_ctx = ctx
         state.record = after
+        if tracing:
+            span.args["adopted_proposal"] = best[0] is not None
+            if state.trace_ctx is not None:
+                span.args["trace_id"] = state.trace_ctx.trace_id()
+            span.__exit__(None, None, None)
         switch._conclude(state, best, due)

@@ -7,6 +7,7 @@ for the activation / reconciliation lifecycle.
 from repro.frr.backup import (
     BackupFragment,
     BackupPlan,
+    EMPTY_PLAN,
     compute_backup_plan,
     detour_delay,
     detour_is_live,
@@ -16,6 +17,7 @@ from repro.frr.backup import (
 __all__ = [
     "BackupFragment",
     "BackupPlan",
+    "EMPTY_PLAN",
     "activate_for_edge",
     "compute_backup_plan",
     "detour_delay",

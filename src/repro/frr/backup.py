@@ -61,6 +61,7 @@ from repro.lsr import spf
 __all__ = [
     "BackupFragment",
     "BackupPlan",
+    "EMPTY_PLAN",
     "compute_backup_plan",
     "detour_delay",
     "detour_is_live",
@@ -124,6 +125,10 @@ class BackupPlan:
 
     def covers(self, u: int, v: int) -> bool:
         return self.fragment_for(u, v) is not None
+
+
+#: The plan of a switch no tree edge touches; frozen, so one serves all.
+EMPTY_PLAN = BackupPlan()
 
 
 def _path(

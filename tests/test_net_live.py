@@ -237,10 +237,10 @@ class TestPumpSupervision:
         fabric.register_symmetric(1)
         await fabric.start()
 
-        def explode(state):
+        def explode(record, batch):
             raise boom
 
-        fabric.hosts[2].switch._receive_batch = explode
+        fabric.hosts[2].switch._transition = explode
         return fabric
 
     def test_dead_pump_raises_a_named_failure_at_the_next_poll(self, tmp_path):

@@ -4,10 +4,11 @@ switch.
 :func:`repro.core.switch.receive_run` groups the wakes of one kernel wake
 run by ``(record, batch, R[x] > T[x])``, looks each class's transition up
 once, then applies it per switch in enrolment order.  Each run below is made
-twice -- as shipped, and with the run patched to call every switch's own
-ReceiveLSA() in turn -- and the two must agree on every install, every
+twice -- as shipped, and with the run patched to wake every switch in a run
+of its own, a class of one -- and the two must agree on every install, every
 computation and every switch's canonical state, while the class path looks
-up fewer transitions than it wakes switches.
+up fewer transitions than it wakes switches.  A traced run is the same
+class path, so it looks up exactly what the untraced run does.
 """
 
 from __future__ import annotations
@@ -18,13 +19,19 @@ import pytest
 
 from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, LinkEvent, ProtocolConfig
 from repro.core import switch as switch_module
+from repro.obs.tracer import Tracer, use_tracer
 from repro.topo.generators import waxman_network
 from tests.test_receive_memo import churn_run, flap_run, outcome
 
 
+#: The shipped run, held before :func:`per_switch` rebinds the module name
+#: (which the runs' own wakes read), so a run of one does not recurse.
+shipped_run = switch_module.receive_run
+
+
 def one_by_one(states):
     for state in states:
-        state.owner._receive_lsa(state)
+        shipped_run([state])
 
 
 @pytest.fixture
@@ -101,6 +108,16 @@ def test_the_ablation_knobs_hold_on_the_class_path(request):
     classes = outcome(wide_churn_run(config))
     request.getfixturevalue("per_switch")
     assert classes == outcome(wide_churn_run(config))
+
+
+def test_a_traced_run_takes_the_class_path():
+    """The tracer times the code an untraced run runs: the same lookups,
+    installs, computations and states."""
+    untraced = wide_churn_run()
+    with use_tracer(Tracer(enabled=True)):
+        traced = wide_churn_run()
+    assert lookups(traced) == lookups(untraced)
+    assert outcome(traced) == outcome(untraced)
 
 
 def test_install_rows_follow_the_classes():
