@@ -22,7 +22,9 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import DefaultDict, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    DefaultDict, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.mc import ConnectionType
 from repro.core.state import McState
@@ -113,9 +115,14 @@ class InstallLog:
 
     Read back, the log has one row per install: ``len()``, indexing and
     iteration count and yield one :class:`InstallRecord` per install.
-    :meth:`record` applies the rule to every install, when it happens,
-    against the last stamp the same switch installed for the connection;
-    that table, like the rows, outlives tombstones and restarts.
+
+    The deployments log a whole install class at once
+    (:meth:`record_class`, their install hook): the switches that adopted
+    one proposal at one instant, in install order, which is one row check
+    and one ``switches`` extend.  The rule is still applied to every
+    install, when it happens, against the last stamp the same switch
+    installed for the connection; that table (``_last``), like the rows,
+    outlives tombstones and restarts.
     """
 
     def __init__(self) -> None:
@@ -136,6 +143,20 @@ class InstallLog:
     def record(
         self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
     ) -> None:
+        """Log one install: :meth:`record_class` for a class of one."""
+        self.record_class(time, (switch,), connection_id, stamp, proposer)
+
+    def record_class(
+        self,
+        time: float,
+        switches: Sequence[int],
+        connection_id: int,
+        stamp: Stamp,
+        proposer: int,
+    ) -> None:
+        """Log the installs of one proposal at ``switches``, in order, at
+        one instant: one row check, one ``switches`` extend, and the
+        ``stale-install`` rule for every switch."""
         run = self._run
         # The stamp is compared last: a row ends at the next instant,
         # connection or proposer, and inside a row every install holds
@@ -145,7 +166,7 @@ class InstallLog:
             and run[0] == time and run[1] == connection_id and run[2] == proposer
             and (run[3][0] is stamp or run[3][0] == stamp)
         ):
-            self.switches.append(switch)
+            self.switches.extend(switches)
         else:
             total = stamp.total()
             run = self._run = (
@@ -155,17 +176,21 @@ class InstallLog:
             self.row_connection.append(connection_id)
             self.row_proposer.append(proposer)
             self.row_stamp_total.append(total)
-            self.switches.append(~switch)
+            begin = len(self.switches)
+            self.switches.extend(switches)
+            self.switches[begin] = ~switches[0]
         installed, lasts = run[3], run[4]
-        last = lasts.get(switch)
-        # A dominated stamp has the smaller sum, so the sums clear nearly
-        # every install without a stamp compare.
-        if last is not None and last[1] > installed[1] and stamp_gt(last[0], stamp):
-            self.stale.setdefault(connection_id, []).append(
-                f"switch {switch} replaced installed stamp {last[0]} with "
-                f"dominated stamp {stamp} (proposer {proposer})"
-            )
-        lasts[switch] = installed
+        total = installed[1]
+        for switch in switches:
+            last = lasts.get(switch)
+            # A dominated stamp has the smaller sum, so the sums clear
+            # nearly every install without a stamp compare.
+            if last is not None and last[1] > total and stamp_gt(last[0], stamp):
+                self.stale.setdefault(connection_id, []).append(
+                    f"switch {switch} replaced installed stamp {last[0]} with "
+                    f"dominated stamp {stamp} (proposer {proposer})"
+                )
+            lasts[switch] = installed
 
     def __len__(self) -> int:
         return len(self.switches)

@@ -12,7 +12,7 @@ link events, run the simulation, inspect agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.events import JoinEvent, LeaveEvent, LinkEvent, NodeEvent
 from repro.core.invariants import InstallLog, check_agreement
@@ -21,7 +21,7 @@ from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
-from repro.lsr.flooding import FloodingFabric
+from repro.lsr.flooding import Binding, FloodingFabric
 from repro.lsr.lsa import NonMcLsa
 from repro.lsr.router import UnicastRouter, bring_up_unicast
 from repro.obs.attach import attach_network_metrics
@@ -150,6 +150,13 @@ class DgmcNetwork(ConnectionRegistrar):
             "frr_retired_total",
             "active backup fragments retired by a reconciling install",
         )
+        # One hook object each, so the fabric and receive_run see the whole
+        # deployment as one class.
+        on_install = (
+            self._record_install if self.config.enable_frr
+            else self.install_log.record_class
+        )
+        deliver, deliver_class = self._deliver, self._deliver_class
         for x in net.switches():
             switch = DgmcSwitch(
                 self.sim,
@@ -161,13 +168,10 @@ class DgmcNetwork(ConnectionRegistrar):
                 self.connection_registry,
                 self.receive_memo,
                 on_computation=self._record_computation,
-                on_install=(
-                    self._record_install if self.config.enable_frr
-                    else self.install_log.record
-                ),
+                on_install=on_install,
             )
             self.switches[x] = switch
-            self.fabric.register(x, self._deliver)
+            self.fabric.register(x, deliver, deliver_class)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -177,28 +181,43 @@ class DgmcNetwork(ConnectionRegistrar):
         )
 
     def _record_install(
-        self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
+        self, time: float, switches: List[int], connection_id: int, stamp: Stamp,
+        proposer: int,
     ) -> None:
         """The install hook under fast reroute, where an install also retires
         fragments (without it the switches log into ``install_log``
         directly)."""
-        self.install_log.record(time, switch, connection_id, stamp, proposer)
-        state = self.switches[switch].states.get(connection_id)
-        if state is not None:
-            retired = state.take_frr_retirements()
-            if retired:
-                self._frr_retired.inc(retired)
+        self.install_log.record_class(time, switches, connection_id, stamp, proposer)
+        retired = 0
+        for x in switches:
+            state = self.switches[x].states.get(connection_id)
+            if state is not None:
+                retired += state.take_frr_retirements()
+        if retired:
+            self._frr_retired.inc(retired)
 
     def _deliver(self, switch_id: int, payload) -> None:
-        """Fabric delivery hook: route LSAs to the right protocol layer."""
-        if switch_id in self.dead_switches:
-            self._dropped_lsas.inc()  # a failed switch hears nothing
-            return
+        """Fabric delivery hook of a per-destination transport: a class of one."""
+        self._deliver_class(((None, switch_id),), payload)
+
+    def _deliver_class(self, copies: Sequence[Binding], payload) -> None:
+        """Fabric delivery hook for copies of one payload due together, as
+        the flood plan binds them (``(handler, dest)``, dests ascending):
+        route them to the right protocol layer."""
+        dead = self.dead_switches
         if isinstance(payload, McLsa):
-            self.switches[switch_id].deliver_mc_lsa(payload)
+            switches = self.switches
+            for _, x in copies:
+                if x in dead:
+                    self._dropped_lsas.inc()  # a failed switch hears nothing
+                else:
+                    switches[x].deliver_mc_lsa(payload)
         elif isinstance(payload, NonMcLsa):
-            if not self.routers[switch_id].receive(payload):
-                self._duplicate_lsas.inc()  # stale copy, already installed
+            for _, x in copies:
+                if x in dead:
+                    self._dropped_lsas.inc()
+                elif not self.routers[x].receive(payload):
+                    self._duplicate_lsas.inc()  # stale copy, already installed
         else:  # pragma: no cover - guards against harness bugs
             raise TypeError(f"unexpected flooded payload {payload!r}")
 

@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.mc import ConnectionSpec, Role, default_role
 from repro.core.timestamp import Stamp, VectorTimestamp, frozen, remember
@@ -163,6 +165,7 @@ class Arbitration(NamedTuple):
 #: ``churn_dense_n64``); without it no two switches share a record, and
 #: ``churn_sparse_n400`` read ``op_ms_p50`` 3.1 -> 18-27 ms.
 _RECORDS: Dict[int, Arbitration] = {}
+_UNHELD = (None,) * 4
 
 
 def arbitration(
@@ -173,11 +176,20 @@ def arbitration(
     current_proposer: int,
     make_proposal_flag: bool,
     members: MemberMap,
+    like: Optional[Arbitration] = None,
 ) -> Arbitration:
-    """The interned record with these fields (stamps are frozen on the way)."""
+    """The interned record with these fields (stamps are frozen on the way).
+
+    A stamp holding the value that record ``like`` holds in its field is
+    that field's own :class:`~repro.core.timestamp.FrozenStamp`, so a drain
+    that leaves R, E, C or M unmoved rebuilds no wrapper and the lookup
+    below compares those fields by identity.
+    """
+    held = like or _UNHELD
     record = tuple.__new__(Arbitration, (
-        frozen(received), frozen(expected), frozen(current_stamp),
-        frozen(member_stamp), current_proposer, make_proposal_flag, members,
+        frozen(received, held[0]), frozen(expected, held[1]),
+        frozen(current_stamp, held[2]), frozen(member_stamp, held[3]),
+        current_proposer, make_proposal_flag, members,
     ))
     key = hash(record)
     found = _RECORDS.get(key)
@@ -349,28 +361,8 @@ class McState:
         now: float,
         proposer: int,
     ) -> None:
-        """Adopt a topology: set C and update "routing entries".
-
-        Installing reconciles fast reroute: any active backup fragments
-        are retired (the re-proposed tree is the repair) and the stale
-        plan is dropped -- the install path recomputes it against the new
-        topology when FRR is enabled.
-        """
-        self.installed = topology
-        record = self.record
-        current = record.current_stamp
-        # A shared ReceiveLSA() transition may have installed them already.
-        if (
-            current is not stamp and current != stamp
-        ) or record.current_proposer != proposer:
-            self.rebind(current_stamp=stamp, current_proposer=proposer)
-        self.last_install_time = now
-        self.proposals_accepted += 1
-        self.backup_plan = None
-        if self.active_backup:
-            self.frr_retired_pending += len(self.active_backup)
-            self.active_backup = {}
-            self.frr_epoch += 1
+        """Adopt a topology: :func:`install_all` for this state alone."""
+        install_all((self,), topology, stamp, now, proposer)
 
     # -- fast reroute -------------------------------------------------------------
 
@@ -398,6 +390,39 @@ class McState:
             f"E={self.expected}, C={self.current_stamp}, "
             f"members={sorted(self.members)}, flag={self.make_proposal_flag})"
         )
+
+
+def install_all(
+    states: Sequence[McState],
+    topology: McTopology,
+    stamp: Stamp,
+    now: float,
+    proposer: int,
+) -> None:
+    """Every state of ``states`` adopts a topology: set C and update
+    "routing entries", one loop of stores.
+
+    Installing reconciles fast reroute: any active backup fragments are
+    retired (the re-proposed tree is the repair) and the stale plan is
+    dropped -- the install path recomputes it against the new topology
+    when FRR is enabled.
+    """
+    for state in states:
+        state.installed = topology
+        record = state.record
+        current = record.current_stamp
+        # A shared ReceiveLSA() transition may have installed them already.
+        if (
+            current is not stamp and current != stamp
+        ) or record.current_proposer != proposer:
+            state.rebind(current_stamp=stamp, current_proposer=proposer)
+        state.last_install_time = now
+        state.proposals_accepted += 1
+        state.backup_plan = None
+        if state.active_backup:
+            state.frr_retired_pending += len(state.active_backup)
+            state.active_backup = {}
+            state.frr_epoch += 1
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ entry (:meth:`~repro.sim.kernel.Simulator.schedule_wake`), and that entry,
 Figure 5 reads of them -- the :class:`~repro.core.state.Arbitration`
 record, the batch and the bits ``R[x] > T[x]`` -- so lines 1-19 run once
 per class (:meth:`DgmcSwitch._transition`, itself memoised across instants
-by the deployment's :class:`ReceiveMemo`).  Each switch then applies its
-class's outcome in wake order (:meth:`DgmcSwitch._conclude`, lines 19-35).
-A flood to ~400 switches meets ~24 classes; a lone wake is a class of one.
+by the deployment's :class:`ReceiveMemo`).  Each switch then takes its
+class's outcome in wake order, and lines 32-35 install each run of
+switches accepting one proposal as one class (:func:`install_class`, the
+one install path: per-switch stores, one install-hook call).  A flood to
+~400 switches meets ~24 classes; a lone wake is a class of one.
 
 Topology computations cost Tc simulated time and contend for the switch's
 single CPU (a :class:`~repro.sim.kernel.Facility`); LSA bookkeeping is
@@ -58,11 +60,11 @@ Three documented deviations from the paper's pseudocode (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import ConnectionSpec, Role, default_role
-from repro.core.state import Arbitration, McSnapshot, McState, arbitration
+from repro.core.state import Arbitration, McSnapshot, McState, arbitration, install_all
 from repro.core.timestamp import Stamp, remember, stamp_gt, stamp_max
 from repro.frr import (
     BackupFragment,
@@ -121,19 +123,17 @@ class ReceiveMemo:
     object), stamps by content, so a live host's decoded LSAs hit too.  An
     entry holds its operands, and a hit compares them with the lookup's
     (identity first, then content), so even a copied table cannot answer
-    for another input.  The
-    deployment's :class:`~repro.core.protocol.ProtocolConfig` is an input
-    too (the ablation knobs change the drain), which is why each
-    deployment owns its table.  It forgets its oldest entry past
+    for another input.  The deployment's
+    :class:`~repro.core.protocol.ProtocolConfig` is an input too (the
+    ablation knobs change the drain), which is why each deployment owns its
+    table.  It forgets its oldest entry past
     :data:`repro.core.timestamp.BOUND`, which costs a recomputation.
     ``hits`` and ``misses`` count lookups.
 
-    A wake run, traced or not, looks a class of switches up once
-    (:func:`receive_run`), so the table answers what repeats across
-    instants and floods: 74% of its 24.6 lookups per event at n=400, 62.5%
-    of 13.5 on ``churn_dense_n64``.
-    Without it ``op_ms_p50`` read +9.1% at n=400 and +10.6% at n=64 (150
-    rounds each, alternating with it on, in one process).
+    A wake run looks a class up once (:func:`receive_run`), so the table
+    answers what repeats across instants: 74% of its 24.6 lookups per event
+    at n=400, 62.5% of 13.5 on ``churn_dense_n64``.  Without it
+    ``op_ms_p50`` read +9.1% and +10.6% (150 alternating rounds).
     """
 
     __slots__ = ("table", "hits", "misses")
@@ -183,7 +183,7 @@ class DgmcSwitch:
         connection_registry: Dict[int, ConnectionSpec],
         memo: ReceiveMemo,
         on_computation: Optional[Callable[[int, int], None]] = None,
-        on_install: Optional[Callable[[float, int, int, Stamp, int], None]] = None,
+        on_install: Optional[Callable[[float, List[int], int, Stamp, int], None]] = None,
     ) -> None:
         self.sim = sim
         self.switch_id = switch_id
@@ -196,7 +196,9 @@ class DgmcSwitch:
         self.memo = memo
         #: Hook (switch, connection) -> None fired per topology computation.
         self.on_computation = on_computation
-        #: Hook (time, switch, connection, stamp, proposer) fired per install.
+        #: Hook (time, switches, connection, stamp, proposer) fired per
+        #: :func:`install_class` call: the ids of the switches that installed
+        #: one proposal, in install order.
         self.on_install = on_install
         self.cpu = Facility(sim)
         self.states: Dict[int, McState] = {}
@@ -240,13 +242,7 @@ class DgmcSwitch:
         state = self.states.get(connection_id)
         if state is None or not state.empty or state.inbox:
             return
-        record = state.record
-        self._tombstones[connection_id] = (
-            record.received,
-            record.expected,
-            record.current_stamp,
-            record.member_stamp,
-        )
+        self._tombstones[connection_id] = state.record[:4]  # R, E, C, M
         del self.states[connection_id]
 
     def has_connection(self, connection_id: int) -> bool:
@@ -322,13 +318,8 @@ class DgmcSwitch:
         args = {"connection": state.spec.connection_id, "members": len(members)}
         if state.trace_ctx is not None:
             args["trace_id"] = state.trace_ctx.trace_id()
-        with tracer.span(
-            "compute",
-            cat="arbitration",
-            tid=self.switch_id,
-            sim_time=self.sim.now,
-            **args,
-        ):
+        with tracer.span("compute", cat="arbitration", tid=self.switch_id, sim_time=self.sim.now,
+                         **args):
             return state.algorithm.compute(image, members, previous)
 
     # -- EventHandler() : Figure 4 ---------------------------------------------
@@ -385,7 +376,7 @@ class DgmcSwitch:
                           ctx=state.trace_ctx)
                 )  # line 7
                 state.make_proposal_flag = False  # line 9
-                self._install(state, proposal, old_r, proposer=x)  # lines 8, 10
+                install_class([state], proposal, old_r, x)  # lines 8, 10
             else:  # lines 11-13: flood event only, defer to ReceiveLSA()
                 self._flood(McLsa(x, event, connection_id, None, old_r, role,
                                   ctx=state.trace_ctx))
@@ -445,10 +436,7 @@ class DgmcSwitch:
                 connection_id
                 for connection_id, state in self.states.items()
                 if connection_id in inflight
-                or (
-                    state.installed is not None
-                    and not state.installed.spans(state.member_set)
-                )
+                or state.installed is not None and not state.installed.spans(state.member_set)
             )
         edge = (u, v) if u <= v else (v, u)
         return sorted(
@@ -470,9 +458,7 @@ class DgmcSwitch:
             return []
         return activate_for_edge(self.states, u, v)
 
-    def detect_link_change(
-        self, u: int, v: int, up: bool, ctx=None
-    ) -> Tuple[List[int], List[int]]:
+    def detect_link_change(self, u: int, v: int, up: bool, ctx=None) -> Tuple[List[int], List[int]]:
         """This switch detects a change of its incident link ``(u, v)``.
 
         In order: fast reroute (a failure must ride the precomputed detour
@@ -535,30 +521,6 @@ class DgmcSwitch:
         # Not due: the transition took C over already (this stamp, frozen).
         stamp = lsa.timestamp if due else after.current_stamp
         return after, due, (lsa.proposal, stamp, lsa.source), ctx
-
-    def _conclude(self, state: McState, best, due: bool) -> None:
-        """Lines 19 and 32-35, after lines 1-19.
-
-        Only a due triggered proposal (lines 19-31) costs simulated time,
-        so only it becomes a process, started inline in this dispatch, and
-        concludes when it is done.  Otherwise the surviving candidate is
-        accepted now and ReceiveLSA() ends: LSAs that arrived meanwhile get
-        the next wake.
-        """
-        if due:  # line 19
-            Process(
-                self.sim, self._triggered_tail(state.spec.connection_id, state, best)
-            ).resume()
-            return
-        candidate, stamp, proposer = best
-        if candidate is not None:
-            self._install(state, candidate, stamp, proposer)
-        if not state.record.members:
-            self._maybe_destroy(state.spec.connection_id)
-        if state.inbox:
-            self.sim.schedule_wake(state, receive_run)
-        else:
-            state.receiving = False
 
     def _drain_inbox(
         self, record: Arbitration, batch: List[McLsa]
@@ -644,7 +606,7 @@ class DgmcSwitch:
             current_stamp, current_proposer = candidate_stamp, candidate_proposer
         after = arbitration(
             received, expected, current_stamp, member_stamp, current_proposer,
-            flag, members,
+            flag, members, like=record,
         )
         return after, due, chosen
 
@@ -653,7 +615,7 @@ class DgmcSwitch:
         own = yield from self._triggered_proposal(connection_id, state)
         if own is not None and self._beats(own[1], self.switch_id, best[1], best[2]):
             best = (*own, self.switch_id)  # lines 25-26 (paper misprints C)
-        self._conclude(state, best, False)
+        _conclude([state], [state] if best[0] is not None else [], best)
 
     def _proposal_due(self, record: Arbitration) -> bool:
         """Figure 5 line 19: the flag is set, ``R >= E`` and ``R > C``."""
@@ -695,56 +657,9 @@ class DgmcSwitch:
         state.proposals_withdrawn += 1
         tracer = obs_tracer.TRACER
         if tracer.enabled:
-            tracer.instant(
-                "withdraw",
-                cat="arbitration",
-                tid=self.switch_id,
-                sim_time=self.sim.now,
-                connection=connection_id,
-            )
+            tracer.instant("withdraw", cat="arbitration", tid=self.switch_id,
+                           sim_time=self.sim.now, connection=connection_id)
         return None
-
-    def _install(self, state: McState, topology, stamp, proposer: int) -> None:
-        tracer = obs_tracer.TRACER
-        if not tracer.enabled:
-            return self._install_body(state, topology, stamp, proposer)
-        args = {
-            "connection": state.spec.connection_id,
-            "stamp_total": stamp.total(),
-            "proposer": proposer,
-        }
-        if state.trace_ctx is not None:
-            args["trace_id"] = state.trace_ctx.trace_id()
-        with tracer.span(
-            "install",
-            cat="arbitration",
-            tid=self.switch_id,
-            sim_time=self.sim.now,
-            **args,
-        ):
-            return self._install_body(state, topology, stamp, proposer)
-
-    def _install_body(self, state: McState, topology, stamp, proposer: int) -> None:
-        now = self.sim.now
-        state.install(topology, stamp, now, proposer=proposer)
-        if self.config.enable_frr:
-            # Reconcile fast reroute: the install itself retired any active
-            # fragments (the re-proposed tree IS the repair); precompute
-            # fresh ones so the next failure switches over in O(1).  Only
-            # an endpoint of an edge can activate its fragment, so a switch
-            # plans its incident tree edges alone -- both endpoints derive
-            # the same fragment from identical topologies and images --
-            # and one the tree does not touch never rebuilds its image.
-            if self.switch_id in topology.edge_nodes():
-                state.backup_plan = compute_backup_plan(
-                    topology, self.router.network_image(), self.switch_id
-                )
-            else:
-                state.backup_plan = EMPTY_PLAN
-        if self.on_install is not None:
-            self.on_install(
-                now, self.switch_id, state.spec.connection_id, stamp, proposer
-            )
 
     @staticmethod
     def _beats(
@@ -775,11 +690,7 @@ class DgmcSwitch:
             return None
         from repro.core.wire import encode_topology
 
-        topology = (
-            encode_topology(state.installed)
-            if state.installed is not None
-            else None
-        )
+        topology = encode_topology(state.installed) if state.installed is not None else None
         return McSnapshot(
             connection_id=connection_id,
             received=state.received.snapshot(),
@@ -853,7 +764,7 @@ class DgmcSwitch:
         if snap.topology is not None and self._beats(
             snap.current, snap.proposer, state.current_stamp, state.current_proposer
         ):
-            self._install(state, snap.decoded_topology, snap.current, snap.proposer)
+            install_class([state], snap.decoded_topology, snap.current, snap.proposer)
             changed = True
         if self._adopt_backup_fragments(state, snap):
             changed = True
@@ -897,9 +808,7 @@ class DgmcSwitch:
             edge = (u, v) if u <= v else (v, u)
             if edge not in tree_edges or edge in state.active_backup:
                 continue
-            fragment = BackupFragment(
-                edge=edge, path=tuple(path), cost=path_cost(image, path)
-            )
+            fragment = BackupFragment(edge=edge, path=tuple(path), cost=path_cost(image, path))
             if state.activate_backup(fragment):
                 changed = True
         return changed
@@ -926,7 +835,7 @@ class DgmcSwitch:
         if self._beats(
             old_r, self.switch_id, state.current_stamp, state.current_proposer
         ):
-            self._install(state, proposal, old_r, proposer=self.switch_id)  # 25-26
+            install_class([state], proposal, old_r, self.switch_id)  # 25-26
         self._maybe_destroy(connection_id)
 
     # -- forwarding view -------------------------------------------------------------
@@ -959,15 +868,19 @@ def receive_run(states: List[McState]) -> None:
     the record and the LSAs by identity, the bits as an int, read only where
     ``R[x]`` is stored -- and runs :meth:`DgmcSwitch._transition` once per
     class, for its first state.  Every state, in enrolment order, then
-    applies its class's outcome and concludes (:meth:`DgmcSwitch._conclude`).
-    A lookup reads only its own state's record and batch, and concluding
-    delivers nothing inline, so each switch ends as if woken alone.
+    takes its class's outcome: a due triggered proposal starts its process
+    (line 19), and the rest join the current *install run*, the consecutive
+    states accepting one proposal through one install hook, which
+    :func:`_conclude` installs as one class and ends where that changes.
+    A lookup reads only its own state's record and batch, concluding
+    delivers nothing inline, and the runs keep wake order, so each switch
+    ends as if woken alone.
 
     A lone wake, a batch holding the switch's own LSA (its ``R[x]`` moves in
     the drain) and a switch of another deployment (another
     :class:`ReceiveMemo`) are classes of one; a run of one builds no class
     table.  An enabled tracer spans each woken switch (``receive_lsa``) from
-    its intact inbox to just before it concludes.
+    its intact inbox to its outcome, then installs it alone.
     """
     tracer = obs_tracer.TRACER
     tracing = tracer.enabled
@@ -978,6 +891,11 @@ def receive_run(states: List[McState]) -> None:
     # run mostly share one, so the current group is checked first.
     groups: Optional[Dict[tuple, list]] = {} if len(states) > 1 else None
     record = single = None
+    # The states to conclude, in wake order; those of them installing
+    # ``accepted`` through one hook (one deployment).
+    concluded: List[McState] = []
+    installs: List[McState] = []
+    accepted = hook = None
     for state in states:
         switch = state.owner
         x = switch.switch_id
@@ -1022,4 +940,79 @@ def receive_run(states: List[McState]) -> None:
             if state.trace_ctx is not None:
                 span.args["trace_id"] = state.trace_ctx.trace_id()
             span.__exit__(None, None, None)
-        switch._conclude(state, best, due)
+        if due and concluded or installs and best[0] is not None and (
+            switch.on_install is not hook or best is not accepted and (
+                best[0] is not accepted[0] or best[1:] != accepted[1:]
+                or state.spec is not installs[0].spec)
+        ):
+            _conclude(concluded, installs, accepted)
+            concluded, installs = [], []
+        if due:  # line 19: lines 20-31 cost Tc, so they are a process
+            tail = switch._triggered_tail(state.spec.connection_id, state, best)
+            Process(switch.sim, tail).resume()
+            continue
+        if best[0] is not None:
+            if not installs:
+                accepted, hook = best, switch.on_install
+            installs.append(state)
+        concluded.append(state)
+        if tracing:  # its install span closes before the next receive_lsa
+            _conclude(concluded, installs, accepted)
+            concluded, installs = [], []
+    if concluded:
+        _conclude(concluded, installs, accepted)
+
+
+def _conclude(states: List[McState], installs: List[McState], best) -> None:
+    """Figure 5 lines 32-35: ``installs``, those of ``states`` whose
+    candidate ``best`` (topology, stamp, proposer) survived, accept it as
+    one class; then ReceiveLSA() ends at each of ``states`` in order (an
+    emptied connection is destroyed; LSAs that arrived meanwhile get the
+    next wake)."""
+    if installs:
+        install_class(installs, *best)
+    for state in states:
+        if not state.record.members:
+            state.owner._maybe_destroy(state.spec.connection_id)
+        if state.inbox:
+            state.owner.sim.schedule_wake(state, receive_run)
+        else:
+            state.receiving = False
+
+
+def install_class(
+    states: Sequence[McState], topology: McTopology, stamp: Stamp, proposer: int
+) -> None:
+    """The one install path (Figure 5 lines 32-33, Figure 4 lines 8-10, the
+    resync merge): ``states``, of switches sharing one install hook (one
+    deployment, so one config), in install order, adopt ``topology`` based
+    on ``stamp`` from ``proposer``.  Each state gets its own stores
+    (:func:`~repro.core.state.install_all`) and fast-reroute plan; the hook
+    hears the class once.  Under an enabled tracer every caller installs
+    switch by switch, so the ``install`` span is that switch's."""
+    owner, connection_id, ctx = states[0].owner, states[0].spec.connection_id, states[0].trace_ctx
+    now = owner.sim.now
+    tracer = obs_tracer.TRACER
+    if tracer.enabled:
+        args = {"connection": connection_id, "stamp_total": stamp.total(), "proposer": proposer}
+        if ctx is not None:
+            args["trace_id"] = ctx.trace_id()
+        span = tracer.span("install", cat="arbitration", tid=owner.switch_id, sim_time=now,
+                           **args).__enter__()
+    install_all(states, topology, stamp, now, proposer)
+    if owner.config.enable_frr:
+        # The install retired any active fragments (the re-proposed tree
+        # IS the repair); precompute fresh ones so the next failure switches
+        # over in O(1).  Only an endpoint of an edge activates its fragment,
+        # so a switch plans its incident tree edges alone, and one the tree
+        # does not touch never rebuilds its image.
+        nodes = topology.edge_nodes()
+        for state in states:
+            x = state.owner.switch_id
+            state.backup_plan = EMPTY_PLAN if x not in nodes else compute_backup_plan(
+                topology, state.owner.router.network_image(), x)
+    if owner.on_install is not None:
+        switches = [state.owner.switch_id for state in states]
+        owner.on_install(now, switches, connection_id, stamp, proposer)
+    if tracer.enabled:
+        span.__exit__(None, None, None)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, ItemsView, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Dict, Hashable, ItemsView, Iterable, List, Mapping, Optional, Tuple, Union
 
 
 #: Entries each table here, in repro.core.state and in a ReceiveMemo keeps
@@ -285,10 +285,15 @@ class FrozenStamp(VectorTimestamp):
     __setitem__ = merge = assign = _shared  # type: ignore[assignment]
 
 
-def frozen(stamp: Stamp) -> FrozenStamp:
-    """``stamp`` as a :class:`FrozenStamp` (itself when it already is one)."""
+def frozen(stamp: Stamp, held: Optional[FrozenStamp] = None) -> FrozenStamp:
+    """``stamp`` as a :class:`FrozenStamp`: itself when it already is one,
+    ``held`` when that holds ``stamp``'s very value (so a record rebuilt
+    from snapshots of another keeps its stamps, and records compare by
+    identity), else a new wrapper."""
     if type(stamp) is FrozenStamp:
         return stamp
+    if held is not None and held._v is stamp._v:
+        return held
     out = FrozenStamp.__new__(FrozenStamp)
     out._v = stamp._v
     return out

@@ -70,6 +70,9 @@ from repro.topo.graph import Network
 DeliverFn = Callable[[int, Any], None]
 #: One copy's destination as a plan holds it: ``(handler, dest)``.
 Binding = Tuple[Optional[DeliverFn], int]
+#: A class delivery hook: (the bindings of copies of one payload due
+#: together, dests ascending; payload).
+DeliverClassFn = Callable[[Tuple[Binding, ...], Any], None]
 #: Copies due together: ``(delay, ((handler, dest), ...))``, dests ascending.
 FloodClass = Tuple[float, Tuple[Binding, ...]]
 
@@ -105,7 +108,7 @@ class FloodPlan:
     once.
     """
 
-    __slots__ = ("classes", "fanout", "hop_counts")
+    __slots__ = ("classes", "fanout", "hop_counts", "runs")
 
     def __init__(
         self,
@@ -115,6 +118,9 @@ class FloodPlan:
         self.classes = _group_copies(copies)
         self.fanout = len(copies)
         self.hop_counts = hop_counts
+        #: The :class:`KernelTransport` calls that deliver each class, built
+        #: on its first send.
+        self.runs: Optional[tuple] = None
 
     @property
     def delays(self) -> Dict[int, float]:
@@ -135,6 +141,14 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def register(self, switch_id: int, handler: DeliverFn) -> None:
         """Install the delivery handler for ``switch_id`` (one per switch)."""
+
+    def register_class(self, switch_id: int, deliver_class: DeliverClassFn) -> None:
+        """Name ``switch_id``'s hook for a class of copies due together.
+
+        A transport that carries a class at once (:class:`KernelTransport`)
+        calls it once per run of such destinations; the default carries
+        each copy through the handler and ignores it.
+        """
 
     @abc.abstractmethod
     def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
@@ -184,24 +198,31 @@ class KernelTransport(Transport):
     """Delivery via the discrete-event kernel (the simulator's backend).
 
     A flood is one kernel entry per distinct arrival instant ``now +
-    delay``; the entry calls the handlers of the destinations due then, in
-    id order.  That is the order of one entry per destination: a
-    synchronous flood draws consecutive ``seq``s, so no foreign entry can
-    sit between two of its same-instant copies.  A plan binds each copy to
-    the ``(handler, dest)`` pair made once at :meth:`register`, so plans
-    share those pairs.  The transport itself holds nothing in flight, so it
-    is always :attr:`idle`: in-flight deliveries live in the kernel and are
-    covered by the simulator's own quiescence check.
+    delay``; the entry delivers to the destinations due then, in id order:
+    once per run of them sharing a class hook (:meth:`register_class`; a
+    deployment names one for all its switches, so a class is one call),
+    else one handler call each.  That is the order of one entry per
+    destination: a synchronous flood draws consecutive ``seq``s, so no
+    foreign entry can sit between two of its same-instant copies.  A plan
+    binds each copy to the ``(handler, dest)`` pair made once at
+    :meth:`register`, so plans share those pairs.  The transport itself
+    holds nothing in flight, so it is always :attr:`idle`: in-flight
+    deliveries live in the kernel and are covered by the simulator's own
+    quiescence check.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._bindings: Dict[int, Binding] = {}
+        self._class_hooks: Dict[int, DeliverClassFn] = {}
 
     def register(self, switch_id: int, handler: DeliverFn) -> None:
         if switch_id in self._bindings:
             raise ValueError(f"switch {switch_id} already registered")
         self._bindings[switch_id] = (handler, switch_id)
+
+    def register_class(self, switch_id: int, deliver_class: DeliverClassFn) -> None:
+        self._class_hooks[switch_id] = deliver_class
 
     def has_handler(self, switch_id: int) -> bool:
         return switch_id in self._bindings
@@ -223,10 +244,37 @@ class KernelTransport(Transport):
         classes = plan.classes
         if len({now + delay for delay, _ in classes}) < len(classes):
             # Two delays land on one float instant: regroup by that instant.
-            classes = _group_copies(plan.copies(), now)
+            runs = self._runs(_group_copies(plan.copies(), now))
+        else:
+            runs = plan.runs
+            if runs is None:
+                runs = plan.runs = self._runs(classes)
         schedule = self.sim.schedule
+        for delay, calls in runs:
+            schedule(delay, partial(_deliver_batch, calls, payload))
+
+    def _runs(self, classes: Tuple[FloodClass, ...]) -> tuple:
+        """Per class, ``(delay, calls)``: one ``(hook, bindings)`` call per
+        run of its copies whose switches share a class hook or, lacking
+        one, a handler (wrapped to deliver copy by copy).  A class that is
+        one run passes the plan's own bindings."""
+        hooks = self._class_hooks
+        out = []
         for delay, batch in classes:
-            schedule(delay, partial(_deliver_batch, batch, payload))
+            runs: List[tuple] = []  # (hook or handler, per copy?, first index)
+            for i, (handler, dest) in enumerate(batch):
+                hook = hooks.get(dest)
+                key = handler if hook is None else hook
+                if not runs or runs[-1][0] is not key:
+                    runs.append((key, hook is None, i))
+            calls = []
+            end = len(batch)
+            for key, each, first in reversed(runs):
+                bindings = batch if len(runs) == 1 else batch[first:end]
+                calls.append((partial(_deliver_each, key) if each else key, bindings))
+                end = first
+            out.append((delay, tuple(reversed(calls))))
+        return tuple(out)
 
     @property
     def idle(self) -> bool:
@@ -240,8 +288,13 @@ class KernelTransport(Transport):
         return f"KernelTransport(handlers={len(self._bindings)})"
 
 
-def _deliver_batch(batch: Tuple[Binding, ...], payload: Any) -> None:
-    for handler, dest in batch:
+def _deliver_batch(calls: tuple, payload: Any) -> None:
+    for deliver, bindings in calls:
+        deliver(bindings, payload)
+
+
+def _deliver_each(handler: DeliverFn, bindings: Tuple[Binding, ...], payload: Any) -> None:
+    for _, dest in bindings:
         handler(dest, payload)
 
 
@@ -324,9 +377,18 @@ class FloodingFabric:
                 buckets=(1, 2, 3, 4, 6, 8, 12, 16),
             )
 
-    def register(self, switch_id: int, deliver: DeliverFn) -> None:
-        """Install the delivery hook for ``switch_id`` (one per switch)."""
+    def register(
+        self,
+        switch_id: int,
+        deliver: DeliverFn,
+        deliver_class: Optional[DeliverClassFn] = None,
+    ) -> None:
+        """Install the delivery hook for ``switch_id`` (one per switch), and
+        optionally its hook for a class of copies due together
+        (:meth:`Transport.register_class`)."""
         self.transport.register(switch_id, deliver)
+        if deliver_class is not None:
+            self.transport.register_class(switch_id, deliver_class)
 
     @property
     def total_floods(self) -> int:

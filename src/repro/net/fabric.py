@@ -211,19 +211,20 @@ class LiveFabric(ConnectionRegistrar):
         raise PumpFailure(f"host {x}'s pump died: {error!r}") from error
 
     def _record_install(
-        self, time: float, switch: int, connection_id: int, stamp: Stamp, proposer: int
+        self, time: float, switches: List[int], connection_id: int, stamp: Stamp,
+        proposer: int,
     ) -> None:
         # ``time`` is the installing host's *local* sim clock: there is no
         # global clock in the live runtime, only per-host schedulers.
-        host = self.hosts[switch]
-        self.install_log.record(time, switch, connection_id, stamp, proposer)
-        state = host.switch.states.get(connection_id)
-        if state is not None:
-            if self.config.enable_frr:  # fragments retire only under FRR
-                self.slo.record_frr_retired(state.take_frr_retirements())
-            self.slo.record_install(
-                state.trace_ctx, switch, state.member_set
-            )
+        self.install_log.record_class(time, switches, connection_id, stamp, proposer)
+        for switch in switches:
+            state = self.hosts[switch].switch.states.get(connection_id)
+            if state is not None:
+                if self.config.enable_frr:  # fragments retire only under FRR
+                    self.slo.record_frr_retired(state.take_frr_retirements())
+                self.slo.record_install(
+                    state.trace_ctx, switch, state.member_set
+                )
 
     # -- infrastructure failures (crash / restart / partition) -----------------
 

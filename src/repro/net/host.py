@@ -95,7 +95,7 @@ class LiveSwitch:
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
         time_scale: float = 0.0,
         on_computation: Optional[Callable[[int, int], None]] = None,
-        on_install: Optional[Callable[[float, int, int, Stamp, int], None]] = None,
+        on_install: Optional[Callable[[float, List[int], int, Stamp, int], None]] = None,
         generation: int = 1,
         hello_interval: float = 0.0,
         dead_interval: float = 0.0,

@@ -22,6 +22,7 @@ from repro.core import (
     LinkEvent,
     ProtocolConfig,
 )
+from repro.core.switch import install_class
 from repro.core.wire import encode_topology
 from repro.dataplane import BatchForwardingEngine, ForwardingEngine, McPacket
 from repro.frr import (
@@ -273,8 +274,8 @@ class TestEndpointLocalPlans:
         before = (
             GLOBAL_STATS.hits, GLOBAL_STATS.misses, spf.RUN_COUNTER.count,
         )
-        switch._install_body(
-            state, state.installed, state.current_stamp, state.current_proposer
+        install_class(
+            [state], state.installed, state.current_stamp, state.current_proposer
         )
         assert state.backup_plan == BackupPlan()
         assert before == (

@@ -1,15 +1,19 @@
 """The install log: compact columns, and ``stale-install`` checked once per install.
 
 :class:`~repro.core.invariants.InstallLog` is the one place an install is
-recorded.  Its ``record`` compares the new stamp with the last one the
-same switch installed for the connection and saves a detail when the new
-one is strictly dominated; ``check_invariants`` reads those details
+recorded, a whole install class at a time (``record_class``; ``record``
+is a class of one).  It compares each switch's new stamp with the last one
+the same switch installed for the connection and saves a detail when the
+new one is strictly dominated; ``check_invariants`` reads those details
 instead of walking the history.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, ProtocolConfig
 from repro.core.invariants import (
@@ -91,6 +95,48 @@ class TestRecord:
         assert [log.connections_since(i) for i in range(8)] == (
             [{7, 8}] * 5 + [{8}] * 2 + [set()]
         )
+
+
+#: Stamps of two origins, some dominating others, some incomparable.
+STAMPS = [S(0, 1), S(1, 1), S(2, 1), S(1, 2), S(2, 2), S(3, 0)]
+#: ``(time, connection, stamp, proposer, switches)``: one install class.
+CLASSES = st.lists(
+    st.tuples(
+        st.sampled_from([1.0, 2.0]),
+        st.sampled_from([7, 8]),
+        st.integers(0, len(STAMPS) - 1),
+        st.sampled_from([3, 4]),
+        st.lists(st.integers(0, 5), min_size=1, max_size=5),
+    ),
+    max_size=12,
+)
+
+
+def columns(log: InstallLog) -> tuple:
+    return (
+        log.row_time.tolist(), log.row_connection.tolist(),
+        log.row_proposer.tolist(), log.row_stamp_total.tolist(),
+        log.switches.tolist(), log.stale,
+        {cid: dict(lasts) for cid, lasts in log._last.items()},
+    )
+
+
+class TestRecordClass:
+    """Logging a class at once is logging its switches one at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes=CLASSES)
+    # Switch 2 installs a dominated stamp behind switch 1, which does not.
+    @example(classes=[(1.0, 7, 2, 3, [2]), (2.0, 7, 1, 4, [1, 2])])
+    def test_a_class_is_its_switches_in_order(self, classes):
+        whole, one_by_one = InstallLog(), InstallLog()
+        for time, cid, stamp, proposer, switches in classes:
+            # An equal stamp of another object, so a row may continue.
+            whole.record_class(time, switches, cid, STAMPS[stamp], proposer)
+            for x in switches:
+                one_by_one.record(time, x, cid, S(*STAMPS[stamp].dense(2)), proposer)
+        assert columns(whole) == columns(one_by_one)
+        assert list(whole) == list(one_by_one)
 
 
 def test_rule_outlives_a_destroyed_and_recreated_connection():

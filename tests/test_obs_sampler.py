@@ -3,6 +3,7 @@ named by the e2e tracer's layers."""
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 import json
@@ -91,9 +92,10 @@ def test_call_counts_repeat_across_fresh_processes():
 def _resolves(name: str) -> bool:
     """Whether a sampled ``module.qualname`` still names code: the longest
     importable module prefix, then attributes up to the first ``<locals>``
-    / ``<listcomp>`` / ... component, ending at a function or a property
-    (whose getter the qualname names).  A dataclass's generated methods
-    are named ``__create_fn__.<locals>.__init__`` in the declaring module."""
+    / ``<listcomp>`` / ... component, ending at a function, a property or
+    a cached property (whose getter the qualname names).  A dataclass's
+    generated methods are named ``__create_fn__.<locals>.__init__`` in the
+    declaring module."""
     parts = name.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -112,7 +114,7 @@ def _resolves(name: str) -> bool:
                 target = getattr(target, part)
         except AttributeError:
             return False
-        return callable(target) or isinstance(target, property)
+        return callable(target) or isinstance(target, (property, functools.cached_property))
     return False
 
 

@@ -17,8 +17,11 @@ from random import Random
 
 import pytest
 
-from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, LinkEvent, ProtocolConfig
+from repro.core import (
+    DgmcNetwork, JoinEvent, LeaveEvent, LinkEvent, NodeEvent, ProtocolConfig,
+)
 from repro.core import switch as switch_module
+from repro.lsr.flooding import KernelTransport, Transport
 from repro.obs.tracer import Tracer, use_tracer
 from repro.topo.generators import waxman_network
 from tests.test_receive_memo import churn_run, flap_run, outcome
@@ -37,6 +40,49 @@ def one_by_one(states):
 @pytest.fixture
 def per_switch(monkeypatch):
     monkeypatch.setattr(switch_module, "receive_run", one_by_one)
+
+
+#: The shipped install path, held before :func:`per_switch_installs`
+#: rebinds the module name.
+shipped_install = switch_module.install_class
+
+
+def one_install_at_a_time(states, topology, stamp, proposer):
+    for state in states:
+        shipped_install([state], topology, stamp, proposer)
+
+
+@pytest.fixture
+def per_switch_installs(monkeypatch):
+    """Wake every switch in a run of its own and install it as a class of
+    its own: the oracle of one switch at a time."""
+    monkeypatch.setattr(switch_module, "receive_run", one_by_one)
+    monkeypatch.setattr(switch_module, "install_class", one_install_at_a_time)
+
+
+@pytest.fixture
+def per_copy_delivery(monkeypatch):
+    """Deliver every flooded copy through its switch's own handler."""
+    monkeypatch.setattr(KernelTransport, "register_class", Transport.register_class)
+
+
+def installs(dgmc: DgmcNetwork):
+    """What the installs left: the log, its stale details, and per state
+    the canonical state, the install time, the accept count and the FRR
+    plan."""
+    return (
+        list(dgmc.install_log),
+        dgmc.install_log.stale,
+        {
+            (x, cid): (
+                state.canonical(), state.last_install_time,
+                state.proposals_accepted, state.backup_plan,
+            )
+            for x, switch in sorted(dgmc.switches.items())
+            for cid, state in sorted(switch.states.items())
+        },
+        dgmc.metrics.counter("frr_retired_total").value,
+    )
 
 
 def lookups(dgmc: DgmcNetwork) -> int:
@@ -125,3 +171,61 @@ def test_install_rows_follow_the_classes():
     fewer physical rows than installs."""
     dgmc = wide_churn_run()
     assert len(dgmc.install_log.row_time) * 4 < len(dgmc.install_log)
+
+
+@pytest.mark.parametrize("frr", [False, True], ids=["plain", "frr"])
+def test_a_class_installs_as_its_switches_one_at_a_time(frr, request):
+    """One loop of stores and one hook call per install run leave what
+    waking and installing one switch at a time leaves."""
+    config = ProtocolConfig(compute_time=0.5, per_hop_delay=0.05, enable_frr=frr)
+    classes = wide_churn_run(config)
+    rows = len(classes.install_log.row_time)
+    request.getfixturevalue("per_switch_installs")
+    alone = wide_churn_run(config)
+    assert installs(classes) == installs(alone)
+    assert outcome(classes) == outcome(alone)
+    assert rows * 4 < len(classes.install_log)
+    if frr:
+        assert any(
+            state.backup_plan.fragments
+            for switch in classes.switches.values()
+            for state in switch.states.values()
+        )
+
+
+def dead_switch_run() -> DgmcNetwork:
+    """Joins whose floods are in flight when a switch dies: its copies,
+    due at one instant with other switches', are dropped."""
+    net = waxman_network(60, Random(9))
+    dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05))
+    dgmc.register_symmetric(1)
+    for i, x in enumerate((0, 20, 40)):
+        dgmc.inject(JoinEvent(x, 1), at=1.0 + 0.1 * i)
+    dgmc.run()
+    hops = net.hop_distances(7)
+    dead = next(
+        y for y in sorted(hops)
+        if hops[y] == 2 and y not in (0, 20, 40)
+        and sum(1 for h in hops.values() if h == 2) > 2
+    )
+    for i, joiner in enumerate((7, 33, 51)):
+        at = 10.0 + 5.0 * i
+        dgmc.inject(JoinEvent(joiner, 1), at=at)
+        # The join floods at at + Tc; the copies arrive from one hop later.
+        dgmc.inject(NodeEvent(dead, up=False), at=at + 0.51)
+        dgmc.inject(NodeEvent(dead, up=True), at=at + 3.0)
+    dgmc.run()
+    return dgmc
+
+
+def test_a_dead_switch_inside_a_delivery_class_drops_its_copy(request):
+    """An MC class is one deployment call, and the switches a class holds
+    that have died still drop exactly their copies."""
+    classes = dead_switch_run()
+    drops = classes.metrics.counter("lsa_drops_total").value
+    request.getfixturevalue("per_copy_delivery")
+    alone = dead_switch_run()
+    assert drops > 0
+    assert drops == alone.metrics.counter("lsa_drops_total").value
+    assert classes.fabric.delivery_count == alone.fabric.delivery_count
+    assert outcome(classes) == outcome(alone)

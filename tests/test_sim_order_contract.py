@@ -90,9 +90,9 @@ def test_golden_dispatch_order():
     dgmc.register_symmetric(CID)
     installs = []  # the whole stamps, which the install log keeps only the sums of
     for switch in dgmc.switches.values():
-        def on_install(t, x, connection_id, stamp, proposer, record=switch.on_install):
-            installs.append((t, x, connection_id, stamp, proposer))
-            record(t, x, connection_id, stamp, proposer)
+        def on_install(t, xs, connection_id, stamp, proposer, record=switch.on_install):
+            installs.extend((t, x, connection_id, stamp, proposer) for x in xs)
+            record(t, xs, connection_id, stamp, proposer)
         switch.on_install = on_install
     for at, member in enumerate((0, 5, 9), start=1):
         dgmc.inject(JoinEvent(member, CID), at=float(at))
