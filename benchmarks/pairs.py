@@ -4,8 +4,9 @@
 Runs ``benchmarks/e2e/run.py --workload W --seed N --seconds S --trace 0``
 in two checkouts -- ``--parent DIR`` and ``--change DIR`` (default: this
 repository) -- alternately, the side that runs first swapped every pair so
-neither always meets a warm or a cold machine.  Prints the rows of the
-paired tables in docs/benchmarking.md: per end-to-end metric the inclusive
+neither always meets a warm or a cold machine.  Prints one Markdown table
+(method in docs/benchmarking.md, "Pairs and noise"; a change's headline
+rows go into its CHANGES.md line): per end-to-end metric the inclusive
 q1 / median / q3 of each side, the pairs the change won, the median
 difference against the parent's inter-quartile range, and the failed
 operations of each side::

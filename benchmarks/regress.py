@@ -383,9 +383,9 @@ async def _slo_scenario(n: int, seed: int) -> Dict[str, object]:
     """One live convergence-SLO trial: joins, tree-edge fail/repair, leave.
 
     Returns the SLO tracker's readings.  Wall latencies are real loopback
-    UDP round trips (barrier pacing, zero injected loss), so the p50/p99
-    are noisy across machines -- the baseline gate holds them to the
-    generous :data:`LATENCY_TOLERANCE`.
+    UDP round trips (a quiescence barrier between events, zero injected
+    loss), so the p50/p99 are noisy across machines -- the baseline gate
+    holds them to the generous :data:`LATENCY_TOLERANCE`.
     """
     from repro.net.fabric import LiveConfig, LiveFabric
 

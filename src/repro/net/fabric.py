@@ -8,15 +8,11 @@ link events from the same ``workloads`` event vocabulary, and exposes the
 same inspection surface (``states_for`` / ``agreement``) over the final
 :class:`~repro.core.state.McState`\\ s.
 
-Two pacing modes:
-
-* ``barrier`` (default) -- events are applied in schedule order with a
-  quiescence barrier between consecutive events; with zero injected loss
-  this reproduces the discrete-event run of a well-separated schedule
-  byte-for-byte (the equivalence harness relies on it).
-* ``timed`` -- events fire at ``time * time_scale`` wall seconds after
-  the run starts; with a small ``time_scale`` concurrent events genuinely
-  race on the wire.
+:meth:`LiveFabric.run` applies the injected events in schedule order with
+a quiescence barrier between consecutive events; with zero injected loss
+this reproduces the discrete-event run of a well-separated schedule
+byte-for-byte (the equivalence harness relies on it).  Events that should
+race on the wire are fired back to back with :meth:`LiveFabric.fire_event`.
 """
 
 from __future__ import annotations
@@ -44,18 +40,13 @@ from repro.topo.graph import Network
 
 @dataclass
 class LiveConfig:
-    """Knobs of the live runtime (transport, pacing, quiescence)."""
+    """Knobs of the live runtime (transport, quiescence, failure detection)."""
 
     #: Injected datagram faults (loss / reorder / delay), seeded.
     faults: FaultPlan = field(default_factory=FaultPlan)
     #: Ack/retransmit policy of the UDP transport.
     policy: RetransmitPolicy = field(default_factory=RetransmitPolicy)
     host: str = "127.0.0.1"
-    #: Wall seconds per simulated time unit inside each host's pump
-    #: (0 = run local compute instantly) and for ``timed`` pacing.
-    time_scale: float = 0.0
-    #: ``barrier`` or ``timed`` (see module docstring).
-    pacing: str = "barrier"
     #: Hard cap on any single quiescence wait, wall seconds.
     quiesce_timeout: float = 30.0
     #: Poll interval of the quiescence barrier, wall seconds.
@@ -70,8 +61,6 @@ class LiveConfig:
     dead_interval: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pacing not in ("barrier", "timed"):
-            raise ValueError(f"unknown pacing {self.pacing!r}")
         if self.hello_interval < 0 or self.dead_interval < 0:
             raise ValueError("hello_interval and dead_interval must be >= 0")
 
@@ -167,7 +156,6 @@ class LiveFabric(ConnectionRegistrar):
             self.solved,
             self.receive_memo,
             connection_registry=self.connection_registry,
-            time_scale=self.live.time_scale,
             on_install=self._record_install,
             generation=generation,
             hello_interval=self.live.hello_interval,
@@ -328,10 +316,10 @@ class LiveFabric(ConnectionRegistrar):
         """Apply one membership/link event immediately, with no barrier.
 
         Unlike :meth:`inject` + :meth:`run` (which quiesces between
-        events under barrier pacing), back-to-back ``fire_event`` calls
-        put their floods on the wire concurrently -- the chaos soak's
-        ``race`` action uses this to let a membership LSA and a link
-        LSA from the same source genuinely race in flight.
+        events), back-to-back ``fire_event`` calls put their floods on the
+        wire concurrently -- the chaos soak's ``race`` action uses this to
+        let a membership LSA and a link LSA from the same source genuinely
+        race in flight.
         """
         if not isinstance(event, (JoinEvent, LeaveEvent, LinkEvent)):
             raise TypeError(f"unknown event {event!r}")
@@ -361,18 +349,9 @@ class LiveFabric(ConnectionRegistrar):
             await self.start()
         events = sorted(self._pending_events)
         self._pending_events = []
-        if self.live.pacing == "barrier":
-            for _, _, event in events:
-                self._fire(event)
-                await self.quiesce()
-        else:  # timed
-            loop = asyncio.get_running_loop()
-            t0 = loop.time()
-            for at, _, event in events:
-                delay = t0 + at * self.live.time_scale - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                self._fire(event)
+        for _, _, event in events:
+            self._fire(event)
+            await self.quiesce()
         await self.quiesce()
         return self
 

@@ -7,8 +7,7 @@ protocol bodies are generator processes written against the simulation
 kernel; here each host owns a private :class:`~repro.sim.kernel.Simulator`
 that serves purely as the host's *local* scheduler: incoming datagrams and
 local events enqueue work, and the pump task drains the local kernel,
-optionally stretching simulated compute time (Tc) into wall time via
-``time_scale`` so LSAs can genuinely race into computation windows.
+yielding to the event loop between steps.
 
 Outbound flooding goes through :class:`LiveFloodOut`, which
 origin-broadcasts each LSA to every peer over the shared
@@ -93,7 +92,6 @@ class LiveSwitch:
         solved: SolvedImages,
         memo: ReceiveMemo,
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
-        time_scale: float = 0.0,
         on_computation: Optional[Callable[[int, int], None]] = None,
         on_install: Optional[Callable[[float, List[int], int, Stamp, int], None]] = None,
         generation: int = 1,
@@ -107,7 +105,6 @@ class LiveSwitch:
         #: it only informs this host's router LSAs and link-event handling.
         self.net = net
         self.sim = Simulator()
-        self.time_scale = time_scale
         self.flood_out = LiveFloodOut(transport, switch_id, net.switches())
         self.router = UnicastRouter(switch_id, net, self.flood_out, solved)
         self.connection_registry: Dict[int, ConnectionSpec] = (
@@ -420,15 +417,10 @@ class LiveSwitch:
             self._pumping = True
             try:
                 while True:
-                    nxt = self.sim.peek()
-                    if nxt is None:
+                    if self.sim.peek() is None:
                         break
-                    dt = nxt - self.sim.now
-                    if dt > 0 and self.time_scale > 0:
-                        await asyncio.sleep(dt * self.time_scale)
-                    else:
-                        # Yield so datagrams can interleave between steps.
-                        await asyncio.sleep(0)
+                    # Yield so datagrams can interleave between steps.
+                    await asyncio.sleep(0)
                     if self._stopped:
                         return
                     tracer = obs_tracer.TRACER

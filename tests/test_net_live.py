@@ -140,28 +140,25 @@ class TestLiveFabric:
         switches = {rec.switch for rec in fabric.install_log}
         assert len(switches) > 1  # installs happened network-wide
 
-    def test_timed_pacing_converges(self):
-        """Events racing in wall time (no barrier) still reach agreement."""
+    def test_back_to_back_events_converge(self):
+        """Events racing on the wire (no barrier between them) still reach
+        agreement."""
 
         async def run():
             scenario = make_scenario(switches=6, seed=11, events=3)
-            live = LiveConfig(pacing="timed", time_scale=0.001)
-            fabric = LiveFabric(scenario.net.copy(), scenario.config, live)
+            fabric = LiveFabric(scenario.net.copy(), scenario.config)
             fabric.register_symmetric(scenario.connection_id)
-            for at, event in scenario.timeline:
-                fabric.inject(event, at=at)
             try:
-                await fabric.run()
+                await fabric.start()
+                for _, event in scenario.timeline:
+                    fabric.fire_event(event)
+                await fabric.quiesce()
                 return fabric.agreement(scenario.connection_id)
             finally:
                 await fabric.shutdown()
 
         ok, detail = asyncio.run(run())
         assert ok, detail
-
-    def test_unknown_pacing_rejected(self):
-        with pytest.raises(ValueError, match="pacing"):
-            LiveConfig(pacing="warp")
 
     def test_duplicate_connection_rejected(self):
         scenario = make_scenario(switches=5, seed=9, events=2)
