@@ -195,6 +195,15 @@ def _run_schedule(dgmc, scenario, t0: float, what: str) -> None:
         raise AssertionError(f"disagreement in {what}: {detail}")
 
 
+def _rebuild_tests(delta: Dict[str, float]) -> Dict[str, int]:
+    """``{"bound": n, "built": n}``: the rebuild tests in a registry delta,
+    by how each was settled (``tree_rebuild_tests_total``)."""
+    return {
+        how: int(delta[f'{attach.REBUILD_TESTS}{{settled="{how}"}}'])
+        for how in ("bound", "built")
+    }
+
+
 def _churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
     """One exp1-style churn trial, counted from bring-up on."""
     _, scenario, dgmc, gap = _churn_bring_up(n, graph, seed, "regress")
@@ -203,6 +212,7 @@ def _churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
     _run_schedule(dgmc, scenario, dgmc.sim.now + gap, f"churn run n={n}")
     delta = GLOBAL_REGISTRY.delta(snap0)
     return {
+        "rebuild_tests": _rebuild_tests(delta),
         "dijkstra_runs": int(delta[attach.DIJKSTRA_RUNS]),
         "trees": canonical_tree_bytes(dgmc.states_for(scenario.connection_id)),
         "tables": _routing_blob(dgmc),
@@ -221,6 +231,7 @@ def _failure_churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
     from repro.workloads.failures import FailureInjector
 
     registry, scenario, dgmc, gap = _churn_bring_up(n, graph, seed, "regress-failures")
+    snap0 = GLOBAL_REGISTRY.snapshot()
     dgmc.run()
 
     injector = FailureInjector(dgmc, registry.stream("failures"))
@@ -238,6 +249,7 @@ def _failure_churn_run(n: int, graph: int, seed: int) -> Dict[str, object]:
     )
     _run_schedule(dgmc, scenario, t0, f"failure churn n={n}")
     return {
+        "rebuild_tests": _rebuild_tests(GLOBAL_REGISTRY.delta(snap0)),
         "link_events": injector.failures_injected + injector.repairs_completed,
         "trees": canonical_tree_bytes(dgmc.states_for(scenario.connection_id)),
         "tables": _routing_blob(dgmc),
@@ -264,13 +276,27 @@ def bench_cache_equivalence(sizes, graphs) -> Dict[str, object]:
     """Shared-image vs uncached runs (:func:`repro.lsr.spfcache.disabled`,
     the oracle), under membership churn and under a link-failure
     campaign: byte-identical installed trees and routing tables, and
-    >= 2x fewer Dijkstras under churn."""
+    >= 2x fewer Dijkstras under churn.
+
+    Each arm records its rebuild tests by how they were settled.  The
+    cached arm must settle some by a content's lower bound and the
+    uncached arm none, so the byte-identity holds with the skip path run.
+    """
     pairs = _paired_trials(sizes, graphs, _churn_run, 1996)
     failure_pairs = _paired_trials(sizes, graphs, _failure_churn_run, 2026)
     cached_runs = sum(on["dijkstra_runs"] for on, _ in pairs)
     uncached_runs = sum(off["dijkstra_runs"] for _, off in pairs)
     reduction = uncached_runs / cached_runs if cached_runs else float("inf")
+    trials = pairs + failure_pairs
+    rebuild_tests = {
+        arm: {
+            how: sum(pair[side]["rebuild_tests"][how] for pair in trials)
+            for how in ("bound", "built")
+        }
+        for side, arm in ((0, "cached"), (1, "uncached"))
+    }
     return {
+        "rebuild_tests": rebuild_tests,
         "trials": len(pairs),
         "dijkstra_runs_cached": cached_runs,
         "dijkstra_runs_uncached": uncached_runs,
@@ -296,6 +322,12 @@ def _check_cache_equivalence(eq, top_n: int) -> Iterable[str]:
         yield f"{differ} routing tables under link failures"
     if eq["dijkstra_reduction"] < 2.0:
         yield f"Dijkstra reduction {eq['dijkstra_reduction']:.2f}x < 2.0x"
+    settled = eq["rebuild_tests"]
+    if settled["cached"]["bound"] < 1:
+        yield "the cached arm settled no rebuild test by its lower bound"
+    if settled["uncached"]["bound"] != 0:
+        yield (f"the uncached arm settled {settled['uncached']['bound']} "
+               "rebuild tests by a bound it cannot hold")
 
 
 def bench_tracing_overhead(sizes, graphs) -> Dict[str, object]:

@@ -46,7 +46,9 @@ nobody in the deployment has solved runs one
 :func:`~repro.lsr.spf.dijkstra_uncached`, memoised in that entry: this
 table is the only way one image reuses another's SPF results.  The entry
 also holds ``detours``, the memo :mod:`repro.frr.backup` keeps its
-detours in.  Every memo of a content lives in its entry, so the table's
+detours in, and ``bounds``, the lower bounds on fresh-tree costs that
+:class:`~repro.trees.dynamic.GreedyDynamicSteiner` settles its rebuild
+test by.  Every memo of a content lives in its entry, so the table's
 :data:`SOLVED_BOUND` bounds them all.  The table also keeps its databases' LSA sets
 (:class:`LsaSet`): the full scan that built a set's first image, that
 image, and the installs out of the set, so a flood's LSA is diffed once
@@ -207,7 +209,7 @@ class _Solved:
     :class:`SpfCache` built on that content.  ``components`` is ``None``
     until :meth:`SpfCache.components` first labels the content."""
 
-    __slots__ = ("adj", "sssp", "tables", "dags", "detours", "components")
+    __slots__ = ("adj", "sssp", "tables", "dags", "detours", "bounds", "components")
 
     def __init__(self, adj: Mapping[int, Mapping[int, float]]) -> None:
         self.adj = adj
@@ -215,6 +217,7 @@ class _Solved:
         self.tables: Dict[int, Dict[int, int]] = {}
         self.dags: Dict[int, Dict[int, tuple]] = {}
         self.detours: Dict[Tuple[int, int], object] = {}
+        self.bounds: Dict[frozenset, tuple] = {}
         self.components: Optional[Dict[int, int]] = None
 
 
@@ -370,7 +373,10 @@ class SpfCache(MappingABC):
     """
 
     # ``__weakref__``: tests watch a superseded image get collected.
-    __slots__ = ("_adj", "_sssp", "_tables", "_dags", "_solved", "detours", "__weakref__")
+    __slots__ = (
+        "_adj", "solves", "_tables", "_dags", "_solved", "detours", "bounds",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -380,13 +386,18 @@ class SpfCache(MappingABC):
         if solved is None:
             solved = _Solved(adj)
         self._adj = solved.adj
-        self._sssp = solved.sssp
+        #: ``source -> (dist, parent)``, the solves :meth:`sssp` memoised on
+        #: this content.  Reading it counts no hit; do not mutate it.
+        self.solves = solved.sssp
         self._tables = solved.tables
         self._dags = solved.dags
         self._solved = solved
         #: ``(u, v) -> BackupFragment or None``, filled by
         #: :func:`repro.frr.backup.compute_backup_plan`.
         self.detours = solved.detours
+        #: ``member set -> bound record``, filled by
+        #: :meth:`repro.trees.dynamic.GreedyDynamicSteiner.update`.
+        self.bounds = solved.bounds
 
     @property
     def rows(self) -> Mapping[int, Mapping[int, float]]:
@@ -421,7 +432,7 @@ class SpfCache(MappingABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SpfCache(nodes={len(self._adj)}, sssp={len(self._sssp)})"
+            f"SpfCache(nodes={len(self._adj)}, sssp={len(self.solves)})"
         )
 
     # -- memoized SPF results ----------------------------------------------
@@ -432,19 +443,19 @@ class SpfCache(MappingABC):
         """Memoized single-source shortest paths (``spf.dijkstra``): a
         miss on this content pays one full run, which every image of the
         content then reads."""
-        entry = self._sssp.get(source)
+        entry = self.solves.get(source)
         if entry is not None:
             GLOBAL_STATS.hits += 1
             return entry
         GLOBAL_STATS.misses += 1
         entry = dijkstra_uncached(self._adj, source)
-        self._sssp[source] = entry
+        self.solves[source] = entry
         return entry
 
     def prewarm(self, sources) -> int:
         """Solve SSSP for every source not yet memoized; returns how many
         solves ran (each one a counted miss, later reads are hits)."""
-        pending = [s for s in sources if s not in self._sssp]
+        pending = [s for s in sources if s not in self.solves]
         for s in pending:
             self.sssp(s)
         return len(pending)

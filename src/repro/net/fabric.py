@@ -344,7 +344,9 @@ class LiveFabric(ConnectionRegistrar):
     # -- running ------------------------------------------------------------------------
 
     async def run(self) -> "LiveFabric":
-        """Apply every injected event and settle to global quiescence."""
+        """Apply every injected event and settle to global quiescence:
+        one barrier per event, which the last one leaves the fabric in,
+        or one barrier when no event was injected."""
         if not self._started:
             await self.start()
         events = sorted(self._pending_events)
@@ -352,7 +354,8 @@ class LiveFabric(ConnectionRegistrar):
         for _, _, event in events:
             self._fire(event)
             await self.quiesce()
-        await self.quiesce()
+        if not events:
+            await self.quiesce()
         return self
 
     @property

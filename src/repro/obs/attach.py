@@ -8,7 +8,9 @@ kernel) and ``total_computations()``.  :func:`attach_network_metrics`
 duck-types on that surface, so the metrics plumbing exists exactly once:
 it builds the per-network registry and registers one collector per
 counter owner -- :func:`repro.lsr.spfcache.collect_spf` for the
-process-wide SPF counters, and one for the network's own flood counters,
+process-wide SPF counters,
+:func:`repro.trees.dynamic.collect_rebuild_tests` for the process-wide
+rebuild-test counts, and one for the network's own flood counters,
 computation count and kernel state.  Callers diff :meth:`MetricsRegistry.snapshot` /
 :meth:`~MetricsRegistry.delta` around a phase; nothing else copies a count.
 
@@ -33,6 +35,9 @@ SPF_HITS = "spf_cache_hits_total"
 SPF_MISSES = "spf_cache_misses_total"
 SPF_INVALIDATIONS = "spf_cache_invalidations_total"
 DIJKSTRA_RUNS = "spf_dijkstra_runs_total"
+#: Labelled ``settled="bound"|"built"``, from
+#: :func:`repro.trees.dynamic.collect_rebuild_tests`.
+REBUILD_TESTS = "tree_rebuild_tests_total"
 COMPUTATIONS = "computations_total"
 RECEIVE_MEMO_HITS = "receive_memo_hits_total"
 RECEIVE_MEMO_MISSES = "receive_memo_misses_total"
@@ -84,8 +89,10 @@ def attach_network_metrics(
                         "(no transition to share)").set_total(memo.misses)
 
     from repro.lsr.spfcache import collect_spf
+    from repro.trees.dynamic import collect_rebuild_tests
 
     reg.register_collector(collect_spf)
+    reg.register_collector(collect_rebuild_tests)
     reg.register_collector(_collect)
     return reg
 

@@ -82,6 +82,8 @@ class Network:
         #: Solved SPF images by content, shared by this network's own views
         #: only: a deployment's routers share a table of their own.
         self._solved = SolvedImages()
+        #: :meth:`bridges` by :attr:`up_state`, bounded by ``remember``.
+        self._bridges: Dict[Tuple, Tuple[Tuple[int, int], ...]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -257,13 +259,27 @@ class Network:
         return len(self.hop_distances(0)) == self.n
 
     def bridges(self) -> list[Tuple[int, int]]:
-        """All bridge edges over up links, as sorted canonical keys.
+        """All bridge edges over up links, as sorted canonical keys (a new
+        list per call).
 
         A bridge is an up link whose removal disconnects its component.
-        One Tarjan lowpoint pass over the up-link graph (iterative DFS, so
-        deep topologies cannot hit the recursion limit): O(V + E) total,
-        versus probing connectivity once per link.
+        The answer depends on the up links alone, so it is memoised per
+        :attr:`up_state` (bounded like the flooding fabric's plans): a
+        link that fails and heals finds the pass it paid before.
         """
+        from repro.lsr.spfcache import remember
+
+        state = (len(self._links), self._down)  # up_state, read in place
+        found = self._bridges.get(state)
+        if found is None:
+            found = tuple(self._find_bridges())
+            remember(self._bridges, state, found)
+        return list(found)
+
+    def _find_bridges(self) -> list[Tuple[int, int]]:
+        """One Tarjan lowpoint pass over the up-link graph (iterative DFS,
+        so deep topologies cannot hit the recursion limit): O(V + E)
+        total, versus probing connectivity once per link."""
         adj = self._adj
         disc: Dict[int, int] = {}
         low: Dict[int, int] = {}

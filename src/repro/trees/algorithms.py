@@ -104,9 +104,16 @@ def dominant_members(
     The members are grouped by the image's component labels
     (:func:`~repro.lsr.spf.component_labels`), which a cached image
     computes once per content: the cost per call is the member count,
-    not the image.
+    not the image.  When every member is in the image under one label (as
+    on any connected image), the members are the group: no grouping pass
+    runs.
     """
     labels = component_labels(adj)
+    shared = set(map(labels.get, members))
+    if len(shared) == 1 and None not in shared:
+        # The construction the grouping below makes, so the set iterates
+        # as it always did.
+        return frozenset(sorted(members))
     groups: Dict[int, list] = {}
     # A label is a node of the image, so an absent member's own id keys
     # a group nobody else joins.

@@ -10,14 +10,20 @@ the present topology deviates significantly from an optimal one."
 operations (Dynamic Steiner Tree Problem, SIAM J. Discrete Math 1991);
 :class:`GreedyDynamicSteiner` wraps them with a from-scratch rebuild policy
 based on a cost-degradation threshold: a maintained tree costing more than
-1.5 times a fresh pruned shortest-path tree is replaced by it.
+1.5 times a fresh pruned shortest-path tree is replaced by it.  On a cached
+image the test is settled, where it can be, from a lower bound on the fresh
+tree's cost instead of a fresh tree (:meth:`GreedyDynamicSteiner.update`).
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro.lsr.spfcache import SOLVED_BOUND
+from repro.obs import attach
+from repro.obs.metrics import REGISTRY as _GLOBAL_REGISTRY
 from repro.trees.base import MulticastTree, TreeError
 from repro.trees.steiner import pruned_spt_steiner_tree
 
@@ -107,17 +113,69 @@ def _cost(rows: Mapping[int, Mapping[int, float]], tree: MulticastTree) -> float
     return sum([rows[u][v] for u, v in tree.edges])
 
 
+@dataclass
+class RebuildTests:
+    """Process-wide counts of the rebuild tests :meth:`GreedyDynamicSteiner.update`
+    made, by how each was settled; the one instance is :data:`REBUILD_TESTS`."""
+
+    #: Settled by the content's lower bound: no comparison tree was built.
+    bound: int = 0
+    #: Settled by building the comparison tree (always, on a plain image).
+    built: int = 0
+
+
+REBUILD_TESTS = RebuildTests()
+
+
+@_GLOBAL_REGISTRY.register_collector
+def collect_rebuild_tests(reg) -> None:
+    """Emit ``tree_rebuild_tests_total{settled=...}``, the way
+    :func:`repro.lsr.spfcache.collect_spf` emits the ``spf_*`` samples:
+    registered here on the process-wide registry and by
+    :func:`repro.obs.attach.attach_network_metrics` on each per-network one."""
+    text = "1.5x rebuild tests, by whether a lower bound or a built tree settled them"
+    reg.counter(attach.REBUILD_TESTS, text, settled="bound").set_total(REBUILD_TESTS.bound)
+    reg.counter(attach.REBUILD_TESTS, text, settled="built").set_total(REBUILD_TESTS.built)
+
+
+#: The relative float slack of a bound (see :meth:`GreedyDynamicSteiner.update`).
+_SLACK = 1e-9
+
+
+def _carried(record: Optional[tuple], before: frozenset, members: frozenset) -> Optional[tuple]:
+    """The bound record of ``members`` carried from ``before``'s
+    ``record``, or ``None`` when there is none or the anchor moved.
+
+    A record is ``(anchor, bound, scale, dist)``: ``bound`` is a lower
+    bound on the fresh tree's cost, ``scale`` the sum of the magnitudes it
+    was computed from, ``dist`` the anchor's memoised distances.  A join
+    keeps the bound; each leaver subtracts its distance from the anchor.
+    """
+    if record is None:
+        return None
+    anchor, bound, scale, dist = record
+    if min(members) != anchor:
+        return None
+    for gone in before - members:
+        d = dist[gone]
+        bound -= d
+        scale += d
+    return anchor, bound, scale, dist
+
+
 class GreedyDynamicSteiner:
     """The incremental-vs-rebuild policy; holds no state between calls.
 
     When the maintained tree costs more than :attr:`REBUILD_THRESHOLD`
     times a fresh :attr:`from_scratch` tree, the fresh tree is used instead
-    of the incremental result.
+    of the incremental result.  What a cached image proves about fresh-tree
+    costs is kept in its content's ``bounds`` memo, not here.
     """
 
     #: Cost ratio (maintained / fresh) above which the tree is rebuilt.
     REBUILD_THRESHOLD = 1.5
     #: The from-scratch computation: one Dijkstra, as the paper's Tc models.
+    #: The rebuild test's lower bound (:meth:`update`) is proven for it.
     from_scratch = staticmethod(pruned_spt_steiner_tree)
 
     def update(
@@ -131,6 +189,37 @@ class GreedyDynamicSteiner:
         Joins/leaves relative to ``previous.members`` are applied
         incrementally; anything else (no previous tree, network change that
         broke the tree, threshold exceeded) triggers a from-scratch build.
+
+        **The rebuild test.**  The fresh tree is the union of the anchor's
+        (``min(members)``) shortest paths to the members, read off one
+        memoised solve of the image's content.  On a cached image each
+        member set the test meets keeps a lower bound on that tree's cost
+        in the content's ``bounds`` memo (bounded like every memo of the
+        content), and the comparison tree is built only when the bound
+        cannot settle the test:
+
+        * a test that builds stores the fresh tree's exact cost;
+        * a join with an unchanged anchor only adds paths to the union,
+          so the previous member set's bound holds for the new one;
+        * a leave removes at most the leaver's path, so the bound drops
+          by the leaver's distance from the anchor (read from the solve
+          the bound was taken on, kept in the record: no SPF call);
+        * an anchor change, a member set with no record, or a plain
+          (uncached) image builds, as every test did before.
+
+        The maintained tree is kept unbuilt when ``cost(tree) <= 1.5 x
+        (bound - slack)``, which implies ``cost(tree) <= 1.5 x
+        cost(fresh)`` for the float costs too: each of ``bound`` and
+        ``cost(fresh)`` is a float sum within ``k eps`` of its real value
+        relative to the magnitudes summed, with ``k`` the terms summed
+        (edges plus path hops) and ``eps = 2**-53``.  Because a leave
+        subtracts, the slack is sized against those magnitudes
+        (``scale``, every cost and distance the bound was computed from),
+        not against the bound: ``slack = 1e-9 x scale`` covers any ``k``
+        below ~10**6.  Otherwise the tree is built and the float
+        comparison is exactly the one every test made before, so the
+        result is byte-identical: a returned fresh tree always comes from
+        :attr:`from_scratch`.
         """
         if not members:
             return MulticastTree.empty()
@@ -154,7 +243,32 @@ class GreedyDynamicSteiner:
         except TreeError:
             return self.from_scratch(adj, members)
         if len(members) >= 2:
-            fresh = self.from_scratch(adj, members)
-            if _cost(rows, tree) > self.REBUILD_THRESHOLD * _cost(rows, fresh):
+            cost = _cost(rows, tree)
+            bounds = getattr(adj, "bounds", None)
+            record = None
+            if bounds is not None:
+                record = bounds.get(members) or _carried(
+                    bounds.get(previous.members), previous.members, members
+                )
+            fresh = None
+            if record is not None and cost <= self.REBUILD_THRESHOLD * (
+                record[1] - _SLACK * record[2]
+            ):
+                REBUILD_TESTS.bound += 1
+            else:
+                REBUILD_TESTS.built += 1
+                fresh = self.from_scratch(adj, members)
+                fresh_cost = _cost(rows, fresh)
+                if bounds is not None:
+                    # from_scratch has just solved from the anchor.
+                    anchor = min(members)
+                    record = (anchor, fresh_cost, fresh_cost, adj.solves[anchor][0])
+            if record is not None:
+                # remember(), inlined: a call per test would count into the
+                # lsr layer what the bound saves there.
+                bounds[members] = record
+                if len(bounds) > SOLVED_BOUND:
+                    del bounds[next(iter(bounds))]
+            if fresh is not None and cost > self.REBUILD_THRESHOLD * fresh_cost:
                 return fresh
         return MulticastTree(tree.edges, members, tree.root)

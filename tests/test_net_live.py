@@ -116,6 +116,33 @@ class TestLiveFabric:
         ok, detail = fabric.agreement(1)
         assert ok, detail
 
+    @pytest.mark.parametrize("events", [0, 4])
+    def test_run_pays_one_barrier_per_event(self, events):
+        async def run():
+            scenario = make_scenario(switches=5, seed=9, events=2)
+            fabric = LiveFabric(scenario.net.copy(), scenario.config)
+            fabric.register_symmetric(scenario.connection_id)
+            barriers = []
+            quiesce = fabric.quiesce
+
+            async def counted(timeout=None):
+                barriers.append(1)
+                await quiesce(timeout)
+
+            fabric.quiesce = counted
+            for at, event in scenario.timeline[:events]:
+                fabric.inject(event, at=at)
+            try:
+                await fabric.run()
+            finally:
+                await fabric.shutdown()
+            return fabric.events_injected, len(barriers), fabric.agreement(1)
+
+        fired, barriers, (ok, detail) = asyncio.run(run())
+        assert fired == events
+        assert barriers == max(events, 1)
+        assert ok, detail
+
     def test_node_events_rejected_with_pointer(self):
         scenario = make_scenario(switches=5, seed=9, events=2)
         fabric = LiveFabric(scenario.net.copy(), scenario.config)

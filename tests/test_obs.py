@@ -332,12 +332,19 @@ class TestNetworkMetrics:
             for key, value in vars(attach).items()
             if key.isupper() and not key.startswith("STRESS_")
         ]
-        assert len(names) == len(set(names)) == 12
+        assert len(names) == len(set(names)) == 13
+        # The one labelled family: a sample per label value.
+        labelled = {
+            attach.REBUILD_TESTS: [
+                attach.REBUILD_TESTS + '{settled="%s"}' % how for how in ("bound", "built")
+            ]
+        }
         snap = dgmc.metrics.snapshot()
         lines = dgmc.metrics.to_prometheus().splitlines()
         for name in names:
-            assert name in snap
-            assert sum(line.startswith(name + " ") for line in lines) == 1
+            for sample in labelled.get(name, [name]):
+                assert sample in snap
+                assert sum(line.startswith(sample + " ") for line in lines) == 1
             assert lines.count(f"# TYPE {name} counter") + lines.count(
                 f"# TYPE {name} gauge"
             ) == 1

@@ -188,6 +188,34 @@ class TestWalksOverTheAdjacency:
         assert net.bridges() == probed_bridges(net)
 
 
+class TestBridgesMemo:
+    def test_one_pass_per_up_state_and_a_fresh_list_per_call(self, monkeypatch):
+        # A path 0-1-2 closed into a ring by 2-3-0: no bridges until 2-3
+        # fails, when every up link is one.
+        net = Network(4)
+        for u, v in ((0, 1), (1, 2), (2, 3), (0, 3)):
+            net.add_link(u, v)
+        passes = []
+        find = Network._find_bridges
+        monkeypatch.setattr(
+            Network, "_find_bridges", lambda self: passes.append(1) or find(self)
+        )
+        first = net.bridges()
+        assert first == []
+        first.append((9, 9))
+        assert net.bridges() == []
+        net.set_link_state(2, 3, up=False)
+        assert net.bridges() == [(0, 1), (0, 3), (1, 2)]
+        net.set_link_state(2, 3, up=True)
+        assert net.bridges() == []
+        net.set_link_state(2, 3, up=False)
+        assert net.bridges() == [(0, 1), (0, 3), (1, 2)]
+        assert len(passes) == 2
+        net.add_link(1, 3)  # a new link is a new up state
+        assert net.bridges() == [(1, 2)]
+        assert len(passes) == 3
+
+
 class TestConnectivity:
     def test_connected(self, grid4x4):
         assert grid4x4.is_connected()

@@ -207,6 +207,19 @@ class TestComponentPartition:
         )
         assert list(pruned_spt_steiner_tree(adj, terms).edges) == list(composed.edges)
 
+    @given(st.lists(st.integers(0, 63), min_size=1, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_connected_members_iterate_as_the_grouping_built_them(self, order):
+        # Inserted in drawn order, a set of colliding ids iterates apart
+        # from one built in sorted order, which is what the grouping pass
+        # made and what the one-label shortcut must make too.
+        members = frozenset(order)
+        adj = spf.network_adjacency(grid_network(8, 8))
+        for view in (adj, SpfCache(adj)):
+            got = dominant_members(view, members)
+            assert got == members
+            assert list(got) == list(frozenset(sorted(members)))
+
     def test_ghosts_are_groups_of_their_own(self):
         # Two live members apart, two ghosts: the ghosts would win as one
         # group; as two, the tie goes to the smallest member id.

@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.lsr import spf
+from repro.obs import attach
+from repro.obs.metrics import REGISTRY
 from repro.topo.generators import grid_network, random_connected_network, waxman_network
+from repro.topo.graph import Network
 from repro.trees.base import MulticastTree, TreeError, edge_weights
-from repro.trees.dynamic import GreedyDynamicSteiner, graft_path, prune_member
+from repro.trees.dynamic import REBUILD_TESTS, GreedyDynamicSteiner, graft_path, prune_member
 from repro.trees.steiner import pruned_spt_steiner_tree
 
 
@@ -252,3 +255,129 @@ class TestEdgeWeightsFormulation:
                 new = dyn.update(adj, tree, frozenset(members))
                 assert new == edge_weights_update(adj, tree, frozenset(members))
                 tree = new
+
+
+@st.composite
+def churn_cases(draw):
+    """A seeded Waxman graph and a membership script over it.
+
+    Each step is a member set or ``("down", k)``: fail the ``k``-th
+    non-bridge link of the installed tree (mod their count).  The steps
+    mix single joins and leaves, runs of several leaves at once (a chained
+    subtraction), joins and leaves in one step, and anchor changes (the
+    smallest member leaves, or a smaller switch joins)."""
+    n = draw(st.integers(8, 30))
+    net = waxman_network(n, random.Random(draw(st.integers(0, 10_000))))
+    edges = tuple((link.u, link.v, link.delay) for link in net.links())
+    members = set(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)))
+    script = [frozenset(members)]
+    for _ in range(draw(st.integers(4, 24))):
+        kind = draw(st.sampled_from(
+            ["join", "join", "leave", "leave", "leaves", "swap", "anchor", "down"]
+        ))
+        absent = sorted(set(range(n)) - members)
+        others = sorted(members - {min(members)})
+        if kind == "down":
+            script.append(("down", draw(st.integers(0, 50))))
+            continue
+        if kind == "join" and absent:
+            members.add(draw(st.sampled_from(absent)))
+        elif kind == "leave" and others:
+            members.discard(draw(st.sampled_from(others)))
+        elif kind == "leaves" and len(others) >= 2:
+            gone = draw(st.lists(st.sampled_from(others), min_size=2, max_size=3, unique=True))
+            members -= set(gone)
+        elif kind == "swap" and others and absent:
+            members.discard(draw(st.sampled_from(others)))
+            members.add(draw(st.sampled_from(absent)))
+        elif kind == "anchor":
+            lower = [x for x in absent if x < min(members)]
+            if lower and draw(st.booleans()):
+                members.add(draw(st.sampled_from(lower)))
+            elif len(members) >= 2:
+                members.discard(min(members))
+        script.append(frozenset(members))
+    return n, edges, tuple(script)
+
+
+#: A join then a leave whose cost ratio is 1.5 + 2.2e-16: the bound
+#: carried through the leave (7/3-ish minus the leaver's 1.1) exceeds the
+#: fresh tree's float cost by one rounding, so only the slack makes the
+#: bound defer to the build, which rebuilds.
+RATIO_AT_THRESHOLD = (
+    3,
+    ((0, 1, 1.1), (0, 2, 1.3), (1, 2, 0.8500000000000003)),
+    (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 2})),
+)
+
+
+class TestRebuildBound:
+    """The rebuild test settled by a content's lower bound returns what
+    building the comparison tree every time returns."""
+
+    @given(churn_cases())
+    @example(RATIO_AT_THRESHOLD)
+    @settings(max_examples=80, deadline=None)
+    def test_cached_update_equals_the_always_build_oracle(self, case):
+        n, edges, script = case
+        net = Network(n)
+        for u, v, delay in edges:
+            net.add_link(u, v, delay=delay)
+        dyn = GreedyDynamicSteiner()
+        tree = None
+        members = frozenset()
+        for step in script:
+            if isinstance(step, tuple):
+                bridges = set(net.bridges())
+                spare = sorted(e for e in tree.edges if e not in bridges) if tree else []
+                if spare:
+                    net.set_link_state(*spare[step[1] % len(spare)], up=False)
+                continue
+            members = step
+            cached = net.spf_view()
+            # The same content as a plain dict, in the same order: no
+            # bounds, so every test builds.
+            plain = {u: dict(row) for u, row in cached.rows.items()}
+            got = dyn.update(cached, tree, members)
+            want = dyn.update(plain, tree, members)
+            assert got == want
+            assert list(got.edges) == list(want.edges)
+            tree = got
+
+    def test_ratio_at_threshold_rebuilds(self):
+        n, edges, script = RATIO_AT_THRESHOLD
+        net = Network(n)
+        for u, v, delay in edges:
+            net.add_link(u, v, delay=delay)
+        dyn = GreedyDynamicSteiner()
+        tree = None
+        for members in script:
+            tree = dyn.update(net.spf_view(), tree, members)
+        assert tree.edges == frozenset({(0, 2)})
+
+    def test_counter_reads_bound_settlements_on_a_cached_image_only(self):
+        def settled(how):
+            return REGISTRY.snapshot()[attach.REBUILD_TESTS + '{settled="%s"}' % how]
+
+        rng = random.Random(5)
+        net = waxman_network(40, rng)
+        script = [frozenset(rng.sample(range(40), 6))]
+        for _ in range(30):
+            members = set(script[-1])
+            if rng.random() < 0.5 or len(members) < 4:
+                members.add(rng.choice(sorted(set(range(40)) - members)))
+            else:
+                members.discard(rng.choice(sorted(members - {min(members)})))
+            script.append(frozenset(members))
+        dyn = GreedyDynamicSteiner()
+        tests = len(script) - 1
+        for image, cached in ((net.spf_view(), True), (spf.network_adjacency(net), False)):
+            bound, built = settled("bound"), settled("built")
+            tree = None
+            for members in script:
+                tree = dyn.update(image, tree, members)
+            by_bound = settled("bound") - bound
+            assert by_bound + settled("built") - built == tests
+            # A plain image settles none.
+            assert by_bound > tests // 2 if cached else by_bound == 0
+        assert REBUILD_TESTS.bound == settled("bound")
