@@ -34,10 +34,8 @@ def test_bench_flood_operation(benchmark):
     rng = random.Random(3)
     net = waxman_network(100, rng)
     sim = Simulator()
-    fabric = FloodingFabric(sim, net, per_hop_delay=0.01)
     sink = []
-    for x in net.switches():
-        fabric.register(x, lambda s, p: sink.append(s))
+    fabric = FloodingFabric(sim, net, 0.01, lambda dests, p: sink.extend(dests))
 
     def run():
         fabric.flood(0, "payload")

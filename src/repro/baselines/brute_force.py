@@ -17,7 +17,7 @@ they converge to the same topology without arbitration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.mc import ConnectionRegistrar, ConnectionSpec, Role, default_role
@@ -58,13 +58,13 @@ class BruteForceNetwork(ConnectionRegistrar):
         self,
         net: Network,
         compute_time: float = 1.0,
-        per_hop_delay: Optional[float] = None,
+        per_hop_delay: float = 0.05,
         sim: Optional[Simulator] = None,
     ) -> None:
         self.net = net
         self.compute_time = compute_time
         self.sim = sim or Simulator()
-        self.fabric = FloodingFabric(self.sim, net, per_hop_delay=per_hop_delay)
+        self.fabric = FloodingFabric(self.sim, net, per_hop_delay, self._deliver)
         self.routers = bring_up_unicast(net, self.fabric)
         self.connection_registry: Dict[int, ConnectionSpec] = {}
         self.states: Dict[int, Dict[int, _BruteForceSwitchState]] = {
@@ -79,8 +79,6 @@ class BruteForceNetwork(ConnectionRegistrar):
         self.computation_log: list = []
         self.metrics = attach_network_metrics(self)
         self.fabric.bind_metrics(self.metrics)
-        for x in net.switches():
-            self.fabric.register(x, self._deliver)
 
     def _state(self, switch: int, connection_id: int) -> _BruteForceSwitchState:
         per_switch = self.states[switch]
@@ -106,9 +104,10 @@ class BruteForceNetwork(ConnectionRegistrar):
         self._apply(event.switch, lsa)  # the origin updates and recomputes too
         self.fabric.flood(event.switch, lsa, kind="mc")
 
-    def _deliver(self, switch: int, payload) -> None:
+    def _deliver(self, dests: Sequence[int], payload) -> None:
         if isinstance(payload, MembershipLsa):
-            self._apply(switch, payload)
+            for x in dests:
+                self._apply(x, payload)
         # non-MC LSAs would be handled by the unicast router; the baseline
         # experiments only exercise membership dynamics.
 

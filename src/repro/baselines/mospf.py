@@ -22,7 +22,7 @@ delivered to the MOSPF layer, so a link change flushes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.events import JoinEvent, LeaveEvent
 from repro.lsr.flooding import FloodingFabric
@@ -78,14 +78,14 @@ class MospfNetwork:
         self,
         net: Network,
         compute_time: float = 1.0,
-        per_hop_delay: Optional[float] = None,
+        per_hop_delay: float = 0.05,
         sim: Optional[Simulator] = None,
     ) -> None:
         self.net = net
         self.compute_time = compute_time
         self.per_hop_delay = per_hop_delay
         self.sim = sim or Simulator()
-        self.fabric = FloodingFabric(self.sim, net, per_hop_delay=per_hop_delay)
+        self.fabric = FloodingFabric(self.sim, net, per_hop_delay, self._deliver)
         self.routers = bring_up_unicast(net, self.fabric)
         self.mospf: Dict[int, _MospfRouterState] = {
             x: _MospfRouterState() for x in net.switches()
@@ -98,8 +98,6 @@ class MospfNetwork:
         self._last_fill: Dict[int, float] = {}
         self.metrics = attach_network_metrics(self)
         self.fabric.bind_metrics(self.metrics)
-        for x in net.switches():
-            self.fabric.register(x, self._deliver)
 
     # -- membership events -----------------------------------------------------
 
@@ -117,20 +115,16 @@ class MospfNetwork:
         self.mospf[event.switch].apply_membership(lsa)
         self.fabric.flood(event.switch, lsa, kind="mc")
 
-    def _deliver(self, switch: int, payload) -> None:
+    def _deliver(self, dests: Sequence[int], payload) -> None:
         if isinstance(payload, GroupMembershipLsa):
-            self.mospf[switch].apply_membership(payload)
+            for x in dests:
+                self.mospf[x].apply_membership(payload)
 
     # -- datagram forwarding -------------------------------------------------------
 
     def send_datagram(self, source: int, group_id: int, at: float) -> None:
         """Schedule one multicast datagram from ``source`` to ``group_id``."""
         self.sim.schedule_at(at, lambda: self._datagram_arrives(source, source, group_id))
-
-    def _hop_delay(self, u: int, v: int) -> float:
-        if self.per_hop_delay is not None:
-            return self.per_hop_delay
-        return self.net.link(u, v).delay
 
     def _datagram_arrives(self, router: int, source: int, group_id: int) -> None:
         """Datagram processing at one router: compute if cold, then forward."""
@@ -173,9 +167,9 @@ class MospfNetwork:
         tree = entry.tree
         children = self._children(tree, router, source)
         for child in children:
-            delay = self._hop_delay(router, child)
             self.sim.schedule(
-                delay, lambda c=child: self._datagram_arrives(c, source, group_id)
+                self.per_hop_delay,
+                lambda c=child: self._datagram_arrives(c, source, group_id),
             )
 
     @staticmethod

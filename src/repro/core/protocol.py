@@ -21,7 +21,7 @@ from repro.core.mc import ConnectionRegistrar, ConnectionSpec
 from repro.core.state import McState
 from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
-from repro.lsr.flooding import Binding, FloodingFabric
+from repro.lsr.flooding import FloodingFabric
 from repro.lsr.lsa import NonMcLsa
 from repro.lsr.router import UnicastRouter, bring_up_unicast
 from repro.obs.attach import attach_network_metrics
@@ -38,8 +38,8 @@ class ProtocolConfig:
     * ``compute_time`` -- Tc, the topology computation time: a constant or
       a callable of the :class:`~repro.core.state.McState` (e.g. scaling
       with member count, as on the MSU ATM testbed).
-    * ``per_hop_delay`` -- fixed per-hop LSA transmission time; ``None``
-      uses the physical link delays.
+    * ``per_hop_delay`` -- the per-hop LSA transmission time: a flood
+      reaches a switch ``hops x per_hop_delay`` after it starts.
     * ``reoptimize_on_link_up`` -- whether a link *recovery* counts as an
       event for every active connection (ablation knob; the paper only
       discusses link failures).
@@ -76,7 +76,7 @@ class ProtocolConfig:
     """
 
     compute_time: ComputeTime = 1.0
-    per_hop_delay: Optional[float] = None
+    per_hop_delay: float = 0.05
     reoptimize_on_link_up: bool = False
     ablate_withdrawal: bool = False
     ablate_rc_gate: bool = False
@@ -113,12 +113,12 @@ class DgmcNetwork(ConnectionRegistrar):
         self.net = net
         self.config = config or ProtocolConfig()
         self.sim = sim or Simulator()
-        #: ``transport`` overrides the flooding fabric's delivery backend
-        #: (default: schedule on the kernel).  The systematic explorer
-        #: injects an intercepting transport here so every LSA delivery
-        #: becomes an externally chosen branch point.
+        #: ``transport`` overrides the flooding fabric's carrier (default:
+        #: schedule on the kernel).  The systematic explorer injects an
+        #: intercepting transport here so every LSA delivery becomes an
+        #: externally chosen branch point.
         self.fabric = FloodingFabric(
-            self.sim, net, per_hop_delay=self.config.per_hop_delay,
+            self.sim, net, self.config.per_hop_delay, self._deliver_class,
             transport=transport,
         )
         self.connection_registry: Dict[int, ConnectionSpec] = {}
@@ -150,13 +150,12 @@ class DgmcNetwork(ConnectionRegistrar):
             "frr_retired_total",
             "active backup fragments retired by a reconciling install",
         )
-        # One hook object each, so the fabric and receive_run see the whole
-        # deployment as one class.
+        # One hook object, so receive_run sees the whole deployment as one
+        # class.
         on_install = (
             self._record_install if self.config.enable_frr
             else self.install_log.record_class
         )
-        deliver, deliver_class = self._deliver, self._deliver_class
         for x in net.switches():
             switch = DgmcSwitch(
                 self.sim,
@@ -171,7 +170,6 @@ class DgmcNetwork(ConnectionRegistrar):
                 on_install=on_install,
             )
             self.switches[x] = switch
-            self.fabric.register(x, deliver, deliver_class)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -196,24 +194,19 @@ class DgmcNetwork(ConnectionRegistrar):
         if retired:
             self._frr_retired.inc(retired)
 
-    def _deliver(self, switch_id: int, payload) -> None:
-        """Fabric delivery hook of a per-destination transport: a class of one."""
-        self._deliver_class(((None, switch_id),), payload)
-
-    def _deliver_class(self, copies: Sequence[Binding], payload) -> None:
-        """Fabric delivery hook for copies of one payload due together, as
-        the flood plan binds them (``(handler, dest)``, dests ascending):
-        route them to the right protocol layer."""
+    def _deliver_class(self, dests: Sequence[int], payload) -> None:
+        """The fabric's delivery hook for copies of one payload due together
+        (dests ascending): route them to the right protocol layer."""
         dead = self.dead_switches
         if isinstance(payload, McLsa):
             switches = self.switches
-            for _, x in copies:
+            for x in dests:
                 if x in dead:
                     self._dropped_lsas.inc()  # a failed switch hears nothing
                 else:
                     switches[x].deliver_mc_lsa(payload)
         elif isinstance(payload, NonMcLsa):
-            for _, x in copies:
+            for x in dests:
                 if x in dead:
                     self._dropped_lsas.inc()
                 elif not self.routers[x].receive(payload):

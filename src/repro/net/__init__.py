@@ -6,8 +6,8 @@ simulator.  The same protocol logic (:class:`repro.core.switch.DgmcSwitch`,
 :mod:`repro.core.wire`-encoded LSAs over loopback UDP:
 
 * :mod:`repro.net.transport` -- :class:`~repro.net.transport.UdpTransport`,
-  the datagram implementation of the :class:`repro.lsr.flooding.Transport`
-  seam (ack/retransmit, dedup, fault injection),
+  reliable LSA datagrams between hosts (ack/retransmit, dedup, fault
+  injection),
 * :mod:`repro.net.frames` -- the DATA/ACK datagram framing,
 * :mod:`repro.net.faults` -- seeded loss / reorder / delay injection,
 * :mod:`repro.net.host` -- :class:`~repro.net.host.LiveSwitch`, one

@@ -28,6 +28,7 @@ from repro.core.invariants import Violation, check_invariants, check_lsdb_comple
 from repro.core.protocol import ProtocolConfig
 from repro.net.fabric import LiveConfig, LiveFabric, QuiescenceTimeout
 from repro.net.faults import FaultPlan
+from repro.net.host import DEAD_HELLOS
 from repro.net.transport import RetransmitPolicy
 from repro.obs import flight
 from repro.obs.tracer import traced_run
@@ -69,10 +70,9 @@ class ChaosSettings:
     #: it -- the dial that turns the ``race`` action's same-source
     #: leave-then-link LSA pair into a genuine in-flight reordering.
     reorder: float = 0.0
+    #: A neighbor is declared dead after ``DEAD_HELLOS`` (8) silent hello
+    #: intervals, 0.4 s (:attr:`~repro.net.host.LiveSwitch.dead_interval`).
     hello_interval: float = 0.05
-    #: 8 hello intervals: at 10% loss a false death needs 8 consecutive
-    #: losses (~1e-8), while a real one is declared in 0.4s.
-    dead_interval: float = 0.40
     quiesce_timeout: float = 60.0
     connection_id: int = 1
     #: Directory the soak's Chrome trace, one lane per host, is written
@@ -105,7 +105,6 @@ class ChaosSettings:
             ),
             policy=RetransmitPolicy(rto=0.01, rto_max=0.1, max_attempts=8),
             hello_interval=self.hello_interval,
-            dead_interval=self.dead_interval,
             quiesce_timeout=self.quiesce_timeout,
         )
 
@@ -346,7 +345,7 @@ async def run_chaos_soak(settings: Optional[ChaosSettings] = None) -> ChaosRepor
     # a dead interval of hello silence; a restart/heal only acts on the
     # next hello exchange.  The quiescence barrier then drains whatever
     # those observations set in motion.
-    failure_settle = 1.5 * cfg.dead_interval
+    failure_settle = 1.5 * (DEAD_HELLOS * cfg.hello_interval)
     recovery_settle = 4.0 * cfg.hello_interval
     previous_recorder = flight.installed_recorder()
     if cfg.flight_dir:

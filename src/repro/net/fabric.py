@@ -54,15 +54,13 @@ class LiveConfig:
     #: Consecutive idle polls required before declaring quiescence.
     settle_polls: int = 2
     #: Hello keepalive cadence, wall seconds (0 disables failure
-    #: detection and resync; the PR3 behaviour).
+    #: detection and resync).  A neighbor silent for eight of them is
+    #: declared dead (:attr:`LiveSwitch.dead_interval`).
     hello_interval: float = 0.0
-    #: Silence span before a neighbor is declared dead (0 = eight hello
-    #: intervals; see LiveSwitch.dead_interval for the rationale).
-    dead_interval: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.hello_interval < 0 or self.dead_interval < 0:
-            raise ValueError("hello_interval and dead_interval must be >= 0")
+        if self.hello_interval < 0:
+            raise ValueError("hello_interval must be >= 0")
 
 
 class QuiescenceTimeout(RuntimeError):
@@ -159,7 +157,6 @@ class LiveFabric(ConnectionRegistrar):
             on_install=self._record_install,
             generation=generation,
             hello_interval=self.live.hello_interval,
-            dead_interval=self.live.dead_interval,
             cold_boot=cold_boot,
             on_pump_failure=self._on_pump_failure,
         )

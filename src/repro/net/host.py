@@ -11,14 +11,14 @@ yielding to the event loop between steps.
 
 Outbound flooding goes through :class:`LiveFloodOut`, which
 origin-broadcasts each LSA to every peer over the shared
-:class:`~repro.lsr.flooding.Transport` (reliable datagrams stand in for
+:class:`~repro.net.transport.UdpTransport` (reliable datagrams stand in for
 hop-by-hop flooding; see docs/live-runtime.md for the fidelity notes).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.events import JoinEvent, LeaveEvent
 from repro.core.lsa import McEvent, McLsa
@@ -27,7 +27,6 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.state import McSnapshot, McState
 from repro.core.switch import DgmcSwitch, ReceiveMemo
 from repro.core.timestamp import Stamp
-from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.router import UnicastRouter
 from repro.lsr.spfcache import SolvedImages
@@ -38,19 +37,27 @@ from repro.obs.context import TraceContext
 from repro.sim.kernel import Simulator
 from repro.topo.graph import Network
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.transport import UdpTransport
+
+#: Hello intervals of silence after which a neighbor is declared dead: a
+#: false positive needs 8 consecutive injected losses (1e-8 at 10% loss),
+#: while a real death stays well under a chaos schedule's settling windows.
+DEAD_HELLOS = 8
+
 
 class LiveFloodOut:
     """Host-side flooding client: origin-broadcast over the transport.
 
-    A flood is one :meth:`~repro.lsr.flooding.Transport.send_flood` to
-    every peer but the origin, the seam ``FloodingFabric``'s plans reach
-    through :meth:`~repro.lsr.flooding.Transport.send_plan` too (the
-    modelled delay is 0: the wire supplies its own).  Keeps the same
-    counters as the simulated fabric (``flood_counts`` /
+    A flood is one :meth:`~repro.net.transport.UdpTransport.send_flood` to
+    every peer but the origin (the wire supplies the delay).  Keeps the
+    same counters as the simulated fabric (``flood_counts`` /
     ``delivery_count``) so diagnostics carry over.
     """
 
-    def __init__(self, transport: Transport, switch_id: int, peers: Iterable[int]) -> None:
+    def __init__(
+        self, transport: UdpTransport, switch_id: int, peers: Iterable[int]
+    ) -> None:
         self.transport = transport
         self.switch_id = switch_id
         self.peers = sorted(peers)
@@ -68,9 +75,9 @@ class LiveFloodOut:
             # The LSA dataclasses are frozen; ctx is observability-only
             # metadata (compare=False), so back-stamping is safe.
             object.__setattr__(payload, "ctx", self.current_ctx)
-        delays = {dest: 0.0 for dest in self.peers if dest != origin}
-        self.transport.send_flood(origin, payload, delays)
-        self.delivery_count += len(delays)
+        dests = [dest for dest in self.peers if dest != origin]
+        self.transport.send_flood(origin, payload, dests)
+        self.delivery_count += len(dests)
 
     @property
     def total_floods(self) -> int:
@@ -88,7 +95,7 @@ class LiveSwitch:
         switch_id: int,
         net: Network,
         config: ProtocolConfig,
-        transport: Transport,
+        transport: UdpTransport,
         solved: SolvedImages,
         memo: ReceiveMemo,
         connection_registry: Optional[Dict[int, ConnectionSpec]] = None,
@@ -96,7 +103,6 @@ class LiveSwitch:
         on_install: Optional[Callable[[float, List[int], int, Stamp, int], None]] = None,
         generation: int = 1,
         hello_interval: float = 0.0,
-        dead_interval: float = 0.0,
         cold_boot: bool = False,
         on_pump_failure: Optional[Callable[[int, BaseException], None]] = None,
     ) -> None:
@@ -132,13 +138,8 @@ class LiveSwitch:
         )
         #: Hello cadence (0 disables failure detection entirely).
         self.hello_interval = hello_interval
-        #: Silence span after which a neighbor is declared dead.  The
-        #: default of 8 hello intervals makes a false positive need 8
-        #: consecutive injected losses (1e-8 at 10% loss) while staying
-        #: well under a chaos schedule's settling windows.
-        self.dead_interval = (
-            dead_interval if dead_interval > 0 else 8.0 * hello_interval
-        )
+        #: Silence span after which a neighbor is declared dead.
+        self.dead_interval = DEAD_HELLOS * hello_interval
         self.resync = ResyncManager(
             self,
             transport,
@@ -214,7 +215,7 @@ class LiveSwitch:
         self._wake.set()
 
     def ingest(self, dest: int, payload: Any) -> None:
-        """Transport delivery handler (:data:`~repro.lsr.flooding.DeliverFn`)."""
+        """Transport delivery handler (:data:`~repro.net.transport.DeliverFn`)."""
         if dest != self.switch_id:  # pragma: no cover - transport bug guard
             raise ValueError(f"host {self.switch_id} got a frame for {dest}")
         if isinstance(payload, McLsa):

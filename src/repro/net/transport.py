@@ -1,10 +1,9 @@
 """The live transport: LSAs as datagrams between switches.
 
-Protocol code (the D-GMC switch, the unicast router, the flooding layer)
-hands a payload to a :class:`~repro.lsr.flooding.Transport` and a
-registered handler receives it at the destination.  The seam and its
-discrete-event implementation (``KernelTransport``) live beside the
-flooding fabric in :mod:`repro.lsr.flooding`; this module is the live
+A live host's flooding client (:class:`repro.net.host.LiveFloodOut`) hands
+a payload to the transport and the destination's registered handler
+receives it.  (The simulator's flooding fabric, :mod:`repro.lsr.flooding`,
+schedules its copies on the kernel instead.)  This module is the live
 implementation:
 
 * :class:`UdpTransport` -- each switch owns one UDP socket on loopback;
@@ -23,9 +22,8 @@ crashed switch, and severed pairs from the fault injector's cut set
 deterministically -- senders retransmit into the cut until the attempt
 budget abandons the frame, exactly as on a partitioned link.
 
-Handlers have the :data:`~repro.lsr.flooding.DeliverFn` signature
-``(dest_switch, payload)``, so the same protocol delivery code runs
-unchanged on either backend.
+Handlers have the :data:`DeliverFn` signature ``(dest_switch, payload)``:
+one call per copy.
 """
 
 from __future__ import annotations
@@ -34,13 +32,14 @@ import asyncio
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lsr.flooding import DeliverFn, Transport
 from repro.net import frames
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.obs import tracer as obs_tracer
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 
+#: Delivery hook signature: (destination switch id, decoded payload).
+DeliverFn = Callable[[int, Any], None]
 #: Control hook signature: (destination switch id, decoded control frame).
 #: Receives HelloFrame / DbdFrame / SnapFrame / LsuFrame instances.
 ControlFn = Callable[[int, Any], None]
@@ -131,7 +130,7 @@ class _Endpoint(asyncio.DatagramProtocol):
         self.owner._socket_errors += 1
 
 
-class UdpTransport(Transport):
+class UdpTransport:
     """Real datagrams: one UDP socket per switch on loopback.
 
     Reliability is per-frame stop-and-wait with cumulative-free acks:
@@ -284,7 +283,7 @@ class UdpTransport(Transport):
         """The UDP port bound for ``switch_id`` (after :meth:`start`)."""
         return self._addrs[switch_id][1]
 
-    # -- Transport interface ---------------------------------------------------
+    # -- registration -------------------------------------------------------------
 
     def register(self, switch_id: int, handler: DeliverFn) -> None:
         if switch_id in self._handlers:
@@ -305,13 +304,6 @@ class UdpTransport(Transport):
         """
         self._handlers.pop(switch_id, None)
         self._control.pop(switch_id, None)
-
-    def has_handler(self, switch_id: int) -> bool:
-        return switch_id in self._handlers
-
-    @property
-    def handler_count(self) -> int:
-        return len(self._handlers)
 
     @property
     def idle(self) -> bool:
@@ -361,8 +353,7 @@ class UdpTransport(Transport):
     # -- send paths ---------------------------------------------------------------
 
     def send(
-        self, src: int, dest: int, payload: Any, delay: float = 0.0,
-        body: Optional[bytes] = None,
+        self, src: int, dest: int, payload: Any, body: Optional[bytes] = None
     ) -> None:
         """Queue one reliable DATA datagram from ``src`` to ``dest``.
 
@@ -378,15 +369,15 @@ class UdpTransport(Transport):
             ctx=getattr(payload, "ctx", None),
         )
 
-    def send_flood(self, src: int, payload: Any, delays: Dict[int, float]) -> None:
+    def send_flood(self, src: int, payload: Any, dests: Iterable[int]) -> None:
         """One flood: encode the DATA body once, then one :meth:`send` per
-        destination in ``delays`` order, each splicing its own header.
+        destination in ``dests`` order, each splicing its own header.
 
         The body lives for this call only; a retransmit resends the frame
         its first send built.
         """
         body = frames.data_body(payload)
-        for dest in delays:
+        for dest in dests:
             self.send(src, dest, payload, body=body)
 
     def send_dbd(

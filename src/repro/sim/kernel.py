@@ -40,8 +40,8 @@ advances the clock to the heap's head.  That *is* ``(time, seq)`` order:
 every heap entry due at instant t was scheduled before t began, so its
 ``seq`` is smaller than that of anything scheduled during t; and what is
 scheduled during t for t runs first-scheduled-first, which is a FIFO.  A
-flood through :class:`~repro.lsr.flooding.KernelTransport` is one heap
-entry per distinct arrival instant, not one per destination (see there).
+flood of :class:`~repro.lsr.flooding.FloodingFabric` is one heap entry per
+distinct arrival instant, not one per destination (see there).
 The explorer (:mod:`repro.stress`) replays schedules against this order,
 and the seeded counts of ``benchmarks/e2e/run.py --selfcheck`` are bound to
 it; ``tests/test_sim_order_contract.py`` pins one run of it and

@@ -29,7 +29,7 @@ stateless (replay-based) search and schedule minimization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.invariants import Violation, check_invariants
@@ -37,7 +37,7 @@ from repro.core.lsa import McLsa
 from repro.core.protocol import DgmcNetwork, ProtocolConfig
 from repro.core.state import McState
 from repro.core.wire import encode_topology
-from repro.lsr.flooding import DeliverFn, Transport
+from repro.lsr.flooding import DeliverFn, FloodPlan, Transport
 from repro.lsr.lsa import NonMcLsa
 from repro.sim.kernel import Simulator
 from repro.stress.model import Step, StressScenario
@@ -61,37 +61,32 @@ class PendingDelivery:
     src: int
     dest: int
     payload: Any
+    #: The deployment's delivery hook, called as a class of one.
+    hook: DeliverFn = field(compare=False, repr=False)
 
 
 class StressTransport(Transport):
-    """Transport that parks every send as an explorer-visible branch point."""
+    """Transport that parks every copy of a flood, one per destination in
+    id order, as an explorer-visible branch point."""
 
     def __init__(self) -> None:
-        self._handlers: Dict[int, DeliverFn] = {}
         self._seq = itertools.count(1)
         #: seq -> pending delivery, insertion-ordered (dict preserves it).
         self.pending: Dict[int, PendingDelivery] = {}
         self.delivered = 0
         self.dropped = 0
 
-    def register(self, switch_id: int, handler: DeliverFn) -> None:
-        if switch_id in self._handlers:
-            raise ValueError(f"switch {switch_id} already registered")
-        self._handlers[switch_id] = handler
-
-    def has_handler(self, switch_id: int) -> bool:
-        return switch_id in self._handlers
-
-    def send(self, src: int, dest: int, payload: Any, delay: float = 0.0) -> None:
-        seq = next(self._seq)
-        self.pending[seq] = PendingDelivery(seq, src, dest, payload)
+    def send(self, src: int, payload: Any, plan: FloodPlan, hook: DeliverFn) -> None:
+        for _, dest in plan.copies():
+            seq = next(self._seq)
+            self.pending[seq] = PendingDelivery(seq, src, dest, payload, hook)
 
     def deliver(self, seq: int) -> PendingDelivery:
         entry = self.pending.pop(seq, None)
         if entry is None:
             raise InfeasibleStep(f"no pending LSA with seq {seq}")
         self.delivered += 1
-        self._handlers[entry.dest](entry.dest, entry.payload)
+        entry.hook((entry.dest,), entry.payload)
         return entry
 
     def drop(self, seq: int) -> PendingDelivery:
@@ -104,10 +99,6 @@ class StressTransport(Transport):
     @property
     def idle(self) -> bool:
         return not self.pending
-
-    @property
-    def handler_count(self) -> int:
-        return len(self._handlers)
 
 
 def _canon_payload(payload: Any) -> Tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 import networkx as nx
 
@@ -335,26 +335,15 @@ class Network:
             worst = max(worst, max(dist.values()))
         return worst
 
-    def flooding_diameter(self, per_hop_delay: Optional[float] = None) -> float:
-        """Worst-case time for a flood to reach all switches (paper's Tf).
-
-        With ``per_hop_delay`` given, the flood takes ``hops * per_hop_delay``
-        along the fastest hop path; otherwise actual link delays are summed.
-        """
-        from repro.lsr.spf import network_adjacency, search
-
-        if per_hop_delay is None:
-            adj = network_adjacency(self)
-            distances: Callable[[int], Mapping[int, float]] = lambda x: search(adj, x)[0]
-            scale = 1.0  # exact: x * 1.0 == x
-        else:
-            distances, scale = self.hop_distances, per_hop_delay
+    def flooding_diameter(self, per_hop_delay: float) -> float:
+        """Worst-case time for a flood to reach all switches (paper's Tf):
+        ``hops * per_hop_delay`` along the fewest-hop path."""
         worst = 0.0
         for x in self.switches():
-            dist = distances(x)
+            dist = self.hop_distances(x)
             if len(dist) < self.n:
                 return math.inf
-            worst = max(worst, max(dist.values()) * scale)
+            worst = max(worst, max(dist.values()) * per_hop_delay)
         return worst
 
     # -- export / copy ---------------------------------------------------------

@@ -11,7 +11,6 @@ Tf-to-Tc ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.topo.graph import Network
 from repro.workloads.membership import MembershipSchedule
@@ -27,8 +26,8 @@ class Scenario:
     connection_id: int = 1
     #: Tc: time for one topology computation.
     compute_time: float = 1.0
-    #: Fixed per-hop LSA transmission time (None = use link delays).
-    per_hop_delay: Optional[float] = 0.05
+    #: The per-hop LSA transmission time.
+    per_hop_delay: float = 0.05
     #: Free-form label for reports.
     label: str = ""
 

@@ -422,7 +422,7 @@ def mospf_contrast(
     workload: ZipfWorkload,
     *,
     compute_time: float = 1.0,
-    per_hop_delay: Optional[float] = None,
+    per_hop_delay: float = 0.05,
 ) -> Dict[str, float]:
     """Replay the workload's churn and traffic through the MOSPF baseline.
 

@@ -1,4 +1,5 @@
-"""Tests for the flooding fabric: reach, timing, counters (invariant 6)."""
+"""Tests for the flooding fabric: reach, timing, counters (invariant 6), and
+the one delivery path held to a copy-by-copy oracle."""
 
 from __future__ import annotations
 
@@ -10,25 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, ProtocolConfig
-from repro.lsr.flooding import FloodingFabric, KernelTransport, Transport
+from repro.baselines.brute_force import BruteForceNetwork
+from repro.baselines.mospf import MospfNetwork
+from repro.core import DgmcNetwork, JoinEvent, LeaveEvent, LinkEvent, ProtocolConfig
+from repro.lsr.flooding import FloodingFabric, FloodPlan, Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
-from repro.topo.generators import grid_network, random_connected_network, ring_network
+from repro.stress.executor import StressTransport
+from repro.topo.generators import (
+    grid_network, random_connected_network, ring_network, waxman_network,
+)
 from repro.topo.graph import Network
 from tests.batches import recorded_batches
 
 
-def collect_fabric(net, per_hop_delay=None, record_history=False):
+def collect_fabric(net, per_hop_delay=1.0, record_history=False):
     sim = Simulator()
-    fabric = FloodingFabric(
-        sim, net, per_hop_delay=per_hop_delay, record_history=record_history
-    )
     deliveries = []
-    for x in net.switches():
-        fabric.register(
-            x, lambda s, p: deliveries.append((sim.now, s, p))
-        )
+
+    def deliver(dests, payload):
+        deliveries.extend((sim.now, x, payload) for x in dests)
+
+    fabric = FloodingFabric(
+        sim, net, per_hop_delay, deliver, record_history=record_history
+    )
     return sim, fabric, deliveries
 
 
@@ -68,14 +74,14 @@ class TestTiming:
         times = {s: t for t, s, _ in deliveries}
         assert times == {1: 2.0, 2: 4.0, 3: 6.0}
 
-    def test_link_delay_mode_uses_shortest_delay_path(self):
+    def test_link_delays_do_not_time_a_flood(self):
         net = ring_network(4, delay=1.0)
         net.link(0, 3).delay = 10.0
-        sim, fabric, deliveries = collect_fabric(net)
+        sim, fabric, deliveries = collect_fabric(net, per_hop_delay=0.5)
         fabric.flood(0, "x")
         sim.run()
         times = {s: t for t, s, _ in deliveries}
-        assert times[3] == pytest.approx(3.0)  # around the ring, not the slow link
+        assert times == {1: 0.5, 2: 1.0, 3: 0.5}  # one hop over the slow link
 
     def test_bounded_by_flooding_diameter(self):
         net = grid_network(3, 3)
@@ -119,60 +125,32 @@ class TestKernelEntries:
 
     def test_delays_that_round_to_one_instant_share_an_entry(self):
         """Grouping is by the float the heap compares, ``now + delay``."""
-        sim = Simulator()
-        sim.schedule(8.0, lambda: None)
-        sim.run()
-        transport = KernelTransport(sim)
-        got = []
-        for x in (1, 2, 3):
-            transport.register(x, lambda s, p: got.append((sim.now, s)))
         near = math.nextafter(0.5, 1.0)
         assert near != 0.5 and 8.0 + near == 8.5
-        transport.send_flood(0, "x", {1: near, 2: 0.5, 3: near})
-        assert sim.queue_depth == 1
-        sim.run()
-        assert got == [(8.5, 1), (8.5, 2), (8.5, 3)]
+        plan = FloodPlan([(near, 1), (0.5, 2), (near, 3)])
+        assert plan.classes == ((near, (1, 3)), (0.5, (2,)))
+        assert plan.instants(0.0) is plan.classes
+        assert plan.instants(8.0) == ((near, (1, 2, 3)),)
 
-    def test_handlers_resolve_at_send_time(self):
-        sim = Simulator()
-        transport = KernelTransport(sim)
-        got = []
-        transport.register(1, lambda s, p: got.append(s))
-        transport.send_flood(0, "x", {1: 1.0, 2: 1.0})
-        transport.send(0, 3, "x", 1.0)
-        transport.register(2, lambda s, p: got.append(s))
-        transport.register(3, lambda s, p: got.append(s))
-        sim.run()
-        assert got == [1]
-
-    def test_a_send_only_transport_sees_one_send_per_destination(self):
-        """``Transport.send_flood`` defaults to per-destination sends in id
-        order -- what ``StressTransport``, ``UdpTransport`` and recording
-        test transports rely on."""
-
-        class SendOnly(Transport):
-            def __init__(self):
-                self.calls = []
-
-            def register(self, switch_id, handler):
-                pass
-
-            def send(self, src, dest, payload, delay=0.0):
-                self.calls.append((src, dest, payload, delay))
-
-            def has_handler(self, switch_id):
-                return switch_id != 7
-
-            idle = True
-            handler_count = 0
-
+    def test_a_transport_gets_one_send_per_flood(self):
+        """A transport replaces the kernel as the carrier: it is handed the
+        flood's plan and the deployment's hook, once per flood."""
         net = grid_network(3, 3)
-        transport = SendOnly()
-        fabric = FloodingFabric(Simulator(), net, per_hop_delay=0.5, transport=transport)
-        fabric.flood(4, "x")
+        sends = []
+
+        class Recording(Transport):
+            def send(self, src, payload, plan, hook):
+                sends.append((src, payload, plan, hook))
+
+        def deliver(dests, payload):
+            pass
+
+        fabric = FloodingFabric(Simulator(), net, 0.5, deliver, transport=Recording())
+        record = fabric.flood(4, "x")
+        assert sends == [(4, "x", record.plan, deliver)]
         hops = net.hop_distances(4)
-        assert transport.calls == [
-            (4, dest, "x", hops[dest] * 0.5) for dest in range(9) if dest not in (4, 7)
+        assert record.plan.copies() == [
+            (hops[dest] * 0.5, dest) for dest in range(9) if dest != 4
         ]
 
 
@@ -248,9 +226,10 @@ class TestHopCache:
         registry = MetricsRegistry()
         fabric.bind_metrics(registry)
         hops = registry.histogram("flood_hops")
-        before, plan = fabric.arrival_times(5), fabric.plan(5)
+        plan = fabric.plan(5)
+        before = plan.copies()
         net.set_link_state(5, 6, up=False)
-        assert fabric.plan(5).delays != plan.delays
+        assert fabric.plan(5).copies() != before
         calls = []
         bfs = Network.hop_distances
         monkeypatch.setattr(
@@ -262,28 +241,23 @@ class TestHopCache:
         sim.run()
         assert calls == []
         assert hops.count == fabric.delivery_count == 15
-        assert hops.sum == sum(before.values())
+        assert hops.sum == sum(delay for delay, _ in before)
 
 
 class TestFloodPlans:
-    """One plan per (origin, up-link state, handlers), equal to a fresh one."""
+    """One plan per (origin, up-link state), equal to a fresh one."""
 
     @staticmethod
     def fresh_plan(fabric, origin):
         """The plan a fabric that never flooded before builds now."""
-        transport = KernelTransport(fabric.sim)
-        switches = list(fabric.net.switches())
-        for bound in fabric.transport.bindings(switches):
-            if bound is not None:
-                transport.register(bound[1], bound[0])
         return FloodingFabric(
-            fabric.sim, fabric.net, fabric.per_hop_delay, transport=transport
+            fabric.sim, fabric.net, fabric.per_hop_delay, fabric.deliver
         ).plan(origin)
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        per_hop=st.sampled_from([None, 0.5]),
+        per_hop=st.sampled_from([0.5, 1.1]),
         steps=st.lists(
             st.tuples(st.integers(0, 10**6), st.integers(0, 11)), min_size=1, max_size=30
         ),
@@ -297,29 +271,13 @@ class TestFloodPlans:
             net.set_link_state(u, v, up=not net.link(u, v).up)
             cached, fresh = fabric.plan(origin), self.fresh_plan(fabric, origin)
             assert cached.classes == fresh.classes
-            assert cached.delays == fresh.delays
+            assert cached.copies() == fresh.copies()
             assert cached.hop_counts == fresh.hop_counts
-            assert cached.fanout == len(cached.delays)
-            if per_hop is not None:
-                hops = net.hop_distances(origin)
-                assert sorted(cached.hop_counts) == sorted(
-                    Counter(hops[x] for x in cached.delays).items()
-                )
-
-    def test_a_handler_registered_after_a_flood_joins_the_next_one(self):
-        net = ring_network(5)
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net, per_hop_delay=1.0)
-        got = []
-        for x in (1, 2, 4):
-            fabric.register(x, lambda s, p: got.append((p, s)))
-        fabric.flood(0, "a")
-        fabric.register(3, lambda s, p: got.append((p, s)))
-        fabric.flood(0, "b")
-        sim.run()
-        assert sorted(got) == [("a", 1), ("a", 2), ("a", 4)] + [
-            ("b", x) for x in (1, 2, 3, 4)
-        ]
+            assert cached.fanout == len(cached.copies())
+            hops = net.hop_distances(origin)
+            assert sorted(cached.hop_counts) == sorted(
+                Counter(hops[x] for _, x in cached.copies()).items()
+            )
 
     def test_hop_delays_on_one_float_instant_are_one_entry_in_id_order(self):
         """At ``now = 2**53`` (float spacing 2) the 1.1 and 2.2 hop delays
@@ -337,9 +295,7 @@ class TestFloodPlans:
         fabric.flood(2, "x")
         assert sim.queue_depth == 1
         sim.run()
-        one_entry_each = sorted(
-            (now + delay, x) for x, delay in plan.delays.items()
-        )
+        one_entry_each = sorted((now + delay, x) for delay, x in plan.copies())
         assert [(at, x) for at, x, _ in deliveries] == one_entry_each
         assert [x for _, x, _ in deliveries] == [0, 1, 3, 4]
 
@@ -361,21 +317,106 @@ class TestHistory:
         assert fabric.history == []
 
 
-class TestRegistration:
-    def test_duplicate_registration_rejected(self):
-        net = ring_network(4)
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net)
-        fabric.register(0, lambda s, p: None)
-        with pytest.raises(ValueError):
-            fabric.register(0, lambda s, p: None)
 
-    def test_unregistered_switches_skipped(self):
-        net = ring_network(4)
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net)
-        got = []
-        fabric.register(1, lambda s, p: got.append(s))
-        fabric.flood(0, "x")
-        sim.run()
-        assert got == [1]
+class TestDeliveryOracle:
+    """Every deployment's floods reach its one hook as what one entry per
+    copy would deliver: one copy per reachable switch, due ``hops x
+    per_hop_delay`` after the flood, in ``(time, id)`` order, floods of one
+    instant in flood order -- on 60-switch Waxman graphs whose links flip
+    between floods."""
+
+    PER_HOP = 0.05
+
+    @staticmethod
+    def record(deployment):
+        """Wrap the deployment's hook and ``flood``: what the hook hears,
+        ``(time, dest, payload)``, and what one copy per reachable switch
+        would deliver, ``(time, flood number, dest, payload)``."""
+        fabric, net, sim = deployment.fabric, deployment.net, deployment.sim
+        heard, oracle = [], []
+        hook, flood = fabric.deliver, fabric.flood
+
+        def deliver(dests, payload):
+            heard.extend((sim.now, x, payload) for x in dests)
+            hook(dests, payload)
+
+        def flood_and_note(origin, payload, kind="lsa"):
+            number = fabric.total_floods
+            oracle.extend(
+                (sim.now + h * fabric.per_hop_delay, number, x, payload)
+                for x, h in net.hop_distances(origin).items() if x != origin
+            )
+            return flood(origin, payload, kind)
+
+        fabric.deliver = deliver
+        fabric.flood = flood_and_note
+        return heard, oracle
+
+    @staticmethod
+    def flips(net, rng):
+        """Six distinct links, each failing and later healing."""
+        links = rng.sample(sorted(link.key for link in net.links()), 6)
+        return links + links
+
+    def churn(self, deployment, rng, link_events):
+        """Seeded joins and leaves, with link flips between them: as link
+        events under D-GMC, as bare state changes under the baselines."""
+        net, sim = deployment.net, deployment.sim
+        members, down = set(), set()
+        at = 1.0
+        for u, v in self.flips(net, rng):
+            x = rng.randrange(net.n)
+            event = LeaveEvent(x, 1) if x in members else JoinEvent(x, 1)
+            members ^= {x}
+            deployment.inject(event, at=at)
+            up = (u, v) in down
+            down ^= {(u, v)}
+            if link_events:
+                deployment.inject(LinkEvent(detector=u, u=u, v=v, up=up), at=at + 0.07)
+            else:
+                sim.schedule_at(at + 0.07, lambda u=u, v=v, up=up: net.set_link_state(u, v, up))
+            at += rng.choice((0.02, 0.11, 0.5, 3.0))
+        deployment.run()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("protocol", ["dgmc", "mospf", "brute_force"])
+    def test_the_kernel_delivers_one_copy_per_reachable_switch(self, protocol, seed):
+        net = waxman_network(60, random.Random(seed))
+        if protocol == "dgmc":
+            deployment = DgmcNetwork(
+                net, ProtocolConfig(compute_time=0.5, per_hop_delay=self.PER_HOP)
+            )
+        elif protocol == "mospf":
+            deployment = MospfNetwork(net, compute_time=0.5, per_hop_delay=self.PER_HOP)
+        else:
+            deployment = BruteForceNetwork(net, compute_time=0.5, per_hop_delay=self.PER_HOP)
+        if protocol != "mospf":
+            deployment.register_symmetric(1)
+        heard, oracle = self.record(deployment)
+        self.churn(deployment, random.Random(seed), link_events=protocol == "dgmc")
+        assert len(heard) > 500
+        one_entry_each = sorted(oracle, key=lambda copy: copy[:3])
+        assert heard == [(at, x, payload) for at, _, x, payload in one_entry_each]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_explorer_parks_one_copy_per_reachable_switch_in_id_order(self, seed):
+        rng = random.Random(seed)
+        net = waxman_network(60, random.Random(seed))
+        transport = StressTransport()
+        dgmc = DgmcNetwork(
+            net, ProtocolConfig(compute_time=0.5, per_hop_delay=self.PER_HOP),
+            transport=transport,
+        )
+        expected = []
+        for u, v in self.flips(net, rng):
+            net.set_link_state(u, v, up=not net.link(u, v).up)
+            origin = rng.randrange(60)
+            payload = ("flood", len(expected))
+            dgmc.fabric.flood(origin, payload)
+            expected.extend(
+                (origin, x, payload)
+                for x in sorted(net.hop_distances(origin)) if x != origin
+            )
+        parked = [(p.src, p.dest, p.payload) for p in transport.pending.values()]
+        assert parked == expected
+        assert list(transport.pending) == sorted(transport.pending)

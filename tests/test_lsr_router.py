@@ -14,14 +14,19 @@ from repro.topo.generators import grid_network, ring_network
 
 def make_deployment(net):
     sim = Simulator()
-    fabric = FloodingFabric(sim, net, per_hop_delay=0.1)
+
+    def deliver(dests, payload):
+        for x in dests:
+            routers[x].receive(payload)
+
+    fabric = FloodingFabric(sim, net, 0.1, deliver)
     routers = bring_up_unicast(net, fabric)
-    for x in net.switches():
-        fabric.register(
-            x,
-            lambda s, p: routers[s].receive(p) if isinstance(p, NonMcLsa) else None,
-        )
     return sim, fabric, routers
+
+
+def silent_fabric(net):
+    """A fabric whose floods reach nobody (the routers below never flood)."""
+    return FloodingFabric(Simulator(), net, 0.1, lambda dests, payload: None)
 
 
 class TestBringUp:
@@ -76,11 +81,15 @@ class TestLinkEvents:
     def test_on_image_change_hook_fires(self):
         net = ring_network(4)
         sim = Simulator()
-        fabric = FloodingFabric(sim, net)
+
+        def deliver(dests, payload):
+            if 2 in dests:
+                routers[2].receive(payload)
+
+        fabric = FloodingFabric(sim, net, 0.1, deliver)
         routers = bring_up_unicast(net, fabric)
         hits = []
         routers[2].on_image_change = lambda: hits.append(sim.now)
-        fabric.register(2, lambda s, p: routers[2].receive(p))
         net.set_link_state(0, 1, up=False)
         routers[0].notify_incident_link_event()
         sim.run()
@@ -99,26 +108,20 @@ class TestLinkEvents:
 class TestOriginate:
     def test_seqnum_increases(self):
         net = ring_network(4)
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net)
-        router = UnicastRouter(0, net, fabric, SolvedImages())
+        router = UnicastRouter(0, net, silent_fabric(net), SolvedImages())
         a = router.originate(flood=False)
         b = router.originate(flood=False)
         assert b.seqnum == a.seqnum + 1
 
     def test_lsa_describes_incident_links(self):
         net = ring_network(4)
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net)
-        router = UnicastRouter(0, net, fabric, SolvedImages())
+        router = UnicastRouter(0, net, silent_fabric(net), SolvedImages())
         lsa = router.originate(flood=False)
         assert sorted(nbr for nbr, _, _ in lsa.links) == [1, 3]
 
     def test_down_links_still_advertised_as_down(self):
         net = ring_network(4)
         net.set_link_state(0, 1, up=False)
-        sim = Simulator()
-        fabric = FloodingFabric(sim, net)
-        router = UnicastRouter(0, net, fabric, SolvedImages())
+        router = UnicastRouter(0, net, silent_fabric(net), SolvedImages())
         lsa = router.originate(flood=False)
         assert lsa.link_map()[1][1] is False

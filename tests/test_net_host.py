@@ -26,7 +26,6 @@ from repro.core.protocol import ProtocolConfig
 from repro.core import wire
 from repro.core.switch import ReceiveMemo
 from repro.core.wire import decode_lsa, encode_lsa, encode_topology
-from repro.lsr.flooding import Transport
 from repro.lsr.lsa import NonMcLsa, RouterLsa
 from repro.lsr.spfcache import SolvedImages
 from repro.net import frames
@@ -40,7 +39,7 @@ CID = 1
 MEMBERS = {0, 2}
 
 
-class RecordingTransport(Transport):
+class RecordingTransport:
     """Queues every datagram; the test delivers them in send order."""
 
     def __init__(self) -> None:
@@ -50,8 +49,8 @@ class RecordingTransport(Transport):
     def register(self, switch_id, handler) -> None:
         self.handlers[switch_id] = handler
 
-    def send(self, src, dest, payload, delay=0.0) -> None:
-        self.queue.append((dest, payload))
+    def send_flood(self, src, payload, dests) -> None:
+        self.queue.extend((dest, payload) for dest in dests)
 
     # The resync control frames, queued like everything else.
     def send_lsu(self, src, dest, lsa) -> None:
@@ -59,17 +58,6 @@ class RecordingTransport(Transport):
 
     def send_snap(self, src, dest, snapshot) -> None:
         self.queue.append((dest, frames.SnapFrame(src, dest, 0, snapshot)))
-
-    def has_handler(self, switch_id) -> bool:
-        return switch_id in self.handlers
-
-    @property
-    def idle(self) -> bool:
-        return not self.queue
-
-    @property
-    def handler_count(self) -> int:
-        return len(self.handlers)
 
 
 def line_of_hosts(**config_kw):
@@ -172,8 +160,8 @@ def test_host_with_only_a_wake_pending_is_not_idle():
 
 
 def test_flood_out_is_one_send_per_peer_over_a_send_only_transport():
-    """A flood is one ``send_flood``; a transport overriding only ``send``
-    sees one call per peer but the origin, in id order."""
+    """A flood is one ``send_flood`` naming every peer but the origin, in
+    id order."""
     transport = RecordingTransport()
     flood_out = LiveFloodOut(transport, 2, [4, 0, 3, 1, 2])
     ctx = TraceContext(2, -1, "link-down", 5)

@@ -29,8 +29,7 @@ from repro.topo.generators import grid_network, ring_network
 def fast_config(**kw) -> LiveConfig:
     defaults = dict(
         policy=RetransmitPolicy(rto=0.01, rto_max=0.1, max_attempts=8),
-        hello_interval=0.05,
-        dead_interval=0.3,
+        hello_interval=0.05,  # a neighbor is declared dead after 0.4 s
         quiesce_timeout=30.0,
     )
     defaults.update(kw)
@@ -54,7 +53,7 @@ class TestHelloFailureDetection:
                 fab.hosts[2].fire_membership(JoinEvent(2, 1))
                 await fab.quiesce()
                 await fab.crash(2)
-                await settle(fab, 0.5)  # > dead_interval of hello silence
+                await settle(fab, 0.6)  # > dead_interval of hello silence
                 link_down_at_1 = not fab.hosts[1].net.link(1, 2).up
                 tree = fab.hosts[0].states[1].installed.shared_tree
                 return fab.counters(), link_down_at_1, tree
@@ -100,7 +99,7 @@ class TestCrashRestart:
                     fab.hosts[member].fire_membership(JoinEvent(member, 1))
                     await fab.quiesce()
                 await fab.crash(2)
-                await settle(fab, 0.5)
+                await settle(fab, 0.6)
                 await fab.restart(2)
                 await settle(fab, 0.4)
                 await settle(fab, 0.4)
@@ -140,7 +139,7 @@ class TestCrashRestart:
                 fab.hosts[0].fire_membership(JoinEvent(0, 1))
                 await fab.quiesce()
                 await fab.crash(3)
-                await settle(fab, 0.5)
+                await settle(fab, 0.6)
                 await fab.restart(3)
                 await settle(fab, 0.4)
                 return fab.hosts[3].router.seqnum, fab.counters()
@@ -184,7 +183,7 @@ class TestPartitionHeal:
                 await fab.quiesce()
                 fab.partition([[0, 1], [2, 3]])
                 assert fab.partitioned
-                await settle(fab, 0.5)
+                await settle(fab, 0.6)
                 fab.hosts[2].fire_membership(JoinEvent(2, 1))
                 await fab.quiesce()
                 fab.heal_partition()

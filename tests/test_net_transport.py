@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from repro.core.lsa import McEvent, McLsa
 from repro.core.mc import Role
-from repro.lsr.flooding import KernelTransport
 from repro.net import frames
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.transport import RetransmitPolicy, UdpTransport
 from repro.obs.context import TraceContext
-from repro.sim.kernel import Simulator
 from repro.trees.base import McTopology, MulticastTree
 from tests.stamps import S
 
@@ -91,33 +89,6 @@ class TestFaultPlan:
         inj.cut([(3, 4), (5, 6)])
         inj.heal_all()
         assert inj.cut_pairs == frozenset()
-
-
-class TestKernelTransport:
-    def test_delivers_via_kernel_with_delay(self):
-        sim = Simulator()
-        transport = KernelTransport(sim)
-        got = []
-        transport.register(1, lambda dest, p: got.append((sim.now, dest, p)))
-        transport.send(0, 1, "payload", delay=2.5)
-        assert got == []  # nothing until the kernel runs
-        sim.run()
-        assert got == [(2.5, 1, "payload")]
-
-    def test_unregistered_destination_ignored(self):
-        sim = Simulator()
-        transport = KernelTransport(sim)
-        transport.send(0, 9, "payload")
-        assert sim.queue_depth == 0  # nothing was scheduled
-
-    def test_duplicate_registration_rejected(self):
-        transport = KernelTransport(Simulator())
-        transport.register(1, lambda d, p: None)
-        with pytest.raises(ValueError):
-            transport.register(1, lambda d, p: None)
-
-    def test_always_idle(self):
-        assert KernelTransport(Simulator()).idle
 
 
 async def _drive(transport: UdpTransport, until, timeout: float = 5.0) -> None:
@@ -548,7 +519,7 @@ class TestFloodEncoding:
             try:
                 monkeypatch.setattr(frames, "encode_lsa", counting)
                 lsa = flooded_lsa()
-                transport.send_flood(0, lsa, {dest: 0.0 for dest in self.PEERS})
+                transport.send_flood(0, lsa, self.PEERS)
                 monkeypatch.undo()
                 queued = {
                     dest: transport._pending[(0, dest, 1)].frame
@@ -587,7 +558,7 @@ class TestFloodEncoding:
             try:
                 transport.injector.cut([(0, 5)])
                 lsa = flooded_lsa()
-                transport.send_flood(0, lsa, {dest: 0.0 for dest in self.PEERS})
+                transport.send_flood(0, lsa, self.PEERS)
                 await _drive(transport, lambda: transport.idle)
                 return lsa, transport.counters()
             finally:
@@ -609,7 +580,7 @@ class TestFloodEncoding:
             await transport.start()
             try:
                 lsa = flooded_lsa()
-                transport.send_flood(0, lsa, {1: 0.0, 2: 0.0})
+                transport.send_flood(0, lsa, [1, 2])
                 await _drive(transport, lambda: len(got) == 2 and transport.idle)
                 return lsa, got
             finally:

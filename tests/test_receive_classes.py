@@ -13,6 +13,7 @@ class path, so it looks up exactly what the untraced run does.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 
 import pytest
@@ -21,8 +22,9 @@ from repro.core import (
     DgmcNetwork, JoinEvent, LeaveEvent, LinkEvent, NodeEvent, ProtocolConfig,
 )
 from repro.core import switch as switch_module
-from repro.lsr.flooding import KernelTransport, Transport
+from repro.lsr.flooding import Transport
 from repro.obs.tracer import Tracer, use_tracer
+from repro.sim.kernel import Simulator
 from repro.topo.generators import waxman_network
 from tests.test_receive_memo import churn_run, flap_run, outcome
 
@@ -60,10 +62,21 @@ def per_switch_installs(monkeypatch):
     monkeypatch.setattr(switch_module, "install_class", one_install_at_a_time)
 
 
-@pytest.fixture
-def per_copy_delivery(monkeypatch):
-    """Deliver every flooded copy through its switch's own handler."""
-    monkeypatch.setattr(KernelTransport, "register_class", Transport.register_class)
+class ClassesOfOne(Transport):
+    """The kernel carrier, but each class is delivered copy by copy, as
+    classes of one: the same entries at the same instants."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+
+    def send(self, src, payload, plan, hook) -> None:
+        for delay, dests in plan.instants(self.sim.now):
+            self.sim.schedule(delay, partial(one_at_a_time, hook, dests, payload))
+
+
+def one_at_a_time(hook, dests, payload) -> None:
+    for x in dests:
+        hook((x,), payload)
 
 
 def installs(dgmc: DgmcNetwork):
@@ -193,11 +206,15 @@ def test_a_class_installs_as_its_switches_one_at_a_time(frr, request):
         )
 
 
-def dead_switch_run() -> DgmcNetwork:
+def dead_switch_run(copy_by_copy: bool = False) -> DgmcNetwork:
     """Joins whose floods are in flight when a switch dies: its copies,
     due at one instant with other switches', are dropped."""
     net = waxman_network(60, Random(9))
-    dgmc = DgmcNetwork(net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05))
+    sim = Simulator()
+    dgmc = DgmcNetwork(
+        net, ProtocolConfig(compute_time=0.5, per_hop_delay=0.05), sim=sim,
+        transport=ClassesOfOne(sim) if copy_by_copy else None,
+    )
     dgmc.register_symmetric(1)
     for i, x in enumerate((0, 20, 40)):
         dgmc.inject(JoinEvent(x, 1), at=1.0 + 0.1 * i)
@@ -218,13 +235,12 @@ def dead_switch_run() -> DgmcNetwork:
     return dgmc
 
 
-def test_a_dead_switch_inside_a_delivery_class_drops_its_copy(request):
+def test_a_dead_switch_inside_a_delivery_class_drops_its_copy():
     """An MC class is one deployment call, and the switches a class holds
     that have died still drop exactly their copies."""
     classes = dead_switch_run()
     drops = classes.metrics.counter("lsa_drops_total").value
-    request.getfixturevalue("per_copy_delivery")
-    alone = dead_switch_run()
+    alone = dead_switch_run(copy_by_copy=True)
     assert drops > 0
     assert drops == alone.metrics.counter("lsa_drops_total").value
     assert classes.fabric.delivery_count == alone.fabric.delivery_count

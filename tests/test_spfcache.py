@@ -468,8 +468,9 @@ class TestSolvedImages:
 
     def test_deployments_on_one_network_count_alike(self, registry_delta):
         """A deployment solves what it computes on, whatever another
-        deployment on the same Network solved before it.  Per-hop flood
-        delays keep the network's own view (shared by design) out."""
+        deployment on the same Network solved before it.  Floods are timed
+        by hop counts, so the network's own view (shared by design) stays
+        out."""
         net = grid_network(3, 4)
         counters = (
             attach.SPF_HITS,
@@ -479,7 +480,7 @@ class TestSolvedImages:
         )
         seen = []
         for _ in range(2):
-            dgmc = DgmcNetwork(net, ProtocolConfig(per_hop_delay=0.05))
+            dgmc = DgmcNetwork(net, ProtocolConfig())
             dgmc.register_symmetric(1)
             registry_delta()
             for member in (0, 5, 11):
